@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,12 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     payload = {
         "version": __version__,
@@ -60,9 +67,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
         "config": config,
         "coupling_threads": os.environ.get("COUPLING_THREADS"),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", payload)
 
 
 def _load_joint(args) -> tuple[JointPmf, object]:
@@ -93,13 +98,9 @@ def _resolve_pz(args, k: int) -> Pmf:
     return pz
 
 
-def _cmd_cluster(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_cluster(args, out_dir: Path) -> int:
     joint, prune = _load_joint(args)
-    with open(out_dir / "prune_report.json", "w", encoding="utf-8") as fh:
-        json.dump(prune.as_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "prune_report.json", prune.as_dict())
 
     k = args.k
     if args.algo == "frobenius":
@@ -168,9 +169,7 @@ def _cmd_cluster(args) -> int:
     if args.truth is not None:
         truth = load_labels(args.truth)
         report = build_report(joint, kernel, truth, args.algo)
-        with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(out_dir / "report.json", report.as_dict())
         print(format_report_table(report))
     else:
         norm_val = kernel_norm_value(joint, kernel, args.algo)
@@ -182,30 +181,57 @@ def _cmd_cluster(args) -> int:
             "iters": len(trace),
             "status": trace.status,
         }
-        with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_json(out_dir / "report.json", summary)
         print(json.dumps(summary, indent=2))
     return 0
 
 
-def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("grid must be start:stop:step or comma-separated")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError("grid needs stop >= start and step > 0")
-        count = int(round((stop - start) / step))
-        return [start + i * step for i in range(count + 1)]
-    return [float(p) for p in text.split(",") if p.strip()]
+class _Grid(NamedTuple):
+    """A parsed number list and the text it came from (for the manifest)."""
+
+    text: str
+    values: list
 
 
-def _cmd_counterexample(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _parse_grid(args.s_grid)
+def _parse_grid(text: str, cast=float) -> _Grid:
+    """argparse type for `start:stop:step` or comma-separated numbers."""
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise argparse.ArgumentTypeError(
+                    "grid must be start:stop:step or comma-separated"
+                )
+            start, stop, step = (cast(p) for p in parts)
+            if step <= 0 or stop < start:
+                raise argparse.ArgumentTypeError(
+                    "grid needs stop >= start and step > 0"
+                )
+            count = int(round((stop - start) / step))
+            return _Grid(text, [start + i * step for i in range(count + 1)])
+        return _Grid(text, [cast(p) for p in text.split(",") if p.strip()])
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(
+            f"bad {cast.__name__} list {text!r}"
+        ) from None
+
+
+def _parse_int_grid(text: str) -> _Grid:
+    return _parse_grid(text, int)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _cmd_counterexample(args, out_dir: Path) -> int:
+    grid = args.s_grid.values
     if not grid:
         raise ConfigError("empty s grid")
     m, n, lam = args.m, args.n, args.lam
@@ -228,23 +254,20 @@ def _cmd_counterexample(args) -> int:
     _write_manifest(
         out_dir,
         "counterexample",
-        {"m": m, "n": n, "lambda": lam, "s_grid": args.s_grid},
+        {"m": m, "n": n, "lambda": lam, "s_grid": args.s_grid.text},
     )
     print(text, end="")
     return 0
 
 
-def _cmd_elbow(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_elbow(args, out_dir: Path) -> int:
     joint, _ = _load_joint(args)
-    ks = [int(x) for x in args.ks.split(",") if x.strip()]
     p_z = None
     if args.pz not in (None, "uniform"):
         p_z = load_pmf(args.pz)
     curve = elbow_curve(
         joint,
-        ks,
+        args.ks.values,
         algorithm=args.algo,
         restarts=args.restarts,
         p_z=p_z,
@@ -259,7 +282,7 @@ def _cmd_elbow(args) -> int:
         {
             "input": str(args.input),
             "algo": args.algo,
-            "ks": args.ks,
+            "ks": args.ks.text,
             "restarts": args.restarts,
             "pz": args.pz,
             "lambda": args.lam,
@@ -271,9 +294,7 @@ def _cmd_elbow(args) -> int:
     return 0
 
 
-def _cmd_embed(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_embed(args, out_dir: Path) -> int:
     joint, _ = _load_joint(args)
     if args.d == 1:
         _log(
@@ -297,9 +318,7 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_synth(args, out_dir: Path) -> int:
     if args.gen == "counterexample":
         params = CounterexampleParams(
             m=args.m, n=args.n, s=args.s, variant=args.variant
@@ -317,9 +336,12 @@ def _cmd_synth(args) -> int:
         }
         print(f"wrote {mat.size} triplets to {out_dir / 'synth.tsv'}")
     else:
-        sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
         joint, truth = gen_planted_blocks(
-            args.blocks, sizes, args.within, args.cross, noise_seed=args.seed
+            args.blocks,
+            args.sizes.values,
+            args.within,
+            args.cross,
+            noise_seed=args.seed,
         )
         write_triplets(
             out_dir / "synth.tsv", joint.row_labels, joint.col_labels, joint.weights
@@ -330,7 +352,7 @@ def _cmd_synth(args) -> int:
         config = {
             "gen": "planted",
             "blocks": args.blocks,
-            "sizes": args.sizes,
+            "sizes": args.sizes.text,
             "within": args.within,
             "cross": args.cross,
             "seed": args.seed,
@@ -381,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--lambda", dest="lam", type=float, default=10.0)
     cluster.add_argument("--alpha", type=float, default=None)
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--restarts", type=int, default=5)
+    cluster.add_argument("--restarts", type=_positive_int, default=5)
     cluster.add_argument("--tol", type=float, default=None)
     cluster.add_argument(
         "--truth", default=None, help="item<TAB>label file for accuracy reporting"
@@ -397,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--lambda", dest="lam", type=float, default=3000.0)
     ce.add_argument(
         "--s-grid",
+        type=_parse_grid,
         default="1:10:0.5",
         help="s values: start:stop:step or comma-separated",
     )
@@ -404,9 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     elbow = subs.add_parser("elbow", help="norm-versus-k model selection curve")
     _add_io_flags(elbow)
-    elbow.add_argument("--ks", required=True, help="comma-separated cluster counts")
+    elbow.add_argument(
+        "--ks",
+        type=_parse_int_grid,
+        required=True,
+        help="cluster counts: comma-separated or start:stop:step",
+    )
     elbow.add_argument("--algo", choices=("frobenius", "nuclear"), default="nuclear")
-    elbow.add_argument("--restarts", type=int, default=5)
+    elbow.add_argument("--restarts", type=_positive_int, default=5)
     elbow.add_argument("--pz", default=None)
     elbow.add_argument("--lambda", dest="lam", type=float, default=10.0)
     elbow.set_defaults(func=_cmd_elbow)
@@ -427,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--n", type=int, default=2)
     synth.add_argument("--s", type=float, default=3.0)
     synth.add_argument("--blocks", type=int, default=2)
-    synth.add_argument("--sizes", default="30,30")
+    synth.add_argument("--sizes", type=_parse_int_grid, default="30,30")
     synth.add_argument("--within", type=float, default=1.0)
     synth.add_argument("--cross", type=float, default=0.05)
     synth.add_argument("--seed", type=int, default=0)
@@ -438,9 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: --help, --version or a usage error
+        return exc.code
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return args.func(args, out_dir)
     except ConfigError as exc:
         _log(f"configuration error: {exc}")
         return 2

@@ -508,29 +508,6 @@ def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:
     return int(np.sum(dtm.singular_values() > 1.0 - tol))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def bipartite_components(joint: JointPmf) -> int:
     """Connected components of the bipartite support graph of the joint.
 
@@ -538,9 +515,13 @@ def bipartite_components(joint: JointPmf) -> int:
     threshold (float dust must not connect components). Matches the
     multiplicity of the singular value 1 of the DTM.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     ny, nx = joint.shape
-    uf = _UnionFind(ny + nx)
     rows, cols = np.nonzero(joint.weights > SUPPORT_EPS)
-    for y, x in zip(rows.tolist(), cols.tolist()):
-        uf.union(y, ny + x)
-    return len({uf.find(i) for i in range(ny + nx)})
+    graph = coo_matrix(
+        (np.ones(rows.size), (rows, ny + cols)), shape=(ny + nx, ny + nx)
+    )
+    count, _ = connected_components(graph, directed=False)
+    return int(count)

@@ -73,17 +73,13 @@ class PruneReport:
         return not self.pruned_rows and not self.pruned_cols
 
 
-def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a triplet TSV into (row_labels, col_labels, weights).
+def _read_tsv(path, nfields: int):
+    """Yield (lineno, offset, fields) for each data line of a TSV file.
 
-    Label order is first appearance. ParseError carries the 1-based line
-    number and the byte offset of the offending line's start.
+    Lines are UTF-8; blank lines and full-line `#` comments are skipped.
+    ParseError carries the 1-based line number and the byte offset of the
+    offending line's start.
     """
-    cells: dict[tuple[str, str], float] = {}
-    rows: list[str] = []
-    cols: list[str] = []
-    row_seen: dict[str, int] = {}
-    col_seen: dict[str, int] = {}
     offset = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -97,33 +93,47 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split("\t")
-            if len(parts) != 3:
+            if len(parts) != nfields:
                 raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}",
+                    f"expected {nfields} tab-separated fields, got {len(parts)}",
                     lineno,
                     line_offset,
                 )
-            row, col, weight_text = parts
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise ParseError(
-                    f"bad weight {weight_text!r}", lineno, line_offset
-                ) from None
-            if not math.isfinite(weight) or weight < 0:
-                raise ParseError(
-                    f"weight must be finite and >= 0, got {weight!r}",
-                    lineno,
-                    line_offset,
-                )
-            if row not in row_seen:
-                row_seen[row] = len(rows)
-                rows.append(row)
-            if col not in col_seen:
-                col_seen[col] = len(cols)
-                cols.append(col)
-            key = (row, col)
-            cells[key] = cells.get(key, 0.0) + weight
+            yield lineno, line_offset, parts
+
+
+def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Read a triplet TSV into (row_labels, col_labels, weights).
+
+    Label order is first appearance. ParseError carries the 1-based line
+    number and the byte offset of the offending line's start.
+    """
+    cells: dict[tuple[str, str], float] = {}
+    rows: list[str] = []
+    cols: list[str] = []
+    row_seen: dict[str, int] = {}
+    col_seen: dict[str, int] = {}
+    for lineno, line_offset, (row, col, weight_text) in _read_tsv(path, 3):
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise ParseError(
+                f"bad weight {weight_text!r}", lineno, line_offset
+            ) from None
+        if not math.isfinite(weight) or weight < 0:
+            raise ParseError(
+                f"weight must be finite and >= 0, got {weight!r}",
+                lineno,
+                line_offset,
+            )
+        if row not in row_seen:
+            row_seen[row] = len(rows)
+            rows.append(row)
+        if col not in col_seen:
+            col_seen[col] = len(cols)
+            cols.append(col)
+        key = (row, col)
+        cells[key] = cells.get(key, 0.0) + weight
     weights = np.zeros((len(rows), len(cols)))
     for (row, col), weight in cells.items():
         weights[row_seen[row], col_seen[col]] = weight
@@ -268,28 +278,14 @@ def load_pmf(path) -> Pmf:
     """Read `label<TAB>probability` lines into a Pmf."""
     labels: list[str] = []
     probs: list[float] = []
-    offset = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line_offset = offset
-            offset += len(raw)
-            text = raw.decode("utf-8").strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected 2 tab-separated fields, got {len(parts)}",
-                    lineno,
-                    line_offset,
-                )
-            labels.append(parts[0])
-            try:
-                probs.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(
-                    f"bad probability {parts[1]!r}", lineno, line_offset
-                ) from None
+    for lineno, line_offset, (label, prob_text) in _read_tsv(path, 2):
+        labels.append(label)
+        try:
+            probs.append(float(prob_text))
+        except ValueError:
+            raise ParseError(
+                f"bad probability {prob_text!r}", lineno, line_offset
+            ) from None
     if not labels:
         raise ParseError("empty pmf file", 1, 0)
     return Pmf(tuple(labels), np.array(probs))
@@ -297,23 +293,7 @@ def load_pmf(path) -> Pmf:
 
 def load_labels(path) -> dict[str, str]:
     """Read `item<TAB>label` lines into an assignment mapping."""
-    out: dict[str, str] = {}
-    offset = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line_offset = offset
-            offset += len(raw)
-            text = raw.decode("utf-8").strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected 2 tab-separated fields, got {len(parts)}",
-                    lineno,
-                    line_offset,
-                )
-            out[parts[0]] = parts[1]
+    out = {item: label for _, _, (item, label) in _read_tsv(path, 2)}
     if not out:
         raise ParseError("empty label file", 1, 0)
     return out

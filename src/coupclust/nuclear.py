@@ -129,9 +129,7 @@ def maximize_linear_coupling(
     nz = f.shape[0]
     if cluster_labels is None:
         cluster_labels = tuple(f"z{i}" for i in range(nz))
-    assign = np.argmax(c, axis=1)
-    kernel = np.zeros((nz, c.shape[0]))
-    kernel[assign, np.arange(c.shape[0])] = 1.0
+    kernel = _one_hot(np.argmax(c, axis=1), nz)
     return CouplingKernel(cluster_labels, joint_yx.row_labels, kernel)
 
 

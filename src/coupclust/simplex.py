@@ -3,32 +3,13 @@
 Sort-then-threshold method: sort descending, find the largest prefix whose
 running mean keeps every kept coordinate positive after shifting, shift by
 that threshold, clip at zero.
-
-Two interchangeable backends: a compiled Cython kernel (built at install
-time) and this module's numpy implementation. Both execute the identical
-sequence of IEEE operations (sequential prefix sums, the same threshold
-comparison), so their outputs are bitwise equal; the selection below is a
-pure speed choice. Set COUPLING_PURE_PYTHON=1 to force the numpy route.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["simplex_project", "project_columns", "BACKEND"]
-
-_ext = None
-if os.environ.get("COUPLING_PURE_PYTHON", "") not in ("", "0"):
-    _ext = None
-else:
-    try:
-        from . import _projection as _ext  # type: ignore[no-redef]
-    except ImportError:
-        _ext = None
-
-BACKEND = "cython" if _ext is not None else "numpy"
+__all__ = ["simplex_project", "project_columns"]
 
 
 def _project_columns_np(mat: np.ndarray) -> np.ndarray:
@@ -42,8 +23,8 @@ def _project_columns_np(mat: np.ndarray) -> np.ndarray:
     cols = np.arange(mat.shape[1])
     tau = (css[rho, cols] - 1.0) / (rho + 1.0)
     diff = mat - tau[None, :]
-    # where() rather than maximum(): matches the compiled backend's
-    # "x if x > 0 else 0", which maps -0.0 to +0.0.
+    # where() rather than maximum(): maximum() of -0.0 and 0.0 may return
+    # either zero, while where() writes every clipped coordinate as +0.0.
     return np.where(diff > 0.0, diff, 0.0)
 
 
@@ -52,8 +33,6 @@ def simplex_project(v) -> np.ndarray:
     arr = np.ascontiguousarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty vector")
-    if _ext is not None:
-        return _ext.project_vector(arr)
     return _project_columns_np(arr[:, None])[:, 0]
 
 
@@ -62,6 +41,4 @@ def project_columns(mat) -> np.ndarray:
     arr = np.ascontiguousarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("expected a matrix with at least one row")
-    if _ext is not None:
-        return _ext.project_columns(arr)
     return _project_columns_np(arr)

@@ -198,6 +198,44 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+        data = tmp_path / "data.tsv"
+        data.write_text("a\tu\t1\n")
+        for argv in (
+            ["counterexample", "--s-grid", "a,b"],
+            ["counterexample", "--s-grid", "1:2"],
+            ["elbow", str(data), "--ks", "1,x"],
+            ["synth", "--gen", "planted", "--sizes", "3,x"],
+        ):
+            assert main(argv + ["--out", str(tmp_path / "x")]) == 2, argv
+
+    @pytest.mark.parametrize("restarts", ["0", "-1", "two"])
+    def test_bad_restarts(self, planted, tmp_path, restarts):
+        data, _ = planted
+        for argv in (
+            ["cluster", str(data), "--algo", "nuclear", "--k", "2"],
+            ["elbow", str(data), "--ks", "1,2"],
+        ):
+            rc = main(argv + ["--restarts", restarts, "--out", str(tmp_path / "x")])
+            assert rc == 2, argv
+
+    @pytest.mark.parametrize("flag", ["--pz", "--truth"])
+    def test_bad_utf8_side_file(self, planted, tmp_path, capsys, flag):
+        data, truth = planted
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"z0\t0.5\n\xff\xfe\t0.5\n")
+        side = {"--pz": "uniform", "--truth": str(truth)}
+        side[flag] = str(bad)
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "frobenius", "--k", "2",
+                "--restarts", "1", "--pz", side["--pz"],
+                "--truth", side["--truth"], "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 2, byte 7" in err
+        assert "Traceback" not in err
 
 
 class TestCounterexampleCmd:

@@ -80,12 +80,22 @@ class TestParseTriplets:
         with pytest.raises(ParseError):
             parse_triplets(p)
 
-    def test_bad_utf8(self, tmp_path):
+    @pytest.mark.parametrize(
+        "reader, first_line",
+        [
+            (parse_triplets, b"a\tu\t1\n"),
+            (load_pmf, b"z0\t1\n"),
+            (load_labels, b"a\tb0\n"),
+        ],
+        ids=["parse_triplets", "load_pmf", "load_labels"],
+    )
+    def test_bad_utf8(self, tmp_path, reader, first_line):
         p = tmp_path / "t.tsv"
-        p.write_bytes(b"a\tu\t1\n\xff\xfe\tbroken\t1\n")
+        p.write_bytes(first_line + b"\xff\xfe\tbroken\t1\n")
         with pytest.raises(ParseError) as err:
-            parse_triplets(p)
+            reader(p)
         assert err.value.line == 2
+        assert err.value.offset == len(first_line)
 
     def test_message_format(self, tmp_path):
         p = tmp_path / "t.tsv"
