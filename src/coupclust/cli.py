@@ -22,6 +22,7 @@ from . import __version__
 from .core import JointPmf, Pmf
 from .data_io import (
     CounterexampleParams,
+    _write_json,
     apply_rating_transform,
     community_objective,
     counterexample_frobenius,
@@ -50,14 +51,13 @@ from .frobenius import FrobeniusConfig, solve_frobenius
 from .nuclear import NuclearConfig, solve_nuclear
 
 
+# Frobenius marginal penalty weight when --lambda is not given. The flag
+# defaults to None so that the nuclear solver can reject it when it is set.
+_DEFAULT_LAMBDA = 10.0
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -98,24 +98,30 @@ def _resolve_pz(args, k: int) -> Pmf:
     return pz
 
 
+def _reject_for_nuclear(args, flags: dict) -> None:
+    """ConfigError if --algo nuclear comes with a Frobenius-only flag."""
+    for flag, value in flags.items():
+        if args.algo == "nuclear" and value is not None:
+            raise ConfigError(f"--algo nuclear does not take {flag}")
+
+
 def _cmd_cluster(args, out_dir: Path) -> int:
     joint, prune = _load_joint(args)
     _write_json(out_dir / "prune_report.json", prune.as_dict())
 
     k = args.k
-    if args.algo == "frobenius":
-        p_z = _resolve_pz(args, k)
-    else:
-        if args.pz is not None:
-            raise ConfigError("--algo nuclear does not take --pz")
-        p_z = None
+    _reject_for_nuclear(
+        args, {"--pz": args.pz, "--alpha": args.alpha, "--lambda": args.lam}
+    )
+    lam = _DEFAULT_LAMBDA if args.lam is None else args.lam
+    p_z = _resolve_pz(args, k) if args.algo == "frobenius" else None
 
     best = None
     for restart in range(args.restarts):
         seed = args.seed + restart
         if args.algo == "frobenius":
             cfg = FrobeniusConfig(
-                lam=args.lam,
+                lam=lam,
                 alpha=args.alpha,
                 seed=seed,
                 obj_tol=args.tol if args.tol is not None else 1e-9,
@@ -155,7 +161,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
             "algo": args.algo,
             "k": k,
             "pz": args.pz,
-            "lambda": args.lam,
+            "lambda": lam,
             "alpha": args.alpha,
             "seed": args.seed,
             "best_seed": best_seed,
@@ -262,6 +268,8 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 
 def _cmd_elbow(args, out_dir: Path) -> int:
     joint, _ = _load_joint(args)
+    _reject_for_nuclear(args, {"--pz": args.pz, "--lambda": args.lam})
+    lam = _DEFAULT_LAMBDA if args.lam is None else args.lam
     p_z = None
     if args.pz not in (None, "uniform"):
         p_z = load_pmf(args.pz)
@@ -271,7 +279,7 @@ def _cmd_elbow(args, out_dir: Path) -> int:
         algorithm=args.algo,
         restarts=args.restarts,
         p_z=p_z,
-        frobenius_lam=args.lam,
+        frobenius_lam=lam,
     )
     lines = ["k,norm_value"] + [f"{k},{v:.17g}" for k, v in curve]
     text = "\n".join(lines) + "\n"
@@ -285,7 +293,7 @@ def _cmd_elbow(args, out_dir: Path) -> int:
             "ks": args.ks.text,
             "restarts": args.restarts,
             "pz": args.pz,
-            "lambda": args.lam,
+            "lambda": lam,
             "normalize": args.normalize,
             "rating_transform": bool(args.rating_transform),
         },
@@ -393,14 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = subs.add_parser("cluster", help="learn a coupling kernel")
     _add_io_flags(cluster)
     cluster.add_argument("--algo", choices=("frobenius", "nuclear"), required=True)
-    cluster.add_argument("--k", type=int, required=True, help="number of clusters")
+    cluster.add_argument(
+        "--k", type=_positive_int, required=True, help="number of clusters"
+    )
     cluster.add_argument(
         "--pz",
         default=None,
         help="target cluster marginal: a pmf TSV path or 'uniform' "
         "(required by frobenius, forbidden for nuclear)",
     )
-    cluster.add_argument("--lambda", dest="lam", type=float, default=10.0)
+    cluster.add_argument("--lambda", dest="lam", type=float, default=None)
     cluster.add_argument("--alpha", type=float, default=None)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--restarts", type=_positive_int, default=5)
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     elbow.add_argument("--algo", choices=("frobenius", "nuclear"), default="nuclear")
     elbow.add_argument("--restarts", type=_positive_int, default=5)
     elbow.add_argument("--pz", default=None)
-    elbow.add_argument("--lambda", dest="lam", type=float, default=10.0)
+    elbow.add_argument("--lambda", dest="lam", type=float, default=None)
     elbow.set_defaults(func=_cmd_elbow)
 
     embed = subs.add_parser("embed", help="DTM singular-vector embedding")

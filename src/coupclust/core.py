@@ -37,7 +37,7 @@ from .errors import (
     MarginalMismatch,
     ZeroMarginal,
 )
-from .svd import svd_for_dtm
+from .svd import exact_svd
 
 MASS_TOL = 1e-12
 KERNEL_COL_TOL = 1e-9
@@ -302,7 +302,7 @@ class Dtm:
         if self._svd is None:
             with self._lock:
                 if self._svd is None:
-                    u, s, vt = svd_for_dtm(self.matrix)
+                    u, s, vt = exact_svd(self.matrix)
                     if self._consistent:
                         if abs(float(s[0]) - 1.0) > SPECTRAL_TOL:
                             raise CoupclustError(

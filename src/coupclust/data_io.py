@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, JointPmf, Pmf, build_dtm
+from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq
 from .errors import (
     EmptyAfterPruning,
     InvalidDistribution,
@@ -73,12 +73,13 @@ class PruneReport:
         return not self.pruned_rows and not self.pruned_cols
 
 
-def _read_tsv(path, nfields: int):
-    """Yield (lineno, offset, fields) for each data line of a TSV file.
+def _read_lines(path, nfields: int | None = None):
+    """Yield (lineno, offset, item) for each data line of a text file.
 
     Lines are UTF-8; blank lines and full-line `#` comments are skipped.
-    ParseError carries the 1-based line number and the byte offset of the
-    offending line's start.
+    item is the decoded line when nfields is None, else its nfields
+    tab-separated fields. ParseError carries the 1-based line number and the
+    byte offset of the offending line's start.
     """
     offset = 0
     with open(path, "rb") as fh:
@@ -91,6 +92,9 @@ def _read_tsv(path, nfields: int):
                 raise ParseError(f"not valid UTF-8 ({exc.reason})", lineno, line_offset)
             stripped = text.strip()
             if not stripped or stripped.startswith("#"):
+                continue
+            if nfields is None:
+                yield lineno, line_offset, text
                 continue
             parts = stripped.split("\t")
             if len(parts) != nfields:
@@ -113,7 +117,7 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
     cols: list[str] = []
     row_seen: dict[str, int] = {}
     col_seen: dict[str, int] = {}
-    for lineno, line_offset, (row, col, weight_text) in _read_tsv(path, 3):
+    for lineno, line_offset, (row, col, weight_text) in _read_lines(path, 3):
         try:
             weight = float(weight_text)
         except ValueError:
@@ -140,39 +144,28 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
     return rows, cols, weights
 
 
+def _csv_cells(line: str, lineno: int, line_offset: int) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV line ({exc})", lineno, line_offset) from None
+
+
 def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a dense CSV (header = X labels, first column = Y labels)."""
-    with open(path, "rb") as fh:
-        raw_lines = fh.readlines()
-    offsets = []
-    total = 0
-    for raw in raw_lines:
-        offsets.append(total)
-        total += len(raw)
-    lines = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"not valid UTF-8 ({exc.reason})", lineno, offsets[lineno - 1]
-            )
-    body = [
-        (i + 1, offsets[i], row)
-        for i, row in enumerate(lines)
-        if row.strip() and not row.strip().startswith("#")
-    ]
-    if not body:
-        raise ParseError("empty file", 1, 0)
-    header_no, header_off, header = body[0]
-    header_cells = next(csv.reader([header]))
+    lines = _read_lines(path)
+    try:
+        header_no, header_off, header = next(lines)
+    except StopIteration:
+        raise ParseError("empty file", 1, 0) from None
+    header_cells = _csv_cells(header, header_no, header_off)
     if len(header_cells) < 2:
         raise ParseError("header needs at least one column label", header_no, header_off)
     col_labels = [c.strip() for c in header_cells[1:]]
     row_labels: list[str] = []
     data: list[list[float]] = []
-    for lineno, line_offset, line in body[1:]:
-        cells = next(csv.reader([line]))
+    for lineno, line_offset, line in lines:
+        cells = _csv_cells(line, lineno, line_offset)
         if len(cells) != len(col_labels) + 1:
             raise ParseError(
                 f"expected {len(col_labels) + 1} cells, got {len(cells)}",
@@ -278,7 +271,7 @@ def load_pmf(path) -> Pmf:
     """Read `label<TAB>probability` lines into a Pmf."""
     labels: list[str] = []
     probs: list[float] = []
-    for lineno, line_offset, (label, prob_text) in _read_tsv(path, 2):
+    for lineno, line_offset, (label, prob_text) in _read_lines(path, 2):
         labels.append(label)
         try:
             probs.append(float(prob_text))
@@ -293,7 +286,7 @@ def load_pmf(path) -> Pmf:
 
 def load_labels(path) -> dict[str, str]:
     """Read `item<TAB>label` lines into an assignment mapping."""
-    out = {item: label for _, _, (item, label) in _read_tsv(path, 2)}
+    out = {item: label for _, _, (item, label) in _read_lines(path, 2)}
     if not out:
         raise ParseError("empty label file", 1, 0)
     return out
@@ -404,8 +397,7 @@ def counterexample_frobenius(m: int, n: int, s: float, kernel: CouplingKernel) -
     chain = JointPmf.from_weights(
         kernel.cluster_labels, xlabels, kernel.kernel @ joint.weights
     )
-    b = build_dtm(chain)
-    return float(np.sum(b.matrix * b.matrix))
+    return frobenius_sq(build_dtm(chain))
 
 
 def gen_planted_blocks(
@@ -472,6 +464,13 @@ def community_objective(q, p, lam: float, k: int) -> float:
     return dist - float(lam) * top
 
 
+def _write_json(path, payload) -> None:
+    """JSON with two-space indent and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_kernel_json(
     path,
     kernel: CouplingKernel,
@@ -490,9 +489,7 @@ def write_kernel_json(
         "algorithm": algorithm,
         "iters": int(iters),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_trace_csv(path, trace) -> None:

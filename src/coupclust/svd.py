@@ -1,17 +1,14 @@
-"""SVD backends.
+"""SVD routines.
 
-Dense LAPACK SVD at desk scale; randomized block power iteration above the
-size cutoff or on explicit request. The iterative route exists for matrices
-whose full factorization would be wasteful, and doubles as the ACE-style
-approximation used by the embedding module.
+Every full SVD of a DTM is LAPACK (`exact_svd`). Randomized block power
+iteration computes a truncated SVD on explicit request; it saves work only
+when the rank asked for is much smaller than the matrix, and doubles as the
+ACE-style approximation used by the embedding module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Below this min-dimension the dense route is both exact and fast enough.
-DENSE_CUTOFF = 512
 
 _OVERSAMPLE = 8
 _POWER_ITERS = 30
@@ -50,13 +47,6 @@ def randomized_svd(
     u_small, s, vt = np.linalg.svd(small_mat, full_matrices=False)
     u = q @ u_small
     return u[:, :rank], s[:rank], vt[:rank]
-
-
-def svd_for_dtm(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backend selector: dense when the small dimension is modest."""
-    if min(matrix.shape) <= DENSE_CUTOFF:
-        return exact_svd(matrix)
-    return randomized_svd(matrix, rank=min(matrix.shape))
 
 
 def top_singular_value_sym(mat: np.ndarray, iters: int = 60) -> float:

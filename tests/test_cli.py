@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coupclust.cli import main
 from coupclust.data_io import gen_planted_blocks, write_triplets
@@ -143,6 +150,40 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--algo", "nuclear", "--k", "2", "--alpha", "5"],
+            ["cluster", "--algo", "nuclear", "--k", "2", "--lambda", "3"],
+            ["elbow", "--algo", "nuclear", "--ks", "1,2", "--pz", "PZ"],
+            ["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "3"],
+        ],
+    )
+    def test_nuclear_rejects_frobenius_flags(self, planted, tmp_path, capsys, argv):
+        data, _ = planted
+        pz = tmp_path / "pz.tsv"
+        pz.write_text("c0\t0.5\nc1\t0.5\n")
+        argv = [str(pz) if a == "PZ" else a for a in argv]
+        rc = main(
+            [argv[0], str(data), *argv[1:], "--restarts", "1",
+             "--out", str(tmp_path / "x")]
+        )
+        assert rc == 2
+        assert f"does not take {argv[-2]}" in capsys.readouterr().err
+
+    def test_default_lambda_in_manifest(self, planted, tmp_path):
+        data, _ = planted
+        out = tmp_path / "x"
+        rc = main(
+            [
+                "elbow", str(data), "--algo", "frobenius", "--ks", "2",
+                "--restarts", "1", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["lambda"] == 10.0
+
     def test_frobenius_requires_pz(self, planted, tmp_path):
         data, _ = planted
         rc = main(
@@ -217,6 +258,17 @@ class TestExitCodes:
         ):
             rc = main(argv + ["--restarts", restarts, "--out", str(tmp_path / "x")])
             assert rc == 2, argv
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_bad_k(self, planted, tmp_path, k):
+        data, _ = planted
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "frobenius", "--k", k,
+                "--pz", "uniform", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
 
     @pytest.mark.parametrize("flag", ["--pz", "--truth"])
     def test_bad_utf8_side_file(self, planted, tmp_path, capsys, flag):
@@ -299,3 +351,68 @@ class TestEmbedCmd:
         rows = (out / "embedding.tsv").read_text().strip().split("\n")
         coords = [float(r.split("\t")[1]) for r in rows]
         assert np.ptp(coords) <= 1e-8
+
+
+# Raw bytes, or well-formed triplet, dense CSV or pmf/label lines with at
+# most one line of noise, so that generated inputs also reach the solvers and
+# writers, not only the parsers.
+_name = st.sampled_from(["a", "b", "c", "d"])
+_weight = st.sampled_from(["1", "2", "0.5", "0"])
+_noise = st.one_of(
+    st.sampled_from(
+        ["#c", "a\tb", "a\tb\t-1", "a\tb\tnan", "a\tb\t1e308", '"q,1', "a\rb,1"]
+    ),
+    st.text(max_size=8),
+)
+
+
+def _text_file(lines):
+    return st.tuples(lines, st.lists(_noise, max_size=1)).map(
+        lambda t: "\n".join(t[0] + t[1]).encode()
+    )
+
+
+_triplets = st.lists(st.tuples(_name, _name, _weight).map("\t".join), max_size=8)
+_dense = st.lists(st.lists(_weight, min_size=2, max_size=2), max_size=4).map(
+    lambda rows: [",x,y"] + [f"{n},{a},{b}" for n, (a, b) in zip("abcd", rows)]
+)
+_pmf = st.lists(st.tuples(_name, _weight).map("\t".join), max_size=4)
+_input = st.one_of(
+    st.tuples(st.binary(max_size=200), st.sampled_from([".tsv", ".csv"])),
+    st.tuples(_text_file(_triplets), st.just(".tsv")),
+    st.tuples(_text_file(_dense), st.just(".csv")),
+)
+_side = st.one_of(st.binary(max_size=100), _text_file(_pmf))
+
+_CONTRACT_ARGV = [
+    ["cluster", "IN", "--algo", "nuclear", "--k", "2", "--restarts", "1",
+     "--truth", "SIDE"],
+    ["cluster", "IN", "--algo", "frobenius", "--k", "2", "--restarts", "1",
+     "--pz", "SIDE", "--truth", "SIDE"],
+    ["cluster", "IN", "--algo", "frobenius", "--k", "1", "--restarts", "1",
+     "--pz", "uniform"],
+    ["embed", "IN", "--d", "2"],
+    ["elbow", "IN", "--ks", "1,2", "--restarts", "1"],
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+# A carriage return inside a CSV line is a ParseError, not a csv.Error.
+@example(data=(b",x,y\na\rb,1,2\n", ".csv"), side=b"", argv=_CONTRACT_ARGV[3])
+@given(data=_input, side=_side, argv=st.sampled_from(_CONTRACT_ARGV))
+def test_exit_code_contract(data, side, argv):
+    """Any input bytes: main returns 0, 2, 3 or 4 and prints no traceback."""
+    content, suffix = data
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"IN": tmp / f"in{suffix}", "SIDE": tmp / "side.tsv"}
+        paths["IN"].write_bytes(content)
+        paths["SIDE"].write_bytes(side)
+        full = [str(paths.get(a, a)) for a in argv] + ["--out", str(tmp / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(full)
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

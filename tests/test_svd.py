@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from coupclust.core import JointPmf, build_dtm
 from coupclust.svd import (
     exact_svd,
     randomized_svd,
-    svd_for_dtm,
     top_singular_value_sym,
 )
 
@@ -47,11 +47,16 @@ def test_randomized_rank_validation(rng):
         randomized_svd(a, rank=0)
 
 
-def test_selector_dense_at_desk_scale(rng):
-    a = rng.normal(size=(12, 9))
-    u, s, vt = svd_for_dtm(a)
-    _, s_exact, _ = exact_svd(a)
-    np.testing.assert_allclose(s, s_exact, atol=1e-12)
+@pytest.mark.parametrize("shape", [(12, 9), (520, 600)])
+def test_dtm_svd_is_lapack_at_every_size(rng, shape):
+    # One route for every DTM, small or large: the cached SVD is LAPACK's.
+    weights = rng.uniform(0.1, 1.0, size=shape)
+    rows = tuple(f"y{i}" for i in range(shape[0]))
+    cols = tuple(f"x{j}" for j in range(shape[1]))
+    b = build_dtm(JointPmf.from_weights(rows, cols, weights))
+    expected = np.linalg.svd(b.matrix, full_matrices=False)
+    for got, want in zip(b.svd(), expected):
+        assert np.array_equal(got, want)
 
 
 def test_top_singular_value_sym(rng):
