@@ -10,179 +10,25 @@ from . import _threads  # noqa: F401  (must run before numpy loads)
 
 __version__ = "0.1.0"
 
-from .core import (
-    CouplingKernel,
-    Dtm,
-    JointPmf,
-    PerturbationFamily,
-    Pmf,
-    bipartite_components,
-    build_dtm,
-    compose_dtm,
-    dtm_from_kernel,
-    frobenius_sq,
-    kl_divergence,
-    local_mi_gap,
-    mutual_information,
-    nuclear,
-    perturbed_kernel,
-    schatten_p,
-    singular_one_multiplicity,
-)
-from .data_io import (
-    CounterexampleParams,
-    PruneReport,
-    apply_rating_transform,
-    community_objective,
-    counterexample_frobenius,
-    gen_counterexample,
-    gen_planted_blocks,
-    ingest,
-    intuitive_kernel,
-    load_dense_csv,
-    load_pmf,
-    load_triplets,
-    one_item_kernel,
-    parse_triplets,
-    rating_transform,
-    write_kernel_json,
-    write_trace_csv,
-    write_triplets,
-)
-from .embedding import EmbeddingMatrix, cosine_score, dtm_embed, write_embedding_tsv
-from .errors import (
-    ConfigError,
-    CoupclustError,
-    DataError,
-    DegenerateCluster,
-    DimensionMismatch,
-    EmptyAfterPruning,
-    EpsilonTooLarge,
-    InvalidDistribution,
-    InvalidOrder,
-    InvalidParams,
-    InvalidRating,
-    LabelMismatch,
-    MarginalMismatch,
-    NonFinite,
-    ParseError,
-    RankDeficient,
-    ShapeMismatch,
-    SolverError,
-    UnknownLabel,
-    ZeroMarginal,
-)
-from .evaluation import (
-    ClusteringReport,
-    build_report,
-    coverage,
-    elbow_curve,
-    format_report_table,
-    harden,
-    kernel_norm_value,
-    matched_accuracy,
-)
-from .frobenius import (
-    FrobeniusConfig,
-    SolveTrace,
-    frobenius_gradient,
-    frobenius_objective,
-    penalty_matrices,
-    project_to_feasible,
-    solve_frobenius,
-)
-from .nuclear import (
-    KyFanFeatures,
-    NuclearConfig,
-    kyfan_features,
-    maximize_linear_coupling,
-    maximize_linear_coupling_constrained,
-    solve_nuclear,
-)
-from .simplex import project_columns, simplex_project
+from . import core, data_io, embedding, errors, evaluation, frobenius, simplex
+from . import nuclear as _nuclear  # `nuclear` is core's nuclear norm
+from .core import *  # noqa: F403
+from .data_io import *  # noqa: F403
+from .embedding import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .frobenius import *  # noqa: F403
+from .nuclear import *  # noqa: F403
+from .simplex import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "ClusteringReport",
-    "ConfigError",
-    "CoupclustError",
-    "CouplingKernel",
-    "CounterexampleParams",
-    "DataError",
-    "DegenerateCluster",
-    "DimensionMismatch",
-    "Dtm",
-    "EmbeddingMatrix",
-    "EmptyAfterPruning",
-    "EpsilonTooLarge",
-    "FrobeniusConfig",
-    "InvalidDistribution",
-    "InvalidOrder",
-    "InvalidParams",
-    "InvalidRating",
-    "JointPmf",
-    "KyFanFeatures",
-    "LabelMismatch",
-    "MarginalMismatch",
-    "NonFinite",
-    "NuclearConfig",
-    "ParseError",
-    "PerturbationFamily",
-    "Pmf",
-    "PruneReport",
-    "RankDeficient",
-    "ShapeMismatch",
-    "SolveTrace",
-    "SolverError",
-    "UnknownLabel",
-    "ZeroMarginal",
-    "apply_rating_transform",
-    "bipartite_components",
-    "build_dtm",
-    "build_report",
-    "community_objective",
-    "compose_dtm",
-    "cosine_score",
-    "counterexample_frobenius",
-    "coverage",
-    "dtm_embed",
-    "dtm_from_kernel",
-    "elbow_curve",
-    "format_report_table",
-    "frobenius_gradient",
-    "frobenius_objective",
-    "frobenius_sq",
-    "gen_counterexample",
-    "gen_planted_blocks",
-    "harden",
-    "ingest",
-    "intuitive_kernel",
-    "kernel_norm_value",
-    "kl_divergence",
-    "kyfan_features",
-    "load_dense_csv",
-    "load_pmf",
-    "load_triplets",
-    "local_mi_gap",
-    "matched_accuracy",
-    "maximize_linear_coupling",
-    "maximize_linear_coupling_constrained",
-    "mutual_information",
-    "nuclear",
-    "one_item_kernel",
-    "parse_triplets",
-    "penalty_matrices",
-    "perturbed_kernel",
-    "project_columns",
-    "project_to_feasible",
-    "rating_transform",
-    "schatten_p",
-    "simplex_project",
-    "singular_one_multiplicity",
-    "solve_frobenius",
-    "solve_nuclear",
-    "write_embedding_tsv",
-    "write_kernel_json",
-    "write_trace_csv",
-    "write_triplets",
+    *core.__all__,
+    *data_io.__all__,
+    *embedding.__all__,
+    *errors.__all__,
+    *evaluation.__all__,
+    *frobenius.__all__,
+    *_nuclear.__all__,
+    *simplex.__all__,
 ]

@@ -13,8 +13,9 @@ Conventions, used everywhere downstream:
   Markov chain X -> Y -> Z as B_{Z,X} = B_{Z,Y} B_{Y,X}.
 - Logs are natural: all information quantities are in nats.
 
-All types are immutable after construction and safe to share across threads;
-the SVD cache on Dtm is compute-once.
+All types except the solvers' SolveTrace history are immutable after
+construction and safe to share across threads; the SVD cache on Dtm is
+compute-once.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "CouplingKernel",
     "Dtm",
     "PerturbationFamily",
+    "SolveTrace",
     "build_dtm",
     "dtm_from_kernel",
     "compose_dtm",
@@ -319,6 +321,43 @@ class Dtm:
 
     def singular_values(self) -> np.ndarray:
         return self.svd()[1]
+
+
+@dataclass
+class SolveTrace:
+    """Per-iteration history of either solver.
+
+    For the Frobenius solver: objective = relaxed objective J, penalty =
+    lambda-weighted marginal penalty, violation = max kernel column-sum
+    deviation, min_entry = smallest kernel entry. The nuclear solver reuses
+    the layout with objective = nuclear norm and zero penalty/violation.
+    """
+
+    objectives: list[float] = field(default_factory=list)
+    penalties: list[float] = field(default_factory=list)
+    violations: list[float] = field(default_factory=list)
+    min_entries: list[float] = field(default_factory=list)
+    status: str = "MaxIters"
+    extras: dict[str, list[float]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.objectives)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objectives)
+
+    def record(self, obj: float, pen: float, viol: float, mn: float) -> None:
+        self.objectives.append(float(obj))
+        self.penalties.append(float(pen))
+        self.violations.append(float(viol))
+        self.min_entries.append(float(mn))
+
+    def replace_last(self, obj: float, pen: float, viol: float, mn: float) -> None:
+        self.objectives[-1] = float(obj)
+        self.penalties[-1] = float(pen)
+        self.violations[-1] = float(viol)
+        self.min_entries[-1] = float(mn)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "load_triplets",
     "write_triplets",
     "load_pmf",
-    "load_labels",
     "rating_transform",
     "apply_rating_transform",
     "gen_counterexample",
@@ -53,6 +52,10 @@ __all__ = [
     "write_kernel_json",
     "write_trace_csv",
 ]
+
+# Largest matrix, in cells, that a synthetic generator will allocate: one
+# 5000 x 5000 float64 array is 200 MB.
+MAX_CELLS = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -342,9 +345,19 @@ class CounterexampleParams:
         object.__setattr__(self, "s", float(self.s))
 
 
+def _check_cells(rows: int, cols: int) -> None:
+    """InvalidParams if a rows x cols generated matrix exceeds MAX_CELLS."""
+    if rows * cols > MAX_CELLS:
+        raise InvalidParams(
+            f"{rows} x {cols} matrix exceeds the generator limit of "
+            f"{MAX_CELLS} cells"
+        )
+
+
 def gen_counterexample(p: CounterexampleParams) -> np.ndarray:
     """Materialize the requested 2m x 2n block matrix (unnormalized)."""
     m, n, s = p.m, p.n, p.s
+    _check_cells(2 * m, 2 * n)
     base = np.ones((2 * m, 2 * n))
     base[:m, :n] = s
     base[m:, n:] = s
@@ -419,11 +432,15 @@ def gen_planted_blocks(
     blocks = int(blocks)
     if blocks < 1:
         raise InvalidParams("blocks must be >= 1")
+    # Every block has a row, so blocks x blocks is a floor on the cell count;
+    # checked before a scalar size is expanded into a per-block list.
+    _check_cells(blocks, blocks)
     if isinstance(sizes, (int, np.integer)):
         sizes = [int(sizes)] * blocks
     sizes = [int(s) for s in sizes]
     if len(sizes) != blocks or any(s < 1 for s in sizes):
         raise InvalidParams("sizes must give a positive size per block")
+    _check_cells(sum(sizes), sum(sizes))
     if not within_weight > cross_weight or cross_weight < 0:
         raise InvalidParams("need within_weight > cross_weight >= 0")
 

@@ -5,6 +5,29 @@ catch one type at the boundary. The CLI maps subtrees to exit codes: config
 errors -> 2, data errors -> 3, solver errors -> 4.
 """
 
+__all__ = [
+    "CoupclustError",
+    "ConfigError",
+    "DataError",
+    "SolverError",
+    "InvalidDistribution",
+    "ZeroMarginal",
+    "DimensionMismatch",
+    "MarginalMismatch",
+    "ShapeMismatch",
+    "InvalidOrder",
+    "EpsilonTooLarge",
+    "InvalidParams",
+    "NonFinite",
+    "DegenerateCluster",
+    "RankDeficient",
+    "UnknownLabel",
+    "LabelMismatch",
+    "InvalidRating",
+    "EmptyAfterPruning",
+    "ParseError",
+]
+
 
 class CoupclustError(Exception):
     """Base class for all library errors."""

@@ -26,7 +26,6 @@ __all__ = [
     "harden",
     "matched_accuracy",
     "coverage",
-    "top_true_clusters",
     "kernel_norm_value",
     "elbow_curve",
     "build_report",

@@ -2,33 +2,32 @@
 
 Maximizes J(A) = ||A B||_F^2 - lambda ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 over
 the solver variable A = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2} (the conditional
-DTM of the kernel), with periodic projection of the kernel columns back onto
-the simplex. The affine update
+DTM of the kernel), with projection of the kernel columns back onto the
+simplex. The data enter only through products with a thin factor C of B
+(C C^T = B B^T, see _gram_factor). With the residual r = A sqrt(P_Y) -
+sqrt(P_Z), the update
 
-    A <- A (I + alpha (M1 - M2)) + alpha M3
+    A <- A + alpha ((A C) C^T - lambda r sqrt(P_Y)^T)
 
-is a half-step of the exact gradient 2(A(M1 - M2) + M3).
+is a half-step of the exact gradient, and J = ||A C||_F^2 - lambda ||r||^2
+comes from the same A C and r. No |Y| x |Y| matrix is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, Dtm, JointPmf, Pmf, build_dtm
+from .core import CouplingKernel, JointPmf, Pmf, SolveTrace, build_dtm
 from .errors import DimensionMismatch, InvalidParams, NonFinite, ZeroMarginal
 from .simplex import project_columns
 from .svd import top_singular_value_sym
 
 __all__ = [
     "FrobeniusConfig",
-    "SolveTrace",
-    "PenaltyMatrices",
-    "penalty_matrices",
     "frobenius_objective",
     "frobenius_gradient",
-    "gradient_step",
     "project_to_feasible",
     "solve_frobenius",
 ]
@@ -41,8 +40,9 @@ _OBJ_WINDOW = 10
 class FrobeniusConfig:
     """Hyperparameters for solve_frobenius.
 
-    alpha = None picks 0.05 / sigma_1(M1 - M2), estimated by power
-    iteration, so the step size tracks the problem's curvature.
+    alpha = None picks 0.05 / sigma_1(B B^T - lam sqrt(P_Y) sqrt(P_Y)^T),
+    estimated by power iteration, so the step size tracks the problem's
+    curvature.
     """
 
     lam: float = 10.0
@@ -51,7 +51,6 @@ class FrobeniusConfig:
     obj_tol: float = 1e-9
     feas_tol: float = 1e-3
     seed: int = 0
-    project_every: int = 1
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -64,106 +63,37 @@ class FrobeniusConfig:
             raise InvalidParams("obj_tol must be in (0, 1)")
         if not 0 < self.feas_tol < 1:
             raise InvalidParams("feas_tol must be in (0, 1)")
-        if int(self.project_every) < 1:
-            raise InvalidParams("project_every must be >= 1")
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "project_every", int(self.project_every))
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass
-class SolveTrace:
-    """Per-iteration history of either solver.
-
-    For the Frobenius solver: objective = relaxed objective J, penalty =
-    lambda-weighted marginal penalty, violation = max kernel column-sum
-    deviation, min_entry = smallest kernel entry. The nuclear solver reuses
-    the layout with objective = nuclear norm and zero penalty/violation.
-    """
-
-    objectives: list[float] = field(default_factory=list)
-    penalties: list[float] = field(default_factory=list)
-    violations: list[float] = field(default_factory=list)
-    min_entries: list[float] = field(default_factory=list)
-    status: str = "MaxIters"
-    extras: dict[str, list[float]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.objectives)
-
-    @property
-    def iterations(self) -> int:
-        return len(self.objectives)
-
-    def record(self, obj: float, pen: float, viol: float, mn: float) -> None:
-        self.objectives.append(float(obj))
-        self.penalties.append(float(pen))
-        self.violations.append(float(viol))
-        self.min_entries.append(float(mn))
-
-    def replace_last(self, obj: float, pen: float, viol: float, mn: float) -> None:
-        self.objectives[-1] = float(obj)
-        self.penalties[-1] = float(pen)
-        self.violations[-1] = float(viol)
-        self.min_entries[-1] = float(mn)
+def _gram_factor(b: np.ndarray) -> np.ndarray:
+    """C = R^T from B^T = Q R: |Y| x min(|Y|, |X|), with C C^T = B B^T."""
+    return np.linalg.qr(b.T, mode="r").T
 
 
-@dataclass(frozen=True)
-class PenaltyMatrices:
-    """Constant matrices of the update rule, plus the vectors they came from.
-
-    m1 = B B^T, m2 = lam * sqrt(P_Y) sqrt(P_Y)^T, m3 = lam * sqrt(P_Z)
-    sqrt(P_Y)^T.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    m3: np.ndarray
-    sqrt_py: np.ndarray
-    sqrt_pz: np.ndarray
-    lam: float
+def _objective_terms(ac: np.ndarray, resid: np.ndarray, lam: float) -> tuple[float, float]:
+    pen = lam * float(resid @ resid)
+    return float(np.sum(ac * ac)) - pen, pen
 
 
-def penalty_matrices(b_yx: Dtm, p_z: Pmf, lam: float) -> PenaltyMatrices:
-    if not lam > 0:
-        raise InvalidParams("lam must be positive")
-    sy = b_yx.row_pmf.sqrt_probs
-    sz = p_z.sqrt_probs
-    b = b_yx.matrix
-    return PenaltyMatrices(
-        m1=b @ b.T,
-        m2=lam * np.outer(sy, sy),
-        m3=lam * np.outer(sz, sy),
-        sqrt_py=sy,
-        sqrt_pz=sz,
-        lam=float(lam),
-    )
-
-
-def frobenius_objective(a: np.ndarray, pm: PenaltyMatrices) -> tuple[float, float]:
+def frobenius_objective(
+    a: np.ndarray, c: np.ndarray, sqrt_py: np.ndarray, sqrt_pz: np.ndarray, lam: float
+) -> tuple[float, float]:
     """(relaxed objective J, penalty term) at A.
 
-    J = ||A B||_F^2 - lam ||A sqrt(P_Y) - sqrt(P_Z)||_2^2, with the first
-    term evaluated as sum((A M1) o A) = tr(A B B^T A^T).
+    J = ||A C||_F^2 - lam ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 for any C with
+    C C^T = B B^T (B itself, or its thin factor).
     """
-    gain = float(np.sum((a @ pm.m1) * a))
-    resid = a @ pm.sqrt_py - pm.sqrt_pz
-    pen = pm.lam * float(resid @ resid)
-    return gain - pen, pen
+    return _objective_terms(a @ c, a @ sqrt_py - sqrt_pz, lam)
 
 
-def frobenius_gradient(a: np.ndarray, pm: PenaltyMatrices) -> np.ndarray:
-    """Exact gradient of J: 2(A(M1 - M2) + M3)."""
-    return 2.0 * (a @ (pm.m1 - pm.m2) + pm.m3)
-
-
-def gradient_step(a: np.ndarray, pm: PenaltyMatrices, alpha: float) -> np.ndarray:
-    """One affine ascent update: A(I + alpha(M1 - M2)) + alpha M3."""
-    ny = pm.m1.shape[0]
-    if a.ndim != 2 or a.shape[1] != ny:
-        raise DimensionMismatch(f"A has shape {a.shape}, expected (*, {ny})")
-    step = np.eye(ny) + alpha * (pm.m1 - pm.m2)
-    return a @ step + alpha * pm.m3
+def frobenius_gradient(
+    a: np.ndarray, c: np.ndarray, sqrt_py: np.ndarray, sqrt_pz: np.ndarray, lam: float
+) -> np.ndarray:
+    """Exact gradient of J: 2((A C) C^T - lam r sqrt(P_Y)^T)."""
+    resid = a @ sqrt_py - sqrt_pz
+    return 2.0 * ((a @ c) @ c.T - lam * np.outer(resid, sqrt_py))
 
 
 def _to_kernel(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> np.ndarray:
@@ -203,11 +133,10 @@ def solve_frobenius(
     Initialization draws each kernel column uniformly from the simplex
     (exponential spacings), seeded by cfg.seed. Projection fires whenever
     the kernel-space feasibility drifts past cfg.feas_tol (checked every
-    cfg.project_every iterations) and always on the final iterate, so the
-    returned kernel is exactly column stochastic. Convergence = relative
-    objective change below cfg.obj_tol across a 10-iteration window while
-    feasible; raises NonFinite if the iterate diverges (step size too
-    large).
+    iteration) and always on the final iterate, so the returned kernel is
+    exactly column stochastic. Convergence = relative objective change below
+    cfg.obj_tol across a 10-iteration window while feasible; raises
+    NonFinite if the iterate diverges (step size too large).
     """
     if cfg is None:
         cfg = FrobeniusConfig()
@@ -217,41 +146,40 @@ def solve_frobenius(
     if nz > ny:
         raise InvalidParams(f"|Z| = {nz} exceeds |Y| = {ny}")
 
-    b_yx = build_dtm(joint)
-    pm = penalty_matrices(b_yx, p_z, cfg.lam)
-    sy, sz = pm.sqrt_py, pm.sqrt_pz
+    c = _gram_factor(build_dtm(joint).matrix)
+    sy, sz, lam = joint.marginal_y.sqrt_probs, p_z.sqrt_probs, cfg.lam
 
     alpha = cfg.alpha
     if alpha is None:
-        scale = top_singular_value_sym(pm.m1 - pm.m2)
+        # Power iteration on the Hessian half C C^T - lam sqrt(P_Y) sqrt(P_Y)^T.
+        scale = top_singular_value_sym(
+            lambda v: c @ (c.T @ v) - lam * (sy @ v) * sy, ny
+        )
         alpha = 0.05 / scale if scale > 1e-12 else 0.05
 
     rng = np.random.default_rng(cfg.seed)
     k0 = rng.exponential(size=(nz, ny))
     k0 /= k0.sum(axis=0, keepdims=True)
     a = _from_kernel(k0, sy, sz)
-
-    step_mat = np.eye(ny) + alpha * (pm.m1 - pm.m2)
-    m3a = alpha * pm.m3
+    ac, resid = a @ c, a @ sy - sz
 
     trace = SolveTrace()
     status = "MaxIters"
     for t in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            a = a @ step_mat + m3a
+            a = a + alpha * (ac @ c.T - lam * np.outer(resid, sy))
             if not np.all(np.isfinite(a)):
                 raise NonFinite(
                     f"iterate diverged at iteration {t}; reduce alpha ({alpha!r})"
                 )
             k = _to_kernel(a, sy, sz)
             viol, mn = _feasibility(k)
-            if t % cfg.project_every == 0 and (
-                viol > cfg.feas_tol or mn < -cfg.feas_tol
-            ):
+            if viol > cfg.feas_tol or mn < -cfg.feas_tol:
                 k = project_columns(k)
                 a = _from_kernel(k, sy, sz)
                 viol, mn = _feasibility(k)
-            obj, pen = frobenius_objective(a, pm)
+            ac, resid = a @ c, a @ sy - sz
+            obj, pen = _objective_terms(ac, resid, lam)
         if not np.isfinite(obj):
             raise NonFinite(
                 f"objective diverged at iteration {t}; reduce alpha ({alpha!r})"
@@ -267,7 +195,7 @@ def solve_frobenius(
         if converged or t == cfg.max_iters:
             k = project_columns(_to_kernel(a, sy, sz))
             a = _from_kernel(k, sy, sz)
-            obj, pen = frobenius_objective(a, pm)
+            obj, pen = frobenius_objective(a, c, sy, sz, lam)
             viol, mn = _feasibility(k)
             trace.replace_last(obj, pen, viol, mn)
             status = "Converged" if converged else "MaxIters"

@@ -15,14 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, Dtm, JointPmf, Pmf, build_dtm, nuclear
+from .core import (
+    CouplingKernel,
+    Dtm,
+    JointPmf,
+    Pmf,
+    SolveTrace,
+    build_dtm,
+    nuclear,
+)
 from .errors import (
     DegenerateCluster,
     DimensionMismatch,
     InvalidParams,
     ZeroMarginal,
 )
-from .frobenius import SolveTrace
 
 __all__ = [
     "NuclearConfig",

@@ -8,6 +8,8 @@ ACE-style approximation used by the embedding module.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 _OVERSAMPLE = 8
@@ -49,17 +51,19 @@ def randomized_svd(
     return u[:, :rank], s[:rank], vt[:rank]
 
 
-def top_singular_value_sym(mat: np.ndarray, iters: int = 60) -> float:
-    """Largest |eigenvalue| of a symmetric matrix by power iteration.
+def top_singular_value_sym(
+    apply: Callable[[np.ndarray], np.ndarray], n: int, iters: int = 60
+) -> float:
+    """Largest |eigenvalue| of a symmetric n x n operator by power iteration.
 
+    The operator is given by its action v -> M v, so M need not be formed.
     Deterministic start vector; used to scale gradient steps, so a rough
     estimate is fine.
     """
-    n = mat.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
     for _ in range(iters):
-        w = mat @ v
+        w = apply(v)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0

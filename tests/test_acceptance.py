@@ -37,9 +37,9 @@ from coupclust.data_io import (
 from coupclust.evaluation import elbow_curve, harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
+    _gram_factor,
     frobenius_gradient,
     frobenius_objective,
-    penalty_matrices,
     solve_frobenius,
 )
 from coupclust.nuclear import NuclearConfig, solve_nuclear
@@ -356,24 +356,32 @@ def test_criterion_08_frobenius_solver():
         acc = matched_accuracy(harden(best[1]), truth)
         acc_floor = min(acc_floor, acc)
 
-    # analytic gradient vs central differences at 20 random points
-    rng = np.random.default_rng(8)
-    joint = random_joint(rng, 8, 6)
-    pm = penalty_matrices(build_dtm(joint), Pmf.uniform(("z0", "z1", "z2")), 10.0)
+    # analytic gradient vs central differences at 20 random points, on a
+    # square, a tall and a wide joint
     fd_worst = 0.0
     h = 1e-6
-    for _ in range(20):
-        a = rng.normal(size=(3, 8))
-        g = frobenius_gradient(a, pm)
-        i = int(rng.integers(0, 3))
-        j = int(rng.integers(0, 8))
-        ap, am = a.copy(), a.copy()
-        ap[i, j] += h
-        am[i, j] -= h
-        fd = (
-            frobenius_objective(ap, pm)[0] - frobenius_objective(am, pm)[0]
-        ) / (2 * h)
-        fd_worst = max(fd_worst, abs(fd - g[i, j]) / max(1.0, abs(fd)))
+    sqrt_pz = Pmf.uniform(("z0", "z1", "z2")).sqrt_probs
+    for nx in (8, 6, 12):
+        rng = np.random.default_rng(8)
+        joint = random_joint(rng, 8, nx)
+        args = (
+            _gram_factor(build_dtm(joint).matrix),
+            joint.marginal_y.sqrt_probs,
+            sqrt_pz,
+            10.0,
+        )
+        for _ in range(20):
+            a = rng.normal(size=(3, 8))
+            g = frobenius_gradient(a, *args)
+            i = int(rng.integers(0, 3))
+            j = int(rng.integers(0, 8))
+            ap, am = a.copy(), a.copy()
+            ap[i, j] += h
+            am[i, j] -= h
+            fd = (
+                frobenius_objective(ap, *args)[0] - frobenius_objective(am, *args)[0]
+            ) / (2 * h)
+            fd_worst = max(fd_worst, abs(fd - g[i, j]) / max(1.0, abs(fd)))
     elapsed = time.perf_counter() - start
     assert acc_floor >= 0.95
     assert col_worst <= 1e-9

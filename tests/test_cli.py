@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -138,6 +139,29 @@ class TestCluster:
         m1["config"].pop("input"), m2["config"].pop("input")
         assert m1 == m2
 
+    def test_round_off_tie_keeps_earliest_restart(self, planted, tmp_path, monkeypatch):
+        # Restarts that land on the same optimum may differ in the last bit of
+        # the objective; the earlier seed is kept, a real gain still wins.
+        import coupclust.cli as cli
+
+        solve = cli.solve_nuclear
+        bump = {0: 0.0, 1: 1e-15, 2: 1e-9}
+
+        def solve_bumped(joint, cfg):
+            kernel, trace = solve(joint, cfg)
+            trace.objectives[-1] = 5.0 + bump[cfg.seed - 3]
+            return kernel, trace
+
+        monkeypatch.setattr(cli, "solve_nuclear", solve_bumped)
+        data, _ = planted
+        for restarts, best in (("2", 3), ("3", 5)):
+            out = tmp_path / restarts
+            argv = ["cluster", str(data), "--algo", "nuclear", "--k", "2",
+                    "--seed", "3", "--restarts", restarts, "--out", str(out)]
+            assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["best_seed"] == best
+
 
 class TestExitCodes:
     def test_nuclear_rejects_pz(self, planted, tmp_path):
@@ -246,8 +270,20 @@ class TestExitCodes:
             ["counterexample", "--s-grid", "1:2"],
             ["elbow", str(data), "--ks", "1,x"],
             ["synth", "--gen", "planted", "--sizes", "3,x"],
+            # sizes that would allocate without bound
+            ["counterexample", "--s-grid", "0:1e12:1"],
+            ["counterexample", "--s-grid", "1:2:1e-300"],
+            ["elbow", str(data), "--ks", "1:1000000000000:1"],
+            ["synth", "--gen", "planted", "--sizes", "1:1000000000000:1"],
+            ["synth", "--gen", "planted", "--sizes", "1000000000,1000000000"],
+            ["synth", "--gen", "planted", "--blocks", "1000000000000", "--sizes", "1"],
+            ["synth", "--gen", "counterexample", "--m", "1000000000", "--n", "2"],
+            ["counterexample", "--m", "1000000000", "--s-grid", "2"],
+            ["counterexample", "--n", "1000000000", "--s-grid", "2"],
         ):
+            start = time.perf_counter()
             assert main(argv + ["--out", str(tmp_path / "x")]) == 2, argv
+            assert time.perf_counter() - start < 1.0, argv
 
     @pytest.mark.parametrize("restarts", ["0", "-1", "two"])
     def test_bad_restarts(self, planted, tmp_path, restarts):

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, build_dtm, frobenius_sq
+from coupclust.core import JointPmf, SolveTrace, build_dtm, frobenius_sq
 from coupclust.data_io import (
+    MAX_CELLS,
     CounterexampleParams,
     apply_rating_transform,
     community_objective,
@@ -31,7 +33,6 @@ from coupclust.errors import (
     ParseError,
     ShapeMismatch,
 )
-from coupclust.frobenius import SolveTrace
 
 from conftest import random_joint
 
@@ -338,6 +339,16 @@ class TestPlantedBlocks:
             gen_planted_blocks(2, [3], 1.0, 0.1)
         with pytest.raises(InvalidParams):
             gen_planted_blocks(2, 3, 0.5, 0.5)
+
+    def test_cell_limit(self):
+        # Refused before anything of the requested size is allocated.
+        side = math.isqrt(MAX_CELLS) + 1
+        with pytest.raises(InvalidParams, match="generator limit"):
+            gen_planted_blocks(2, [side // 2, side - side // 2], 1.0, 0.1)
+        with pytest.raises(InvalidParams, match="generator limit"):
+            gen_planted_blocks(10**12, 1, 1.0, 0.1)
+        with pytest.raises(InvalidParams, match="generator limit"):
+            gen_counterexample(CounterexampleParams(m=side, n=side // 4, s=2.0))
 
 
 class TestArtifacts:

@@ -1,16 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, Pmf, build_dtm
+from coupclust.core import (
+    CouplingKernel,
+    Pmf,
+    build_dtm,
+    compose_dtm,
+    dtm_from_kernel,
+    frobenius_sq,
+)
 from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
+    _gram_factor,
     frobenius_gradient,
     frobenius_objective,
-    gradient_step,
-    penalty_matrices,
     project_to_feasible,
     solve_frobenius,
 )
@@ -36,7 +44,6 @@ class TestConfig:
             {"max_iters": 0},
             {"obj_tol": 0.0},
             {"feas_tol": 2.0},
-            {"project_every": 0},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -44,52 +51,55 @@ class TestConfig:
             FrobeniusConfig(**kwargs)
 
 
+# (|Y|, |X|) of the joints the objective and gradient are checked on.
+JOINT_SHAPES = {"square": (8, 8), "tall": (8, 6), "wide": (8, 12)}
+
+
 class TestObjectiveAndGradient:
-    def _setup(self, rng, nz=3, ny=8, nx=6, lam=10.0):
-        joint = random_joint(rng, ny, nx)
-        p_z = random_pmf(rng, nz)
-        pm = penalty_matrices(build_dtm(joint), p_z, lam)
-        return joint, p_z, pm
-
-    def test_penalty_matrix_shapes(self, rng):
-        _, _, pm = self._setup(rng)
-        assert pm.m1.shape == (8, 8)
-        assert pm.m2.shape == (8, 8)
-        assert pm.m3.shape == (3, 8)
-        np.testing.assert_allclose(pm.m1, pm.m1.T, atol=1e-15)
-        np.testing.assert_allclose(pm.m2, pm.m2.T, atol=1e-15)
-
-    def test_gradient_matches_central_differences(self, rng):
-        _, _, pm = self._setup(rng)
+    @pytest.mark.parametrize("shape", JOINT_SHAPES.values(), ids=JOINT_SHAPES)
+    def test_gradient_matches_central_differences(self, rng, shape):
+        joint = random_joint(rng, *shape)
+        p_z = random_pmf(rng, 3)
+        c = _gram_factor(build_dtm(joint).matrix)
+        args = (c, joint.marginal_y.sqrt_probs, p_z.sqrt_probs, 10.0)
         h = 1e-6
         worst = 0.0
         for _ in range(20):
             a = rng.normal(size=(3, 8))
-            g = frobenius_gradient(a, pm)
+            g = frobenius_gradient(a, *args)
             i = int(rng.integers(0, 3))
             j = int(rng.integers(0, 8))
             ap = a.copy()
             ap[i, j] += h
             am = a.copy()
             am[i, j] -= h
-            fd = (frobenius_objective(ap, pm)[0] - frobenius_objective(am, pm)[0])
+            fd = (frobenius_objective(ap, *args)[0] - frobenius_objective(am, *args)[0])
             fd /= 2 * h
             worst = max(worst, abs(fd - g[i, j]) / max(1.0, abs(fd)))
         assert worst <= 1e-5
 
-    def test_step_is_half_gradient(self, rng):
-        _, _, pm = self._setup(rng)
-        a = rng.normal(size=(3, 8))
-        alpha = 0.01
-        stepped = gradient_step(a, pm, alpha)
-        np.testing.assert_allclose(
-            stepped, a + (alpha / 2.0) * frobenius_gradient(a, pm), atol=1e-12
+    @pytest.mark.parametrize("shape", JOINT_SHAPES.values(), ids=JOINT_SHAPES)
+    def test_objective_is_composed_dtm_norm(self, rng, shape):
+        # For a kernel whose induced marginal is P_Z, ||A B||_F^2 is the
+        # squared Frobenius norm of the composed DTM B_{Z,X} = B_{Z,Y} B_{Y,X}.
+        joint = random_joint(rng, *shape)
+        p_y = joint.marginal_y
+        kmat = rng.random((3, shape[0])) + 0.05
+        kmat /= kmat.sum(axis=0)
+        p_z = Pmf(("z0", "z1", "z2"), kmat @ p_y.probs)
+        kernel = CouplingKernel(p_z.labels, joint.row_labels, kmat)
+        b_zy = dtm_from_kernel(kernel, p_y, p_z)
+        b_yx = build_dtm(joint)
+        obj, pen = frobenius_objective(
+            b_zy.matrix, _gram_factor(b_yx.matrix), p_y.sqrt_probs, p_z.sqrt_probs, 10.0
         )
+        assert pen == pytest.approx(0.0, abs=1e-12)
+        expected = frobenius_sq(compose_dtm(b_zy, b_yx)) - pen
+        assert obj == pytest.approx(expected, rel=1e-12)
 
     def test_objective_at_perfect_match(self, rng):
         # A whose kernel is a hard partition with exact marginal match:
         # penalty term is 0
-        joint, _, _ = (None, None, None)
         joint = random_joint(rng, 4, 4)
         p_y = joint.marginal_y
         kmat = np.array(
@@ -97,9 +107,10 @@ class TestObjectiveAndGradient:
         )
         pz_vec = kmat @ p_y.probs
         p_z = Pmf(("z0", "z1"), pz_vec / pz_vec.sum())
-        pm = penalty_matrices(build_dtm(joint), p_z, 10.0)
-        a = pm.sqrt_pz[:, None] ** -1 * kmat * pm.sqrt_py[None, :]
-        obj, pen = frobenius_objective(a, pm)
+        sy, sz = p_y.sqrt_probs, p_z.sqrt_probs
+        c = _gram_factor(build_dtm(joint).matrix)
+        a = sz[:, None] ** -1 * kmat * sy[None, :]
+        obj, pen = frobenius_objective(a, c, sy, sz, 10.0)
         assert pen == pytest.approx(0.0, abs=1e-12)
 
 
@@ -175,16 +186,12 @@ class TestSolve:
         assert acc >= 0.95
 
     def test_nonfinite_on_huge_step(self, rng):
-        # per-iteration projection keeps even absurd steps bounded, so defer
-        # projection long enough for the blow-up to compound
+        # a step this large overflows on the first update, before any
+        # projection can pull the iterate back
         joint = random_joint(rng, 6, 5)
         p_z = Pmf.uniform(("z0", "z1"))
-        with pytest.raises(NonFinite):
-            solve_frobenius(
-                joint,
-                p_z,
-                FrobeniusConfig(alpha=1e6, max_iters=5000, project_every=200),
-            )
+        with pytest.raises(NonFinite, match="iteration 1;"):
+            solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
     def test_boundary_pz_rejected(self, rng):
         joint = random_joint(rng, 4, 4)
@@ -208,3 +215,16 @@ class TestSolve:
         assert len(trace.violations) == n
         assert len(trace.min_entries) == n
         assert trace.status in ("Converged", "MaxIters")
+
+    def test_memory_has_no_items_by_items_matrix(self):
+        # One 3000 x 3000 float64 matrix is 72 MB; the solver works on the
+        # thin 3000 x 20 factor of B and k x 3000 iterates only.
+        joint = random_joint(np.random.default_rng(1), 3000, 20)
+        p_z = Pmf.uniform(("z0", "z1", "z2"))
+        tracemalloc.start()
+        try:
+            solve_frobenius(joint, p_z, FrobeniusConfig(max_iters=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 72e6 / 8

@@ -1,0 +1,102 @@
+import coupclust
+from coupclust import core
+
+# The top-level public API, pinned: a name added to or dropped from a
+# submodule's __all__ shows up here.
+PUBLIC = {
+    "__version__",
+    "ClusteringReport",
+    "ConfigError",
+    "CounterexampleParams",
+    "CoupclustError",
+    "CouplingKernel",
+    "DataError",
+    "DegenerateCluster",
+    "DimensionMismatch",
+    "Dtm",
+    "EmbeddingMatrix",
+    "EmptyAfterPruning",
+    "EpsilonTooLarge",
+    "FrobeniusConfig",
+    "InvalidDistribution",
+    "InvalidOrder",
+    "InvalidParams",
+    "InvalidRating",
+    "JointPmf",
+    "KyFanFeatures",
+    "LabelMismatch",
+    "MarginalMismatch",
+    "NonFinite",
+    "NuclearConfig",
+    "ParseError",
+    "PerturbationFamily",
+    "Pmf",
+    "PruneReport",
+    "RankDeficient",
+    "ShapeMismatch",
+    "SolveTrace",
+    "SolverError",
+    "UnknownLabel",
+    "ZeroMarginal",
+    "apply_rating_transform",
+    "bipartite_components",
+    "build_dtm",
+    "build_report",
+    "community_objective",
+    "compose_dtm",
+    "cosine_score",
+    "counterexample_frobenius",
+    "coverage",
+    "dtm_embed",
+    "dtm_from_kernel",
+    "elbow_curve",
+    "format_report_table",
+    "frobenius_gradient",
+    "frobenius_objective",
+    "frobenius_sq",
+    "gen_counterexample",
+    "gen_planted_blocks",
+    "harden",
+    "ingest",
+    "intuitive_kernel",
+    "kernel_norm_value",
+    "kl_divergence",
+    "kyfan_features",
+    "load_dense_csv",
+    "load_pmf",
+    "load_triplets",
+    "local_mi_gap",
+    "matched_accuracy",
+    "maximize_linear_coupling",
+    "maximize_linear_coupling_constrained",
+    "mutual_information",
+    "nuclear",
+    "one_item_kernel",
+    "parse_triplets",
+    "perturbed_kernel",
+    "project_columns",
+    "project_to_feasible",
+    "rating_transform",
+    "schatten_p",
+    "simplex_project",
+    "singular_one_multiplicity",
+    "solve_frobenius",
+    "solve_nuclear",
+    "write_embedding_tsv",
+    "write_kernel_json",
+    "write_trace_csv",
+    "write_triplets",
+}
+
+
+def test_public_names_pinned():
+    assert len(coupclust.__all__) == len(set(coupclust.__all__))
+    assert set(coupclust.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(coupclust, name), name
+
+
+def test_nuclear_is_the_norm():
+    # The nuclear solver module shares the name of core's nuclear norm; the
+    # exported name is the norm.
+    assert coupclust.nuclear is core.nuclear
