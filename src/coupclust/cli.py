@@ -143,7 +143,10 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         final = trace.objectives[-1]
         if best is None or final > best[0] + _TIE_RTOL * abs(best[0]):
             best = (final, seed, kernel, trace)
-        _log(f"restart seed={seed}: objective {final!r}, {trace.status}")
+        _log(
+            f"restart seed={seed}: objective {final!r}, "
+            f"{trace.status} after {len(trace)} iterations"
+        )
 
     final_obj, best_seed, kernel, trace = best
     if args.algo == "frobenius":

@@ -9,12 +9,18 @@ sqrt(P_Z), the update
 
     A <- A + alpha ((A C) C^T - lambda r sqrt(P_Y)^T)
 
-is a half-step of the exact gradient, and J = ||A C||_F^2 - lambda ||r||^2
-comes from the same A C and r. No |Y| x |Y| matrix is formed.
+moves A by alpha/2 times the exact gradient, and J = ||A C||_F^2 - lambda
+||r||^2 comes from the same A C and r. No |Y| x |Y| matrix is formed.
+
+The default step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
+of C C^T - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
+matrix, so its Lipschitz constant is L = 2 sigma_1, and the update above is
+the standard 1/L gradient step (Beck & Teboulle 2009).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +46,11 @@ _OBJ_WINDOW = 10
 class FrobeniusConfig:
     """Hyperparameters for solve_frobenius.
 
-    alpha = None picks 0.05 / sigma_1(B B^T - lam sqrt(P_Y) sqrt(P_Y)^T),
-    estimated by power iteration, so the step size tracks the problem's
-    curvature.
+    alpha = None picks 1 / sigma_1(B B^T - lam sqrt(P_Y) sqrt(P_Y)^T),
+    estimated by power iteration. The Hessian of J is 2 (B B^T - lam
+    sqrt(P_Y) sqrt(P_Y)^T), so L = 2 sigma_1, and since the update moves A
+    by alpha/2 times the gradient, alpha = 1/sigma_1 is the 1/L step. lam and
+    an explicit alpha must be finite and positive.
     """
 
     lam: float = 10.0
@@ -53,10 +61,12 @@ class FrobeniusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidParams("lam must be positive")
-        if self.alpha is not None and not self.alpha > 0:
-            raise InvalidParams("alpha must be positive (or None for auto)")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise InvalidParams("lam must be finite and positive")
+        if self.alpha is not None and not (
+            math.isfinite(self.alpha) and self.alpha > 0
+        ):
+            raise InvalidParams("alpha must be finite and positive (or None for auto)")
         if int(self.max_iters) < 1:
             raise InvalidParams("max_iters must be >= 1")
         if not 0 < self.obj_tol < 1:
@@ -70,6 +80,13 @@ class FrobeniusConfig:
 def _gram_factor(b: np.ndarray) -> np.ndarray:
     """C = R^T from B^T = Q R: |Y| x min(|Y|, |X|), with C C^T = B B^T."""
     return np.linalg.qr(b.T, mode="r").T
+
+
+def _curvature(c: np.ndarray, sy: np.ndarray, lam: float) -> float:
+    """sigma_1 of the Hessian half C C^T - lam sqrt(P_Y) sqrt(P_Y)^T."""
+    return top_singular_value_sym(
+        lambda v: c @ (c.T @ v) - lam * (sy @ v) * sy, sy.size
+    )
 
 
 def _objective_terms(ac: np.ndarray, resid: np.ndarray, lam: float) -> tuple[float, float]:
@@ -151,11 +168,8 @@ def solve_frobenius(
 
     alpha = cfg.alpha
     if alpha is None:
-        # Power iteration on the Hessian half C C^T - lam sqrt(P_Y) sqrt(P_Y)^T.
-        scale = top_singular_value_sym(
-            lambda v: c @ (c.T @ v) - lam * (sy @ v) * sy, ny
-        )
-        alpha = 0.05 / scale if scale > 1e-12 else 0.05
+        scale = _curvature(c, sy, lam)
+        alpha = 1.0 / scale if scale > 1e-12 else 1.0
 
     rng = np.random.default_rng(cfg.seed)
     k0 = rng.exponential(size=(nz, ny))
@@ -175,7 +189,13 @@ def solve_frobenius(
             k = _to_kernel(a, sy, sz)
             viol, mn = _feasibility(k)
             if viol > cfg.feas_tol or mn < -cfg.feas_tol:
-                k = project_columns(k)
+                try:
+                    k = project_columns(k)
+                except ValueError:
+                    raise NonFinite(
+                        f"kernel column sum overflowed at iteration {t}; "
+                        f"reduce alpha ({alpha!r})"
+                    ) from None
                 a = _from_kernel(k, sy, sz)
                 viol, mn = _feasibility(k)
             ac, resid = a @ c, a @ sy - sz

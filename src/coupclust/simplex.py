@@ -15,7 +15,12 @@ __all__ = ["simplex_project", "project_columns"]
 def _project_columns_np(mat: np.ndarray) -> np.ndarray:
     n = mat.shape[0]
     w = np.sort(mat, axis=0)[::-1]
-    css = np.cumsum(w, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        css = np.cumsum(w, axis=0)
+    # A total past the float range would give tau = inf and clip the whole
+    # column to zero, which is off the simplex.
+    if not np.all(np.isfinite(css[-1])):
+        raise ValueError("a column sum is not finite")
     counts = np.arange(1.0, n + 1.0)
     cond = w * counts[:, None] > css - 1.0
     # cond[0] is always True, so the last True index is well defined.
@@ -29,7 +34,10 @@ def _project_columns_np(mat: np.ndarray) -> np.ndarray:
 
 
 def simplex_project(v) -> np.ndarray:
-    """argmin over the simplex of ||u - v||_2."""
+    """argmin over the simplex of ||u - v||_2.
+
+    Raises ValueError if the entries do not sum to a finite number.
+    """
     arr = np.ascontiguousarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty vector")
@@ -37,7 +45,10 @@ def simplex_project(v) -> np.ndarray:
 
 
 def project_columns(mat) -> np.ndarray:
-    """Project every column of a matrix onto the simplex."""
+    """Project every column of a matrix onto the simplex.
+
+    Raises ValueError if a column does not sum to a finite number.
+    """
     arr = np.ascontiguousarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("expected a matrix with at least one row")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import time
 import warnings
@@ -78,11 +79,21 @@ class TestCluster:
         assert rc == 0
         captured = capsys.readouterr()
         assert "Coverage" in captured.out
-        assert "restart seed=" in captured.err
         assert "restart seed=" not in captured.out
+        # One line per restart, saying why it stopped and after how many
+        # iterations; the best restart's count is the one kernel.json keeps.
+        restarts = re.findall(
+            r"^restart seed=(\d+): objective \S+, "
+            r"(Converged|MaxIters) after (\d+) iterations$",
+            captured.err,
+            re.MULTILINE,
+        )
+        assert [int(seed) for seed, _, _ in restarts] == [0, 1, 2]
         report = json.loads((out / "report.json").read_text())
         assert report["overall_accuracy"] >= 0.95
         kernel = json.loads((out / "kernel.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert int(restarts[manifest["config"]["best_seed"]][2]) == kernel["iters"]
         assert list(kernel.keys()) == [
             "clusters", "items", "kernel", "p_z", "objective",
             "algorithm", "iters",
@@ -254,6 +265,43 @@ class TestExitCodes:
         # per-iteration projection may still tame it; accept solver error
         # or honest convergence but never a crash
         assert rc in (0, 4)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--k", "2", "--pz", "uniform", "--alpha", "inf"],
+            ["cluster", "--k", "2", "--pz", "uniform", "--alpha", "nan"],
+            ["cluster", "--k", "2", "--pz", "uniform", "--lambda", "inf"],
+            ["cluster", "--k", "2", "--pz", "uniform", "--lambda", "nan"],
+            ["elbow", "--ks", "2", "--lambda", "inf"],
+        ],
+    )
+    def test_nonfinite_hyperparameter(self, planted, tmp_path, capsys, argv):
+        data, _ = planted
+        rc = main(
+            [argv[0], str(data), "--algo", "frobenius", *argv[1:],
+             "--restarts", "1", "--out", str(tmp_path / "x")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err
+        assert "Traceback" not in err
+
+    def test_projection_overflow(self, planted, tmp_path, capsys):
+        data, _ = planted
+        # On this input and seed the first update is finite but a kernel
+        # column sums past the float range.
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "frobenius", "--k", "2",
+                "--pz", "uniform", "--alpha", "1.7e308", "--seed", "1",
+                "--restarts", "1", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "column sum overflowed at iteration 1;" in err
+        assert "Traceback" not in err
 
     def test_bad_grid(self, tmp_path):
         rc = main(

@@ -5,17 +5,19 @@ import pytest
 
 from coupclust.core import (
     CouplingKernel,
+    JointPmf,
     Pmf,
     build_dtm,
     compose_dtm,
     dtm_from_kernel,
     frobenius_sq,
 )
-from coupclust.data_io import gen_planted_blocks
+from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
 from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
+    _curvature,
     _gram_factor,
     frobenius_gradient,
     frobenius_objective,
@@ -44,6 +46,10 @@ class TestConfig:
             {"max_iters": 0},
             {"obj_tol": 0.0},
             {"feas_tol": 2.0},
+            {"lam": float("inf")},
+            {"lam": float("nan")},
+            {"alpha": float("inf")},
+            {"alpha": float("nan")},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -193,6 +199,14 @@ class TestSolve:
         with pytest.raises(NonFinite, match="iteration 1;"):
             solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
+    def test_nonfinite_on_projection_overflow(self, rng):
+        # The first update stays finite, but a kernel column sums past the
+        # float range, which the projection cannot map onto the simplex.
+        joint = random_joint(rng, 6, 5)
+        p_z = random_pmf(rng, 2)
+        with pytest.raises(NonFinite, match="column sum overflowed at iteration 1;"):
+            solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
+
     def test_boundary_pz_rejected(self, rng):
         joint = random_joint(rng, 4, 4)
         p_z = Pmf(("z0", "z1"), np.array([1.0, 0.0]))
@@ -228,3 +242,64 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak < 72e6 / 8
+
+
+def _uniform_pz(k):
+    return Pmf.uniform(tuple(f"z{i}" for i in range(k)))
+
+
+def _planted(blocks, size):
+    joint, _ = gen_planted_blocks(blocks, size, 1.0, 0.05, noise_seed=3)
+    return joint, _uniform_pz(blocks), 10.0
+
+
+def _counterexample(s):
+    w = gen_counterexample(CounterexampleParams(m=50, n=50, s=s))
+    joint = JointPmf.from_weights(
+        tuple(f"y{i}" for i in range(100)), tuple(f"x{j}" for j in range(100)), w
+    )
+    return joint, _uniform_pz(2), 10.0
+
+
+def _random_skewed(seed, lam):
+    joint = random_joint(np.random.default_rng(seed), 9, 7)
+    p_z = Pmf(("z0", "z1", "z2", "z3"), np.array([0.55, 0.25, 0.15, 0.05]))
+    return joint, p_z, lam
+
+
+# Fixed scenario set on which the default step is checked against the old
+# 0.05 / sigma_1 rule.
+STEP_RULE_SCENARIOS = {
+    "planted-2x15": lambda: _planted(2, 15),
+    "planted-3x20": lambda: _planted(3, 20),
+    "counterexample-s1.5": lambda: _counterexample(1.5),
+    "counterexample-s5": lambda: _counterexample(5.0),
+    "random-lam0.5": lambda: _random_skewed(0, 0.5),
+    "random-lam10": lambda: _random_skewed(1, 10.0),
+}
+
+
+class TestStepRule:
+    @staticmethod
+    def _best_of_3(joint, p_z, lam, alpha):
+        best, iters = -np.inf, 0
+        for seed in range(3):
+            cfg = FrobeniusConfig(lam=lam, alpha=alpha, seed=seed)
+            _, trace = solve_frobenius(joint, p_z, cfg)
+            best = max(best, trace.objectives[-1])
+            iters += len(trace)
+        return best, iters
+
+    @pytest.mark.parametrize(
+        "make", STEP_RULE_SCENARIOS.values(), ids=STEP_RULE_SCENARIOS
+    )
+    def test_default_step_no_worse_and_faster_than_small_step(self, make):
+        # The default 1/L step must reach at least the objective of the
+        # twenty times smaller step, in fewer iterations.
+        joint, p_z, lam = make()
+        c = _gram_factor(build_dtm(joint).matrix)
+        small = 0.05 / _curvature(c, joint.marginal_y.sqrt_probs, lam)
+        obj, iters = self._best_of_3(joint, p_z, lam, None)
+        obj_small, iters_small = self._best_of_3(joint, p_z, lam, small)
+        assert obj >= obj_small - 1e-9 * abs(obj_small)
+        assert iters < iters_small

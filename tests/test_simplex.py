@@ -83,6 +83,20 @@ class TestColumns:
         with pytest.raises(ValueError):
             project_columns(np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "first",
+        [[1e308, 1e308], [np.inf, 0.0], [np.inf, -np.inf], [np.nan, 0.0]],
+        ids=["overflow", "inf", "inf-inf", "nan"],
+    )
+    def test_nonfinite_column_sum_rejected(self, first):
+        # The sum of the first column is past the float range (or undefined);
+        # the threshold would be inf or nan and the column would clip to zero.
+        mat = np.array([first, [1.0, 2.0]]).T
+        with pytest.raises(ValueError, match="not finite"):
+            project_columns(mat)
+        with pytest.raises(ValueError, match="not finite"):
+            simplex_project(mat[:, 0])
+
 
 class TestBackendParity:
     """Sign of clipped zeros, which byte-identical artifacts depend on."""
