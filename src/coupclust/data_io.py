@@ -114,7 +114,72 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
 
     Label order is first appearance. ParseError carries the 1-based line
     number and the byte offset of the offending line's start.
+
+    A file of plain `row<TAB>col<TAB>weight` lines with valid weights is read
+    in bulk; any other file goes through the line reader. Both give the same
+    labels and bitwise the same weights.
     """
+    bulk = _parse_triplets_bulk(path)
+    if bulk is not None:
+        return bulk
+    return _parse_triplets_lines(path)
+
+
+def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """parse_triplets on a whole file at once, or None if not well formed.
+
+    None unless the file is UTF-8, each line has exactly two tabs, no row
+    label is empty or starts with whitespace or `#`, and every weight is a
+    finite, nonnegative float. The line reader then strips nothing from a
+    line's start; what it strips from the end (a CR, say) float() either
+    strips too or rejects. Duplicates are summed in file order, as the line
+    reader does, so the sums are bitwise equal.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    tabs = np.flatnonzero(raw == 9)
+    n = ends.size
+    # Line i holds tabs 2i and 2i+1: tab 2i+1 < end i < tab 2i+2.
+    if tabs.size != 2 * n or not (
+        np.all(tabs[1::2] < ends) and np.all(tabs[2::2] > ends[:-1])
+    ):
+        return None
+    # Drop each buffer once it is used up: the field strings dominate peak RSS.
+    del data, raw, ends, tabs
+
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()  # the empty string after the final newline
+    del text
+    try:
+        w = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=n)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        return None
+    rows = list(dict.fromkeys(fields[0::3]))
+    if any(not lab or lab[0].isspace() or lab[0] == "#" for lab in rows):
+        return None
+    cols = list(dict.fromkeys(fields[1::3]))
+    row_idx = {lab: i for i, lab in enumerate(rows)}
+    col_idx = {lab: j for j, lab in enumerate(cols)}
+    ri = np.fromiter(map(row_idx.__getitem__, fields[0::3]), np.int64, count=n)
+    ci = np.fromiter(map(col_idx.__getitem__, fields[1::3]), np.int64, count=n)
+    del fields
+    nr, nc = len(rows), len(cols)
+    cells = np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
+    return rows, cols, cells.reshape(nr, nc)
+
+
+def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
+    """parse_triplets one line at a time; the only source of its ParseErrors."""
     cells: dict[tuple[str, str], float] = {}
     rows: list[str] = []
     cols: list[str] = []

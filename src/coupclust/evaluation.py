@@ -14,7 +14,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq, nuclear
 from .errors import InvalidParams, LabelMismatch, ZeroMarginal
@@ -69,7 +68,14 @@ def _matched_correct(pred: list, truth: list) -> int:
     confusion = np.zeros((len(pred_ids), len(true_ids)), dtype=np.int64)
     for a, b in zip(pred, truth):
         confusion[pred_ids[a], true_ids[b]] += 1
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    # Every full matching has min(shape) pairs, so the minimum total of
+    # max + 1 - confusion is the maximum overlap. The costs are >= 1: a
+    # sparse matrix would read a 0 as a missing edge.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    cost = csr_matrix(confusion.max() + 1 - confusion)
+    rows, cols = min_weight_full_bipartite_matching(cost)
     return int(confusion[rows, cols].sum())
 
 

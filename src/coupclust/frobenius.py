@@ -168,7 +168,12 @@ def solve_frobenius(
 
     alpha = cfg.alpha
     if alpha is None:
-        scale = _curvature(c, sy, lam)
+        try:
+            scale = _curvature(c, sy, lam)
+        except NonFinite:
+            raise InvalidParams(
+                f"lam = {lam!r} is too large: the step size estimate overflows"
+            ) from None
         alpha = 1.0 / scale if scale > 1e-12 else 1.0
 
     rng = np.random.default_rng(cfg.seed)

@@ -8,9 +8,12 @@ ACE-style approximation used by the embedding module.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
+
+from .errors import NonFinite
 
 _OVERSAMPLE = 8
 _POWER_ITERS = 30
@@ -58,13 +61,16 @@ def top_singular_value_sym(
 
     The operator is given by its action v -> M v, so M need not be formed.
     Deterministic start vector; used to scale gradient steps, so a rough
-    estimate is fine.
+    estimate is fine. Raises NonFinite if M v overflows.
     """
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
     for _ in range(iters):
-        w = apply(v)
-        nw = float(np.linalg.norm(w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = apply(v)
+            nw = float(np.linalg.norm(w))
+        if not math.isfinite(nw):
+            raise NonFinite(f"operator norm estimate overflowed ({nw!r})")
         if nw == 0.0:
             return 0.0
         v = w / nw

@@ -287,6 +287,20 @@ class TestExitCodes:
         assert "must be finite and positive" in err
         assert "Traceback" not in err
 
+    def test_huge_lambda_is_a_config_error(self, planted, tmp_path, capsys):
+        data, _ = planted
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "frobenius", "--k", "2",
+                "--pz", "uniform", "--lambda", "1e300", "--restarts", "1",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "lam = 1e+300 is too large" in err
+        assert "Traceback" not in err
+
     def test_projection_overflow(self, planted, tmp_path, capsys):
         data, _ = planted
         # On this input and seed the first update is finite but a kernel

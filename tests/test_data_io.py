@@ -1,12 +1,18 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coupclust.core import JointPmf, SolveTrace, build_dtm, frobenius_sq
 from coupclust.data_io import (
     MAX_CELLS,
+    _parse_triplets_bulk,
+    _parse_triplets_lines,
     CounterexampleParams,
     apply_rating_transform,
     community_objective,
@@ -103,6 +109,98 @@ class TestParseTriplets:
         p.write_text("x\ty\t1\nonly_one_field\n")
         with pytest.raises(ParseError, match=r"line 2, byte 6"):
             parse_triplets(p)
+
+
+def _outcome(reader, path):
+    """Labels and weight bits, or the ParseError's message, line and offset."""
+    try:
+        rows, cols, w = reader(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.offset
+    return "ok", rows, cols, w.shape, w.tobytes()
+
+
+# Well-formed triplet lines with at most one odd line spliced in, so that
+# many files take the bulk path and each fallback rule is reached.
+_good_line = st.tuples(
+    st.sampled_from(["a", "b", "c d", "\u00e9", "x#"]),
+    st.sampled_from(["u", "v", " w", "u\x85"]),
+    st.sampled_from(["1", "0.5", "2", "0", "-0.0", "1_0", "1e308", " 1", "3e-320"]),
+).map("\t".join)
+_odd_line = st.one_of(
+    st.sampled_from(
+        ["", " ", "\t\t", "#c", "#a\tu\t1", " a\tu\t1", "\x85a\tu\t1",
+         "\u3000a\tu\t1", "\ta\t1", "a\tu\t1 ", "a\tu\t1\r", "a\tu\t1\x0b",
+         "a\tu", "a\tu\t1\t2", "a\tu\t", "a\tu\tx", "a\tu\t-1", "a\tu\tnan",
+         "a\tu\tinf", "a\tu\t\u0661", "a\tu\t1\u2028"]
+    ),
+    st.text(max_size=6),
+)
+_triplet_bytes = st.one_of(
+    st.tuples(
+        st.lists(_good_line, max_size=8),
+        st.lists(_odd_line, max_size=1),
+        st.integers(0, 8),
+        st.sampled_from(["", "\n"]),
+    ).map(
+        lambda t: ("\n".join(t[0][: t[2]] + t[1] + t[0][t[2]:]) + t[3]).encode()
+    ),
+    st.binary(max_size=60),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@example(content=b"a\tu\t0.1\na\tu\t0.2\nb\tu\t1\na\tu\t0.3\n")  # duplicates
+@example(content=b"a b\tu v\t1\n")  # inner space
+@example(content=b" a\tu\t1\n")  # leading space
+@example(content=b"a\tu\t1\r\nb\tv\t2\r\n")  # CRLF
+@example(content=b"# c\na\tu\t1\n#a\tu\t2\n")  # comment lines
+@example(content=b"a\tu\t1\n\n\t\t\nb\tu\t2\n")  # blank and tab-only lines
+@example(content=b"a\tu\t1\n\tu\t2\n")  # empty row label
+# Two and four fields, or four and two: the fields alone would parse.
+@example(content=b"a\tu\n1\tb\tv\t2\n")
+@example(content=b"a\tu\t1\tb\nv\t2\n")
+@example(content=b"a\tu\t1\nb\tv\t2")  # no final newline
+@example(content=b"a\tu\t1\n\xff\tv\t2\n")  # not UTF-8
+@example(content=b"a\tu\t1_0\n")
+@example(content=b"a\tu\tinf\n")
+@example(content=b"a\tu\tnan\n")
+@example(content=b"a\tu\t-0.0\n")
+@example(content=b"a\tu\t-1\n")
+@given(content=_triplet_bytes)
+def test_parse_triplets_matches_line_reader(content):
+    """Any bytes: same labels and weight bits, or the same ParseError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_bytes(content)
+        got = _outcome(parse_triplets, path)
+        want = _outcome(_parse_triplets_lines, path)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "content, bulk",
+    [
+        (b"a\tu\t1\nb b\tv\t2.5\na\tu\t1_0\n", True),
+        (b"a\tu\t1\nb\tv\t-0.0", True),
+        # float() strips a trailing CR or space just as str.strip() does
+        (b"a\tu\t1\r\nb\tv\t1 \n", True),
+        (b"a\tu\t1\x1c\n", False),
+        (b"#c\na\tu\t1\n", False),
+        (b"#a\tu\t1\n", False),
+        (b"a\tu\t1\n\n", False),
+        (b"\t\t\n", False),
+        (b" a\tu\t1\n", False),
+        (b"a\tu\n", False),
+        (b"a\tu\t-1\n", False),
+        (b"a\tu\tnan\n", False),
+        (b"\xff\tu\t1\n", False),
+    ],
+)
+def test_bulk_path_taken_only_on_well_formed_files(tmp_path, content, bulk):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(content)
+    assert (_parse_triplets_bulk(path) is not None) == bulk
 
 
 class TestDenseCsv:

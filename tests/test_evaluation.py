@@ -8,6 +8,7 @@ from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import InvalidParams, LabelMismatch, ZeroMarginal
 from coupclust.evaluation import (
     ClusteringReport,
+    _matched_correct,
     build_report,
     coverage,
     elbow_curve,
@@ -71,6 +72,28 @@ class TestMatchedAccuracy:
             assert matched_accuracy(pred, truth) == pytest.approx(
                 brute_force_accuracy(pred, truth), abs=1e-12
             )
+
+    def test_matching_equals_linear_sum_assignment(self, rng):
+        # Square, wide, tall and zero-heavy confusion matrices up to 9 x 9.
+        from scipy.optimize import linear_sum_assignment
+
+        shapes = set()
+        for _ in range(300):
+            m, n = (int(x) for x in rng.integers(1, 10, size=2))
+            conf = rng.integers(0, 6, size=(m, n))
+            conf[rng.random((m, n)) < rng.random()] = 0
+            conf[0, 0] += 1
+            pairs = [
+                (f"p{i}", f"t{j}")
+                for i in range(m)
+                for j in range(n)
+                for _ in range(conf[i, j])
+            ]
+            pred, truth = (list(x) for x in zip(*pairs))
+            rows, cols = linear_sum_assignment(conf, maximize=True)
+            assert _matched_correct(pred, truth) == conf[rows, cols].sum()
+            shapes.add((m > n) - (m < n))
+        assert shapes == {-1, 0, 1}
 
     def test_mapping_form(self):
         pred = {"a": "x", "b": "x", "c": "y"}

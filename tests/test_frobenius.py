@@ -207,6 +207,17 @@ class TestSolve:
         with pytest.raises(NonFinite, match="column sum overflowed at iteration 1;"):
             solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
+    def test_huge_lambda_rejected_by_name(self, rng):
+        # The power iteration's norm overflows near lam = 1e155; the solver
+        # must name lam instead of falling back to a unit step.
+        joint = random_joint(rng, 6, 5)
+        p_z = Pmf.uniform(("z0", "z1"))
+        with pytest.raises(InvalidParams, match=r"lam = 1e\+300 is too large"):
+            solve_frobenius(joint, p_z, FrobeniusConfig(lam=1e300, max_iters=5))
+        sy = joint.marginal_y.sqrt_probs
+        c = _gram_factor(build_dtm(joint).matrix)
+        assert _curvature(c, sy, 1e150) == pytest.approx(1e150, rel=1e-9)
+
     def test_boundary_pz_rejected(self, rng):
         joint = random_joint(rng, 4, 4)
         p_z = Pmf(("z0", "z1"), np.array([1.0, 0.0]))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import coupclust
 from coupclust import core
 
@@ -100,3 +105,17 @@ def test_nuclear_is_the_norm():
     # The nuclear solver module shares the name of core's nuclear norm; the
     # exported name is the norm.
     assert coupclust.nuclear is core.nuclear
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # scipy.optimize alone costs most of a cold import; every scipy module
+    # is imported inside the function that needs it.
+    src = str(Path(coupclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coupclust.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coupclust.core import JointPmf, build_dtm
+from coupclust.errors import NonFinite
 from coupclust.svd import (
     exact_svd,
     randomized_svd,
@@ -68,3 +69,8 @@ def test_top_singular_value_sym(rng):
 
 def test_top_singular_value_zero_matrix():
     assert top_singular_value_sym(lambda v: np.zeros(4), 4) == 0.0
+
+
+def test_top_singular_value_overflow_raises():
+    with pytest.raises(NonFinite, match="overflowed"):
+        top_singular_value_sym(lambda v: np.full(4, 1e300), 4)
