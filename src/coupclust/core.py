@@ -325,12 +325,14 @@ class Dtm:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration history of either solver.
+    """Per-iteration history of either solver, one append-only row per step.
 
-    For the Frobenius solver: objective = relaxed objective J, penalty =
-    lambda-weighted marginal penalty, violation = max kernel column-sum
-    deviation, min_entry = smallest kernel entry. The nuclear solver reuses
-    the layout with objective = nuclear norm and zero penalty/violation.
+    For the Frobenius solver every row describes the projected iterate:
+    objective = relaxed objective J, penalty = lambda-weighted marginal
+    penalty, violation = max kernel column-sum deviation (rounding only),
+    min_entry = smallest kernel entry (never negative). The nuclear solver
+    reuses the layout with objective = nuclear norm and zero
+    penalty/violation.
     """
 
     objectives: list[float] = field(default_factory=list)
@@ -352,12 +354,6 @@ class SolveTrace:
         self.penalties.append(float(pen))
         self.violations.append(float(viol))
         self.min_entries.append(float(mn))
-
-    def replace_last(self, obj: float, pen: float, viol: float, mn: float) -> None:
-        self.objectives[-1] = float(obj)
-        self.penalties[-1] = float(pen)
-        self.violations[-1] = float(viol)
-        self.min_entries[-1] = float(mn)
 
 
 @dataclass(frozen=True)

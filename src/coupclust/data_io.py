@@ -399,8 +399,8 @@ class CounterexampleParams:
     def __post_init__(self):
         if int(self.m) < 1 or int(self.n) < 1:
             raise InvalidParams("m and n must be positive")
-        if not self.s >= 1:
-            raise InvalidParams("s must be >= 1")
+        if not (math.isfinite(self.s) and self.s >= 1):
+            raise InvalidParams("s must be finite and >= 1")
         if self.variant not in ("base_P", "intuitive_Q1", "one_item_Q2"):
             raise InvalidParams(f"unknown variant {self.variant!r}")
         if self.variant == "one_item_Q2" and (int(self.m) < 2 or int(self.n) < 2):
@@ -506,6 +506,8 @@ def gen_planted_blocks(
     if len(sizes) != blocks or any(s < 1 for s in sizes):
         raise InvalidParams("sizes must give a positive size per block")
     _check_cells(sum(sizes), sum(sizes))
+    if not (math.isfinite(within_weight) and math.isfinite(cross_weight)):
+        raise InvalidParams("within_weight and cross_weight must be finite")
     if not within_weight > cross_weight or cross_weight < 0:
         raise InvalidParams("need within_weight > cross_weight >= 0")
 
@@ -535,6 +537,8 @@ def community_objective(q, p, lam: float, k: int) -> float:
         raise ShapeMismatch(f"Q {q.shape} vs P {p.shape}")
     if int(k) < 1:
         raise InvalidParams("k must be >= 1")
+    if not math.isfinite(lam):
+        raise InvalidParams(f"lam must be finite, got {lam!r}")
     if np.any(q < 0) or not np.all(np.isfinite(q)):
         raise InvalidDistribution("Q must be finite and >= 0")
     dist = float(np.sum((q - p) ** 2))

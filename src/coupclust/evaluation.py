@@ -130,16 +130,20 @@ def kernel_norm_value(joint: JointPmf, kernel: CouplingKernel, algorithm: str) -
     """Norm of the chain DTM B_{Z,X} induced by a kernel.
 
     Frobenius reports the squared Frobenius norm, nuclear the nuclear norm,
-    matching what each solver maximizes.
+    matching what each solver maximizes. A Frobenius kernel may leave a
+    cluster empty (the solver only penalizes the cluster marginal); the norm
+    is then taken over the clusters that receive mass, which is its limit as
+    the empty cluster's mass goes to 0. The nuclear solver keeps every
+    cluster alive, so an empty one is rejected there.
     """
     if algorithm not in ("frobenius", "nuclear"):
         raise InvalidParams(f"unknown algorithm {algorithm!r}")
     chain_w = kernel.kernel @ joint.weights
-    if np.any(chain_w.sum(axis=1) <= 0):
+    live = chain_w.sum(axis=1) > 0
+    if algorithm == "nuclear" and not np.all(live):
         raise ZeroMarginal("kernel leaves a cluster with zero mass")
-    chain = JointPmf.from_weights(
-        kernel.cluster_labels, joint.col_labels, chain_w
-    )
+    labels = tuple(z for z, keep in zip(kernel.cluster_labels, live) if keep)
+    chain = JointPmf.from_weights(labels, joint.col_labels, chain_w[live])
     b = build_dtm(chain)
     return frobenius_sq(b) if algorithm == "frobenius" else nuclear(b)
 

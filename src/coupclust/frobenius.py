@@ -50,14 +50,14 @@ class FrobeniusConfig:
     estimated by power iteration. The Hessian of J is 2 (B B^T - lam
     sqrt(P_Y) sqrt(P_Y)^T), so L = 2 sigma_1, and since the update moves A
     by alpha/2 times the gradient, alpha = 1/sigma_1 is the 1/L step. lam and
-    an explicit alpha must be finite and positive.
+    an explicit alpha must be finite and positive. Every step is followed by
+    the projection onto column-stochastic kernels, whatever alpha is.
     """
 
     lam: float = 10.0
     alpha: float | None = None
     max_iters: int = 5000
     obj_tol: float = 1e-9
-    feas_tol: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -71,8 +71,6 @@ class FrobeniusConfig:
             raise InvalidParams("max_iters must be >= 1")
         if not 0 < self.obj_tol < 1:
             raise InvalidParams("obj_tol must be in (0, 1)")
-        if not 0 < self.feas_tol < 1:
-            raise InvalidParams("feas_tol must be in (0, 1)")
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -148,12 +146,12 @@ def solve_frobenius(
     """Gradient-ascent coupling solver with a target cluster marginal.
 
     Initialization draws each kernel column uniformly from the simplex
-    (exponential spacings), seeded by cfg.seed. Projection fires whenever
-    the kernel-space feasibility drifts past cfg.feas_tol (checked every
-    iteration) and always on the final iterate, so the returned kernel is
-    exactly column stochastic. Convergence = relative objective change below
-    cfg.obj_tol across a 10-iteration window while feasible; raises
-    NonFinite if the iterate diverges (step size too large).
+    (exponential spacings), seeded by cfg.seed. Every iteration takes one
+    gradient step, projects each kernel column onto the simplex, and records
+    the objective of the projected iterate, so every traced objective and
+    the returned kernel belong to a column-stochastic kernel. Convergence =
+    relative objective change below cfg.obj_tol across a 10-iteration
+    window; raises NonFinite if the iterate diverges (step size too large).
     """
     if cfg is None:
         cfg = FrobeniusConfig()
@@ -183,7 +181,6 @@ def solve_frobenius(
     ac, resid = a @ c, a @ sy - sz
 
     trace = SolveTrace()
-    status = "MaxIters"
     for t in range(1, cfg.max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             a = a + alpha * (ac @ c.T - lam * np.outer(resid, sy))
@@ -191,42 +188,26 @@ def solve_frobenius(
                 raise NonFinite(
                     f"iterate diverged at iteration {t}; reduce alpha ({alpha!r})"
                 )
-            k = _to_kernel(a, sy, sz)
-            viol, mn = _feasibility(k)
-            if viol > cfg.feas_tol or mn < -cfg.feas_tol:
-                try:
-                    k = project_columns(k)
-                except ValueError:
-                    raise NonFinite(
-                        f"kernel column sum overflowed at iteration {t}; "
-                        f"reduce alpha ({alpha!r})"
-                    ) from None
-                a = _from_kernel(k, sy, sz)
-                viol, mn = _feasibility(k)
+            try:
+                k = project_columns(_to_kernel(a, sy, sz))
+            except ValueError:
+                raise NonFinite(
+                    f"kernel column sum overflowed at iteration {t}; "
+                    f"reduce alpha ({alpha!r})"
+                ) from None
+            a = _from_kernel(k, sy, sz)
             ac, resid = a @ c, a @ sy - sz
             obj, pen = _objective_terms(ac, resid, lam)
         if not np.isfinite(obj):
             raise NonFinite(
                 f"objective diverged at iteration {t}; reduce alpha ({alpha!r})"
             )
-        trace.record(obj, pen, viol, mn)
-
-        feasible = viol <= cfg.feas_tol and mn >= -cfg.feas_tol
-        converged = False
-        if feasible and len(trace) > _OBJ_WINDOW:
+        trace.record(obj, pen, *_feasibility(k))
+        if len(trace) > _OBJ_WINDOW:
             prev = trace.objectives[-1 - _OBJ_WINDOW]
-            rel = abs(obj - prev) / max(1.0, abs(obj))
-            converged = rel < cfg.obj_tol
-        if converged or t == cfg.max_iters:
-            k = project_columns(_to_kernel(a, sy, sz))
-            a = _from_kernel(k, sy, sz)
-            obj, pen = frobenius_objective(a, c, sy, sz, lam)
-            viol, mn = _feasibility(k)
-            trace.replace_last(obj, pen, viol, mn)
-            status = "Converged" if converged else "MaxIters"
-            break
+            if abs(obj - prev) / max(1.0, abs(obj)) < cfg.obj_tol:
+                trace.status = "Converged"
+                break
 
-    trace.status = status
-    k = np.where(k >= 0.0, k, 0.0)  # clamp -1e-12-scale dust from back-mapping
     kernel = CouplingKernel(p_z.labels, joint.row_labels, k)
     return kernel, trace

@@ -3,9 +3,10 @@
 Repeats two exact subproblem solves: (i) with the kernel fixed, the optimal
 whitened factor pair (F, G) comes from the SVD of the chain DTM B_{Z,X} and
 attains tr(F^T P_{Z,X} G) = ||B_{Z,X}||_*; (ii) with F, G fixed the
-objective is linear in the kernel and, absent a marginal constraint,
-decomposes over columns into per-item argmax assignments (one-hot vertex
-solutions). Needs no prior P_Z.
+objective is linear in the kernel and decomposes over columns into
+per-item argmax assignments (one-hot vertex solutions). The kernel update is
+that argmax and nothing else: no target cluster marginal is taken or
+imposed, and the induced P_Z is whatever the assignments give.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "KyFanFeatures",
     "kyfan_features",
     "maximize_linear_coupling",
-    "maximize_linear_coupling_constrained",
     "solve_nuclear",
 ]
 
@@ -57,8 +57,10 @@ class NuclearConfig:
             raise InvalidParams("k must be >= 1")
         if int(self.max_iters) < 1:
             raise InvalidParams("max_iters must be >= 1")
-        if not self.kernel_change_tol > 0:
-            raise InvalidParams("kernel_change_tol must be positive")
+        # Kernel entries are 0 or 1, so a tolerance of 1 or more would stop
+        # at the first iteration whatever the update did.
+        if not 0 < self.kernel_change_tol < 1:
+            raise InvalidParams("kernel_change_tol must be in (0, 1)")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))
@@ -140,51 +142,6 @@ def maximize_linear_coupling(
     return CouplingKernel(cluster_labels, joint_yx.row_labels, kernel)
 
 
-def maximize_linear_coupling_constrained(
-    f: np.ndarray,
-    g: np.ndarray,
-    joint_yx: JointPmf,
-    p_z: Pmf,
-) -> CouplingKernel:
-    """Kernel update with the induced-marginal constraint K P_Y = P_Z kept.
-
-    Substituting T[z, y] = K[z, y] P_Y(y) turns the subproblem into a
-    transportation LP over couplings of (P_Z, P_Y), solved exactly here.
-    The optimizer is generally a soft kernel.
-    """
-    from scipy.optimize import linprog
-
-    c = _coefficients(f, g, joint_yx)
-    py = joint_yx.marginal_y.probs
-    if not p_z.strictly_interior:
-        raise ZeroMarginal("target P_Z must be strictly interior")
-    nz = len(p_z)
-    if f.shape[0] != nz:
-        raise DimensionMismatch(
-            f"F has {f.shape[0]} cluster rows but p_z has {nz} entries"
-        )
-    ny = py.size
-    # cost[z, y] for T, flattened row-major; maximize sum C'[z,y] T[z,y]
-    cost = -(c.T / py[None, :])
-    a_eq = np.zeros((ny + nz, nz * ny))
-    rhs = np.zeros(ny + nz)
-    for y in range(ny):
-        a_eq[y, y::ny] = 1.0
-        rhs[y] = py[y]
-    for z in range(nz):
-        a_eq[ny + z, z * ny : (z + 1) * ny] = 1.0
-        rhs[ny + z] = p_z.probs[z]
-    res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0, None), method="highs"
-    )
-    if not res.success:
-        raise InvalidParams(f"transportation LP failed: {res.message}")
-    t = res.x.reshape(nz, ny)
-    kernel = np.clip(t / py[None, :], 0.0, None)
-    kernel /= kernel.sum(axis=0, keepdims=True)
-    return CouplingKernel(p_z.labels, joint_yx.row_labels, kernel)
-
-
 def _one_hot(assign: np.ndarray, nz: int) -> np.ndarray:
     k = np.zeros((nz, assign.size))
     k[assign, np.arange(assign.size)] = 1.0
@@ -231,16 +188,16 @@ def _rescue_dead(
 
 
 def solve_nuclear(
-    joint: JointPmf, cfg: NuclearConfig, p_z: Pmf | None = None
+    joint: JointPmf, cfg: NuclearConfig
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Alternating maximization of ||B_{Z,X}||_* over coupling kernels.
 
     Starts from seeded one-hot columns with one distinct item pinned per
     cluster (so no cluster starts empty). Stops when the one-hot pattern
     repeats (entrywise change below cfg.kernel_change_tol) or at
-    cfg.max_iters. Passing p_z switches the kernel update to the
-    transportation-constrained variant that keeps the induced marginal
-    fixed; by default no marginal constraint is imposed.
+    cfg.max_iters. The kernel update is the per-item argmax of the linear
+    subproblem, followed by the dead-cluster rescue; it takes no target
+    cluster marginal.
 
     The trace records the nuclear norm per outer iteration (penalty and
     violation columns are zero), plus extras: "kyfan_gap" (attainment error
@@ -254,8 +211,6 @@ def solve_nuclear(
     if k > ny:
         raise InvalidParams(f"k = {k} exceeds |Y| = {ny}")
     cluster_labels = tuple(f"z{i}" for i in range(k))
-    if p_z is not None and len(p_z) != k:
-        raise DimensionMismatch("p_z length must equal k")
 
     w = joint.weights
     py = joint.marginal_y.probs
@@ -286,16 +241,10 @@ def solve_nuclear(
 
         c = _coefficients(feats.f, feats.g, joint)
         lin_before = float(np.sum(c.T * kernel_mat))
-        if p_z is None:
-            assign_new = np.argmax(c, axis=1)
-            assign_new, rescues_left = _rescue_dead(
-                assign_new, c, py, k, rescues_left
-            )
-            new_mat = _one_hot(assign_new, k)
-        else:
-            new_mat = maximize_linear_coupling_constrained(
-                feats.f, feats.g, joint, p_z
-            ).kernel
+        assign, rescues_left = _rescue_dead(
+            np.argmax(c, axis=1), c, py, k, rescues_left
+        )
+        new_mat = _one_hot(assign, k)
         lin_after = float(np.sum(c.T * new_mat))
         trace.extras["linear_before"].append(lin_before)
         trace.extras["linear_after"].append(lin_after)

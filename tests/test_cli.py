@@ -254,7 +254,7 @@ class TestExitCodes:
 
     def test_solver_failure(self, planted, tmp_path):
         data, _ = planted
-        # absurd fixed step with projection deferred: NonFinite -> exit 4
+        # an absurd fixed step jumps between vertex kernels
         rc = main(
             [
                 "cluster", str(data), "--algo", "frobenius", "--k", "2",
@@ -269,23 +269,48 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["cluster", "--k", "2", "--pz", "uniform", "--alpha", "inf"],
-            ["cluster", "--k", "2", "--pz", "uniform", "--alpha", "nan"],
-            ["cluster", "--k", "2", "--pz", "uniform", "--lambda", "inf"],
-            ["cluster", "--k", "2", "--pz", "uniform", "--lambda", "nan"],
-            ["elbow", "--ks", "2", "--lambda", "inf"],
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform", "--alpha", "inf", "--restarts", "1"],
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform", "--alpha", "nan", "--restarts", "1"],
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform", "--lambda", "inf", "--restarts", "1"],
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform", "--lambda", "nan", "--restarts", "1"],
+            ["elbow", "DATA", "--algo", "frobenius", "--ks", "2", "--lambda",
+             "inf", "--restarts", "1"],
+            ["counterexample", "--lambda", "inf"],
+            ["counterexample", "--lambda", "nan"],
+            ["counterexample", "--s-grid", "1,inf"],
+            ["synth", "--gen", "counterexample", "--s", "inf"],
+            ["synth", "--gen", "planted", "--within", "inf"],
         ],
     )
     def test_nonfinite_hyperparameter(self, planted, tmp_path, capsys, argv):
         data, _ = planted
-        rc = main(
-            [argv[0], str(data), "--algo", "frobenius", *argv[1:],
-             "--restarts", "1", "--out", str(tmp_path / "x")]
-        )
+        out = tmp_path / "x"
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        rc = main([*argv, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "must be finite and positive" in err
+        assert "must be finite" in err
         assert "Traceback" not in err
+        # refused before any data or result file is written
+        assert not any(out.glob("*.csv")) and not any(out.glob("*.tsv"))
+
+    @pytest.mark.parametrize("tol", ["inf", "5", "1"])
+    def test_nuclear_tol_out_of_range(self, planted, tmp_path, capsys, tol):
+        # Nuclear kernels are 0/1, so a change tolerance >= 1 would stop at
+        # iteration 1 and return the random start.
+        data, _ = planted
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "nuclear", "--k", "2",
+                "--tol", tol, "--restarts", "1", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 2
+        assert "kernel_change_tol must be in (0, 1)" in capsys.readouterr().err
 
     def test_huge_lambda_is_a_config_error(self, planted, tmp_path, capsys):
         data, _ = planted

@@ -155,6 +155,28 @@ class TestKernelNormValue:
         with pytest.raises(ZeroMarginal):
             kernel_norm_value(joint, kernel, "nuclear")
 
+    def test_empty_frobenius_cluster_adds_nothing(self, rng):
+        # The squared Frobenius norm is taken over the clusters with mass,
+        # the limit as the empty cluster's mass goes to 0.
+        joint = random_joint(rng, 3, 3)
+        kmat = np.array([[1.0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        value = kernel_norm_value(
+            joint, CouplingKernel(("z0", "z1", "z2"), joint.row_labels, kmat),
+            "frobenius",
+        )
+        live = kernel_norm_value(
+            joint, CouplingKernel(("z0", "z1"), joint.row_labels, kmat[:2]),
+            "frobenius",
+        )
+        assert value == live
+        eps = 1e-9
+        soft = kmat + eps * np.array([[-1.0, 0, 0], [0, 0, 0], [1, 0, 0]])
+        near = kernel_norm_value(
+            joint, CouplingKernel(("z0", "z1", "z2"), joint.row_labels, soft),
+            "frobenius",
+        )
+        assert near == pytest.approx(value, abs=1e-6)
+
     def test_algorithm_validation(self, rng):
         joint = random_joint(rng, 3, 3)
         kernel = CouplingKernel(("z0",), joint.row_labels, np.ones((1, 3)))

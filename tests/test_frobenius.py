@@ -35,7 +35,6 @@ class TestConfig:
         assert cfg.alpha is None
         assert cfg.max_iters == 5000
         assert cfg.obj_tol == 1e-9
-        assert cfg.feas_tol == 1e-3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,7 +44,7 @@ class TestConfig:
             {"alpha": -0.1},
             {"max_iters": 0},
             {"obj_tol": 0.0},
-            {"feas_tol": 2.0},
+            {"alpha": 0.0},
             {"lam": float("inf")},
             {"lam": float("nan")},
             {"alpha": float("inf")},
@@ -192,11 +191,12 @@ class TestSolve:
         assert acc >= 0.95
 
     def test_nonfinite_on_huge_step(self, rng):
-        # a step this large overflows on the first update, before any
-        # projection can pull the iterate back
+        # The first update stays finite and projects onto a vertex kernel;
+        # a step this large then overflows on the second update, before any
+        # projection can pull the iterate back.
         joint = random_joint(rng, 6, 5)
         p_z = Pmf.uniform(("z0", "z1"))
-        with pytest.raises(NonFinite, match="iteration 1;"):
+        with pytest.raises(NonFinite, match="iterate diverged at iteration 2;"):
             solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
     def test_nonfinite_on_projection_overflow(self, rng):
@@ -229,6 +229,19 @@ class TestSolve:
         p_z = Pmf.uniform(("z0", "z1", "z2", "z3"))
         with pytest.raises(InvalidParams):
             solve_frobenius(joint, p_z)
+
+    def test_small_step_iterates_all_projected(self):
+        # A step far below 1/L moves the kernel only a little per iteration;
+        # every recorded row must still describe a column-stochastic kernel.
+        joint, p_z, lam = _planted(3, 20)
+        c = _gram_factor(build_dtm(joint).matrix)
+        alpha = 1e-3 / _curvature(c, joint.marginal_y.sqrt_probs, lam)
+        _, trace = solve_frobenius(
+            joint, p_z, FrobeniusConfig(lam=lam, alpha=alpha, max_iters=200)
+        )
+        assert len(trace) == 200
+        assert max(trace.violations) <= 1e-12
+        assert min(trace.min_entries) >= 0.0
 
     def test_trace_shape(self, rng):
         joint = random_joint(rng, 5, 5)

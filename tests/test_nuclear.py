@@ -3,16 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import (
-    CouplingKernel,
-    JointPmf,
-    Pmf,
-    build_dtm,
-    dtm_from_kernel,
-    nuclear,
-)
+from coupclust.core import JointPmf, build_dtm, nuclear
 from coupclust.data_io import gen_planted_blocks
-from coupclust.errors import DegenerateCluster, DimensionMismatch, InvalidParams
+from coupclust.errors import DegenerateCluster, InvalidParams
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.nuclear import (
     KyFanFeatures,
@@ -20,7 +13,6 @@ from coupclust.nuclear import (
     _rescue_dead,
     kyfan_features,
     maximize_linear_coupling,
-    maximize_linear_coupling_constrained,
     solve_nuclear,
 )
 
@@ -42,7 +34,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"k": 0}, {"k": 2, "max_iters": 0}, {"k": 2, "kernel_change_tol": 0.0}],
+        [
+            {"k": 0},
+            {"k": 2, "max_iters": 0},
+            {"k": 2, "kernel_change_tol": 0.0},
+            {"k": 2, "kernel_change_tol": float("inf")},
+            {"k": 2, "kernel_change_tol": 5.0},
+        ],
     )
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(InvalidParams):
@@ -129,59 +127,6 @@ class TestLinearStep:
             assert abs(got - (-res.fun)) <= 1e-9
 
 
-class TestConstrainedStep:
-    def _chain_features(self, rng, joint, kmat, p_z):
-        chain = JointPmf.from_weights(
-            p_z.labels, joint.col_labels, kmat @ joint.weights
-        )
-        b = build_dtm(chain)
-        return kyfan_features(b, chain.marginal_y, chain.marginal_x)
-
-    def test_marginal_kept(self, rng):
-        joint = random_joint(rng, 6, 5)
-        kmat = rng.random((3, 6)) + 0.1
-        kmat /= kmat.sum(axis=0)
-        p_z = Pmf(("z0", "z1", "z2"), np.array([0.2, 0.3, 0.5]))
-        feats = self._chain_features(rng, joint, kmat, p_z)
-        kernel = maximize_linear_coupling_constrained(
-            feats.f, feats.g, joint, p_z
-        )
-        induced = kernel.induced_marginal(joint.marginal_y)
-        assert np.max(np.abs(induced - p_z.probs)) <= 1e-9
-
-    def test_cluster_count_mismatch_rejected(self, rng):
-        joint = random_joint(rng, 6, 5)
-        kmat = rng.random((3, 6)) + 0.1
-        kmat /= kmat.sum(axis=0)
-        p_z3 = Pmf.uniform(("z0", "z1", "z2"))
-        feats = self._chain_features(rng, joint, kmat, p_z3)
-        with pytest.raises(DimensionMismatch):
-            maximize_linear_coupling_constrained(
-                feats.f, feats.g, joint, Pmf.uniform(("z0", "z1"))
-            )
-
-    def test_dominates_feasible_hard_kernels(self, rng):
-        # on a balanced instance the block kernel is feasible for uniform
-        # p_z, so the LP value must be at least its linear objective
-        joint = two_block_joint()
-        kmat = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1]])
-        p_z = Pmf.uniform(("z0", "z1"))
-        feats = kyfan_features(
-            dtm_from_kernel(
-                CouplingKernel(("z0", "z1"), joint.row_labels, kmat),
-                joint.marginal_y,
-                p_z,
-            ),
-            p_z,
-            joint.marginal_x,
-        )
-        c = (joint.weights @ feats.g) @ feats.f.T
-        lp_kernel = maximize_linear_coupling_constrained(
-            feats.f, feats.g, joint, p_z
-        ).kernel
-        assert float(np.sum(c.T * lp_kernel)) >= float(np.sum(c.T * kmat)) - 1e-9
-
-
 class TestRescue:
     def test_steals_cheapest_item(self):
         assign = np.array([0, 0, 1])
@@ -263,25 +208,10 @@ class TestSolve:
                 best = (trace.objectives[-1], kernel)
         assert matched_accuracy(harden(best[1]), truth_map) >= 0.95
 
-    def test_constrained_final_marginal(self):
-        joint = two_block_joint()
-        p_z = Pmf.uniform(("z0", "z1"))
-        kernel, trace = solve_nuclear(joint, NuclearConfig(k=2, seed=0), p_z=p_z)
-        induced = kernel.induced_marginal(joint.marginal_y)
-        assert np.max(np.abs(induced - p_z.probs)) <= 1e-9
-        assert trace.objectives[-1] == pytest.approx(2.0, abs=1e-9)
-
     def test_k_exceeds_items_rejected(self, rng):
         joint = random_joint(rng, 3, 4)
         with pytest.raises(InvalidParams):
             solve_nuclear(joint, NuclearConfig(k=4))
-
-    def test_pz_length_mismatch(self, rng):
-        joint = random_joint(rng, 5, 4)
-        with pytest.raises(DimensionMismatch):
-            solve_nuclear(
-                joint, NuclearConfig(k=2), p_z=Pmf.uniform(("z0", "z1", "z2"))
-            )
 
     def test_every_cluster_alive(self, rng):
         # k = |Y| forces heavy churn; rescue must keep all clusters nonempty

@@ -73,7 +73,6 @@ PUBLIC = {
     "local_mi_gap",
     "matched_accuracy",
     "maximize_linear_coupling",
-    "maximize_linear_coupling_constrained",
     "mutual_information",
     "nuclear",
     "one_item_kernel",

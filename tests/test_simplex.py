@@ -83,6 +83,16 @@ class TestColumns:
         with pytest.raises(ValueError):
             project_columns(np.zeros(4))
 
+    def test_large_entries_keep_the_simplex(self):
+        # Unshifted, `css - 1.0` rounds the 1 away at this size and the
+        # column clips to all zeros.
+        np.testing.assert_array_equal(
+            project_columns(np.array([[1e16], [1e16]])), [[0.5], [0.5]]
+        )
+        np.testing.assert_array_equal(
+            simplex_project(np.array([1e16 + 2.0, 1e16])), [1.0, 0.0]
+        )
+
     @pytest.mark.parametrize(
         "first",
         [[1e308, 1e308], [np.inf, 0.0], [np.inf, -np.inf], [np.nan, 0.0]],
