@@ -42,18 +42,13 @@ from .data_io import (
 from .embedding import dtm_embed, write_embedding_tsv
 from .errors import ConfigError, CoupclustError, DataError, SolverError
 from .evaluation import (
+    _solve,
     build_report,
     elbow_curve,
     format_report_table,
     kernel_norm_value,
 )
-from .frobenius import FrobeniusConfig, solve_frobenius
-from .nuclear import NuclearConfig, solve_nuclear
-
-
-# Frobenius marginal penalty weight when --lambda is not given. The flag
-# defaults to None so that the nuclear solver can reject it when it is set.
-_DEFAULT_LAMBDA = 10.0
+from .frobenius import FrobeniusConfig
 
 # Restarts that reach the same optimum differ only in the last bits of the
 # objective, which depend on summation order. A later restart replaces the
@@ -104,6 +99,12 @@ def _resolve_pz(args, k: int) -> Pmf:
     return pz
 
 
+def _resolve_lambda(args) -> float:
+    # --lambda defaults to None so that the nuclear solver can reject it when
+    # it is set; the manifest records the Frobenius default in its place.
+    return FrobeniusConfig.lam if args.lam is None else args.lam
+
+
 def _reject_for_nuclear(args, flags: dict) -> None:
     """ConfigError if --algo nuclear comes with a Frobenius-only flag."""
     for flag, value in flags.items():
@@ -117,29 +118,19 @@ def _cmd_cluster(args, out_dir: Path) -> int:
 
     k = args.k
     _reject_for_nuclear(
-        args, {"--pz": args.pz, "--alpha": args.alpha, "--lambda": args.lam}
+        args,
+        {"--pz": args.pz, "--alpha": args.alpha, "--lambda": args.lam,
+         "--tol": args.tol},
     )
-    lam = _DEFAULT_LAMBDA if args.lam is None else args.lam
+    lam = _resolve_lambda(args)
     p_z = _resolve_pz(args, k) if args.algo == "frobenius" else None
 
     best = None
     for restart in range(args.restarts):
         seed = args.seed + restart
-        if args.algo == "frobenius":
-            cfg = FrobeniusConfig(
-                lam=lam,
-                alpha=args.alpha,
-                seed=seed,
-                obj_tol=args.tol if args.tol is not None else 1e-9,
-            )
-            kernel, trace = solve_frobenius(joint, p_z, cfg)
-        else:
-            cfg = NuclearConfig(
-                k=k,
-                seed=seed,
-                kernel_change_tol=args.tol if args.tol is not None else 1e-12,
-            )
-            kernel, trace = solve_nuclear(joint, cfg)
+        kernel, trace = _solve(
+            joint, args.algo, k, seed, p_z, lam, args.alpha, args.tol
+        )
         final = trace.objectives[-1]
         if best is None or final > best[0] + _TIE_RTOL * abs(best[0]):
             best = (final, seed, kernel, trace)
@@ -286,7 +277,7 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 def _cmd_elbow(args, out_dir: Path) -> int:
     joint, _ = _load_joint(args)
     _reject_for_nuclear(args, {"--pz": args.pz, "--lambda": args.lam})
-    lam = _DEFAULT_LAMBDA if args.lam is None else args.lam
+    lam = _resolve_lambda(args)
     p_z = None
     if args.pz not in (None, "uniform"):
         p_z = load_pmf(args.pz)

@@ -345,10 +345,6 @@ class SolveTrace:
     def __len__(self) -> int:
         return len(self.objectives)
 
-    @property
-    def iterations(self) -> int:
-        return len(self.objectives)
-
     def record(self, obj: float, pen: float, viol: float, mn: float) -> None:
         self.objectives.append(float(obj))
         self.penalties.append(float(pen))

@@ -148,19 +148,23 @@ def kernel_norm_value(joint: JointPmf, kernel: CouplingKernel, algorithm: str) -
     return frobenius_sq(b) if algorithm == "frobenius" else nuclear(b)
 
 
-def _solve_for_norm(joint, k, algorithm, seed, p_z, frobenius_lam):
+def _solve(joint, algorithm, k, seed, p_z=None, lam=None, alpha=None, tol=None):
+    """One restart of the named solver: (kernel, trace).
+
+    p_z (uniform when None), lam, alpha and tol are Frobenius knobs; None
+    leaves the FrobeniusConfig default. The nuclear solver ignores them.
+    """
     if algorithm == "nuclear":
-        kernel, _ = solve_nuclear(joint, NuclearConfig(k=k, seed=seed))
-    else:
-        target = p_z
-        if target is None:
-            target = Pmf.uniform(tuple(f"z{i}" for i in range(k)))
-        if len(target) != k:
-            raise InvalidParams("p_z length must equal k")
-        kernel, _ = solve_frobenius(
-            joint, target, FrobeniusConfig(lam=frobenius_lam, seed=seed)
-        )
-    return kernel_norm_value(joint, kernel, algorithm)
+        return solve_nuclear(joint, NuclearConfig(k=k, seed=seed))
+    if p_z is None:
+        p_z = Pmf.uniform(tuple(f"z{i}" for i in range(k)))
+    if len(p_z) != k:
+        raise InvalidParams("p_z length must equal k")
+    knobs = {"lam": lam, "obj_tol": tol}
+    cfg = FrobeniusConfig(
+        alpha=alpha, seed=seed, **{n: v for n, v in knobs.items() if v is not None}
+    )
+    return solve_frobenius(joint, p_z, cfg)
 
 
 def elbow_curve(
@@ -169,13 +173,16 @@ def elbow_curve(
     algorithm: str = "nuclear",
     restarts: int = 5,
     p_z: Pmf | None = None,
-    frobenius_lam: float = 10.0,
+    frobenius_lam: float | None = None,
 ) -> list[tuple[int, float]]:
     """Best-over-restarts norm value per cluster count.
 
-    Restart r uses seed r; ties keep the lower seed. The curve should be
-    nondecreasing in k; a decrease indicates an optimization failure and is
-    reported as a warning.
+    Each restart is scored by kernel_norm_value, and the curve keeps the
+    largest. Restart r uses seed r; ties keep the lower seed. The Frobenius
+    route targets p_z (uniform when None) with penalty weight frobenius_lam
+    (the FrobeniusConfig default when None); the nuclear route ignores
+    both. The curve should be nondecreasing in k; a decrease indicates an
+    optimization failure and is reported as a warning.
     """
     ks = [int(k) for k in ks]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -188,9 +195,8 @@ def elbow_curve(
     for k in ks:
         best = -np.inf
         for seed in range(int(restarts)):
-            val = _solve_for_norm(
-                joint, k, algorithm, seed, None if p_z is None else p_z, frobenius_lam
-            )
+            kernel, _ = _solve(joint, algorithm, k, seed, p_z, frobenius_lam)
+            val = kernel_norm_value(joint, kernel, algorithm)
             if val > best:
                 best = val
         curve.append((k, float(best)))

@@ -16,6 +16,11 @@ The default step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
 of C C^T - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
 matrix, so its Lipschitz constant is L = 2 sigma_1, and the update above is
 the standard 1/L gradient step (Beck & Teboulle 2009).
+
+The projection is Euclidean in kernel space, K = [P_Z]^{1/2} A
+[P_Y]^{-1/2}. Column y of A is sqrt(P_Y(y)) [P_Z]^{-1/2} times column y of
+K, so in A-space it is the projection in the P_Z-weighted norm
+sum_z P_Z(z) a_z^2, and plain Euclidean only when P_Z is uniform.
 """
 
 from __future__ import annotations

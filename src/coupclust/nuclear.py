@@ -47,9 +47,13 @@ _WHITEN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class NuclearConfig:
+    """k clusters, at most max_iters alternations, the random start's seed.
+
+    There is no tolerance: solve_nuclear stops when its assignment repeats.
+    """
+
     k: int
     max_iters: int = 200
-    kernel_change_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -57,10 +61,6 @@ class NuclearConfig:
             raise InvalidParams("k must be >= 1")
         if int(self.max_iters) < 1:
             raise InvalidParams("max_iters must be >= 1")
-        # Kernel entries are 0 or 1, so a tolerance of 1 or more would stop
-        # at the first iteration whatever the update did.
-        if not 0 < self.kernel_change_tol < 1:
-            raise InvalidParams("kernel_change_tol must be in (0, 1)")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))
@@ -192,19 +192,20 @@ def solve_nuclear(
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Alternating maximization of ||B_{Z,X}||_* over coupling kernels.
 
-    Starts from seeded one-hot columns with one distinct item pinned per
-    cluster (so no cluster starts empty). Stops when the one-hot pattern
-    repeats (entrywise change below cfg.kernel_change_tol) or at
-    cfg.max_iters. The kernel update is the per-item argmax of the linear
-    subproblem, followed by the dead-cluster rescue; it takes no target
-    cluster marginal.
+    The iterate is a cluster assignment (the one-hot kernel), seeded at
+    random with one distinct item pinned per cluster (so no cluster starts
+    empty). The update is the per-item argmax of the linear subproblem,
+    followed by the dead-cluster rescue; it takes no target cluster
+    marginal. Stops ("Converged") when the update returns the same
+    assignment, or at cfg.max_iters; either way the returned kernel is the
+    last one traced, whose nuclear norm is trace.objectives[-1].
 
     The trace records the nuclear norm per outer iteration (penalty and
     violation columns are zero), plus extras: "kyfan_gap" (attainment error
     of the trace objective against the nuclear norm, per step) and
     "linear_before"/"linear_after" (the fixed-F,G linear objective at the
-    old and new kernel). A decrease of the nuclear norm between iterations
-    emits a warning, not an error.
+    old and new assignment). A decrease of the nuclear norm between
+    iterations emits a warning, not an error.
     """
     k = cfg.k
     ny = len(joint.marginal_y)
@@ -214,6 +215,7 @@ def solve_nuclear(
 
     w = joint.weights
     py = joint.marginal_y.probs
+    items = np.arange(ny)
 
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(ny)
@@ -221,15 +223,14 @@ def solve_nuclear(
     assign[perm[:k]] = np.arange(k)
     if ny > k:
         assign[perm[k:]] = rng.integers(0, k, size=ny - k)
-    kernel_mat = _one_hot(assign, k)
 
     trace = SolveTrace()
     trace.extras = {"kyfan_gap": [], "linear_before": [], "linear_after": []}
     rescues_left = k
-    status = "MaxIters"
     prev_norm = None
 
-    for _ in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
+        kernel_mat = _one_hot(assign, k)
         chain = JointPmf.from_weights(
             cluster_labels, joint.col_labels, kernel_mat @ w
         )
@@ -240,14 +241,11 @@ def solve_nuclear(
         trace.extras["kyfan_gap"].append(abs(attained - norm_val))
 
         c = _coefficients(feats.f, feats.g, joint)
-        lin_before = float(np.sum(c.T * kernel_mat))
-        assign, rescues_left = _rescue_dead(
+        new_assign, rescues_left = _rescue_dead(
             np.argmax(c, axis=1), c, py, k, rescues_left
         )
-        new_mat = _one_hot(assign, k)
-        lin_after = float(np.sum(c.T * new_mat))
-        trace.extras["linear_before"].append(lin_before)
-        trace.extras["linear_after"].append(lin_after)
+        trace.extras["linear_before"].append(float(np.sum(c[items, assign])))
+        trace.extras["linear_after"].append(float(np.sum(c[items, new_assign])))
 
         trace.record(norm_val, 0.0, 0.0, float(kernel_mat.min()))
         if prev_norm is not None and norm_val < prev_norm - 1e-12:
@@ -259,10 +257,9 @@ def solve_nuclear(
             )
         prev_norm = norm_val
 
-        if float(np.max(np.abs(new_mat - kernel_mat))) <= cfg.kernel_change_tol:
-            status = "Converged"
+        if np.array_equal(new_assign, assign):
+            trace.status = "Converged"
             break
-        kernel_mat = new_mat
+        assign = new_assign
 
-    trace.status = status
     return CouplingKernel(cluster_labels, joint.row_labels, kernel_mat), trace

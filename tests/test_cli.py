@@ -153,9 +153,9 @@ class TestCluster:
     def test_round_off_tie_keeps_earliest_restart(self, planted, tmp_path, monkeypatch):
         # Restarts that land on the same optimum may differ in the last bit of
         # the objective; the earlier seed is kept, a real gain still wins.
-        import coupclust.cli as cli
+        import coupclust.evaluation as evaluation
 
-        solve = cli.solve_nuclear
+        solve = evaluation.solve_nuclear
         bump = {0: 0.0, 1: 1e-15, 2: 1e-9}
 
         def solve_bumped(joint, cfg):
@@ -163,7 +163,7 @@ class TestCluster:
             trace.objectives[-1] = 5.0 + bump[cfg.seed - 3]
             return kernel, trace
 
-        monkeypatch.setattr(cli, "solve_nuclear", solve_bumped)
+        monkeypatch.setattr(evaluation, "solve_nuclear", solve_bumped)
         data, _ = planted
         for restarts, best in (("2", 3), ("3", 5)):
             out = tmp_path / restarts
@@ -192,6 +192,11 @@ class TestExitCodes:
             ["cluster", "--algo", "nuclear", "--k", "2", "--lambda", "3"],
             ["elbow", "--algo", "nuclear", "--ks", "1,2", "--pz", "PZ"],
             ["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "3"],
+            # The nuclear solver stops when its assignment repeats; it has
+            # no tolerance, whatever the value.
+            ["cluster", "--algo", "nuclear", "--k", "2", "--tol", "0.5"],
+            ["cluster", "--algo", "nuclear", "--k", "2", "--tol", "1e-12"],
+            ["cluster", "--algo", "nuclear", "--k", "2", "--tol", "inf"],
         ],
     )
     def test_nuclear_rejects_frobenius_flags(self, planted, tmp_path, capsys, argv):
@@ -204,7 +209,9 @@ class TestExitCodes:
              "--out", str(tmp_path / "x")]
         )
         assert rc == 2
-        assert f"does not take {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"does not take {argv[-2]}" in err
+        assert "Traceback" not in err
 
     def test_default_lambda_in_manifest(self, planted, tmp_path):
         data, _ = planted
@@ -297,20 +304,6 @@ class TestExitCodes:
         assert "Traceback" not in err
         # refused before any data or result file is written
         assert not any(out.glob("*.csv")) and not any(out.glob("*.tsv"))
-
-    @pytest.mark.parametrize("tol", ["inf", "5", "1"])
-    def test_nuclear_tol_out_of_range(self, planted, tmp_path, capsys, tol):
-        # Nuclear kernels are 0/1, so a change tolerance >= 1 would stop at
-        # iteration 1 and return the random start.
-        data, _ = planted
-        rc = main(
-            [
-                "cluster", str(data), "--algo", "nuclear", "--k", "2",
-                "--tol", tol, "--restarts", "1", "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert rc == 2
-        assert "kernel_change_tol must be in (0, 1)" in capsys.readouterr().err
 
     def test_huge_lambda_is_a_config_error(self, planted, tmp_path, capsys):
         data, _ = planted
@@ -461,6 +454,33 @@ class TestElbowCmd:
         assert lines[0] == "k,norm_value"
         vals = [float(r.split(",")[1]) for r in lines[1:]]
         assert vals[1] - vals[0] > vals[2] - vals[1]
+
+    def test_nuclear_matches_cluster(self, tmp_path, capsys):
+        # Both commands run the same restarts; each keeps its own best, and
+        # the best norm values agree.
+        joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=0)
+        data = tmp_path / "data.tsv"
+        write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+        rc = main(
+            [
+                "elbow", str(data), "--ks", "2:5:1", "--algo", "nuclear",
+                "--restarts", "4", "--out", str(tmp_path / "elb"),
+            ]
+        )
+        assert rc == 0
+        rows = (tmp_path / "elb" / "elbow.csv").read_text().strip().split("\n")
+        for row in rows[1:]:
+            k, elbow_val = row.split(",")
+            out = tmp_path / f"k{k}"
+            rc = main(
+                [
+                    "cluster", str(data), "--algo", "nuclear", "--k", k,
+                    "--restarts", "4", "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            norm_val = json.loads((out / "report.json").read_text())["norm_value"]
+            assert norm_val == pytest.approx(float(elbow_val), rel=1e-12, abs=0)
 
 
 class TestEmbedCmd:

@@ -6,7 +6,7 @@ import pytest
 from coupclust.core import JointPmf, build_dtm, nuclear
 from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import DegenerateCluster, InvalidParams
-from coupclust.evaluation import harden, matched_accuracy
+from coupclust.evaluation import harden, kernel_norm_value, matched_accuracy
 from coupclust.nuclear import (
     KyFanFeatures,
     NuclearConfig,
@@ -37,9 +37,6 @@ class TestConfig:
         [
             {"k": 0},
             {"k": 2, "max_iters": 0},
-            {"k": 2, "kernel_change_tol": 0.0},
-            {"k": 2, "kernel_change_tol": float("inf")},
-            {"k": 2, "kernel_change_tol": 5.0},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -222,3 +219,18 @@ class TestSolve:
             return  # budget exhaustion is a legal outcome
         mass = kernel.induced_marginal(joint.marginal_y)
         assert np.all(mass > 0)
+
+    def test_returned_kernel_is_the_last_traced(self):
+        # The returned kernel's norm is the last traced objective, bit for
+        # bit, whether the run converged or stopped at max_iters.
+        joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=0)
+        statuses = set()
+        for max_iters in (1, 2, 3):
+            for seed in range(10):
+                kernel, trace = solve_nuclear(
+                    joint, NuclearConfig(k=4, max_iters=max_iters, seed=seed)
+                )
+                statuses.add(trace.status)
+                value = kernel_norm_value(joint, kernel, "nuclear")
+                assert value == trace.objectives[-1], (max_iters, seed)
+        assert statuses == {"Converged", "MaxIters"}

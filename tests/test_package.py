@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -98,6 +99,17 @@ def test_public_names_pinned():
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(coupclust, name), name
+
+
+def test_config_fields_pinned():
+    # Every solver knob is a config field; a new one has to edit this test.
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(coupclust.NuclearConfig) == ["k", "max_iters", "seed"]
+    assert names(coupclust.FrobeniusConfig) == [
+        "lam", "alpha", "max_iters", "obj_tol", "seed"
+    ]
 
 
 def test_nuclear_is_the_norm():
