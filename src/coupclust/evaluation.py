@@ -10,6 +10,7 @@ every item, k-accuracy by the covered ones.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -62,31 +63,69 @@ def _aligned_labels(pred, truth) -> tuple[list, list]:
     return list(pred), list(truth)
 
 
+def _max_weight_matching(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-weight full matching of a nonempty matrix: (rows, cols).
+
+    Shortest-augmenting-path Hungarian method with dual potentials (Kuhn
+    1955) on the costs w.max() - w. Rows enter one at a time, and each
+    augmenting path is grown by a vectorized scan over the columns. A tall
+    matrix is solved as its transpose, so the matching always has
+    min(w.shape) pairs. For integer weights every potential and slack is an
+    integer, so the float arithmetic is exact.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    tall = w.shape[0] > w.shape[1]
+    cost = w.max() - (w.T if tall else w)
+    n, m = cost.shape
+    # Index 0 of the column arrays is a virtual column holding the row
+    # being inserted; owner[j] is the 1-based row matched to column j.
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    owner = np.zeros(m + 1, dtype=np.intp)
+    via = np.zeros(m + 1, dtype=np.intp)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            lower = ~used[1:] & (reduced < slack[1:])
+            slack[1:][lower] = reduced[lower]
+            via[1:][lower] = j0
+            open_slack = np.where(used, np.inf, slack)
+            j0 = int(np.argmin(open_slack))
+            delta = open_slack[j0]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j0:
+            prev = via[j0]
+            owner[j0] = owner[prev]
+            j0 = prev
+    cols = np.flatnonzero(owner[1:])
+    rows = owner[1:][cols] - 1
+    return (cols, rows) if tall else (rows, cols)
+
+
 def _matched_correct(pred: list, truth: list) -> int:
     pred_ids = {lab: i for i, lab in enumerate(dict.fromkeys(pred))}
     true_ids = {lab: i for i, lab in enumerate(dict.fromkeys(truth))}
     confusion = np.zeros((len(pred_ids), len(true_ids)), dtype=np.int64)
     for a, b in zip(pred, truth):
         confusion[pred_ids[a], true_ids[b]] += 1
-    # Every full matching has min(shape) pairs, so the minimum total of
-    # max + 1 - confusion is the maximum overlap. The costs are >= 1: a
-    # sparse matrix would read a 0 as a missing edge.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-    cost = csr_matrix(confusion.max() + 1 - confusion)
-    rows, cols = min_weight_full_bipartite_matching(cost)
+    rows, cols = _max_weight_matching(confusion)
     return int(confusion[rows, cols].sum())
 
 
 def top_true_clusters(truth: Sequence, k: int) -> list:
     """The k largest true clusters by item count, ties by first occurrence."""
-    order = list(dict.fromkeys(truth))
-    counts = {lab: 0 for lab in order}
-    for lab in truth:
-        counts[lab] += 1
-    ranked = sorted(order, key=lambda lab: (-counts[lab], order.index(lab)))
-    return ranked[: int(k)]
+    counts = Counter(truth)
+    # sorted is stable and a Counter keeps first-occurrence order, so ties
+    # stay in the order their labels first appear.
+    return sorted(counts, key=lambda lab: -counts[lab])[: int(k)]
 
 
 def matched_accuracy(pred, truth, mode: str = "overall", k: int | None = None) -> float:
@@ -181,8 +220,15 @@ def elbow_curve(
     largest. Restart r uses seed r; ties keep the lower seed. The Frobenius
     route targets p_z (uniform when None) with penalty weight frobenius_lam
     (the FrobeniusConfig default when None); the nuclear route ignores
-    both. The curve should be nondecreasing in k; a decrease indicates an
-    optimization failure and is reported as a warning.
+    both.
+
+    On the nuclear route the optimum cannot fall as k grows: merging two
+    clusters multiplies B_{Z,X} by a DTM, whose operator norm is at most 1,
+    so the best k-cluster value is at least the best (k-1)-cluster one. A
+    decrease there means a restart stalled and is reported as a
+    RuntimeWarning. The Frobenius route gets no such warning: its penalty
+    pulls the cluster marginal toward p_z, so once k passes the number of
+    natural groups the optimum itself can fall.
     """
     ks = [int(k) for k in ks]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -200,6 +246,8 @@ def elbow_curve(
             if val > best:
                 best = val
         curve.append((k, float(best)))
+    if algorithm != "nuclear":
+        return curve
     for (k_prev, v_prev), (k_next, v_next) in zip(curve, curve[1:]):
         if v_next < v_prev - 1e-10:
             warnings.warn(

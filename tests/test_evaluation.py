@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coupclust.errors import InvalidParams, LabelMismatch, ZeroMarginal
 from coupclust.evaluation import (
     ClusteringReport,
     _matched_correct,
+    _max_weight_matching,
     build_report,
     coverage,
     elbow_curve,
@@ -74,12 +76,13 @@ class TestMatchedAccuracy:
             )
 
     def test_matching_equals_linear_sum_assignment(self, rng):
-        # Square, wide, tall and zero-heavy confusion matrices up to 9 x 9.
+        # Square, wide, tall and zero-heavy confusion matrices up to 40 x 40;
+        # scipy is the reference here only.
         from scipy.optimize import linear_sum_assignment
 
         shapes = set()
         for _ in range(300):
-            m, n = (int(x) for x in rng.integers(1, 10, size=2))
+            m, n = (int(x) for x in rng.integers(1, 41, size=2))
             conf = rng.integers(0, 6, size=(m, n))
             conf[rng.random((m, n)) < rng.random()] = 0
             conf[0, 0] += 1
@@ -94,6 +97,44 @@ class TestMatchedAccuracy:
             assert _matched_correct(pred, truth) == conf[rows, cols].sum()
             shapes.add((m > n) - (m < n))
         assert shapes == {-1, 0, 1}
+
+    @pytest.mark.parametrize(
+        "conf",
+        [
+            [[3]],
+            [[2, 2, 2], [2, 2, 2], [2, 2, 2]],
+            [[0, 4, 0], [0, 1, 0], [0, 7, 0]],
+            [[0, 0], [5, 0], [0, 0], [1, 0]],
+        ],
+        ids=["1x1", "all-equal", "one-column-square", "one-column-tall"],
+    )
+    def test_matching_edge_cases(self, conf):
+        from scipy.optimize import linear_sum_assignment
+
+        conf = np.array(conf)
+        rows, cols = linear_sum_assignment(conf, maximize=True)
+        best = conf[rows, cols].sum()
+        r, c = _max_weight_matching(conf)
+        assert conf[r, c].sum() == best
+        # Through labels, empty rows and columns drop out of the confusion
+        # matrix; they add nothing to a matching.
+        pairs = [
+            (f"p{i}", f"t{j}")
+            for (i, j), count in np.ndenumerate(conf)
+            for _ in range(count)
+        ]
+        pred, truth = (list(x) for x in zip(*pairs))
+        assert _matched_correct(pred, truth) == best
+
+    def test_matching_is_full_and_one_to_one(self, rng):
+        for _ in range(100):
+            m, n = (int(x) for x in rng.integers(1, 15, size=2))
+            w = rng.integers(0, 4, size=(m, n))
+            rows, cols = _max_weight_matching(w)
+            assert len(rows) == len(cols) == min(m, n)
+            assert len(set(rows.tolist())) == len(set(cols.tolist())) == min(m, n)
+            assert rows.min() >= 0 and rows.max() < m
+            assert cols.min() >= 0 and cols.max() < n
 
     def test_mapping_form(self):
         pred = {"a": "x", "b": "x", "c": "y"}
@@ -131,6 +172,26 @@ class TestCoverage:
         truth = ["A", "B", "A", "B", "C"]
         assert top_true_clusters(truth, 1) == ["A"]
         assert top_true_clusters(truth, 2) == ["A", "B"]
+
+    def test_ranking_matches_first_occurrence_definition(self, rng):
+        def reference(truth, k):
+            order = list(dict.fromkeys(truth))
+            counts = {lab: truth.count(lab) for lab in order}
+            ranked = sorted(order, key=lambda lab: (-counts[lab], order.index(lab)))
+            return ranked[:k]
+
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            labels = int(rng.integers(1, 12))
+            truth = [f"t{int(i)}" for i in rng.integers(0, labels, size=n)]
+            for k in (1, 3, labels + 1):
+                assert top_true_clusters(truth, k) == reference(truth, k)
+
+    def test_many_labels(self):
+        # 20k distinct labels, all tied at one item: first-occurrence order.
+        truth = [f"t{i}" for i in range(20_000)]
+        assert top_true_clusters(truth, 20_000) == truth
+        assert coverage(truth, 10_000) == 0.5
 
 
 class TestKernelNormValue:
@@ -229,6 +290,27 @@ class TestElbow:
         )
         assert len(curve) == 2
         assert curve[1][1] >= curve[0][1] - 1e-6
+
+    def test_frobenius_drop_is_not_a_stall(self):
+        # With uniform P_Z the penalty spreads mass over a fifth cluster on
+        # four blocks, so the Frobenius optimum itself falls from k = 4 to 5.
+        joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = elbow_curve(joint, [4, 5], algorithm="frobenius", restarts=3)
+        assert curve[1][1] < curve[0][1] - 0.05
+
+    def test_nuclear_drop_warns(self, monkeypatch):
+        import coupclust.evaluation as ev
+
+        joint, _ = gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=0)
+        monkeypatch.setattr(
+            ev, "kernel_norm_value",
+            lambda joint, kernel, algorithm: 3.0 - len(kernel.cluster_labels),
+        )
+        with pytest.warns(RuntimeWarning, match="optimization likely stalled"):
+            curve = elbow_curve(joint, [1, 2], algorithm="nuclear", restarts=1)
+        assert curve == [(1, 2.0), (2, 1.0)]
 
     def test_ks_validation(self, rng):
         joint = random_joint(rng, 4, 4)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coupclust
 from coupclust import core
 
@@ -130,3 +132,40 @@ def test_cli_import_loads_no_scipy_optimize():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+CLUSTER_WITH_TRUTH = """
+import contextlib, io, sys
+from pathlib import Path
+from coupclust import cli
+from coupclust.data_io import gen_planted_blocks, write_triplets
+
+tmp, algo = Path(sys.argv[1]), sys.argv[2]
+joint, truth = gen_planted_blocks(3, 8, 1.0, 0.05, noise_seed=0)
+write_triplets(tmp / "data.tsv", joint.row_labels, joint.col_labels, joint.weights)
+(tmp / "truth.tsv").write_text(
+    "".join(f"{y}\\t{t}\\n" for y, t in zip(joint.row_labels, truth))
+)
+argv = ["cluster", str(tmp / "data.tsv"), "--algo", algo, "--k", "3",
+        "--restarts", "2", "--truth", str(tmp / "truth.tsv"),
+        "--out", str(tmp / "run")]
+if algo == "frobenius":
+    argv += ["--pz", "uniform"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = cli.main(argv)
+assert (tmp / "run" / "report.json").exists()
+print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+@pytest.mark.parametrize("algo", ["nuclear", "frobenius"])
+def test_cluster_with_truth_loads_no_scipy(algo, tmp_path):
+    # Scoring a --truth run matches clusters with the package's own numpy
+    # solver, so a whole cluster run stays clear of scipy.
+    src = str(Path(coupclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", CLUSTER_WITH_TRUTH, str(tmp_path), algo],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "0 []"
