@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,6 +60,12 @@ _TIE_RTOL = 1e-12
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # The source location would name a package file and line, which differ
+    # between checkouts and move with every edit; the message alone is stable.
+    return f"warning: {message}\n"
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -490,6 +497,8 @@ def main(argv=None) -> int:
         return exc.code
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args, out_dir)
     except ConfigError as exc:
@@ -504,6 +513,8 @@ def main(argv=None) -> int:
     except CoupclustError as exc:
         _log(f"error: {exc}")
         return 4
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

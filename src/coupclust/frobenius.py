@@ -1,4 +1,4 @@
-"""Penalized gradient ascent for the Frobenius-norm coupling problem.
+"""Penalized accelerated gradient ascent for the Frobenius coupling problem.
 
 Maximizes J(A) = ||A B||_F^2 - lambda ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 over
 the solver variable A = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2} (the conditional
@@ -16,6 +16,19 @@ The default step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
 of C C^T - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
 matrix, so its Lipschitz constant is L = 2 sigma_1, and the update above is
 the standard 1/L gradient step (Beck & Teboulle 2009).
+
+The step is taken from an extrapolated point (FISTA, Beck & Teboulle 2009):
+
+    Y = A + beta (A - A_prev),  beta = (theta_k - 1) / theta_{k+1},
+    theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2)) / 2,  theta_0 = 1.
+
+A C and r are linear in A, so Y C and the residual at Y are the same
+combination of the cached values at A and A_prev, and a step still costs
+one product with C and one with C^T. Every step is projected. If the
+projected iterate's J falls below J(A) while beta > 0, the step is
+discarded, theta is reset to 1, and the next step is a plain one from A
+(function-value restart, O'Donoghue & Candes 2015). A plain step is always
+accepted.
 
 The projection is Euclidean in kernel space, K = [P_Z]^{1/2} A
 [P_Y]^{-1/2}. Column y of A is sqrt(P_Y(y)) [P_Z]^{-1/2} times column y of
@@ -57,6 +70,8 @@ class FrobeniusConfig:
     by alpha/2 times the gradient, alpha = 1/sigma_1 is the 1/L step. lam and
     an explicit alpha must be finite and positive. Every step is followed by
     the projection onto column-stochastic kernels, whatever alpha is.
+    max_iters bounds the gradient steps, discarded momentum steps included;
+    obj_tol applies to the accepted steps (see solve_frobenius).
     """
 
     lam: float = 10.0
@@ -148,15 +163,20 @@ def _feasibility(k: np.ndarray) -> tuple[float, float]:
 def solve_frobenius(
     joint: JointPmf, p_z: Pmf, cfg: FrobeniusConfig | None = None
 ) -> tuple[CouplingKernel, SolveTrace]:
-    """Gradient-ascent coupling solver with a target cluster marginal.
+    """Accelerated gradient-ascent coupling solver with a target marginal.
 
     Initialization draws each kernel column uniformly from the simplex
     (exponential spacings), seeded by cfg.seed. Every iteration takes one
-    gradient step, projects each kernel column onto the simplex, and records
-    the objective of the projected iterate, so every traced objective and
-    the returned kernel belong to a column-stochastic kernel. Convergence =
-    relative objective change below cfg.obj_tol across a 10-iteration
-    window; raises NonFinite if the iterate diverges (step size too large).
+    gradient step from the momentum point, projects each kernel column onto
+    the simplex, and evaluates the projected iterate. A momentum step that
+    lowers the objective is discarded and momentum restarts (module
+    docstring); otherwise the step is accepted and recorded. cfg.max_iters
+    counts every gradient step, discarded ones included; the trace holds the
+    accepted steps only, and the returned kernel is the last traced one, so
+    every traced objective and the returned kernel belong to a
+    column-stochastic kernel. Convergence = relative objective change below
+    cfg.obj_tol across a window of 10 accepted iterations; raises NonFinite
+    if the iterate diverges (step size too large).
     """
     if cfg is None:
         cfg = FrobeniusConfig()
@@ -180,33 +200,49 @@ def solve_frobenius(
         alpha = 1.0 / scale if scale > 1e-12 else 1.0
 
     rng = np.random.default_rng(cfg.seed)
-    k0 = rng.exponential(size=(nz, ny))
-    k0 /= k0.sum(axis=0, keepdims=True)
-    a = _from_kernel(k0, sy, sz)
+    k = rng.exponential(size=(nz, ny))
+    k /= k.sum(axis=0, keepdims=True)
+    a = _from_kernel(k, sy, sz)
     ac, resid = a @ c, a @ sy - sz
+    obj = _objective_terms(ac, resid, lam)[0]
+    a_prev, ac_prev, resid_prev = a, ac, resid
+    theta = 1.0
 
     trace = SolveTrace()
     for t in range(1, cfg.max_iters + 1):
+        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        beta = (theta - 1.0) / theta_next
         with np.errstate(over="ignore", invalid="ignore"):
-            a = a + alpha * (ac @ c.T - lam * np.outer(resid, sy))
-            if not np.all(np.isfinite(a)):
+            # A C and r are linear in A, so the extrapolated point reuses them.
+            y = a + beta * (a - a_prev)
+            yc = ac + beta * (ac - ac_prev)
+            ry = resid + beta * (resid - resid_prev)
+            y = y + alpha * (yc @ c.T - lam * np.outer(ry, sy))
+            if not np.all(np.isfinite(y)):
                 raise NonFinite(
                     f"iterate diverged at iteration {t}; reduce alpha ({alpha!r})"
                 )
             try:
-                k = project_columns(_to_kernel(a, sy, sz))
+                k_new = project_columns(_to_kernel(y, sy, sz))
             except ValueError:
                 raise NonFinite(
                     f"kernel column sum overflowed at iteration {t}; "
                     f"reduce alpha ({alpha!r})"
                 ) from None
-            a = _from_kernel(k, sy, sz)
-            ac, resid = a @ c, a @ sy - sz
-            obj, pen = _objective_terms(ac, resid, lam)
-        if not np.isfinite(obj):
+            a_new = _from_kernel(k_new, sy, sz)
+            ac_new, resid_new = a_new @ c, a_new @ sy - sz
+            obj_new, pen = _objective_terms(ac_new, resid_new, lam)
+        if not np.isfinite(obj_new):
             raise NonFinite(
                 f"objective diverged at iteration {t}; reduce alpha ({alpha!r})"
             )
+        if beta > 0.0 and obj_new < obj:
+            # Momentum overshot: drop the step and take a plain one from A.
+            theta = 1.0
+            continue
+        a_prev, ac_prev, resid_prev = a, ac, resid
+        a, ac, resid, k, obj = a_new, ac_new, resid_new, k_new, obj_new
+        theta = theta_next
         trace.record(obj, pen, *_feasibility(k))
         if len(trace) > _OBJ_WINDOW:
             prev = trace.objectives[-1 - _OBJ_WINDOW]

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coupclust
 from coupclust.cli import main
 from coupclust.data_io import gen_planted_blocks, write_triplets
 
@@ -404,6 +408,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2, byte 7" in err
         assert "Traceback" not in err
+
+
+def test_warning_names_no_source_line(tmp_path):
+    # On this 3-block file the nuclear alternation lowers the norm once
+    # (k = 4, seed 5). The CLI prints the warning without the package file
+    # and line, so stderr does not change between checkouts or edits.
+    joint, _ = gen_planted_blocks(3, 6, 1.0, 0.2, noise_seed=0)
+    data = tmp_path / "data.tsv"
+    write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+    src = str(Path(coupclust.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "coupclust.cli", "cluster", str(data),
+         "--algo", "nuclear", "--k", "4", "--seed", "5", "--restarts", "1",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert "warning: nuclear norm decreased between iterations (" in out.stderr
+    assert ".py:" not in out.stderr
 
 
 class TestCounterexampleCmd:
