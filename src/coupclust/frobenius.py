@@ -2,8 +2,8 @@
 
 Maximizes J(A) = ||A B||_F^2 - lambda ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 over
 the solver variable A = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2} (the conditional
-DTM of the kernel), with projection of the kernel columns back onto the
-simplex. The data enter only through products with a thin factor C of B
+DTM of the kernel), projecting every step onto the A of column-stochastic
+kernels. The data enter only through products with a thin factor C of B
 (C C^T = B B^T, see _gram_factor). With the residual r = A sqrt(P_Y) -
 sqrt(P_Z), the update
 
@@ -30,10 +30,13 @@ discarded, theta is reset to 1, and the next step is a plain one from A
 (function-value restart, O'Donoghue & Candes 2015). A plain step is always
 accepted.
 
-The projection is Euclidean in kernel space, K = [P_Z]^{1/2} A
-[P_Y]^{-1/2}. Column y of A is sqrt(P_Y(y)) [P_Z]^{-1/2} times column y of
-K, so in A-space it is the projection in the P_Z-weighted norm
-sum_z P_Z(z) a_z^2, and plain Euclidean only when P_Z is uniform.
+The projection is Euclidean in A-space, the metric of the step, so the
+loop is projected gradient ascent and a plain step never lowers J. The
+feasible set is A >= 0 with A^T sqrt(P_Z) = sqrt(P_Y): the kernel
+K = [P_Z]^{1/2} A [P_Y]^{-1/2} is then column-stochastic. Each column v of
+the stepped iterate maps to max(0, v - tau sqrt(P_Z)) (simplex.project_columns
+with weights sqrt(P_Z) and totals sqrt(P_Y)). K is formed once, from the
+last accepted A.
 """
 
 from __future__ import annotations
@@ -44,15 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CouplingKernel, JointPmf, Pmf, SolveTrace, build_dtm
-from .errors import DimensionMismatch, InvalidParams, NonFinite, ZeroMarginal
+from .errors import InvalidParams, NonFinite, ZeroMarginal
 from .simplex import project_columns
 from .svd import top_singular_value_sym
 
 __all__ = [
     "FrobeniusConfig",
     "frobenius_objective",
-    "frobenius_gradient",
-    "project_to_feasible",
     "solve_frobenius",
 ]
 
@@ -69,7 +70,8 @@ class FrobeniusConfig:
     sqrt(P_Y) sqrt(P_Y)^T), so L = 2 sigma_1, and since the update moves A
     by alpha/2 times the gradient, alpha = 1/sigma_1 is the 1/L step. lam and
     an explicit alpha must be finite and positive. Every step is followed by
-    the projection onto column-stochastic kernels, whatever alpha is.
+    the Euclidean projection in A-space onto {A >= 0, A^T sqrt(P_Z) =
+    sqrt(P_Y)}, whose kernels are column-stochastic, whatever alpha is.
     max_iters bounds the gradient steps, discarded momentum steps included;
     obj_tol applies to the accepted steps (see solve_frobenius).
     """
@@ -123,41 +125,17 @@ def frobenius_objective(
     return _objective_terms(a @ c, a @ sqrt_py - sqrt_pz, lam)
 
 
-def frobenius_gradient(
-    a: np.ndarray, c: np.ndarray, sqrt_py: np.ndarray, sqrt_pz: np.ndarray, lam: float
+def _half_gradient(
+    ac: np.ndarray, resid: np.ndarray, c: np.ndarray, sy: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Exact gradient of J: 2((A C) C^T - lam r sqrt(P_Y)^T)."""
-    resid = a @ sqrt_py - sqrt_pz
-    return 2.0 * ((a @ c) @ c.T - lam * np.outer(resid, sqrt_py))
+    """Step direction (A C) C^T - lam r sqrt(P_Y)^T, half the gradient of J."""
+    return ac @ c.T - lam * np.outer(resid, sy)
 
 
-def _to_kernel(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> np.ndarray:
-    # K = [P_Z]^{1/2} A [P_Y]^{-1/2}
-    return sz[:, None] * a / sy[None, :]
-
-
-def _from_kernel(k: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> np.ndarray:
-    # A = [P_Z]^{-1/2} K [P_Y]^{1/2}
-    return k * sy[None, :] / sz[:, None]
-
-
-def project_to_feasible(a: np.ndarray, p_y: Pmf, p_z: Pmf) -> np.ndarray:
-    """Map A to kernel space, project each column onto the simplex, map back.
-
-    Output satisfies A^T sqrt(P_Z) = sqrt(P_Y) and A >= 0.
-    """
-    sy, sz = p_y.sqrt_probs, p_z.sqrt_probs
-    if a.shape != (sz.size, sy.size):
-        raise DimensionMismatch(
-            f"A has shape {a.shape}, expected ({sz.size}, {sy.size})"
-        )
-    k = project_columns(_to_kernel(a, sy, sz))
-    return _from_kernel(k, sy, sz)
-
-
-def _feasibility(k: np.ndarray) -> tuple[float, float]:
-    viol = float(np.max(np.abs(k.sum(axis=0) - 1.0)))
-    return viol, float(k.min())
+def _feasibility(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> tuple[float, float]:
+    # Column-sum deviation and smallest entry of K = [P_Z]^{1/2} A [P_Y]^{-1/2}.
+    viol = float(np.max(np.abs(sz @ a / sy - 1.0)))
+    return viol, float(np.min((sz[:, None] * a).min(axis=0) / sy))
 
 
 def solve_frobenius(
@@ -167,16 +145,19 @@ def solve_frobenius(
 
     Initialization draws each kernel column uniformly from the simplex
     (exponential spacings), seeded by cfg.seed. Every iteration takes one
-    gradient step from the momentum point, projects each kernel column onto
-    the simplex, and evaluates the projected iterate. A momentum step that
-    lowers the objective is discarded and momentum restarts (module
-    docstring); otherwise the step is accepted and recorded. cfg.max_iters
-    counts every gradient step, discarded ones included; the trace holds the
-    accepted steps only, and the returned kernel is the last traced one, so
+    gradient step from the momentum point, projects each column of A onto
+    {a >= 0, sqrt(P_Z)^T a = sqrt(P_Y(y))} in the Euclidean norm of A-space
+    (the metric of the step), and evaluates the projected iterate. A
+    momentum step that lowers the objective is discarded and momentum
+    restarts (module docstring); otherwise the step is accepted and
+    recorded. cfg.max_iters counts every gradient step, discarded ones
+    included; the trace holds the accepted steps only, and the returned
+    kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from the last traced A, so
     every traced objective and the returned kernel belong to a
     column-stochastic kernel. Convergence = relative objective change below
     cfg.obj_tol across a window of 10 accepted iterations; raises NonFinite
-    if the iterate diverges (step size too large).
+    if the iterate diverges or a column cannot be projected (step size too
+    large).
     """
     if cfg is None:
         cfg = FrobeniusConfig()
@@ -202,7 +183,7 @@ def solve_frobenius(
     rng = np.random.default_rng(cfg.seed)
     k = rng.exponential(size=(nz, ny))
     k /= k.sum(axis=0, keepdims=True)
-    a = _from_kernel(k, sy, sz)
+    a = k * sy[None, :] / sz[:, None]
     ac, resid = a @ c, a @ sy - sz
     obj = _objective_terms(ac, resid, lam)[0]
     a_prev, ac_prev, resid_prev = a, ac, resid
@@ -217,19 +198,17 @@ def solve_frobenius(
             y = a + beta * (a - a_prev)
             yc = ac + beta * (ac - ac_prev)
             ry = resid + beta * (resid - resid_prev)
-            y = y + alpha * (yc @ c.T - lam * np.outer(ry, sy))
+            y = y + alpha * _half_gradient(yc, ry, c, sy, lam)
             if not np.all(np.isfinite(y)):
                 raise NonFinite(
                     f"iterate diverged at iteration {t}; reduce alpha ({alpha!r})"
                 )
             try:
-                k_new = project_columns(_to_kernel(y, sy, sz))
+                a_new = project_columns(y, sz, sy)
             except ValueError:
                 raise NonFinite(
-                    f"kernel column sum overflowed at iteration {t}; "
-                    f"reduce alpha ({alpha!r})"
+                    f"projection overflowed at iteration {t}; reduce alpha ({alpha!r})"
                 ) from None
-            a_new = _from_kernel(k_new, sy, sz)
             ac_new, resid_new = a_new @ c, a_new @ sy - sz
             obj_new, pen = _objective_terms(ac_new, resid_new, lam)
         if not np.isfinite(obj_new):
@@ -241,14 +220,15 @@ def solve_frobenius(
             theta = 1.0
             continue
         a_prev, ac_prev, resid_prev = a, ac, resid
-        a, ac, resid, k, obj = a_new, ac_new, resid_new, k_new, obj_new
+        a, ac, resid, obj = a_new, ac_new, resid_new, obj_new
         theta = theta_next
-        trace.record(obj, pen, *_feasibility(k))
+        trace.record(obj, pen, *_feasibility(a, sy, sz))
         if len(trace) > _OBJ_WINDOW:
             prev = trace.objectives[-1 - _OBJ_WINDOW]
             if abs(obj - prev) / max(1.0, abs(obj)) < cfg.obj_tol:
                 trace.status = "Converged"
                 break
 
+    k = sz[:, None] * a / sy[None, :]
     kernel = CouplingKernel(p_z.labels, joint.row_labels, k)
     return kernel, trace

@@ -36,7 +36,6 @@ __all__ = [
     "NuclearConfig",
     "KyFanFeatures",
     "kyfan_features",
-    "maximize_linear_coupling",
     "solve_nuclear",
 ]
 
@@ -120,26 +119,6 @@ def _coefficients(f: np.ndarray, g: np.ndarray, joint_yx: JointPmf) -> np.ndarra
     if g.shape[0] != joint_yx.shape[1]:
         raise DimensionMismatch("G rows must match the joint's columns")
     return (joint_yx.weights @ g) @ f.T
-
-
-def maximize_linear_coupling(
-    f: np.ndarray,
-    g: np.ndarray,
-    joint_yx: JointPmf,
-    cluster_labels: tuple[str, ...] | None = None,
-) -> CouplingKernel:
-    """argmax over column-stochastic kernels of tr(F^T P_{Z|Y} P_{Y,X} G).
-
-    The problem decomposes per column into a linear maximization over the
-    simplex, whose optimum is the vertex at the largest coefficient: column
-    y is one-hot at argmax_z C[y, z], ties to the lowest cluster index.
-    """
-    c = _coefficients(f, g, joint_yx)
-    nz = f.shape[0]
-    if cluster_labels is None:
-        cluster_labels = tuple(f"z{i}" for i in range(nz))
-    kernel = _one_hot(np.argmax(c, axis=1), nz)
-    return CouplingKernel(cluster_labels, joint_yx.row_labels, kernel)
 
 
 def _one_hot(assign: np.ndarray, nz: int) -> np.ndarray:

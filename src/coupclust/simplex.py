@@ -1,9 +1,14 @@
-"""Euclidean projection onto the probability simplex.
+"""Euclidean projection of columns onto weighted simplices.
 
-Sort-then-threshold method: shift each column so its largest entry is 0,
-sort descending, find the largest prefix whose running mean keeps every
-kept coordinate positive after shifting, shift by that threshold, clip at
-zero.
+project_columns maps each column v of a matrix onto {a >= 0, w^T a = c},
+with one positive weight w_z per row and one positive total c per column.
+The projection is a = max(0, v - tau w), where tau solves
+sum_z w_z max(0, v_z - tau w_z) = c; it lies among the breakpoints
+v_z / w_z. Sort-then-threshold method: shift each column by w times its
+largest breakpoint (so that breakpoint is 0), sort the breakpoints
+descending, find the largest prefix whose coordinates all stay positive at
+that prefix's tau, shift by tau w, clip at zero. The probability simplex is
+the case w = 1, c = 1 (simplex_project).
 """
 
 from __future__ import annotations
@@ -13,29 +18,37 @@ import numpy as np
 __all__ = ["simplex_project", "project_columns"]
 
 
-def _project_columns_np(mat: np.ndarray) -> np.ndarray:
+def _project_columns_np(mat: np.ndarray, w: np.ndarray, c) -> np.ndarray:
     n = mat.shape[0]
-    # A column whose total overflows or is undefined holds no usable point
-    # (in the solver it means the iterate diverged), so it is rejected.
+    cols = np.arange(mat.shape[1])
+    # A column whose total overflows or is undefined, or whose largest
+    # breakpoint overflows, holds no usable point (in the solver it means the
+    # iterate diverged), so it is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
         totals = mat.sum(axis=0)
+        br = mat / w[:, None]
+        top = br.max(axis=0)
     if not np.all(np.isfinite(totals)):
         raise ValueError("a column sum is not finite")
-    # The projection is shift-invariant. With each column's largest entry
-    # moved to 0, the kept prefix sums stay small, so `css - 1.0` keeps the 1
-    # even when the entries are ~1e16. Entries far below the maximum may
-    # overflow to -inf here; they clip to 0.
-    with np.errstate(over="ignore"):
-        shifted = mat - mat.max(axis=0)
-        w = np.sort(shifted, axis=0)[::-1]
-        css = np.cumsum(w, axis=0)
-        counts = np.arange(1.0, n + 1.0)
-        cond = w * counts[:, None] > css - 1.0
+    if not np.all(np.isfinite(top)):
+        raise ValueError("a column's largest breakpoint v / w is not finite")
+    # The projection is invariant under v -> v + s w. With each column's
+    # largest breakpoint moved to exactly 0, the kept prefix sums stay small,
+    # so `wv - c` keeps c even when the entries are ~1e16. Breakpoints far
+    # below the maximum may overflow to -inf here; they clip to 0. With
+    # w = 1 every product by w is exact: this is the plain simplex projection.
+    with np.errstate(over="ignore", invalid="ignore"):
+        br -= top
+        order = np.argsort(br, axis=0, kind="stable")[::-1]
+        ww = np.take(w * w, order)
+        srt = np.take(br, order * mat.shape[1] + cols)
+        wv = np.cumsum(ww * srt, axis=0)
+        ww = np.cumsum(ww, axis=0)
+        cond = srt * ww > wv - c
     # cond[0] is always True, so the last True index is well defined.
     rho = n - 1 - np.argmax(cond[::-1], axis=0)
-    cols = np.arange(mat.shape[1])
-    tau = (css[rho, cols] - 1.0) / (rho + 1.0)
-    diff = shifted - tau[None, :]
+    tau = (wv[rho, cols] - c) / ww[rho, cols]
+    diff = w[:, None] * (br - tau)
     # where() rather than maximum(): maximum() of -0.0 and 0.0 may return
     # either zero, while where() writes every clipped coordinate as +0.0.
     return np.where(diff > 0.0, diff, 0.0)
@@ -49,15 +62,26 @@ def simplex_project(v) -> np.ndarray:
     arr = np.ascontiguousarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty vector")
-    return _project_columns_np(arr[:, None])[:, 0]
+    return _project_columns_np(arr[:, None], np.ones(arr.size), 1.0)[:, 0]
 
 
-def project_columns(mat) -> np.ndarray:
-    """Project every column of a matrix onto the simplex.
+def project_columns(mat, weights=None, totals=None) -> np.ndarray:
+    """Project every column v of a matrix onto {a >= 0, weights^T a = total}.
 
-    Raises ValueError if a column does not sum to a finite number.
+    weights holds one finite positive number per row, totals one per column
+    (or one for all); both default to ones, the probability simplex. The
+    result is a = max(0, v - tau weights) column by column. Raises
+    ValueError if a column does not sum to a finite number or its largest
+    v / weights overflows.
     """
     arr = np.ascontiguousarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("expected a matrix with at least one row")
-    return _project_columns_np(arr)
+    w = np.ones(arr.shape[0]) if weights is None else np.asarray(weights, np.float64)
+    c = np.float64(1.0) if totals is None else np.asarray(totals, np.float64)
+    if w.shape != (arr.shape[0],) or c.shape not in ((), (arr.shape[1],)):
+        raise ValueError("expected one weight per row and one total, or one per column")
+    # min/max of a vector holding nan are nan, which fails both comparisons.
+    if not (w.min() > 0.0 and w.max() < np.inf and c.min() > 0.0 and c.max() < np.inf):
+        raise ValueError("weights and totals must be finite and positive")
+    return _project_columns_np(arr, w, c)

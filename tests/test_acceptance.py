@@ -38,7 +38,7 @@ from coupclust.evaluation import elbow_curve, harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
     _gram_factor,
-    frobenius_gradient,
+    _half_gradient,
     frobenius_objective,
     solve_frobenius,
 )
@@ -356,23 +356,19 @@ def test_criterion_08_frobenius_solver():
         acc = matched_accuracy(harden(best[1]), truth)
         acc_floor = min(acc_floor, acc)
 
-    # analytic gradient vs central differences at 20 random points, on a
-    # square, a tall and a wide joint
+    # the solver's step direction (half the gradient) vs central differences
+    # at 20 random points, on a square, a tall and a wide joint
     fd_worst = 0.0
     h = 1e-6
     sqrt_pz = Pmf.uniform(("z0", "z1", "z2")).sqrt_probs
     for nx in (8, 6, 12):
         rng = np.random.default_rng(8)
         joint = random_joint(rng, 8, nx)
-        args = (
-            _gram_factor(build_dtm(joint).matrix),
-            joint.marginal_y.sqrt_probs,
-            sqrt_pz,
-            10.0,
-        )
+        c, sy = _gram_factor(build_dtm(joint).matrix), joint.marginal_y.sqrt_probs
+        args = (c, sy, sqrt_pz, 10.0)
         for _ in range(20):
             a = rng.normal(size=(3, 8))
-            g = frobenius_gradient(a, *args)
+            g = 2.0 * _half_gradient(a @ c, a @ sy - sqrt_pz, c, sy, 10.0)
             i = int(rng.integers(0, 3))
             j = int(rng.integers(0, 8))
             ap, am = a.copy(), a.copy()

@@ -325,18 +325,18 @@ class TestExitCodes:
 
     def test_projection_overflow(self, planted, tmp_path, capsys):
         data, _ = planted
-        # On this input and seed the first update is finite but a kernel
-        # column sums past the float range.
+        # On this input and seed the second update is finite, but a column's
+        # breakpoints v / sqrt(P_Z) overflow, so the projection cannot map it.
         rc = main(
             [
                 "cluster", str(data), "--algo", "frobenius", "--k", "2",
-                "--pz", "uniform", "--alpha", "1.7e308", "--seed", "1",
+                "--pz", "uniform", "--alpha", "8e307", "--seed", "1",
                 "--restarts", "1", "--out", str(tmp_path / "x"),
             ]
         )
         assert rc == 4
         err = capsys.readouterr().err
-        assert "column sum overflowed at iteration 1;" in err
+        assert "projection overflowed at iteration 2;" in err
         assert "Traceback" not in err
 
     def test_bad_grid(self, tmp_path):

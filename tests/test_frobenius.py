@@ -18,13 +18,12 @@ from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
     _curvature,
-    _from_kernel,
     _gram_factor,
-    frobenius_gradient,
+    _half_gradient,
     frobenius_objective,
-    project_to_feasible,
     solve_frobenius,
 )
+from coupclust.simplex import project_columns
 
 from conftest import random_joint, random_pmf
 
@@ -67,12 +66,13 @@ class TestObjectiveAndGradient:
         joint = random_joint(rng, *shape)
         p_z = random_pmf(rng, 3)
         c = _gram_factor(build_dtm(joint).matrix)
-        args = (c, joint.marginal_y.sqrt_probs, p_z.sqrt_probs, 10.0)
+        sy, sz = joint.marginal_y.sqrt_probs, p_z.sqrt_probs
+        args = (c, sy, sz, 10.0)
         h = 1e-6
         worst = 0.0
         for _ in range(20):
             a = rng.normal(size=(3, 8))
-            g = frobenius_gradient(a, *args)
+            g = 2.0 * _half_gradient(a @ c, a @ sy - sz, c, sy, 10.0)
             i = int(rng.integers(0, 3))
             j = int(rng.integers(0, 8))
             ap = a.copy()
@@ -121,27 +121,50 @@ class TestObjectiveAndGradient:
 
 
 class TestProjection:
+    """The solver's projection: each column v of A onto {a >= 0, w^T a = c}."""
+
     def test_hand_columns(self):
-        p_y = Pmf.uniform(("y0",))
-        p_z = Pmf.uniform(("z0", "z1"))
-        sy, sz = p_y.sqrt_probs, p_z.sqrt_probs
-
-        def roundtrip(col):
-            a = np.asarray(col)[:, None] * sy[None, :] / sz[:, None]
-            a2 = project_to_feasible(a, p_y, p_z)
-            return (sz[:, None] * a2 / sy[None, :])[:, 0]
-
-        np.testing.assert_allclose(roundtrip([1.2, -0.2]), [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(roundtrip([0.4, 0.4]), [0.5, 0.5], atol=1e-15)
+        # Column 0: a = -tau w with 5 (-tau) = 2, so tau = -0.4. Column 1:
+        # only the first breakpoint (3 against 0) stays above tau = 1. Column
+        # 2 is feasible already. Column 3 (total 4): both kept, tau = -0.2.
+        mat = np.array([[0.0, 3.0, 0.4, 3.0], [0.0, 0.0, 0.8, 0.0]])
+        got = project_columns(mat, [1.0, 2.0], [2.0, 2.0, 2.0, 4.0])
+        want = [[0.4, 2.0, 0.4, 3.2], [0.8, 0.0, 0.8, 0.4]]
+        np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_output_feasible(self, rng):
-        p_y = random_pmf(rng, 6, prefix="y")
-        p_z = random_pmf(rng, 3)
-        a = rng.normal(size=(3, 6)) * 2
-        a2 = project_to_feasible(a, p_y, p_z)
-        # A^T sqrt(P_Z) = sqrt(P_Y) encodes column-stochasticity of the kernel
-        assert np.max(np.abs(a2.T @ p_z.sqrt_probs - p_y.sqrt_probs)) <= 1e-12
-        assert np.min(p_z.sqrt_probs[:, None] * a2) >= 0.0
+        # Random columns and random positive weights w = sqrt(P_Z), totals
+        # sqrt(P_Y): the output is feasible and meets the KKT conditions,
+        # a = max(0, v - tau w) with one tau per column.
+        for _ in range(50):
+            nz, ny = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            sz = random_pmf(rng, nz).sqrt_probs
+            sy = random_pmf(rng, ny, prefix="y").sqrt_probs
+            v = rng.normal(size=(nz, ny)) * float(rng.choice([0.1, 1.0, 10.0]))
+            a = project_columns(v, sz, sy)
+            assert np.max(np.abs(sz @ a - sy)) <= 1e-12
+            assert np.min(a) >= 0.0
+            kept = a > 0.0
+            tau = ((sz[:, None] * v * kept).sum(axis=0) - sy) / (
+                (sz[:, None] ** 2 * kept).sum(axis=0)
+            )
+            want = np.maximum(0.0, v - tau * sz[:, None])
+            assert np.max(np.abs(a - want)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
+    def test_overflowing_breakpoints_rejected(self):
+        # v / w overflows although the column sum is finite.
+        with pytest.raises(ValueError, match="largest breakpoint"):
+            project_columns(np.array([[1e300], [0.0]]), [1e-10, 1.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "weights, totals",
+        [([1.0], 1.0), ([1.0, 0.0], 1.0), ([1.0, np.nan], 1.0),
+         ([1.0, 1.0], 0.0), ([1.0, 1.0], [1.0, 1.0]), ([1.0, 1.0], np.inf)],
+        ids=["short", "zero", "nan", "zero-total", "totals-shape", "inf-total"],
+    )
+    def test_bad_weights_or_totals_rejected(self, weights, totals):
+        with pytest.raises(ValueError):
+            project_columns(np.zeros((2, 3)), weights, totals)
 
 
 class TestSolve:
@@ -201,11 +224,11 @@ class TestSolve:
             solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
     def test_nonfinite_on_projection_overflow(self, rng):
-        # The first update stays finite, but a kernel column sums past the
-        # float range, which the projection cannot map onto the simplex.
+        # The first update stays finite, but a column's breakpoints
+        # v / sqrt(P_Z) overflow, so the projection cannot map it.
         joint = random_joint(rng, 6, 5)
         p_z = random_pmf(rng, 2)
-        with pytest.raises(NonFinite, match="column sum overflowed at iteration 1;"):
+        with pytest.raises(NonFinite, match="projection overflowed at iteration 1;"):
             solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
     def test_huge_lambda_rejected_by_name(self, rng):
@@ -396,15 +419,38 @@ class TestMomentum:
             best = max(best, trace.objectives[-1])
         assert best >= 3.3347174430083455
 
+    def test_skewed_target_reaches_the_vertex(self):
+        # With lam = 0.5 the optimum puts all mass in the P_Z = 0.05 cluster:
+        # ||A B||^2 = 1/0.05 = 20 and the penalty is 0.5 (20 - 1), so
+        # J = 10.5. A projection in another metric than the step's stops at
+        # 1.409091 beside it.
+        joint, p_z, lam = STEP_RULE_SCENARIOS["random-lam0.5"]()
+        for seed in range(3):
+            _, trace = solve_frobenius(joint, p_z, FrobeniusConfig(lam=lam, seed=seed))
+            assert trace.objectives[-1] == pytest.approx(10.5, rel=0.0, abs=1e-9), seed
+
+    @pytest.mark.parametrize("name", ["random-lam0.5", "random-lam10"])
+    def test_traced_objective_never_decreases(self, name):
+        # Discarded momentum steps are not traced, so a drop would come from
+        # an accepted plain step; projected gradient ascent with the 1/L step
+        # and a projection in the same metric never takes one. These targets
+        # are not uniform, where the metric matters.
+        joint, p_z, lam = STEP_RULE_SCENARIOS[name]()
+        for seed in range(5):
+            _, trace = solve_frobenius(joint, p_z, FrobeniusConfig(lam=lam, seed=seed))
+            assert np.all(np.diff(trace.objectives) >= -1e-12), seed
+
     @pytest.mark.parametrize(
         "name, discards", [("planted-3x20", False), ("random-lam10", True)]
     )
     def test_returned_kernel_is_the_last_traced(self, name, discards):
         # max_iters counts gradient steps, discarded ones included, and the
         # trace records accepted steps only. Whatever step a run stops on,
-        # the returned kernel's objective is the last traced one, bit for
-        # bit. On the random joint some runs stop right after a discarded
-        # step; planted runs discard none in their first 20 steps.
+        # the returned kernel's objective is the last traced one. The kernel
+        # is formed from the solver's A, so A rebuilt from it may differ in
+        # the last bit; a discarded step differs far more than 1e-12. On the
+        # random joint some runs stop right after a discarded step; planted
+        # runs discard none in their first 20 steps.
         joint, p_z, lam = STEP_RULE_SCENARIOS[name]()
         sy, sz = joint.marginal_y.sqrt_probs, p_z.sqrt_probs
         c = _gram_factor(build_dtm(joint).matrix)
@@ -414,9 +460,11 @@ class TestMomentum:
             for max_iters in range(1, 21):
                 cfg = FrobeniusConfig(lam=lam, max_iters=max_iters, seed=seed)
                 kernel, trace = solve_frobenius(joint, p_z, cfg)
-                a = _from_kernel(kernel.kernel, sy, sz)
+                a = kernel.kernel * sy[None, :] / sz[:, None]
                 obj = frobenius_objective(a, c, sy, sz, lam)[0]
-                assert obj == trace.objectives[-1], (max_iters, seed)
+                assert obj == pytest.approx(trace.objectives[-1], rel=1e-12, abs=0.0), (
+                    max_iters, seed,
+                )
                 if trace.status == "MaxIters" and len(trace) == prev_len:
                     ended_on_discard += 1
                 prev_len = len(trace)

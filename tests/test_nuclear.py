@@ -10,9 +10,10 @@ from coupclust.evaluation import harden, kernel_norm_value, matched_accuracy
 from coupclust.nuclear import (
     KyFanFeatures,
     NuclearConfig,
+    _coefficients,
+    _one_hot,
     _rescue_dead,
     kyfan_features,
-    maximize_linear_coupling,
     solve_nuclear,
 )
 
@@ -76,13 +77,18 @@ class TestKyFan:
             )
 
 
+def _linear_step(feats, joint):
+    # The kernel update solve_nuclear runs before its dead-cluster rescue.
+    c = _coefficients(feats.f, feats.g, joint)
+    return _one_hot(np.argmax(c, axis=1), feats.f.shape[0])
+
+
 class TestLinearStep:
     def test_one_hot_at_argmax(self, rng):
         joint = random_joint(rng, 6, 5)
         b = build_dtm(joint)
         feats = kyfan_features(b, joint.marginal_y, joint.marginal_x)
-        kernel = maximize_linear_coupling(feats.f, feats.g, joint)
-        k = kernel.kernel
+        k = _linear_step(feats, joint)
         assert np.all((k == 0.0) | (k == 1.0))
         np.testing.assert_allclose(k.sum(axis=0), 1.0)
         # vertex optimality, column by column
@@ -91,17 +97,20 @@ class TestLinearStep:
             assert np.argmax(k[:, y]) == np.argmax(c[y])
 
     def test_beats_random_kernels(self, rng):
+        # The linear objective tr(F^T P_{Z|Y} P_{Y,X} G), formed directly.
         joint = random_joint(rng, 6, 5)
         feats = kyfan_features(
             build_dtm(joint), joint.marginal_y, joint.marginal_x
         )
-        c = (joint.weights @ feats.g) @ feats.f.T
-        best = maximize_linear_coupling(feats.f, feats.g, joint)
-        val = float(np.sum(c.T * best.kernel))
+
+        def linear(k):
+            return float(np.trace(feats.f.T @ k @ joint.weights @ feats.g))
+
+        val = linear(_linear_step(feats, joint))
         for _ in range(200):
             k = rng.random((feats.f.shape[0], 6))
             k /= k.sum(axis=0)
-            assert float(np.sum(c.T * k)) <= val + 1e-12
+            assert linear(k) <= val + 1e-12
 
     def test_lp_oracle_per_column(self, rng):
         # independent route: each column solves a tiny simplex LP
@@ -112,7 +121,7 @@ class TestLinearStep:
             build_dtm(joint), joint.marginal_y, joint.marginal_x
         )
         c = (joint.weights @ feats.g) @ feats.f.T
-        kernel = maximize_linear_coupling(feats.f, feats.g, joint).kernel
+        kernel = _linear_step(feats, joint)
         nz = kernel.shape[0]
         for y in range(5):
             res = linprog(

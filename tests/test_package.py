@@ -59,7 +59,6 @@ PUBLIC = {
     "dtm_from_kernel",
     "elbow_curve",
     "format_report_table",
-    "frobenius_gradient",
     "frobenius_objective",
     "frobenius_sq",
     "gen_counterexample",
@@ -75,14 +74,12 @@ PUBLIC = {
     "load_triplets",
     "local_mi_gap",
     "matched_accuracy",
-    "maximize_linear_coupling",
     "mutual_information",
     "nuclear",
     "one_item_kernel",
     "parse_triplets",
     "perturbed_kernel",
     "project_columns",
-    "project_to_feasible",
     "rating_transform",
     "schatten_p",
     "simplex_project",
