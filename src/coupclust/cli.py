@@ -49,7 +49,7 @@ from .evaluation import (
     format_report_table,
     kernel_norm_value,
 )
-from .frobenius import FrobeniusConfig
+from .frobenius import FrobeniusConfig, _uniform_target
 
 # Restarts that reach the same optimum differ only in the last bits of the
 # objective, which depend on summation order. A later restart replaces the
@@ -95,11 +95,11 @@ def _load_joint(args) -> tuple[JointPmf, object]:
     return joint, report
 
 
-def _resolve_pz(args, k: int) -> Pmf:
+def _resolve_pz(args, k: int, joint: JointPmf) -> Pmf:
     if args.pz is None:
         raise ConfigError("--algo frobenius requires --pz (a file or 'uniform')")
     if args.pz == "uniform":
-        return Pmf.uniform(tuple(f"z{i}" for i in range(k)))
+        return _uniform_target(k, len(joint.marginal_y))
     pz = load_pmf(args.pz)
     if len(pz) != k:
         raise ConfigError(f"--pz has {len(pz)} entries but --k is {k}")
@@ -130,7 +130,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
          "--tol": args.tol},
     )
     lam = _resolve_lambda(args)
-    p_z = _resolve_pz(args, k) if args.algo == "frobenius" else None
+    p_z = _resolve_pz(args, k, joint) if args.algo == "frobenius" else None
 
     best = None
     for restart in range(args.restarts):
@@ -241,14 +241,22 @@ def _parse_int_grid(text: str) -> _Grid:
     return _parse_grid(text, int)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _cmd_counterexample(args, out_dir: Path) -> int:
@@ -324,7 +332,7 @@ def _cmd_embed(args, out_dir: Path) -> int:
             "note: dimension 1 is the constant top singular coordinate; "
             "informative dimensions start at 2"
         )
-    emb = dtm_embed(joint, args.d, method=args.method)
+    emb = dtm_embed(joint, args.d)
     write_embedding_tsv(emb, out_dir / "embedding.tsv")
     _write_manifest(
         out_dir,
@@ -332,7 +340,6 @@ def _cmd_embed(args, out_dir: Path) -> int:
         {
             "input": str(args.input),
             "d": args.d,
-            "method": args.method,
             "normalize": args.normalize,
             "rating_transform": bool(args.rating_transform),
         },
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--lambda", dest="lam", type=float, default=None)
     cluster.add_argument("--alpha", type=float, default=None)
-    cluster.add_argument("--seed", type=int, default=0)
+    cluster.add_argument("--seed", type=_nonnegative_int, default=0)
     cluster.add_argument("--restarts", type=_positive_int, default=5)
     cluster.add_argument("--tol", type=float, default=None)
     cluster.add_argument(
@@ -467,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     embed = subs.add_parser("embed", help="DTM singular-vector embedding")
     _add_io_flags(embed)
     embed.add_argument("--d", type=int, required=True)
-    embed.add_argument(
-        "--method", choices=("exact_svd", "power_iteration"), default="exact_svd"
-    )
     embed.set_defaults(func=_cmd_embed)
 
     synth = subs.add_parser("synth", help="write synthetic benchmark data")
@@ -483,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sizes", type=_parse_int_grid, default="30,30")
     synth.add_argument("--within", type=float, default=1.0)
     synth.add_argument("--cross", type=float, default=0.05)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_nonnegative_int, default=0)
     synth.set_defaults(func=_cmd_synth)
 
     return parser

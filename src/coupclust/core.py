@@ -8,10 +8,9 @@ Conventions, used everywhere downstream:
   B always has top singular value 1 with singular vectors sqrt(P_X) and
   sqrt(P_Y), and every singular value lies in [0, 1].
 - A coupling kernel P(Z|Y) is column stochastic: column y is the cluster
-  distribution of item y. Its conditional DTM is
-  B_{Z,Y} = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2}, and DTMs compose along a
-  Markov chain X -> Y -> Z as B_{Z,X} = B_{Z,Y} B_{Y,X}.
-- Logs are natural: all information quantities are in nats.
+  distribution of item y. A clustering is scored through the DTM of the
+  chain joint P_{Z,X} = P_{Z|Y} P_{Y,X}, which build_dtm forms like any
+  other.
 
 All types except the solvers' SolveTrace history are immutable after
 construction and safe to share across threads; the SVD cache on Dtm is
@@ -20,7 +19,6 @@ compute-once.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,10 +29,7 @@ from .errors import (
     CoupclustError,
     DataError,
     DimensionMismatch,
-    EpsilonTooLarge,
     InvalidDistribution,
-    InvalidOrder,
-    InvalidParams,
     MarginalMismatch,
     ZeroMarginal,
 )
@@ -43,28 +38,16 @@ from .svd import exact_svd
 MASS_TOL = 1e-12
 KERNEL_COL_TOL = 1e-9
 SPECTRAL_TOL = 1e-10
-# Entries at or below this are exact zeros for support/component purposes.
-SUPPORT_EPS = 1e-15
 
 __all__ = [
     "Pmf",
     "JointPmf",
     "CouplingKernel",
     "Dtm",
-    "PerturbationFamily",
     "SolveTrace",
     "build_dtm",
-    "dtm_from_kernel",
-    "compose_dtm",
-    "mutual_information",
-    "kl_divergence",
-    "schatten_p",
     "frobenius_sq",
     "nuclear",
-    "perturbed_kernel",
-    "local_mi_gap",
-    "singular_one_multiplicity",
-    "bipartite_components",
 ]
 
 
@@ -249,24 +232,16 @@ class CouplingKernel:
 class Dtm:
     """Divergence transition matrix with a lazily computed SVD.
 
-    Rows and columns each carry the marginal they were whitened by. For a
-    DTM built from a consistent joint, B sqrt(col) = sqrt(row) and
-    B^T sqrt(row) = sqrt(col), the top singular value is exactly 1, and all
-    singular values lie in [0, 1]. A DTM built from a kernel whose supplied
-    P_Z disagrees with the induced marginal satisfies only the column-side
-    identity; no spectral claims are made for it.
+    Rows and columns each carry the marginal they were whitened by, and the
+    matrix must satisfy B sqrt(col) = sqrt(row) and B^T sqrt(row) =
+    sqrt(col), as the DTM of a joint does. Its top singular value is then
+    exactly 1 and all singular values lie in [0, 1]; the cached SVD checks
+    both.
     """
 
-    __slots__ = ("matrix", "row_pmf", "col_pmf", "_consistent", "_svd", "_lock")
+    __slots__ = ("matrix", "row_pmf", "col_pmf", "_svd", "_lock")
 
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        row_pmf: Pmf,
-        col_pmf: Pmf,
-        *,
-        consistent: bool = True,
-    ):
+    def __init__(self, matrix: np.ndarray, row_pmf: Pmf, col_pmf: Pmf):
         mat = _freeze(np.atleast_2d(matrix))
         if mat.shape != (len(row_pmf), len(col_pmf)):
             raise DimensionMismatch(
@@ -282,16 +257,14 @@ class Dtm:
             raise MarginalMismatch(
                 f"B^T sqrt(row) != sqrt(col) (max error {col_identity:.3e})"
             )
-        if consistent:
-            row_identity = float(np.max(np.abs(mat @ sc - sr)))
-            if row_identity > SPECTRAL_TOL:
-                raise MarginalMismatch(
-                    f"B sqrt(col) != sqrt(row) (max error {row_identity:.3e})"
-                )
+        row_identity = float(np.max(np.abs(mat @ sc - sr)))
+        if row_identity > SPECTRAL_TOL:
+            raise MarginalMismatch(
+                f"B sqrt(col) != sqrt(row) (max error {row_identity:.3e})"
+            )
         self.matrix = mat
         self.row_pmf = row_pmf
         self.col_pmf = col_pmf
-        self._consistent = consistent
         self._svd = None
         self._lock = threading.Lock()
 
@@ -305,14 +278,13 @@ class Dtm:
             with self._lock:
                 if self._svd is None:
                     u, s, vt = exact_svd(self.matrix)
-                    if self._consistent:
-                        if abs(float(s[0]) - 1.0) > SPECTRAL_TOL:
-                            raise CoupclustError(
-                                f"top singular value {s[0]!r} != 1; "
-                                "DTM invariant violated"
-                            )
-                        if float(s[-1]) < -SPECTRAL_TOL:
-                            raise CoupclustError("negative singular value")
+                    if abs(float(s[0]) - 1.0) > SPECTRAL_TOL:
+                        raise CoupclustError(
+                            f"top singular value {s[0]!r} != 1; "
+                            "DTM invariant violated"
+                        )
+                    if float(s[-1]) < -SPECTRAL_TOL:
+                        raise CoupclustError("negative singular value")
                     u.setflags(write=False)
                     s.setflags(write=False)
                     vt.setflags(write=False)
@@ -352,148 +324,18 @@ class SolveTrace:
         self.min_entries.append(float(mn))
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """Spherically perturbed kernels: column y is P_Z + eps * sqrt(P_Z) o phi_y.
-
-    phis holds phi_y as column y of a |Z| x |Y| matrix. Each phi_y is unit
-    norm and orthogonal to sqrt(P_Z), which keeps every perturbed column on
-    the mass-1 affine plane; epsilon must be small enough that the columns
-    stay nonnegative.
-    """
-
-    base: Pmf
-    item_labels: tuple[str, ...]
-    phis: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        phis = _freeze(np.atleast_2d(self.phis))
-        if phis.shape[0] != len(self.base):
-            raise DimensionMismatch(
-                f"phi rows {phis.shape[0]} vs |Z| {len(self.base)}"
-            )
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(
-            self,
-            "item_labels",
-            _check_labels(self.item_labels, phis.shape[1], "family items"),
-        )
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not math.isfinite(self.epsilon):
-            raise InvalidParams("epsilon must be finite")
-        if not self.base.strictly_interior:
-            raise ZeroMarginal("base P_Z must be strictly interior")
-        norms = np.linalg.norm(phis, axis=0)
-        if float(np.max(np.abs(norms - 1.0))) > MASS_TOL:
-            raise InvalidParams("each phi_y must be unit norm")
-        dots = phis.T @ self.base.sqrt_probs
-        if float(np.max(np.abs(dots))) > MASS_TOL:
-            raise InvalidParams("each phi_y must be orthogonal to sqrt(P_Z)")
-        cols = self._columns()
-        if np.any(cols < 0) or np.any(cols > 1):
-            raise EpsilonTooLarge(
-                f"epsilon {self.epsilon!r} pushes a kernel entry outside [0, 1]"
-            )
-
-    def _columns(self) -> np.ndarray:
-        base = self.base.probs[:, None]
-        return base + self.epsilon * (self.base.sqrt_probs[:, None] * self.phis)
-
-
 def build_dtm(joint: JointPmf) -> Dtm:
     """DTM of a joint: B = [P_Y]^{-1/2} P_{Y,X} [P_X]^{-1/2}."""
     sy = joint.marginal_y.sqrt_probs
     sx = joint.marginal_x.sqrt_probs
     mat = joint.weights / sy[:, None] / sx[None, :]
-    return Dtm(mat, joint.marginal_y, joint.marginal_x, consistent=True)
-
-
-def dtm_from_kernel(kernel: CouplingKernel, p_y: Pmf, p_z: Pmf) -> Dtm:
-    """Conditional DTM: B_{Z,Y} = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2}.
-
-    p_z is taken as given and used as the normalizer even when it differs
-    from the induced marginal kernel @ p_y (relaxed solvers produce such
-    mismatches). Only the column-side identity B^T sqrt(P_Z) = sqrt(P_Y) is
-    guaranteed in that case.
-    """
-    nz, ny = kernel.shape
-    if len(p_y) != ny or len(p_z) != nz:
-        raise DimensionMismatch(
-            f"kernel {kernel.shape} vs |Y|={len(p_y)}, |Z|={len(p_z)}"
-        )
-    if kernel.item_labels != p_y.labels:
-        raise DimensionMismatch("kernel item labels disagree with p_y labels")
-    if kernel.cluster_labels != p_z.labels:
-        raise DimensionMismatch("kernel cluster labels disagree with p_z labels")
-    if not p_z.strictly_interior or not p_y.strictly_interior:
-        raise ZeroMarginal("marginals must be strictly interior")
-    mat = kernel.kernel * p_y.sqrt_probs[None, :] / p_z.sqrt_probs[:, None]
-    induced = kernel.kernel @ p_y.probs
-    consistent = float(np.max(np.abs(induced - p_z.probs))) <= SPECTRAL_TOL
-    return Dtm(mat, p_z, p_y, consistent=consistent)
-
-
-def compose_dtm(b_zy: Dtm, b_yx: Dtm) -> Dtm:
-    """B_{Z,X} = B_{Z,Y} B_{Y,X} along a Markov chain X -> Y -> Z."""
-    if b_zy.shape[1] != b_yx.shape[0]:
-        raise DimensionMismatch(
-            f"inner dimensions {b_zy.shape} x {b_yx.shape}"
-        )
-    if b_zy.col_pmf.labels != b_yx.row_pmf.labels:
-        raise MarginalMismatch("inner marginal labels disagree")
-    gap = float(
-        np.max(np.abs(b_zy.col_pmf.sqrt_probs - b_yx.row_pmf.sqrt_probs))
-    )
-    if gap > SPECTRAL_TOL:
-        raise MarginalMismatch(f"inner marginals differ by {gap:.3e}")
-    out = Dtm(
-        b_zy.matrix @ b_yx.matrix,
-        b_zy.row_pmf,
-        b_yx.col_pmf,
-        consistent=True,
-    )
-    out.singular_values()  # re-verifies sigma_1 = 1
-    return out
-
-
-def mutual_information(joint: JointPmf) -> float:
-    """I(Y;X) in nats, with 0 log 0 = 0."""
-    w = joint.weights
-    outer = joint.marginal_y.probs[:, None] * joint.marginal_x.probs[None, :]
-    mask = w > 0
-    return float(np.sum(w[mask] * np.log(w[mask] / outer[mask])))
-
-
-def kl_divergence(q: Pmf, p: Pmf) -> float:
-    """D(q || p) in nats; requires p strictly interior."""
-    if q.labels != p.labels:
-        raise DimensionMismatch("q and p are over different alphabets")
-    if not p.strictly_interior:
-        raise ZeroMarginal("p must be strictly interior")
-    mask = q.probs > 0
-    return float(np.sum(q.probs[mask] * np.log(q.probs[mask] / p.probs[mask])))
-
-
-def schatten_p(dtm: Dtm, p: float) -> float:
-    """Schatten p-norm (sum of p-th powers of singular values)^(1/p).
-
-    p = inf returns the spectral norm (largest singular value).
-    """
-    p = float(p)
-    if math.isnan(p) or p < 1:
-        raise InvalidOrder(f"Schatten order must be >= 1, got {p!r}")
-    s = dtm.singular_values()
-    if math.isinf(p):
-        return float(s[0])
-    return float(np.sum(s**p) ** (1.0 / p))
+    return Dtm(mat, joint.marginal_y, joint.marginal_x)
 
 
 def frobenius_sq(dtm: Dtm) -> float:
     """Squared Frobenius norm, via the entrywise sum of squares.
 
-    Equals the sum of squared singular values; schatten_p(dtm, 2)**2 is the
-    spectral route to the same number.
+    Equals the sum of squared singular values.
     """
     return float(np.sum(dtm.matrix * dtm.matrix))
 
@@ -501,58 +343,3 @@ def frobenius_sq(dtm: Dtm) -> float:
 def nuclear(dtm: Dtm) -> float:
     """Nuclear norm: sum of singular values."""
     return float(np.sum(dtm.singular_values()))
-
-
-def perturbed_kernel(fam: PerturbationFamily) -> CouplingKernel:
-    """Materialize the family's kernel: column y = P_Z + eps*sqrt(P_Z) o phi_y."""
-    cols = fam._columns()
-    if np.any(cols < 0) or np.any(cols > 1):
-        raise EpsilonTooLarge(
-            f"epsilon {fam.epsilon!r} pushes a kernel entry outside [0, 1]"
-        )
-    return CouplingKernel(fam.base.labels, fam.item_labels, cols)
-
-
-def local_mi_gap(
-    joint_yx: JointPmf, fam: PerturbationFamily
-) -> tuple[float, float, float]:
-    """Exact I(X;Z) on the chain X -> Y -> Z versus 1/2(||B_{Z,X}||_F^2 - 1).
-
-    Returns (exact_mi, frobenius_approx, gap). The approximation error is
-    o(epsilon^2), so the gap collapses much faster than epsilon^2 itself.
-    """
-    if fam.item_labels != joint_yx.row_labels:
-        raise DimensionMismatch("family items disagree with joint rows")
-    kernel = perturbed_kernel(fam)
-    chain = kernel.kernel @ joint_yx.weights
-    chain_joint = JointPmf(fam.base.labels, joint_yx.col_labels, chain)
-    exact = mutual_information(chain_joint)
-    approx = 0.5 * (frobenius_sq(build_dtm(chain_joint)) - 1.0)
-    return exact, approx, abs(exact - approx)
-
-
-def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:
-    """Count of singular values above 1 - tol."""
-    tol = float(tol)
-    if not 0 < tol < 0.5:
-        raise InvalidParams(f"tol must be in (0, 0.5), got {tol!r}")
-    return int(np.sum(dtm.singular_values() > 1.0 - tol))
-
-
-def bipartite_components(joint: JointPmf) -> int:
-    """Connected components of the bipartite support graph of the joint.
-
-    An edge joins row y and column x when the weight exceeds the support
-    threshold (float dust must not connect components). Matches the
-    multiplicity of the singular value 1 of the DTM.
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    ny, nx = joint.shape
-    rows, cols = np.nonzero(joint.weights > SUPPORT_EPS)
-    graph = coo_matrix(
-        (np.ones(rows.size), (rows, ny + cols)), shape=(ny + nx, ny + nx)
-    )
-    count, _ = connected_components(graph, directed=False)
-    return int(count)

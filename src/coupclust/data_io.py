@@ -38,7 +38,6 @@ __all__ = [
     "parse_triplets",
     "load_dense_csv",
     "ingest",
-    "load_triplets",
     "write_triplets",
     "load_pmf",
     "rating_transform",
@@ -269,26 +268,20 @@ def ingest(
     col_labels,
     weights,
     normalize: str = "joint",
-    smoothing: float = 0.0,
 ) -> tuple[JointPmf, PruneReport]:
     """Turn a raw nonnegative matrix into a joint, pruning empty rows/cols.
 
     normalize "joint" divides by the total mass; "rows" normalizes each row
     to sum 1 and then divides by the row count, yielding a joint with a
-    uniform row marginal. Optional additive smoothing is applied to every
-    cell first (default 0).
+    uniform row marginal.
     """
     if normalize not in ("joint", "rows"):
         raise InvalidParams(f"unknown normalize mode {normalize!r}")
-    if smoothing < 0 or not math.isfinite(smoothing):
-        raise InvalidParams("smoothing must be finite and >= 0")
     w = np.array(weights, dtype=np.float64, copy=True)
     if w.ndim != 2:
         raise InvalidDistribution("weights must be a matrix")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise InvalidDistribution("weights must be finite and >= 0")
-    if smoothing > 0:
-        w += smoothing
     row_labels = [str(x) for x in row_labels]
     col_labels = [str(x) for x in col_labels]
 
@@ -313,13 +306,6 @@ def ingest(
     else:
         w = w / w.sum(axis=1, keepdims=True) / w.shape[0]
     return JointPmf(tuple(kept_rows), tuple(kept_cols), w), report
-
-
-def load_triplets(path, normalize: str = "joint", smoothing: float = 0.0) -> JointPmf:
-    """Parse a triplet TSV and normalize it into a joint distribution."""
-    rows, cols, weights = parse_triplets(path)
-    joint, _ = ingest(rows, cols, weights, normalize=normalize, smoothing=smoothing)
-    return joint
 
 
 def write_triplets(path, row_labels, col_labels, weights) -> None:
@@ -490,13 +476,15 @@ def gen_planted_blocks(
     sizes may be a single int (every block that size) or one int per block;
     the column side mirrors the row block structure. Entries are
     within_weight inside blocks and cross_weight outside, each jittered by
-    an independent Uniform[0.5, 1.5) factor from noise_seed, then normalized
-    to total mass 1. Returns the joint and the ground-truth block label of
-    each row.
+    an independent Uniform[0.5, 1.5) factor from noise_seed (>= 0), then
+    normalized to total mass 1. Returns the joint and the ground-truth block
+    label of each row.
     """
     blocks = int(blocks)
     if blocks < 1:
         raise InvalidParams("blocks must be >= 1")
+    if noise_seed < 0:
+        raise InvalidParams(f"noise_seed must be >= 0, got {noise_seed}")
     # Every block has a row, so blocks x blocks is a floor on the cell count;
     # checked before a scalar size is expanded into a per-block list.
     _check_cells(blocks, blocks)

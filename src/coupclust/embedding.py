@@ -1,8 +1,9 @@
 """Item embeddings from the whitened left singular vectors of the DTM.
 
-Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d]. The first
-coordinate is constant across items (the top singular vector of a DTM is
-sqrt of the marginal), so informative dimensions start at 2.
+Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d], with U
+from the DTM's cached full SVD. The first coordinate is constant across
+items (the top singular vector of a DTM is sqrt of the marginal), so
+informative dimensions start at 2.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import JointPmf, build_dtm
-from .errors import InvalidParams, RankDeficient, UnknownLabel
-from .svd import randomized_svd
+from .errors import InvalidParams, RankDeficient
 
-__all__ = ["EmbeddingMatrix", "dtm_embed", "cosine_score", "write_embedding_tsv"]
+__all__ = ["EmbeddingMatrix", "dtm_embed", "write_embedding_tsv"]
 
 _RANK_EPS = 1e-12
 
@@ -21,7 +21,7 @@ _RANK_EPS = 1e-12
 class EmbeddingMatrix:
     """Labeled |Y| x d embedding, immutable after construction."""
 
-    __slots__ = ("labels", "vectors", "d", "_index")
+    __slots__ = ("labels", "vectors", "d")
 
     def __init__(self, labels: tuple[str, ...], vectors: np.ndarray):
         vec = np.array(vectors, dtype=np.float64, copy=True)
@@ -33,13 +33,6 @@ class EmbeddingMatrix:
         self.labels = tuple(labels)
         self.vectors = vec
         self.d = vec.shape[1]
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-
-    def row(self, label: str) -> np.ndarray:
-        try:
-            return self.vectors[self._index[label]]
-        except KeyError:
-            raise UnknownLabel(f"label {label!r} not in embedding") from None
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
@@ -52,13 +45,12 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def dtm_embed(joint: JointPmf, d: int, method: str = "exact_svd") -> EmbeddingMatrix:
+def dtm_embed(joint: JointPmf, d: int) -> EmbeddingMatrix:
     """Embed items as rows of [P_Y]^{-1/2} U[:, :d].
 
-    method "exact_svd" uses the dense factorization; "power_iteration" uses
-    randomized subspace iteration and agrees with the exact route up to
-    per-column sign at desk scale. Raises RankDeficient when d exceeds the
-    numerical rank of the DTM.
+    Each column's sign is fixed so that its largest-magnitude entry is
+    positive. Raises RankDeficient when d exceeds the numerical rank of the
+    DTM.
     """
     d = int(d)
     if d < 1:
@@ -67,13 +59,7 @@ def dtm_embed(joint: JointPmf, d: int, method: str = "exact_svd") -> EmbeddingMa
         raise RankDeficient(
             f"d = {d} exceeds min(|Y|, |X|) = {min(joint.shape)}"
         )
-    b = build_dtm(joint)
-    if method == "exact_svd":
-        u, s, _ = b.svd()
-    elif method == "power_iteration":
-        u, s, _ = randomized_svd(b.matrix, rank=d, seed=0)
-    else:
-        raise InvalidParams(f"unknown method {method!r}")
+    u, s, _ = build_dtm(joint).svd()
     if int(np.sum(s > _RANK_EPS)) < d:
         raise RankDeficient(
             f"d = {d} exceeds the numerical rank "
@@ -82,37 +68,6 @@ def dtm_embed(joint: JointPmf, d: int, method: str = "exact_svd") -> EmbeddingMa
     u = _fix_signs(u[:, :d])
     vectors = u / joint.marginal_y.sqrt_probs[:, None]
     return EmbeddingMatrix(joint.row_labels, vectors)
-
-
-def cosine_score(
-    emb: EmbeddingMatrix,
-    candidate: str,
-    context: list[str],
-    aggregator: str = "mean",
-) -> float:
-    """Aggregated cosine similarity of a candidate against context items.
-
-    Zero-vector rows score 0 against anything. Aggregators: mean, sum, max.
-    """
-    if aggregator not in ("mean", "sum", "max"):
-        raise InvalidParams(f"unknown aggregator {aggregator!r}")
-    if not context:
-        raise InvalidParams("context must be nonempty")
-    cand = emb.row(candidate)
-    cn = float(np.linalg.norm(cand))
-    sims = []
-    for label in context:
-        ctx = emb.row(label)
-        xn = float(np.linalg.norm(ctx))
-        if cn == 0.0 or xn == 0.0:
-            sims.append(0.0)
-        else:
-            sims.append(float(cand @ ctx) / (cn * xn))
-    if aggregator == "mean":
-        return float(np.mean(sims))
-    if aggregator == "sum":
-        return float(np.sum(sims))
-    return float(np.max(sims))
 
 
 def write_embedding_tsv(emb: EmbeddingMatrix, path) -> None:

@@ -15,13 +15,10 @@ __all__ = [
     "DimensionMismatch",
     "MarginalMismatch",
     "ShapeMismatch",
-    "InvalidOrder",
-    "EpsilonTooLarge",
     "InvalidParams",
     "NonFinite",
     "DegenerateCluster",
     "RankDeficient",
-    "UnknownLabel",
     "LabelMismatch",
     "InvalidRating",
     "EmptyAfterPruning",
@@ -58,19 +55,11 @@ class DimensionMismatch(DataError):
 
 
 class MarginalMismatch(DataError):
-    """Composed factors disagree on the shared marginal."""
+    """A matrix and its marginals fail a DTM identity."""
 
 
 class ShapeMismatch(DataError):
     """Two matrices that must share a shape do not."""
-
-
-class InvalidOrder(ConfigError):
-    """Schatten order outside [1, inf]."""
-
-
-class EpsilonTooLarge(ConfigError):
-    """Perturbation size pushes some kernel entry outside [0, 1]."""
 
 
 class InvalidParams(ConfigError):
@@ -87,10 +76,6 @@ class DegenerateCluster(SolverError):
 
 class RankDeficient(ConfigError):
     """Requested embedding dimension exceeds the numerical rank."""
-
-
-class UnknownLabel(DataError):
-    """Query label absent from the embedding's row index."""
 
 
 class LabelMismatch(DataError):

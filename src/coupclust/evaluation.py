@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq, nuclear
 from .errors import InvalidParams, LabelMismatch, ZeroMarginal
-from .frobenius import FrobeniusConfig, solve_frobenius
+from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
 from .nuclear import NuclearConfig, solve_nuclear
 
 __all__ = [
@@ -196,7 +196,7 @@ def _solve(joint, algorithm, k, seed, p_z=None, lam=None, alpha=None, tol=None):
     if algorithm == "nuclear":
         return solve_nuclear(joint, NuclearConfig(k=k, seed=seed))
     if p_z is None:
-        p_z = Pmf.uniform(tuple(f"z{i}" for i in range(k)))
+        p_z = _uniform_target(k, len(joint.marginal_y))
     if len(p_z) != k:
         raise InvalidParams("p_z length must equal k")
     knobs = {"lam": lam, "obj_tol": tol}

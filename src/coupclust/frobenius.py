@@ -93,8 +93,23 @@ class FrobeniusConfig:
             raise InvalidParams("max_iters must be >= 1")
         if not 0 < self.obj_tol < 1:
             raise InvalidParams("obj_tol must be in (0, 1)")
+        if int(self.seed) < 0:
+            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))
+
+
+def _uniform_target(k: int, ny: int) -> Pmf:
+    """Uniform P_Z over clusters z0..z(k-1) for a joint with ny items.
+
+    Raises InvalidParams unless 1 <= k <= ny (the bound solve_frobenius
+    checks); the check comes first, so a huge k builds nothing.
+    """
+    if k < 1:
+        raise InvalidParams("k must be >= 1")
+    if k > ny:
+        raise InvalidParams(f"|Z| = {k} exceeds |Y| = {ny}")
+    return Pmf.uniform(tuple(f"z{i}" for i in range(k)))
 
 
 def _gram_factor(b: np.ndarray) -> np.ndarray:

@@ -60,6 +60,8 @@ class NuclearConfig:
             raise InvalidParams("k must be >= 1")
         if int(self.max_iters) < 1:
             raise InvalidParams("max_iters must be >= 1")
+        if int(self.seed) < 0:
+            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))

@@ -1,9 +1,10 @@
 """SVD routines.
 
-Every full SVD of a DTM is LAPACK (`exact_svd`). Randomized block power
-iteration computes a truncated SVD on explicit request; it saves work only
-when the rank asked for is much smaller than the matrix, and doubles as the
-ACE-style approximation used by the embedding module.
+Every SVD of a DTM is LAPACK's full factorization (`exact_svd`), computed
+once and cached on the Dtm, whatever the size of the matrix or the number of
+singular vectors a caller reads. The Frobenius step size needs only the top
+eigenvalue of a symmetric operator, which `top_singular_value_sym` estimates
+by power iteration.
 """
 
 from __future__ import annotations
@@ -15,43 +16,10 @@ import numpy as np
 
 from .errors import NonFinite
 
-_OVERSAMPLE = 8
-_POWER_ITERS = 30
-
 
 def exact_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD, singular values descending. Returns (U, s, Vt)."""
     return np.linalg.svd(matrix, full_matrices=False)
-
-
-def randomized_svd(
-    matrix: np.ndarray, rank: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated SVD by block power iteration.
-
-    Subspace of width rank + 8, 30 power iterations with QR
-    re-orthonormalization each step, Rayleigh-Ritz extraction at the end.
-    When the block covers the whole small dimension the result is exact up
-    to round-off.
-    """
-    m, n = matrix.shape
-    small = min(m, n)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    rank = min(rank, small)
-    block = min(rank + _OVERSAMPLE, small)
-
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal((n, block))
-    q, _ = np.linalg.qr(matrix @ q)
-    for _ in range(_POWER_ITERS):
-        q, _ = np.linalg.qr(matrix.T @ q)
-        q, _ = np.linalg.qr(matrix @ q)
-
-    small_mat = q.T @ matrix
-    u_small, s, vt = np.linalg.svd(small_mat, full_matrices=False)
-    u = q @ u_small
-    return u[:, :rank], s[:rank], vt[:rank]
 
 
 def top_singular_value_sym(

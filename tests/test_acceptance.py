@@ -12,18 +12,7 @@ import numpy as np
 import pytest
 
 from coupclust.cli import main as cli_main
-from coupclust.core import (
-    CouplingKernel,
-    JointPmf,
-    PerturbationFamily,
-    Pmf,
-    bipartite_components,
-    build_dtm,
-    compose_dtm,
-    dtm_from_kernel,
-    local_mi_gap,
-    singular_one_multiplicity,
-)
+from coupclust.core import CouplingKernel, JointPmf, Pmf, build_dtm
 from coupclust.data_io import (
     CounterexampleParams,
     community_objective,
@@ -46,6 +35,14 @@ from coupclust.nuclear import NuclearConfig, solve_nuclear
 from coupclust.simplex import simplex_project
 
 from conftest import oracle_project, random_joint
+from paper_identities import (
+    PerturbationFamily,
+    bipartite_components,
+    compose_dtm,
+    dtm_from_kernel,
+    local_mi_gap,
+    singular_one_multiplicity,
+)
 
 
 def _report(num: int, detail: str) -> None:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import coupclust
 from coupclust.cli import main
+from coupclust.core import Pmf
 from coupclust.data_io import gen_planted_blocks, write_triplets
 
 
@@ -382,13 +383,54 @@ class TestExitCodes:
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_bad_k(self, planted, tmp_path, k):
         data, _ = planted
-        rc = main(
-            [
-                "cluster", str(data), "--algo", "frobenius", "--k", k,
-                "--pz", "uniform", "--out", str(tmp_path / "x"),
-            ]
-        )
+        for argv in (
+            ["cluster", str(data), "--algo", "frobenius", "--k", k,
+             "--pz", "uniform"],
+            ["elbow", str(data), "--algo", "frobenius", "--ks", k],
+            ["elbow", str(data), "--algo", "nuclear", "--ks", k],
+        ):
+            rc = main(argv + ["--restarts", "1", "--out", str(tmp_path / "x")])
+            assert rc == 2, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "DATA", "--algo", "nuclear", "--k", "2"],
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform"],
+            ["synth", "--gen", "planted"],
+        ],
+        ids=["nuclear", "frobenius", "synth"],
+    )
+    def test_negative_seed(self, planted, tmp_path, capsys, argv):
+        data, _ = planted
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        rc = main([*argv, "--seed", "-1", "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "1000000",
+             "--pz", "uniform"],
+            ["elbow", "DATA", "--algo", "frobenius", "--ks", "1000000"],
+        ],
+        ids=["cluster", "elbow"],
+    )
+    def test_huge_k_builds_no_uniform_target(
+        self, planted, tmp_path, capsys, monkeypatch, argv
+    ):
+        # k <= |Y| is checked before the k-label uniform target is built.
+        def refuse(labels):
+            raise AssertionError(f"uniform target over {len(labels)} labels")
+
+        monkeypatch.setattr(Pmf, "uniform", refuse)
+        data, _ = planted
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        rc = main([*argv, "--restarts", "1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "|Z| = 1000000 exceeds |Y| = 20" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--pz", "--truth"])
     def test_bad_utf8_side_file(self, planted, tmp_path, capsys, flag):

@@ -3,35 +3,32 @@ import pytest
 
 from coupclust.core import (
     CouplingKernel,
-    Dtm,
     JointPmf,
-    PerturbationFamily,
     Pmf,
-    bipartite_components,
     build_dtm,
-    compose_dtm,
-    dtm_from_kernel,
     frobenius_sq,
-    kl_divergence,
-    local_mi_gap,
-    mutual_information,
     nuclear,
-    perturbed_kernel,
-    schatten_p,
-    singular_one_multiplicity,
 )
 from coupclust.errors import (
     DataError,
     DimensionMismatch,
-    EpsilonTooLarge,
     InvalidDistribution,
-    InvalidOrder,
     InvalidParams,
     MarginalMismatch,
     ZeroMarginal,
 )
 
 from conftest import random_joint, random_pmf
+from paper_identities import (
+    PerturbationFamily,
+    bipartite_components,
+    compose_dtm,
+    dtm_from_kernel,
+    local_mi_gap,
+    mutual_information,
+    perturbed_kernel,
+    singular_one_multiplicity,
+)
 
 
 class TestPmf:
@@ -160,15 +157,17 @@ class TestDtmFromKernel:
         s = b.singular_values()
         assert abs(s[0] - 1.0) <= 1e-10
 
-    def test_mismatched_pz_keeps_column_identity(self, rng):
+    def test_mismatched_pz_rejected(self):
+        # Every Dtm must meet both identities: with a P_Z other than the
+        # induced marginal, B sqrt(P_Y) != sqrt(P_Z).
         kernel = CouplingKernel(
             ("z0", "z1"), ("y0", "y1"),
             np.array([[0.9, 0.1], [0.1, 0.9]]),
         )
         p_y = Pmf(("y0", "y1"), np.array([0.5, 0.5]))
         p_z = Pmf(("z0", "z1"), np.array([0.3, 0.7]))  # induced is (0.5, 0.5)
-        b = dtm_from_kernel(kernel, p_y, p_z)
-        assert np.max(np.abs(b.matrix.T @ p_z.sqrt_probs - p_y.sqrt_probs)) <= 1e-10
+        with pytest.raises(MarginalMismatch, match=r"B sqrt\(col\)"):
+            dtm_from_kernel(kernel, p_y, p_z)
 
     def test_label_mismatch(self):
         kernel = CouplingKernel(
@@ -242,44 +241,21 @@ class TestInformation:
             )
             assert mutual_information(chain) <= mutual_information(joint) + 1e-12
 
-    def test_kl_zero_on_equal(self):
-        p = Pmf(("a", "b"), np.array([0.4, 0.6]))
-        assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_kl_known_value(self):
-        q = Pmf(("a", "b"), np.array([0.5, 0.5]))
-        p = Pmf(("a", "b"), np.array([0.4, 0.6]))
-        want = 0.5 * np.log(0.5 / 0.4) + 0.5 * np.log(0.5 / 0.6)
-        assert kl_divergence(q, p) == pytest.approx(want, rel=1e-12)
-
-    def test_kl_needs_interior_p(self):
-        q = Pmf(("a", "b"), np.array([0.5, 0.5]))
-        p = Pmf(("a", "b"), np.array([1.0, 0.0]))
-        with pytest.raises(ZeroMarginal):
-            kl_divergence(q, p)
-
 
 class TestNorms:
     def test_frobenius_dual_route(self, rng):
         for _ in range(10):
             b = build_dtm(random_joint(rng, 6, 5))
             entrywise = frobenius_sq(b)
-            spectral = schatten_p(b, 2) ** 2
+            spectral = float(np.sum(b.singular_values() ** 2))
             assert abs(entrywise - spectral) <= 1e-10
 
     def test_schatten_orders(self, rng):
+        # The nuclear norm is the Schatten-1 norm; Schatten-inf is sigma_1 = 1.
         b = build_dtm(random_joint(rng, 5, 4))
         s = b.singular_values()
-        assert schatten_p(b, 1) == pytest.approx(float(np.sum(s)), rel=1e-12)
-        assert schatten_p(b, np.inf) == pytest.approx(float(s[0]), rel=1e-12)
-        assert nuclear(b) == pytest.approx(schatten_p(b, 1), rel=1e-12)
-
-    def test_invalid_order(self, rng):
-        b = build_dtm(random_joint(rng, 3, 3))
-        with pytest.raises(InvalidOrder):
-            schatten_p(b, 0.5)
-        with pytest.raises(InvalidOrder):
-            schatten_p(b, np.nan)
+        assert nuclear(b) == pytest.approx(float(np.sum(s)), rel=1e-12)
+        assert float(s[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPerturbationFamily:
@@ -300,7 +276,7 @@ class TestPerturbationFamily:
 
     def test_epsilon_too_large(self):
         base = Pmf.uniform(("z0", "z1"))
-        with pytest.raises(EpsilonTooLarge):
+        with pytest.raises(ValueError, match="outside"):
             PerturbationFamily(base, ("y0",), self._phi(), 2.0)
 
     def test_bad_phi_rejected(self):

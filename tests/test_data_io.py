@@ -24,7 +24,6 @@ from coupclust.data_io import (
     load_dense_csv,
     load_labels,
     load_pmf,
-    load_triplets,
     one_item_kernel,
     parse_triplets,
     rating_transform,
@@ -250,19 +249,9 @@ class TestIngest:
         with pytest.raises(EmptyAfterPruning):
             ingest(["a"], ["u"], np.zeros((1, 1)))
 
-    def test_smoothing(self):
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        joint, report = ingest(["a", "b"], ["u", "v"], w, smoothing=0.5)
-        assert report.empty
-        np.testing.assert_allclose(
-            joint.weights, [[0.375, 0.125], [0.125, 0.375]]
-        )
-
     def test_validation(self):
         with pytest.raises(InvalidParams):
             ingest(["a"], ["u"], np.ones((1, 1)), normalize="columns")
-        with pytest.raises(InvalidParams):
-            ingest(["a"], ["u"], np.ones((1, 1)), smoothing=-1.0)
 
 
 class TestRoundTrip:
@@ -270,7 +259,7 @@ class TestRoundTrip:
         joint = random_joint(rng, 6, 5)
         p = tmp_path / "rt.tsv"
         write_triplets(p, joint.row_labels, joint.col_labels, joint.weights)
-        joint2 = load_triplets(p)
+        joint2, _ = ingest(*parse_triplets(p))
         assert joint2.row_labels == joint.row_labels
         assert joint2.col_labels == joint.col_labels
         assert np.max(np.abs(joint2.weights - joint.weights)) <= 1e-15
@@ -437,6 +426,8 @@ class TestPlantedBlocks:
             gen_planted_blocks(2, [3], 1.0, 0.1)
         with pytest.raises(InvalidParams):
             gen_planted_blocks(2, 3, 0.5, 0.5)
+        with pytest.raises(InvalidParams, match="noise_seed"):
+            gen_planted_blocks(2, 3, 1.0, 0.1, noise_seed=-1)
 
     def test_cell_limit(self):
         # Refused before anything of the requested size is allocated.

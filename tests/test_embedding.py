@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from coupclust.core import JointPmf
-from coupclust.embedding import (
-    EmbeddingMatrix,
-    cosine_score,
-    dtm_embed,
-    write_embedding_tsv,
-)
-from coupclust.errors import InvalidParams, RankDeficient, UnknownLabel
+from coupclust.embedding import dtm_embed, write_embedding_tsv
+from coupclust.errors import InvalidParams, RankDeficient
 
 from conftest import random_joint
 
@@ -20,12 +15,6 @@ class TestDtmEmbed:
             d = min(3, min(joint.shape))
             emb = dtm_embed(joint, d)
             assert np.ptp(emb.vectors[:, 0]) <= 1e-8
-
-    def test_methods_agree(self, rng):
-        joint = random_joint(rng, 6, 5)
-        exact = dtm_embed(joint, 3, method="exact_svd")
-        power = dtm_embed(joint, 3, method="power_iteration")
-        assert np.max(np.abs(exact.vectors - power.vectors)) <= 1e-6
 
     def test_subspace_identity(self, rng):
         # rows are [P_Y]^{-1/2} U; re-whitening must recover an orthonormal U
@@ -68,62 +57,12 @@ class TestDtmEmbed:
         joint = random_joint(rng, 4, 4)
         with pytest.raises(InvalidParams):
             dtm_embed(joint, 0)
-        with pytest.raises(InvalidParams):
-            dtm_embed(joint, 2, method="nope")
 
     def test_deterministic(self, rng):
         joint = random_joint(rng, 8, 7)
-        e1 = dtm_embed(joint, 3, method="power_iteration")
-        e2 = dtm_embed(joint, 3, method="power_iteration")
+        e1 = dtm_embed(joint, 3)
+        e2 = dtm_embed(joint, 3)
         assert np.array_equal(e1.vectors, e2.vectors)
-
-
-class TestCosineScore:
-    def _emb(self):
-        vecs = np.array(
-            [
-                [1.0, 0.0],
-                [0.0, 1.0],
-                [1.0, 1.0],
-                [0.0, 0.0],
-            ]
-        )
-        return EmbeddingMatrix(("a", "b", "c", "z"), vecs)
-
-    def test_hand_values(self):
-        emb = self._emb()
-        assert cosine_score(emb, "a", ["b"]) == pytest.approx(0.0, abs=1e-15)
-        assert cosine_score(emb, "a", ["c"]) == pytest.approx(
-            1 / np.sqrt(2), rel=1e-12
-        )
-        assert cosine_score(emb, "a", ["b", "c"], aggregator="max") == pytest.approx(
-            1 / np.sqrt(2), rel=1e-12
-        )
-        assert cosine_score(emb, "a", ["b", "c"], aggregator="sum") == pytest.approx(
-            1 / np.sqrt(2), rel=1e-12
-        )
-        assert cosine_score(emb, "a", ["b", "c"], aggregator="mean") == pytest.approx(
-            0.5 / np.sqrt(2), rel=1e-12
-        )
-
-    def test_zero_rows_score_zero(self):
-        emb = self._emb()
-        assert cosine_score(emb, "z", ["a", "b", "c"]) == 0.0
-        assert cosine_score(emb, "a", ["z"]) == 0.0
-
-    def test_unknown_label(self):
-        emb = self._emb()
-        with pytest.raises(UnknownLabel):
-            cosine_score(emb, "missing", ["a"])
-        with pytest.raises(UnknownLabel):
-            emb.row("missing")
-
-    def test_validation(self):
-        emb = self._emb()
-        with pytest.raises(InvalidParams):
-            cosine_score(emb, "a", [])
-        with pytest.raises(InvalidParams):
-            cosine_score(emb, "a", ["b"], aggregator="median")
 
 
 class TestTsv:

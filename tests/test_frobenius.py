@@ -3,15 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coupclust.core import (
-    CouplingKernel,
-    JointPmf,
-    Pmf,
-    build_dtm,
-    compose_dtm,
-    dtm_from_kernel,
-    frobenius_sq,
-)
+from coupclust.core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq
 from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
 from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
 from coupclust.evaluation import harden, matched_accuracy
@@ -26,6 +18,7 @@ from coupclust.frobenius import (
 from coupclust.simplex import project_columns
 
 from conftest import random_joint, random_pmf
+from paper_identities import compose_dtm, dtm_from_kernel
 
 
 class TestConfig:
@@ -49,6 +42,7 @@ class TestConfig:
             {"lam": float("nan")},
             {"alpha": float("inf")},
             {"alpha": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_params(self, kwargs):

@@ -38,6 +38,7 @@ class TestConfig:
         [
             {"k": 0},
             {"k": 2, "max_iters": 0},
+            {"k": 2, "seed": -1},
         ],
     )
     def test_rejects_bad_params(self, kwargs):

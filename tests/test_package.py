@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import coupclust
 from coupclust import core
+from coupclust.cli import build_parser
 
 # The top-level public API, pinned: a name added to or dropped from a
 # submodule's __all__ shows up here.
@@ -24,10 +26,8 @@ PUBLIC = {
     "Dtm",
     "EmbeddingMatrix",
     "EmptyAfterPruning",
-    "EpsilonTooLarge",
     "FrobeniusConfig",
     "InvalidDistribution",
-    "InvalidOrder",
     "InvalidParams",
     "InvalidRating",
     "JointPmf",
@@ -37,26 +37,20 @@ PUBLIC = {
     "NonFinite",
     "NuclearConfig",
     "ParseError",
-    "PerturbationFamily",
     "Pmf",
     "PruneReport",
     "RankDeficient",
     "ShapeMismatch",
     "SolveTrace",
     "SolverError",
-    "UnknownLabel",
     "ZeroMarginal",
     "apply_rating_transform",
-    "bipartite_components",
     "build_dtm",
     "build_report",
     "community_objective",
-    "compose_dtm",
-    "cosine_score",
     "counterexample_frobenius",
     "coverage",
     "dtm_embed",
-    "dtm_from_kernel",
     "elbow_curve",
     "format_report_table",
     "frobenius_objective",
@@ -67,23 +61,16 @@ PUBLIC = {
     "ingest",
     "intuitive_kernel",
     "kernel_norm_value",
-    "kl_divergence",
     "kyfan_features",
     "load_dense_csv",
     "load_pmf",
-    "load_triplets",
-    "local_mi_gap",
     "matched_accuracy",
-    "mutual_information",
     "nuclear",
     "one_item_kernel",
     "parse_triplets",
-    "perturbed_kernel",
     "project_columns",
     "rating_transform",
-    "schatten_p",
     "simplex_project",
-    "singular_one_multiplicity",
     "solve_frobenius",
     "solve_nuclear",
     "write_embedding_tsv",
@@ -94,6 +81,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
+    assert len(PUBLIC) == 63
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
@@ -109,6 +97,30 @@ def test_config_fields_pinned():
     assert names(coupclust.FrobeniusConfig) == [
         "lam", "alpha", "max_iters", "obj_tol", "seed"
     ]
+
+
+def test_cli_flags_pinned():
+    # Every CLI knob is a flag of one subcommand; a new one has to edit this
+    # test. Positionals appear under their dest.
+    io = ["input", "--normalize", "--rating-transform", "--out"]
+    subs = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        name: [a.option_strings[-1] if a.option_strings else a.dest
+               for a in sub._actions if a.dest != "help"]
+        for name, sub in subs.choices.items()
+    }
+    assert flags == {
+        "cluster": [*io, "--algo", "--k", "--pz", "--lambda", "--alpha",
+                    "--seed", "--restarts", "--tol", "--truth"],
+        "counterexample": ["--out", "--m", "--n", "--lambda", "--s-grid"],
+        "elbow": [*io, "--ks", "--algo", "--restarts", "--pz", "--lambda"],
+        "embed": [*io, "--d"],
+        "synth": ["--out", "--gen", "--variant", "--m", "--n", "--s",
+                  "--blocks", "--sizes", "--within", "--cross", "--seed"],
+    }
 
 
 def test_nuclear_is_the_norm():
@@ -131,38 +143,51 @@ def test_cli_import_loads_no_scipy_optimize():
     assert out.stdout.strip() == "[]"
 
 
-CLUSTER_WITH_TRUTH = """
+SCIPY_FREE_RUN = """
 import contextlib, io, sys
 from pathlib import Path
-from coupclust import cli
-from coupclust.data_io import gen_planted_blocks, write_triplets
 
-tmp, algo = Path(sys.argv[1]), sys.argv[2]
-joint, truth = gen_planted_blocks(3, 8, 1.0, 0.05, noise_seed=0)
-write_triplets(tmp / "data.tsv", joint.row_labels, joint.col_labels, joint.weights)
-(tmp / "truth.tsv").write_text(
-    "".join(f"{y}\\t{t}\\n" for y, t in zip(joint.row_labels, truth))
-)
-argv = ["cluster", str(tmp / "data.tsv"), "--algo", algo, "--k", "3",
-        "--restarts", "2", "--truth", str(tmp / "truth.tsv"),
-        "--out", str(tmp / "run")]
-if algo == "frobenius":
-    argv += ["--pz", "uniform"]
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    rc = cli.main(argv)
-assert (tmp / "run" / "report.json").exists()
-print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
+tmp, mode = Path(sys.argv[1]), sys.argv[2]
+if mode == "import":
+    import coupclust
+else:
+    from coupclust import cli
+    from coupclust.data_io import gen_planted_blocks, write_triplets
+
+    joint, truth = gen_planted_blocks(3, 8, 1.0, 0.05, noise_seed=0)
+    data = str(tmp / "data.tsv")
+    write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+    (tmp / "truth.tsv").write_text(
+        "".join(f"{y}\\t{t}\\n" for y, t in zip(joint.row_labels, truth))
+    )
+    argv = {
+        "nuclear": ["cluster", data, "--algo", "nuclear", "--k", "3",
+                    "--restarts", "2", "--truth", str(tmp / "truth.tsv")],
+        "frobenius": ["cluster", data, "--algo", "frobenius", "--k", "3",
+                      "--pz", "uniform", "--restarts", "2",
+                      "--truth", str(tmp / "truth.tsv")],
+        "elbow": ["elbow", data, "--ks", "1,2,3", "--restarts", "2"],
+        "embed": ["embed", data, "--d", "4"],
+    }[mode]
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv + ["--out", str(tmp / "run")]) == 0
+    assert (tmp / "run" / "manifest.json").exists()
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
-@pytest.mark.parametrize("algo", ["nuclear", "frobenius"])
+@pytest.mark.parametrize(
+    "algo", ["nuclear", "frobenius", "elbow", "embed", "import"]
+)
 def test_cluster_with_truth_loads_no_scipy(algo, tmp_path):
-    # Scoring a --truth run matches clusters with the package's own numpy
-    # solver, so a whole cluster run stays clear of scipy.
+    # The package imports no scipy: not on import, and not in a cluster run
+    # scored against --truth (the package's own numpy matching), an elbow
+    # curve or an embedding.
     src = str(Path(coupclust.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", CLUSTER_WITH_TRUTH, str(tmp_path), algo],
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path), algo],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.strip() == "[]"
