@@ -4,6 +4,9 @@ File formats:
 
 - Triplet TSV: UTF-8 lines of `row<TAB>col<TAB>weight`, full-line `#`
   comments, blank lines ignored; duplicate (row, col) pairs are summed.
+  A well-formed file is cut into fields at its tab and newline offsets
+  with numpy, making no Python object per line; any other file goes
+  through the line reader, the one source of ParseError.
 - Dense CSV: header row holds the X labels (first cell is a corner and is
   ignored), each body row starts with its Y label; blank cells mean 0.
 - Pmf TSV: `label<TAB>probability` lines.
@@ -18,12 +21,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq
 from .errors import (
+    DataError,
     EmptyAfterPruning,
     InvalidDistribution,
     InvalidParams,
@@ -114,9 +120,11 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
     Label order is first appearance. ParseError carries the 1-based line
     number and the byte offset of the offending line's start.
 
-    A file of plain `row<TAB>col<TAB>weight` lines with valid weights is read
-    in bulk; any other file goes through the line reader. Both give the same
-    labels and bitwise the same weights.
+    A file of plain `row<TAB>col<TAB>weight` lines with valid weights, no NUL
+    byte and no field much wider than an average line is read in bulk; any
+    other file goes through the line reader. Both give the same labels and
+    bitwise the same weights. A DataError names the shape when the dense
+    |Y| x |X| matrix would not fit in memory, before it is allocated.
     """
     bulk = _parse_triplets_bulk(path)
     if bulk is not None:
@@ -127,23 +135,32 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
 def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None:
     """parse_triplets on a whole file at once, or None if not well formed.
 
-    None unless the file is UTF-8, each line has exactly two tabs, no row
-    label is empty or starts with whitespace or `#`, and every weight is a
-    finite, nonnegative float. The line reader then strips nothing from a
-    line's start; what it strips from the end (a CR, say) float() either
-    strips too or rejects. Duplicates are summed in file order, as the line
-    reader does, so the sums are bitwise equal.
+    None unless the file is UTF-8 without NUL bytes, each line has exactly
+    two tabs, no row label is empty or starts with whitespace or `#`, and
+    every weight is a finite, nonnegative float. The line reader then strips
+    nothing from a line's start; what it strips from the end (a CR, say)
+    float() either strips too or rejects. Duplicates are summed in file
+    order, as the line reader does, so the sums are bitwise equal.
+
+    Fields are cut from the delimiter offsets into fixed-width `S` arrays,
+    so no Python object is made per line or field: weights convert with
+    numpy's `S` -> float64 cast (Python's float parser, ASCII only) and
+    labels are interned with np.unique. `S` keys drop trailing NULs, hence
+    the NUL rule; a column whose widest field times the line count exceeds
+    the file size is declined too, so one long label cannot blow up memory.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    if b"\0" in data:
+        return None
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == 10)
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, raw.size)
     tabs = np.flatnonzero(raw == 9)
     n = ends.size
     # Line i holds tabs 2i and 2i+1: tab 2i+1 < end i < tab 2i+2.
@@ -151,30 +168,81 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
         np.all(tabs[1::2] < ends) and np.all(tabs[2::2] > ends[:-1])
     ):
         return None
-    # Drop each buffer once it is used up: the field strings dominate peak RSS.
-    del data, raw, ends, tabs
-
-    fields = text.replace("\n", "\t").split("\t")
-    fields.pop()  # the empty string after the final newline
-    del text
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    spans = [
+        (starts, tabs[0::2]), (tabs[0::2] + 1, tabs[1::2]), (tabs[1::2] + 1, ends)
+    ]
+    widths = [max(int((stop - start).max()), 1) for start, stop in spans]
+    if max(widths) * n > raw.size:
+        return None
+    # One copy of the file, padded so every field's window fits.
+    buf = np.empty(raw.size + max(widths), dtype=np.uint8)
+    buf[: raw.size] = raw
+    buf[raw.size :] = 0
+    del data, raw
+    row_keys, col_keys, weight_keys = [
+        _fixed_width(buf, start, stop, width)
+        for (start, stop), width in zip(spans, widths)
+    ]
+    del buf, ends, tabs, starts, spans
     try:
-        w = np.fromiter(map(float, fields[2::3]), dtype=np.float64, count=n)
+        w = weight_keys.astype(np.float64)
     except ValueError:
         return None
+    del weight_keys
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         return None
-    rows = list(dict.fromkeys(fields[0::3]))
+    rows, ri = _intern(row_keys)
     if any(not lab or lab[0].isspace() or lab[0] == "#" for lab in rows):
         return None
-    cols = list(dict.fromkeys(fields[1::3]))
-    row_idx = {lab: i for i, lab in enumerate(rows)}
-    col_idx = {lab: j for j, lab in enumerate(cols)}
-    ri = np.fromiter(map(row_idx.__getitem__, fields[0::3]), np.int64, count=n)
-    ci = np.fromiter(map(col_idx.__getitem__, fields[1::3]), np.int64, count=n)
-    del fields
+    cols, ci = _intern(col_keys)
     nr, nc = len(rows), len(cols)
-    cells = np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
+    cells = _weight_matrix(
+        nr, nc, lambda: np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
+    )
     return rows, cols, cells.reshape(nr, nc)
+
+
+def _fixed_width(buf, start, stop, width: int) -> np.ndarray:
+    """buf[start[i]:stop[i]] for each i as an S<width> array, NUL padded."""
+    keys = sliding_window_view(buf, width)[start]
+    np.multiply(keys, np.arange(width) < (stop - start)[:, None], out=keys)
+    return keys.view(f"S{width}").ravel()
+
+
+def _intern(keys) -> tuple[list[str], np.ndarray]:
+    """Distinct keys decoded in first-appearance order, and each key's index."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return [lab.decode("utf-8") for lab in uniq[order].tolist()], rank[inverse]
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _weight_matrix(nr: int, nc: int, build) -> np.ndarray:
+    """build() the nr x nc float64 weight matrix, or DataError if it cannot fit.
+
+    Checked before build() runs, so a wide sparse file is refused without
+    allocating; a MemoryError from build() itself becomes the same error.
+    """
+    err = DataError(
+        f"{nr} x {nc} weight matrix needs {8 * nr * nc / 2**30:.3g} GiB, "
+        f"more than this machine's memory"
+    )
+    if 8 * nr * nc > _physical_memory():
+        raise err
+    try:
+        return build()
+    except MemoryError:
+        raise err from None
 
 
 def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -205,7 +273,8 @@ def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
             cols.append(col)
         key = (row, col)
         cells[key] = cells.get(key, 0.0) + weight
-    weights = np.zeros((len(rows), len(cols)))
+    nr, nc = len(rows), len(cols)
+    weights = _weight_matrix(nr, nc, lambda: np.zeros((nr, nc)))
     for (row, col), weight in cells.items():
         weights[row_seen[row], col_seen[col]] = weight
     return rows, cols, weights

@@ -5,6 +5,10 @@ catch one type at the boundary. The CLI maps subtrees to exit codes: config
 errors -> 2, data errors -> 3, solver errors -> 4.
 """
 
+import os
+import sys
+import warnings
+
 __all__ = [
     "CoupclustError",
     "ConfigError",
@@ -97,3 +101,14 @@ class ParseError(DataError):
         super().__init__(f"line {line}, byte {offset}: {message}")
         self.line = line
         self.offset = offset
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn_caller(message: str) -> None:
+    """A RuntimeWarning attributed to the first frame outside this package."""
+    frame, level = sys._getframe(1), 2  # level 2 is the frame that called this
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)

@@ -9,7 +9,6 @@ every item, k-accuracy by the covered ones.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq, nuclear
-from .errors import InvalidParams, LabelMismatch, ZeroMarginal
+from .errors import InvalidParams, LabelMismatch, ZeroMarginal, warn_caller
 from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
 from .nuclear import NuclearConfig, solve_nuclear
 
@@ -250,11 +249,9 @@ def elbow_curve(
         return curve
     for (k_prev, v_prev), (k_next, v_next) in zip(curve, curve[1:]):
         if v_next < v_prev - 1e-10:
-            warnings.warn(
+            warn_caller(
                 f"elbow curve decreased from k={k_prev} ({v_prev!r}) "
-                f"to k={k_next} ({v_next!r}); optimization likely stalled",
-                RuntimeWarning,
-                stacklevel=2,
+                f"to k={k_next} ({v_next!r}); optimization likely stalled"
             )
     return curve
 

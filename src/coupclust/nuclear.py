@@ -11,7 +11,6 @@ imposed, and the induced P_Z is whatever the assignments give.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     ZeroMarginal,
+    warn_caller,
 )
 
 __all__ = [
@@ -230,11 +230,9 @@ def solve_nuclear(
 
         trace.record(norm_val, 0.0, 0.0, float(kernel_mat.min()))
         if prev_norm is not None and norm_val < prev_norm - 1e-12:
-            warnings.warn(
+            warn_caller(
                 f"nuclear norm decreased between iterations "
-                f"({prev_norm!r} -> {norm_val!r})",
-                RuntimeWarning,
-                stacklevel=2,
+                f"({prev_norm!r} -> {norm_val!r})"
             )
         prev_norm = norm_val
 

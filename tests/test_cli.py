@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import coupclust
 from coupclust.cli import main
+from coupclust import data_io
 from coupclust.core import Pmf
 from coupclust.data_io import gen_planted_blocks, write_triplets
 
@@ -263,6 +264,30 @@ class TestExitCodes:
             ]
         )
         assert rc == 3
+
+    def test_wide_sparse_data_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        # 1.3 MB of distinct (row, col) pairs asks for a 200,000 x 200,000
+        # float64 matrix (298 GiB): refused from the shape, before allocating.
+        wide = tmp_path / "wide.tsv"
+        wide.write_text("".join(f"r{i}\tc{i}\t1\n" for i in range(200_000)))
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("weight matrix allocated")
+
+        monkeypatch.setattr(np, "bincount", no_alloc)
+        # Hosts with more memory than the matrix needs are capped at 64 GiB.
+        memory = min(data_io._physical_memory(), 64 * 2**30)
+        monkeypatch.setattr(data_io, "_physical_memory", lambda: memory)
+        rc = main(
+            [
+                "cluster", str(wide), "--algo", "nuclear", "--k", "2",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: 200000 x 200000 weight matrix" in err
+        assert "Traceback" not in err
 
     def test_solver_failure(self, planted, tmp_path):
         data, _ = planted

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coupclust import data_io
 from coupclust.core import JointPmf, SolveTrace, build_dtm, frobenius_sq
 from coupclust.data_io import (
     MAX_CELLS,
@@ -32,6 +34,7 @@ from coupclust.data_io import (
     write_triplets,
 )
 from coupclust.errors import (
+    DataError,
     EmptyAfterPruning,
     InvalidParams,
     InvalidRating,
@@ -120,11 +123,18 @@ def _outcome(reader, path):
 
 
 # Well-formed triplet lines with at most one odd line spliced in, so that
-# many files take the bulk path and each fallback rule is reached.
+# many files take the bulk path and each fallback rule is reached. Labels
+# include prefixes of each other, multibyte UTF-8 and one far wider label.
 _good_line = st.tuples(
-    st.sampled_from(["a", "b", "c d", "\u00e9", "x#"]),
-    st.sampled_from(["u", "v", " w", "u\x85"]),
-    st.sampled_from(["1", "0.5", "2", "0", "-0.0", "1_0", "1e308", " 1", "3e-320"]),
+    st.sampled_from(
+        ["a", "b", "c d", "\u00e9", "x#", "ab", "a b", "\u00e9\u00e9",
+         "\u4e2d", "L" * 40]
+    ),
+    st.sampled_from(["u", "v", " w", "u\x85", "uv", "u v", "\U0001f600"]),
+    st.sampled_from(
+        ["1", "0.5", "2", "0", "-0.0", "1_0", "1e308", " 1", "3e-320",
+         "0.30000000000000004", "12.5e-3", "1.7976931348623157e308"]
+    ),
 ).map("\t".join)
 _odd_line = st.one_of(
     st.sampled_from(
@@ -166,6 +176,9 @@ _triplet_bytes = st.one_of(
 @example(content=b"a\tu\tnan\n")
 @example(content=b"a\tu\t-0.0\n")
 @example(content=b"a\tu\t-1\n")
+@example(content=b"a\x00\tu\t1\na\tu\t2\n")  # NUL: "a\0" is not "a"
+@example(content=b"a\tu\t1\r\na\tu\t2\r\nab\tu\t3\r\n")  # CRLF, duplicates
+@example(content=b"a\tu\t1\r\nb\tv\t2\r")  # CRLF, no final newline
 @given(content=_triplet_bytes)
 def test_parse_triplets_matches_line_reader(content):
     """Any bytes: same labels and weight bits, or the same ParseError."""
@@ -194,12 +207,75 @@ def test_parse_triplets_matches_line_reader(content):
         (b"a\tu\t-1\n", False),
         (b"a\tu\tnan\n", False),
         (b"\xff\tu\t1\n", False),
+        # NUL bytes: S keys would read "a\0" as "a"
+        (b"a\x00\tu\t1\na\tu\t2\n", False),
+        (b"a\tu\t1\x00\n", False),
+        # widest field x line count must not exceed the file size
+        (b"L" * 64 + b"\tu\t1\n", True),
+        (b"a\tu\t1\nb\tv\t2\n" + b"L" * 64 + b"\tu\t1\n", False),
+        (b"a\tu\t1\nb\tv\t2\na\tu\t" + b"0" * 64 + b"\n", False),
     ],
 )
 def test_bulk_path_taken_only_on_well_formed_files(tmp_path, content, bulk):
     path = tmp_path / "t.tsv"
     path.write_bytes(content)
     assert (_parse_triplets_bulk(path) is not None) == bulk
+
+
+def test_write_triplets_output_parses_in_bulk_within_memory(tmp_path):
+    # Traced peak of the whole parse, against the size of the file.
+    joint, _ = gen_planted_blocks(4, 50, 1.0, 0.1, noise_seed=0)
+    path = tmp_path / "t.tsv"
+    write_triplets(path, joint.row_labels, joint.col_labels, joint.weights)
+    assert _parse_triplets_bulk(path) is not None
+    tracemalloc.start()
+    try:
+        parse_triplets(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * path.stat().st_size
+
+
+def test_bytes_cast_is_float():
+    # The bulk reader converts weights with numpy's S -> float64 cast; it
+    # must agree with float() bit for bit wherever it accepts a string.
+    cases = ["1", "0.1", "1_0", " 1", "1\r", "1 ", "-0.0", "3e-320", "1e309",
+             "1.7976931348623157e308", "0.30000000000000004", "+2.5E-3"]
+    got = np.array([c.encode() for c in cases], "S").astype(np.float64)
+    want = np.array([float(c) for c in cases])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("reader", [_parse_triplets_bulk, _parse_triplets_lines])
+def test_matrix_beyond_memory_refused_before_allocation(tmp_path, monkeypatch, reader):
+    # 200,000 x 200,000 float64 is 298 GiB: refused from the shape alone.
+    path = tmp_path / "wide.tsv"
+    path.write_text("".join(f"r{i}\tc{i}\t1\n" for i in range(200_000)))
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("weight matrix allocated")
+
+    monkeypatch.setattr(np, "bincount", no_alloc)
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(data_io, "_physical_memory", lambda: 64 * 2**30)
+    with pytest.raises(DataError, match="200000 x 200000 weight matrix"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", [_parse_triplets_bulk, _parse_triplets_lines])
+def test_memory_error_becomes_data_error(tmp_path, monkeypatch, reader):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tu\t1\nb\tv\t2\n")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "bincount", out_of_memory)
+    monkeypatch.setattr(np, "zeros", out_of_memory)
+    monkeypatch.setattr(data_io, "_physical_memory", lambda: math.inf)
+    with pytest.raises(DataError, match="2 x 2 weight matrix"):
+        reader(path)
 
 
 class TestDenseCsv:

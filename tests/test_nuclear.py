@@ -6,7 +6,12 @@ import pytest
 from coupclust.core import JointPmf, build_dtm, nuclear
 from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import DegenerateCluster, InvalidParams
-from coupclust.evaluation import harden, kernel_norm_value, matched_accuracy
+from coupclust.evaluation import (
+    elbow_curve,
+    harden,
+    kernel_norm_value,
+    matched_accuracy,
+)
 from coupclust.nuclear import (
     KyFanFeatures,
     NuclearConfig,
@@ -188,6 +193,24 @@ class TestSolve:
             _, trace = solve_nuclear(joint, NuclearConfig(k=3, seed=0))
         diffs = np.diff(trace.objectives)
         assert np.all(diffs >= -1e-12)
+
+    @pytest.mark.parametrize("caller", ["solve_nuclear", "elbow_curve"])
+    def test_warning_attributed_to_caller(self, caller):
+        # The 3-block input on which k = 4, seed 5 lowers the norm once. The
+        # warning names the first frame outside the package, not the solver
+        # or evaluation._solve.
+        joint, _ = gen_planted_blocks(3, 6, 1.0, 0.2, noise_seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if caller == "solve_nuclear":
+                solve_nuclear(joint, NuclearConfig(k=4, seed=5))
+            else:
+                elbow_curve(joint, [4], restarts=6)
+        decreases = [
+            w for w in caught if "nuclear norm decreased" in str(w.message)
+        ]
+        assert decreases
+        assert {w.filename for w in decreases} == {__file__}
 
     def test_kernel_step_monotone_and_attainment(self):
         joint, _ = gen_planted_blocks(2, 12, 1.0, 0.1, noise_seed=5)
