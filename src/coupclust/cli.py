@@ -511,6 +511,10 @@ def main(argv=None) -> int:
     except DataError as exc:
         _log(f"data error: {exc}")
         return 3
+    except MemoryError as exc:  # the input is too large for this machine
+        detail = f" ({exc})" if str(exc) else ""
+        _log(f"data error: out of memory{detail}")
+        return 3
     except SolverError as exc:
         _log(f"solver error: {exc}")
         return 4

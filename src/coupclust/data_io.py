@@ -62,6 +62,9 @@ __all__ = [
 # 5000 x 5000 float64 array is 200 MB.
 MAX_CELLS = 25_000_000
 
+# Odd 64-bit multiplier of the label hash in _intern (the golden ratio).
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+
 
 @dataclass(frozen=True)
 class PruneReport:
@@ -120,11 +123,12 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
     Label order is first appearance. ParseError carries the 1-based line
     number and the byte offset of the offending line's start.
 
-    A file of plain `row<TAB>col<TAB>weight` lines with valid weights, no NUL
-    byte and no field much wider than an average line is read in bulk; any
-    other file goes through the line reader. Both give the same labels and
-    bitwise the same weights. A DataError names the shape when the dense
-    |Y| x |X| matrix would not fit in memory, before it is allocated.
+    A file of plain `row<TAB>col<TAB>weight` lines with valid weights and no
+    NUL byte is read in bulk, unless its fixed-width fields would take more
+    than a quarter of memory; any other file goes through the line reader.
+    Both give the same labels and bitwise the same weights. A DataError
+    names the shape when the dense |Y| x |X| matrix would not fit in memory,
+    before it is allocated.
     """
     bulk = _parse_triplets_bulk(path)
     if bulk is not None:
@@ -145,9 +149,11 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     Fields are cut from the delimiter offsets into fixed-width `S` arrays,
     so no Python object is made per line or field: weights convert with
     numpy's `S` -> float64 cast (Python's float parser, ASCII only) and
-    labels are interned with np.unique. `S` keys drop trailing NULs, hence
-    the NUL rule; a column whose widest field times the line count exceeds
-    the file size is declined too, so one long label cannot blow up memory.
+    labels are interned by hash in _intern. `S` keys drop trailing NULs,
+    hence the NUL rule. Each column's array is its widest field times the
+    line count, so a file is declined when the three arrays would exceed a
+    quarter of memory (_intern makes a gathered copy of each to compare);
+    a few long labels among short ones are still read in bulk.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -173,7 +179,8 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
         (starts, tabs[0::2]), (tabs[0::2] + 1, tabs[1::2]), (tabs[1::2] + 1, ends)
     ]
     widths = [max(int((stop - start).max()), 1) for start, stop in spans]
-    if max(widths) * n > raw.size:
+    widths[:2] = [-(-w // 8) * 8 for w in widths[:2]]  # whole words for _intern
+    if sum(widths) * n > _physical_memory() / 4:
         return None
     # One copy of the file, padded so every field's window fits.
     buf = np.empty(raw.size + max(widths), dtype=np.uint8)
@@ -197,9 +204,8 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
         return None
     cols, ci = _intern(col_keys)
     nr, nc = len(rows), len(cols)
-    cells = _weight_matrix(
-        nr, nc, lambda: np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
-    )
+    _check_matrix_fits(nr, nc)
+    cells = np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
     return rows, cols, cells.reshape(nr, nc)
 
 
@@ -211,12 +217,31 @@ def _fixed_width(buf, start, stop, width: int) -> np.ndarray:
 
 
 def _intern(keys) -> tuple[list[str], np.ndarray]:
-    """Distinct keys decoded in first-appearance order, and each key's index."""
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return [lab.decode("utf-8") for lab in uniq[order].tolist()], rank[inverse]
+    """Distinct keys decoded in first-appearance order, and each key's index.
+
+    keys is S<8m>. Each key is hashed to one 64-bit word, and the hashes are
+    grouped with an unstable argsort, far faster than sorting wide byte
+    strings. A hash collision, caught by comparing every key with the first
+    of its group, falls back to np.unique on the keys themselves.
+    """
+    words = keys.view(np.uint64).reshape(keys.size, -1)
+    h = words[:, 0] * _HASH_MULT
+    for word in words.T[1:]:
+        h ^= word
+        h *= _HASH_MULT
+    order = np.argsort(h)
+    sorted_h = h[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_h[1:] != sorted_h[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=h.size))
+    if not np.array_equal(keys[first][inverse], keys):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    labels = [lab.decode("utf-8") for lab in keys[first[by_first]].tolist()]
+    return labels, rank[inverse]
 
 
 def _physical_memory() -> float:
@@ -227,22 +252,17 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _weight_matrix(nr: int, nc: int, build) -> np.ndarray:
-    """build() the nr x nc float64 weight matrix, or DataError if it cannot fit.
+def _check_matrix_fits(nr: int, nc: int) -> None:
+    """DataError naming the shape if an nr x nc float64 matrix exceeds memory.
 
-    Checked before build() runs, so a wide sparse file is refused without
-    allocating; a MemoryError from build() itself becomes the same error.
+    Called before the matrix is allocated, so a wide sparse file is refused
+    even where the allocation itself would succeed under overcommit.
     """
-    err = DataError(
-        f"{nr} x {nc} weight matrix needs {8 * nr * nc / 2**30:.3g} GiB, "
-        f"more than this machine's memory"
-    )
     if 8 * nr * nc > _physical_memory():
-        raise err
-    try:
-        return build()
-    except MemoryError:
-        raise err from None
+        raise DataError(
+            f"{nr} x {nc} weight matrix needs {8 * nr * nc / 2**30:.3g} GiB, "
+            f"more than this machine's memory"
+        )
 
 
 def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -274,7 +294,8 @@ def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
         key = (row, col)
         cells[key] = cells.get(key, 0.0) + weight
     nr, nc = len(rows), len(cols)
-    weights = _weight_matrix(nr, nc, lambda: np.zeros((nr, nc)))
+    _check_matrix_fits(nr, nc)
+    weights = np.zeros((nr, nc))
     for (row, col), weight in cells.items():
         weights[row_seen[row], col_seen[col]] = weight
     return rows, cols, weights

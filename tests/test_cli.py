@@ -266,7 +266,7 @@ class TestExitCodes:
         assert rc == 3
 
     def test_wide_sparse_data_is_a_data_error(self, tmp_path, capsys, monkeypatch):
-        # 1.3 MB of distinct (row, col) pairs asks for a 200,000 x 200,000
+        # 3.4 MB of distinct (row, col) pairs asks for a 200,000 x 200,000
         # float64 matrix (298 GiB): refused from the shape, before allocating.
         wide = tmp_path / "wide.tsv"
         wide.write_text("".join(f"r{i}\tc{i}\t1\n" for i in range(200_000)))
@@ -287,6 +287,28 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "data error: 200000 x 200000 weight matrix" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_a_data_error(
+        self, planted, tmp_path, capsys, monkeypatch
+    ):
+        # A matrix that passes the shape check can still exhaust memory once
+        # ingest copies it; that too is a data error, not a traceback.
+        data, _ = planted
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+        monkeypatch.setattr("coupclust.cli.ingest", out_of_memory)
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "nuclear", "--k", "2",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: out of memory (Unable to allocate 11.9 GiB" in err
         assert "Traceback" not in err
 
     def test_solver_failure(self, planted, tmp_path):

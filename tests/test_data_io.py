@@ -210,16 +210,27 @@ def test_parse_triplets_matches_line_reader(content):
         # NUL bytes: S keys would read "a\0" as "a"
         (b"a\x00\tu\t1\na\tu\t2\n", False),
         (b"a\tu\t1\x00\n", False),
-        # widest field x line count must not exceed the file size
+        # a few long fields among short lines are still read in bulk
         (b"L" * 64 + b"\tu\t1\n", True),
-        (b"a\tu\t1\nb\tv\t2\n" + b"L" * 64 + b"\tu\t1\n", False),
-        (b"a\tu\t1\nb\tv\t2\na\tu\t" + b"0" * 64 + b"\n", False),
+        (b"a\tu\t1\nb\tv\t2\n" + b"L" * 64 + b"\tu\t1\n", True),
+        (b"a\tu\t1\nb\tv\t2\na\tu\t" + b"0" * 64 + b"\n", True),
+        (b"ab\tcd\t1\n" * 8 + b"W" * 40 + b"\tcd\t2\n" + b"ab\tcd\t3\n" * 8, True),
     ],
 )
 def test_bulk_path_taken_only_on_well_formed_files(tmp_path, content, bulk):
     path = tmp_path / "t.tsv"
     path.write_bytes(content)
     assert (_parse_triplets_bulk(path) is not None) == bulk
+
+
+def test_label_hash_collision_falls_back_to_sorting_keys(tmp_path, monkeypatch):
+    # A zero multiplier hashes every label to 0: all of them collide.
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"b\tu\t1\na\tv\t2\n" + b"L" * 20 + b"\tu\t3\nb\tw\t4\n")
+    want = _outcome(_parse_triplets_lines, path)
+    monkeypatch.setattr(data_io, "_HASH_MULT", np.uint64(0))
+    assert _parse_triplets_bulk(path) is not None
+    assert _outcome(parse_triplets, path) == want
 
 
 def test_write_triplets_output_parses_in_bulk_within_memory(tmp_path):
@@ -263,19 +274,14 @@ def test_matrix_beyond_memory_refused_before_allocation(tmp_path, monkeypatch, r
         reader(path)
 
 
-@pytest.mark.parametrize("reader", [_parse_triplets_bulk, _parse_triplets_lines])
-def test_memory_error_becomes_data_error(tmp_path, monkeypatch, reader):
+@pytest.mark.parametrize("memory, bulk", [(1167, False), (1168, True)])
+def test_bulk_path_declines_fields_beyond_memory(tmp_path, monkeypatch, memory, bulk):
+    # 4 lines x (64 + 8 + 1) key bytes = 292, a quarter of 1168 (label keys
+    # are whole 8-byte words).
     path = tmp_path / "t.tsv"
-    path.write_text("a\tu\t1\nb\tv\t2\n")
-
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(np, "bincount", out_of_memory)
-    monkeypatch.setattr(np, "zeros", out_of_memory)
-    monkeypatch.setattr(data_io, "_physical_memory", lambda: math.inf)
-    with pytest.raises(DataError, match="2 x 2 weight matrix"):
-        reader(path)
+    path.write_bytes(b"a\tu\t1\n" * 3 + b"L" * 64 + b"\tu\t1\n")
+    monkeypatch.setattr(data_io, "_physical_memory", lambda: memory)
+    assert (_parse_triplets_bulk(path) is not None) == bulk
 
 
 class TestDenseCsv:
