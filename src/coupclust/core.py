@@ -26,18 +26,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    CoupclustError,
     DataError,
     DimensionMismatch,
     InvalidDistribution,
+    InvalidParams,
     MarginalMismatch,
     ZeroMarginal,
 )
-from .svd import exact_svd
+from .svd import SPECTRAL_TOL, check_dtm_spectrum, exact_svd, gram_top
 
 MASS_TOL = 1e-12
 KERNEL_COL_TOL = 1e-9
-SPECTRAL_TOL = 1e-10
 
 __all__ = [
     "Pmf",
@@ -235,8 +234,8 @@ class Dtm:
     Rows and columns each carry the marginal they were whitened by, and the
     matrix must satisfy B sqrt(col) = sqrt(row) and B^T sqrt(row) =
     sqrt(col), as the DTM of a joint does. Its top singular value is then
-    exactly 1 and all singular values lie in [0, 1]; the cached SVD checks
-    both.
+    exactly 1 and all singular values lie in [0, 1]; the cached SVD and
+    `top` both check this.
     """
 
     __slots__ = ("matrix", "row_pmf", "col_pmf", "_svd", "_lock")
@@ -278,18 +277,27 @@ class Dtm:
             with self._lock:
                 if self._svd is None:
                     u, s, vt = exact_svd(self.matrix)
-                    if abs(float(s[0]) - 1.0) > SPECTRAL_TOL:
-                        raise CoupclustError(
-                            f"top singular value {s[0]!r} != 1; "
-                            "DTM invariant violated"
-                        )
-                    if float(s[-1]) < -SPECTRAL_TOL:
-                        raise CoupclustError("negative singular value")
+                    check_dtm_spectrum(s)
                     u.setflags(write=False)
                     s.setflags(write=False)
                     vt.setflags(write=False)
                     self._svd = (u, s, vt)
         return self._svd
+
+    def top(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """(U[:, :r], the r largest singular values), without V; not cached.
+
+        One eigensolve of the smaller Gram matrix (`svd.gram_top`), much
+        cheaper than the full SVD when only a few left vectors are needed.
+        Singular values below about sqrt(eps) are not resolved: they come
+        back as the root of an eigenvalue at rounding level, or 0.
+        """
+        r = int(r)
+        if not 1 <= r <= min(self.shape):
+            raise InvalidParams(f"r = {r} outside 1..{min(self.shape)}")
+        u, lam = gram_top(self.matrix, r)
+        check_dtm_spectrum(lam)
+        return u, np.sqrt(np.maximum(lam, 0.0))
 
     def singular_values(self) -> np.ndarray:
         return self.svd()[1]

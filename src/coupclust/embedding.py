@@ -1,9 +1,10 @@
 """Item embeddings from the whitened left singular vectors of the DTM.
 
-Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d], with U
-from the DTM's cached full SVD. The first coordinate is constant across
-items (the top singular vector of a DTM is sqrt of the marginal), so
-informative dimensions start at 2.
+Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d], with the
+d leading left singular vectors U[:, :d] from `Dtm.top(d)`: one eigensolve
+of the DTM's smaller Gram matrix, with no full SVD. The first coordinate
+is constant across items (the top singular vector of a DTM is sqrt of the
+marginal), so informative dimensions start at 2.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from .core import JointPmf, build_dtm
 from .errors import InvalidParams, RankDeficient
 
 __all__ = ["EmbeddingMatrix", "dtm_embed", "write_embedding_tsv"]
-
-_RANK_EPS = 1e-12
 
 
 class EmbeddingMatrix:
@@ -48,9 +47,12 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 def dtm_embed(joint: JointPmf, d: int) -> EmbeddingMatrix:
     """Embed items as rows of [P_Y]^{-1/2} U[:, :d].
 
-    Each column's sign is fixed so that its largest-magnitude entry is
-    positive. Raises RankDeficient when d exceeds the numerical rank of the
-    DTM.
+    U[:, :d] comes from `Dtm.top(d)`. Each column's sign is fixed so that
+    its largest-magnitude entry is positive. Raises RankDeficient when d
+    exceeds min(|Y|, |X|) or the numerical rank of the DTM. The rank is
+    judged on the Gram eigenvalues lambda = sigma^2 by numpy's
+    `matrix_rank` rule: lambda_d <= max(|Y|, |X|) * eps * lambda_1 counts
+    as zero, i.e. sigma_d <= sqrt(max(|Y|, |X|) * eps), about 4e-7 at 768.
     """
     d = int(d)
     if d < 1:
@@ -59,14 +61,16 @@ def dtm_embed(joint: JointPmf, d: int) -> EmbeddingMatrix:
         raise RankDeficient(
             f"d = {d} exceeds min(|Y|, |X|) = {min(joint.shape)}"
         )
-    u, s, _ = build_dtm(joint).svd()
-    if int(np.sum(s > _RANK_EPS)) < d:
+    u, s = build_dtm(joint).top(d)
+    cutoff = max(joint.shape) * np.finfo(np.float64).eps * float(s[0]) ** 2
+    rank = int(np.sum(s**2 > cutoff))
+    if rank < d:
         raise RankDeficient(
-            f"d = {d} exceeds the numerical rank "
-            f"{int(np.sum(s > _RANK_EPS))} of the DTM"
+            f"d = {d} exceeds the numerical rank {rank} of the DTM: "
+            f"sigma_{d} = {float(s[d - 1]):.3g} is at or below the threshold "
+            f"{np.sqrt(cutoff):.3g} = sqrt(max(|Y|, |X|) * eps) * sigma_1"
         )
-    u = _fix_signs(u[:, :d])
-    vectors = u / joint.marginal_y.sqrt_probs[:, None]
+    vectors = _fix_signs(u) / joint.marginal_y.sqrt_probs[:, None]
     return EmbeddingMatrix(joint.row_labels, vectors)
 
 

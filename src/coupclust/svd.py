@@ -1,10 +1,13 @@
 """SVD routines.
 
-Every SVD of a DTM is LAPACK's full factorization (`exact_svd`), computed
-once and cached on the Dtm, whatever the size of the matrix or the number of
-singular vectors a caller reads. The Frobenius step size needs only the top
-eigenvalue of a symmetric operator, which `top_singular_value_sym` estimates
-by power iteration.
+A DTM has two spectral routes. `exact_svd` is LAPACK's full factorization,
+which the Dtm caches for the callers that need V or every singular value
+(the Ky Fan features and the nuclear norm). `gram_top` gives the leading r
+left singular vectors alone, from one symmetric eigensolve of the smaller
+Gram matrix; the item embedding reads only those. `check_dtm_spectrum`
+holds the DTM invariants that both routes assert. The Frobenius step size
+needs only the top eigenvalue of a symmetric operator, which
+`top_singular_value_sym` estimates by power iteration.
 """
 
 from __future__ import annotations
@@ -14,12 +17,51 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import CoupclustError, NonFinite
+
+SPECTRAL_TOL = 1e-10
 
 
 def exact_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD, singular values descending. Returns (U, s, Vt)."""
     return np.linalg.svd(matrix, full_matrices=False)
+
+
+def gram_top(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading r left singular vectors and squared singular values, descending.
+
+    One `eigh` of the smaller Gram matrix: B B^T when B has no more rows
+    than columns, whose eigenvectors are U; else B^T B, whose eigenvectors
+    V give U as the orthonormalized B V (column j is B v_j / sigma_j).
+    Squaring halves the digits left to small singular values: an
+    eigenvalue is accurate to about eps * sigma_1^2, so sigma below
+    sqrt(eps) * sigma_1 is not resolved. Returns (U, eigenvalues); the
+    eigenvalues can be slightly negative where sigma is zero.
+    """
+    wide = matrix.shape[0] <= matrix.shape[1]
+    lam, vecs = np.linalg.eigh(matrix @ matrix.T if wide else matrix.T @ matrix)
+    lam = lam[::-1][:r]
+    vecs = vecs[:, ::-1][:, :r]
+    if wide:
+        return np.ascontiguousarray(vecs), lam
+    # QR rather than dividing by sigma: orthonormal even where sigma is 0.
+    return np.linalg.qr(matrix @ vecs)[0], lam
+
+
+def check_dtm_spectrum(values: np.ndarray) -> None:
+    """Raise CoupclustError unless a DTM's spectrum tops at 1 and is >= 0.
+
+    values: descending singular values, or their squares (both tests hold
+    for either), within SPECTRAL_TOL. The DTM of a joint meets both, so a
+    failure means the matrix is not one.
+    """
+    if not abs(float(values[0]) - 1.0) <= SPECTRAL_TOL:
+        raise CoupclustError(
+            f"top of the spectrum {float(values[0])!r} != 1; "
+            "DTM invariant violated"
+        )
+    if float(values[-1]) < -SPECTRAL_TOL:
+        raise CoupclustError("negative singular value")
 
 
 def top_singular_value_sym(

@@ -607,6 +607,35 @@ class TestEmbedCmd:
         coords = [float(r.split("\t")[1]) for r in rows]
         assert np.ptp(coords) <= 1e-8
 
+    def test_rank_deficient_is_a_config_error(self, tmp_path, capsys):
+        # Two distinct row profiles: the DTM has rank 2.
+        data = tmp_path / "rank2.tsv"
+        weights = np.array([[4.0, 1, 1], [4, 1, 1], [1, 3, 2], [1, 3, 2]])
+        write_triplets(data, ("a", "b", "c", "d"), ("u", "v", "w"), weights)
+        rc = main(["embed", str(data), "--d", "3", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: d = 3 exceeds the numerical rank 2" in err
+        assert "threshold 2.98e-08" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "embedding.tsv").exists()
+
+    def test_byte_identical_rerun(self, planted, tmp_path):
+        data, _ = planted
+        copy = tmp_path / "copy" / "data.tsv"
+        copy.parent.mkdir()
+        copy.write_bytes(data.read_bytes())
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["embed", str(data), "--d", "3", "--out", str(out1)]) == 0
+        assert main(["embed", str(copy), "--d", "3", "--out", str(out2)]) == 0
+        tsv = (out1 / "embedding.tsv").read_bytes()
+        assert tsv == (out2 / "embedding.tsv").read_bytes()
+        assert len(tsv.splitlines()) == 20
+        m1 = json.loads((out1 / "manifest.json").read_text())
+        m2 = json.loads((out2 / "manifest.json").read_text())
+        assert m1["config"].pop("input") != m2["config"].pop("input")
+        assert m1 == m2
+
 
 # Raw bytes, or well-formed triplet, dense CSV or pmf/label lines with at
 # most one line of noise, so that generated inputs also reach the solvers and

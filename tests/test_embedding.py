@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf
+import coupclust.core
+import coupclust.svd
+from coupclust.core import Dtm, JointPmf, build_dtm
 from coupclust.embedding import dtm_embed, write_embedding_tsv
 from coupclust.errors import InvalidParams, RankDeficient
 
@@ -63,6 +65,56 @@ class TestDtmEmbed:
         e1 = dtm_embed(joint, 3)
         e2 = dtm_embed(joint, 3)
         assert np.array_equal(e1.vectors, e2.vectors)
+
+
+    def test_no_full_svd(self, rng, monkeypatch):
+        # The embedding reads only U[:, :d], from one Gram eigensolve.
+        joint = random_joint(rng, 9, 7)
+        ref = np.linalg.svd(build_dtm(joint).matrix)[0][:, :4]
+
+        def full_svd(*args, **kwargs):
+            raise AssertionError("full SVD taken")
+
+        monkeypatch.setattr(Dtm, "svd", full_svd)
+        monkeypatch.setattr(coupclust.core, "exact_svd", full_svd)
+        monkeypatch.setattr(coupclust.svd, "exact_svd", full_svd)
+        emb = dtm_embed(joint, 4)
+        u = emb.vectors * joint.marginal_y.sqrt_probs[:, None]
+        np.testing.assert_allclose(np.abs(u.T @ ref), np.eye(4), atol=1e-10)
+
+
+RANK2 = np.array(
+    [
+        [4.0, 1.0, 1.0],
+        [4.0, 1.0, 1.0],
+        [1.0, 3.0, 2.0],
+        [1.0, 3.0, 2.0],
+    ]
+)
+
+
+class TestRankThreshold:
+    # RANK2 + eps * E00: sigma_3 grows with eps. The cutoff is
+    # sqrt(max(|Y|, |X|) * eps_machine) = 3e-8 here: a sigma_3 of 1e-5
+    # counts toward the rank, one of 1e-9 is below what the Gram
+    # eigenvalues resolve.
+    @pytest.mark.parametrize(
+        "eps, sigma_3, accepted", [(1.2e-3, 1e-5, True), (1.2e-7, 1e-9, False)]
+    )
+    def test_third_dimension(self, eps, sigma_3, accepted):
+        w = RANK2.copy()
+        w[0, 0] += eps
+        joint = JointPmf.from_weights(("a", "b", "c", "d"), ("u", "v", "w"), w)
+        s = np.linalg.svd(build_dtm(joint).matrix, compute_uv=False)
+        assert sigma_3 / 2 < s[2] < sigma_3 * 2
+        if accepted:
+            emb = dtm_embed(joint, 3)
+            u = emb.vectors * joint.marginal_y.sqrt_probs[:, None]
+            np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
+        else:
+            match = r"numerical rank 2 .*threshold 2\.98e-08"
+            with pytest.raises(RankDeficient, match=match):
+                dtm_embed(joint, 3)
 
 
 class TestTsv:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, build_dtm
-from coupclust.errors import NonFinite
+from coupclust.core import Dtm, JointPmf, build_dtm
+from coupclust.errors import CoupclustError, InvalidParams, NonFinite
 from coupclust.svd import exact_svd, top_singular_value_sym
 
 
@@ -23,6 +23,58 @@ def test_dtm_svd_is_lapack_at_every_size(rng, shape):
     expected = np.linalg.svd(b.matrix, full_matrices=False)
     for got, want in zip(b.svd(), expected):
         assert np.array_equal(got, want)
+
+
+def _sparse_joint(rng, shape, density=0.05):
+    weights = rng.random(shape) * (rng.random(shape) < density)
+    assert np.all(weights.sum(axis=0) > 0) and np.all(weights.sum(axis=1) > 0)
+    rows = tuple(f"y{i}" for i in range(shape[0]))
+    cols = tuple(f"x{j}" for j in range(shape[1]))
+    return JointPmf.from_weights(rows, cols, weights)
+
+
+@pytest.mark.parametrize("shape", [(300, 900), (900, 300), (400, 400)])
+def test_top_matches_full_svd(rng, shape):
+    # Wide joints take eigh(B B^T), tall ones eigh(B^T B) and U = qr(B V).
+    b = build_dtm(_sparse_joint(rng, shape))
+    r = 16
+    u, s = b.top(r)
+    u_ref, s_ref, _ = exact_svd(b.matrix)
+    u_ref = u_ref[:, :r]
+    assert u.shape == (shape[0], r)
+    np.testing.assert_allclose(s, s_ref[:r], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
+    assert np.linalg.norm(u - u_ref @ (u_ref.T @ u), 2) <= 1e-10
+
+
+def test_top_rejects_r_out_of_range(rng):
+    weights = rng.uniform(0.1, 1.0, size=(5, 4))
+    b = build_dtm(JointPmf.from_weights(tuple("abcde"), tuple("uvwx"), weights))
+    for r in (0, 5):
+        with pytest.raises(InvalidParams, match=r"outside 1\.\.4"):
+            b.top(r)
+    assert b.top(4)[0].shape == (5, 4)
+
+
+def test_top_checks_the_dtm_invariant(rng):
+    # B + 3 u v^T with u _|_ sqrt(P_Y), v _|_ sqrt(P_X) keeps both marginal
+    # identities, so Dtm accepts it, but its top singular value is >= 2.
+    joint = JointPmf.from_weights(
+        tuple("abcde"), tuple("uvwx"), rng.uniform(0.1, 1.0, size=(5, 4))
+    )
+    sy, sx = joint.marginal_y.sqrt_probs, joint.marginal_x.sqrt_probs
+    u = rng.normal(size=5)
+    u -= (u @ sy) * sy
+    v = rng.normal(size=4)
+    v -= (v @ sx) * sx
+    matrix = build_dtm(joint).matrix + 3.0 * np.outer(u, v) / (
+        np.linalg.norm(u) * np.linalg.norm(v)
+    )
+    bad = Dtm(matrix, joint.marginal_y, joint.marginal_x)
+    with pytest.raises(CoupclustError, match="DTM invariant violated"):
+        bad.svd()
+    with pytest.raises(CoupclustError, match="DTM invariant violated"):
+        bad.top(2)
 
 
 def test_top_singular_value_sym(rng):
