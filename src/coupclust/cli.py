@@ -43,6 +43,7 @@ from .data_io import (
 from .embedding import dtm_embed, write_embedding_tsv
 from .errors import ConfigError, CoupclustError, DataError, SolverError
 from .evaluation import (
+    _check_same_items,
     _solve,
     build_report,
     elbow_curve,
@@ -106,6 +107,23 @@ def _resolve_pz(args, k: int, joint: JointPmf) -> Pmf:
     return pz
 
 
+def _load_truth(path, joint: JointPmf, prune) -> dict[str, str]:
+    """Truth labels of the items left after pruning, checked before solving.
+
+    Labels of pruned items are dropped with a note; any other item missing
+    from or extra to the truth file is a LabelMismatch (exit 3).
+    """
+    truth = load_labels(path)
+    pruned = [i for i in prune.pruned_rows if truth.pop(i, None) is not None]
+    if pruned:
+        _log(
+            f"note: ignoring the truth labels of {len(pruned)} pruned "
+            f"item(s), first {pruned[0]!r}"
+        )
+    _check_same_items(dict.fromkeys(joint.row_labels), truth)
+    return truth
+
+
 def _resolve_lambda(args) -> float:
     # --lambda defaults to None so that the nuclear solver can reject it when
     # it is set; the manifest records the Frobenius default in its place.
@@ -131,6 +149,8 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     )
     lam = _resolve_lambda(args)
     p_z = _resolve_pz(args, k, joint) if args.algo == "frobenius" else None
+    if args.truth is not None:
+        truth = _load_truth(args.truth, joint, prune)
 
     best = None
     for restart in range(args.restarts):
@@ -180,7 +200,6 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     )
 
     if args.truth is not None:
-        truth = load_labels(args.truth)
         report = build_report(joint, kernel, truth, args.algo)
         _write_json(out_dir / "report.json", report.as_dict())
         print(format_report_table(report))
@@ -296,6 +315,11 @@ def _cmd_elbow(args, out_dir: Path) -> int:
     p_z = None
     if args.pz not in (None, "uniform"):
         p_z = load_pmf(args.pz)
+        for k in args.ks.values:
+            if k != len(p_z):
+                raise ConfigError(
+                    f"--pz has {len(p_z)} entries but --ks includes k = {k}"
+                )
     curve = elbow_curve(
         joint,
         args.ks.values,

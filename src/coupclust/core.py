@@ -13,13 +13,12 @@ Conventions, used everywhere downstream:
   other.
 
 All types except the solvers' SolveTrace history are immutable after
-construction and safe to share across threads; the SVD cache on Dtm is
-compute-once.
+construction and safe to share across threads. Nothing is cached: a Dtm
+takes a fresh SVD or eigensolve on every spectral call.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .errors import (
     MarginalMismatch,
     ZeroMarginal,
 )
-from .svd import SPECTRAL_TOL, check_dtm_spectrum, exact_svd, gram_top
+from .svd import SPECTRAL_TOL, check_dtm_spectrum, gram_top
 
 MASS_TOL = 1e-12
 KERNEL_COL_TOL = 1e-9
@@ -229,16 +228,16 @@ class CouplingKernel:
 
 
 class Dtm:
-    """Divergence transition matrix with a lazily computed SVD.
+    """Divergence transition matrix: the whitened joint and its marginals.
 
     Rows and columns each carry the marginal they were whitened by, and the
     matrix must satisfy B sqrt(col) = sqrt(row) and B^T sqrt(row) =
     sqrt(col), as the DTM of a joint does. Its top singular value is then
-    exactly 1 and all singular values lie in [0, 1]; the cached SVD and
+    exactly 1 and all singular values lie in [0, 1]; `singular_values` and
     `top` both check this.
     """
 
-    __slots__ = ("matrix", "row_pmf", "col_pmf", "_svd", "_lock")
+    __slots__ = ("matrix", "row_pmf", "col_pmf")
 
     def __init__(self, matrix: np.ndarray, row_pmf: Pmf, col_pmf: Pmf):
         mat = _freeze(np.atleast_2d(matrix))
@@ -264,31 +263,16 @@ class Dtm:
         self.matrix = mat
         self.row_pmf = row_pmf
         self.col_pmf = col_pmf
-        self._svd = None
-        self._lock = threading.Lock()
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, singular values descending, Vt); computed once, then cached."""
-        if self._svd is None:
-            with self._lock:
-                if self._svd is None:
-                    u, s, vt = exact_svd(self.matrix)
-                    check_dtm_spectrum(s)
-                    u.setflags(write=False)
-                    s.setflags(write=False)
-                    vt.setflags(write=False)
-                    self._svd = (u, s, vt)
-        return self._svd
-
     def top(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """(U[:, :r], the r largest singular values), without V; not cached.
 
         One eigensolve of the smaller Gram matrix (`svd.gram_top`), much
-        cheaper than the full SVD when only a few left vectors are needed.
+        cheaper than a full SVD when only a few left vectors are needed.
         Singular values below about sqrt(eps) are not resolved: they come
         back as the root of an eigenvalue at rounding level, or 0.
         """
@@ -300,7 +284,10 @@ class Dtm:
         return u, np.sqrt(np.maximum(lam, 0.0))
 
     def singular_values(self) -> np.ndarray:
-        return self.svd()[1]
+        """All singular values, descending, from LAPACK; not cached."""
+        s = np.linalg.svd(self.matrix, compute_uv=False)
+        check_dtm_spectrum(s)
+        return s
 
 
 @dataclass

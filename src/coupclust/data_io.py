@@ -429,8 +429,15 @@ def load_pmf(path) -> Pmf:
 
 
 def load_labels(path) -> dict[str, str]:
-    """Read `item<TAB>label` lines into an assignment mapping."""
-    out = {item: label for _, _, (item, label) in _read_lines(path, 2)}
+    """Read `item<TAB>label` lines into an assignment mapping.
+
+    An item listed twice is a ParseError on its second line.
+    """
+    out: dict[str, str] = {}
+    for lineno, offset, (item, label) in _read_lines(path, 2):
+        if item in out:
+            raise ParseError(f"duplicate item {item!r}", lineno, offset)
+        out[item] = label
     if not out:
         raise ParseError("empty label file", 1, 0)
     return out

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq, nuclear
+from .core import CouplingKernel, JointPmf, Pmf, build_dtm
 from .errors import InvalidParams, LabelMismatch, ZeroMarginal, warn_caller
 from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
-from .nuclear import NuclearConfig, solve_nuclear
+from .nuclear import NuclearConfig, _chain_svd, solve_nuclear
 
 __all__ = [
     "ClusteringReport",
@@ -41,6 +41,18 @@ def harden(kernel: CouplingKernel) -> dict[str, str]:
     }
 
 
+def _check_same_items(pred: Mapping, truth: Mapping) -> None:
+    """LabelMismatch naming the first pred item without a truth label, else
+    the first truth item that is not a pred item."""
+    what = "pred and truth cover different item sets"
+    for item in pred:
+        if item not in truth:
+            raise LabelMismatch(f"{what}: {item!r} has no truth label")
+    for item in truth:
+        if item not in pred:
+            raise LabelMismatch(f"{what}: truth labels {item!r}, which is not an item")
+
+
 def _aligned_labels(pred, truth) -> tuple[list, list]:
     pred_is_map = isinstance(pred, Mapping)
     truth_is_map = isinstance(truth, Mapping)
@@ -49,8 +61,7 @@ def _aligned_labels(pred, truth) -> tuple[list, list]:
             "pred and truth must both be mappings or both be sequences"
         )
     if pred_is_map:
-        if set(pred.keys()) != set(truth.keys()):
-            raise LabelMismatch("pred and truth cover different item sets")
+        _check_same_items(pred, truth)
         items = list(pred.keys())
         return [pred[i] for i in items], [truth[i] for i in items]
     if not isinstance(pred, Sequence) or not isinstance(truth, Sequence):
@@ -172,18 +183,21 @@ def kernel_norm_value(joint: JointPmf, kernel: CouplingKernel, algorithm: str) -
     cluster empty (the solver only penalizes the cluster marginal); the norm
     is then taken over the clusters that receive mass, which is its limit as
     the empty cluster's mass goes to 0. The nuclear solver keeps every
-    cluster alive, so an empty one is rejected there.
+    cluster alive, so an empty one is rejected there. Both norms come from
+    the singular values of the solver's own chain SVD, so the nuclear value
+    of a solve_nuclear kernel is its last traced objective, bit for bit.
     """
     if algorithm not in ("frobenius", "nuclear"):
         raise InvalidParams(f"unknown algorithm {algorithm!r}")
-    chain_w = kernel.kernel @ joint.weights
-    live = chain_w.sum(axis=1) > 0
+    py = joint.marginal_y.probs
+    live = kernel.kernel @ py > 0
     if algorithm == "nuclear" and not np.all(live):
         raise ZeroMarginal("kernel leaves a cluster with zero mass")
-    labels = tuple(z for z, keep in zip(kernel.cluster_labels, live) if keep)
-    chain = JointPmf.from_weights(labels, joint.col_labels, chain_w[live])
-    b = build_dtm(chain)
-    return frobenius_sq(b) if algorithm == "frobenius" else nuclear(b)
+    # A kernel's columns may miss 1 by KERNEL_COL_TOL, more than the chain's
+    # sigma_1 = 1 check allows; one-hot columns divide by exactly 1.
+    kern = kernel.kernel[live] / kernel.kernel.sum(axis=0)
+    s = _chain_svd(build_dtm(joint).matrix, py, kern)[1]
+    return float(np.sum(s * s)) if algorithm == "frobenius" else float(np.sum(s))
 
 
 def _solve(joint, algorithm, k, seed, p_z=None, lam=None, alpha=None, tol=None):

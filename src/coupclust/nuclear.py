@@ -7,6 +7,11 @@ objective is linear in the kernel and decomposes over columns into
 per-item argmax assignments (one-hot vertex solutions). The kernel update is
 that argmax and nothing else: no target cluster marginal is taken or
 imposed, and the induced P_Z is whatever the assignments give.
+
+Both steps touch the data only through the joint's DTM B, built once. For a
+kernel K the chain DTM is A B with A = [P_Z]^{-1/2} K [P_Y]^{1/2}, so each
+step takes one SVD of that k x |X| matrix (_chain_svd); the per-item
+coefficients of step (ii) come from B V and U with no chain joint formed.
 """
 
 from __future__ import annotations
@@ -15,33 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CouplingKernel,
-    Dtm,
-    JointPmf,
-    Pmf,
-    SolveTrace,
-    build_dtm,
-    nuclear,
-)
-from .errors import (
-    DegenerateCluster,
-    DimensionMismatch,
-    InvalidParams,
-    ZeroMarginal,
-    warn_caller,
-)
+from .core import CouplingKernel, JointPmf, SolveTrace, build_dtm
+from .errors import DegenerateCluster, InvalidParams, warn_caller
+from .svd import check_dtm_spectrum
 
-__all__ = [
-    "NuclearConfig",
-    "KyFanFeatures",
-    "kyfan_features",
-    "solve_nuclear",
-]
+__all__ = ["NuclearConfig", "solve_nuclear"]
 
 # A cluster whose induced mass falls below this is dead and gets rescued.
 DEAD_MASS = 1e-12
-_WHITEN_TOL = 1e-8
+# An item leaves its cluster only for one whose coefficient is higher by more
+# than this, relative to the item's largest |coefficient|.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,66 +56,42 @@ class NuclearConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
-class KyFanFeatures:
-    """Whitened singular-vector factors F = [P_Z]^{-1/2} U, G = [P_X]^{-1/2} V.
+def _chain_svd(
+    b: np.ndarray, py: np.ndarray, kernel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the chain DTM B_{Z,X} = A B of a column-stochastic kernel K.
 
-    Satisfy F^T [P_Z] F = G^T [P_X] G = I_r with r = min(|X|, |Z|), and
-    attain the nuclear norm of the DTM they came from in the trace
-    objective.
+    b is the DTM of the joint and py its row marginal; A = [P_Z]^{-1/2} K
+    [P_Y]^{1/2} with P_Z = K P_Y, which must be positive. Returns (U, s, Vt,
+    sqrt(P_Z)), s descending and checked against the DTM invariants. The
+    solver and kernel_norm_value both take their norms from here, so the
+    norm of a returned kernel repeats the solver's bits.
     """
-
-    f: np.ndarray
-    g: np.ndarray
-    r: int
-    p_z: np.ndarray
-    p_x: np.ndarray
-
-    def __post_init__(self):
-        f, g = self.f, self.g
-        if f.shape[1] != self.r or g.shape[1] != self.r:
-            raise DimensionMismatch("F/G column count must equal r")
-        fwf = f.T @ (self.p_z[:, None] * f)
-        gwg = g.T @ (self.p_x[:, None] * g)
-        eye = np.eye(self.r)
-        err = max(
-            float(np.max(np.abs(fwf - eye))), float(np.max(np.abs(gwg - eye)))
-        )
-        if err > _WHITEN_TOL:
-            raise InvalidParams(
-                f"whitening constraint violated (max error {err:.3e})"
-            )
-
-
-def kyfan_features(b: Dtm, p_z: Pmf, p_x: Pmf) -> KyFanFeatures:
-    """Optimal factor pair for the trace form of the nuclear norm."""
-    nz, nx = b.shape
-    if len(p_z) != nz or len(p_x) != nx:
-        raise DimensionMismatch(
-            f"DTM {b.shape} vs |Z|={len(p_z)}, |X|={len(p_x)}"
-        )
-    if not p_z.strictly_interior or not p_x.strictly_interior:
-        raise ZeroMarginal("marginals must be strictly interior")
-    u, _, vt = b.svd()
-    r = min(nz, nx)
-    f = u[:, :r] / p_z.sqrt_probs[:, None]
-    g = vt[:r].T / p_x.sqrt_probs[:, None]
-    return KyFanFeatures(f=f, g=g, r=r, p_z=p_z.probs, p_x=p_x.probs)
-
-
-def _coefficients(f: np.ndarray, g: np.ndarray, joint_yx: JointPmf) -> np.ndarray:
-    # C[y, z] weights P(z|y) in tr(F^T P_{Z|Y} P_{Y,X} G)
-    if f.shape[1] != g.shape[1]:
-        raise DimensionMismatch("F and G must share the feature dimension")
-    if g.shape[0] != joint_yx.shape[1]:
-        raise DimensionMismatch("G rows must match the joint's columns")
-    return (joint_yx.weights @ g) @ f.T
+    sz = np.sqrt(kernel @ py)
+    a = kernel * np.sqrt(py)[None, :] / sz[:, None]
+    u, s, vt = np.linalg.svd(a @ b, full_matrices=False)
+    check_dtm_spectrum(s)
+    return u, s, vt, sz
 
 
 def _one_hot(assign: np.ndarray, nz: int) -> np.ndarray:
     k = np.zeros((nz, assign.size))
     k[assign, np.arange(assign.size)] = 1.0
     return k
+
+
+def _argmax_step(c: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Per-item argmax of C, keeping an item's cluster where it ties the max.
+
+    A clustering whose items tie between clusters in exact arithmetic (two
+    clusters over one connected block) gets its argmax from rounding, which
+    can relabel the same partition at every step and never repeat; keeping
+    the current cluster within _TIE_RTOL makes it a fixed point.
+    """
+    best = np.argmax(c, axis=1)
+    items = np.arange(assign.size)
+    slack = _TIE_RTOL * np.max(np.abs(c), axis=1)
+    return np.where(c[items, assign] >= c[items, best] - slack, assign, best)
 
 
 def _rescue_dead(
@@ -194,8 +159,9 @@ def solve_nuclear(
         raise InvalidParams(f"k = {k} exceeds |Y| = {ny}")
     cluster_labels = tuple(f"z{i}" for i in range(k))
 
-    w = joint.weights
+    b = build_dtm(joint).matrix
     py = joint.marginal_y.probs
+    sy = joint.marginal_y.sqrt_probs
     items = np.arange(ny)
 
     rng = np.random.default_rng(cfg.seed)
@@ -212,20 +178,19 @@ def solve_nuclear(
 
     for _ in range(cfg.max_iters):
         kernel_mat = _one_hot(assign, k)
-        chain = JointPmf.from_weights(
-            cluster_labels, joint.col_labels, kernel_mat @ w
-        )
-        b_zx = build_dtm(chain)
-        norm_val = nuclear(b_zx)
-        feats = kyfan_features(b_zx, chain.marginal_y, chain.marginal_x)
-        attained = float(np.trace(feats.f.T @ chain.weights @ feats.g))
-        trace.extras["kyfan_gap"].append(abs(attained - norm_val))
-
-        c = _coefficients(feats.f, feats.g, joint)
+        u, s, vt, sz = _chain_svd(b, py, kernel_mat)
+        norm_val = float(np.sum(s))
+        # C[y, z] weights P(z|y) in tr(F^T P_{Z|Y} P_{Y,X} G), where
+        # F = [P_Z]^{-1/2} U and G = [P_X]^{-1/2} V are the Ky Fan factors.
+        c = sy[:, None] * ((b @ vt.T) @ u.T) / sz[None, :]
         new_assign, rescues_left = _rescue_dead(
-            np.argmax(c, axis=1), c, py, k, rescues_left
+            _argmax_step(c, assign), c, py, k, rescues_left
         )
-        trace.extras["linear_before"].append(float(np.sum(c[items, assign])))
+        linear_before = float(np.sum(c[items, assign]))
+        # At the current assignment the linear objective is tr(F^T P_{Z,X}
+        # G), which the factors make equal to the nuclear norm.
+        trace.extras["kyfan_gap"].append(abs(linear_before - norm_val))
+        trace.extras["linear_before"].append(linear_before)
         trace.extras["linear_after"].append(float(np.sum(c[items, new_assign])))
 
         trace.record(norm_val, 0.0, 0.0, float(kernel_mat.min()))

@@ -1,13 +1,13 @@
 """SVD routines.
 
-A DTM has two spectral routes. `exact_svd` is LAPACK's full factorization,
-which the Dtm caches for the callers that need V or every singular value
-(the Ky Fan features and the nuclear norm). `gram_top` gives the leading r
-left singular vectors alone, from one symmetric eigensolve of the smaller
-Gram matrix; the item embedding reads only those. `check_dtm_spectrum`
-holds the DTM invariants that both routes assert. The Frobenius step size
-needs only the top eigenvalue of a symmetric operator, which
-`top_singular_value_sym` estimates by power iteration.
+A DTM has two spectral routes. Its singular values come from LAPACK's SVD
+(`Dtm.singular_values`, for the nuclear norm of a whole joint); the nuclear
+solver takes the same full SVD of each small chain DTM. `gram_top` gives the
+leading r left singular vectors alone, from one symmetric eigensolve of the
+smaller Gram matrix; the item embedding reads only those.
+`check_dtm_spectrum` holds the DTM invariants that every route asserts. The
+Frobenius step size needs only the top eigenvalue of a symmetric operator,
+which `top_singular_value_sym` estimates by power iteration.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ import numpy as np
 from .errors import CoupclustError, NonFinite
 
 SPECTRAL_TOL = 1e-10
-
-
-def exact_svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD, singular values descending. Returns (U, s, Vt)."""
-    return np.linalg.svd(matrix, full_matrices=False)
 
 
 def gram_top(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:

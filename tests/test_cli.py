@@ -180,6 +180,58 @@ class TestCluster:
             assert manifest["config"]["best_seed"] == best
 
 
+class TestTruth:
+    @pytest.fixture
+    def pruned(self, tmp_path):
+        # Item c has only zero weights, so ingest prunes it.
+        data = tmp_path / "d.tsv"
+        data.write_text(
+            "a\tu\t1\na\tv\t0.2\nb\tv\t1\nb\tu\t0.1\nc\tu\t0\nc\tv\t0\n"
+        )
+        return data
+
+    def _cluster(self, data, truth, out):
+        return main(
+            [
+                "cluster", str(data), "--algo", "nuclear", "--k", "2",
+                "--restarts", "1", "--truth", str(truth), "--out", str(out),
+            ]
+        )
+
+    def test_pruned_item_labels_dropped(self, pruned, tmp_path, capsys):
+        truth = tmp_path / "t.tsv"
+        truth.write_text("a\tL\nb\tR\nc\tR\n")
+        assert self._cluster(pruned, truth, tmp_path / "run") == 0
+        err = capsys.readouterr().err
+        assert "note: ignoring the truth labels of 1 pruned item(s), first 'c'" in err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["overall_accuracy"] == 1.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tL\nb\tR\na\tR\n", "line 3, byte 8: duplicate item 'a'"),
+            ("a\tL\nc\tR\n", "'b' has no truth label"),
+            ("a\tL\nb\tR\nd\tR\n", "truth labels 'd', which is not an item"),
+        ],
+        ids=["duplicate", "missing", "extra"],
+    )
+    def test_bad_truth_fails_before_solving(
+        self, pruned, tmp_path, capsys, monkeypatch, text, message
+    ):
+        truth = tmp_path / "t.tsv"
+        truth.write_text(text)
+        monkeypatch.setattr(
+            "coupclust.cli._solve", lambda *a, **k: pytest.fail("solver ran")
+        )
+        out = tmp_path / "run"
+        assert self._cluster(pruned, truth, out) == 3
+        err = capsys.readouterr().err
+        assert "data error: " in err and message in err
+        assert not (out / "kernel.json").exists()
+        assert not (out / "trace.csv").exists()
+
+
 class TestExitCodes:
     def test_nuclear_rejects_pz(self, planted, tmp_path):
         data, _ = planted
@@ -566,6 +618,23 @@ class TestElbowCmd:
         assert lines[0] == "k,norm_value"
         vals = [float(r.split(",")[1]) for r in lines[1:]]
         assert vals[1] - vals[0] > vals[2] - vals[1]
+
+    def test_pz_size_checked_for_every_k(self, planted, tmp_path, capsys, monkeypatch):
+        data, _ = planted
+        pz = tmp_path / "pz.tsv"
+        pz.write_text("z0\t0.5\nz1\t0.5\n")
+        monkeypatch.setattr(
+            "coupclust.evaluation._solve", lambda *a, **k: pytest.fail("solver ran")
+        )
+        rc = main(
+            [
+                "elbow", str(data), "--algo", "frobenius", "--pz", str(pz),
+                "--ks", "2,3", "--out", str(tmp_path / "elb"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --pz has 2 entries but --ks includes k = 3" in err
 
     def test_nuclear_matches_cluster(self, tmp_path, capsys):
         # Both commands run the same restarts; each keeps its own best, and

@@ -136,12 +136,6 @@ class TestBuildDtm:
             assert s[-1] >= -1e-12
             assert s[0] <= 1.0 + 1e-10
 
-    def test_svd_cached(self, rng):
-        b = build_dtm(random_joint(rng, 5, 4))
-        assert b.svd() is b.svd()
-        with pytest.raises(ValueError):
-            b.singular_values()[0] = 2.0
-
 
 class TestDtmFromKernel:
     def test_consistent_kernel(self):

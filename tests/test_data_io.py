@@ -357,6 +357,13 @@ class TestRoundTrip:
         lab_path.write_text("# truth\na\tB0\nb\tB1\n")
         assert load_labels(lab_path) == {"a": "B0", "b": "B1"}
 
+    def test_duplicate_label_item(self, tmp_path):
+        lab_path = tmp_path / "truth.tsv"
+        lab_path.write_text("a\tB0\nb\tB1\na\tB1\n")
+        with pytest.raises(ParseError, match="duplicate item 'a'") as err:
+            load_labels(lab_path)
+        assert (err.value.line, err.value.offset) == (3, 10)
+
 
 class TestRatings:
     def test_anchor_values(self):

@@ -144,6 +144,10 @@ class TestMatchedAccuracy:
     def test_mismatched_items(self):
         with pytest.raises(LabelMismatch):
             matched_accuracy({"a": "x"}, {"b": "y"})
+        with pytest.raises(LabelMismatch, match="'b' has no truth label"):
+            matched_accuracy({"a": "x", "b": "x", "c": "y"}, {"a": "A"})
+        with pytest.raises(LabelMismatch, match="truth labels 'd', which is not"):
+            matched_accuracy({"a": "x"}, {"a": "A", "d": "B", "e": "B"})
         with pytest.raises(LabelMismatch):
             matched_accuracy(["x"], ["y", "y"])
         with pytest.raises(LabelMismatch):
@@ -237,6 +241,24 @@ class TestKernelNormValue:
             "frobenius",
         )
         assert near == pytest.approx(value, abs=1e-6)
+
+    @pytest.mark.parametrize("algorithm", ["nuclear", "frobenius"])
+    def test_column_sums_within_kernel_tolerance(self, rng, algorithm):
+        # CouplingKernel admits columns that miss 1 by up to 1e-9; the norm
+        # is that of the renormalized kernel, not a broken DTM invariant.
+        joint = random_joint(rng, 5, 4)
+        kmat = rng.random((2, 5))
+        kmat /= kmat.sum(axis=0)
+        labels = ("z0", "z1")
+        exact = kernel_norm_value(
+            joint, CouplingKernel(labels, joint.row_labels, kmat), algorithm
+        )
+        loose = kernel_norm_value(
+            joint,
+            CouplingKernel(labels, joint.row_labels, kmat * (1 + 5e-10)),
+            algorithm,
+        )
+        assert loose == pytest.approx(exact, rel=1e-14)
 
     def test_algorithm_validation(self, rng):
         joint = random_joint(rng, 3, 3)

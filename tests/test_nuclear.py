@@ -3,9 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, build_dtm, nuclear
-from coupclust.data_io import gen_planted_blocks
-from coupclust.errors import DegenerateCluster, InvalidParams
+from coupclust.core import JointPmf, build_dtm
+from coupclust.data_io import (
+    CounterexampleParams,
+    gen_counterexample,
+    gen_planted_blocks,
+)
+from coupclust.errors import CoupclustError, DegenerateCluster, InvalidParams
 from coupclust.evaluation import (
     elbow_curve,
     harden,
@@ -13,12 +17,11 @@ from coupclust.evaluation import (
     matched_accuracy,
 )
 from coupclust.nuclear import (
-    KyFanFeatures,
     NuclearConfig,
-    _coefficients,
+    _argmax_step,
+    _chain_svd,
     _one_hot,
     _rescue_dead,
-    kyfan_features,
     solve_nuclear,
 )
 
@@ -51,83 +54,126 @@ class TestConfig:
             NuclearConfig(**kwargs)
 
 
+def _chain_reference(joint, kernel):
+    """(U, s, Vt, C) from a chain joint built through JointPmf, as the solver
+    once formed it: C = (P_{Y,X} G) F^T with F = [P_Z]^{-1/2} U and
+    G = [P_X]^{-1/2} V, the whitened factors of the chain's own SVD."""
+    labels = tuple(f"z{i}" for i in range(kernel.shape[0]))
+    chain = JointPmf.from_weights(
+        labels, joint.col_labels, kernel @ joint.weights
+    )
+    u, s, vt = np.linalg.svd(build_dtm(chain).matrix, full_matrices=False)
+    f = u / chain.marginal_y.sqrt_probs[:, None]
+    g = vt.T / chain.marginal_x.sqrt_probs[:, None]
+    return u, s, vt, (joint.weights @ g) @ f.T
+
+
+def _random_kernel(rng, k, ny):
+    kern = rng.random((k, ny))
+    return kern / kern.sum(axis=0)
+
+
+def _coefficients(joint, kernel):
+    # The solver's per-item weights, from _chain_svd and B alone.
+    b = build_dtm(joint).matrix
+    u, _, vt, sz = _chain_svd(b, joint.marginal_y.probs, kernel)
+    return joint.marginal_y.sqrt_probs[:, None] * ((b @ vt.T) @ u.T) / sz
+
+
 class TestKyFan:
     def test_whitening_and_attainment(self, rng):
-        for _ in range(10):
+        for k in (1, 2, 3, 5):
             joint = random_joint(rng, 5, 6)
-            b = build_dtm(joint)
-            feats = kyfan_features(b, joint.marginal_y, joint.marginal_x)
-            eye = np.eye(feats.r)
-            fwf = feats.f.T @ (feats.p_z[:, None] * feats.f)
-            gwg = feats.g.T @ (feats.p_x[:, None] * feats.g)
-            assert np.max(np.abs(fwf - eye)) <= 1e-8
+            kernel = np.eye(5) if k == 5 else _random_kernel(rng, k, 5)
+            u, s, vt, sz = _chain_svd(
+                build_dtm(joint).matrix, joint.marginal_y.probs, kernel
+            )
+            s_ref = _chain_reference(joint, kernel)[1]
+            np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                sz**2, kernel @ joint.marginal_y.probs, rtol=1e-15
+            )
+            # F^T [P_Z] F = G^T [P_X] G = I, and tr(F^T P_{Z,X} G) = ||B||_*
+            f = u / sz[:, None]
+            g = vt.T / joint.marginal_x.sqrt_probs[:, None]
+            eye = np.eye(u.shape[1])
+            assert np.max(np.abs(f.T @ ((sz**2)[:, None] * f) - eye)) <= 1e-8
+            gwg = g.T @ (joint.marginal_x.probs[:, None] * g)
             assert np.max(np.abs(gwg - eye)) <= 1e-8
-            attained = float(np.trace(feats.f.T @ joint.weights @ feats.g))
-            assert abs(attained - nuclear(b)) <= 1e-8
+            attained = float(np.trace(f.T @ kernel @ joint.weights @ g))
+            assert abs(attained - float(np.sum(s))) <= 1e-8
 
     def test_rank_is_min_dimension(self, rng):
-        joint = random_joint(rng, 3, 7)
-        feats = kyfan_features(
-            build_dtm(joint), joint.marginal_y, joint.marginal_x
-        )
-        assert feats.r == 3
-
-    def test_bad_whitening_rejected(self):
-        with pytest.raises(InvalidParams):
-            KyFanFeatures(
-                f=np.ones((2, 2)),
-                g=np.eye(2),
-                r=2,
-                p_z=np.array([0.5, 0.5]),
-                p_x=np.array([0.5, 0.5]),
+        for ny, nx, k in ((3, 7, 3), (5, 3, 2), (6, 3, 4)):
+            joint = random_joint(rng, ny, nx)
+            kernel = _random_kernel(rng, k, ny)
+            u, s, vt, _ = _chain_svd(
+                build_dtm(joint).matrix, joint.marginal_y.probs, kernel
             )
+            r = min(k, nx)
+            assert u.shape == (k, r) and s.shape == (r,) and vt.shape == (r, nx)
+
+    def test_non_stochastic_kernel_rejected(self, rng):
+        # Columns summing to 2 lift the chain's top singular value to
+        # sqrt(2): the result is not the DTM of any joint.
+        joint = random_joint(rng, 4, 5)
+        kernel = 2.0 * _random_kernel(rng, 2, 4)
+        with pytest.raises(CoupclustError, match="DTM invariant violated"):
+            _chain_svd(build_dtm(joint).matrix, joint.marginal_y.probs, kernel)
 
 
-def _linear_step(feats, joint):
+def _linear_step(c):
     # The kernel update solve_nuclear runs before its dead-cluster rescue.
-    c = _coefficients(feats.f, feats.g, joint)
-    return _one_hot(np.argmax(c, axis=1), feats.f.shape[0])
+    return _one_hot(np.argmax(c, axis=1), c.shape[1])
 
 
 class TestLinearStep:
+    def test_matches_chain_reference(self, rng):
+        for k in (1, 2, 4):
+            joint = random_joint(rng, 6, 5)
+            kernel = _random_kernel(rng, k, 6)
+            c_ref = _chain_reference(joint, kernel)[3]
+            np.testing.assert_allclose(
+                _coefficients(joint, kernel), c_ref, rtol=0, atol=1e-12
+            )
+
     def test_one_hot_at_argmax(self, rng):
         joint = random_joint(rng, 6, 5)
-        b = build_dtm(joint)
-        feats = kyfan_features(b, joint.marginal_y, joint.marginal_x)
-        k = _linear_step(feats, joint)
+        c = _coefficients(joint, _random_kernel(rng, 3, 6))
+        k = _linear_step(c)
         assert np.all((k == 0.0) | (k == 1.0))
         np.testing.assert_allclose(k.sum(axis=0), 1.0)
         # vertex optimality, column by column
-        c = (joint.weights @ feats.g) @ feats.f.T
         for y in range(6):
             assert np.argmax(k[:, y]) == np.argmax(c[y])
 
     def test_beats_random_kernels(self, rng):
-        # The linear objective tr(F^T P_{Z|Y} P_{Y,X} G), formed directly.
+        # The linear objective tr(F^T P_{Z|Y} P_{Y,X} G), formed directly
+        # from the reference factors of the same chain.
         joint = random_joint(rng, 6, 5)
-        feats = kyfan_features(
-            build_dtm(joint), joint.marginal_y, joint.marginal_x
-        )
+        kernel0 = _random_kernel(rng, 3, 6)
+        u, _, vt, _ = _chain_reference(joint, kernel0)
+        pz = kernel0 @ joint.marginal_y.probs
+        f = u / np.sqrt(pz)[:, None]
+        g = vt.T / joint.marginal_x.sqrt_probs[:, None]
 
         def linear(k):
-            return float(np.trace(feats.f.T @ k @ joint.weights @ feats.g))
+            return float(np.trace(f.T @ k @ joint.weights @ g))
 
-        val = linear(_linear_step(feats, joint))
+        val = linear(_linear_step(_coefficients(joint, kernel0)))
         for _ in range(200):
-            k = rng.random((feats.f.shape[0], 6))
-            k /= k.sum(axis=0)
+            k = _random_kernel(rng, 3, 6)
             assert linear(k) <= val + 1e-12
 
     def test_lp_oracle_per_column(self, rng):
-        # independent route: each column solves a tiny simplex LP
+        # independent route: each column solves a tiny simplex LP on the
+        # reference coefficients
         from scipy.optimize import linprog
 
         joint = random_joint(rng, 5, 4)
-        feats = kyfan_features(
-            build_dtm(joint), joint.marginal_y, joint.marginal_x
-        )
-        c = (joint.weights @ feats.g) @ feats.f.T
-        kernel = _linear_step(feats, joint)
+        kernel0 = _random_kernel(rng, 3, 5)
+        c = _chain_reference(joint, kernel0)[3]
+        kernel = _linear_step(_coefficients(joint, kernel0))
         nz = kernel.shape[0]
         for y in range(5):
             res = linprog(
@@ -137,6 +183,27 @@ class TestLinearStep:
             assert res.success
             got = float(c[y] @ kernel[:, y])
             assert abs(got - (-res.fun)) <= 1e-9
+
+
+class TestArgmaxStep:
+    def test_tie_keeps_current_cluster(self):
+        # Items 0 and 1 tie between clusters 0 and 1 up to rounding; item 2
+        # is better off in cluster 1 by far more than rounding.
+        c = np.array(
+            [
+                [1 / 3, 1 / 3 + 2e-16, 0.0],
+                [1 / 3 + 2e-16, 1 / 3, 0.0],
+                [0.25, 0.5, 0.0],
+            ]
+        )
+        new = _argmax_step(c, np.array([0, 0, 0]))
+        np.testing.assert_array_equal(new, [0, 0, 1])
+        np.testing.assert_array_equal(_argmax_step(c, np.array([1, 1, 2])), [1, 1, 1])
+
+    def test_same_as_argmax_without_ties(self, rng):
+        c = rng.normal(size=(50, 4))
+        assign = rng.integers(0, 4, size=50)
+        np.testing.assert_array_equal(_argmax_step(c, assign), np.argmax(c, axis=1))
 
 
 class TestRescue:
@@ -267,3 +334,114 @@ class TestSolve:
                 value = kernel_norm_value(joint, kernel, "nuclear")
                 assert value == trace.objectives[-1], (max_iters, seed)
         assert statuses == {"Converged", "MaxIters"}
+
+    def test_builds_the_dtm_once(self, monkeypatch):
+        import sys
+
+        nuclear_module = sys.modules["coupclust.nuclear"]
+        calls = []
+
+        def counting_build_dtm(joint):
+            calls.append(joint)
+            return build_dtm(joint)
+
+        joint, _ = gen_planted_blocks(3, 10, 1.0, 0.2, noise_seed=4)
+        monkeypatch.setattr(nuclear_module, "build_dtm", counting_build_dtm)
+        monkeypatch.setattr(JointPmf, "from_weights", None)  # no chain joint
+        _, trace = solve_nuclear(joint, NuclearConfig(k=3, seed=2))
+        assert len(trace) >= 2
+        assert calls == [joint]
+
+
+def _chain_route(joint, k, seed):
+    """solve_nuclear as it ran on a JointPmf chain at every step.
+
+    Returns (assignment, objectives, tied): tied is True when some step's
+    argmax had a runner-up within 1e-12 relative, so that rounding alone
+    could pick either. Raises DegenerateCluster as the solver does.
+    """
+    ny = len(joint.marginal_y)
+    py = joint.marginal_y.probs
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(ny)
+    assign = np.empty(ny, dtype=np.intp)
+    assign[perm[:k]] = np.arange(k)
+    if ny > k:
+        assign[perm[k:]] = rng.integers(0, k, size=ny - k)
+    objectives, tied, rescues_left = [], False, k
+    for _ in range(NuclearConfig(k=k).max_iters):
+        traced = assign
+        _, s, _, c = _chain_reference(joint, _one_hot(assign, k))
+        objectives.append(float(np.sum(s)))
+        top = np.sort(c, axis=1)
+        scale = np.max(np.abs(c), axis=1)
+        if k > 1:
+            tied |= bool(np.any(top[:, -1] - top[:, -2] <= 1e-12 * scale))
+        new_assign, rescues_left = _rescue_dead(
+            np.argmax(c, axis=1), c, py, k, rescues_left
+        )
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return traced, objectives, tied
+
+
+def _scenario_joints():
+    for blocks, size, cross in ((8, 25, 0.05), (3, 20, 0.05), (4, 12, 0.2)):
+        joint, _ = gen_planted_blocks(blocks, size, 1.0, cross, noise_seed=3)
+        yield f"planted {blocks}x{size}", joint, (blocks,)
+    weights = gen_counterexample(CounterexampleParams(m=20, n=20, s=2.0))
+    yield "counterexample", JointPmf.from_weights(
+        tuple(f"y{i}" for i in range(40)), tuple(f"x{j}" for j in range(40)),
+        weights,
+    ), (2,)
+    rng = np.random.default_rng(11)
+    yield "random 6x5", random_joint(rng, 6, 5), (2, 3, 6)
+    yield "random 9x4", random_joint(rng, 9, 4), (2, 4, 9)
+    # Three disconnected blocks: with k = 4 two clusters share one block and
+    # tie on every item in it.
+    weights = np.zeros((6, 6))
+    weights[0, 0] = 1.0
+    weights[1:3, 1:3] = 1.0
+    weights[3:, 3:] = 1.0
+    yield "three blocks", JointPmf.from_weights(
+        tuple(f"y{i}" for i in range(6)), tuple(f"x{j}" for j in range(6)),
+        weights,
+    ), (2, 3, 4)
+
+
+def test_matches_the_chain_route():
+    # One SVD of A B per step gives the chain route's objectives to 1e-12
+    # relative, and its assignments wherever no step had a near-tie.
+    counts = {"tied": 0, "untied": 0}
+    warnings.simplefilter("ignore", RuntimeWarning)  # pytest restores filters
+    for name, joint, ks in _scenario_joints():
+        for k in ks:
+            for seed in range(5):
+                where = (name, k, seed)
+                try:
+                    ref_assign, ref_objs, tied = _chain_route(joint, k, seed)
+                except DegenerateCluster:
+                    ref_assign, tied = None, True
+                counts["tied" if tied else "untied"] += 1
+                try:
+                    kernel, trace = solve_nuclear(
+                        joint, NuclearConfig(k=k, seed=seed)
+                    )
+                except DegenerateCluster:
+                    assert tied, where
+                    continue
+                if ref_assign is None:
+                    continue
+                assert trace.objectives[-1] == pytest.approx(
+                    ref_objs[-1], rel=1e-12
+                ), where
+                if tied:
+                    continue
+                np.testing.assert_array_equal(
+                    np.argmax(kernel.kernel, axis=0), ref_assign, err_msg=str(where)
+                )
+                np.testing.assert_allclose(
+                    trace.objectives, ref_objs, rtol=1e-12, err_msg=str(where)
+                )
+    assert counts["tied"] >= 1 and counts["untied"] >= 55

@@ -31,7 +31,6 @@ PUBLIC = {
     "InvalidParams",
     "InvalidRating",
     "JointPmf",
-    "KyFanFeatures",
     "LabelMismatch",
     "MarginalMismatch",
     "NonFinite",
@@ -61,7 +60,6 @@ PUBLIC = {
     "ingest",
     "intuitive_kernel",
     "kernel_norm_value",
-    "kyfan_features",
     "load_dense_csv",
     "load_pmf",
     "matched_accuracy",
@@ -81,7 +79,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 63
+    assert len(PUBLIC) == 61
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:

@@ -3,26 +3,21 @@ import pytest
 
 from coupclust.core import Dtm, JointPmf, build_dtm
 from coupclust.errors import CoupclustError, InvalidParams, NonFinite
-from coupclust.svd import exact_svd, top_singular_value_sym
-
-
-def test_exact_matches_numpy(rng):
-    a = rng.normal(size=(7, 5))
-    u, s, vt = exact_svd(a)
-    np.testing.assert_allclose(u @ np.diag(s) @ vt, a, atol=1e-12)
-    assert np.all(np.diff(s) <= 0)
+from coupclust.svd import top_singular_value_sym
 
 
 @pytest.mark.parametrize("shape", [(12, 9), (520, 600)])
 def test_dtm_svd_is_lapack_at_every_size(rng, shape):
-    # One route for every DTM, small or large: the cached SVD is LAPACK's.
+    # One route for every DTM, small or large: its singular values are
+    # LAPACK's, descending, recomputed on every call.
     weights = rng.uniform(0.1, 1.0, size=shape)
     rows = tuple(f"y{i}" for i in range(shape[0]))
     cols = tuple(f"x{j}" for j in range(shape[1]))
     b = build_dtm(JointPmf.from_weights(rows, cols, weights))
-    expected = np.linalg.svd(b.matrix, full_matrices=False)
-    for got, want in zip(b.svd(), expected):
-        assert np.array_equal(got, want)
+    s = b.singular_values()
+    assert np.array_equal(s, np.linalg.svd(b.matrix, compute_uv=False))
+    assert np.all(np.diff(s) <= 0)
+    assert b.singular_values() is not s
 
 
 def _sparse_joint(rng, shape, density=0.05):
@@ -39,7 +34,7 @@ def test_top_matches_full_svd(rng, shape):
     b = build_dtm(_sparse_joint(rng, shape))
     r = 16
     u, s = b.top(r)
-    u_ref, s_ref, _ = exact_svd(b.matrix)
+    u_ref, s_ref, _ = np.linalg.svd(b.matrix, full_matrices=False)
     u_ref = u_ref[:, :r]
     assert u.shape == (shape[0], r)
     np.testing.assert_allclose(s, s_ref[:r], rtol=0, atol=1e-12)
@@ -72,7 +67,7 @@ def test_top_checks_the_dtm_invariant(rng):
     )
     bad = Dtm(matrix, joint.marginal_y, joint.marginal_x)
     with pytest.raises(CoupclustError, match="DTM invariant violated"):
-        bad.svd()
+        bad.singular_values()
     with pytest.raises(CoupclustError, match="DTM invariant violated"):
         bad.top(2)
 
