@@ -6,6 +6,21 @@ from coupclust.errors import CoupclustError, InvalidParams, NonFinite
 from coupclust.svd import top_singular_value_sym
 
 
+def test_exact_matches_numpy(rng):
+    # The full-rank Gram route spans B's column space and gives LAPACK's
+    # singular values, descending.
+    weights = rng.uniform(0.1, 1.0, size=(7, 5))
+    rows = tuple(f"y{i}" for i in range(7))
+    cols = tuple(f"x{j}" for j in range(5))
+    b = build_dtm(JointPmf.from_weights(rows, cols, weights))
+    u, s = b.top(5)
+    np.testing.assert_allclose(u @ (u.T @ b.matrix), b.matrix, atol=1e-12)
+    np.testing.assert_allclose(
+        s, np.linalg.svd(b.matrix, compute_uv=False), rtol=0, atol=1e-12
+    )
+    assert np.all(np.diff(s) <= 0)
+
+
 @pytest.mark.parametrize("shape", [(12, 9), (520, 600)])
 def test_dtm_svd_is_lapack_at_every_size(rng, shape):
     # One route for every DTM, small or large: its singular values are
