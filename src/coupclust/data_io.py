@@ -6,7 +6,11 @@ File formats:
   comments, blank lines ignored; duplicate (row, col) pairs are summed.
   A well-formed file is cut into fields at its tab and newline offsets
   with numpy, making no Python object per line; any other file goes
-  through the line reader, the one source of ParseError.
+  through the line reader, the one source of ParseError. Either way each
+  weight equals float() of its field bit for bit: the bulk reader
+  converts plain decimals exactly from machine words (Clinger's fast path,
+  else an exact round-half-even correction) and passes any other field to
+  float().
 - Dense CSV: header row holds the X labels (first cell is a corner and is
   ignored), each body row starts with its Y label; blank cells mean 0.
 - Pmf TSV: `label<TAB>probability` lines.
@@ -146,23 +150,26 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     float() either strips too or rejects. Duplicates are summed in file
     order, as the line reader does, so the sums are bitwise equal.
 
-    Fields are cut from the delimiter offsets into fixed-width `S` arrays,
-    so no Python object is made per line or field: weights convert with
-    numpy's `S` -> float64 cast (Python's float parser, ASCII only) and
-    labels are interned by hash in _intern. `S` keys drop trailing NULs,
-    hence the NUL rule. Each column's array is its widest field times the
-    line count, so a file is declined when the three arrays would exceed a
-    quarter of memory (_intern makes a gathered copy of each to compare);
-    a few long labels among short ones are still read in bulk.
+    Fields are cut from the delimiter offsets, so no Python object is made
+    per line or field. Labels become fixed-width `S` arrays interned by
+    hash in _intern; `S` keys drop trailing NULs, hence the NUL rule.
+    Weights convert in row chunks in _parse_decimals, which reads each
+    field as three 64-bit words; a field outside its grammar goes through
+    numpy's `S` -> float64 cast, which calls float(). Both give float()'s
+    bits. Each label array is its widest field times the line count, so a
+    file is declined when its three columns at their widest would exceed a
+    quarter of memory (_intern makes a gathered copy of each label array
+    to compare); a few long labels among short ones are still read in bulk.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\0" in data:
         return None
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == 10)
     if not data.endswith(b"\n"):
@@ -174,7 +181,12 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
         np.all(tabs[1::2] < ends) and np.all(tabs[2::2] > ends[:-1])
     ):
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Offsets from here on index buf: the file behind _WORD_FIELD zero bytes,
+    # padded after so every field's window fits.
+    pad = _WORD_FIELD
+    ends += pad
+    tabs += pad
+    starts = np.concatenate(([pad], ends[:-1] + 1))
     spans = [
         (starts, tabs[0::2]), (tabs[0::2] + 1, tabs[1::2]), (tabs[1::2] + 1, ends)
     ]
@@ -182,22 +194,20 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     widths[:2] = [-(-w // 8) * 8 for w in widths[:2]]  # whole words for _intern
     if sum(widths) * n > _physical_memory() / 4:
         return None
-    # One copy of the file, padded so every field's window fits.
-    buf = np.empty(raw.size + max(widths), dtype=np.uint8)
-    buf[: raw.size] = raw
-    buf[raw.size :] = 0
+    buf = np.empty(pad + raw.size + max(widths), dtype=np.uint8)
+    buf[:pad] = 0
+    buf[pad : pad + raw.size] = raw
+    buf[pad + raw.size :] = 0
     del data, raw
-    row_keys, col_keys, weight_keys = [
+    row_keys, col_keys = [
         _fixed_width(buf, start, stop, width)
-        for (start, stop), width in zip(spans, widths)
+        for (start, stop), width in zip(spans[:2], widths)
     ]
-    del buf, ends, tabs, starts, spans
-    try:
-        w = weight_keys.astype(np.float64)
-    except ValueError:
-        return None
-    del weight_keys
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    weight_span = spans[2]
+    del ends, tabs, starts, spans
+    w = _parse_weights(buf, *weight_span)
+    del buf, weight_span
+    if w is None or not np.all(np.isfinite(w)) or np.any(w < 0):
         return None
     rows, ri = _intern(row_keys)
     if any(not lab or lab[0].isspace() or lab[0] == "#" for lab in rows):
@@ -214,6 +224,289 @@ def _fixed_width(buf, start, stop, width: int) -> np.ndarray:
     keys = sliding_window_view(buf, width)[start]
     np.multiply(keys, np.arange(width) < (stop - start)[:, None], out=keys)
     return keys.view(f"S{width}").ravel()
+
+
+def _parse_weights(buf, start, stop) -> np.ndarray | None:
+    """float() of each weight field buf[start[i]:stop[i]], or None on a ValueError.
+
+    Fields convert with _parse_decimals in chunks of _CHUNK_ROWS, which
+    bounds its temporary arrays; the rows it leaves go through numpy's
+    `S` -> float64 cast, which calls float() per field.
+    """
+    w = np.empty(start.size)
+    fallback = np.empty(start.size, dtype=bool)
+    for i in range(0, start.size, _CHUNK_ROWS):
+        chunk = slice(i, i + _CHUNK_ROWS)
+        w[chunk], fallback[chunk] = _parse_decimals(buf, start[chunk], stop[chunk])
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        start, stop = start[rows], stop[rows]
+        keys = _fixed_width(buf, start, stop, max(int((stop - start).max()), 1))
+        try:
+            w[rows] = keys.astype(np.float64)
+        except ValueError:
+            return None
+    return w
+
+
+# A weight field of at most _WORD_FIELD bytes is read as three 64-bit words,
+# one row each of a (3, rows) array; bytes are numbered 0-23 along the window
+# that ends where the field does.
+_WORD_FIELD = 24
+_CHUNK_ROWS = 1 << 14
+_U64 = np.uint64
+_LOW7 = _U64(0x7F7F7F7F7F7F7F7F)
+_HIGH = _U64(0x8080808080808080)
+# _TOP[j] keeps the last j bytes of a word, _BOTTOM[j] its first j bytes.
+_TOP = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * j) - 1) for j in range(9)], _U64)
+_BOTTOM = np.array([2 ** (8 * j) - 1 for j in range(9)], _U64)
+_WORD_START = np.array([[0], [8], [16]])
+_ZEROS = _U64(0x3030303030303030)
+# Column j: the last j bytes of the window, and the bytes before byte j.
+_LAST = _TOP[np.clip(np.arange(_WORD_FIELD + 1) - (_WORD_FIELD - 8 - _WORD_START), 0, 8)]
+_BEFORE = _BOTTOM[np.clip(np.arange(_WORD_FIELD + 2) - _WORD_START, 0, 8)]
+# Length of an exponent part whose `e` is byte j of the last word.
+_EXP_LEN = np.array([0, 0, 0, 5, 4, 3, 2, 0])
+_POW10_INT = np.array([10**j for j in range(17)], _U64)
+_POW5 = np.array([5**j for j in range(28)], _U64)
+# M = hi * 10**(16 - x) + rest is below 2**63 iff (hi, rest) < row x.
+_M_LIMIT = np.array([divmod(2**63, 10 ** (16 - x)) for x in range(6)], _U64)
+_MIN_E, _MAX_E = -27, 22
+# Column E - _MIN_E: M * 10**E is M * up / down, one exact operation for
+# |E| <= 22; below that, up is 10**E rounded, and the product an estimate.
+_SCALE = np.array(
+    [
+        (float(f"1e{e}"), 1.0) if e >= 0 or e < -22 else (1.0, float(10**-e))
+        for e in range(_MIN_E, _MAX_E + 1)
+    ]
+).T
+
+
+def _parse_decimals(buf, start, stop) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each field buf[start[i]:stop[i]] on a word path, and a fallback mask.
+
+    Fields in _decimal_parts' grammar have the value M * 10**E, and the
+    result equals float() bit for bit: M <= 2**53 with |E| <= 22 takes one
+    exactly rounded IEEE operation (Clinger 1990), and any other estimate
+    is corrected in _round_half_even. Rows outside the grammar are True in
+    the mask and their values are unset.
+    """
+    m, e, bad = _decimal_parts(buf, start, stop)
+    value = m.astype(np.float64) * np.take(_SCALE[0], e - _MIN_E)
+    value /= np.take(_SCALE[1], e - _MIN_E)
+    slow = np.flatnonzero(~bad & ((m > _U64(2**53)) | ((e < -22) & (m > 0))))
+    estimate = value[slow]
+    unsettled = _round_half_even(estimate, m[slow], e[slow])
+    value[slow] = estimate
+    bad[slow[unsettled]] = True
+    return value, bad
+
+
+def _decimal_parts(buf, start, stop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer mantissa M, decimal exponent E and a fallback mask per field.
+
+    A field is in the grammar when it is `digits[.digits]` or `.digits`,
+    then optionally `e` or `E`, a sign and 1-3 digits, in at most
+    _WORD_FIELD bytes before one optional `\\r`, with M < 2**63 and
+    _MIN_E <= E <= _MAX_E; other rows are True in the mask. buf must hold
+    _WORD_FIELD bytes before each field.
+
+    Each window is three little-endian words read through an unaligned
+    view, and each test runs on all 8 bytes of a word at once.
+    """
+    stop = stop - (np.take(buf, stop - 1) == ord("\r"))
+    length = stop - start
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    # Each byte XOR ord("0"), so digits hold their values; bytes before the
+    # field read as leading zeros.
+    x = words[stop - _WORD_FIELD + _WORD_START]
+    x ^= _ZEROS
+    x &= np.take(_LAST, np.minimum(length, _WORD_FIELD), axis=1)
+    non_digits = _non_digits(x)
+    bad = length > _WORD_FIELD
+
+    exp_len = exp = 0
+    e_byte = _zero_bytes((x[2] | _U64(0x2020202020202020)) ^ _U64(0x7575757575757575))
+    e_byte &= _U64(0x0080808080000000)
+    if e_byte.any():
+        exp_len, exp = _exponent(x[2], non_digits[2], e_byte, bad)
+        not_exp = ~np.take(_TOP, exp_len)
+        x[2] &= not_exp
+        non_digits[2] &= not_exp
+
+    # Mantissa: digits and at most one `.`.
+    any_nd = non_digits[0] | non_digits[1] | non_digits[2]
+    has_dot = any_nd != 0
+    # Byte of the one non-digit; with more than one, any byte that fails below.
+    dot = np.minimum(
+        _byte_index(any_nd).astype(np.intp)
+        + 8 * (non_digits[1] != 0)
+        + 16 * (non_digits[2] != 0),
+        _WORD_FIELD,
+    )
+    before = np.take(_BEFORE, dot, axis=1)
+    through = np.take(_BEFORE, dot + has_dot, axis=1)
+    at_dot = through ^ before
+    non_digits ^= at_dot & _HIGH
+    at_dot &= x ^ _U64(0x1E1E1E1E1E1E1E1E)  # nonzero unless the byte is `.`
+    non_digits |= at_dot
+    bad |= (non_digits[0] | non_digits[1] | non_digits[2]) != 0
+    bad |= length - exp_len - has_dot < 1
+    del non_digits, at_dot
+    # Close the dot's gap: the digits before it move up one byte.
+    before &= x
+    x &= ~through
+    x[1:] |= before[:-1] >> _U64(56)
+    before <<= _U64(8)
+    x |= before
+    del before, through
+
+    # The digits now end exp_len bytes before the window does.
+    hi, mid, lo = _eight_digits(x)
+    rest = mid * np.take(_POW10_INT, 8 - exp_len) + lo // np.take(_POW10_INT, exp_len)
+    hi_max, rest_max = np.take(_M_LIMIT, exp_len, axis=0).T
+    bad |= (hi > hi_max) | ((hi == hi_max) & (rest >= rest_max))
+    m = hi * np.take(_POW10_INT, 16 - exp_len) + rest
+    e = exp - has_dot * (_WORD_FIELD - 1 - exp_len - dot)
+    bad |= (e < _MIN_E) | (e > _MAX_E)
+    return m, np.clip(e, _MIN_E, _MAX_E), bad
+
+
+def _exponent(last, non_digits, e_byte, bad) -> tuple[np.ndarray, np.ndarray]:
+    """Length and value of the exponent part that ends each word of last.
+
+    last holds bytes XOR ord("0") and e_byte flags those that may be its
+    `e`. Rows whose part is malformed are set in bad.
+    """
+    e_byte &= ~e_byte + _U64(1)  # the first; a second `e` fails the digit test
+    exp_len = np.take(_EXP_LEN, _byte_index(e_byte))
+    sign = (last >> (_U64(8) * (9 - np.maximum(exp_len, 2)).astype(_U64))) & _U64(0xFF)
+    signed = (exp_len > 0) & ((sign == ord("+") ^ 0x30) | (sign == ord("-") ^ 0x30))
+    n_digits = exp_len - 1 - signed
+    digits = np.take(_TOP, np.maximum(n_digits, 0))
+    bad |= (non_digits & digits) != 0
+    bad |= (exp_len > 0) & ((n_digits < 1) | (n_digits > 3))
+    d = last & digits
+    exp = (
+        ((d >> _U64(40)) & _U64(0xFF)) * _U64(100)
+        + ((d >> _U64(48)) & _U64(0xFF)) * _U64(10)
+        + (d >> _U64(56))
+    ).astype(np.int64)
+    exp[signed & (sign == ord("-") ^ 0x30)] *= -1
+    return exp_len, exp
+
+
+def _round_half_even(q, m, e) -> np.ndarray:
+    """Move estimates q > 0 of m * 10**e, each within 3 ulps, to the nearest double.
+
+    Ties go to the even significand, as float() rounds. q is corrected in
+    place; returns the rows still moving after 4 steps.
+    """
+    active = np.arange(q.size)
+    for _ in range(4):
+        if not active.size:
+            break
+        bits = q[active].view(_U64)
+        up, down = _nearer_neighbour(bits, m[active], e[active])
+        bits += up
+        bits -= down
+        q[active] = bits.view(np.float64)
+        active = active[up | down]
+    return active
+
+
+def _nearer_neighbour(bits, m, e) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the double above, or below, each q = bits is nearer m * 10**e.
+
+    Exact, in pairs of uint64 limbs. With q = f * 2**b, the value lies
+    d = 4 * (m * 10**e - q) / 2**b quarter-ulps from q. Scaled by 5**-e when
+    e < 0, d is L * 2**(e + 2 - b) - R with L = m * 5**max(e, 0) and
+    R = 4f * 5**max(-e, 0); either side is shifted to make it integral, and
+    d is compared with the half-spacing to each neighbour, scaled alike.
+    """
+    frac = bits & _U64(2**52 - 1)
+    f4 = (frac | _U64(2**52)) << _U64(2)
+    shift = e + 1077 - (bits >> _U64(52)).astype(np.int64)
+    positive = e >= 0
+    five = np.take(_POW5, np.abs(e))
+    hi, lo = _mul128(np.where(positive, m, f4), five)
+    zero = _U64(0)
+    l_hi, l_lo = _shl128(
+        np.where(positive, hi, zero), np.where(positive, lo, m), np.maximum(shift, 0)
+    )
+    shift = np.maximum(-shift, 0).astype(_U64)
+    hi, lo = _shl128(np.where(positive, zero, hi), np.where(positive, f4, lo), shift)
+    unit = np.where(positive, _U64(1), five) << shift
+    d_hi = (l_hi - hi - (l_lo < lo)).view(np.int64)
+    d_lo = l_lo - lo
+    odd = (bits & _U64(1)) == 1
+    up = _exceeds(d_hi, d_lo, unit << _U64(1), odd)
+    # Below f = 2**52 the spacing halves, and so does the half-spacing.
+    down_unit = np.where(frac == 0, unit, unit << _U64(1))
+    down = _exceeds(~d_hi + (d_lo == 0), zero - d_lo, down_unit, odd)
+    return up, down
+
+
+def _exceeds(hi, lo, t, tie) -> np.ndarray:
+    """Signed 128-bit (hi, lo) > uint64 t, or == t where tie."""
+    return (hi > 0) | ((hi == 0) & ((lo > t) | ((lo == t) & tie)))
+
+
+def _mul128(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit product of uint64 arrays as (high, low) limbs."""
+    mask = _U64(2**32 - 1)
+    a0, a1, b0, b1 = a & mask, a >> _U64(32), b & mask, b >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    carry = ((p00 >> _U64(32)) + (p01 & mask) + (p10 & mask)) >> _U64(32)
+    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + carry, a * b
+
+
+def _shl128(hi, lo, s) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) << s for s in [0, 128), assuming the result fits in 128 bits."""
+    s = s.astype(_U64)
+    big = s >= 64
+    s &= _U64(63)
+    hi = (hi << s) | ((lo >> _U64(1)) >> (_U64(63) - s))
+    lo = lo << s
+    return np.where(big, lo, hi), np.where(big, _U64(0), lo)
+
+
+def _zero_bytes(v) -> np.ndarray:
+    """The high bit of each zero byte of v; exact, as no carry crosses bytes."""
+    return ~(((v & _LOW7) + _LOW7) | v) & _HIGH
+
+
+def _non_digits(x) -> np.ndarray:
+    """The high bit of each byte of x that is not an ASCII digit XOR ord("0")."""
+    flags = x & _LOW7
+    flags += _U64(0x7676767676767676)
+    flags |= x
+    flags &= _HIGH
+    return flags
+
+
+def _byte_index(high_bit) -> np.ndarray:
+    """Index 0-7 of the byte whose high bit is the one bit set; 0 if none is."""
+    return ((high_bit >> _U64(7)) * _U64(0x0001020304050607)) >> _U64(56)
+
+
+def _eight_digits(d) -> np.ndarray:
+    """Value of the 8 decimal digits held one per byte of d, first byte leading.
+
+    d is overwritten.
+    """
+    mask = _U64(0x000000FF000000FF)
+    pairs = d >> _U64(8)
+    d *= _U64(10)
+    d += pairs
+    pairs = d >> _U64(16)
+    pairs &= mask
+    pairs *= _U64(1 + (10000 << 32))
+    d &= mask
+    d *= _U64(100 + (1000000 << 32))
+    d += pairs
+    d >>= _U64(32)
+    return d
 
 
 def _intern(keys) -> tuple[list[str], np.ndarray]:

@@ -258,6 +258,210 @@ def test_bytes_cast_is_float():
     assert got.tobytes() == want.tobytes()
 
 
+def _word_path(fields):
+    """_parse_decimals on byte strings, each laid out as a tab-led line."""
+    pad = data_io._WORD_FIELD
+    blob = b"".join(b"\t" + f + b"\n" for f in fields)
+    buf = np.zeros(pad + len(blob), dtype=np.uint8)
+    buf[pad:] = np.frombuffer(blob, dtype=np.uint8)
+    lengths = np.array([len(f) for f in fields])
+    stop = pad + np.cumsum(lengths + 2) - 1
+    return data_io._parse_decimals(buf, stop - lengths, stop)
+
+
+def _mantissa_exponent(text):
+    """M and E of a field in the word grammar, whose value is M * 10**E."""
+    mantissa, _, exp = text.removesuffix("\r").lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return int(whole + frac), int(exp or 0) - len(frac)
+
+
+def _in_word_range(text):
+    """Whether a field in the word grammar is short enough and M, E in range."""
+    m, e = _mantissa_exponent(text)
+    return len(text.removesuffix("\r")) <= 24 and m < 2**63 and -27 <= e <= 22
+
+
+def _check_word_path(texts, word_path):
+    values, fallback = _word_path([t.encode() for t in texts])
+    for text, value, fell_back, want in zip(texts, values, fallback, word_path):
+        assert fell_back != want, text
+        if want:
+            assert value.tobytes() == np.float64(float(text)).tobytes(), text
+
+
+_word_digits = st.text("0123456789", max_size=19)
+_word_exponent = st.tuples(
+    st.sampled_from("eE"),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 40).flatmap(lambda v: st.sampled_from([str(v), f"{v:03d}"])),
+).map("".join)
+# `digits[.digits]` or `.digits`, an optional exponent, an optional CR.
+_word_decimal = st.tuples(
+    _word_digits,
+    st.none() | _word_digits,
+    st.just("") | _word_exponent,
+    st.sampled_from(["", "\r"]),
+).filter(lambda t: t[0] or t[1]).map(
+    lambda t: t[0] + ("" if t[1] is None else "." + t[1]) + t[2] + t[3]
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(texts=st.lists(_word_decimal, min_size=1, max_size=40))
+def test_word_path_equals_float(texts):
+    _check_word_path(texts, [_in_word_range(t) for t in texts])
+
+
+def _decimal_of(t, j):
+    """The exact decimal of t / 2**j."""
+    digits = str(t * 5**j)
+    return digits[: len(digits) - j] + "." + digits[len(digits) - j :] if j else digits
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    ties=st.lists(
+        st.tuples(st.integers(2**52, 2**53 - 1), st.integers(0, 3)), min_size=1, max_size=40
+    )
+)
+def test_word_path_rounds_ties_to_even(ties):
+    # Odd t in (2**53, 2**54) over 2**j lies halfway between two doubles.
+    texts = [_decimal_of(2 * k + 1, j) for k, j in ties]
+    _check_word_path(texts, [True] * len(texts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Just below 2**54 and 1, where the spacing below halves.
+@example(texts=["18014398509481982.75", "0.99999999999999991", "1e-27"])
+@given(
+    texts=st.lists(
+        st.tuples(st.integers(1, 2**63 - 1), st.integers(-27, 22)).map("{0[0]}e{0[1]}".format),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_correction_reaches_float_from_3_ulps_away(texts):
+    m, e = np.array([_mantissa_exponent(t) for t in texts]).T
+    want = np.array([float(t) for t in texts])
+    for k in range(-3, 4):
+        q = (want.view(np.int64) + k).view(np.float64)
+        unsettled = data_io._round_half_even(q, m.astype(np.uint64), e)
+        assert unsettled.size == 0
+        assert q.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "text, word_path",
+    [
+        ("9007199254740992", True),  # M = 2**53
+        ("9007199254740993", True),  # 2**53 + 1, a tie
+        ("9223372036854775807", True),  # 2**63 - 1
+        ("9223372036854775808", False),
+        ("9223372036854775807e22", True),
+        ("18014398509481983", True),  # ties just below and above 2**54
+        ("18014398509481986", True),
+        ("18014398509481984.5", True),
+        ("1e22", True),
+        ("1e23", False),
+        ("1e-27", True),
+        ("1e-28", False),
+        ("0e-27", True),
+        (".00000000000000000000000", True),  # 24 bytes, M = 0
+        ("5", True),
+        ("5.", True),
+        (".5", True),
+        ("000.5", True),
+        ("0", True),
+        ("0.0", True),
+        ("5.4250854925828851e-06", True),
+        ("1234567890123456789e-022", True),  # 24 bytes
+        ("0.0000000000000000000001\r", True),  # 24 bytes and a CR
+        ("00.0000000000000000000001", False),  # 25 bytes
+        ("1e0001", False),  # 4 exponent digits
+        ("1_0", False),
+        (" 1", False),
+        ("1 ", False),
+        ("1\r\r", False),
+        ("+2.5E-3", False),
+        ("-0.0", False),
+        ("inf", False),
+        ("nan", False),
+        ("1e400", False),
+        ("1e", False),
+        ("e5", False),
+        (".", False),
+        (".e1", False),
+        ("1.2.3", False),
+        ("1e5e5", False),
+        ("1e+", False),
+        ("1.5x", False),
+        ("\u0661", False),
+    ],
+)
+def test_word_path_grammar(text, word_path):
+    _check_word_path([text], [word_path])
+
+
+def test_fallback_rows_keep_their_place(tmp_path, monkeypatch):
+    # Per-row casts land on their own rows among word-path ones, across chunks.
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", 3)
+    path = tmp_path / "t.tsv"
+    weights = ["1_0", "0.5", " 2", "+2.5E-3", "3e-320", "7", "1.5e+0003", "1e-400"]
+    path.write_text("".join(f"r{i}\tc\t{w}\n" for i, w in enumerate(weights)))
+    assert _parse_triplets_bulk(path) is not None
+    assert _outcome(parse_triplets, path) == _outcome(_parse_triplets_lines, path)
+
+
+def _repr_planted(path):
+    rng = np.random.default_rng(3)
+    same = np.kron(np.eye(4), np.ones((25, 25))) > 0
+    w = np.where(same, 1.0, 0.05) * rng.uniform(0.5, 1.5, size=same.shape)
+    with open(path, "w") as fh:
+        for i, row in enumerate(w.tolist()):
+            fh.writelines(f"y{i}\tx{j}\t{v!r}\n" for j, v in enumerate(row))
+
+
+def _normalized_planted(path):
+    # Cross weight 1e-7: %.17g exponents reach E = -27.
+    joint, _ = gen_planted_blocks(4, 25, 1.0, 1e-7, noise_seed=1)
+    write_triplets(path, joint.row_labels, joint.col_labels, joint.weights)
+
+
+def _zipf_counts(path):
+    rng = np.random.default_rng(5)
+    counts = np.zeros((60, 60))
+    p = 1.0 / np.arange(1, 61) ** 1.1
+    np.add.at(counts, (rng.choice(60, 5000, p=p / p.sum()), rng.integers(0, 60, 5000)), 1.0)
+    rows, cols = np.nonzero(counts)
+    with open(path, "w") as fh:
+        fh.writelines(
+            f"y{i}\tx{j}\t{v!r}\n"
+            for i, j, v in zip(rows.tolist(), cols.tolist(), counts[rows, cols].tolist())
+        )
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("write", [_repr_planted, _normalized_planted, _zipf_counts])
+def test_weight_files_take_the_word_path(tmp_path, monkeypatch, write, crlf):
+    path = tmp_path / "t.tsv"
+    write(path)
+    if crlf:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    fallback_rows = []
+    parse_decimals = data_io._parse_decimals
+
+    def counted(buf, start, stop):
+        values, fallback = parse_decimals(buf, start, stop)
+        fallback_rows.append(int(fallback.sum()))
+        return values, fallback
+
+    monkeypatch.setattr(data_io, "_parse_decimals", counted)
+    got = _outcome(parse_triplets, path)
+    assert fallback_rows and sum(fallback_rows) == 0
+    assert got == _outcome(_parse_triplets_lines, path)
+
+
 @pytest.mark.parametrize("reader", [_parse_triplets_bulk, _parse_triplets_lines])
 def test_matrix_beyond_memory_refused_before_allocation(tmp_path, monkeypatch, reader):
     # 200,000 x 200,000 float64 is 298 GiB: refused from the shape alone.
