@@ -268,15 +268,15 @@ _BEFORE = _BOTTOM[np.clip(np.arange(_WORD_FIELD + 2) - _WORD_START, 0, 8)]
 # Length of an exponent part whose `e` is byte j of the last word.
 _EXP_LEN = np.array([0, 0, 0, 5, 4, 3, 2, 0])
 _POW10_INT = np.array([10**j for j in range(17)], _U64)
-_POW5 = np.array([5**j for j in range(28)], _U64)
+_POW5 = np.array([5**j for j in range(23)], _U64)
 # M = hi * 10**(16 - x) + rest is below 2**63 iff (hi, rest) < row x.
 _M_LIMIT = np.array([divmod(2**63, 10 ** (16 - x)) for x in range(6)], _U64)
-_MIN_E, _MAX_E = -27, 22
-# Column E - _MIN_E: M * 10**E is M * up / down, one exact operation for
-# |E| <= 22; below that, up is 10**E rounded, and the product an estimate.
+_MIN_E, _MAX_E = -22, 22
+# Column E - _MIN_E: M * 10**E is M * up / down, one exact IEEE operation,
+# as 10**|E| is a double for |E| <= 22.
 _SCALE = np.array(
     [
-        (float(f"1e{e}"), 1.0) if e >= 0 or e < -22 else (1.0, float(10**-e))
+        (float(f"1e{e}"), 1.0) if e >= 0 else (1.0, float(10**-e))
         for e in range(_MIN_E, _MAX_E + 1)
     ]
 ).T
@@ -286,15 +286,15 @@ def _parse_decimals(buf, start, stop) -> tuple[np.ndarray, np.ndarray]:
     """float() of each field buf[start[i]:stop[i]] on a word path, and a fallback mask.
 
     Fields in _decimal_parts' grammar have the value M * 10**E, and the
-    result equals float() bit for bit: M <= 2**53 with |E| <= 22 takes one
-    exactly rounded IEEE operation (Clinger 1990), and any other estimate
-    is corrected in _round_half_even. Rows outside the grammar are True in
-    the mask and their values are unset.
+    result equals float() bit for bit: M <= 2**53 takes one exactly
+    rounded IEEE operation (Clinger 1990), as |E| <= 22; a larger M gives
+    an estimate within 1.5 ulps that _round_half_even corrects. Rows
+    outside the grammar are True in the mask and their values are unset.
     """
     m, e, bad = _decimal_parts(buf, start, stop)
     value = m.astype(np.float64) * np.take(_SCALE[0], e - _MIN_E)
     value /= np.take(_SCALE[1], e - _MIN_E)
-    slow = np.flatnonzero(~bad & ((m > _U64(2**53)) | ((e < -22) & (m > 0))))
+    slow = np.flatnonzero(~bad & (m > _U64(2**53)))
     estimate = value[slow]
     unsettled = _round_half_even(estimate, m[slow], e[slow])
     value[slow] = estimate
@@ -397,10 +397,11 @@ def _exponent(last, non_digits, e_byte, bad) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _round_half_even(q, m, e) -> np.ndarray:
-    """Move estimates q > 0 of m * 10**e, each within 3 ulps, to the nearest double.
+    """Move estimates q of m * 10**e, each within 1.5 ulps, to the nearest double.
 
-    Ties go to the even significand, as float() rounds. q is corrected in
-    place; returns the rows still moving after 4 steps.
+    For 2**53 < m < 2**63 and |e| <= 22. Ties go to the even significand,
+    as float() rounds. q is corrected in place; returns the rows still
+    moving after 4 steps.
     """
     active = np.arange(q.size)
     for _ in range(4):
@@ -418,57 +419,29 @@ def _round_half_even(q, m, e) -> np.ndarray:
 def _nearer_neighbour(bits, m, e) -> tuple[np.ndarray, np.ndarray]:
     """Whether the double above, or below, each q = bits is nearer m * 10**e.
 
-    Exact, in pairs of uint64 limbs. With q = f * 2**b, the value lies
+    Exact in wrapping uint64 arithmetic. With q = f * 2**b, the value lies
     d = 4 * (m * 10**e - q) / 2**b quarter-ulps from q. Scaled by 5**-e when
-    e < 0, d is L * 2**(e + 2 - b) - R with L = m * 5**max(e, 0) and
-    R = 4f * 5**max(-e, 0); either side is shifted to make it integral, and
-    d is compared with the half-spacing to each neighbour, scaled alike.
+    e < 0, d is L * 2**s - R with s = e + 2 - b, L = m * 5**max(e, 0) and
+    R = 4f * 5**max(-e, 0); when s < 0, R is shifted left by -s instead.
+    L and R wrap mod 2**64, but for |e| <= 22, m < 2**63 and q within 1.5
+    ulps, |d| < 2**63, so their wrapped difference is d. d is compared
+    with the half-spacing to each neighbour, scaled alike.
     """
     frac = bits & _U64(2**52 - 1)
     f4 = (frac | _U64(2**52)) << _U64(2)
-    shift = e + 1077 - (bits >> _U64(52)).astype(np.int64)
+    s = e + 1077 - (bits >> _U64(52)).astype(np.int64)
     positive = e >= 0
     five = np.take(_POW5, np.abs(e))
-    hi, lo = _mul128(np.where(positive, m, f4), five)
-    zero = _U64(0)
-    l_hi, l_lo = _shl128(
-        np.where(positive, hi, zero), np.where(positive, lo, m), np.maximum(shift, 0)
-    )
-    shift = np.maximum(-shift, 0).astype(_U64)
-    hi, lo = _shl128(np.where(positive, zero, hi), np.where(positive, f4, lo), shift)
-    unit = np.where(positive, _U64(1), five) << shift
-    d_hi = (l_hi - hi - (l_lo < lo)).view(np.int64)
-    d_lo = l_lo - lo
+    left = np.where(positive, m * five, m) << np.maximum(s, 0).astype(_U64)
+    shift = np.maximum(-s, 0).astype(_U64)
+    d = (left - (np.where(positive, f4, f4 * five) << shift)).view(np.int64)
+    unit = (np.where(positive, _U64(1), five) << shift).view(np.int64)
     odd = (bits & _U64(1)) == 1
-    up = _exceeds(d_hi, d_lo, unit << _U64(1), odd)
+    up = (d > 2 * unit) | ((d == 2 * unit) & odd)
     # Below f = 2**52 the spacing halves, and so does the half-spacing.
-    down_unit = np.where(frac == 0, unit, unit << _U64(1))
-    down = _exceeds(~d_hi + (d_lo == 0), zero - d_lo, down_unit, odd)
+    down_unit = np.where(frac == 0, unit, 2 * unit)
+    down = (d < -down_unit) | ((d == -down_unit) & odd)
     return up, down
-
-
-def _exceeds(hi, lo, t, tie) -> np.ndarray:
-    """Signed 128-bit (hi, lo) > uint64 t, or == t where tie."""
-    return (hi > 0) | ((hi == 0) & ((lo > t) | ((lo == t) & tie)))
-
-
-def _mul128(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of uint64 arrays as (high, low) limbs."""
-    mask = _U64(2**32 - 1)
-    a0, a1, b0, b1 = a & mask, a >> _U64(32), b & mask, b >> _U64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((p00 >> _U64(32)) + (p01 & mask) + (p10 & mask)) >> _U64(32)
-    return a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + carry, a * b
-
-
-def _shl128(hi, lo, s) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) << s for s in [0, 128), assuming the result fits in 128 bits."""
-    s = s.astype(_U64)
-    big = s >= 64
-    s &= _U64(63)
-    hi = (hi << s) | ((lo >> _U64(1)) >> (_U64(63) - s))
-    lo = lo << s
-    return np.where(big, lo, hi), np.where(big, _U64(0), lo)
 
 
 def _zero_bytes(v) -> np.ndarray:

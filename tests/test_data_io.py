@@ -279,7 +279,7 @@ def _mantissa_exponent(text):
 def _in_word_range(text):
     """Whether a field in the word grammar is short enough and M, E in range."""
     m, e = _mantissa_exponent(text)
-    return len(text.removesuffix("\r")) <= 24 and m < 2**63 and -27 <= e <= 22
+    return len(text.removesuffix("\r")) <= 24 and m < 2**63 and -22 <= e <= 22
 
 
 def _check_word_path(texts, word_path):
@@ -332,19 +332,30 @@ def test_word_path_rounds_ties_to_even(ties):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-# Just below 2**54 and 1, where the spacing below halves.
-@example(texts=["18014398509481982.75", "0.99999999999999991", "1e-27"])
+# Just below 2**54 and 1, where the spacing below halves, and the largest
+# and smallest scaled differences.
+@example(
+    texts=[
+        "18014398509481982.75",
+        "0.99999999999999991",
+        "9223372036854775807e22",
+        "9007199254740993e-22",
+    ]
+)
 @given(
     texts=st.lists(
-        st.tuples(st.integers(1, 2**63 - 1), st.integers(-27, 22)).map("{0[0]}e{0[1]}".format),
+        st.tuples(st.integers(2**53 + 1, 2**63 - 1), st.integers(-22, 22)).map(
+            "{0[0]}e{0[1]}".format
+        ),
         min_size=1,
         max_size=20,
     )
 )
-def test_correction_reaches_float_from_3_ulps_away(texts):
+def test_correction_reaches_float_from_1_ulp_away(texts):
+    # float()'s double +-1 ulp is within 1.5 ulps of the value.
     m, e = np.array([_mantissa_exponent(t) for t in texts]).T
     want = np.array([float(t) for t in texts])
-    for k in range(-3, 4):
+    for k in range(-1, 2):
         q = (want.view(np.int64) + k).view(np.float64)
         unsettled = data_io._round_half_even(q, m.astype(np.uint64), e)
         assert unsettled.size == 0
@@ -364,10 +375,12 @@ def test_correction_reaches_float_from_3_ulps_away(texts):
         ("18014398509481984.5", True),
         ("1e22", True),
         ("1e23", False),
-        ("1e-27", True),
-        ("1e-28", False),
-        ("0e-27", True),
-        (".00000000000000000000000", True),  # 24 bytes, M = 0
+        ("1e-22", True),
+        ("1e-23", False),
+        ("0e-22", True),
+        ("0e-23", False),
+        ("9223372036854775807e-22", True),
+        ("0000000000.0000000000000", True),  # 24 bytes, M = 0
         ("5", True),
         ("5.", True),
         (".5", True),
@@ -422,10 +435,15 @@ def _repr_planted(path):
             fh.writelines(f"y{i}\tx{j}\t{v!r}\n" for j, v in enumerate(row))
 
 
-def _normalized_planted(path):
-    # Cross weight 1e-7: %.17g exponents reach E = -27.
-    joint, _ = gen_planted_blocks(4, 25, 1.0, 1e-7, noise_seed=1)
+def _normalized_planted(path, cross=0.05):
+    # %.17g writes d.dddddddddddddddde-XX below 1e-4: E = -XX - 16.
+    joint, _ = gen_planted_blocks(4, 25, 1.0, cross, noise_seed=1)
     write_triplets(path, joint.row_labels, joint.col_labels, joint.weights)
+
+
+def _tiny_normalized_planted(path):
+    # Cross weight 1e-7: E reaches -27, and rows with E < -22 fall back.
+    _normalized_planted(path, cross=1e-7)
 
 
 def _zipf_counts(path):
@@ -442,10 +460,15 @@ def _zipf_counts(path):
 
 
 @pytest.mark.parametrize("crlf", [False, True])
-@pytest.mark.parametrize("write", [_repr_planted, _normalized_planted, _zipf_counts])
+@pytest.mark.parametrize(
+    "write", [_repr_planted, _normalized_planted, _tiny_normalized_planted, _zipf_counts]
+)
 def test_weight_files_take_the_word_path(tmp_path, monkeypatch, write, crlf):
     path = tmp_path / "t.tsv"
     write(path)
+    weights = [line.split("\t")[2] for line in path.read_text().splitlines()]
+    out_of_range = sum(not _in_word_range(w) for w in weights)
+    assert (out_of_range > 0) == (write is _tiny_normalized_planted)
     if crlf:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     fallback_rows = []
@@ -458,7 +481,7 @@ def test_weight_files_take_the_word_path(tmp_path, monkeypatch, write, crlf):
 
     monkeypatch.setattr(data_io, "_parse_decimals", counted)
     got = _outcome(parse_triplets, path)
-    assert fallback_rows and sum(fallback_rows) == 0
+    assert fallback_rows and sum(fallback_rows) == out_of_range
     assert got == _outcome(_parse_triplets_lines, path)
 
 
