@@ -10,8 +10,7 @@ from . import _threads  # noqa: F401  (must run before numpy loads)
 
 __version__ = "0.1.0"
 
-from . import core, data_io, embedding, errors, evaluation, frobenius, simplex
-from . import nuclear as _nuclear  # `nuclear` is core's nuclear norm
+from . import core, data_io, embedding, errors, evaluation, frobenius, nuclear, simplex
 from .core import *  # noqa: F403
 from .data_io import *  # noqa: F403
 from .embedding import *  # noqa: F403
@@ -29,6 +28,6 @@ __all__ = [
     *errors.__all__,
     *evaluation.__all__,
     *frobenius.__all__,
-    *_nuclear.__all__,
+    *nuclear.__all__,
     *simplex.__all__,
 ]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import JointPmf, Pmf
+from .core import Dtm, Pmf, build_dtm
 from .data_io import (
     CounterexampleParams,
     _write_json,
@@ -79,7 +79,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     _write_json(out_dir / "manifest.json", payload)
 
 
-def _load_joint(args) -> tuple[JointPmf, object]:
+def _load_joint(args) -> tuple[Dtm, object]:
+    """The input joint's DTM, the only form later steps read, and the prune report."""
     path = Path(args.input)
     if path.suffix.lower() == ".csv":
         rows, cols, weights = load_dense_csv(path)
@@ -88,26 +89,27 @@ def _load_joint(args) -> tuple[JointPmf, object]:
     if getattr(args, "rating_transform", False):
         weights = apply_rating_transform(weights)
     joint, report = ingest(rows, cols, weights, normalize=args.normalize)
+    del weights  # ingest holds its own copy; free this one before B is built
     if not report.empty:
         _log(
             f"pruned {len(report.pruned_rows)} rows, "
             f"{len(report.pruned_cols)} columns with zero weight"
         )
-    return joint, report
+    return build_dtm(joint), report
 
 
-def _resolve_pz(args, k: int, joint: JointPmf) -> Pmf:
+def _resolve_pz(args, k: int, dtm: Dtm) -> Pmf:
     if args.pz is None:
         raise ConfigError("--algo frobenius requires --pz (a file or 'uniform')")
     if args.pz == "uniform":
-        return _uniform_target(k, len(joint.marginal_y))
+        return _uniform_target(k, len(dtm.row_pmf))
     pz = load_pmf(args.pz)
     if len(pz) != k:
         raise ConfigError(f"--pz has {len(pz)} entries but --k is {k}")
     return pz
 
 
-def _load_truth(path, joint: JointPmf, prune) -> dict[str, str]:
+def _load_truth(path, dtm: Dtm, prune) -> dict[str, str]:
     """Truth labels of the items left after pruning, checked before solving.
 
     Labels of pruned items are dropped with a note; any other item missing
@@ -120,7 +122,7 @@ def _load_truth(path, joint: JointPmf, prune) -> dict[str, str]:
             f"note: ignoring the truth labels of {len(pruned)} pruned "
             f"item(s), first {pruned[0]!r}"
         )
-    _check_same_items(dict.fromkeys(joint.row_labels), truth)
+    _check_same_items(dict.fromkeys(dtm.row_pmf.labels), truth)
     return truth
 
 
@@ -138,7 +140,7 @@ def _reject_for_nuclear(args, flags: dict) -> None:
 
 
 def _cmd_cluster(args, out_dir: Path) -> int:
-    joint, prune = _load_joint(args)
+    dtm, prune = _load_joint(args)
     _write_json(out_dir / "prune_report.json", prune.as_dict())
 
     k = args.k
@@ -148,15 +150,15 @@ def _cmd_cluster(args, out_dir: Path) -> int:
          "--tol": args.tol},
     )
     lam = _resolve_lambda(args)
-    p_z = _resolve_pz(args, k, joint) if args.algo == "frobenius" else None
+    p_z = _resolve_pz(args, k, dtm) if args.algo == "frobenius" else None
     if args.truth is not None:
-        truth = _load_truth(args.truth, joint, prune)
+        truth = _load_truth(args.truth, dtm, prune)
 
     best = None
     for restart in range(args.restarts):
         seed = args.seed + restart
         kernel, trace = _solve(
-            joint, args.algo, k, seed, p_z, lam, args.alpha, args.tol
+            dtm, args.algo, k, seed, p_z, lam, args.alpha, args.tol
         )
         final = trace.objectives[-1]
         if best is None or final > best[0] + _TIE_RTOL * abs(best[0]):
@@ -167,10 +169,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         )
 
     final_obj, best_seed, kernel, trace = best
-    if args.algo == "frobenius":
-        pz_out = p_z.probs
-    else:
-        pz_out = kernel.induced_marginal(joint.marginal_y)
+    pz_out = p_z.probs if p_z is not None else kernel.induced_marginal(dtm.row_pmf)
     write_kernel_json(
         out_dir / "kernel.json",
         kernel,
@@ -200,11 +199,11 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     )
 
     if args.truth is not None:
-        report = build_report(joint, kernel, truth, args.algo)
+        report = build_report(dtm, kernel, truth, args.algo)
         _write_json(out_dir / "report.json", report.as_dict())
         print(format_report_table(report))
     else:
-        norm_val = kernel_norm_value(joint, kernel, args.algo)
+        norm_val = kernel_norm_value(dtm, kernel, args.algo)
         summary = {
             "k": k,
             "algorithm": args.algo,
@@ -309,7 +308,7 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 
 
 def _cmd_elbow(args, out_dir: Path) -> int:
-    joint, _ = _load_joint(args)
+    dtm, _ = _load_joint(args)
     _reject_for_nuclear(args, {"--pz": args.pz, "--lambda": args.lam})
     lam = _resolve_lambda(args)
     p_z = None
@@ -321,7 +320,7 @@ def _cmd_elbow(args, out_dir: Path) -> int:
                     f"--pz has {len(p_z)} entries but --ks includes k = {k}"
                 )
     curve = elbow_curve(
-        joint,
+        dtm,
         args.ks.values,
         algorithm=args.algo,
         restarts=args.restarts,
@@ -350,13 +349,13 @@ def _cmd_elbow(args, out_dir: Path) -> int:
 
 
 def _cmd_embed(args, out_dir: Path) -> int:
-    joint, _ = _load_joint(args)
+    dtm, _ = _load_joint(args)
     if args.d == 1:
         _log(
             "note: dimension 1 is the constant top singular coordinate; "
             "informative dimensions start at 2"
         )
-    emb = dtm_embed(joint, args.d)
+    emb = dtm_embed(dtm, args.d)
     write_embedding_tsv(emb, out_dir / "embedding.tsv")
     _write_manifest(
         out_dir,

@@ -9,8 +9,10 @@ Conventions, used everywhere downstream:
   sqrt(P_Y), and every singular value lies in [0, 1].
 - A coupling kernel P(Z|Y) is column stochastic: column y is the cluster
   distribution of item y. A clustering is scored through the DTM of the
-  chain joint P_{Z,X} = P_{Z|Y} P_{Y,X}, which build_dtm forms like any
-  other.
+  chain joint P_{Z,X} = P_{Z|Y} P_{Y,X}, which is A B for A =
+  [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2}.
+- Everything after ingest takes the joint's one Dtm: B = dtm.matrix, and
+  the item labels and P_Y are dtm.row_pmf.
 
 All types except the solvers' SolveTrace history are immutable after
 construction and safe to share across threads. Nothing is cached: a Dtm
@@ -45,7 +47,6 @@ __all__ = [
     "SolveTrace",
     "build_dtm",
     "frobenius_sq",
-    "nuclear",
 ]
 
 
@@ -333,8 +334,3 @@ def frobenius_sq(dtm: Dtm) -> float:
     Equals the sum of squared singular values.
     """
     return float(np.sum(dtm.matrix * dtm.matrix))
-
-
-def nuclear(dtm: Dtm) -> float:
-    """Nuclear norm: sum of singular values."""
-    return float(np.sum(dtm.singular_values()))

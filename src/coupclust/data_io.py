@@ -157,9 +157,10 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     field as three 64-bit words; a field outside its grammar goes through
     numpy's `S` -> float64 cast, which calls float(). Both give float()'s
     bits. Each label array is its widest field times the line count, so a
-    file is declined when its three columns at their widest would exceed a
-    quarter of memory (_intern makes a gathered copy of each label array
-    to compare); a few long labels among short ones are still read in bulk.
+    file is declined when its label columns at their widest would exceed a
+    quarter of memory (_intern makes a gathered copy of each label array to
+    compare); a few long labels among short ones are still read in bulk.
+    Only weights that fall back are cut to width (_parse_weights).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -192,7 +193,7 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     ]
     widths = [max(int((stop - start).max()), 1) for start, stop in spans]
     widths[:2] = [-(-w // 8) * 8 for w in widths[:2]]  # whole words for _intern
-    if sum(widths) * n > _physical_memory() / 4:
+    if sum(widths[:2]) * n > _physical_memory() / 4:
         return None
     buf = np.empty(pad + raw.size + max(widths), dtype=np.uint8)
     buf[:pad] = 0
@@ -231,7 +232,8 @@ def _parse_weights(buf, start, stop) -> np.ndarray | None:
 
     Fields convert with _parse_decimals in chunks of _CHUNK_ROWS, which
     bounds its temporary arrays; the rows it leaves go through numpy's
-    `S` -> float64 cast, which calls float() per field.
+    `S` -> float64 cast, which calls float() per field, or None if they
+    would exceed a quarter of memory cut to their widest field.
     """
     w = np.empty(start.size)
     fallback = np.empty(start.size, dtype=bool)
@@ -241,7 +243,10 @@ def _parse_weights(buf, start, stop) -> np.ndarray | None:
     rows = np.flatnonzero(fallback)
     if rows.size:
         start, stop = start[rows], stop[rows]
-        keys = _fixed_width(buf, start, stop, max(int((stop - start).max()), 1))
+        width = max(int((stop - start).max()), 1)
+        if rows.size * width > _physical_memory() / 4:
+            return None
+        keys = _fixed_width(buf, start, stop, width)
         try:
             w[rows] = keys.astype(np.float64)
         except ValueError:

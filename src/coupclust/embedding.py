@@ -1,8 +1,8 @@
 """Item embeddings from the whitened left singular vectors of the DTM.
 
 Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d], with the
-d leading left singular vectors U[:, :d] from `Dtm.top(d)`: one eigensolve
-of the DTM's smaller Gram matrix, with no full SVD. The first coordinate
+d leading left singular vectors U[:, :d] of the joint's DTM, from one
+eigensolve of its smaller Gram matrix (`Dtm.top(d)`). The first coordinate
 is constant across items (the top singular vector of a DTM is sqrt of the
 marginal), so informative dimensions start at 2.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JointPmf, build_dtm
+from .core import Dtm
 from .errors import InvalidParams, RankDeficient
 
 __all__ = ["EmbeddingMatrix", "dtm_embed", "write_embedding_tsv"]
@@ -44,25 +44,26 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def dtm_embed(joint: JointPmf, d: int) -> EmbeddingMatrix:
+def dtm_embed(dtm: Dtm, d: int) -> EmbeddingMatrix:
     """Embed items as rows of [P_Y]^{-1/2} U[:, :d].
 
-    U[:, :d] comes from `Dtm.top(d)`. Each column's sign is fixed so that
-    its largest-magnitude entry is positive. Raises RankDeficient when d
-    exceeds min(|Y|, |X|) or the numerical rank of the DTM. The rank is
-    judged on the Gram eigenvalues lambda = sigma^2 by numpy's
-    `matrix_rank` rule: lambda_d <= max(|Y|, |X|) * eps * lambda_1 counts
-    as zero, i.e. sigma_d <= sqrt(max(|Y|, |X|) * eps), about 4e-7 at 768.
+    U[:, :d] comes from `dtm.top(d)`, P_Y and the items from dtm.row_pmf.
+    Each column's sign is fixed so that its largest-magnitude entry is
+    positive. Raises RankDeficient when d exceeds min(|Y|, |X|) or the
+    numerical rank of the DTM. The rank is judged on the Gram eigenvalues
+    lambda = sigma^2 by numpy's `matrix_rank` rule: lambda_d <= max(|Y|, |X|)
+    * eps * lambda_1 counts as zero, i.e. sigma_d <= sqrt(max(|Y|, |X|) *
+    eps), about 4e-7 at 768.
     """
     d = int(d)
     if d < 1:
         raise InvalidParams("d must be >= 1")
-    if d > min(joint.shape):
+    if d > min(dtm.shape):
         raise RankDeficient(
-            f"d = {d} exceeds min(|Y|, |X|) = {min(joint.shape)}"
+            f"d = {d} exceeds min(|Y|, |X|) = {min(dtm.shape)}"
         )
-    u, s = build_dtm(joint).top(d)
-    cutoff = max(joint.shape) * np.finfo(np.float64).eps * float(s[0]) ** 2
+    u, s = dtm.top(d)
+    cutoff = max(dtm.shape) * np.finfo(np.float64).eps * float(s[0]) ** 2
     rank = int(np.sum(s**2 > cutoff))
     if rank < d:
         raise RankDeficient(
@@ -70,8 +71,8 @@ def dtm_embed(joint: JointPmf, d: int) -> EmbeddingMatrix:
             f"sigma_{d} = {float(s[d - 1]):.3g} is at or below the threshold "
             f"{np.sqrt(cutoff):.3g} = sqrt(max(|Y|, |X|) * eps) * sigma_1"
         )
-    vectors = _fix_signs(u) / joint.marginal_y.sqrt_probs[:, None]
-    return EmbeddingMatrix(joint.row_labels, vectors)
+    vectors = _fix_signs(u) / dtm.row_pmf.sqrt_probs[:, None]
+    return EmbeddingMatrix(dtm.row_pmf.labels, vectors)
 
 
 def write_embedding_tsv(emb: EmbeddingMatrix, path) -> None:

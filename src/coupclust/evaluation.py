@@ -1,4 +1,4 @@
-"""Clustering metrics and model-selection curves.
+"""Clustering metrics, and model-selection curves on a joint's Dtm.
 
 Accuracy is permutation-invariant: predicted cluster ids are matched to
 true labels by an optimal one-to-one assignment on the confusion matrix
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, JointPmf, Pmf, build_dtm
+from .core import CouplingKernel, Dtm, Pmf
 from .errors import InvalidParams, LabelMismatch, ZeroMarginal, warn_caller
 from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
 from .nuclear import NuclearConfig, _chain_svd, solve_nuclear
@@ -175,8 +175,8 @@ def coverage(truth, k: int) -> float:
     return sum(1 for lab in truth if lab in keep) / len(truth)
 
 
-def kernel_norm_value(joint: JointPmf, kernel: CouplingKernel, algorithm: str) -> float:
-    """Norm of the chain DTM B_{Z,X} induced by a kernel.
+def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float:
+    """Norm of the chain DTM B_{Z,X} that a kernel induces from the joint's DTM.
 
     Frobenius reports the squared Frobenius norm, nuclear the nuclear norm,
     matching what each solver maximizes. A Frobenius kernel may leave a
@@ -189,45 +189,45 @@ def kernel_norm_value(joint: JointPmf, kernel: CouplingKernel, algorithm: str) -
     """
     if algorithm not in ("frobenius", "nuclear"):
         raise InvalidParams(f"unknown algorithm {algorithm!r}")
-    py = joint.marginal_y.probs
+    py = dtm.row_pmf.probs
     live = kernel.kernel @ py > 0
     if algorithm == "nuclear" and not np.all(live):
         raise ZeroMarginal("kernel leaves a cluster with zero mass")
     # A kernel's columns may miss 1 by KERNEL_COL_TOL, more than the chain's
     # sigma_1 = 1 check allows; one-hot columns divide by exactly 1.
     kern = kernel.kernel[live] / kernel.kernel.sum(axis=0)
-    s = _chain_svd(build_dtm(joint).matrix, py, kern)[1]
+    s = _chain_svd(dtm.matrix, py, kern)[1]
     return float(np.sum(s * s)) if algorithm == "frobenius" else float(np.sum(s))
 
 
-def _solve(joint, algorithm, k, seed, p_z=None, lam=None, alpha=None, tol=None):
-    """One restart of the named solver: (kernel, trace).
+def _solve(dtm, algorithm, k, seed, p_z=None, lam=None, alpha=None, tol=None):
+    """One restart of the named solver on the joint's DTM: (kernel, trace).
 
     p_z (uniform when None), lam, alpha and tol are Frobenius knobs; None
     leaves the FrobeniusConfig default. The nuclear solver ignores them.
     """
     if algorithm == "nuclear":
-        return solve_nuclear(joint, NuclearConfig(k=k, seed=seed))
+        return solve_nuclear(dtm, NuclearConfig(k=k, seed=seed))
     if p_z is None:
-        p_z = _uniform_target(k, len(joint.marginal_y))
+        p_z = _uniform_target(k, len(dtm.row_pmf))
     if len(p_z) != k:
         raise InvalidParams("p_z length must equal k")
     knobs = {"lam": lam, "obj_tol": tol}
     cfg = FrobeniusConfig(
         alpha=alpha, seed=seed, **{n: v for n, v in knobs.items() if v is not None}
     )
-    return solve_frobenius(joint, p_z, cfg)
+    return solve_frobenius(dtm, p_z, cfg)
 
 
 def elbow_curve(
-    joint: JointPmf,
+    dtm: Dtm,
     ks: Sequence[int],
     algorithm: str = "nuclear",
     restarts: int = 5,
     p_z: Pmf | None = None,
     frobenius_lam: float | None = None,
 ) -> list[tuple[int, float]]:
-    """Best-over-restarts norm value per cluster count.
+    """Best-over-restarts norm value per cluster count on the joint's DTM.
 
     Each restart is scored by kernel_norm_value, and the curve keeps the
     largest. Restart r uses seed r; ties keep the lower seed. The Frobenius
@@ -254,8 +254,8 @@ def elbow_curve(
     for k in ks:
         best = -np.inf
         for seed in range(int(restarts)):
-            kernel, _ = _solve(joint, algorithm, k, seed, p_z, frobenius_lam)
-            val = kernel_norm_value(joint, kernel, algorithm)
+            kernel, _ = _solve(dtm, algorithm, k, seed, p_z, frobenius_lam)
+            val = kernel_norm_value(dtm, kernel, algorithm)
             if val > best:
                 best = val
         curve.append((k, float(best)))
@@ -297,9 +297,9 @@ class ClusteringReport:
 
 
 def build_report(
-    joint: JointPmf, kernel: CouplingKernel, truth, algorithm: str
+    dtm: Dtm, kernel: CouplingKernel, truth, algorithm: str
 ) -> ClusteringReport:
-    """Assemble the Table-style report for a kernel against ground truth."""
+    """Assemble the Table-style report for a kernel on dtm against ground truth."""
     pred_map = harden(kernel)
     if isinstance(truth, Mapping):
         truth_map = dict(truth)
@@ -314,7 +314,7 @@ def build_report(
         coverage=coverage(truth_map, k),
         overall_accuracy=matched_accuracy(pred_map, truth_map, mode="overall"),
         k_accuracy=matched_accuracy(pred_map, truth_map, mode="top_k", k=k),
-        norm_value=kernel_norm_value(joint, kernel, algorithm),
+        norm_value=kernel_norm_value(dtm, kernel, algorithm),
     )
 
 

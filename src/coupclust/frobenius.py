@@ -3,9 +3,9 @@
 Maximizes J(A) = ||A B||_F^2 - lambda ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 over
 the solver variable A = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2} (the conditional
 DTM of the kernel), projecting every step onto the A of column-stochastic
-kernels. The data enter only through products with a thin factor C of B
-(C C^T = B B^T, see _gram_factor). With the residual r = A sqrt(P_Y) -
-sqrt(P_Z), the update
+kernels. B is the joint's DTM, passed in; it enters only through products
+with a thin factor C (C C^T = B B^T, see _gram_factor). With the residual
+r = A sqrt(P_Y) - sqrt(P_Z), the update
 
     A <- A + alpha ((A C) C^T - lambda r sqrt(P_Y)^T)
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, JointPmf, Pmf, SolveTrace, build_dtm
+from .core import CouplingKernel, Dtm, Pmf, SolveTrace
 from .errors import InvalidParams, NonFinite, ZeroMarginal
 from .simplex import project_columns
 from .svd import top_singular_value_sym
@@ -154,36 +154,36 @@ def _feasibility(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> tuple[float, 
 
 
 def solve_frobenius(
-    joint: JointPmf, p_z: Pmf, cfg: FrobeniusConfig | None = None
+    dtm: Dtm, p_z: Pmf, cfg: FrobeniusConfig | None = None
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Accelerated gradient-ascent coupling solver with a target marginal.
 
-    Initialization draws each kernel column uniformly from the simplex
-    (exponential spacings), seeded by cfg.seed. Every iteration takes one
-    gradient step from the momentum point, projects each column of A onto
-    {a >= 0, sqrt(P_Z)^T a = sqrt(P_Y(y))} in the Euclidean norm of A-space
-    (the metric of the step), and evaluates the projected iterate. A
-    momentum step that lowers the objective is discarded and momentum
-    restarts (module docstring); otherwise the step is accepted and
-    recorded. cfg.max_iters counts every gradient step, discarded ones
-    included; the trace holds the accepted steps only, and the returned
-    kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from the last traced A, so
-    every traced objective and the returned kernel belong to a
-    column-stochastic kernel. Convergence = relative objective change below
-    cfg.obj_tol across a window of 10 accepted iterations; raises NonFinite
-    if the iterate diverges or a column cannot be projected (step size too
-    large).
+    B is dtm.matrix; the items and P_Y are dtm.row_pmf. Initialization draws
+    each kernel column uniformly from the simplex (exponential spacings),
+    seeded by cfg.seed. Every iteration takes one gradient step from the
+    momentum point, projects each column of A onto {a >= 0, sqrt(P_Z)^T a =
+    sqrt(P_Y(y))} in the Euclidean norm of A-space (the metric of the step),
+    and evaluates the projected iterate. A momentum step that lowers the
+    objective is discarded and momentum restarts (module docstring);
+    otherwise the step is accepted and recorded. cfg.max_iters counts every
+    gradient step, discarded ones included; the trace holds the accepted
+    steps only, and the returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed
+    from the last traced A, so every traced objective and the returned
+    kernel belong to a column-stochastic kernel. Convergence = relative
+    objective change below cfg.obj_tol across a window of 10 accepted
+    iterations; raises NonFinite if the iterate diverges or a column cannot
+    be projected (step size too large).
     """
     if cfg is None:
         cfg = FrobeniusConfig()
     if not p_z.strictly_interior:
         raise ZeroMarginal("target P_Z must be strictly interior")
-    nz, ny = len(p_z), len(joint.marginal_y)
+    nz, ny = len(p_z), len(dtm.row_pmf)
     if nz > ny:
         raise InvalidParams(f"|Z| = {nz} exceeds |Y| = {ny}")
 
-    c = _gram_factor(build_dtm(joint).matrix)
-    sy, sz, lam = joint.marginal_y.sqrt_probs, p_z.sqrt_probs, cfg.lam
+    c = _gram_factor(dtm.matrix)
+    sy, sz, lam = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs, cfg.lam
 
     alpha = cfg.alpha
     if alpha is None:
@@ -245,5 +245,5 @@ def solve_frobenius(
                 break
 
     k = sz[:, None] * a / sy[None, :]
-    kernel = CouplingKernel(p_z.labels, joint.row_labels, k)
+    kernel = CouplingKernel(p_z.labels, dtm.row_pmf.labels, k)
     return kernel, trace

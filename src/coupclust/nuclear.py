@@ -8,7 +8,7 @@ per-item argmax assignments (one-hot vertex solutions). The kernel update is
 that argmax and nothing else: no target cluster marginal is taken or
 imposed, and the induced P_Z is whatever the assignments give.
 
-Both steps touch the data only through the joint's DTM B, built once. For a
+Both steps touch the data only through the joint's DTM B, passed in. For a
 kernel K the chain DTM is A B with A = [P_Z]^{-1/2} K [P_Y]^{1/2}, so each
 step takes one SVD of that k x |X| matrix (_chain_svd); the per-item
 coefficients of step (ii) come from B V and U with no chain joint formed.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, JointPmf, SolveTrace, build_dtm
+from .core import CouplingKernel, Dtm, SolveTrace
 from .errors import DegenerateCluster, InvalidParams, warn_caller
 from .svd import check_dtm_spectrum
 
@@ -134,17 +134,18 @@ def _rescue_dead(
 
 
 def solve_nuclear(
-    joint: JointPmf, cfg: NuclearConfig
+    dtm: Dtm, cfg: NuclearConfig
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Alternating maximization of ||B_{Z,X}||_* over coupling kernels.
 
-    The iterate is a cluster assignment (the one-hot kernel), seeded at
-    random with one distinct item pinned per cluster (so no cluster starts
-    empty). The update is the per-item argmax of the linear subproblem,
-    followed by the dead-cluster rescue; it takes no target cluster
-    marginal. Stops ("Converged") when the update returns the same
-    assignment, or at cfg.max_iters; either way the returned kernel is the
-    last one traced, whose nuclear norm is trace.objectives[-1].
+    B is dtm.matrix; the items and P_Y are dtm.row_pmf. The iterate is a
+    cluster assignment (the one-hot kernel), seeded at random with one
+    distinct item pinned per cluster (so no cluster starts empty). The
+    update is the per-item argmax of the linear subproblem, followed by the
+    dead-cluster rescue; it takes no target cluster marginal. Stops
+    ("Converged") when the update returns the same assignment, or at
+    cfg.max_iters; either way the returned kernel is the last one traced,
+    whose nuclear norm is trace.objectives[-1].
 
     The trace records the nuclear norm per outer iteration (penalty and
     violation columns are zero), plus extras: "kyfan_gap" (attainment error
@@ -154,14 +155,12 @@ def solve_nuclear(
     iterations emits a warning, not an error.
     """
     k = cfg.k
-    ny = len(joint.marginal_y)
+    ny = len(dtm.row_pmf)
     if k > ny:
         raise InvalidParams(f"k = {k} exceeds |Y| = {ny}")
     cluster_labels = tuple(f"z{i}" for i in range(k))
 
-    b = build_dtm(joint).matrix
-    py = joint.marginal_y.probs
-    sy = joint.marginal_y.sqrt_probs
+    b, py, sy = dtm.matrix, dtm.row_pmf.probs, dtm.row_pmf.sqrt_probs
     items = np.arange(ny)
 
     rng = np.random.default_rng(cfg.seed)
@@ -206,4 +205,4 @@ def solve_nuclear(
             break
         assign = new_assign
 
-    return CouplingKernel(cluster_labels, joint.row_labels, kernel_mat), trace
+    return CouplingKernel(cluster_labels, dtm.row_pmf.labels, kernel_mat), trace

@@ -303,9 +303,10 @@ def test_criterion_07_nuclear_solver():
     acc_floor = 1.0
     gap_worst = 0.0
     for blocks, joint, truth in _planted_suite():
+        dtm = build_dtm(joint)
         best = None
         for seed in range(5):
-            kernel, trace = solve_nuclear(joint, NuclearConfig(k=blocks, seed=seed))
+            kernel, trace = solve_nuclear(dtm, NuclearConfig(k=blocks, seed=seed))
             gap_worst = max(gap_worst, max(trace.extras["kyfan_gap"]))
             for before, after in zip(
                 trace.extras["linear_before"], trace.extras["linear_after"]
@@ -339,10 +340,11 @@ def test_criterion_08_frobenius_solver():
             y = joint.row_labels.index(item)
             mass[truth_keys.index(lab)] += joint.marginal_y.probs[y]
         p_z = Pmf(labels, mass / mass.sum())
+        dtm = build_dtm(joint)
         best = None
         for seed in range(5):
             kernel, trace = solve_frobenius(
-                joint, p_z, FrobeniusConfig(lam=10.0, seed=seed)
+                dtm, p_z, FrobeniusConfig(lam=10.0, seed=seed)
             )
             col_worst = max(
                 col_worst,
@@ -434,7 +436,7 @@ def test_criterion_10_external_tables_replaced_by_elbow():
     start = time.perf_counter()
     joint, _ = gen_planted_blocks(8, 12, 1.0, 0.02, noise_seed=0)
     ks = list(range(2, 11))
-    curve = elbow_curve(joint, ks, algorithm="nuclear", restarts=5)
+    curve = elbow_curve(build_dtm(joint), ks, algorithm="nuclear", restarts=5)
     vals = {k: v for k, v in curve}
     increments = {k: vals[k + 1] - vals[k] for k in range(2, 10)}
     # largest drop between consecutive increments happens entering k = 8

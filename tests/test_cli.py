@@ -164,8 +164,8 @@ class TestCluster:
         solve = evaluation.solve_nuclear
         bump = {0: 0.0, 1: 1e-15, 2: 1e-9}
 
-        def solve_bumped(joint, cfg):
-            kernel, trace = solve(joint, cfg)
+        def solve_bumped(dtm, cfg):
+            kernel, trace = solve(dtm, cfg)
             trace.objectives[-1] = 5.0 + bump[cfg.seed - 3]
             return kernel, trace
 
@@ -568,6 +568,39 @@ def test_warning_names_no_source_line(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "warning: nuclear norm decreased between iterations (" in out.stderr
     assert ".py:" not in out.stderr
+
+
+def test_each_run_builds_one_dtm(planted, tmp_path, monkeypatch):
+    # build_dtm is replaced in every coupclust module that holds the name, as
+    # a span tracer does, so a build in any layer is counted. The solvers,
+    # norms, report and embedding all read the one DTM the CLI builds.
+    data, truth = planted
+    runs = {
+        "nuclear": ["cluster", "--algo", "nuclear", "--k", "2", "--restarts", "3"],
+        "frobenius-truth": ["cluster", "--algo", "frobenius", "--pz", "uniform",
+                            "--k", "2", "--restarts", "2", "--truth", str(truth)],
+        "elbow": ["elbow", "--ks", "1:3:1", "--restarts", "2"],
+        "embed": ["embed", "--d", "2"],
+    }
+    build_dtm = coupclust.core.build_dtm
+    calls = []
+
+    def counting_build_dtm(joint):
+        calls.append(joint)
+        return build_dtm(joint)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "coupclust" or name.startswith("coupclust."):
+            for key, val in list(vars(mod).items()):
+                if val is build_dtm:
+                    monkeypatch.setattr(mod, key, counting_build_dtm)
+    counts = {}
+    for name, (command, *flags) in runs.items():
+        calls.clear()
+        out = str(tmp_path / name)
+        assert main([command, str(data), *flags, "--out", out]) == 0, name
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(runs, 1)
 
 
 class TestCounterexampleCmd:

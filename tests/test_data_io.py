@@ -501,14 +501,37 @@ def test_matrix_beyond_memory_refused_before_allocation(tmp_path, monkeypatch, r
         reader(path)
 
 
-@pytest.mark.parametrize("memory, bulk", [(1167, False), (1168, True)])
+@pytest.mark.parametrize("memory, bulk", [(1151, False), (1152, True)])
 def test_bulk_path_declines_fields_beyond_memory(tmp_path, monkeypatch, memory, bulk):
-    # 4 lines x (64 + 8 + 1) key bytes = 292, a quarter of 1168 (label keys
-    # are whole 8-byte words).
+    # 4 lines x (64 + 8) label key bytes = 288, a quarter of 1152 (label keys
+    # are whole 8-byte words; weights on the word path take no key bytes).
     path = tmp_path / "t.tsv"
     path.write_bytes(b"a\tu\t1\n" * 3 + b"L" * 64 + b"\tu\t1\n")
     monkeypatch.setattr(data_io, "_physical_memory", lambda: memory)
     assert (_parse_triplets_bulk(path) is not None) == bulk
+
+
+@pytest.mark.parametrize(
+    "wide, memory, bulk", [(1, 1279, True), (4, 1023, False), (4, 1024, True)]
+)
+def test_bulk_path_counts_only_fallback_weights(
+    tmp_path, monkeypatch, wide, memory, bulk
+):
+    # A 64-digit weight falls back to float(), and only the rows that fall
+    # back are cut to a fixed width. The labels take 4 x (8 + 8) = 64 bytes.
+    # One wide weight adds 64 bytes and is read in bulk at 1279, where the
+    # weight column counted at its widest on every line (4 x (8 + 8 + 64) =
+    # 320 bytes) declined; four add 4 x 64 = 256, a quarter of 1024.
+    path = tmp_path / "t.tsv"
+    wide_line = b"a\tu\t" + b"1" * 64 + b"\n"
+    path.write_bytes(wide_line * wide + b"a\tu\t1\n" * (4 - wide))
+    monkeypatch.setattr(data_io, "_physical_memory", lambda: memory)
+    got = _parse_triplets_bulk(path)
+    assert (got is not None) == bulk
+    if bulk:
+        rows, cols, w = _parse_triplets_lines(path)
+        assert got[:2] == (rows, cols)
+        assert got[2].tobytes() == w.tobytes()
 
 
 class TestDenseCsv:

@@ -11,30 +11,32 @@ from conftest import random_joint
 class TestDtmEmbed:
     def test_first_coordinate_constant(self, rng):
         for _ in range(10):
-            joint = random_joint(rng, int(rng.integers(3, 9)), int(rng.integers(3, 8)))
-            d = min(3, min(joint.shape))
-            emb = dtm_embed(joint, d)
+            dtm = build_dtm(
+                random_joint(rng, int(rng.integers(3, 9)), int(rng.integers(3, 8)))
+            )
+            d = min(3, min(dtm.shape))
+            emb = dtm_embed(dtm, d)
             assert np.ptp(emb.vectors[:, 0]) <= 1e-8
 
     def test_subspace_identity(self, rng):
         # rows are [P_Y]^{-1/2} U; re-whitening must recover an orthonormal U
-        joint = random_joint(rng, 6, 5)
-        emb = dtm_embed(joint, 3)
-        u = emb.vectors * joint.marginal_y.sqrt_probs[:, None]
+        dtm = build_dtm(random_joint(rng, 6, 5))
+        emb = dtm_embed(dtm, 3)
+        u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
 
     def test_sign_convention(self, rng):
-        joint = random_joint(rng, 7, 6)
-        emb = dtm_embed(joint, 4)
-        u = emb.vectors * joint.marginal_y.sqrt_probs[:, None]
+        dtm = build_dtm(random_joint(rng, 7, 6))
+        emb = dtm_embed(dtm, 4)
+        u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
         for j in range(4):
             i = int(np.argmax(np.abs(u[:, j])))
             assert u[i, j] > 0
 
     def test_d_too_large(self, rng):
-        joint = random_joint(rng, 4, 6)
+        dtm = build_dtm(random_joint(rng, 4, 6))
         with pytest.raises(RankDeficient):
-            dtm_embed(joint, 5)
+            dtm_embed(dtm, 5)
 
     def test_rank_deficient_detected(self):
         # rank-2 joint: two distinct row profiles
@@ -46,36 +48,36 @@ class TestDtmEmbed:
                 [1.0, 3.0, 2.0],
             ]
         )
-        joint = JointPmf.from_weights(
-            ("a", "b", "c", "d"), ("u", "v", "w"), w
+        dtm = build_dtm(
+            JointPmf.from_weights(("a", "b", "c", "d"), ("u", "v", "w"), w)
         )
-        dtm_embed(joint, 2)
+        dtm_embed(dtm, 2)
         with pytest.raises(RankDeficient):
-            dtm_embed(joint, 3)
+            dtm_embed(dtm, 3)
 
     def test_d_validation(self, rng):
-        joint = random_joint(rng, 4, 4)
+        dtm = build_dtm(random_joint(rng, 4, 4))
         with pytest.raises(InvalidParams):
-            dtm_embed(joint, 0)
+            dtm_embed(dtm, 0)
 
     def test_deterministic(self, rng):
-        joint = random_joint(rng, 8, 7)
-        e1 = dtm_embed(joint, 3)
-        e2 = dtm_embed(joint, 3)
+        dtm = build_dtm(random_joint(rng, 8, 7))
+        e1 = dtm_embed(dtm, 3)
+        e2 = dtm_embed(dtm, 3)
         assert np.array_equal(e1.vectors, e2.vectors)
 
 
     def test_no_full_svd(self, rng, monkeypatch):
         # The embedding reads only U[:, :d], from one Gram eigensolve.
-        joint = random_joint(rng, 9, 7)
-        ref = np.linalg.svd(build_dtm(joint).matrix)[0][:, :4]
+        dtm = build_dtm(random_joint(rng, 9, 7))
+        ref = np.linalg.svd(dtm.matrix)[0][:, :4]
 
         def full_svd(*args, **kwargs):
             raise AssertionError("full SVD taken")
 
         monkeypatch.setattr(np.linalg, "svd", full_svd)
-        emb = dtm_embed(joint, 4)
-        u = emb.vectors * joint.marginal_y.sqrt_probs[:, None]
+        emb = dtm_embed(dtm, 4)
+        u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
         np.testing.assert_allclose(np.abs(u.T @ ref), np.eye(4), atol=1e-10)
 
 
@@ -100,23 +102,24 @@ class TestRankThreshold:
     def test_third_dimension(self, eps, sigma_3, accepted):
         w = RANK2.copy()
         w[0, 0] += eps
-        joint = JointPmf.from_weights(("a", "b", "c", "d"), ("u", "v", "w"), w)
-        s = np.linalg.svd(build_dtm(joint).matrix, compute_uv=False)
+        dtm = build_dtm(
+            JointPmf.from_weights(("a", "b", "c", "d"), ("u", "v", "w"), w)
+        )
+        s = np.linalg.svd(dtm.matrix, compute_uv=False)
         assert sigma_3 / 2 < s[2] < sigma_3 * 2
         if accepted:
-            emb = dtm_embed(joint, 3)
-            u = emb.vectors * joint.marginal_y.sqrt_probs[:, None]
+            emb = dtm_embed(dtm, 3)
+            u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
             np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
         else:
             match = r"numerical rank 2 .*threshold 2\.98e-08"
             with pytest.raises(RankDeficient, match=match):
-                dtm_embed(joint, 3)
+                dtm_embed(dtm, 3)
 
 
 class TestTsv:
     def test_seventeen_digit_roundtrip(self, rng, tmp_path):
-        joint = random_joint(rng, 5, 4)
-        emb = dtm_embed(joint, 3)
+        emb = dtm_embed(build_dtm(random_joint(rng, 5, 4)), 3)
         path = tmp_path / "emb.tsv"
         write_embedding_tsv(emb, path)
         lines = path.read_text().strip().split("\n")

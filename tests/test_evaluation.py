@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import CouplingKernel, JointPmf, Pmf
+from coupclust.core import CouplingKernel, JointPmf, Pmf, build_dtm
 from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import InvalidParams, LabelMismatch, ZeroMarginal
 from coupclust.evaluation import (
@@ -203,42 +203,40 @@ class TestKernelNormValue:
         w = np.zeros((4, 4))
         w[:2, :2] = 0.25 / 2
         w[2:, 2:] = 0.25 / 2
-        joint = JointPmf(("a", "b", "c", "d"), ("u", "v", "w", "x"), w)
+        dtm = build_dtm(JointPmf(("a", "b", "c", "d"), ("u", "v", "w", "x"), w))
         kmat = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1]])
-        kernel = CouplingKernel(("z0", "z1"), joint.row_labels, kmat)
-        assert kernel_norm_value(joint, kernel, "nuclear") == pytest.approx(
+        kernel = CouplingKernel(("z0", "z1"), dtm.row_pmf.labels, kmat)
+        assert kernel_norm_value(dtm, kernel, "nuclear") == pytest.approx(
             2.0, abs=1e-10
         )
-        assert kernel_norm_value(joint, kernel, "frobenius") == pytest.approx(
+        assert kernel_norm_value(dtm, kernel, "frobenius") == pytest.approx(
             2.0, abs=1e-10
         )
 
     def test_dead_cluster_rejected(self, rng):
-        joint = random_joint(rng, 3, 3)
+        dtm = build_dtm(random_joint(rng, 3, 3))
         kmat = np.array([[1.0, 1, 1], [0, 0, 0]])
-        kernel = CouplingKernel(("z0", "z1"), joint.row_labels, kmat)
+        kernel = CouplingKernel(("z0", "z1"), dtm.row_pmf.labels, kmat)
         with pytest.raises(ZeroMarginal):
-            kernel_norm_value(joint, kernel, "nuclear")
+            kernel_norm_value(dtm, kernel, "nuclear")
 
     def test_empty_frobenius_cluster_adds_nothing(self, rng):
         # The squared Frobenius norm is taken over the clusters with mass,
         # the limit as the empty cluster's mass goes to 0.
-        joint = random_joint(rng, 3, 3)
+        dtm = build_dtm(random_joint(rng, 3, 3))
+        items = dtm.row_pmf.labels
         kmat = np.array([[1.0, 1, 0], [0, 0, 1], [0, 0, 0]])
         value = kernel_norm_value(
-            joint, CouplingKernel(("z0", "z1", "z2"), joint.row_labels, kmat),
-            "frobenius",
+            dtm, CouplingKernel(("z0", "z1", "z2"), items, kmat), "frobenius"
         )
         live = kernel_norm_value(
-            joint, CouplingKernel(("z0", "z1"), joint.row_labels, kmat[:2]),
-            "frobenius",
+            dtm, CouplingKernel(("z0", "z1"), items, kmat[:2]), "frobenius"
         )
         assert value == live
         eps = 1e-9
         soft = kmat + eps * np.array([[-1.0, 0, 0], [0, 0, 0], [1, 0, 0]])
         near = kernel_norm_value(
-            joint, CouplingKernel(("z0", "z1", "z2"), joint.row_labels, soft),
-            "frobenius",
+            dtm, CouplingKernel(("z0", "z1", "z2"), items, soft), "frobenius"
         )
         assert near == pytest.approx(value, abs=1e-6)
 
@@ -246,43 +244,44 @@ class TestKernelNormValue:
     def test_column_sums_within_kernel_tolerance(self, rng, algorithm):
         # CouplingKernel admits columns that miss 1 by up to 1e-9; the norm
         # is that of the renormalized kernel, not a broken DTM invariant.
-        joint = random_joint(rng, 5, 4)
+        dtm = build_dtm(random_joint(rng, 5, 4))
         kmat = rng.random((2, 5))
         kmat /= kmat.sum(axis=0)
         labels = ("z0", "z1")
         exact = kernel_norm_value(
-            joint, CouplingKernel(labels, joint.row_labels, kmat), algorithm
+            dtm, CouplingKernel(labels, dtm.row_pmf.labels, kmat), algorithm
         )
         loose = kernel_norm_value(
-            joint,
-            CouplingKernel(labels, joint.row_labels, kmat * (1 + 5e-10)),
+            dtm,
+            CouplingKernel(labels, dtm.row_pmf.labels, kmat * (1 + 5e-10)),
             algorithm,
         )
         assert loose == pytest.approx(exact, rel=1e-14)
 
     def test_algorithm_validation(self, rng):
-        joint = random_joint(rng, 3, 3)
-        kernel = CouplingKernel(("z0",), joint.row_labels, np.ones((1, 3)))
+        dtm = build_dtm(random_joint(rng, 3, 3))
+        kernel = CouplingKernel(("z0",), dtm.row_pmf.labels, np.ones((1, 3)))
         with pytest.raises(InvalidParams):
-            kernel_norm_value(joint, kernel, "spectral")
+            kernel_norm_value(dtm, kernel, "spectral")
 
 
 class TestElbow:
-    def _three_component_joint(self):
+    def _three_component_dtm(self):
         # components with 1, 2, 3 items a side
         w = np.zeros((6, 6))
         w[0, 0] = 1.0
         w[1:3, 1:3] = 1.0
         w[3:, 3:] = 1.0
-        return JointPmf.from_weights(
+        joint = JointPmf.from_weights(
             tuple(f"y{i}" for i in range(6)), tuple(f"x{j}" for j in range(6)), w
         )
+        return build_dtm(joint)
 
     def test_disconnected_value_is_component_count(self):
         # with c components the top c singular values are all 1, so the best
         # k-cluster nuclear value is k up to k = c
-        joint = self._three_component_joint()
-        curve = elbow_curve(joint, [1, 2, 3, 4], algorithm="nuclear", restarts=5)
+        dtm = self._three_component_dtm()
+        curve = elbow_curve(dtm, [1, 2, 3, 4], algorithm="nuclear", restarts=5)
         ks = [k for k, _ in curve]
         vals = [v for _, v in curve]
         assert ks == [1, 2, 3, 4]
@@ -294,21 +293,22 @@ class TestElbow:
         assert (vals[1] - vals[0]) > 10 * (vals[3] - vals[2])
 
     def test_planted_knee(self):
-        joint, _ = gen_planted_blocks(3, 8, 1.0, 0.02, noise_seed=0)
-        curve = elbow_curve(joint, [2, 3, 4], algorithm="nuclear", restarts=3)
+        dtm = build_dtm(gen_planted_blocks(3, 8, 1.0, 0.02, noise_seed=0)[0])
+        curve = elbow_curve(dtm, [2, 3, 4], algorithm="nuclear", restarts=3)
         vals = [v for _, v in curve]
         assert vals[1] - vals[0] > vals[2] - vals[1]
 
     def test_nondecreasing(self):
-        joint, _ = gen_planted_blocks(2, 6, 1.0, 0.1, noise_seed=1)
-        curve = elbow_curve(joint, [1, 2, 3], algorithm="nuclear", restarts=3)
+        dtm = build_dtm(gen_planted_blocks(2, 6, 1.0, 0.1, noise_seed=1)[0])
+        curve = elbow_curve(dtm, [1, 2, 3], algorithm="nuclear", restarts=3)
         vals = [v for _, v in curve]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_frobenius_route(self):
         joint, _ = gen_planted_blocks(2, 5, 1.0, 0.1, noise_seed=2)
         curve = elbow_curve(
-            joint, [1, 2], algorithm="frobenius", restarts=2, frobenius_lam=10.0
+            build_dtm(joint), [1, 2], algorithm="frobenius", restarts=2,
+            frobenius_lam=10.0,
         )
         assert len(curve) == 2
         assert curve[1][1] >= curve[0][1] - 1e-6
@@ -319,7 +319,9 @@ class TestElbow:
         joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            curve = elbow_curve(joint, [4, 5], algorithm="frobenius", restarts=3)
+            curve = elbow_curve(
+                build_dtm(joint), [4, 5], algorithm="frobenius", restarts=3
+            )
         assert curve[1][1] < curve[0][1] - 0.05
 
     def test_nuclear_drop_warns(self, monkeypatch):
@@ -328,22 +330,24 @@ class TestElbow:
         joint, _ = gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=0)
         monkeypatch.setattr(
             ev, "kernel_norm_value",
-            lambda joint, kernel, algorithm: 3.0 - len(kernel.cluster_labels),
+            lambda dtm, kernel, algorithm: 3.0 - len(kernel.cluster_labels),
         )
         with pytest.warns(RuntimeWarning, match="optimization likely stalled"):
-            curve = elbow_curve(joint, [1, 2], algorithm="nuclear", restarts=1)
+            curve = elbow_curve(
+                build_dtm(joint), [1, 2], algorithm="nuclear", restarts=1
+            )
         assert curve == [(1, 2.0), (2, 1.0)]
 
     def test_ks_validation(self, rng):
-        joint = random_joint(rng, 4, 4)
+        dtm = build_dtm(random_joint(rng, 4, 4))
         with pytest.raises(InvalidParams):
-            elbow_curve(joint, [])
+            elbow_curve(dtm, [])
         with pytest.raises(InvalidParams):
-            elbow_curve(joint, [2, 2])
+            elbow_curve(dtm, [2, 2])
         with pytest.raises(InvalidParams):
-            elbow_curve(joint, [3, 2])
+            elbow_curve(dtm, [3, 2])
         with pytest.raises(InvalidParams):
-            elbow_curve(joint, [1, 2], restarts=0)
+            elbow_curve(dtm, [1, 2], restarts=0)
 
 
 class TestReport:
@@ -353,7 +357,7 @@ class TestReport:
         kmat[0, :4] = 1.0
         kmat[1, 4:] = 1.0
         kernel = CouplingKernel(("z0", "z1"), joint.row_labels, kmat)
-        report = build_report(joint, kernel, truth, "nuclear")
+        report = build_report(build_dtm(joint), kernel, truth, "nuclear")
         assert report.k == 2
         assert report.coverage == 1.0
         assert report.overall_accuracy == 1.0
@@ -389,4 +393,4 @@ class TestReport:
             ("z0",), joint.row_labels, np.ones((1, 6))
         )
         with pytest.raises(LabelMismatch):
-            build_report(joint, kernel, truth[:-1], "nuclear")
+            build_report(build_dtm(joint), kernel, truth[:-1], "nuclear")

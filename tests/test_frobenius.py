@@ -163,46 +163,47 @@ class TestProjection:
 
 class TestSolve:
     def test_improves_from_init_many_seeds(self, rng):
-        joint = random_joint(rng, 8, 6)
+        dtm = build_dtm(random_joint(rng, 8, 6))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
         for seed in range(20):
             kernel, trace = solve_frobenius(
-                joint, p_z, FrobeniusConfig(seed=seed, max_iters=400)
+                dtm, p_z, FrobeniusConfig(seed=seed, max_iters=400)
             )
             assert trace.objectives[-1] >= trace.objectives[0] - 1e-9
 
     def test_deterministic(self, rng):
-        joint = random_joint(rng, 7, 5)
+        dtm = build_dtm(random_joint(rng, 7, 5))
         p_z = Pmf.uniform(("z0", "z1"))
-        k1, t1 = solve_frobenius(joint, p_z, FrobeniusConfig(seed=3))
-        k2, t2 = solve_frobenius(joint, p_z, FrobeniusConfig(seed=3))
+        k1, t1 = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=3))
+        k2, t2 = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=3))
         assert np.array_equal(k1.kernel, k2.kernel)
         assert t1.objectives == t2.objectives
 
     def test_final_kernel_is_stochastic(self, rng):
-        joint = random_joint(rng, 9, 7)
+        dtm = build_dtm(random_joint(rng, 9, 7))
         p_z = random_pmf(rng, 4)
-        kernel, trace = solve_frobenius(joint, p_z)
+        kernel, trace = solve_frobenius(dtm, p_z)
         col_err = np.max(np.abs(kernel.kernel.sum(axis=0) - 1.0))
         assert col_err <= 1e-9
         assert kernel.kernel.min() >= 0.0
         assert trace.violations[-1] <= 1e-9
 
     def test_large_lambda_enforces_marginal(self, rng):
-        joint = random_joint(rng, 8, 6)
+        dtm = build_dtm(random_joint(rng, 8, 6))
         p_z = random_pmf(rng, 3)
         kernel, _ = solve_frobenius(
-            joint, p_z, FrobeniusConfig(lam=1e4, max_iters=5000)
+            dtm, p_z, FrobeniusConfig(lam=1e4, max_iters=5000)
         )
-        induced = kernel.induced_marginal(joint.marginal_y)
+        induced = kernel.induced_marginal(dtm.row_pmf)
         assert np.abs(induced - p_z.probs).sum() <= 1e-2
 
     def test_planted_blocks_recovered(self):
         joint, truth = gen_planted_blocks(2, 15, 1.0, 0.05, noise_seed=3)
+        dtm = build_dtm(joint)
         p_z = Pmf.uniform(("z0", "z1"))
         best = None
         for seed in range(5):
-            kernel, trace = solve_frobenius(joint, p_z, FrobeniusConfig(seed=seed))
+            kernel, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=seed))
             if best is None or trace.objectives[-1] > best[0]:
                 best = (trace.objectives[-1], kernel)
         acc = matched_accuracy(harden(best[1]), dict(zip(joint.row_labels, truth)))
@@ -212,59 +213,59 @@ class TestSolve:
         # The first update stays finite and projects onto a vertex kernel;
         # a step this large then overflows on the second update, before any
         # projection can pull the iterate back.
-        joint = random_joint(rng, 6, 5)
+        dtm = build_dtm(random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         with pytest.raises(NonFinite, match="iterate diverged at iteration 2;"):
-            solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
+            solve_frobenius(dtm, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
     def test_nonfinite_on_projection_overflow(self, rng):
         # The first update stays finite, but a column's breakpoints
         # v / sqrt(P_Z) overflow, so the projection cannot map it.
-        joint = random_joint(rng, 6, 5)
+        dtm = build_dtm(random_joint(rng, 6, 5))
         p_z = random_pmf(rng, 2)
         with pytest.raises(NonFinite, match="projection overflowed at iteration 1;"):
-            solve_frobenius(joint, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
+            solve_frobenius(dtm, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
 
     def test_huge_lambda_rejected_by_name(self, rng):
         # The power iteration's norm overflows near lam = 1e155; the solver
         # must name lam instead of falling back to a unit step.
-        joint = random_joint(rng, 6, 5)
+        dtm = build_dtm(random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         with pytest.raises(InvalidParams, match=r"lam = 1e\+300 is too large"):
-            solve_frobenius(joint, p_z, FrobeniusConfig(lam=1e300, max_iters=5))
-        sy = joint.marginal_y.sqrt_probs
-        c = _gram_factor(build_dtm(joint).matrix)
+            solve_frobenius(dtm, p_z, FrobeniusConfig(lam=1e300, max_iters=5))
+        sy = dtm.row_pmf.sqrt_probs
+        c = _gram_factor(dtm.matrix)
         assert _curvature(c, sy, 1e150) == pytest.approx(1e150, rel=1e-9)
 
     def test_boundary_pz_rejected(self, rng):
-        joint = random_joint(rng, 4, 4)
+        dtm = build_dtm(random_joint(rng, 4, 4))
         p_z = Pmf(("z0", "z1"), np.array([1.0, 0.0]))
         with pytest.raises(ZeroMarginal):
-            solve_frobenius(joint, p_z)
+            solve_frobenius(dtm, p_z)
 
     def test_more_clusters_than_items_rejected(self, rng):
-        joint = random_joint(rng, 3, 4)
+        dtm = build_dtm(random_joint(rng, 3, 4))
         p_z = Pmf.uniform(("z0", "z1", "z2", "z3"))
         with pytest.raises(InvalidParams):
-            solve_frobenius(joint, p_z)
+            solve_frobenius(dtm, p_z)
 
     def test_small_step_iterates_all_projected(self):
         # A step far below 1/L moves the kernel only a little per iteration;
         # every recorded row must still describe a column-stochastic kernel.
-        joint, p_z, lam = _planted(3, 20)
-        c = _gram_factor(build_dtm(joint).matrix)
-        alpha = 1e-3 / _curvature(c, joint.marginal_y.sqrt_probs, lam)
+        dtm, p_z, lam = _planted(3, 20)
+        c = _gram_factor(dtm.matrix)
+        alpha = 1e-3 / _curvature(c, dtm.row_pmf.sqrt_probs, lam)
         _, trace = solve_frobenius(
-            joint, p_z, FrobeniusConfig(lam=lam, alpha=alpha, max_iters=200)
+            dtm, p_z, FrobeniusConfig(lam=lam, alpha=alpha, max_iters=200)
         )
         assert len(trace) == 200
         assert max(trace.violations) <= 1e-12
         assert min(trace.min_entries) >= 0.0
 
     def test_trace_shape(self, rng):
-        joint = random_joint(rng, 5, 5)
+        dtm = build_dtm(random_joint(rng, 5, 5))
         p_z = Pmf.uniform(("z0", "z1"))
-        _, trace = solve_frobenius(joint, p_z, FrobeniusConfig(max_iters=50))
+        _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=50))
         n = len(trace)
         assert n <= 50
         assert len(trace.penalties) == n
@@ -275,11 +276,11 @@ class TestSolve:
     def test_memory_has_no_items_by_items_matrix(self):
         # One 3000 x 3000 float64 matrix is 72 MB; the solver works on the
         # thin 3000 x 20 factor of B and k x 3000 iterates only.
-        joint = random_joint(np.random.default_rng(1), 3000, 20)
+        dtm = build_dtm(random_joint(np.random.default_rng(1), 3000, 20))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
         tracemalloc.start()
         try:
-            solve_frobenius(joint, p_z, FrobeniusConfig(max_iters=5))
+            solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -292,7 +293,7 @@ def _uniform_pz(k):
 
 def _planted(blocks, size):
     joint, _ = gen_planted_blocks(blocks, size, 1.0, 0.05, noise_seed=3)
-    return joint, _uniform_pz(blocks), 10.0
+    return build_dtm(joint), _uniform_pz(blocks), 10.0
 
 
 def _counterexample(s):
@@ -300,13 +301,13 @@ def _counterexample(s):
     joint = JointPmf.from_weights(
         tuple(f"y{i}" for i in range(100)), tuple(f"x{j}" for j in range(100)), w
     )
-    return joint, _uniform_pz(2), 10.0
+    return build_dtm(joint), _uniform_pz(2), 10.0
 
 
 def _random_skewed(seed, lam):
     joint = random_joint(np.random.default_rng(seed), 9, 7)
     p_z = Pmf(("z0", "z1", "z2", "z3"), np.array([0.55, 0.25, 0.15, 0.05]))
-    return joint, p_z, lam
+    return build_dtm(joint), p_z, lam
 
 
 # Fixed scenario set on which the default step is checked against the old
@@ -323,11 +324,11 @@ STEP_RULE_SCENARIOS = {
 
 class TestStepRule:
     @staticmethod
-    def _best_of_3(joint, p_z, lam, alpha):
+    def _best_of_3(dtm, p_z, lam, alpha):
         best, iters = -np.inf, 0
         for seed in range(3):
             cfg = FrobeniusConfig(lam=lam, alpha=alpha, seed=seed)
-            _, trace = solve_frobenius(joint, p_z, cfg)
+            _, trace = solve_frobenius(dtm, p_z, cfg)
             best = max(best, trace.objectives[-1])
             iters += len(trace)
         return best, iters
@@ -338,11 +339,11 @@ class TestStepRule:
     def test_default_step_no_worse_and_faster_than_small_step(self, make):
         # The default 1/L step must reach at least the objective of the
         # twenty times smaller step, in fewer iterations.
-        joint, p_z, lam = make()
-        c = _gram_factor(build_dtm(joint).matrix)
-        small = 0.05 / _curvature(c, joint.marginal_y.sqrt_probs, lam)
-        obj, iters = self._best_of_3(joint, p_z, lam, None)
-        obj_small, iters_small = self._best_of_3(joint, p_z, lam, small)
+        dtm, p_z, lam = make()
+        c = _gram_factor(dtm.matrix)
+        small = 0.05 / _curvature(c, dtm.row_pmf.sqrt_probs, lam)
+        obj, iters = self._best_of_3(dtm, p_z, lam, None)
+        obj_small, iters_small = self._best_of_3(dtm, p_z, lam, small)
         assert obj >= obj_small - 1e-9 * abs(obj_small)
         assert iters < iters_small
 
@@ -395,8 +396,8 @@ def _zipf_joint(seed, n=128, draws=40_000, groups=16):
 class TestMomentum:
     @pytest.mark.parametrize("name", STEP_RULE_SCENARIOS)
     def test_no_worse_and_fewer_iterations_than_plain_step(self, name):
-        joint, p_z, lam = STEP_RULE_SCENARIOS[name]()
-        obj, iters = TestStepRule._best_of_3(joint, p_z, lam, None)
+        dtm, p_z, lam = STEP_RULE_SCENARIOS[name]()
+        obj, iters = TestStepRule._best_of_3(dtm, p_z, lam, None)
         plain_obj, plain_iters = PLAIN_STEP_RESULTS[name]
         assert obj >= plain_obj - 1e-9 * abs(plain_obj)
         assert iters < plain_iters
@@ -404,11 +405,11 @@ class TestMomentum:
     def test_converges_on_skewed_joint(self):
         # The plain step ended every one of these restarts at max_iters
         # (5000 iterations), with a best objective of 3.3347174430083455.
-        joint = _zipf_joint(0)
+        dtm = build_dtm(_zipf_joint(0))
         p_z = _uniform_pz(8)
         best = -np.inf
         for seed in range(3):
-            _, trace = solve_frobenius(joint, p_z, FrobeniusConfig(seed=seed))
+            _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=seed))
             assert trace.status == "Converged", seed
             best = max(best, trace.objectives[-1])
         assert best >= 3.3347174430083455
@@ -418,9 +419,9 @@ class TestMomentum:
         # ||A B||^2 = 1/0.05 = 20 and the penalty is 0.5 (20 - 1), so
         # J = 10.5. A projection in another metric than the step's stops at
         # 1.409091 beside it.
-        joint, p_z, lam = STEP_RULE_SCENARIOS["random-lam0.5"]()
+        dtm, p_z, lam = STEP_RULE_SCENARIOS["random-lam0.5"]()
         for seed in range(3):
-            _, trace = solve_frobenius(joint, p_z, FrobeniusConfig(lam=lam, seed=seed))
+            _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam, seed=seed))
             assert trace.objectives[-1] == pytest.approx(10.5, rel=0.0, abs=1e-9), seed
 
     @pytest.mark.parametrize("name", ["random-lam0.5", "random-lam10"])
@@ -429,9 +430,9 @@ class TestMomentum:
         # an accepted plain step; projected gradient ascent with the 1/L step
         # and a projection in the same metric never takes one. These targets
         # are not uniform, where the metric matters.
-        joint, p_z, lam = STEP_RULE_SCENARIOS[name]()
+        dtm, p_z, lam = STEP_RULE_SCENARIOS[name]()
         for seed in range(5):
-            _, trace = solve_frobenius(joint, p_z, FrobeniusConfig(lam=lam, seed=seed))
+            _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam, seed=seed))
             assert np.all(np.diff(trace.objectives) >= -1e-12), seed
 
     @pytest.mark.parametrize(
@@ -445,15 +446,15 @@ class TestMomentum:
         # the last bit; a discarded step differs far more than 1e-12. On the
         # random joint some runs stop right after a discarded step; planted
         # runs discard none in their first 20 steps.
-        joint, p_z, lam = STEP_RULE_SCENARIOS[name]()
-        sy, sz = joint.marginal_y.sqrt_probs, p_z.sqrt_probs
-        c = _gram_factor(build_dtm(joint).matrix)
+        dtm, p_z, lam = STEP_RULE_SCENARIOS[name]()
+        sy, sz = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs
+        c = _gram_factor(dtm.matrix)
         ended_on_discard = 0
         for seed in range(5):
             prev_len = 0
             for max_iters in range(1, 21):
                 cfg = FrobeniusConfig(lam=lam, max_iters=max_iters, seed=seed)
-                kernel, trace = solve_frobenius(joint, p_z, cfg)
+                kernel, trace = solve_frobenius(dtm, p_z, cfg)
                 a = kernel.kernel * sy[None, :] / sz[:, None]
                 obj = frobenius_objective(a, c, sy, sz, lam)[0]
                 assert obj == pytest.approx(trace.objectives[-1], rel=1e-12, abs=0.0), (

@@ -239,8 +239,8 @@ class TestRescue:
 
 class TestSolve:
     def test_disconnected_blocks_attain_two(self):
-        joint = two_block_joint()
-        kernel, trace = solve_nuclear(joint, NuclearConfig(k=2, seed=0))
+        dtm = build_dtm(two_block_joint())
+        kernel, trace = solve_nuclear(dtm, NuclearConfig(k=2, seed=0))
         assert trace.status == "Converged"
         assert trace.objectives[-1] == pytest.approx(2.0, abs=1e-9)
         pred = harden(kernel)
@@ -248,8 +248,8 @@ class TestSolve:
         assert matched_accuracy(pred, truth) == 1.0
 
     def test_k_one_trivial(self, rng):
-        joint = random_joint(rng, 5, 4)
-        kernel, trace = solve_nuclear(joint, NuclearConfig(k=1, seed=0))
+        dtm = build_dtm(random_joint(rng, 5, 4))
+        kernel, trace = solve_nuclear(dtm, NuclearConfig(k=1, seed=0))
         np.testing.assert_array_equal(kernel.kernel, np.ones((1, 5)))
         assert trace.objectives[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -257,7 +257,7 @@ class TestSolve:
         joint, _ = gen_planted_blocks(3, 10, 1.0, 0.05, noise_seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, trace = solve_nuclear(joint, NuclearConfig(k=3, seed=0))
+            _, trace = solve_nuclear(build_dtm(joint), NuclearConfig(k=3, seed=0))
         diffs = np.diff(trace.objectives)
         assert np.all(diffs >= -1e-12)
 
@@ -267,12 +267,13 @@ class TestSolve:
         # warning names the first frame outside the package, not the solver
         # or evaluation._solve.
         joint, _ = gen_planted_blocks(3, 6, 1.0, 0.2, noise_seed=0)
+        dtm = build_dtm(joint)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if caller == "solve_nuclear":
-                solve_nuclear(joint, NuclearConfig(k=4, seed=5))
+                solve_nuclear(dtm, NuclearConfig(k=4, seed=5))
             else:
-                elbow_curve(joint, [4], restarts=6)
+                elbow_curve(dtm, [4], restarts=6)
         decreases = [
             w for w in caught if "nuclear norm decreased" in str(w.message)
         ]
@@ -281,7 +282,7 @@ class TestSolve:
 
     def test_kernel_step_monotone_and_attainment(self):
         joint, _ = gen_planted_blocks(2, 12, 1.0, 0.1, noise_seed=5)
-        _, trace = solve_nuclear(joint, NuclearConfig(k=2, seed=1))
+        _, trace = solve_nuclear(build_dtm(joint), NuclearConfig(k=2, seed=1))
         for before, after in zip(
             trace.extras["linear_before"], trace.extras["linear_after"]
         ):
@@ -289,68 +290,53 @@ class TestSolve:
         assert max(trace.extras["kyfan_gap"]) <= 1e-8
 
     def test_deterministic(self, rng):
-        joint = random_joint(rng, 8, 6)
-        k1, t1 = solve_nuclear(joint, NuclearConfig(k=3, seed=7))
-        k2, t2 = solve_nuclear(joint, NuclearConfig(k=3, seed=7))
+        dtm = build_dtm(random_joint(rng, 8, 6))
+        k1, t1 = solve_nuclear(dtm, NuclearConfig(k=3, seed=7))
+        k2, t2 = solve_nuclear(dtm, NuclearConfig(k=3, seed=7))
         assert np.array_equal(k1.kernel, k2.kernel)
         assert t1.objectives == t2.objectives
 
     def test_planted_blocks_recovered(self):
         joint, truth = gen_planted_blocks(3, 20, 1.0, 0.05, noise_seed=2)
         truth_map = dict(zip(joint.row_labels, truth))
+        dtm = build_dtm(joint)
         best = None
         for seed in range(5):
-            kernel, trace = solve_nuclear(joint, NuclearConfig(k=3, seed=seed))
+            kernel, trace = solve_nuclear(dtm, NuclearConfig(k=3, seed=seed))
             if best is None or trace.objectives[-1] > best[0]:
                 best = (trace.objectives[-1], kernel)
         assert matched_accuracy(harden(best[1]), truth_map) >= 0.95
 
     def test_k_exceeds_items_rejected(self, rng):
-        joint = random_joint(rng, 3, 4)
+        dtm = build_dtm(random_joint(rng, 3, 4))
         with pytest.raises(InvalidParams):
-            solve_nuclear(joint, NuclearConfig(k=4))
+            solve_nuclear(dtm, NuclearConfig(k=4))
 
     def test_every_cluster_alive(self, rng):
         # k = |Y| forces heavy churn; rescue must keep all clusters nonempty
-        joint = random_joint(rng, 6, 5)
+        dtm = build_dtm(random_joint(rng, 6, 5))
         try:
-            kernel, _ = solve_nuclear(joint, NuclearConfig(k=6, seed=0))
+            kernel, _ = solve_nuclear(dtm, NuclearConfig(k=6, seed=0))
         except DegenerateCluster:
             return  # budget exhaustion is a legal outcome
-        mass = kernel.induced_marginal(joint.marginal_y)
+        mass = kernel.induced_marginal(dtm.row_pmf)
         assert np.all(mass > 0)
 
     def test_returned_kernel_is_the_last_traced(self):
         # The returned kernel's norm is the last traced objective, bit for
         # bit, whether the run converged or stopped at max_iters.
         joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=0)
+        dtm = build_dtm(joint)
         statuses = set()
         for max_iters in (1, 2, 3):
             for seed in range(10):
                 kernel, trace = solve_nuclear(
-                    joint, NuclearConfig(k=4, max_iters=max_iters, seed=seed)
+                    dtm, NuclearConfig(k=4, max_iters=max_iters, seed=seed)
                 )
                 statuses.add(trace.status)
-                value = kernel_norm_value(joint, kernel, "nuclear")
+                value = kernel_norm_value(dtm, kernel, "nuclear")
                 assert value == trace.objectives[-1], (max_iters, seed)
         assert statuses == {"Converged", "MaxIters"}
-
-    def test_builds_the_dtm_once(self, monkeypatch):
-        import sys
-
-        nuclear_module = sys.modules["coupclust.nuclear"]
-        calls = []
-
-        def counting_build_dtm(joint):
-            calls.append(joint)
-            return build_dtm(joint)
-
-        joint, _ = gen_planted_blocks(3, 10, 1.0, 0.2, noise_seed=4)
-        monkeypatch.setattr(nuclear_module, "build_dtm", counting_build_dtm)
-        monkeypatch.setattr(JointPmf, "from_weights", None)  # no chain joint
-        _, trace = solve_nuclear(joint, NuclearConfig(k=3, seed=2))
-        assert len(trace) >= 2
-        assert calls == [joint]
 
 
 def _chain_route(joint, k, seed):
@@ -416,6 +402,7 @@ def test_matches_the_chain_route():
     counts = {"tied": 0, "untied": 0}
     warnings.simplefilter("ignore", RuntimeWarning)  # pytest restores filters
     for name, joint, ks in _scenario_joints():
+        dtm = build_dtm(joint)
         for k in ks:
             for seed in range(5):
                 where = (name, k, seed)
@@ -426,7 +413,7 @@ def test_matches_the_chain_route():
                 counts["tied" if tied else "untied"] += 1
                 try:
                     kernel, trace = solve_nuclear(
-                        joint, NuclearConfig(k=k, seed=seed)
+                        dtm, NuclearConfig(k=k, seed=seed)
                     )
                 except DegenerateCluster:
                     assert tied, where

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import coupclust
-from coupclust import core
 from coupclust.cli import build_parser
 
 # The top-level public API, pinned: a name added to or dropped from a
@@ -63,7 +62,6 @@ PUBLIC = {
     "load_dense_csv",
     "load_pmf",
     "matched_accuracy",
-    "nuclear",
     "one_item_kernel",
     "parse_triplets",
     "project_columns",
@@ -79,7 +77,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 61
+    assert len(PUBLIC) == 60
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
@@ -119,12 +117,6 @@ def test_cli_flags_pinned():
         "synth": ["--out", "--gen", "--variant", "--m", "--n", "--s",
                   "--blocks", "--sizes", "--within", "--cross", "--seed"],
     }
-
-
-def test_nuclear_is_the_norm():
-    # The nuclear solver module shares the name of core's nuclear norm; the
-    # exported name is the norm.
-    assert coupclust.nuclear is core.nuclear
 
 
 def test_cli_import_loads_no_scipy_optimize():
