@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import Dtm, Pmf, build_dtm
+from .core import Dtm, Pmf
 from .data_io import (
     CounterexampleParams,
     _write_json,
@@ -88,14 +88,13 @@ def _load_joint(args) -> tuple[Dtm, object]:
         rows, cols, weights = parse_triplets(path)
     if getattr(args, "rating_transform", False):
         weights = apply_rating_transform(weights)
-    joint, report = ingest(rows, cols, weights, normalize=args.normalize)
-    del weights  # ingest holds its own copy; free this one before B is built
+    dtm, report = ingest(rows, cols, weights, normalize=args.normalize)
     if not report.empty:
         _log(
             f"pruned {len(report.pruned_rows)} rows, "
             f"{len(report.pruned_cols)} columns with zero weight"
         )
-    return build_dtm(joint), report
+    return dtm, report
 
 
 def _resolve_pz(args, k: int, dtm: Dtm) -> Pmf:
@@ -389,18 +388,16 @@ def _cmd_synth(args, out_dir: Path) -> int:
         }
         print(f"wrote {mat.size} triplets to {out_dir / 'synth.tsv'}")
     else:
-        joint, truth = gen_planted_blocks(
+        (rows, cols, weights), truth = gen_planted_blocks(
             args.blocks,
             args.sizes.values,
             args.within,
             args.cross,
             noise_seed=args.seed,
         )
-        write_triplets(
-            out_dir / "synth.tsv", joint.row_labels, joint.col_labels, joint.weights
-        )
+        write_triplets(out_dir / "synth.tsv", rows, cols, weights)
         with open(out_dir / "truth.tsv", "w", encoding="utf-8") as fh:
-            for item, label in zip(joint.row_labels, truth):
+            for item, label in zip(rows, truth):
                 fh.write(f"{item}\t{label}\n")
         config = {
             "gen": "planted",
@@ -411,7 +408,7 @@ def _cmd_synth(args, out_dir: Path) -> int:
             "seed": args.seed,
         }
         print(
-            f"wrote {joint.weights.size} triplets to {out_dir / 'synth.tsv'} "
+            f"wrote {weights.size} triplets to {out_dir / 'synth.tsv'} "
             f"and truth labels to {out_dir / 'truth.tsv'}"
         )
     _write_manifest(out_dir, "synth", config)
@@ -523,7 +520,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: --help, --version or a usage error
         return exc.code
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file, say, already holds the name
+        _log(f"configuration error: cannot create --out {out_dir}: {exc.strerror}")
+        return 2
     format_warning = warnings.formatwarning
     warnings.formatwarning = _format_warning
     try:

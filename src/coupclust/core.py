@@ -3,7 +3,8 @@
 Conventions, used everywhere downstream:
 
 - A joint distribution over Y x X is a |Y| x |X| matrix of total mass 1 with
-  strictly interior marginals.
+  strictly interior marginals. It is held only as its DTM: build_dtm checks
+  the matrix and its labels and keeps no copy of it.
 - Its DTM is B = [P_Y]^{-1/2} P_{Y,X} [P_X]^{-1/2}, where [v] is diag(v).
   B always has top singular value 1 with singular vectors sqrt(P_X) and
   sqrt(P_Y), and every singular value lies in [0, 1].
@@ -41,7 +42,6 @@ KERNEL_COL_TOL = 1e-9
 
 __all__ = [
     "Pmf",
-    "JointPmf",
     "CouplingKernel",
     "Dtm",
     "SolveTrace",
@@ -51,6 +51,10 @@ __all__ = [
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    # A read-only float64 array that owns its data is already frozen.
+    if isinstance(arr, np.ndarray) and arr.dtype == np.float64:
+        if arr.flags.owndata and not arr.flags.writeable:
+            return arr
     out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
@@ -116,71 +120,6 @@ class Pmf:
         if not np.isfinite(total) or total <= 0:
             raise InvalidDistribution("weights must have positive finite mass")
         return cls(tuple(labels), w / total)
-
-
-@dataclass(frozen=True)
-class JointPmf:
-    """Joint distribution over Y x X as a matrix, with cached marginals.
-
-    Marginals must be strictly interior (every row and column carries mass);
-    ingestion is responsible for pruning empty rows/columns first.
-    """
-
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    weights: np.ndarray
-    marginal_y: Pmf = field(init=False)
-    marginal_x: Pmf = field(init=False)
-
-    def __post_init__(self):
-        w = _freeze(np.atleast_2d(self.weights))
-        if w.ndim != 2:
-            raise InvalidDistribution("weights must be a matrix")
-        if not np.all(np.isfinite(w)):
-            raise InvalidDistribution("weights must be finite")
-        if np.any(w < 0):
-            raise InvalidDistribution("negative joint weight")
-        total = float(w.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistribution(f"total mass {total!r}, not 1")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(
-            self,
-            "row_labels",
-            _check_labels(self.row_labels, w.shape[0], "JointPmf rows"),
-        )
-        object.__setattr__(
-            self,
-            "col_labels",
-            _check_labels(self.col_labels, w.shape[1], "JointPmf cols"),
-        )
-        py = w.sum(axis=1)
-        px = w.sum(axis=0)
-        if np.any(py <= 0) or np.any(px <= 0):
-            raise ZeroMarginal("joint has an empty row or column")
-        # Row/col sums of a valid mass-1 matrix; renormalize off the dust so
-        # the marginal Pmfs pass their own sum check.
-        object.__setattr__(
-            self, "marginal_y", Pmf(self.row_labels, py / py.sum())
-        )
-        object.__setattr__(
-            self, "marginal_x", Pmf(self.col_labels, px / px.sum())
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape
-
-    @classmethod
-    def from_weights(
-        cls, row_labels: Sequence[str], col_labels: Sequence[str], weights
-    ) -> "JointPmf":
-        """Normalize a nonnegative matrix to total mass 1 and wrap it."""
-        w = np.asarray(weights, dtype=np.float64)
-        total = w.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise InvalidDistribution("weights must have positive finite mass")
-        return cls(tuple(row_labels), tuple(col_labels), w / total)
 
 
 @dataclass(frozen=True)
@@ -320,12 +259,36 @@ class SolveTrace:
         self.min_entries.append(float(mn))
 
 
-def build_dtm(joint: JointPmf) -> Dtm:
-    """DTM of a joint: B = [P_Y]^{-1/2} P_{Y,X} [P_X]^{-1/2}."""
-    sy = joint.marginal_y.sqrt_probs
-    sx = joint.marginal_x.sqrt_probs
-    mat = joint.weights / sy[:, None] / sx[None, :]
-    return Dtm(mat, joint.marginal_y, joint.marginal_x)
+def build_dtm(row_labels: Sequence[str], col_labels: Sequence[str], weights) -> Dtm:
+    """DTM of a joint: B = [P_Y]^{-1/2} P_{Y,X} [P_X]^{-1/2}.
+
+    weights is the |Y| x |X| joint itself: finite, nonnegative, of total mass
+    1 and with no empty row or column. It is not renormalized.
+    """
+    w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    if w.ndim != 2:
+        raise InvalidDistribution("weights must be a matrix")
+    if not np.all(np.isfinite(w)):
+        raise InvalidDistribution("weights must be finite")
+    if np.any(w < 0):
+        raise InvalidDistribution("negative joint weight")
+    total = float(w.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise InvalidDistribution(f"total mass {total!r}, not 1")
+    row_labels = _check_labels(row_labels, w.shape[0], "joint rows")
+    col_labels = _check_labels(col_labels, w.shape[1], "joint cols")
+    py = w.sum(axis=1)
+    px = w.sum(axis=0)
+    if np.any(py <= 0) or np.any(px <= 0):
+        raise ZeroMarginal("joint has an empty row or column")
+    # Row/col sums of a valid mass-1 matrix; renormalize off the dust so
+    # the marginal Pmfs pass their own sum check.
+    p_y = Pmf(row_labels, py / py.sum())
+    p_x = Pmf(col_labels, px / px.sum())
+    mat = w / p_y.sqrt_probs[:, None]
+    mat /= p_x.sqrt_probs[None, :]
+    mat.setflags(write=False)  # so that Dtm keeps it rather than a copy
+    return Dtm(mat, p_y, p_x)
 
 
 def frobenius_sq(dtm: Dtm) -> float:

@@ -17,7 +17,8 @@ File formats:
 - Kernel JSON / trace CSV writers used by the CLI live here too.
 
 Ingestion prunes all-zero rows and columns (a joint needs strictly interior
-marginals) and reports what it dropped.
+marginals), reports what it dropped, and returns the joint's Dtm: the
+normalized weights go straight into build_dtm and are not kept.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq
+from .core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
 from .errors import (
     DataError,
+    DimensionMismatch,
     EmptyAfterPruning,
     InvalidDistribution,
     InvalidParams,
     InvalidRating,
     ParseError,
-    ShapeMismatch,
 )
 
 __all__ = [
@@ -88,6 +89,14 @@ class PruneReport:
         return not self.pruned_rows and not self.pruned_cols
 
 
+def _open(path):
+    """The file opened for binary reading; DataError naming it if that fails."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_lines(path, nfields: int | None = None):
     """Yield (lineno, offset, item) for each data line of a text file.
 
@@ -97,7 +106,7 @@ def _read_lines(path, nfields: int | None = None):
     byte offset of the offending line's start.
     """
     offset = 0
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line_offset = offset
             offset += len(raw)
@@ -162,7 +171,7 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     compare); a few long labels among short ones are still read in bulk.
     Only weights that fall back are cut to width (_parse_weights).
     """
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         data = fh.read()
     if b"\0" in data:
         return None
@@ -629,16 +638,16 @@ def ingest(
     col_labels,
     weights,
     normalize: str = "joint",
-) -> tuple[JointPmf, PruneReport]:
-    """Turn a raw nonnegative matrix into a joint, pruning empty rows/cols.
+) -> tuple[Dtm, PruneReport]:
+    """The DTM of a raw nonnegative matrix, after pruning empty rows/cols.
 
     normalize "joint" divides by the total mass; "rows" normalizes each row
     to sum 1 and then divides by the row count, yielding a joint with a
-    uniform row marginal.
+    uniform row marginal. The caller's weights are not modified.
     """
     if normalize not in ("joint", "rows"):
         raise InvalidParams(f"unknown normalize mode {normalize!r}")
-    w = np.array(weights, dtype=np.float64, copy=True)
+    w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
         raise InvalidDistribution("weights must be a matrix")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -656,17 +665,18 @@ def ingest(
             lab for lab, keep in zip(col_labels, col_keep) if not keep
         ),
     )
-    w = w[np.ix_(row_keep, col_keep)]
+    w = w[np.ix_(row_keep, col_keep)]  # a copy, normalized in place below
     if w.size == 0:
         raise EmptyAfterPruning("no rows or columns carry weight")
     kept_rows = [lab for lab, keep in zip(row_labels, row_keep) if keep]
     kept_cols = [lab for lab, keep in zip(col_labels, col_keep) if keep]
 
     if normalize == "joint":
-        w = w / w.sum()
+        w /= w.sum()
     else:
-        w = w / w.sum(axis=1, keepdims=True) / w.shape[0]
-    return JointPmf(tuple(kept_rows), tuple(kept_cols), w), report
+        w /= w.sum(axis=1, keepdims=True)
+        w /= w.shape[0]
+    return build_dtm(kept_rows, kept_cols, w), report
 
 
 def write_triplets(path, row_labels, col_labels, weights) -> None:
@@ -794,13 +804,6 @@ def gen_counterexample(p: CounterexampleParams) -> np.ndarray:
     return out
 
 
-def _ce_labels(m: int, n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return (
-        tuple(f"y{i}" for i in range(2 * m)),
-        tuple(f"x{j}" for j in range(2 * n)),
-    )
-
-
 def intuitive_kernel(m: int) -> CouplingKernel:
     """Two clusters splitting the 2m rows at the block boundary."""
     kern = np.zeros((2, 2 * m))
@@ -824,12 +827,10 @@ def one_item_kernel(m: int) -> CouplingKernel:
 def counterexample_frobenius(m: int, n: int, s: float, kernel: CouplingKernel) -> float:
     """||B_{Z,X}||_F^2 for a kernel applied to the normalized base matrix."""
     params = CounterexampleParams(m=m, n=n, s=s, variant="base_P")
-    ylabels, xlabels = _ce_labels(m, n)
-    joint = JointPmf.from_weights(ylabels, xlabels, gen_counterexample(params))
-    chain = JointPmf.from_weights(
-        kernel.cluster_labels, xlabels, kernel.kernel @ joint.weights
-    )
-    return frobenius_sq(build_dtm(chain))
+    base = gen_counterexample(params)
+    chain = kernel.kernel @ (base / base.sum())
+    xlabels = [f"x{j}" for j in range(chain.shape[1])]
+    return frobenius_sq(build_dtm(kernel.cluster_labels, xlabels, chain / chain.sum()))
 
 
 def gen_planted_blocks(
@@ -838,15 +839,15 @@ def gen_planted_blocks(
     within_weight: float,
     cross_weight: float,
     noise_seed: int = 0,
-) -> tuple[JointPmf, list[str]]:
+) -> tuple[tuple[tuple[str, ...], tuple[str, ...], np.ndarray], list[str]]:
     """Planted block-diagonal joint with multiplicative noise.
 
     sizes may be a single int (every block that size) or one int per block;
     the column side mirrors the row block structure. Entries are
     within_weight inside blocks and cross_weight outside, each jittered by
     an independent Uniform[0.5, 1.5) factor from noise_seed (>= 0), then
-    normalized to total mass 1. Returns the joint and the ground-truth block
-    label of each row.
+    normalized to total mass 1. Returns the joint as (row labels, column
+    labels, weights) and the ground-truth block label of each row.
     """
     blocks = int(blocks)
     if blocks < 1:
@@ -876,9 +877,8 @@ def gen_planted_blocks(
     ny = membership.size
     labels_y = tuple(f"y{i}" for i in range(ny))
     labels_x = tuple(f"x{j}" for j in range(ny))
-    joint = JointPmf.from_weights(labels_y, labels_x, w)
     truth = [f"b{int(b)}" for b in membership]
-    return joint, truth
+    return (labels_y, labels_x, w / w.sum()), truth
 
 
 def community_objective(q, p, lam: float, k: int) -> float:
@@ -890,7 +890,7 @@ def community_objective(q, p, lam: float, k: int) -> float:
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if q.shape != p.shape or q.ndim != 2:
-        raise ShapeMismatch(f"Q {q.shape} vs P {p.shape}")
+        raise DimensionMismatch(f"Q {q.shape} vs P {p.shape}")
     if int(k) < 1:
         raise InvalidParams("k must be >= 1")
     if not math.isfinite(lam):
@@ -900,8 +900,7 @@ def community_objective(q, p, lam: float, k: int) -> float:
     dist = float(np.sum((q - p) ** 2))
     rows = [f"y{i}" for i in range(q.shape[0])]
     cols = [f"x{j}" for j in range(q.shape[1])]
-    joint, _ = ingest(rows, cols, q, normalize="joint")
-    s = build_dtm(joint).singular_values()
+    s = ingest(rows, cols, q)[0].singular_values()
     top = float(np.sum(s[: int(k)]))
     return dist - float(lam) * top
 

@@ -18,7 +18,6 @@ __all__ = [
     "ZeroMarginal",
     "DimensionMismatch",
     "MarginalMismatch",
-    "ShapeMismatch",
     "InvalidParams",
     "NonFinite",
     "DegenerateCluster",
@@ -60,10 +59,6 @@ class DimensionMismatch(DataError):
 
 class MarginalMismatch(DataError):
     """A matrix and its marginals fail a DTM identity."""
-
-
-class ShapeMismatch(DataError):
-    """Two matrices that must share a shape do not."""
 
 
 class InvalidParams(ConfigError):

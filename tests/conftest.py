@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, Pmf
+from coupclust.core import Pmf
 
 
 def random_joint(rng, ny, nx, interior=True):
-    """Strictly interior random joint with generic singular values."""
+    """(row labels, col labels, weights) of a random mass-1 joint.
+
+    Strictly interior, with generic singular values, unless interior=False.
+    """
     w = rng.random((ny, nx))
     if interior:
         w += 0.05
     w /= w.sum()
     rows = tuple(f"y{i}" for i in range(ny))
     cols = tuple(f"x{j}" for j in range(nx))
-    return JointPmf(rows, cols, w)
+    return rows, cols, w
+
+
+def normalized_joint(rows, cols, weights):
+    """(rows, cols, weights / total): the mass-1 joint of a raw matrix."""
+    w = np.asarray(weights, dtype=np.float64)
+    return tuple(rows), tuple(cols), w / w.sum()
 
 
 def oracle_project(v, sweeps=4000, tol=1e-13):

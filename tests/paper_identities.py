@@ -30,7 +30,6 @@ from coupclust.core import (
     SPECTRAL_TOL,
     CouplingKernel,
     Dtm,
-    JointPmf,
     Pmf,
     _check_labels,
     _freeze,
@@ -88,10 +87,10 @@ def compose_dtm(b_zy: Dtm, b_yx: Dtm) -> Dtm:
     return out
 
 
-def mutual_information(joint: JointPmf) -> float:
-    """I(Y;X) in nats, with 0 log 0 = 0."""
-    w = joint.weights
-    outer = joint.marginal_y.probs[:, None] * joint.marginal_x.probs[None, :]
+def mutual_information(w: np.ndarray) -> float:
+    """I(Y;X) in nats of the mass-1 joint matrix w, with 0 log 0 = 0."""
+    py, px = w.sum(axis=1), w.sum(axis=0)
+    outer = (py / py.sum())[:, None] * (px / px.sum())[None, :]
     mask = w > 0
     return float(np.sum(w[mask] * np.log(w[mask] / outer[mask])))
 
@@ -151,20 +150,20 @@ def perturbed_kernel(fam: PerturbationFamily) -> CouplingKernel:
 
 
 def local_mi_gap(
-    joint_yx: JointPmf, fam: PerturbationFamily
+    joint_yx: tuple, fam: PerturbationFamily
 ) -> tuple[float, float, float]:
     """Exact I(X;Z) on the chain X -> Y -> Z versus 1/2(||B_{Z,X}||_F^2 - 1).
 
-    Returns (exact_mi, frobenius_approx, gap). The approximation error is
-    o(epsilon^2), so the gap collapses much faster than epsilon^2 itself.
+    joint_yx is (row labels, col labels, weights). Returns (exact_mi,
+    frobenius_approx, gap). The approximation error is o(epsilon^2), so the
+    gap collapses much faster than epsilon^2 itself.
     """
-    if fam.item_labels != joint_yx.row_labels:
+    rows, cols, w = joint_yx
+    if fam.item_labels != tuple(rows):
         raise DimensionMismatch("family items disagree with joint rows")
-    kernel = perturbed_kernel(fam)
-    chain = kernel.kernel @ joint_yx.weights
-    chain_joint = JointPmf(fam.base.labels, joint_yx.col_labels, chain)
-    exact = mutual_information(chain_joint)
-    approx = 0.5 * (frobenius_sq(build_dtm(chain_joint)) - 1.0)
+    chain = perturbed_kernel(fam).kernel @ w
+    exact = mutual_information(chain)
+    approx = 0.5 * (frobenius_sq(build_dtm(fam.base.labels, cols, chain)) - 1.0)
     return exact, approx, abs(exact - approx)
 
 
@@ -176,8 +175,8 @@ def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:
     return int(np.sum(dtm.singular_values() > 1.0 - tol))
 
 
-def bipartite_components(joint: JointPmf) -> int:
-    """Connected components of the bipartite support graph of the joint.
+def bipartite_components(w: np.ndarray) -> int:
+    """Connected components of the bipartite support graph of the joint w.
 
     An edge joins row y and column x when the weight exceeds the support
     threshold (float dust must not connect components). Counted by scipy's
@@ -186,8 +185,8 @@ def bipartite_components(joint: JointPmf) -> int:
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    ny, nx = joint.shape
-    rows, cols = np.nonzero(joint.weights > SUPPORT_EPS)
+    ny, nx = w.shape
+    rows, cols = np.nonzero(w > SUPPORT_EPS)
     graph = coo_matrix(
         (np.ones(rows.size), (rows, ny + cols)), shape=(ny + nx, ny + nx)
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coupclust.cli import main as cli_main
-from coupclust.core import CouplingKernel, JointPmf, Pmf, build_dtm
+from coupclust.core import CouplingKernel, Pmf, build_dtm
 from coupclust.data_io import (
     CounterexampleParams,
     community_objective,
@@ -57,17 +57,11 @@ def test_criterion_01_dtm_spectral_identities():
     for _ in range(100):
         ny = int(rng.integers(2, 13))
         nx = int(rng.integers(2, 11))
-        joint = random_joint(rng, ny, nx)
-        b = build_dtm(joint)
+        b = build_dtm(*random_joint(rng, ny, nx))
         s = b.singular_values()
         worst_sigma = max(worst_sigma, abs(float(s[0]) - 1.0))
         ident = float(
-            np.max(
-                np.abs(
-                    b.matrix @ joint.marginal_x.sqrt_probs
-                    - joint.marginal_y.sqrt_probs
-                )
-            )
+            np.max(np.abs(b.matrix @ b.col_pmf.sqrt_probs - b.row_pmf.sqrt_probs))
         )
         worst_identity = max(worst_identity, ident)
     elapsed = time.perf_counter() - start
@@ -89,19 +83,14 @@ def test_criterion_02_composition():
         nz = int(rng.integers(2, 5))
         ny = int(rng.integers(2, 9))
         nx = int(rng.integers(2, 7))
-        joint = random_joint(rng, ny, nx)
+        rows, cols, w = random_joint(rng, ny, nx)
         kmat = rng.random((nz, ny)) + 0.05
         kmat /= kmat.sum(axis=0)
-        kernel = CouplingKernel(
-            tuple(f"z{i}" for i in range(nz)), joint.row_labels, kmat
-        )
-        p_z = Pmf(kernel.cluster_labels, kernel.induced_marginal(joint.marginal_y))
-        composed = compose_dtm(
-            dtm_from_kernel(kernel, joint.marginal_y, p_z), build_dtm(joint)
-        )
-        direct = build_dtm(
-            JointPmf(kernel.cluster_labels, joint.col_labels, kmat @ joint.weights)
-        )
+        kernel = CouplingKernel(tuple(f"z{i}" for i in range(nz)), rows, kmat)
+        b_yx = build_dtm(rows, cols, w)
+        p_z = Pmf(kernel.cluster_labels, kernel.induced_marginal(b_yx.row_pmf))
+        composed = compose_dtm(dtm_from_kernel(kernel, b_yx.row_pmf, p_z), b_yx)
+        direct = build_dtm(kernel.cluster_labels, cols, kmat @ w)
         worst = max(
             worst, float(np.linalg.norm(composed.matrix - direct.matrix, "fro"))
         )
@@ -137,8 +126,8 @@ def test_criterion_03_local_mi_approximation():
             v -= (v @ sz) * sz
             phis[:, y] = v / np.linalg.norm(v)
         joint = random_joint(rng, ny, nx)
-        fam_hi = PerturbationFamily(base, joint.row_labels, phis, 1e-2)
-        fam_lo = PerturbationFamily(base, joint.row_labels, phis, 1e-3)
+        fam_hi = PerturbationFamily(base, joint[0], phis, 1e-2)
+        fam_lo = PerturbationFamily(base, joint[0], phis, 1e-3)
         exact_hi, approx_hi, gap_hi = local_mi_gap(joint, fam_hi)
         exact_lo, approx_lo, gap_lo = local_mi_gap(joint, fam_lo)
         if gap_hi < 1e-13:
@@ -178,13 +167,12 @@ def test_criterion_04_components_match_spectrum():
             w[r : r + blk.shape[0], c : c + blk.shape[1]] = blk
             r += blk.shape[0]
             c += blk.shape[1]
-        joint = JointPmf.from_weights(
-            tuple(f"y{i}" for i in range(total_y)),
-            tuple(f"x{j}" for j in range(total_x)),
-            w,
+        w /= w.sum()
+        dtm = build_dtm(
+            [f"y{i}" for i in range(total_y)], [f"x{j}" for j in range(total_x)], w
         )
-        mult = singular_one_multiplicity(build_dtm(joint), tol=1e-6)
-        comps = bipartite_components(joint)
+        mult = singular_one_multiplicity(dtm, tol=1e-6)
+        comps = bipartite_components(w)
         assert mult == ncomp == comps
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -294,7 +282,7 @@ def _planted_suite():
             joint, truth = gen_planted_blocks(
                 blocks, size, 1.0, 0.05, noise_seed=gen_seed
             )
-            instances.append((blocks, joint, dict(zip(joint.row_labels, truth))))
+            instances.append((blocks, build_dtm(*joint), dict(zip(joint[0], truth))))
     return instances
 
 
@@ -302,8 +290,7 @@ def test_criterion_07_nuclear_solver():
     start = time.perf_counter()
     acc_floor = 1.0
     gap_worst = 0.0
-    for blocks, joint, truth in _planted_suite():
-        dtm = build_dtm(joint)
+    for blocks, dtm, truth in _planted_suite():
         best = None
         for seed in range(5):
             kernel, trace = solve_nuclear(dtm, NuclearConfig(k=blocks, seed=seed))
@@ -332,15 +319,14 @@ def test_criterion_08_frobenius_solver():
     start = time.perf_counter()
     acc_floor = 1.0
     col_worst = 0.0
-    for blocks, joint, truth in _planted_suite():
+    for blocks, dtm, truth in _planted_suite():
         labels = tuple(f"z{i}" for i in range(blocks))
         mass = np.zeros(blocks)
         truth_keys = sorted(set(truth.values()))
         for item, lab in truth.items():
-            y = joint.row_labels.index(item)
-            mass[truth_keys.index(lab)] += joint.marginal_y.probs[y]
+            y = dtm.row_pmf.labels.index(item)
+            mass[truth_keys.index(lab)] += dtm.row_pmf.probs[y]
         p_z = Pmf(labels, mass / mass.sum())
-        dtm = build_dtm(joint)
         best = None
         for seed in range(5):
             kernel, trace = solve_frobenius(
@@ -362,8 +348,8 @@ def test_criterion_08_frobenius_solver():
     sqrt_pz = Pmf.uniform(("z0", "z1", "z2")).sqrt_probs
     for nx in (8, 6, 12):
         rng = np.random.default_rng(8)
-        joint = random_joint(rng, 8, nx)
-        c, sy = _gram_factor(build_dtm(joint).matrix), joint.marginal_y.sqrt_probs
+        dtm = build_dtm(*random_joint(rng, 8, nx))
+        c, sy = _gram_factor(dtm.matrix), dtm.row_pmf.sqrt_probs
         args = (c, sy, sqrt_pz, 10.0)
         for _ in range(20):
             a = rng.normal(size=(3, 8))
@@ -436,7 +422,7 @@ def test_criterion_10_external_tables_replaced_by_elbow():
     start = time.perf_counter()
     joint, _ = gen_planted_blocks(8, 12, 1.0, 0.02, noise_seed=0)
     ks = list(range(2, 11))
-    curve = elbow_curve(build_dtm(joint), ks, algorithm="nuclear", restarts=5)
+    curve = elbow_curve(build_dtm(*joint), ks, algorithm="nuclear", restarts=5)
     vals = {k: v for k, v in curve}
     increments = {k: vals[k + 1] - vals[k] for k in range(2, 10)}
     # largest drop between consecutive increments happens entering k = 8
@@ -458,7 +444,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     start = time.perf_counter()
     joint, truth = gen_planted_blocks(2, 8, 1.0, 0.05, noise_seed=11)
     data = tmp_path / "data.tsv"
-    write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+    write_triplets(data, *joint)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name

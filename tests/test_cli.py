@@ -24,13 +24,11 @@ from coupclust.data_io import gen_planted_blocks, write_triplets
 
 @pytest.fixture
 def planted(tmp_path):
-    joint, truth = gen_planted_blocks(2, 10, 1.0, 0.05, noise_seed=6)
+    (rows, cols, weights), truth = gen_planted_blocks(2, 10, 1.0, 0.05, noise_seed=6)
     data = tmp_path / "data.tsv"
-    write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+    write_triplets(data, rows, cols, weights)
     truth_path = tmp_path / "truth.tsv"
-    truth_path.write_text(
-        "".join(f"{y}\t{t}\n" for y, t in zip(joint.row_labels, truth))
-    )
+    truth_path.write_text("".join(f"{y}\t{t}\n" for y, t in zip(rows, truth)))
     return data, truth_path
 
 
@@ -550,6 +548,42 @@ class TestExitCodes:
         assert "line 2, byte 7" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, name, rc",
+        [
+            ("input", "missing.tsv", 3),
+            ("input", "missing.csv", 3),
+            ("input", ".", 3),
+            ("--pz", "missing.tsv", 3),
+            ("--pz", ".", 3),
+            ("--truth", "missing.tsv", 3),
+            ("--out", "data.tsv", 2),
+            ("--out", "data.tsv/x", 2),
+        ],
+    )
+    def test_unusable_path(self, planted, tmp_path, capsys, flag, name, rc):
+        # An unreadable file, or an --out that cannot be made a directory, is
+        # reported by name with its exit code, not as a traceback.
+        data, truth = planted
+        bad = tmp_path / name
+        paths = {"input": data, "--pz": "uniform", "--truth": truth, "--out": "x"}
+        paths[flag] = bad
+        code = main(
+            [
+                "cluster", str(paths["input"]), "--algo", "frobenius", "--k", "2",
+                "--restarts", "1", "--pz", str(paths["--pz"]),
+                "--truth", str(paths["--truth"]),
+                "--out", str(tmp_path / paths["--out"]),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == rc, err
+        what = "data error: cannot read" if rc == 3 else (
+            "configuration error: cannot create --out"
+        )
+        assert f"{what} {bad}: " in err
+        assert "Traceback" not in err
+
 
 def test_warning_names_no_source_line(tmp_path):
     # On this 3-block file the nuclear alternation lowers the norm once
@@ -557,7 +591,7 @@ def test_warning_names_no_source_line(tmp_path):
     # and line, so stderr does not change between checkouts or edits.
     joint, _ = gen_planted_blocks(3, 6, 1.0, 0.2, noise_seed=0)
     data = tmp_path / "data.tsv"
-    write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+    write_triplets(data, *joint)
     src = str(Path(coupclust.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-m", "coupclust.cli", "cluster", str(data),
@@ -585,9 +619,9 @@ def test_each_run_builds_one_dtm(planted, tmp_path, monkeypatch):
     build_dtm = coupclust.core.build_dtm
     calls = []
 
-    def counting_build_dtm(joint):
-        calls.append(joint)
-        return build_dtm(joint)
+    def counting_build_dtm(*args):
+        calls.append(args)
+        return build_dtm(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "coupclust" or name.startswith("coupclust."):
@@ -674,7 +708,7 @@ class TestElbowCmd:
         # the best norm values agree.
         joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=0)
         data = tmp_path / "data.tsv"
-        write_triplets(data, joint.row_labels, joint.col_labels, joint.weights)
+        write_triplets(data, *joint)
         rc = main(
             [
                 "elbow", str(data), "--ks", "2:5:1", "--algo", "nuclear",

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coupclust.core import (
     CouplingKernel,
-    JointPmf,
     Pmf,
     build_dtm,
     frobenius_sq,
@@ -64,30 +65,6 @@ class TestPmf:
         np.testing.assert_allclose(p.probs, [0.75, 0.25])
 
 
-class TestJointPmf:
-    def test_marginals(self, rng):
-        j = random_joint(rng, 4, 3)
-        np.testing.assert_allclose(j.marginal_y.probs, j.weights.sum(axis=1))
-        np.testing.assert_allclose(j.marginal_x.probs, j.weights.sum(axis=0))
-        assert j.marginal_y.strictly_interior
-        assert j.marginal_x.strictly_interior
-
-    def test_zero_row_rejected(self):
-        w = np.array([[0.5, 0.5], [0.0, 0.0]])
-        with pytest.raises(ZeroMarginal):
-            JointPmf(("a", "b"), ("u", "v"), w)
-
-    def test_mass_check(self):
-        w = np.full((2, 2), 0.3)
-        with pytest.raises(InvalidDistribution):
-            JointPmf(("a", "b"), ("u", "v"), w)
-
-    def test_label_count(self):
-        w = np.full((2, 2), 0.25)
-        with pytest.raises(DimensionMismatch):
-            JointPmf(("a",), ("u", "v"), w)
-
-
 class TestCouplingKernel:
     def test_column_sums(self):
         k = np.array([[0.7, 0.2], [0.3, 0.8]])
@@ -107,17 +84,93 @@ class TestCouplingKernel:
 
 
 class TestBuildDtm:
+    def test_marginals(self, rng):
+        rows, cols, w = random_joint(rng, 4, 3)
+        b = build_dtm(rows, cols, w)
+        assert b.row_pmf.labels == rows and b.col_pmf.labels == cols
+        np.testing.assert_allclose(b.row_pmf.probs, w.sum(axis=1))
+        np.testing.assert_allclose(b.col_pmf.probs, w.sum(axis=0))
+        assert b.row_pmf.strictly_interior
+        assert b.col_pmf.strictly_interior
+
+    def test_keeps_b_without_a_second_copy(self, rng):
+        # B is the one |Y| x |X| array that build_dtm allocates and keeps:
+        # the Dtm holds it read-only rather than a frozen copy.
+        rows, cols, w = random_joint(rng, 300, 300)
+        tracemalloc.start()
+        try:
+            b = build_dtm(rows, cols, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.nbytes
+        assert not b.matrix.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 3), (7, 9), (1, 5)])
+    @pytest.mark.parametrize("mass", [1.0, 1.0 + 4e-13])
+    def test_whitening_bits(self, rng, shape, mass):
+        # B is the joint divided by the root marginals, each normalized off
+        # its dust, in that order; a joint within MASS_TOL of 1 is not
+        # renormalized first.
+        rows, cols, w = random_joint(rng, *shape)
+        w = w * mass
+        py, px = w.sum(axis=1), w.sum(axis=0)
+        sy, sx = np.sqrt(py / py.sum()), np.sqrt(px / px.sum())
+        expected = w / sy[:, None] / sx[None, :]
+        assert build_dtm(rows, cols, w).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "w",
+        [[[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],
+        ids=["empty-row", "empty-column"],
+    )
+    def test_empty_row_or_column_rejected(self, w):
+        with pytest.raises(ZeroMarginal, match="empty row or column"):
+            build_dtm(("a", "b"), ("u", "v"), np.array(w))
+
+    def test_mass_check(self):
+        with pytest.raises(InvalidDistribution, match="total mass"):
+            build_dtm(("a", "b"), ("u", "v"), np.full((2, 2), 0.3))
+
+    def test_negative_entry(self):
+        w = np.array([[0.75, -0.25], [0.25, 0.25]])
+        with pytest.raises(InvalidDistribution, match="negative"):
+            build_dtm(("a", "b"), ("u", "v"), w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        w = np.full((2, 2), 0.25)
+        w[1, 0] = bad
+        with pytest.raises(InvalidDistribution, match="finite"):
+            build_dtm(("a", "b"), ("u", "v"), w)
+
+    def test_not_a_matrix(self):
+        with pytest.raises(InvalidDistribution, match="matrix"):
+            build_dtm(("a",), ("u",), np.full((1, 2, 2), 0.25))
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(("a",), ("u", "v")), (("a", "b"), ("u", "v", "w"))]
+    )
+    def test_label_count(self, rows, cols):
+        with pytest.raises(DimensionMismatch):
+            build_dtm(rows, cols, np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(("a", "a"), ("u", "v")), (("a", "b"), ("u", "u"))]
+    )
+    def test_duplicate_label(self, rows, cols):
+        with pytest.raises(DataError, match="duplicate labels"):
+            build_dtm(rows, cols, np.full((2, 2), 0.25))
+
     def test_uniform_independent(self):
         # P = uniform product -> B is the constant matrix 1/sqrt(ny*nx)
-        j = JointPmf(("a", "b"), ("u", "v"), np.full((2, 2), 0.25))
-        b = build_dtm(j)
+        b = build_dtm(("a", "b"), ("u", "v"), np.full((2, 2), 0.25))
         np.testing.assert_allclose(b.matrix, np.full((2, 2), 0.5))
         s = b.singular_values()
         np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-12)
 
     def test_identity_coupling(self):
-        j = JointPmf(("a", "b"), ("u", "v"), np.diag([0.5, 0.5]))
-        b = build_dtm(j)
+        b = build_dtm(("a", "b"), ("u", "v"), np.diag([0.5, 0.5]))
         np.testing.assert_allclose(b.matrix, np.eye(2))
         np.testing.assert_allclose(b.singular_values(), [1.0, 1.0])
 
@@ -125,9 +178,8 @@ class TestBuildDtm:
         for _ in range(25):
             ny = int(rng.integers(2, 13))
             nx = int(rng.integers(2, 11))
-            j = random_joint(rng, ny, nx)
-            b = build_dtm(j)
-            sy, sx = j.marginal_y.sqrt_probs, j.marginal_x.sqrt_probs
+            b = build_dtm(*random_joint(rng, ny, nx))
+            sy, sx = b.row_pmf.sqrt_probs, b.col_pmf.sqrt_probs
             assert np.max(np.abs(b.matrix @ sx - sy)) <= 1e-10
             assert np.max(np.abs(b.matrix.T @ sy - sx)) <= 1e-10
             s = b.singular_values()
@@ -187,29 +239,22 @@ class TestComposeDtm:
             nz = int(rng.integers(2, 5))
             ny = int(rng.integers(2, 9))
             nx = int(rng.integers(2, 7))
-            joint = random_joint(rng, ny, nx)
+            rows, cols, w = random_joint(rng, ny, nx)
             kmat = rng.random((nz, ny)) + 0.05
             kmat /= kmat.sum(axis=0)
-            kernel = CouplingKernel(
-                tuple(f"z{i}" for i in range(nz)), joint.row_labels, kmat
-            )
+            kernel = CouplingKernel(tuple(f"z{i}" for i in range(nz)), rows, kmat)
+            b_yx = build_dtm(rows, cols, w)
             p_z = Pmf(
-                kernel.cluster_labels, kernel.induced_marginal(joint.marginal_y)
+                kernel.cluster_labels, kernel.induced_marginal(b_yx.row_pmf)
             )
-            b_zy = dtm_from_kernel(kernel, joint.marginal_y, p_z)
-            b_yx = build_dtm(joint)
+            b_zy = dtm_from_kernel(kernel, b_yx.row_pmf, p_z)
             composed = compose_dtm(b_zy, b_yx)
-            chain = JointPmf(
-                kernel.cluster_labels, joint.col_labels, kmat @ joint.weights
-            )
-            direct = build_dtm(chain)
+            direct = build_dtm(kernel.cluster_labels, cols, kmat @ w)
             assert np.max(np.abs(composed.matrix - direct.matrix)) <= 1e-12
 
     def test_marginal_mismatch(self, rng):
-        j1 = random_joint(rng, 3, 4)
-        j2 = random_joint(rng, 4, 3)
-        b1 = build_dtm(j1)
-        b2 = build_dtm(j2)
+        b1 = build_dtm(*random_joint(rng, 3, 4))
+        b2 = build_dtm(*random_joint(rng, 4, 3))
         # labels y0..y3 vs x0..x2 on the inner side
         with pytest.raises((MarginalMismatch, DimensionMismatch)):
             compose_dtm(b1, b2)
@@ -217,35 +262,32 @@ class TestComposeDtm:
 
 class TestInformation:
     def test_product_is_zero(self):
-        j = JointPmf(("a", "b"), ("u", "v"), np.full((2, 2), 0.25))
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-15)
+        mi = mutual_information(np.full((2, 2), 0.25))
+        assert mi == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_is_log2(self):
-        j = JointPmf(("a", "b"), ("u", "v"), np.diag([0.5, 0.5]))
-        assert mutual_information(j) == pytest.approx(np.log(2.0), abs=1e-12)
+        mi = mutual_information(np.diag([0.5, 0.5]))
+        assert mi == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_data_processing(self, rng):
         for _ in range(20):
-            joint = random_joint(rng, 6, 5)
+            _, _, w = random_joint(rng, 6, 5)
             kmat = rng.random((3, 6)) + 0.05
             kmat /= kmat.sum(axis=0)
-            chain = JointPmf(
-                ("z0", "z1", "z2"), joint.col_labels, kmat @ joint.weights
-            )
-            assert mutual_information(chain) <= mutual_information(joint) + 1e-12
+            assert mutual_information(kmat @ w) <= mutual_information(w) + 1e-12
 
 
 class TestNorms:
     def test_frobenius_dual_route(self, rng):
         for _ in range(10):
-            b = build_dtm(random_joint(rng, 6, 5))
+            b = build_dtm(*random_joint(rng, 6, 5))
             entrywise = frobenius_sq(b)
             spectral = float(np.sum(b.singular_values() ** 2))
             assert abs(entrywise - spectral) <= 1e-10
 
     def test_schatten_orders(self, rng):
         # The Schatten-inf norm of a DTM is sigma_1 = 1.
-        b = build_dtm(random_joint(rng, 5, 4))
+        b = build_dtm(*random_joint(rng, 5, 4))
         s = b.singular_values()
         assert float(s[0]) == pytest.approx(1.0, abs=1e-10)
 
@@ -287,7 +329,7 @@ class TestPerturbationFamily:
             phis[:, y] = v / np.linalg.norm(v)
         labels = tuple(f"y{i}" for i in range(ny))
         jw = rng.random((ny, 4)) + 0.1
-        joint = JointPmf.from_weights(labels, ("x0", "x1", "x2", "x3"), jw)
+        joint = (labels, ("x0", "x1", "x2", "x3"), jw / jw.sum())
         for eps in (1e-1, 1e-2):
             _, _, g_hi = local_mi_gap(
                 joint, PerturbationFamily(base, labels, phis, eps)
@@ -313,7 +355,7 @@ class TestSpectralStructure:
             w[r : r + m.shape[0], c : c + m.shape[1]] = m
             r += m.shape[0]
             c += m.shape[1]
-        return JointPmf.from_weights(tuple(rl), tuple(cl), w)
+        return rl, cl, w / w.sum()
 
     def test_multiplicity_equals_components(self, rng):
         for _ in range(25):
@@ -322,13 +364,12 @@ class TestSpectralStructure:
                 (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 for _ in range(nblocks)
             ]
-            j = self._block_joint(rng, blocks)
-            b = build_dtm(j)
-            assert singular_one_multiplicity(b) == nblocks
-            assert bipartite_components(j) == nblocks
+            rows, cols, w = self._block_joint(rng, blocks)
+            assert singular_one_multiplicity(build_dtm(rows, cols, w)) == nblocks
+            assert bipartite_components(w) == nblocks
 
     def test_multiplicity_tol_validation(self, rng):
-        b = build_dtm(random_joint(rng, 3, 3))
+        b = build_dtm(*random_joint(rng, 3, 3))
         with pytest.raises(InvalidParams):
             singular_one_multiplicity(b, tol=0.7)
         with pytest.raises(InvalidParams):

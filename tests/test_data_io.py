@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupclust import data_io
-from coupclust.core import JointPmf, SolveTrace, build_dtm, frobenius_sq
+from coupclust.core import SolveTrace, build_dtm
 from coupclust.data_io import (
     MAX_CELLS,
     _parse_triplets_bulk,
@@ -35,11 +35,11 @@ from coupclust.data_io import (
 )
 from coupclust.errors import (
     DataError,
+    DimensionMismatch,
     EmptyAfterPruning,
     InvalidParams,
     InvalidRating,
     ParseError,
-    ShapeMismatch,
 )
 
 from conftest import random_joint
@@ -237,7 +237,7 @@ def test_write_triplets_output_parses_in_bulk_within_memory(tmp_path):
     # Traced peak of the whole parse, against the size of the file.
     joint, _ = gen_planted_blocks(4, 50, 1.0, 0.1, noise_seed=0)
     path = tmp_path / "t.tsv"
-    write_triplets(path, joint.row_labels, joint.col_labels, joint.weights)
+    write_triplets(path, *joint)
     assert _parse_triplets_bulk(path) is not None
     tracemalloc.start()
     try:
@@ -438,7 +438,7 @@ def _repr_planted(path):
 def _normalized_planted(path, cross=0.05):
     # %.17g writes d.dddddddddddddddde-XX below 1e-4: E = -XX - 16.
     joint, _ = gen_planted_blocks(4, 25, 1.0, cross, noise_seed=1)
-    write_triplets(path, joint.row_labels, joint.col_labels, joint.weights)
+    write_triplets(path, *joint)
 
 
 def _tiny_normalized_planted(path):
@@ -554,24 +554,27 @@ class TestDenseCsv:
 class TestIngest:
     def test_joint_mode(self):
         w = np.array([[2.0, 2.0], [1.0, 3.0]])
-        joint, report = ingest(["a", "b"], ["u", "v"], w)
+        dtm, report = ingest(["a", "b"], ["u", "v"], w)
         assert report.empty
-        np.testing.assert_allclose(joint.weights, w / 8.0)
+        want = build_dtm(["a", "b"], ["u", "v"], w / 8.0)
+        assert dtm.matrix.tobytes() == want.matrix.tobytes()
+        np.testing.assert_array_equal(w, [[2.0, 2.0], [1.0, 3.0]])
 
     def test_rows_mode_uniform_row_marginal(self):
         w = np.array([[2.0, 2.0], [1.0, 3.0]])
-        joint, _ = ingest(["a", "b"], ["u", "v"], w, normalize="rows")
-        np.testing.assert_allclose(joint.marginal_y.probs, [0.5, 0.5])
-        np.testing.assert_allclose(joint.weights[0], [0.25, 0.25])
-        np.testing.assert_allclose(joint.weights[1], [0.125, 0.375])
+        dtm, _ = ingest(["a", "b"], ["u", "v"], w, normalize="rows")
+        np.testing.assert_allclose(dtm.row_pmf.probs, [0.5, 0.5])
+        want = build_dtm(["a", "b"], ["u", "v"], [[0.25, 0.25], [0.125, 0.375]])
+        assert dtm.matrix.tobytes() == want.matrix.tobytes()
+        np.testing.assert_array_equal(w, [[2.0, 2.0], [1.0, 3.0]])
 
     def test_pruning_reported(self):
         w = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
-        joint, report = ingest(["a", "b", "c"], ["u", "v", "w"], w)
+        dtm, report = ingest(["a", "b", "c"], ["u", "v", "w"], w)
         assert report.pruned_rows == ("b",)
         assert report.pruned_cols == ("v",)
-        assert joint.row_labels == ("a", "c")
-        assert joint.col_labels == ("u", "w")
+        assert dtm.row_pmf.labels == ("a", "c")
+        assert dtm.col_pmf.labels == ("u", "w")
         assert report.as_dict() == {
             "pruned_rows": ["b"],
             "pruned_cols": ["v"],
@@ -588,13 +591,15 @@ class TestIngest:
 
 class TestRoundTrip:
     def test_exact_identity(self, rng, tmp_path):
-        joint = random_joint(rng, 6, 5)
+        rows, cols, w = random_joint(rng, 6, 5)
         p = tmp_path / "rt.tsv"
-        write_triplets(p, joint.row_labels, joint.col_labels, joint.weights)
-        joint2, _ = ingest(*parse_triplets(p))
-        assert joint2.row_labels == joint.row_labels
-        assert joint2.col_labels == joint.col_labels
-        assert np.max(np.abs(joint2.weights - joint.weights)) <= 1e-15
+        write_triplets(p, rows, cols, w)
+        dtm, _ = ingest(*parse_triplets(p))
+        assert dtm.row_pmf.labels == rows
+        assert dtm.col_pmf.labels == cols
+        want = build_dtm(rows, cols, w)
+        np.testing.assert_allclose(dtm.matrix, want.matrix, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dtm.row_pmf.probs, want.row_pmf.probs, rtol=1e-14)
 
     def test_pmf_and_labels(self, tmp_path):
         pmf_path = tmp_path / "pz.tsv"
@@ -719,7 +724,7 @@ class TestCommunityObjective:
         )
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch):
             community_objective(np.ones((2, 2)), np.ones((2, 3)), 1.0, 1)
 
     def test_prunes_before_dtm(self):
@@ -732,31 +737,30 @@ class TestCommunityObjective:
 
 class TestPlantedBlocks:
     def test_structure_and_truth(self):
-        joint, truth = gen_planted_blocks(2, [3, 4], 1.0, 0.1, noise_seed=0)
-        assert joint.shape == (7, 7)
+        (rows, cols, w), truth = gen_planted_blocks(2, [3, 4], 1.0, 0.1, noise_seed=0)
+        assert w.shape == (7, 7) and len(rows) == len(cols) == 7
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
         assert truth == ["b0"] * 3 + ["b1"] * 4
-        w = joint.weights
         # within mass dominates cross mass per entry on average
         within = w[:3, :3].mean()
         cross = w[:3, 3:].mean()
         assert within > cross * 3
 
     def test_scalar_sizes(self):
-        joint, truth = gen_planted_blocks(3, 5, 1.0, 0.05)
-        assert joint.shape == (15, 15)
+        (_, _, w), truth = gen_planted_blocks(3, 5, 1.0, 0.05)
+        assert w.shape == (15, 15)
         assert len(set(truth)) == 3
 
     def test_deterministic_in_seed(self):
         j1, _ = gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=9)
         j2, _ = gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=9)
-        assert np.array_equal(j1.weights, j2.weights)
+        assert np.array_equal(j1[2], j2[2])
         j3, _ = gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=10)
-        assert not np.array_equal(j1.weights, j3.weights)
+        assert not np.array_equal(j1[2], j3[2])
 
     def test_jitter_bounded(self):
-        joint, _ = gen_planted_blocks(2, 10, 1.0, 0.2, noise_seed=3)
-        w = joint.weights * joint.weights.size  # undo scale roughly
-        assert np.all(joint.weights > 0)
+        (_, _, w), _ = gen_planted_blocks(2, 10, 1.0, 0.2, noise_seed=3)
+        assert np.all(w > 0)
 
     def test_validation(self):
         with pytest.raises(InvalidParams):

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, build_dtm
+from coupclust.core import build_dtm
 from coupclust.embedding import dtm_embed, write_embedding_tsv
 from coupclust.errors import InvalidParams, RankDeficient
 
-from conftest import random_joint
+from conftest import normalized_joint, random_joint
 
 
 class TestDtmEmbed:
     def test_first_coordinate_constant(self, rng):
         for _ in range(10):
             dtm = build_dtm(
-                random_joint(rng, int(rng.integers(3, 9)), int(rng.integers(3, 8)))
+                *random_joint(rng, int(rng.integers(3, 9)), int(rng.integers(3, 8)))
             )
             d = min(3, min(dtm.shape))
             emb = dtm_embed(dtm, d)
@@ -20,13 +20,13 @@ class TestDtmEmbed:
 
     def test_subspace_identity(self, rng):
         # rows are [P_Y]^{-1/2} U; re-whitening must recover an orthonormal U
-        dtm = build_dtm(random_joint(rng, 6, 5))
+        dtm = build_dtm(*random_joint(rng, 6, 5))
         emb = dtm_embed(dtm, 3)
         u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
 
     def test_sign_convention(self, rng):
-        dtm = build_dtm(random_joint(rng, 7, 6))
+        dtm = build_dtm(*random_joint(rng, 7, 6))
         emb = dtm_embed(dtm, 4)
         u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
         for j in range(4):
@@ -34,7 +34,7 @@ class TestDtmEmbed:
             assert u[i, j] > 0
 
     def test_d_too_large(self, rng):
-        dtm = build_dtm(random_joint(rng, 4, 6))
+        dtm = build_dtm(*random_joint(rng, 4, 6))
         with pytest.raises(RankDeficient):
             dtm_embed(dtm, 5)
 
@@ -49,19 +49,19 @@ class TestDtmEmbed:
             ]
         )
         dtm = build_dtm(
-            JointPmf.from_weights(("a", "b", "c", "d"), ("u", "v", "w"), w)
+            *normalized_joint(("a", "b", "c", "d"), ("u", "v", "w"), w)
         )
         dtm_embed(dtm, 2)
         with pytest.raises(RankDeficient):
             dtm_embed(dtm, 3)
 
     def test_d_validation(self, rng):
-        dtm = build_dtm(random_joint(rng, 4, 4))
+        dtm = build_dtm(*random_joint(rng, 4, 4))
         with pytest.raises(InvalidParams):
             dtm_embed(dtm, 0)
 
     def test_deterministic(self, rng):
-        dtm = build_dtm(random_joint(rng, 8, 7))
+        dtm = build_dtm(*random_joint(rng, 8, 7))
         e1 = dtm_embed(dtm, 3)
         e2 = dtm_embed(dtm, 3)
         assert np.array_equal(e1.vectors, e2.vectors)
@@ -69,7 +69,7 @@ class TestDtmEmbed:
 
     def test_no_full_svd(self, rng, monkeypatch):
         # The embedding reads only U[:, :d], from one Gram eigensolve.
-        dtm = build_dtm(random_joint(rng, 9, 7))
+        dtm = build_dtm(*random_joint(rng, 9, 7))
         ref = np.linalg.svd(dtm.matrix)[0][:, :4]
 
         def full_svd(*args, **kwargs):
@@ -103,7 +103,7 @@ class TestRankThreshold:
         w = RANK2.copy()
         w[0, 0] += eps
         dtm = build_dtm(
-            JointPmf.from_weights(("a", "b", "c", "d"), ("u", "v", "w"), w)
+            *normalized_joint(("a", "b", "c", "d"), ("u", "v", "w"), w)
         )
         s = np.linalg.svd(dtm.matrix, compute_uv=False)
         assert sigma_3 / 2 < s[2] < sigma_3 * 2
@@ -119,7 +119,7 @@ class TestRankThreshold:
 
 class TestTsv:
     def test_seventeen_digit_roundtrip(self, rng, tmp_path):
-        emb = dtm_embed(build_dtm(random_joint(rng, 5, 4)), 3)
+        emb = dtm_embed(build_dtm(*random_joint(rng, 5, 4)), 3)
         path = tmp_path / "emb.tsv"
         write_embedding_tsv(emb, path)
         lines = path.read_text().strip().split("\n")

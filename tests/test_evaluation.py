@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import CouplingKernel, JointPmf, Pmf, build_dtm
+from coupclust.core import CouplingKernel, Pmf, build_dtm
 from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import InvalidParams, LabelMismatch, ZeroMarginal
 from coupclust.evaluation import (
@@ -21,7 +21,7 @@ from coupclust.evaluation import (
     top_true_clusters,
 )
 
-from conftest import random_joint
+from conftest import normalized_joint, random_joint
 
 
 def brute_force_accuracy(pred, truth):
@@ -203,7 +203,7 @@ class TestKernelNormValue:
         w = np.zeros((4, 4))
         w[:2, :2] = 0.25 / 2
         w[2:, 2:] = 0.25 / 2
-        dtm = build_dtm(JointPmf(("a", "b", "c", "d"), ("u", "v", "w", "x"), w))
+        dtm = build_dtm(("a", "b", "c", "d"), ("u", "v", "w", "x"), w)
         kmat = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1]])
         kernel = CouplingKernel(("z0", "z1"), dtm.row_pmf.labels, kmat)
         assert kernel_norm_value(dtm, kernel, "nuclear") == pytest.approx(
@@ -214,7 +214,7 @@ class TestKernelNormValue:
         )
 
     def test_dead_cluster_rejected(self, rng):
-        dtm = build_dtm(random_joint(rng, 3, 3))
+        dtm = build_dtm(*random_joint(rng, 3, 3))
         kmat = np.array([[1.0, 1, 1], [0, 0, 0]])
         kernel = CouplingKernel(("z0", "z1"), dtm.row_pmf.labels, kmat)
         with pytest.raises(ZeroMarginal):
@@ -223,7 +223,7 @@ class TestKernelNormValue:
     def test_empty_frobenius_cluster_adds_nothing(self, rng):
         # The squared Frobenius norm is taken over the clusters with mass,
         # the limit as the empty cluster's mass goes to 0.
-        dtm = build_dtm(random_joint(rng, 3, 3))
+        dtm = build_dtm(*random_joint(rng, 3, 3))
         items = dtm.row_pmf.labels
         kmat = np.array([[1.0, 1, 0], [0, 0, 1], [0, 0, 0]])
         value = kernel_norm_value(
@@ -244,7 +244,7 @@ class TestKernelNormValue:
     def test_column_sums_within_kernel_tolerance(self, rng, algorithm):
         # CouplingKernel admits columns that miss 1 by up to 1e-9; the norm
         # is that of the renormalized kernel, not a broken DTM invariant.
-        dtm = build_dtm(random_joint(rng, 5, 4))
+        dtm = build_dtm(*random_joint(rng, 5, 4))
         kmat = rng.random((2, 5))
         kmat /= kmat.sum(axis=0)
         labels = ("z0", "z1")
@@ -259,7 +259,7 @@ class TestKernelNormValue:
         assert loose == pytest.approx(exact, rel=1e-14)
 
     def test_algorithm_validation(self, rng):
-        dtm = build_dtm(random_joint(rng, 3, 3))
+        dtm = build_dtm(*random_joint(rng, 3, 3))
         kernel = CouplingKernel(("z0",), dtm.row_pmf.labels, np.ones((1, 3)))
         with pytest.raises(InvalidParams):
             kernel_norm_value(dtm, kernel, "spectral")
@@ -272,10 +272,8 @@ class TestElbow:
         w[0, 0] = 1.0
         w[1:3, 1:3] = 1.0
         w[3:, 3:] = 1.0
-        joint = JointPmf.from_weights(
-            tuple(f"y{i}" for i in range(6)), tuple(f"x{j}" for j in range(6)), w
-        )
-        return build_dtm(joint)
+        labels = [f"y{i}" for i in range(6)], [f"x{j}" for j in range(6)]
+        return build_dtm(*normalized_joint(*labels, w))
 
     def test_disconnected_value_is_component_count(self):
         # with c components the top c singular values are all 1, so the best
@@ -293,13 +291,13 @@ class TestElbow:
         assert (vals[1] - vals[0]) > 10 * (vals[3] - vals[2])
 
     def test_planted_knee(self):
-        dtm = build_dtm(gen_planted_blocks(3, 8, 1.0, 0.02, noise_seed=0)[0])
+        dtm = build_dtm(*gen_planted_blocks(3, 8, 1.0, 0.02, noise_seed=0)[0])
         curve = elbow_curve(dtm, [2, 3, 4], algorithm="nuclear", restarts=3)
         vals = [v for _, v in curve]
         assert vals[1] - vals[0] > vals[2] - vals[1]
 
     def test_nondecreasing(self):
-        dtm = build_dtm(gen_planted_blocks(2, 6, 1.0, 0.1, noise_seed=1)[0])
+        dtm = build_dtm(*gen_planted_blocks(2, 6, 1.0, 0.1, noise_seed=1)[0])
         curve = elbow_curve(dtm, [1, 2, 3], algorithm="nuclear", restarts=3)
         vals = [v for _, v in curve]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
@@ -307,7 +305,7 @@ class TestElbow:
     def test_frobenius_route(self):
         joint, _ = gen_planted_blocks(2, 5, 1.0, 0.1, noise_seed=2)
         curve = elbow_curve(
-            build_dtm(joint), [1, 2], algorithm="frobenius", restarts=2,
+            build_dtm(*joint), [1, 2], algorithm="frobenius", restarts=2,
             frobenius_lam=10.0,
         )
         assert len(curve) == 2
@@ -320,7 +318,7 @@ class TestElbow:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             curve = elbow_curve(
-                build_dtm(joint), [4, 5], algorithm="frobenius", restarts=3
+                build_dtm(*joint), [4, 5], algorithm="frobenius", restarts=3
             )
         assert curve[1][1] < curve[0][1] - 0.05
 
@@ -334,12 +332,12 @@ class TestElbow:
         )
         with pytest.warns(RuntimeWarning, match="optimization likely stalled"):
             curve = elbow_curve(
-                build_dtm(joint), [1, 2], algorithm="nuclear", restarts=1
+                build_dtm(*joint), [1, 2], algorithm="nuclear", restarts=1
             )
         assert curve == [(1, 2.0), (2, 1.0)]
 
     def test_ks_validation(self, rng):
-        dtm = build_dtm(random_joint(rng, 4, 4))
+        dtm = build_dtm(*random_joint(rng, 4, 4))
         with pytest.raises(InvalidParams):
             elbow_curve(dtm, [])
         with pytest.raises(InvalidParams):
@@ -356,8 +354,8 @@ class TestReport:
         kmat = np.zeros((2, 8))
         kmat[0, :4] = 1.0
         kmat[1, 4:] = 1.0
-        kernel = CouplingKernel(("z0", "z1"), joint.row_labels, kmat)
-        report = build_report(build_dtm(joint), kernel, truth, "nuclear")
+        kernel = CouplingKernel(("z0", "z1"), joint[0], kmat)
+        report = build_report(build_dtm(*joint), kernel, truth, "nuclear")
         assert report.k == 2
         assert report.coverage == 1.0
         assert report.overall_accuracy == 1.0
@@ -390,7 +388,7 @@ class TestReport:
     def test_truth_length_mismatch(self):
         joint, truth = gen_planted_blocks(2, 3, 1.0, 0.05)
         kernel = CouplingKernel(
-            ("z0",), joint.row_labels, np.ones((1, 6))
+            ("z0",), joint[0], np.ones((1, 6))
         )
         with pytest.raises(LabelMismatch):
-            build_report(build_dtm(joint), kernel, truth[:-1], "nuclear")
+            build_report(build_dtm(*joint), kernel, truth[:-1], "nuclear")

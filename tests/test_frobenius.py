@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coupclust.core import CouplingKernel, JointPmf, Pmf, build_dtm, frobenius_sq
+from coupclust.core import CouplingKernel, Pmf, build_dtm, frobenius_sq
 from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
 from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
 from coupclust.evaluation import harden, matched_accuracy
@@ -17,7 +17,7 @@ from coupclust.frobenius import (
 )
 from coupclust.simplex import project_columns
 
-from conftest import random_joint, random_pmf
+from conftest import normalized_joint, random_joint, random_pmf
 from paper_identities import compose_dtm, dtm_from_kernel
 
 
@@ -57,10 +57,10 @@ JOINT_SHAPES = {"square": (8, 8), "tall": (8, 6), "wide": (8, 12)}
 class TestObjectiveAndGradient:
     @pytest.mark.parametrize("shape", JOINT_SHAPES.values(), ids=JOINT_SHAPES)
     def test_gradient_matches_central_differences(self, rng, shape):
-        joint = random_joint(rng, *shape)
+        dtm = build_dtm(*random_joint(rng, *shape))
         p_z = random_pmf(rng, 3)
-        c = _gram_factor(build_dtm(joint).matrix)
-        sy, sz = joint.marginal_y.sqrt_probs, p_z.sqrt_probs
+        c = _gram_factor(dtm.matrix)
+        sy, sz = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs
         args = (c, sy, sz, 10.0)
         h = 1e-6
         worst = 0.0
@@ -82,14 +82,13 @@ class TestObjectiveAndGradient:
     def test_objective_is_composed_dtm_norm(self, rng, shape):
         # For a kernel whose induced marginal is P_Z, ||A B||_F^2 is the
         # squared Frobenius norm of the composed DTM B_{Z,X} = B_{Z,Y} B_{Y,X}.
-        joint = random_joint(rng, *shape)
-        p_y = joint.marginal_y
+        b_yx = build_dtm(*random_joint(rng, *shape))
+        p_y = b_yx.row_pmf
         kmat = rng.random((3, shape[0])) + 0.05
         kmat /= kmat.sum(axis=0)
         p_z = Pmf(("z0", "z1", "z2"), kmat @ p_y.probs)
-        kernel = CouplingKernel(p_z.labels, joint.row_labels, kmat)
+        kernel = CouplingKernel(p_z.labels, p_y.labels, kmat)
         b_zy = dtm_from_kernel(kernel, p_y, p_z)
-        b_yx = build_dtm(joint)
         obj, pen = frobenius_objective(
             b_zy.matrix, _gram_factor(b_yx.matrix), p_y.sqrt_probs, p_z.sqrt_probs, 10.0
         )
@@ -100,15 +99,15 @@ class TestObjectiveAndGradient:
     def test_objective_at_perfect_match(self, rng):
         # A whose kernel is a hard partition with exact marginal match:
         # penalty term is 0
-        joint = random_joint(rng, 4, 4)
-        p_y = joint.marginal_y
+        dtm = build_dtm(*random_joint(rng, 4, 4))
+        p_y = dtm.row_pmf
         kmat = np.array(
             [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]
         )
         pz_vec = kmat @ p_y.probs
         p_z = Pmf(("z0", "z1"), pz_vec / pz_vec.sum())
         sy, sz = p_y.sqrt_probs, p_z.sqrt_probs
-        c = _gram_factor(build_dtm(joint).matrix)
+        c = _gram_factor(dtm.matrix)
         a = sz[:, None] ** -1 * kmat * sy[None, :]
         obj, pen = frobenius_objective(a, c, sy, sz, 10.0)
         assert pen == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +162,7 @@ class TestProjection:
 
 class TestSolve:
     def test_improves_from_init_many_seeds(self, rng):
-        dtm = build_dtm(random_joint(rng, 8, 6))
+        dtm = build_dtm(*random_joint(rng, 8, 6))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
         for seed in range(20):
             kernel, trace = solve_frobenius(
@@ -172,7 +171,7 @@ class TestSolve:
             assert trace.objectives[-1] >= trace.objectives[0] - 1e-9
 
     def test_deterministic(self, rng):
-        dtm = build_dtm(random_joint(rng, 7, 5))
+        dtm = build_dtm(*random_joint(rng, 7, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         k1, t1 = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=3))
         k2, t2 = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=3))
@@ -180,7 +179,7 @@ class TestSolve:
         assert t1.objectives == t2.objectives
 
     def test_final_kernel_is_stochastic(self, rng):
-        dtm = build_dtm(random_joint(rng, 9, 7))
+        dtm = build_dtm(*random_joint(rng, 9, 7))
         p_z = random_pmf(rng, 4)
         kernel, trace = solve_frobenius(dtm, p_z)
         col_err = np.max(np.abs(kernel.kernel.sum(axis=0) - 1.0))
@@ -189,7 +188,7 @@ class TestSolve:
         assert trace.violations[-1] <= 1e-9
 
     def test_large_lambda_enforces_marginal(self, rng):
-        dtm = build_dtm(random_joint(rng, 8, 6))
+        dtm = build_dtm(*random_joint(rng, 8, 6))
         p_z = random_pmf(rng, 3)
         kernel, _ = solve_frobenius(
             dtm, p_z, FrobeniusConfig(lam=1e4, max_iters=5000)
@@ -199,21 +198,21 @@ class TestSolve:
 
     def test_planted_blocks_recovered(self):
         joint, truth = gen_planted_blocks(2, 15, 1.0, 0.05, noise_seed=3)
-        dtm = build_dtm(joint)
+        dtm = build_dtm(*joint)
         p_z = Pmf.uniform(("z0", "z1"))
         best = None
         for seed in range(5):
             kernel, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=seed))
             if best is None or trace.objectives[-1] > best[0]:
                 best = (trace.objectives[-1], kernel)
-        acc = matched_accuracy(harden(best[1]), dict(zip(joint.row_labels, truth)))
+        acc = matched_accuracy(harden(best[1]), dict(zip(joint[0], truth)))
         assert acc >= 0.95
 
     def test_nonfinite_on_huge_step(self, rng):
         # The first update stays finite and projects onto a vertex kernel;
         # a step this large then overflows on the second update, before any
         # projection can pull the iterate back.
-        dtm = build_dtm(random_joint(rng, 6, 5))
+        dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         with pytest.raises(NonFinite, match="iterate diverged at iteration 2;"):
             solve_frobenius(dtm, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
@@ -221,7 +220,7 @@ class TestSolve:
     def test_nonfinite_on_projection_overflow(self, rng):
         # The first update stays finite, but a column's breakpoints
         # v / sqrt(P_Z) overflow, so the projection cannot map it.
-        dtm = build_dtm(random_joint(rng, 6, 5))
+        dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = random_pmf(rng, 2)
         with pytest.raises(NonFinite, match="projection overflowed at iteration 1;"):
             solve_frobenius(dtm, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
@@ -229,7 +228,7 @@ class TestSolve:
     def test_huge_lambda_rejected_by_name(self, rng):
         # The power iteration's norm overflows near lam = 1e155; the solver
         # must name lam instead of falling back to a unit step.
-        dtm = build_dtm(random_joint(rng, 6, 5))
+        dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         with pytest.raises(InvalidParams, match=r"lam = 1e\+300 is too large"):
             solve_frobenius(dtm, p_z, FrobeniusConfig(lam=1e300, max_iters=5))
@@ -238,13 +237,13 @@ class TestSolve:
         assert _curvature(c, sy, 1e150) == pytest.approx(1e150, rel=1e-9)
 
     def test_boundary_pz_rejected(self, rng):
-        dtm = build_dtm(random_joint(rng, 4, 4))
+        dtm = build_dtm(*random_joint(rng, 4, 4))
         p_z = Pmf(("z0", "z1"), np.array([1.0, 0.0]))
         with pytest.raises(ZeroMarginal):
             solve_frobenius(dtm, p_z)
 
     def test_more_clusters_than_items_rejected(self, rng):
-        dtm = build_dtm(random_joint(rng, 3, 4))
+        dtm = build_dtm(*random_joint(rng, 3, 4))
         p_z = Pmf.uniform(("z0", "z1", "z2", "z3"))
         with pytest.raises(InvalidParams):
             solve_frobenius(dtm, p_z)
@@ -263,7 +262,7 @@ class TestSolve:
         assert min(trace.min_entries) >= 0.0
 
     def test_trace_shape(self, rng):
-        dtm = build_dtm(random_joint(rng, 5, 5))
+        dtm = build_dtm(*random_joint(rng, 5, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=50))
         n = len(trace)
@@ -276,7 +275,7 @@ class TestSolve:
     def test_memory_has_no_items_by_items_matrix(self):
         # One 3000 x 3000 float64 matrix is 72 MB; the solver works on the
         # thin 3000 x 20 factor of B and k x 3000 iterates only.
-        dtm = build_dtm(random_joint(np.random.default_rng(1), 3000, 20))
+        dtm = build_dtm(*random_joint(np.random.default_rng(1), 3000, 20))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
         tracemalloc.start()
         try:
@@ -293,21 +292,19 @@ def _uniform_pz(k):
 
 def _planted(blocks, size):
     joint, _ = gen_planted_blocks(blocks, size, 1.0, 0.05, noise_seed=3)
-    return build_dtm(joint), _uniform_pz(blocks), 10.0
+    return build_dtm(*joint), _uniform_pz(blocks), 10.0
 
 
 def _counterexample(s):
     w = gen_counterexample(CounterexampleParams(m=50, n=50, s=s))
-    joint = JointPmf.from_weights(
-        tuple(f"y{i}" for i in range(100)), tuple(f"x{j}" for j in range(100)), w
-    )
-    return build_dtm(joint), _uniform_pz(2), 10.0
+    labels = [f"y{i}" for i in range(100)], [f"x{j}" for j in range(100)]
+    return build_dtm(*normalized_joint(*labels, w)), _uniform_pz(2), 10.0
 
 
 def _random_skewed(seed, lam):
     joint = random_joint(np.random.default_rng(seed), 9, 7)
     p_z = Pmf(("z0", "z1", "z2", "z3"), np.array([0.55, 0.25, 0.15, 0.05]))
-    return build_dtm(joint), p_z, lam
+    return build_dtm(*joint), p_z, lam
 
 
 # Fixed scenario set on which the default step is checked against the old
@@ -388,7 +385,7 @@ def _zipf_joint(seed, n=128, draws=40_000, groups=16):
     counts = np.zeros((n, n))
     np.add.at(counts, (rows, cols), 1.0)
     counts[np.arange(n), rng.permutation(n)] += 1.0
-    return JointPmf.from_weights(
+    return normalized_joint(
         tuple(f"y{i}" for i in range(n)), tuple(f"x{j}" for j in range(n)), counts
     )
 
@@ -405,7 +402,7 @@ class TestMomentum:
     def test_converges_on_skewed_joint(self):
         # The plain step ended every one of these restarts at max_iters
         # (5000 iterations), with a best objective of 3.3347174430083455.
-        dtm = build_dtm(_zipf_joint(0))
+        dtm = build_dtm(*_zipf_joint(0))
         p_z = _uniform_pz(8)
         best = -np.inf
         for seed in range(3):

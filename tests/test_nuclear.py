@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import JointPmf, build_dtm
+from coupclust.core import build_dtm
 from coupclust.data_io import (
     CounterexampleParams,
     gen_counterexample,
@@ -25,16 +25,14 @@ from coupclust.nuclear import (
     solve_nuclear,
 )
 
-from conftest import random_joint
+from conftest import normalized_joint, random_joint
 
 
 def two_block_joint():
     w = np.zeros((4, 4))
     w[:2, :2] = 1.0
     w[2:, 2:] = 1.0
-    return JointPmf.from_weights(
-        ("a", "b", "c", "d"), ("u", "v", "w", "x"), w
-    )
+    return normalized_joint(("a", "b", "c", "d"), ("u", "v", "w", "x"), w)
 
 
 class TestConfig:
@@ -55,17 +53,16 @@ class TestConfig:
 
 
 def _chain_reference(joint, kernel):
-    """(U, s, Vt, C) from a chain joint built through JointPmf, as the solver
-    once formed it: C = (P_{Y,X} G) F^T with F = [P_Z]^{-1/2} U and
+    """(U, s, Vt, C) from the DTM of the chain joint, as the solver once
+    formed it: C = (P_{Y,X} G) F^T with F = [P_Z]^{-1/2} U and
     G = [P_X]^{-1/2} V, the whitened factors of the chain's own SVD."""
+    _, cols, w = joint
     labels = tuple(f"z{i}" for i in range(kernel.shape[0]))
-    chain = JointPmf.from_weights(
-        labels, joint.col_labels, kernel @ joint.weights
-    )
-    u, s, vt = np.linalg.svd(build_dtm(chain).matrix, full_matrices=False)
-    f = u / chain.marginal_y.sqrt_probs[:, None]
-    g = vt.T / chain.marginal_x.sqrt_probs[:, None]
-    return u, s, vt, (joint.weights @ g) @ f.T
+    chain = build_dtm(*normalized_joint(labels, cols, kernel @ w))
+    u, s, vt = np.linalg.svd(chain.matrix, full_matrices=False)
+    f = u / chain.row_pmf.sqrt_probs[:, None]
+    g = vt.T / chain.col_pmf.sqrt_probs[:, None]
+    return u, s, vt, (w @ g) @ f.T
 
 
 def _random_kernel(rng, k, ny):
@@ -75,51 +72,48 @@ def _random_kernel(rng, k, ny):
 
 def _coefficients(joint, kernel):
     # The solver's per-item weights, from _chain_svd and B alone.
-    b = build_dtm(joint).matrix
-    u, _, vt, sz = _chain_svd(b, joint.marginal_y.probs, kernel)
-    return joint.marginal_y.sqrt_probs[:, None] * ((b @ vt.T) @ u.T) / sz
+    dtm = build_dtm(*joint)
+    b, p_y = dtm.matrix, dtm.row_pmf
+    u, _, vt, sz = _chain_svd(b, p_y.probs, kernel)
+    return p_y.sqrt_probs[:, None] * ((b @ vt.T) @ u.T) / sz
 
 
 class TestKyFan:
     def test_whitening_and_attainment(self, rng):
         for k in (1, 2, 3, 5):
             joint = random_joint(rng, 5, 6)
+            dtm = build_dtm(*joint)
+            p_y, p_x = dtm.row_pmf, dtm.col_pmf
             kernel = np.eye(5) if k == 5 else _random_kernel(rng, k, 5)
-            u, s, vt, sz = _chain_svd(
-                build_dtm(joint).matrix, joint.marginal_y.probs, kernel
-            )
+            u, s, vt, sz = _chain_svd(dtm.matrix, p_y.probs, kernel)
             s_ref = _chain_reference(joint, kernel)[1]
             np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                sz**2, kernel @ joint.marginal_y.probs, rtol=1e-15
-            )
+            np.testing.assert_allclose(sz**2, kernel @ p_y.probs, rtol=1e-15)
             # F^T [P_Z] F = G^T [P_X] G = I, and tr(F^T P_{Z,X} G) = ||B||_*
             f = u / sz[:, None]
-            g = vt.T / joint.marginal_x.sqrt_probs[:, None]
+            g = vt.T / p_x.sqrt_probs[:, None]
             eye = np.eye(u.shape[1])
             assert np.max(np.abs(f.T @ ((sz**2)[:, None] * f) - eye)) <= 1e-8
-            gwg = g.T @ (joint.marginal_x.probs[:, None] * g)
+            gwg = g.T @ (p_x.probs[:, None] * g)
             assert np.max(np.abs(gwg - eye)) <= 1e-8
-            attained = float(np.trace(f.T @ kernel @ joint.weights @ g))
+            attained = float(np.trace(f.T @ kernel @ joint[2] @ g))
             assert abs(attained - float(np.sum(s))) <= 1e-8
 
     def test_rank_is_min_dimension(self, rng):
         for ny, nx, k in ((3, 7, 3), (5, 3, 2), (6, 3, 4)):
-            joint = random_joint(rng, ny, nx)
+            dtm = build_dtm(*random_joint(rng, ny, nx))
             kernel = _random_kernel(rng, k, ny)
-            u, s, vt, _ = _chain_svd(
-                build_dtm(joint).matrix, joint.marginal_y.probs, kernel
-            )
+            u, s, vt, _ = _chain_svd(dtm.matrix, dtm.row_pmf.probs, kernel)
             r = min(k, nx)
             assert u.shape == (k, r) and s.shape == (r,) and vt.shape == (r, nx)
 
     def test_non_stochastic_kernel_rejected(self, rng):
         # Columns summing to 2 lift the chain's top singular value to
         # sqrt(2): the result is not the DTM of any joint.
-        joint = random_joint(rng, 4, 5)
+        dtm = build_dtm(*random_joint(rng, 4, 5))
         kernel = 2.0 * _random_kernel(rng, 2, 4)
         with pytest.raises(CoupclustError, match="DTM invariant violated"):
-            _chain_svd(build_dtm(joint).matrix, joint.marginal_y.probs, kernel)
+            _chain_svd(dtm.matrix, dtm.row_pmf.probs, kernel)
 
 
 def _linear_step(c):
@@ -153,12 +147,13 @@ class TestLinearStep:
         joint = random_joint(rng, 6, 5)
         kernel0 = _random_kernel(rng, 3, 6)
         u, _, vt, _ = _chain_reference(joint, kernel0)
-        pz = kernel0 @ joint.marginal_y.probs
+        dtm = build_dtm(*joint)
+        pz = kernel0 @ dtm.row_pmf.probs
         f = u / np.sqrt(pz)[:, None]
-        g = vt.T / joint.marginal_x.sqrt_probs[:, None]
+        g = vt.T / dtm.col_pmf.sqrt_probs[:, None]
 
         def linear(k):
-            return float(np.trace(f.T @ k @ joint.weights @ g))
+            return float(np.trace(f.T @ k @ joint[2] @ g))
 
         val = linear(_linear_step(_coefficients(joint, kernel0)))
         for _ in range(200):
@@ -239,7 +234,7 @@ class TestRescue:
 
 class TestSolve:
     def test_disconnected_blocks_attain_two(self):
-        dtm = build_dtm(two_block_joint())
+        dtm = build_dtm(*two_block_joint())
         kernel, trace = solve_nuclear(dtm, NuclearConfig(k=2, seed=0))
         assert trace.status == "Converged"
         assert trace.objectives[-1] == pytest.approx(2.0, abs=1e-9)
@@ -248,7 +243,7 @@ class TestSolve:
         assert matched_accuracy(pred, truth) == 1.0
 
     def test_k_one_trivial(self, rng):
-        dtm = build_dtm(random_joint(rng, 5, 4))
+        dtm = build_dtm(*random_joint(rng, 5, 4))
         kernel, trace = solve_nuclear(dtm, NuclearConfig(k=1, seed=0))
         np.testing.assert_array_equal(kernel.kernel, np.ones((1, 5)))
         assert trace.objectives[-1] == pytest.approx(1.0, abs=1e-10)
@@ -257,7 +252,7 @@ class TestSolve:
         joint, _ = gen_planted_blocks(3, 10, 1.0, 0.05, noise_seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, trace = solve_nuclear(build_dtm(joint), NuclearConfig(k=3, seed=0))
+            _, trace = solve_nuclear(build_dtm(*joint), NuclearConfig(k=3, seed=0))
         diffs = np.diff(trace.objectives)
         assert np.all(diffs >= -1e-12)
 
@@ -267,7 +262,7 @@ class TestSolve:
         # warning names the first frame outside the package, not the solver
         # or evaluation._solve.
         joint, _ = gen_planted_blocks(3, 6, 1.0, 0.2, noise_seed=0)
-        dtm = build_dtm(joint)
+        dtm = build_dtm(*joint)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if caller == "solve_nuclear":
@@ -282,7 +277,7 @@ class TestSolve:
 
     def test_kernel_step_monotone_and_attainment(self):
         joint, _ = gen_planted_blocks(2, 12, 1.0, 0.1, noise_seed=5)
-        _, trace = solve_nuclear(build_dtm(joint), NuclearConfig(k=2, seed=1))
+        _, trace = solve_nuclear(build_dtm(*joint), NuclearConfig(k=2, seed=1))
         for before, after in zip(
             trace.extras["linear_before"], trace.extras["linear_after"]
         ):
@@ -290,7 +285,7 @@ class TestSolve:
         assert max(trace.extras["kyfan_gap"]) <= 1e-8
 
     def test_deterministic(self, rng):
-        dtm = build_dtm(random_joint(rng, 8, 6))
+        dtm = build_dtm(*random_joint(rng, 8, 6))
         k1, t1 = solve_nuclear(dtm, NuclearConfig(k=3, seed=7))
         k2, t2 = solve_nuclear(dtm, NuclearConfig(k=3, seed=7))
         assert np.array_equal(k1.kernel, k2.kernel)
@@ -298,8 +293,8 @@ class TestSolve:
 
     def test_planted_blocks_recovered(self):
         joint, truth = gen_planted_blocks(3, 20, 1.0, 0.05, noise_seed=2)
-        truth_map = dict(zip(joint.row_labels, truth))
-        dtm = build_dtm(joint)
+        truth_map = dict(zip(joint[0], truth))
+        dtm = build_dtm(*joint)
         best = None
         for seed in range(5):
             kernel, trace = solve_nuclear(dtm, NuclearConfig(k=3, seed=seed))
@@ -308,13 +303,13 @@ class TestSolve:
         assert matched_accuracy(harden(best[1]), truth_map) >= 0.95
 
     def test_k_exceeds_items_rejected(self, rng):
-        dtm = build_dtm(random_joint(rng, 3, 4))
+        dtm = build_dtm(*random_joint(rng, 3, 4))
         with pytest.raises(InvalidParams):
             solve_nuclear(dtm, NuclearConfig(k=4))
 
     def test_every_cluster_alive(self, rng):
         # k = |Y| forces heavy churn; rescue must keep all clusters nonempty
-        dtm = build_dtm(random_joint(rng, 6, 5))
+        dtm = build_dtm(*random_joint(rng, 6, 5))
         try:
             kernel, _ = solve_nuclear(dtm, NuclearConfig(k=6, seed=0))
         except DegenerateCluster:
@@ -326,7 +321,7 @@ class TestSolve:
         # The returned kernel's norm is the last traced objective, bit for
         # bit, whether the run converged or stopped at max_iters.
         joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=0)
-        dtm = build_dtm(joint)
+        dtm = build_dtm(*joint)
         statuses = set()
         for max_iters in (1, 2, 3):
             for seed in range(10):
@@ -340,14 +335,14 @@ class TestSolve:
 
 
 def _chain_route(joint, k, seed):
-    """solve_nuclear as it ran on a JointPmf chain at every step.
+    """solve_nuclear as it ran on the chain joint's own DTM at every step.
 
     Returns (assignment, objectives, tied): tied is True when some step's
     argmax had a runner-up within 1e-12 relative, so that rounding alone
     could pick either. Raises DegenerateCluster as the solver does.
     """
-    ny = len(joint.marginal_y)
-    py = joint.marginal_y.probs
+    py = build_dtm(*joint).row_pmf.probs
+    ny = py.size
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ny)
     assign = np.empty(ny, dtype=np.intp)
@@ -377,9 +372,8 @@ def _scenario_joints():
         joint, _ = gen_planted_blocks(blocks, size, 1.0, cross, noise_seed=3)
         yield f"planted {blocks}x{size}", joint, (blocks,)
     weights = gen_counterexample(CounterexampleParams(m=20, n=20, s=2.0))
-    yield "counterexample", JointPmf.from_weights(
-        tuple(f"y{i}" for i in range(40)), tuple(f"x{j}" for j in range(40)),
-        weights,
+    yield "counterexample", normalized_joint(
+        [f"y{i}" for i in range(40)], [f"x{j}" for j in range(40)], weights
     ), (2,)
     rng = np.random.default_rng(11)
     yield "random 6x5", random_joint(rng, 6, 5), (2, 3, 6)
@@ -390,9 +384,8 @@ def _scenario_joints():
     weights[0, 0] = 1.0
     weights[1:3, 1:3] = 1.0
     weights[3:, 3:] = 1.0
-    yield "three blocks", JointPmf.from_weights(
-        tuple(f"y{i}" for i in range(6)), tuple(f"x{j}" for j in range(6)),
-        weights,
+    yield "three blocks", normalized_joint(
+        [f"y{i}" for i in range(6)], [f"x{j}" for j in range(6)], weights
     ), (2, 3, 4)
 
 
@@ -402,7 +395,7 @@ def test_matches_the_chain_route():
     counts = {"tied": 0, "untied": 0}
     warnings.simplefilter("ignore", RuntimeWarning)  # pytest restores filters
     for name, joint, ks in _scenario_joints():
-        dtm = build_dtm(joint)
+        dtm = build_dtm(*joint)
         for k in ks:
             for seed in range(5):
                 where = (name, k, seed)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from coupclust.core import Dtm, JointPmf, build_dtm
+from coupclust.core import Dtm, build_dtm
 from coupclust.errors import CoupclustError, InvalidParams, NonFinite
 from coupclust.svd import top_singular_value_sym
+
+from conftest import normalized_joint
 
 
 def test_exact_matches_numpy(rng):
@@ -12,7 +14,7 @@ def test_exact_matches_numpy(rng):
     weights = rng.uniform(0.1, 1.0, size=(7, 5))
     rows = tuple(f"y{i}" for i in range(7))
     cols = tuple(f"x{j}" for j in range(5))
-    b = build_dtm(JointPmf.from_weights(rows, cols, weights))
+    b = build_dtm(*normalized_joint(rows, cols, weights))
     u, s = b.top(5)
     np.testing.assert_allclose(u @ (u.T @ b.matrix), b.matrix, atol=1e-12)
     np.testing.assert_allclose(
@@ -28,7 +30,7 @@ def test_dtm_svd_is_lapack_at_every_size(rng, shape):
     weights = rng.uniform(0.1, 1.0, size=shape)
     rows = tuple(f"y{i}" for i in range(shape[0]))
     cols = tuple(f"x{j}" for j in range(shape[1]))
-    b = build_dtm(JointPmf.from_weights(rows, cols, weights))
+    b = build_dtm(*normalized_joint(rows, cols, weights))
     s = b.singular_values()
     assert np.array_equal(s, np.linalg.svd(b.matrix, compute_uv=False))
     assert np.all(np.diff(s) <= 0)
@@ -40,13 +42,13 @@ def _sparse_joint(rng, shape, density=0.05):
     assert np.all(weights.sum(axis=0) > 0) and np.all(weights.sum(axis=1) > 0)
     rows = tuple(f"y{i}" for i in range(shape[0]))
     cols = tuple(f"x{j}" for j in range(shape[1]))
-    return JointPmf.from_weights(rows, cols, weights)
+    return normalized_joint(rows, cols, weights)
 
 
 @pytest.mark.parametrize("shape", [(300, 900), (900, 300), (400, 400)])
 def test_top_matches_full_svd(rng, shape):
     # Wide joints take eigh(B B^T), tall ones eigh(B^T B) and U = qr(B V).
-    b = build_dtm(_sparse_joint(rng, shape))
+    b = build_dtm(*_sparse_joint(rng, shape))
     r = 16
     u, s = b.top(r)
     u_ref, s_ref, _ = np.linalg.svd(b.matrix, full_matrices=False)
@@ -59,7 +61,7 @@ def test_top_matches_full_svd(rng, shape):
 
 def test_top_rejects_r_out_of_range(rng):
     weights = rng.uniform(0.1, 1.0, size=(5, 4))
-    b = build_dtm(JointPmf.from_weights(tuple("abcde"), tuple("uvwx"), weights))
+    b = build_dtm(*normalized_joint(tuple("abcde"), tuple("uvwx"), weights))
     for r in (0, 5):
         with pytest.raises(InvalidParams, match=r"outside 1\.\.4"):
             b.top(r)
@@ -69,18 +71,17 @@ def test_top_rejects_r_out_of_range(rng):
 def test_top_checks_the_dtm_invariant(rng):
     # B + 3 u v^T with u _|_ sqrt(P_Y), v _|_ sqrt(P_X) keeps both marginal
     # identities, so Dtm accepts it, but its top singular value is >= 2.
-    joint = JointPmf.from_weights(
-        tuple("abcde"), tuple("uvwx"), rng.uniform(0.1, 1.0, size=(5, 4))
-    )
-    sy, sx = joint.marginal_y.sqrt_probs, joint.marginal_x.sqrt_probs
+    weights = rng.uniform(0.1, 1.0, size=(5, 4))
+    good = build_dtm(*normalized_joint(tuple("abcde"), tuple("uvwx"), weights))
+    sy, sx = good.row_pmf.sqrt_probs, good.col_pmf.sqrt_probs
     u = rng.normal(size=5)
     u -= (u @ sy) * sy
     v = rng.normal(size=4)
     v -= (v @ sx) * sx
-    matrix = build_dtm(joint).matrix + 3.0 * np.outer(u, v) / (
+    matrix = good.matrix + 3.0 * np.outer(u, v) / (
         np.linalg.norm(u) * np.linalg.norm(v)
     )
-    bad = Dtm(matrix, joint.marginal_y, joint.marginal_x)
+    bad = Dtm(matrix, good.row_pmf, good.col_pmf)
     with pytest.raises(CoupclustError, match="DTM invariant violated"):
         bad.singular_values()
     with pytest.raises(CoupclustError, match="DTM invariant violated"):
