@@ -23,6 +23,7 @@ from . import __version__
 from .core import Dtm, Pmf
 from .data_io import (
     CounterexampleParams,
+    _create,
     _write_json,
     apply_rating_transform,
     community_objective,
@@ -145,8 +146,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     k = args.k
     _reject_for_nuclear(
         args,
-        {"--pz": args.pz, "--alpha": args.alpha, "--lambda": args.lam,
-         "--tol": args.tol},
+        {"--pz": args.pz, "--lambda": args.lam, "--tol": args.tol},
     )
     lam = _resolve_lambda(args)
     p_z = _resolve_pz(args, k, dtm) if args.algo == "frobenius" else None
@@ -156,9 +156,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     best = None
     for restart in range(args.restarts):
         seed = args.seed + restart
-        kernel, trace = _solve(
-            dtm, args.algo, k, seed, p_z, lam, args.alpha, args.tol
-        )
+        kernel, trace = _solve(dtm, args.algo, k, seed, p_z, lam, args.tol)
         final = trace.objectives[-1]
         if best is None or final > best[0] + _TIE_RTOL * abs(best[0]):
             best = (final, seed, kernel, trace)
@@ -187,11 +185,11 @@ def _cmd_cluster(args, out_dir: Path) -> int:
             "k": k,
             "pz": args.pz,
             "lambda": lam,
-            "alpha": args.alpha,
             "seed": args.seed,
             "best_seed": best_seed,
             "restarts": args.restarts,
             "tol": args.tol,
+            "truth": args.truth,
             "normalize": args.normalize,
             "rating_transform": bool(args.rating_transform),
         },
@@ -296,7 +294,8 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
         c2 = community_objective(q2, base, lam, 2)
         lines.append(f"{s:.17g},{fi:.17g},{fo:.17g},{c1:.17g},{c2:.17g}")
     text = "\n".join(lines) + "\n"
-    (out_dir / "counterexample.csv").write_text(text, encoding="utf-8")
+    with _create(out_dir / "counterexample.csv") as fh:
+        fh.write(text)
     _write_manifest(
         out_dir,
         "counterexample",
@@ -308,27 +307,19 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 
 def _cmd_elbow(args, out_dir: Path) -> int:
     dtm, _ = _load_joint(args)
-    _reject_for_nuclear(args, {"--pz": args.pz, "--lambda": args.lam})
+    _reject_for_nuclear(args, {"--lambda": args.lam})
     lam = _resolve_lambda(args)
-    p_z = None
-    if args.pz not in (None, "uniform"):
-        p_z = load_pmf(args.pz)
-        for k in args.ks.values:
-            if k != len(p_z):
-                raise ConfigError(
-                    f"--pz has {len(p_z)} entries but --ks includes k = {k}"
-                )
     curve = elbow_curve(
         dtm,
         args.ks.values,
         algorithm=args.algo,
         restarts=args.restarts,
-        p_z=p_z,
         frobenius_lam=lam,
     )
     lines = ["k,norm_value"] + [f"{k},{v:.17g}" for k, v in curve]
     text = "\n".join(lines) + "\n"
-    (out_dir / "elbow.csv").write_text(text, encoding="utf-8")
+    with _create(out_dir / "elbow.csv") as fh:
+        fh.write(text)
     _write_manifest(
         out_dir,
         "elbow",
@@ -337,7 +328,6 @@ def _cmd_elbow(args, out_dir: Path) -> int:
             "algo": args.algo,
             "ks": args.ks.text,
             "restarts": args.restarts,
-            "pz": args.pz,
             "lambda": lam,
             "normalize": args.normalize,
             "rating_transform": bool(args.rating_transform),
@@ -396,7 +386,7 @@ def _cmd_synth(args, out_dir: Path) -> int:
             noise_seed=args.seed,
         )
         write_triplets(out_dir / "synth.tsv", rows, cols, weights)
-        with open(out_dir / "truth.tsv", "w", encoding="utf-8") as fh:
+        with _create(out_dir / "truth.tsv") as fh:
             for item, label in zip(rows, truth):
                 fh.write(f"{item}\t{label}\n")
         config = {
@@ -453,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(required by frobenius, forbidden for nuclear)",
     )
     cluster.add_argument("--lambda", dest="lam", type=float, default=None)
-    cluster.add_argument("--alpha", type=float, default=None)
     cluster.add_argument("--seed", type=_nonnegative_int, default=0)
     cluster.add_argument("--restarts", type=_positive_int, default=5)
     cluster.add_argument("--tol", type=float, default=None)
@@ -487,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     elbow.add_argument("--algo", choices=("frobenius", "nuclear"), default="nuclear")
     elbow.add_argument("--restarts", type=_positive_int, default=5)
-    elbow.add_argument("--pz", default=None)
     elbow.add_argument("--lambda", dest="lam", type=float, default=None)
     elbow.set_defaults(func=_cmd_elbow)
 

@@ -113,14 +113,6 @@ class Pmf:
             raise InvalidDistribution("empty alphabet")
         return cls(tuple(labels), np.full(n, 1.0 / n))
 
-    @classmethod
-    def from_weights(cls, labels: Sequence[str], weights) -> "Pmf":
-        w = np.asarray(weights, dtype=np.float64)
-        total = w.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise InvalidDistribution("weights must have positive finite mass")
-        return cls(tuple(labels), w / total)
-
 
 @dataclass(frozen=True)
 class CouplingKernel:

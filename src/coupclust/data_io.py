@@ -23,6 +23,7 @@ normalized weights go straight into build_dtm and are not kept.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -34,6 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
 from .errors import (
+    ConfigError,
     DataError,
     DimensionMismatch,
     EmptyAfterPruning,
@@ -51,7 +53,6 @@ __all__ = [
     "ingest",
     "write_triplets",
     "load_pmf",
-    "rating_transform",
     "apply_rating_transform",
     "gen_counterexample",
     "gen_planted_blocks",
@@ -95,6 +96,17 @@ def _open(path):
         return open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _create(path):
+    """The file opened to write UTF-8 text, newlines untranslated; ConfigError
+    naming it if the open or a write fails (a directory at path, a full disk)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _read_lines(path, nfields: int | None = None):
@@ -686,7 +698,7 @@ def write_triplets(path, row_labels, col_labels, weights) -> None:
     round-trip exactly; weights use repr-precision decimals.
     """
     w = np.asarray(weights, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         for i, row in enumerate(row_labels):
             for j, col in enumerate(col_labels):
                 fh.write(f"{row}\t{col}\t{w[i, j]:.17g}\n")
@@ -722,14 +734,6 @@ def load_labels(path) -> dict[str, str]:
     if not out:
         raise ParseError("empty label file", 1, 0)
     return out
-
-
-def rating_transform(r) -> float:
-    """Map a 1..5 rating to 3^(r-1) - 1 (so 1 -> 0, 3 -> 8, 5 -> 80)."""
-    rf = float(r)
-    if not rf.is_integer() or not 1 <= rf <= 5:
-        raise InvalidRating(f"rating must be an integer in 1..5, got {r!r}")
-    return float(3.0 ** (rf - 1.0) - 1.0)
 
 
 def apply_rating_transform(weights) -> np.ndarray:
@@ -907,7 +911,7 @@ def community_objective(q, p, lam: float, k: int) -> float:
 
 def _write_json(path, payload) -> None:
     """JSON with two-space indent and a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -935,7 +939,7 @@ def write_kernel_json(
 
 def write_trace_csv(path, trace) -> None:
     """Pinned trace schema: iter, objective, penalty, violation."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write("iter,objective,penalty,violation\n")
         for i, (obj, pen, viol) in enumerate(
             zip(trace.objectives, trace.penalties, trace.violations), start=1

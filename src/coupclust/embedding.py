@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dtm
+from .data_io import _create
 from .errors import InvalidParams, RankDeficient
 
 __all__ = ["EmbeddingMatrix", "dtm_embed", "write_embedding_tsv"]
@@ -77,7 +78,7 @@ def dtm_embed(dtm: Dtm, d: int) -> EmbeddingMatrix:
 
 def write_embedding_tsv(emb: EmbeddingMatrix, path) -> None:
     """One row per item: label, then d coordinates at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         for label, row in zip(emb.labels, emb.vectors):
             coords = "\t".join(f"{v:.17g}" for v in row)
             fh.write(f"{label}\t{coords}\n")

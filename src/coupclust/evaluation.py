@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingKernel, Dtm, Pmf
+from .core import CouplingKernel, Dtm
 from .errors import InvalidParams, LabelMismatch, ZeroMarginal, warn_caller
 from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
 from .nuclear import NuclearConfig, _chain_svd, solve_nuclear
@@ -51,26 +51,6 @@ def _check_same_items(pred: Mapping, truth: Mapping) -> None:
     for item in truth:
         if item not in pred:
             raise LabelMismatch(f"{what}: truth labels {item!r}, which is not an item")
-
-
-def _aligned_labels(pred, truth) -> tuple[list, list]:
-    pred_is_map = isinstance(pred, Mapping)
-    truth_is_map = isinstance(truth, Mapping)
-    if pred_is_map != truth_is_map:
-        raise LabelMismatch(
-            "pred and truth must both be mappings or both be sequences"
-        )
-    if pred_is_map:
-        _check_same_items(pred, truth)
-        items = list(pred.keys())
-        return [pred[i] for i in items], [truth[i] for i in items]
-    if not isinstance(pred, Sequence) or not isinstance(truth, Sequence):
-        raise LabelMismatch("pred and truth must be mappings or sequences")
-    if len(pred) != len(truth):
-        raise LabelMismatch(
-            f"pred has {len(pred)} items, truth has {len(truth)}"
-        )
-    return list(pred), list(truth)
 
 
 def _max_weight_matching(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +121,7 @@ def top_true_clusters(truth: Sequence, k: int) -> list:
 def matched_accuracy(pred, truth, mode: str = "overall", k: int | None = None) -> float:
     """Fraction correct under the best one-to-one cluster-label matching.
 
+    pred and truth are mappings of the same items to labels (else LabelMismatch).
     mode "overall" counts every item in the denominator. mode "top_k" first
     drops items whose true cluster is outside the k largest true clusters
     (k defaults to the number of distinct predicted clusters) and matches
@@ -148,7 +129,9 @@ def matched_accuracy(pred, truth, mode: str = "overall", k: int | None = None) -
     """
     if mode not in ("overall", "top_k"):
         raise InvalidParams(f"unknown mode {mode!r}")
-    pred_l, truth_l = _aligned_labels(pred, truth)
+    _check_same_items(pred, truth)
+    pred_l = list(pred.values())
+    truth_l = [truth[item] for item in pred]
     if not pred_l:
         raise LabelMismatch("empty labeling")
     if mode == "overall":
@@ -164,11 +147,9 @@ def matched_accuracy(pred, truth, mode: str = "overall", k: int | None = None) -
     return _matched_correct(kept_pred, kept_truth) / len(pairs)
 
 
-def coverage(truth, k: int) -> float:
+def coverage(truth: Mapping, k: int) -> float:
     """Fraction of items whose true cluster is among the k largest."""
-    if isinstance(truth, Mapping):
-        truth = list(truth.values())
-    truth = list(truth)
+    truth = list(truth.values())
     if not truth:
         raise LabelMismatch("empty labeling")
     keep = set(top_true_clusters(truth, k))
@@ -200,21 +181,19 @@ def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float
     return float(np.sum(s * s)) if algorithm == "frobenius" else float(np.sum(s))
 
 
-def _solve(dtm, algorithm, k, seed, p_z=None, lam=None, alpha=None, tol=None):
+def _solve(dtm, algorithm, k, seed, p_z=None, lam=None, tol=None):
     """One restart of the named solver on the joint's DTM: (kernel, trace).
 
-    p_z (uniform when None), lam, alpha and tol are Frobenius knobs; None
-    leaves the FrobeniusConfig default. The nuclear solver ignores them.
+    p_z (uniform when None), lam and tol are Frobenius knobs; None leaves
+    the FrobeniusConfig default. The nuclear solver ignores them.
     """
     if algorithm == "nuclear":
         return solve_nuclear(dtm, NuclearConfig(k=k, seed=seed))
     if p_z is None:
         p_z = _uniform_target(k, len(dtm.row_pmf))
-    if len(p_z) != k:
-        raise InvalidParams("p_z length must equal k")
     knobs = {"lam": lam, "obj_tol": tol}
     cfg = FrobeniusConfig(
-        alpha=alpha, seed=seed, **{n: v for n, v in knobs.items() if v is not None}
+        seed=seed, **{n: v for n, v in knobs.items() if v is not None}
     )
     return solve_frobenius(dtm, p_z, cfg)
 
@@ -224,23 +203,22 @@ def elbow_curve(
     ks: Sequence[int],
     algorithm: str = "nuclear",
     restarts: int = 5,
-    p_z: Pmf | None = None,
     frobenius_lam: float | None = None,
 ) -> list[tuple[int, float]]:
     """Best-over-restarts norm value per cluster count on the joint's DTM.
 
     Each restart is scored by kernel_norm_value, and the curve keeps the
     largest. Restart r uses seed r; ties keep the lower seed. The Frobenius
-    route targets p_z (uniform when None) with penalty weight frobenius_lam
-    (the FrobeniusConfig default when None); the nuclear route ignores
-    both.
+    route targets the uniform P_Z over k clusters, with penalty weight
+    frobenius_lam (the FrobeniusConfig default when None); the nuclear
+    route ignores it.
 
     On the nuclear route the optimum cannot fall as k grows: merging two
     clusters multiplies B_{Z,X} by a DTM, whose operator norm is at most 1,
     so the best k-cluster value is at least the best (k-1)-cluster one. A
     decrease there means a restart stalled and is reported as a
     RuntimeWarning. The Frobenius route gets no such warning: its penalty
-    pulls the cluster marginal toward p_z, so once k passes the number of
+    pulls the cluster marginal toward uniform, so once k passes the number of
     natural groups the optimum itself can fall.
     """
     ks = [int(k) for k in ks]
@@ -254,7 +232,7 @@ def elbow_curve(
     for k in ks:
         best = -np.inf
         for seed in range(int(restarts)):
-            kernel, _ = _solve(dtm, algorithm, k, seed, p_z, frobenius_lam)
+            kernel, _ = _solve(dtm, algorithm, k, seed, lam=frobenius_lam)
             val = kernel_norm_value(dtm, kernel, algorithm)
             if val > best:
                 best = val
@@ -297,23 +275,16 @@ class ClusteringReport:
 
 
 def build_report(
-    dtm: Dtm, kernel: CouplingKernel, truth, algorithm: str
+    dtm: Dtm, kernel: CouplingKernel, truth: Mapping, algorithm: str
 ) -> ClusteringReport:
-    """Assemble the Table-style report for a kernel on dtm against ground truth."""
+    """The Table-style report of a kernel on dtm against item -> true label."""
     pred_map = harden(kernel)
-    if isinstance(truth, Mapping):
-        truth_map = dict(truth)
-    else:
-        truth_l = list(truth)
-        if len(truth_l) != len(kernel.item_labels):
-            raise LabelMismatch("truth length must match the item count")
-        truth_map = dict(zip(kernel.item_labels, truth_l))
     k = len(kernel.cluster_labels)
     return ClusteringReport(
         k=k,
-        coverage=coverage(truth_map, k),
-        overall_accuracy=matched_accuracy(pred_map, truth_map, mode="overall"),
-        k_accuracy=matched_accuracy(pred_map, truth_map, mode="top_k", k=k),
+        coverage=coverage(truth, k),
+        overall_accuracy=matched_accuracy(pred_map, truth, mode="overall"),
+        k_accuracy=matched_accuracy(pred_map, truth, mode="top_k", k=k),
         norm_value=kernel_norm_value(dtm, kernel, algorithm),
     )
 

@@ -12,7 +12,7 @@ r = A sqrt(P_Y) - sqrt(P_Z), the update
 moves A by alpha/2 times the exact gradient, and J = ||A C||_F^2 - lambda
 ||r||^2 comes from the same A C and r. No |Y| x |Y| matrix is formed.
 
-The default step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
+The step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
 of C C^T - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
 matrix, so its Lipschitz constant is L = 2 sigma_1, and the update above is
 the standard 1/L gradient step (Beck & Teboulle 2009).
@@ -65,19 +65,14 @@ _OBJ_WINDOW = 10
 class FrobeniusConfig:
     """Hyperparameters for solve_frobenius.
 
-    alpha = None picks 1 / sigma_1(B B^T - lam sqrt(P_Y) sqrt(P_Y)^T),
-    estimated by power iteration. The Hessian of J is 2 (B B^T - lam
-    sqrt(P_Y) sqrt(P_Y)^T), so L = 2 sigma_1, and since the update moves A
-    by alpha/2 times the gradient, alpha = 1/sigma_1 is the 1/L step. lam and
-    an explicit alpha must be finite and positive. Every step is followed by
-    the Euclidean projection in A-space onto {A >= 0, A^T sqrt(P_Z) =
-    sqrt(P_Y)}, whose kernels are column-stochastic, whatever alpha is.
-    max_iters bounds the gradient steps, discarded momentum steps included;
-    obj_tol applies to the accepted steps (see solve_frobenius).
+    The step is not one of them: the solver always takes the 1/L step of the
+    module docstring, for which a plain step never lowers J. lam must be
+    finite and positive. max_iters bounds the gradient steps, discarded
+    momentum steps included; obj_tol applies to the accepted steps (see
+    solve_frobenius).
     """
 
     lam: float = 10.0
-    alpha: float | None = None
     max_iters: int = 5000
     obj_tol: float = 1e-9
     seed: int = 0
@@ -85,10 +80,6 @@ class FrobeniusConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise InvalidParams("lam must be finite and positive")
-        if self.alpha is not None and not (
-            math.isfinite(self.alpha) and self.alpha > 0
-        ):
-            raise InvalidParams("alpha must be finite and positive (or None for auto)")
         if int(self.max_iters) < 1:
             raise InvalidParams("max_iters must be >= 1")
         if not 0 < self.obj_tol < 1:
@@ -171,8 +162,8 @@ def solve_frobenius(
     from the last traced A, so every traced objective and the returned
     kernel belong to a column-stochastic kernel. Convergence = relative
     objective change below cfg.obj_tol across a window of 10 accepted
-    iterations; raises NonFinite if the iterate diverges or a column cannot
-    be projected (step size too large).
+    iterations; raises NonFinite, naming the step, if the iterate diverges
+    or a column cannot be projected.
     """
     if cfg is None:
         cfg = FrobeniusConfig()
@@ -185,15 +176,13 @@ def solve_frobenius(
     c = _gram_factor(dtm.matrix)
     sy, sz, lam = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs, cfg.lam
 
-    alpha = cfg.alpha
-    if alpha is None:
-        try:
-            scale = _curvature(c, sy, lam)
-        except NonFinite:
-            raise InvalidParams(
-                f"lam = {lam!r} is too large: the step size estimate overflows"
-            ) from None
-        alpha = 1.0 / scale if scale > 1e-12 else 1.0
+    try:
+        scale = _curvature(c, sy, lam)
+    except NonFinite:
+        raise InvalidParams(
+            f"lam = {lam!r} is too large: the step size estimate overflows"
+        ) from None
+    alpha = 1.0 / scale if scale > 1e-12 else 1.0
 
     rng = np.random.default_rng(cfg.seed)
     k = rng.exponential(size=(nz, ny))
@@ -215,21 +204,17 @@ def solve_frobenius(
             ry = resid + beta * (resid - resid_prev)
             y = y + alpha * _half_gradient(yc, ry, c, sy, lam)
             if not np.all(np.isfinite(y)):
-                raise NonFinite(
-                    f"iterate diverged at iteration {t}; reduce alpha ({alpha!r})"
-                )
+                raise NonFinite(f"iterate diverged at iteration {t} (step {alpha!r})")
             try:
                 a_new = project_columns(y, sz, sy)
             except ValueError:
                 raise NonFinite(
-                    f"projection overflowed at iteration {t}; reduce alpha ({alpha!r})"
+                    f"projection overflowed at iteration {t} (step {alpha!r})"
                 ) from None
             ac_new, resid_new = a_new @ c, a_new @ sy - sz
             obj_new, pen = _objective_terms(ac_new, resid_new, lam)
         if not np.isfinite(obj_new):
-            raise NonFinite(
-                f"objective diverged at iteration {t}; reduce alpha ({alpha!r})"
-            )
+            raise NonFinite(f"objective diverged at iteration {t} (step {alpha!r})")
         if beta > 0.0 and obj_new < obj:
             # Momentum overshot: drop the step and take a plain one from A.
             theta = 1.0

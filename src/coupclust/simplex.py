@@ -8,14 +8,15 @@ v_z / w_z. Sort-then-threshold method: shift each column by w times its
 largest breakpoint (so that breakpoint is 0), sort the breakpoints
 descending, find the largest prefix whose coordinates all stay positive at
 that prefix's tau, shift by tau w, clip at zero. The probability simplex is
-the case w = 1, c = 1 (simplex_project).
+the case w = 1, c = 1, the default. A single vector v is the column of
+v[:, None].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simplex_project", "project_columns"]
+__all__ = ["project_columns"]
 
 
 def _project_columns_np(mat: np.ndarray, w: np.ndarray, c) -> np.ndarray:
@@ -52,17 +53,6 @@ def _project_columns_np(mat: np.ndarray, w: np.ndarray, c) -> np.ndarray:
     # where() rather than maximum(): maximum() of -0.0 and 0.0 may return
     # either zero, while where() writes every clipped coordinate as +0.0.
     return np.where(diff > 0.0, diff, 0.0)
-
-
-def simplex_project(v) -> np.ndarray:
-    """argmin over the simplex of ||u - v||_2.
-
-    Raises ValueError if the entries do not sum to a finite number.
-    """
-    arr = np.ascontiguousarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty vector")
-    return _project_columns_np(arr[:, None], np.ones(arr.size), 1.0)[:, 0]
 
 
 def project_columns(mat, weights=None, totals=None) -> np.ndarray:

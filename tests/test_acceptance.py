@@ -32,7 +32,7 @@ from coupclust.frobenius import (
     solve_frobenius,
 )
 from coupclust.nuclear import NuclearConfig, solve_nuclear
-from coupclust.simplex import simplex_project
+from coupclust.simplex import project_columns
 
 from conftest import oracle_project, random_joint
 from paper_identities import (
@@ -116,9 +116,8 @@ def test_criterion_03_local_mi_approximation():
         nz = int(rng.integers(2, 5))
         ny = int(rng.integers(2, 7))
         nx = int(rng.integers(2, 7))
-        base = Pmf.from_weights(
-            tuple(f"z{i}" for i in range(nz)), rng.random(nz) + 0.3
-        )
+        w = rng.random(nz) + 0.3
+        base = Pmf(tuple(f"z{i}" for i in range(nz)), w / w.sum())
         sz = base.sqrt_probs
         phis = np.zeros((nz, ny))
         for y in range(ny):
@@ -384,13 +383,16 @@ def test_criterion_09_simplex_projection():
     lipschitz_ok = True
     for _ in range(200):
         v = rng.normal(size=5) * float(rng.choice([0.1, 1.0, 10.0]))
-        got = simplex_project(v)
-        worst_oracle = max(worst_oracle, float(np.max(np.abs(got - oracle_project(v)))))
-        worst_idem = max(
-            worst_idem, float(np.max(np.abs(simplex_project(got) - got)))
+        # Each vector is projected as the one column of a matrix.
+        v, u = v[:, None], (v + rng.normal(size=5))[:, None]
+        got = project_columns(v)
+        worst_oracle = max(
+            worst_oracle, float(np.max(np.abs(got[:, 0] - oracle_project(v[:, 0]))))
         )
-        u = v + rng.normal(size=5)
-        if np.linalg.norm(simplex_project(u) - got) > np.linalg.norm(u - v) + 1e-12:
+        worst_idem = max(
+            worst_idem, float(np.max(np.abs(project_columns(got) - got)))
+        )
+        if np.linalg.norm(project_columns(u) - got) > np.linalg.norm(u - v) + 1e-12:
             lipschitz_ok = False
     elapsed = time.perf_counter() - start
     assert worst_oracle <= 1e-8

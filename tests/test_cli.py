@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coupclust
-from coupclust.cli import main
+from coupclust.cli import build_parser, main
 from coupclust import data_io
 from coupclust.core import Pmf
 from coupclust.data_io import gen_planted_blocks, write_triplets
+from coupclust.errors import NonFinite
 
 
 @pytest.fixture
@@ -244,9 +246,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["cluster", "--algo", "nuclear", "--k", "2", "--alpha", "5"],
+            ["cluster", "--algo", "nuclear", "--k", "2", "--pz", "PZ"],
             ["cluster", "--algo", "nuclear", "--k", "2", "--lambda", "3"],
-            ["elbow", "--algo", "nuclear", "--ks", "1,2", "--pz", "PZ"],
+            ["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "inf"],
             ["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "3"],
             # The nuclear solver stops when its assignment repeats; it has
             # no tolerance, whatever the value.
@@ -361,27 +363,12 @@ class TestExitCodes:
         assert "data error: out of memory (Unable to allocate 11.9 GiB" in err
         assert "Traceback" not in err
 
-    def test_solver_failure(self, planted, tmp_path):
-        data, _ = planted
-        # an absurd fixed step jumps between vertex kernels
-        rc = main(
-            [
-                "cluster", str(data), "--algo", "frobenius", "--k", "2",
-                "--pz", "uniform", "--alpha", "1e6", "--restarts", "1",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        # per-iteration projection may still tame it; accept solver error
-        # or honest convergence but never a crash
-        assert rc in (0, 4)
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
-             "uniform", "--alpha", "inf", "--restarts", "1"],
-            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
-             "uniform", "--alpha", "nan", "--restarts", "1"],
+            ["elbow", "DATA", "--algo", "frobenius", "--ks", "2", "--lambda",
+             "nan", "--restarts", "1"],
+            ["synth", "--gen", "planted", "--cross", "inf"],
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
              "uniform", "--lambda", "inf", "--restarts", "1"],
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
@@ -421,21 +408,27 @@ class TestExitCodes:
         assert "lam = 1e+300 is too large" in err
         assert "Traceback" not in err
 
-    def test_projection_overflow(self, planted, tmp_path, capsys):
+    def test_solver_error_exit_code(self, planted, tmp_path, capsys, monkeypatch):
+        # A solver that gives up (test_frobenius triggers each NonFinite
+        # check) ends the run with exit 4 and its message, and writes no
+        # kernel.
+        def diverge(*args, **kwargs):
+            raise NonFinite("iterate diverged at iteration 2 (step 0.5)")
+
+        monkeypatch.setattr("coupclust.evaluation.solve_frobenius", diverge)
         data, _ = planted
-        # On this input and seed the second update is finite, but a column's
-        # breakpoints v / sqrt(P_Z) overflow, so the projection cannot map it.
+        out = tmp_path / "x"
         rc = main(
             [
                 "cluster", str(data), "--algo", "frobenius", "--k", "2",
-                "--pz", "uniform", "--alpha", "8e307", "--seed", "1",
-                "--restarts", "1", "--out", str(tmp_path / "x"),
+                "--pz", "uniform", "--restarts", "1", "--out", str(out),
             ]
         )
         assert rc == 4
         err = capsys.readouterr().err
-        assert "projection overflowed at iteration 2;" in err
+        assert "solver error: iterate diverged at iteration 2 (step 0.5)\n" in err
         assert "Traceback" not in err
+        assert not (out / "kernel.json").exists()
 
     def test_bad_grid(self, tmp_path):
         rc = main(
@@ -584,6 +577,31 @@ class TestExitCodes:
         assert f"{what} {bad}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (["cluster", "DATA", "--algo", "nuclear", "--k", "2",
+              "--restarts", "1"], "kernel.json"),
+            (["elbow", "DATA", "--ks", "1,2", "--restarts", "1"], "elbow.csv"),
+            (["embed", "DATA", "--d", "2"], "embedding.tsv"),
+            (["synth", "--gen", "planted", "--sizes", "3,3"], "truth.tsv"),
+            (["counterexample", "--m", "2", "--n", "2", "--s-grid", "2"],
+             "counterexample.csv"),
+        ],
+        ids=["cluster", "elbow", "embed", "synth", "counterexample"],
+    )
+    def test_unwritable_artifact(self, planted, tmp_path, capsys, argv, artifact):
+        # A directory already holds an artifact's name: the run names the
+        # file it cannot write and exits 2, as for an unusable --out.
+        data, _ = planted
+        out = tmp_path / "x"
+        (out / artifact).mkdir(parents=True)
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write {out / artifact}: Is a directory\n" in err
+        assert "Traceback" not in err
+
 
 def test_warning_names_no_source_line(tmp_path):
     # On this 3-block file the nuclear alternation lowers the norm once
@@ -602,6 +620,33 @@ def test_warning_names_no_source_line(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "warning: nuclear norm decreased between iterations (" in out.stderr
     assert ".py:" not in out.stderr
+
+
+def test_manifest_records_every_flag(planted, tmp_path):
+    # The manifest's config has one key per flag of its subcommand, --out
+    # aside (cluster adds the seed it kept), so a deleted flag cannot linger
+    # in it and a flag that changes the outputs cannot be left out of it.
+    data, truth = planted
+    subs = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    runs = {
+        "cluster": ["--algo", "nuclear", "--k", "2", "--restarts", "1",
+                    "--truth", str(truth)],
+        "elbow": ["--ks", "1,2", "--restarts", "1"],
+        "embed": ["--d", "2"],
+    }
+    for command, flags in runs.items():
+        out = tmp_path / command
+        assert main([command, str(data), *flags, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        dests = {a.dest for a in subs.choices[command]._actions} - {"help", "out"}
+        want = {"lambda" if d == "lam" else d for d in dests}
+        if command == "cluster":
+            want.add("best_seed")
+            assert config["truth"] == str(truth)
+        assert set(config) == want, command
 
 
 def test_each_run_builds_one_dtm(planted, tmp_path, monkeypatch):
@@ -685,23 +730,6 @@ class TestElbowCmd:
         assert lines[0] == "k,norm_value"
         vals = [float(r.split(",")[1]) for r in lines[1:]]
         assert vals[1] - vals[0] > vals[2] - vals[1]
-
-    def test_pz_size_checked_for_every_k(self, planted, tmp_path, capsys, monkeypatch):
-        data, _ = planted
-        pz = tmp_path / "pz.tsv"
-        pz.write_text("z0\t0.5\nz1\t0.5\n")
-        monkeypatch.setattr(
-            "coupclust.evaluation._solve", lambda *a, **k: pytest.fail("solver ran")
-        )
-        rc = main(
-            [
-                "elbow", str(data), "--algo", "frobenius", "--pz", str(pz),
-                "--ks", "2,3", "--out", str(tmp_path / "elb"),
-            ]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "configuration error: --pz has 2 entries but --ks includes k = 3" in err
 
     def test_nuclear_matches_cluster(self, tmp_path, capsys):
         # Both commands run the same restarts; each keeps its own best, and

@@ -60,10 +60,6 @@ class TestPmf:
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
 
-    def test_from_weights(self):
-        p = Pmf.from_weights(("a", "b"), [3.0, 1.0])
-        np.testing.assert_allclose(p.probs, [0.75, 0.25])
-
 
 class TestCouplingKernel:
     def test_column_sums(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,12 +29,12 @@ from coupclust.data_io import (
     load_pmf,
     one_item_kernel,
     parse_triplets,
-    rating_transform,
     write_kernel_json,
     write_trace_csv,
     write_triplets,
 )
 from coupclust.errors import (
+    ConfigError,
     DataError,
     DimensionMismatch,
     EmptyAfterPruning,
@@ -622,16 +623,14 @@ class TestRoundTrip:
 
 class TestRatings:
     def test_anchor_values(self):
-        assert rating_transform(1) == 0.0
-        assert rating_transform(2) == 2.0
-        assert rating_transform(3) == 8.0
-        assert rating_transform(4) == 26.0
-        assert rating_transform(5) == 80.0
+        out = apply_rating_transform(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        np.testing.assert_array_equal(out, [0.0, 2.0, 8.0, 26.0, 80.0])
 
-    @pytest.mark.parametrize("bad", [0, 6, 2.5, -1])
+    # 0 is not a rating but a blank; test_matrix_blanks_stay_zero keeps it.
+    @pytest.mark.parametrize("bad", [0.5, 6, 2.5, -1])
     def test_out_of_scale(self, bad):
         with pytest.raises(InvalidRating):
-            rating_transform(bad)
+            apply_rating_transform(np.array([3.0, bad]))
 
     def test_matrix_blanks_stay_zero(self):
         w = np.array([[0.0, 3.0], [5.0, 0.0]])
@@ -814,3 +813,11 @@ class TestArtifacts:
         assert lines[1].startswith("1,1.5,0.25,")
         assert lines[2].startswith("2,1.75,0.125,0")
         assert len(lines) == 3
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_a_config_error(self):
+        # /dev/full opens, but every write to it fails with ENOSPC: an error
+        # in the middle of a streamed file is reported by name, like a failed
+        # open.
+        with pytest.raises(ConfigError, match="cannot write /dev/full: No space left"):
+            write_triplets("/dev/full", ["a"], ["u"], np.ones((1, 1)))

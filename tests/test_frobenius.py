@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coupclust import frobenius
 from coupclust.core import CouplingKernel, Pmf, build_dtm, frobenius_sq
 from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
 from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
@@ -25,7 +26,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = FrobeniusConfig()
         assert cfg.lam == 10.0
-        assert cfg.alpha is None
         assert cfg.max_iters == 5000
         assert cfg.obj_tol == 1e-9
 
@@ -34,14 +34,14 @@ class TestConfig:
         [
             {"lam": 0.0},
             {"lam": -1.0},
-            {"alpha": -0.1},
+            {"max_iters": -1},
             {"max_iters": 0},
             {"obj_tol": 0.0},
-            {"alpha": 0.0},
+            {"obj_tol": 1.0},
             {"lam": float("inf")},
             {"lam": float("nan")},
-            {"alpha": float("inf")},
-            {"alpha": float("nan")},
+            {"obj_tol": float("inf")},
+            {"obj_tol": float("nan")},
             {"seed": -1},
         ],
     )
@@ -208,22 +208,35 @@ class TestSolve:
         acc = matched_accuracy(harden(best[1]), dict(zip(joint[0], truth)))
         assert acc >= 0.95
 
-    def test_nonfinite_on_huge_step(self, rng):
-        # The first update stays finite and projects onto a vertex kernel;
-        # a step this large then overflows on the second update, before any
+    @staticmethod
+    def _scale_gradient(monkeypatch, factor):
+        half_gradient = frobenius._half_gradient
+        monkeypatch.setattr(
+            frobenius, "_half_gradient", lambda *a: half_gradient(*a) * factor
+        )
+
+    def test_nonfinite_on_huge_step(self, rng, monkeypatch):
+        # A gradient 1e308 times too large: the first update stays finite and
+        # projects onto a vertex kernel, the second overflows before any
         # projection can pull the iterate back.
         dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
-        with pytest.raises(NonFinite, match="iterate diverged at iteration 2;"):
-            solve_frobenius(dtm, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
+        self._scale_gradient(monkeypatch, 1e308)
+        with pytest.raises(NonFinite, match=r"iterate diverged at iteration 2 \(step "):
+            solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
 
-    def test_nonfinite_on_projection_overflow(self, rng):
-        # The first update stays finite, but a column's breakpoints
-        # v / sqrt(P_Z) overflow, so the projection cannot map it.
+    def test_nonfinite_on_projection_overflow(self, rng, monkeypatch):
+        # A cluster of mass 1e-6 has weight sqrt(P_Z) = 1e-3. With a gradient
+        # 1e304 times too large the second update stays finite, but a
+        # column's breakpoints v / sqrt(P_Z) overflow, so the projection
+        # cannot map it.
         dtm = build_dtm(*random_joint(rng, 6, 5))
-        p_z = random_pmf(rng, 2)
-        with pytest.raises(NonFinite, match="projection overflowed at iteration 1;"):
-            solve_frobenius(dtm, p_z, FrobeniusConfig(alpha=1e308, max_iters=5))
+        p_z = Pmf(("z0", "z1"), np.array([1.0 - 1e-6, 1e-6]))
+        self._scale_gradient(monkeypatch, 1e304)
+        with pytest.raises(
+            NonFinite, match=r"projection overflowed at iteration 2 \(step "
+        ):
+            solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
 
     def test_huge_lambda_rejected_by_name(self, rng):
         # The power iteration's norm overflows near lam = 1e155; the solver
@@ -248,15 +261,14 @@ class TestSolve:
         with pytest.raises(InvalidParams):
             solve_frobenius(dtm, p_z)
 
-    def test_small_step_iterates_all_projected(self):
+    def test_small_step_iterates_all_projected(self, monkeypatch):
         # A step far below 1/L moves the kernel only a little per iteration;
         # every recorded row must still describe a column-stochastic kernel.
+        # A thousand times the curvature gives the step 1e-3 / L.
         dtm, p_z, lam = _planted(3, 20)
-        c = _gram_factor(dtm.matrix)
-        alpha = 1e-3 / _curvature(c, dtm.row_pmf.sqrt_probs, lam)
-        _, trace = solve_frobenius(
-            dtm, p_z, FrobeniusConfig(lam=lam, alpha=alpha, max_iters=200)
-        )
+        curvature = frobenius._curvature
+        monkeypatch.setattr(frobenius, "_curvature", lambda *a: 1e3 * curvature(*a))
+        _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam, max_iters=200))
         assert len(trace) == 200
         assert max(trace.violations) <= 1e-12
         assert min(trace.min_entries) >= 0.0
@@ -321,10 +333,10 @@ STEP_RULE_SCENARIOS = {
 
 class TestStepRule:
     @staticmethod
-    def _best_of_3(dtm, p_z, lam, alpha):
+    def _best_of_3(dtm, p_z, lam):
         best, iters = -np.inf, 0
         for seed in range(3):
-            cfg = FrobeniusConfig(lam=lam, alpha=alpha, seed=seed)
+            cfg = FrobeniusConfig(lam=lam, seed=seed)
             _, trace = solve_frobenius(dtm, p_z, cfg)
             best = max(best, trace.objectives[-1])
             iters += len(trace)
@@ -333,14 +345,17 @@ class TestStepRule:
     @pytest.mark.parametrize(
         "make", STEP_RULE_SCENARIOS.values(), ids=STEP_RULE_SCENARIOS
     )
-    def test_default_step_no_worse_and_faster_than_small_step(self, make):
-        # The default 1/L step must reach at least the objective of the
-        # twenty times smaller step, in fewer iterations.
+    def test_default_step_no_worse_and_faster_than_small_step(
+        self, make, monkeypatch
+    ):
+        # The 1/L step must reach at least the objective of the twenty times
+        # smaller step, 0.05 / L, in fewer iterations. The solver takes the
+        # smaller step when the curvature it estimates is twenty times larger.
         dtm, p_z, lam = make()
-        c = _gram_factor(dtm.matrix)
-        small = 0.05 / _curvature(c, dtm.row_pmf.sqrt_probs, lam)
-        obj, iters = self._best_of_3(dtm, p_z, lam, None)
-        obj_small, iters_small = self._best_of_3(dtm, p_z, lam, small)
+        obj, iters = self._best_of_3(dtm, p_z, lam)
+        curvature = frobenius._curvature
+        monkeypatch.setattr(frobenius, "_curvature", lambda *a: 20.0 * curvature(*a))
+        obj_small, iters_small = self._best_of_3(dtm, p_z, lam)
         assert obj >= obj_small - 1e-9 * abs(obj_small)
         assert iters < iters_small
 
@@ -394,7 +409,7 @@ class TestMomentum:
     @pytest.mark.parametrize("name", STEP_RULE_SCENARIOS)
     def test_no_worse_and_fewer_iterations_than_plain_step(self, name):
         dtm, p_z, lam = STEP_RULE_SCENARIOS[name]()
-        obj, iters = TestStepRule._best_of_3(dtm, p_z, lam, None)
+        obj, iters = TestStepRule._best_of_3(dtm, p_z, lam)
         plain_obj, plain_iters = PLAIN_STEP_RESULTS[name]
         assert obj >= plain_obj - 1e-9 * abs(plain_obj)
         assert iters < plain_iters

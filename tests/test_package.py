@@ -63,8 +63,6 @@ PUBLIC = {
     "one_item_kernel",
     "parse_triplets",
     "project_columns",
-    "rating_transform",
-    "simplex_project",
     "solve_frobenius",
     "solve_nuclear",
     "write_embedding_tsv",
@@ -75,7 +73,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 56
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
@@ -89,7 +87,7 @@ def test_config_fields_pinned():
 
     assert names(coupclust.NuclearConfig) == ["k", "max_iters", "seed"]
     assert names(coupclust.FrobeniusConfig) == [
-        "lam", "alpha", "max_iters", "obj_tol", "seed"
+        "lam", "max_iters", "obj_tol", "seed"
     ]
 
 
@@ -107,10 +105,10 @@ def test_cli_flags_pinned():
         for name, sub in subs.choices.items()
     }
     assert flags == {
-        "cluster": [*io, "--algo", "--k", "--pz", "--lambda", "--alpha",
-                    "--seed", "--restarts", "--tol", "--truth"],
+        "cluster": [*io, "--algo", "--k", "--pz", "--lambda", "--seed",
+                    "--restarts", "--tol", "--truth"],
         "counterexample": ["--out", "--m", "--n", "--lambda", "--s-grid"],
-        "elbow": [*io, "--ks", "--algo", "--restarts", "--pz", "--lambda"],
+        "elbow": [*io, "--ks", "--algo", "--restarts", "--lambda"],
         "embed": [*io, "--d"],
         "synth": ["--out", "--gen", "--variant", "--m", "--n", "--s",
                   "--blocks", "--sizes", "--within", "--cross", "--seed"],

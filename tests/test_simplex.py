@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from coupclust.simplex import project_columns, simplex_project
+from coupclust.simplex import project_columns
 
 from conftest import oracle_project
+
+
+def project_vector(v):
+    """The probability-simplex projection of one vector, as a column."""
+    return project_columns(np.asarray(v)[:, None])[:, 0]
 
 
 class TestAgainstOracle:
     def test_random_vectors(self, rng):
         for _ in range(200):
             v = rng.normal(size=5) * rng.choice([0.1, 1.0, 10.0])
-            got = simplex_project(v)
+            got = project_vector(v)
             want = oracle_project(v)
             assert np.max(np.abs(got - want)) <= 1e-8
             assert abs(got.sum() - 1.0) <= 1e-12
@@ -18,26 +23,26 @@ class TestAgainstOracle:
 
     def test_hand_cases(self):
         np.testing.assert_allclose(
-            simplex_project(np.array([1.2, -0.2])), [1.0, 0.0], atol=1e-15
+            project_vector(np.array([1.2, -0.2])), [1.0, 0.0], atol=1e-15
         )
         np.testing.assert_allclose(
-            simplex_project(np.array([0.4, 0.4])), [0.5, 0.5], atol=1e-15
+            project_vector(np.array([0.4, 0.4])), [0.5, 0.5], atol=1e-15
         )
         np.testing.assert_allclose(
-            simplex_project(np.array([0.3, 0.3, 0.4])), [0.3, 0.3, 0.4], atol=1e-15
+            project_vector(np.array([0.3, 0.3, 0.4])), [0.3, 0.3, 0.4], atol=1e-15
         )
         np.testing.assert_allclose(
-            simplex_project(np.array([-5.0, -6.0, -7.0])), [1.0, 0.0, 0.0], atol=1e-15
+            project_vector(np.array([-5.0, -6.0, -7.0])), [1.0, 0.0, 0.0], atol=1e-15
         )
-        np.testing.assert_allclose(simplex_project(np.array([42.0])), [1.0])
+        np.testing.assert_allclose(project_vector(np.array([42.0])), [1.0])
 
 
 class TestProperties:
     def test_idempotent(self, rng):
         for _ in range(50):
             v = rng.normal(size=int(rng.integers(1, 9)))
-            once = simplex_project(v)
-            twice = simplex_project(once)
+            once = project_vector(v)
+            twice = project_vector(once)
             assert np.max(np.abs(once - twice)) <= 1e-15
 
     def test_nonexpansive(self, rng):
@@ -46,7 +51,7 @@ class TestProperties:
             n = int(rng.integers(2, 8))
             a = rng.normal(size=n) * 3
             b = a + rng.normal(size=n) * 0.5
-            pa, pb = simplex_project(a), simplex_project(b)
+            pa, pb = project_vector(a), project_vector(b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_feasible_points_fixed(self, rng):
@@ -54,32 +59,34 @@ class TestProperties:
             n = int(rng.integers(1, 7))
             p = rng.random(n) + 1e-3
             p /= p.sum()
-            assert np.max(np.abs(simplex_project(p) - p)) <= 1e-12
+            assert np.max(np.abs(project_vector(p) - p)) <= 1e-12
 
     def test_shift_invariance(self, rng):
         # projection commutes with adding a constant to every coordinate
         for _ in range(30):
             v = rng.normal(size=6)
             c = float(rng.normal()) * 10
-            assert np.max(np.abs(simplex_project(v) - simplex_project(v + c))) <= 1e-9
+            assert np.max(np.abs(project_vector(v) - project_vector(v + c))) <= 1e-9
 
 
 class TestColumns:
     def test_matches_vector_route(self, rng):
+        # Each column is projected on its own: the matrix result equals the
+        # projections of its columns one at a time.
         mat = rng.normal(size=(4, 7))
         cols = project_columns(mat)
         for j in range(7):
-            np.testing.assert_array_equal(cols[:, j], simplex_project(mat[:, j]))
+            np.testing.assert_array_equal(cols[:, j], project_vector(mat[:, j]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            simplex_project(np.array([]))
+            project_vector(np.array([]))
         with pytest.raises(ValueError):
             project_columns(np.zeros((0, 3)))
 
     def test_wrong_ndim(self):
         with pytest.raises(ValueError):
-            simplex_project(np.zeros((2, 2)))
+            project_columns(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             project_columns(np.zeros(4))
 
@@ -90,7 +97,7 @@ class TestColumns:
             project_columns(np.array([[1e16], [1e16]])), [[0.5], [0.5]]
         )
         np.testing.assert_array_equal(
-            simplex_project(np.array([1e16 + 2.0, 1e16])), [1.0, 0.0]
+            project_vector(np.array([1e16 + 2.0, 1e16])), [1.0, 0.0]
         )
 
     @pytest.mark.parametrize(
@@ -105,13 +112,13 @@ class TestColumns:
         with pytest.raises(ValueError, match="not finite"):
             project_columns(mat)
         with pytest.raises(ValueError, match="not finite"):
-            simplex_project(mat[:, 0])
+            project_vector(mat[:, 0])
 
 
 class TestBackendParity:
     """Sign of clipped zeros, which byte-identical artifacts depend on."""
 
     def test_negative_zero_normalized(self):
-        out = simplex_project(np.array([1.5, -0.5, -0.25]))
+        out = project_vector(np.array([1.5, -0.5, -0.25]))
         zeros = out[out == 0.0]
         assert not np.any(np.signbit(zeros))
