@@ -23,6 +23,7 @@ from . import __version__
 from .core import Dtm, Pmf
 from .data_io import (
     CounterexampleParams,
+    _check_creatable,
     _create,
     _write_json,
     apply_rating_transform,
@@ -140,6 +141,10 @@ def _reject_for_nuclear(args, flags: dict) -> None:
 
 
 def _cmd_cluster(args, out_dir: Path) -> int:
+    _check_creatable(
+        out_dir, "prune_report.json", "kernel.json", "trace.csv",
+        "manifest.json", "report.json",
+    )
     dtm, prune = _load_joint(args)
     _write_json(out_dir / "prune_report.json", prune.as_dict())
 
@@ -306,6 +311,7 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 
 
 def _cmd_elbow(args, out_dir: Path) -> int:
+    _check_creatable(out_dir, "elbow.csv", "manifest.json")
     dtm, _ = _load_joint(args)
     _reject_for_nuclear(args, {"--lambda": args.lam})
     lam = _resolve_lambda(args)
@@ -338,6 +344,7 @@ def _cmd_elbow(args, out_dir: Path) -> int:
 
 
 def _cmd_embed(args, out_dir: Path) -> int:
+    _check_creatable(out_dir, "embedding.tsv", "manifest.json")
     dtm, _ = _load_joint(args)
     if args.d == 1:
         _log(

@@ -17,7 +17,8 @@ Conventions, used everywhere downstream:
 
 All types except the solvers' SolveTrace history are immutable after
 construction and safe to share across threads. Nothing is cached: a Dtm
-takes a fresh SVD or eigensolve on every spectral call.
+recomputes its spectrum on every spectral call, a full SVD or a top-r
+Gram eigenproblem (`svd.gram_top`), with the same bits each time.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class Dtm:
     def top(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """(U[:, :r], the r largest singular values), without V; not cached.
 
-        One eigensolve of the smaller Gram matrix (`svd.gram_top`), much
+        The top r eigenpairs of the smaller Gram matrix (`svd.gram_top`: block
+        subspace iteration, or one eigensolve where that cannot pay), much
         cheaper than a full SVD when only a few left vectors are needed.
         Singular values below about sqrt(eps) are not resolved: they come
         back as the root of an eigenvalue at rounding level, or 0.

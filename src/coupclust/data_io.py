@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -107,6 +108,16 @@ def _create(path):
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_creatable(out_dir, *names) -> None:
+    """ConfigError, worded as _create's, naming the first out_dir / name that
+    is a directory. Run before the work whose results go there; creates
+    nothing, and _create still reports any other failure to write."""
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
 
 
 def _read_lines(path, nfields: int | None = None):

@@ -1,8 +1,9 @@
 """Item embeddings from the whitened left singular vectors of the DTM.
 
 Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d], with the
-d leading left singular vectors U[:, :d] of the joint's DTM, from one
-eigensolve of its smaller Gram matrix (`Dtm.top(d)`). The first coordinate
+d leading left singular vectors U[:, :d] of the joint's DTM, the top d
+eigenvectors of its smaller Gram matrix (`Dtm.top(d)`, by subspace
+iteration or one eigensolve; see `svd.gram_top`). The first coordinate
 is constant across items (the top singular vector of a DTM is sqrt of the
 marginal), so informative dimensions start at 2.
 """

@@ -15,7 +15,11 @@ moves A by alpha/2 times the exact gradient, and J = ||A C||_F^2 - lambda
 The step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
 of C C^T - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
 matrix, so its Lipschitz constant is L = 2 sigma_1, and the update above is
-the standard 1/L gradient step (Beck & Teboulle 2009).
+the standard 1/L gradient step (Beck & Teboulle 2009). sigma_1 has a closed
+form: sqrt(P_Y) is an eigenvector of C C^T = B B^T with eigenvalue 1, so the
+matrix has eigenvalue 1 - lambda on sqrt(P_Y) and the sigma_i(B)^2, i >= 2,
+(and zeros) on its complement. Hence sigma_1 = max(|1 - lambda|,
+sigma_2(B)^2), which is lambda - 1 for lambda >= 2.
 
 The step is taken from an extrapolated point (FISTA, Beck & Teboulle 2009):
 
@@ -49,7 +53,6 @@ import numpy as np
 from .core import CouplingKernel, Dtm, Pmf, SolveTrace
 from .errors import InvalidParams, NonFinite, ZeroMarginal
 from .simplex import project_columns
-from .svd import top_singular_value_sym
 
 __all__ = [
     "FrobeniusConfig",
@@ -108,11 +111,15 @@ def _gram_factor(b: np.ndarray) -> np.ndarray:
     return np.linalg.qr(b.T, mode="r").T
 
 
-def _curvature(c: np.ndarray, sy: np.ndarray, lam: float) -> float:
-    """sigma_1 of the Hessian half C C^T - lam sqrt(P_Y) sqrt(P_Y)^T."""
-    return top_singular_value_sym(
-        lambda v: c @ (c.T @ v) - lam * (sy @ v) * sy, sy.size
-    )
+def _curvature(dtm: Dtm, lam: float) -> float:
+    """sigma_1 of the Hessian half C C^T - lam sqrt(P_Y) sqrt(P_Y)^T.
+
+    The closed form max(|1 - lam|, sigma_2(B)^2) of the module docstring;
+    sigma_2 is taken from the DTM only when lam < 2, where it can matter.
+    """
+    if lam >= 2.0 or min(dtm.shape) < 2:
+        return abs(1.0 - lam)
+    return max(abs(1.0 - lam), float(dtm.top(2)[1][1]) ** 2)
 
 
 def _objective_terms(ac: np.ndarray, resid: np.ndarray, lam: float) -> tuple[float, float]:
@@ -176,12 +183,7 @@ def solve_frobenius(
     c = _gram_factor(dtm.matrix)
     sy, sz, lam = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs, cfg.lam
 
-    try:
-        scale = _curvature(c, sy, lam)
-    except NonFinite:
-        raise InvalidParams(
-            f"lam = {lam!r} is too large: the step size estimate overflows"
-        ) from None
+    scale = _curvature(dtm, lam)
     alpha = 1.0 / scale if scale > 1e-12 else 1.0
 
     rng = np.random.default_rng(cfg.seed)

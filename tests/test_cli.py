@@ -394,19 +394,23 @@ class TestExitCodes:
         # refused before any data or result file is written
         assert not any(out.glob("*.csv")) and not any(out.glob("*.tsv"))
 
-    def test_huge_lambda_is_a_config_error(self, planted, tmp_path, capsys):
+    def test_huge_lambda_exits_0(self, planted, tmp_path, capsys):
+        # The step for lam = 1e300 is 1/(lam - 1): finite, so the run
+        # completes; the norm term barely moves the kernel from its start.
         data, _ = planted
+        out = tmp_path / "x"
         rc = main(
             [
                 "cluster", str(data), "--algo", "frobenius", "--k", "2",
                 "--pz", "uniform", "--lambda", "1e300", "--restarts", "1",
-                "--out", str(tmp_path / "x"),
+                "--out", str(out),
             ]
         )
-        assert rc == 2
+        assert rc == 0
         err = capsys.readouterr().err
-        assert "lam = 1e+300 is too large" in err
+        assert "restart seed=0: objective " in err
         assert "Traceback" not in err
+        assert (out / "kernel.json").exists()
 
     def test_solver_error_exit_code(self, planted, tmp_path, capsys, monkeypatch):
         # A solver that gives up (test_frobenius triggers each NonFinite
@@ -601,6 +605,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"configuration error: cannot write {out / artifact}: Is a directory\n" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, artifact, work",
+        [
+            (["cluster", "DATA", "--algo", "nuclear", "--k", "2",
+              "--restarts", "3"], "report.json", "_solve"),
+            (["elbow", "DATA", "--ks", "1,2", "--restarts", "1"],
+             "manifest.json", "elbow_curve"),
+            (["embed", "DATA", "--d", "2"], "manifest.json", "dtm_embed"),
+        ],
+        ids=["cluster", "elbow", "embed"],
+    )
+    def test_artifact_checked_before_work(
+        self, planted, tmp_path, capsys, monkeypatch, argv, artifact, work
+    ):
+        # Even the last artifact a run writes is checked before it solves or
+        # takes a spectrum, and the check writes nothing.
+        calls = []
+        real = getattr(coupclust.cli, work)
+
+        def counted(*args, **kwargs):
+            calls.append(work)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coupclust.cli, work, counted)
+        data, _ = planted
+        out = tmp_path / "x"
+        (out / artifact).mkdir(parents=True)
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write {out / artifact}: Is a directory\n" in err
+        assert calls == []
+        assert [p.name for p in out.iterdir()] == [artifact]
 
 
 def test_warning_names_no_source_line(tmp_path):

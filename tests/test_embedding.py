@@ -68,7 +68,8 @@ class TestDtmEmbed:
 
 
     def test_no_full_svd(self, rng, monkeypatch):
-        # The embedding reads only U[:, :d], from one Gram eigensolve.
+        # The embedding reads only U[:, :d], from the Gram matrix's top
+        # eigenpairs.
         dtm = build_dtm(*random_joint(rng, 9, 7))
         ref = np.linalg.svd(dtm.matrix)[0][:, :4]
 

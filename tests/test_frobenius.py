@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coupclust import frobenius
-from coupclust.core import CouplingKernel, Pmf, build_dtm, frobenius_sq
+from coupclust.core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
 from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
 from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
 from coupclust.evaluation import harden, matched_accuracy
@@ -238,16 +238,17 @@ class TestSolve:
         ):
             solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
 
-    def test_huge_lambda_rejected_by_name(self, rng):
-        # The power iteration's norm overflows near lam = 1e155; the solver
-        # must name lam instead of falling back to a unit step.
+    def test_huge_lambda_takes_the_closed_form_step(self, rng):
+        # sigma_1 = lam - 1 is finite for every finite lam, so lam = 1e300 is
+        # no error: the step 1/(lam - 1) matches the target marginal, and the
+        # run ends on a finite objective and a column-stochastic kernel.
         dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
-        with pytest.raises(InvalidParams, match=r"lam = 1e\+300 is too large"):
-            solve_frobenius(dtm, p_z, FrobeniusConfig(lam=1e300, max_iters=5))
-        sy = dtm.row_pmf.sqrt_probs
-        c = _gram_factor(dtm.matrix)
-        assert _curvature(c, sy, 1e150) == pytest.approx(1e150, rel=1e-9)
+        assert _curvature(dtm, 1e300) == 1e300
+        kernel, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=1e300))
+        assert trace.status == "Converged"
+        assert np.isfinite(trace.objectives[-1])
+        np.testing.assert_allclose(kernel.kernel.sum(axis=0), 1.0, atol=1e-12)
 
     def test_boundary_pz_rejected(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 4))
@@ -329,6 +330,24 @@ STEP_RULE_SCENARIOS = {
     "random-lam0.5": lambda: _random_skewed(0, 0.5),
     "random-lam10": lambda: _random_skewed(1, 10.0),
 }
+
+
+class TestCurvature:
+    # sqrt(P_Y) is an eigenvector of B B^T with eigenvalue 1, so sigma_1 of
+    # C C^T - lam sqrt(P_Y) sqrt(P_Y)^T is max(|1 - lam|, sigma_2(B)^2).
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 9), (1, 4), (6, 1)])
+    @pytest.mark.parametrize("lam", [0.01, 0.9, 1.0, 1.5, 1.99, 2.0, 10.0, 1e6])
+    def test_closed_form_matches_eigvalsh(self, shape, lam, monkeypatch):
+        dtm = build_dtm(*random_joint(np.random.default_rng(sum(shape)), *shape))
+        sy, c = dtm.row_pmf.sqrt_probs, _gram_factor(dtm.matrix)
+        ref = np.max(np.abs(np.linalg.eigvalsh(c @ c.T - lam * np.outer(sy, sy))))
+        if lam >= 2.0:
+            # lam - 1 bounds every other eigenvalue: no spectrum is taken.
+            def no_spectrum(*args):
+                raise AssertionError("spectrum taken")
+
+            monkeypatch.setattr(Dtm, "top", no_spectrum)
+        assert _curvature(dtm, lam) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
 class TestStepRule:

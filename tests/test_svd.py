@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coupclust.core import Dtm, build_dtm
-from coupclust.errors import CoupclustError, InvalidParams, NonFinite
-from coupclust.svd import top_singular_value_sym
+from coupclust.embedding import dtm_embed
+from coupclust.errors import CoupclustError, InvalidParams, RankDeficient
 
 from conftest import normalized_joint
 
@@ -88,17 +88,81 @@ def test_top_checks_the_dtm_invariant(rng):
         bad.top(2)
 
 
-def test_top_singular_value_sym(rng):
-    q = np.linalg.qr(rng.normal(size=(8, 8)))[0]
-    mat = q @ np.diag([3.0, 1.0, 0.5, 0.1, 0.05, 0.01, 0.001, 0.0]) @ q.T
-    est = top_singular_value_sym(lambda v: mat @ v, 8)
-    assert est == pytest.approx(3.0, rel=1e-6)
+def _recording_eigh(monkeypatch):
+    # The order of every matrix np.linalg.eigh decomposes from here on.
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
 
 
-def test_top_singular_value_zero_matrix():
-    assert top_singular_value_sym(lambda v: np.zeros(4), 4) == 0.0
+def _planted_dtm(ny, nx, blocks=8, cross=0.05, seed=3):
+    # Items and features in `blocks` groups: sigma_8 is far above sigma_9.
+    rng = np.random.default_rng(seed)
+    same = (np.arange(ny) % blocks)[:, None] == (np.arange(nx) % blocks)[None, :]
+    weights = np.where(same, 1.0, cross) * rng.uniform(0.5, 1.5, size=(ny, nx))
+    rows = tuple(f"y{i}" for i in range(ny))
+    cols = tuple(f"x{j}" for j in range(nx))
+    return build_dtm(*normalized_joint(rows, cols, weights))
 
 
-def test_top_singular_value_overflow_raises():
-    with pytest.raises(NonFinite, match="overflowed"):
-        top_singular_value_sym(lambda v: np.full(4, 1e300), 4)
+@pytest.mark.parametrize("shape", [(400, 600), (600, 400)], ids=["wide", "tall"])
+def test_top_iterates_on_a_gapped_joint(monkeypatch, shape):
+    # With a wide gap after sigma_8, subspace iteration converges within its
+    # budget: no n x n matrix is decomposed, the result is LAPACK's at the
+    # tolerances of test_top_matches_full_svd, and reruns give the same bits.
+    b = _planted_dtm(*shape)
+    r = 8
+    u_ref, s_ref, _ = np.linalg.svd(b.matrix, full_matrices=False)
+    u_ref = u_ref[:, :r]
+    sizes = _recording_eigh(monkeypatch)
+    u, s = b.top(r)
+    assert sizes and max(sizes) < min(shape)
+    np.testing.assert_allclose(s, s_ref[:r], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
+    assert np.linalg.norm(u - u_ref @ (u_ref.T @ u), 2) <= 1e-10
+    u2, s2 = b.top(r)
+    assert np.array_equal(u, u2) and np.array_equal(s, s2)
+
+
+@pytest.mark.parametrize("shape", [(300, 900), (900, 300), (400, 400)])
+def test_top_falls_back_to_eigh_on_a_weak_gap(rng, monkeypatch, shape):
+    # sigma_16 and sigma_17 of a sparse random joint are close, so the
+    # residuals decay too slowly: after at most 3 steps the Gram matrix takes
+    # one eigh, and the result has the bits of that eigh alone.
+    b = build_dtm(*_sparse_joint(rng, shape))
+    r, m, n = 16, b.matrix, min(shape)
+    wide = shape[0] <= shape[1]
+    lam, vecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
+    lam, vecs = lam[::-1][:r], vecs[:, ::-1][:, :r]
+    u_ref = np.ascontiguousarray(vecs) if wide else np.linalg.qr(m @ vecs)[0]
+    sizes = _recording_eigh(monkeypatch)
+    u, s = b.top(r)
+    assert sizes[-1] == n and 1 <= len(sizes) - 1 <= 3
+    assert max(sizes[:-1]) < n
+    assert np.array_equal(u, u_ref)
+    assert np.array_equal(s, np.sqrt(np.maximum(lam, 0.0)))
+
+
+def test_rank_check_holds_on_the_iterated_route(monkeypatch):
+    # A sum of 5 positive outer products has rank 5. Its null space
+    # converges at once, so the iteration returns rounding-level Ritz values
+    # beyond sigma_5, and dtm_embed still refuses d = 8 by its threshold.
+    rng = np.random.default_rng(5)
+    weights = rng.random((400, 5)) @ rng.random((5, 500))
+    rows = tuple(f"y{i}" for i in range(400))
+    cols = tuple(f"x{j}" for j in range(500))
+    dtm = build_dtm(*normalized_joint(rows, cols, weights))
+    sizes = _recording_eigh(monkeypatch)
+    with pytest.raises(
+        RankDeficient,
+        match=r"d = 8 exceeds the numerical rank 5 of the DTM: sigma_8 = \S+ is "
+        r"at or below the threshold \S+ = sqrt\(max\(\|Y\|, \|X\|\) \* eps\) \* sigma_1",
+    ):
+        dtm_embed(dtm, 8)
+    assert sizes and max(sizes) < 400
