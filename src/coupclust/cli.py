@@ -283,6 +283,7 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
     grid = args.s_grid.values
     if not grid:
         raise ConfigError("empty s grid")
+    _check_creatable(out_dir, "counterexample.csv", "manifest.json")
     m, n, lam = args.m, args.n, args.lam
     lines = ["s,frob_intuitive,frob_oneitem,community_obj_Q1,community_obj_Q2"]
     for s in grid:
@@ -369,6 +370,7 @@ def _cmd_embed(args, out_dir: Path) -> int:
 
 def _cmd_synth(args, out_dir: Path) -> int:
     if args.gen == "counterexample":
+        _check_creatable(out_dir, "synth.tsv", "manifest.json")
         params = CounterexampleParams(
             m=args.m, n=args.n, s=args.s, variant=args.variant
         )
@@ -385,6 +387,7 @@ def _cmd_synth(args, out_dir: Path) -> int:
         }
         print(f"wrote {mat.size} triplets to {out_dir / 'synth.tsv'}")
     else:
+        _check_creatable(out_dir, "synth.tsv", "truth.tsv", "manifest.json")
         (rows, cols, weights), truth = gen_planted_blocks(
             args.blocks,
             args.sizes.values,

@@ -10,7 +10,9 @@ File formats:
   weight equals float() of its field bit for bit: the bulk reader
   converts plain decimals exactly from machine words (Clinger's fast path,
   else an exact round-half-even correction) and passes any other field to
-  float().
+  float(). It keys labels by machine words too, interns one label per run
+  of equal consecutive labels, and reads a file that lists every cell once,
+  row by row (write_triplets' layout), by reshaping its weight column.
 - Dense CSV: header row holds the X labels (first cell is a corner and is
   ignored), each body row starts with its Y label; blank cells mean 0.
 - Pmf TSV: `label<TAB>probability` lines.
@@ -160,9 +162,12 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
     number and the byte offset of the offending line's start.
 
     A file of plain `row<TAB>col<TAB>weight` lines with valid weights and no
-    NUL byte is read in bulk, unless its fixed-width fields would take more
-    than a quarter of memory; any other file goes through the line reader.
-    Both give the same labels and bitwise the same weights. A DataError
+    NUL byte is read in bulk, unless its label keys (each label column's
+    widest field in 8-byte words, on every line) would take more than a
+    quarter of memory; any other file goes through the line reader. Both
+    give the same labels and bitwise the same weights; a weight cell of one
+    `-0.0` line reads as 0.0, as a sum from 0.0 does. A file that lists
+    each cell once, row by row, is the weight column reshaped. A DataError
     names the shape when the dense |Y| x |X| matrix would not fit in memory,
     before it is allocated.
     """
@@ -182,74 +187,157 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     float() either strips too or rejects. Duplicates are summed in file
     order, as the line reader does, so the sums are bitwise equal.
 
-    Fields are cut from the delimiter offsets, so no Python object is made
-    per line or field. Labels become fixed-width `S` arrays interned by
-    hash in _intern; `S` keys drop trailing NULs, hence the NUL rule.
-    Weights convert in row chunks in _parse_decimals, which reads each
-    field as three 64-bit words; a field outside its grammar goes through
-    numpy's `S` -> float64 cast, which calls float(). Both give float()'s
-    bits. Each label array is its widest field times the line count, so a
-    file is declined when its label columns at their widest would exceed a
-    quarter of memory (_intern makes a gathered copy of each label array to
-    compare); a few long labels among short ones are still read in bulk.
+    The file is read once into a zero-padded buffer, and fields are cut from
+    its delimiter offsets, so no Python object is made per line or field.
+    Weights convert in row chunks in _parse_decimals, which reads each field
+    as three 64-bit words; a field outside its grammar goes through numpy's
+    `S` -> float64 cast, which calls float() (`S` drops trailing NULs, hence
+    the NUL rule). Both give float()'s bits.
+
+    Each label field is keyed as whole little-endian words ending where it
+    does, with the bytes before it masked to zero (_word_keys). As no label
+    holds a NUL, equal keys are equal labels. Only the first key of each run
+    of equal consecutive keys is interned (_intern), and each distinct label
+    is decoded from its first occurrence. When the rows come in equal runs
+    that each repeat the first run's columns, with no row or column label
+    twice, the file lists every cell of the matrix once, row by row, as
+    write_triplets does; the matrix is then the weight column reshaped, and
+    adding 0.0 turns a -0.0 field into the +0.0 that the summing readers
+    give. Any other file sums its lines into cells with np.bincount.
+
+    Each label key array is its widest field's words times the line count,
+    so a file is declined when both at their widest would exceed a quarter
+    of memory; a few long labels among short ones are still read in bulk.
     Only weights that fall back are cut to width (_parse_weights).
     """
-    with _open(path) as fh:
-        data = fh.read()
-    if b"\0" in data:
+    buf, size = _read_padded(path)
+    pad = _WORD_FIELD
+    raw = buf[pad : pad + size]
+    if not size or raw.min() == 0:
         return None
-    if not data.isascii():
+    if raw.max() >= 0x80:
         try:
-            data.decode("utf-8")
+            str(raw, "utf-8")
         except UnicodeDecodeError:
             return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(raw == 10)
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, raw.size)
-    tabs = np.flatnonzero(raw == 9)
+    # Offsets index buf: the file behind pad zero bytes.
+    text = buf[: pad + size]
+    ends = np.flatnonzero(text == 10)
+    if raw[-1] != 10:
+        ends = np.append(ends, pad + size)
+    tabs = np.flatnonzero(text == 9)
+    del raw, text
     n = ends.size
     # Line i holds tabs 2i and 2i+1: tab 2i+1 < end i < tab 2i+2.
     if tabs.size != 2 * n or not (
         np.all(tabs[1::2] < ends) and np.all(tabs[2::2] > ends[:-1])
     ):
         return None
-    # Offsets from here on index buf: the file behind _WORD_FIELD zero bytes,
-    # padded after so every field's window fits.
-    pad = _WORD_FIELD
-    ends += pad
-    tabs += pad
-    starts = np.concatenate(([pad], ends[:-1] + 1))
-    spans = [
-        (starts, tabs[0::2]), (tabs[0::2] + 1, tabs[1::2]), (tabs[1::2] + 1, ends)
+    row_start = np.concatenate(([pad], ends[:-1] + 1))
+    col_start = tabs[0::2] + 1
+    row_words, col_words = [
+        -(-max(int((stop - start).max()), 1) // 8)
+        for start, stop in ((row_start, tabs[0::2]), (col_start, tabs[1::2]))
     ]
-    widths = [max(int((stop - start).max()), 1) for start, stop in spans]
-    widths[:2] = [-(-w // 8) * 8 for w in widths[:2]]  # whole words for _intern
-    if sum(widths[:2]) * n > _physical_memory() / 4:
+    if 8 * (row_words + col_words) * n > _physical_memory() / 4:
         return None
-    buf = np.empty(pad + raw.size + max(widths), dtype=np.uint8)
-    buf[:pad] = 0
-    buf[pad : pad + raw.size] = raw
-    buf[pad + raw.size :] = 0
-    del data, raw
-    row_keys, col_keys = [
-        _fixed_width(buf, start, stop, width)
-        for (start, stop), width in zip(spans[:2], widths)
-    ]
-    weight_span = spans[2]
-    del ends, tabs, starts, spans
-    w = _parse_weights(buf, *weight_span)
-    del buf, weight_span
-    if w is None or not np.all(np.isfinite(w)) or np.any(w < 0):
-        return None
-    rows, ri = _intern(row_keys)
+    row_keys = _word_keys(buf, row_start, tabs[0::2], row_words)
+    heads, row_ids, rows = _run_labels(buf, row_start, tabs[0::2], row_keys)
+    del row_start, row_keys
     if any(not lab or lab[0].isspace() or lab[0] == "#" for lab in rows):
         return None
-    cols, ci = _intern(col_keys)
+    col_keys = _word_keys(buf, col_start, tabs[1::2], col_words)
+    nr = heads.size
+    nc = n // nr
+    # Every row a run of nc lines whose columns repeat the first run's.
+    tiled = (
+        nr * nc == n
+        and np.array_equal(heads, np.arange(0, n, nc))
+        and all((word.reshape(nr, nc) == word[:nc]).all() for word in col_keys)
+    )
+    if tiled:
+        col_keys = [word[:nc] for word in col_keys]
+    col_heads, col_ids, cols = _run_labels(buf, col_start, tabs[1::2], col_keys)
+    col_lines = col_keys[0].size
+    del col_start, col_keys
+    weight_start = tabs[1::2] + 1
+    del tabs
+    w = _parse_weights(buf, weight_start, ends)
+    del buf, weight_start, ends
+    if w is None or not np.all(np.isfinite(w)) or np.any(w < 0):
+        return None
+    _check_matrix_fits(len(rows), len(cols))
+    if tiled and len(rows) == nr and len(cols) == nc:
+        w += 0.0
+        return rows, cols, w.reshape(nr, nc)
+    ri = np.repeat(row_ids, np.diff(heads, append=n))
+    ci = np.repeat(col_ids, np.diff(col_heads, append=col_lines))
+    if tiled:
+        ci = np.tile(ci, nr)
     nr, nc = len(rows), len(cols)
-    _check_matrix_fits(nr, nc)
     cells = np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
     return rows, cols, cells.reshape(nr, nc)
+
+
+def _read_padded(path) -> tuple[np.ndarray, int]:
+    """The file read to EOF into one buffer behind _WORD_FIELD zero bytes,
+    with zeros after it, and the file's length."""
+    with _open(path) as fh:
+        buf = np.empty(_WORD_FIELD + os.fstat(fh.fileno()).st_size + 8, np.uint8)
+        end = _WORD_FIELD
+        while got := fh.readinto(memoryview(buf)[end:]):
+            end += got
+            if end == buf.size:
+                buf = np.concatenate((buf, np.empty_like(buf)))
+    buf[:_WORD_FIELD] = 0
+    buf[end:] = 0
+    return buf, end - _WORD_FIELD
+
+
+def _word_keys(buf, start, stop, nwords: int) -> list[np.ndarray]:
+    """Each field buf[start[i]:stop[i]] as nwords little-endian uint64 words,
+    the last ending where the field does, with bytes before it zeroed.
+
+    Word j of every field is element j of the list. A word that would start
+    before buf has a negative index, which numpy reads from buf's end; it
+    lies wholly before the field, which starts at least _WORD_FIELD bytes
+    in, so it is zeroed all the same.
+    """
+    words = _words(buf)
+    keys = []
+    for j in range(nwords):
+        at = stop - 8 * (nwords - j)
+        word = words[at]
+        # Field bytes in the word: the part of [at, at + 8) from start on.
+        at += 8
+        at -= start
+        np.clip(at, 0, 8, out=at)
+        word &= _TOP[at]
+        keys.append(word)
+    return keys
+
+
+def _run_labels(buf, start, stop, keys) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Labels of the fields keyed by keys, interned one run at a time.
+
+    Returns the line that starts each run of equal consecutive keys, the
+    label index of each run, and the distinct labels in first-appearance
+    order, decoded from their first occurrences.
+    """
+    change = np.empty(keys[0].size, dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=change[1:])
+    for word in keys[1:]:
+        change[1:] |= word[1:] != word[:-1]
+    heads = np.flatnonzero(change)
+    del change
+    if heads.size < keys[0].size:
+        keys = [word[heads] for word in keys]
+    first, ids = _intern(keys)
+    at = heads[first]
+    text = buf.data
+    spans = zip(start[at].tolist(), stop[at].tolist())
+    return heads, ids, [str(text[a:b], "utf-8") for a, b in spans]
 
 
 def _fixed_width(buf, start, stop, width: int) -> np.ndarray:
@@ -278,6 +366,8 @@ def _parse_weights(buf, start, stop) -> np.ndarray | None:
         width = max(int((stop - start).max()), 1)
         if rows.size * width > _physical_memory() / 4:
             return None
+        if start[-1] + width > buf.size:
+            buf = np.concatenate((buf, np.zeros(width, np.uint8)))
         keys = _fixed_width(buf, start, stop, width)
         try:
             w[rows] = keys.astype(np.float64)
@@ -353,7 +443,7 @@ def _decimal_parts(buf, start, stop) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     stop = stop - (np.take(buf, stop - 1) == ord("\r"))
     length = stop - start
-    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    words = _words(buf)
     # Each byte XOR ord("0"), so digits hold their values; bytes before the
     # field read as leading zeros.
     x = words[stop - _WORD_FIELD + _WORD_START]
@@ -481,6 +571,11 @@ def _nearer_neighbour(bits, m, e) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
+def _words(buf) -> np.ndarray:
+    """Unaligned view of buf: element i is the little-endian word at byte i."""
+    return np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+
+
 def _zero_bytes(v) -> np.ndarray:
     """The high bit of each zero byte of v; exact, as no carry crosses bytes."""
     return ~(((v & _LOW7) + _LOW7) | v) & _HIGH
@@ -519,32 +614,48 @@ def _eight_digits(d) -> np.ndarray:
     return d
 
 
-def _intern(keys) -> tuple[list[str], np.ndarray]:
-    """Distinct keys decoded in first-appearance order, and each key's index.
+def _intern(keys) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence of each distinct key, in order, and each key's index.
 
-    keys is S<8m>. Each key is hashed to one 64-bit word, and the hashes are
-    grouped with an unstable argsort, far faster than sorting wide byte
-    strings. A hash collision, caught by comparing every key with the first
-    of its group, falls back to np.unique on the keys themselves.
+    keys is a list of equal-length uint64 arrays, word j of every key in
+    array j. Each key is hashed to one 64-bit word, and one sort of the
+    hashes' high bits, with the key's index in the low bits, groups equal
+    hashes in index order, far faster than sorting the keys. A hash
+    collision, caught by comparing every key with the first of its group,
+    falls back to np.unique on the keys themselves.
     """
-    words = keys.view(np.uint64).reshape(keys.size, -1)
-    h = words[:, 0] * _HASH_MULT
-    for word in words.T[1:]:
+    m = keys[0].size
+    h = keys[0] * _HASH_MULT
+    for word in keys[1:]:
         h ^= word
         h *= _HASH_MULT
-    order = np.argsort(h)
-    sorted_h = h[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_h[1:] != sorted_h[:-1])))
-    first = np.minimum.reduceat(order, starts)
-    inverse = np.empty_like(order)
-    inverse[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=h.size))
-    if not np.array_equal(keys[first][inverse], keys):
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    bits = _U64(max(m - 1, 1).bit_length())
+    h >>= bits
+    h <<= bits
+    h |= np.arange(m, dtype=_U64)
+    h.sort()
+    at = (h & ((_U64(1) << bits) - _U64(1))).astype(np.intp)
+    h >>= bits
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    np.not_equal(h[1:], h[:-1], out=new[1:])
+    del h
+    first = at[new]
+    group = np.cumsum(new)
+    group -= 1
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[at] = group
+    del at, new, group
+    of_first = first[inverse]
+    if not all(np.array_equal(word[of_first], word) for word in keys):
+        _, first, inverse = np.unique(
+            np.stack(keys, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
-    labels = [lab.decode("utf-8") for lab in keys[first[by_first]].tolist()]
-    return labels, rank[inverse]
+    return first[by_first], rank[inverse]
 
 
 def _physical_memory() -> float:

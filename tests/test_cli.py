@@ -614,8 +614,12 @@ class TestExitCodes:
             (["elbow", "DATA", "--ks", "1,2", "--restarts", "1"],
              "manifest.json", "elbow_curve"),
             (["embed", "DATA", "--d", "2"], "manifest.json", "dtm_embed"),
+            (["synth", "--gen", "planted", "--sizes", "3,3"], "truth.tsv",
+             "gen_planted_blocks"),
+            (["counterexample", "--m", "2", "--n", "2", "--s-grid", "2,3"],
+             "counterexample.csv", "gen_counterexample"),
         ],
-        ids=["cluster", "elbow", "embed"],
+        ids=["cluster", "elbow", "embed", "synth", "counterexample"],
     )
     def test_artifact_checked_before_work(
         self, planted, tmp_path, capsys, monkeypatch, argv, artifact, work

@@ -2,12 +2,13 @@ import json
 import math
 import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coupclust import data_io
@@ -180,6 +181,8 @@ _triplet_bytes = st.one_of(
 @example(content=b"a\x00\tu\t1\na\tu\t2\n")  # NUL: "a\0" is not "a"
 @example(content=b"a\tu\t1\r\na\tu\t2\r\nab\tu\t3\r\n")  # CRLF, duplicates
 @example(content=b"a\tu\t1\r\nb\tv\t2\r")  # CRLF, no final newline
+# A short first label keyed with a 40-byte one: its first words precede the file.
+@example(content=b"a\tu\t1\n" + b"L" * 40 + b"\tu\t2\na\t" + b"W" * 33 + b"\t3\n")
 @given(content=_triplet_bytes)
 def test_parse_triplets_matches_line_reader(content):
     """Any bytes: same labels and weight bits, or the same ParseError."""
@@ -222,6 +225,26 @@ def test_bulk_path_taken_only_on_well_formed_files(tmp_path, content, bulk):
     path = tmp_path / "t.tsv"
     path.write_bytes(content)
     assert (_parse_triplets_bulk(path) is not None) == bulk
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_bulk_reader_reads_a_pipe_to_its_end(tmp_path):
+    # A pipe reports size 0, so the buffer grows until EOF.
+    content = "".join(f"r{i % 7}\tc{i}\t{i}.5\n" for i in range(500)).encode()
+    path = tmp_path / "t.tsv"
+    path.write_bytes(content)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(content,))
+    writer.start()
+    try:
+        got = _parse_triplets_bulk(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    rows, cols, w = _parse_triplets_lines(path)
+    assert got[:2] == (rows, cols)
+    assert got[2].tobytes() == w.tobytes()
 
 
 def test_label_hash_collision_falls_back_to_sorting_keys(tmp_path, monkeypatch):
@@ -533,6 +556,136 @@ def test_bulk_path_counts_only_fallback_weights(
         rows, cols, w = _parse_triplets_lines(path)
         assert got[:2] == (rows, cols)
         assert got[2].tobytes() == w.tobytes()
+
+
+# Labels of 1-40 UTF-8 bytes that the bulk reader accepts as row labels.
+_grid_label = st.text("abxyz019_.-\u00e9", min_size=1, max_size=40).filter(
+    lambda t: len(t.encode()) <= 40
+)
+
+
+@st.composite
+def _grids(draw, min_side=1):
+    """Triplet lines listing each cell of an nr x nc grid once, row by row,
+    as write_triplets does, and a line ending (LF or CRLF). One label on the
+    first line is wider than the reader's front pad."""
+    nr = draw(st.integers(min_side, 5))
+    nc = draw(st.integers(min_side, 5))
+    rows = draw(st.lists(_grid_label, min_size=nr, max_size=nr, unique=True))
+    cols = draw(st.lists(_grid_label, min_size=nc, max_size=nc, unique=True))
+    wide = draw(st.text("abxyz", min_size=25, max_size=40))
+    assume(wide not in rows + cols)
+    if draw(st.booleans()):
+        rows[0] = wide
+    else:
+        cols[0] = wide
+    weights = draw(
+        st.lists(_word_decimal | st.just("-0.0"), min_size=nr * nc, max_size=nr * nc)
+    )
+    lines = [(r, c) for r in rows for c in cols]
+    lines = [(r, c, w) for (r, c), w in zip(lines, weights)]
+    return nr, nc, lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def _count_bincount(mp):
+    """A list that gains one item per np.bincount call while mp is active."""
+    calls = []
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    mp.setattr(np, "bincount", counted)
+    return calls
+
+
+def _grid_outcome(lines, eol):
+    """Bulk reader's outcome on the lines, the line reader's, and whether
+    the bulk reader summed lines with np.bincount."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "t.tsv"
+        path.write_text("".join("\t".join(line) + eol for line in lines), newline="")
+        calls = _count_bincount(mp)
+        got = _outcome(_parse_triplets_bulk, path)
+        mp.undo()
+        return got, _outcome(_parse_triplets_lines, path), bool(calls)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=_grids())
+def test_every_cell_grid_is_reshaped(grid):
+    """Same labels and weight bits as the line reader, with no bincount."""
+    _, _, lines, eol = grid
+    got, want, summed = _grid_outcome(lines, eol)
+    assert got == want
+    assert not summed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    grid=_grids(min_side=2),
+    change=st.sampled_from(["reuse", "swap", "drop", "duplicate", "ragged"]),
+    data=st.data(),
+)
+def test_perturbed_grid_leaves_the_reshape(grid, change, data):
+    """A grid that no longer lists each cell once, row by row, is summed."""
+    nr, nc, lines, eol = grid
+
+    def pick(hi):
+        return data.draw(st.integers(0, hi))
+
+    if change == "reuse":  # a later row takes the first row's label
+        i = 1 + pick(nr - 2)
+        lines[i * nc : (i + 1) * nc] = [
+            (lines[0][0], c, w) for _, c, w in lines[i * nc : (i + 1) * nc]
+        ]
+    elif change == "swap":  # two columns of one row change places
+        i, j = pick(nr - 1), 1 + pick(nc - 2)
+        a = i * nc + pick(j - 1)
+        lines[a], lines[i * nc + j] = lines[i * nc + j], lines[a]
+    elif change == "drop":
+        del lines[pick(len(lines) - 1)]
+    elif change == "duplicate":
+        at = pick(len(lines) - 1)
+        lines.insert(at, lines[at])
+    else:  # row i keeps its first nc - i columns
+        lines = [line for k, line in enumerate(lines) if k % nc < max(nc - k // nc, 1)]
+    got, want, summed = _grid_outcome(lines, eol)
+    assert got == want
+    assert got[0] == "ok" and summed
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        # equal runs with the first run's columns, but a label twice
+        b"a\tu\t1\na\tu\t2\nb\tu\t3\nb\tu\t4\n",
+        b"a\tu\t1\na\tv\t2\na\tu\t3\nb\tu\t4\nb\tv\t5\nb\tu\t-0.0\n",
+        b"a\tu\t1\nb\tu\t2\na\tu\t3\n",
+        # runs of one line whose columns differ
+        b"a\tu\t1\nb\tv\t2\na\tu\t3\nb\tv\t4\n",
+    ],
+)
+def test_repeated_labels_in_equal_runs_are_summed(content):
+    lines = [tuple(line.split("\t")) for line in content.decode().splitlines()]
+    got, want, summed = _grid_outcome(lines, "\n")
+    assert got == want
+    assert got[0] == "ok" and summed
+
+
+@pytest.mark.parametrize(
+    "write, summed", [(_normalized_planted, False), (_zipf_counts, True)]
+)
+def test_bincount_only_where_cells_are_not_each_listed_once(
+    tmp_path, monkeypatch, write, summed
+):
+    # write_triplets lists every cell once, row by row; a sparse file does not.
+    path = tmp_path / "t.tsv"
+    write(path)
+    calls = _count_bincount(monkeypatch)
+    assert _parse_triplets_bulk(path) is not None
+    assert bool(calls) == summed
 
 
 class TestDenseCsv:
