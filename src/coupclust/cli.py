@@ -114,7 +114,7 @@ def _load_truth(path, dtm: Dtm, prune) -> dict[str, str]:
     """Truth labels of the items left after pruning, checked before solving.
 
     Labels of pruned items are dropped with a note; any other item missing
-    from or extra to the truth file is a LabelMismatch (exit 3).
+    from or extra to the truth file is a DataError (exit 3).
     """
     truth = load_labels(path)
     pruned = [i for i in prune.pruned_rows if truth.pop(i, None) is not None]

@@ -28,14 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    InvalidDistribution,
-    InvalidParams,
-    MarginalMismatch,
-    ZeroMarginal,
-)
+from .errors import ConfigError, DataError
 from .svd import SPECTRAL_TOL, check_dtm_spectrum, gram_top
 
 MASS_TOL = 1e-12
@@ -64,9 +57,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _check_labels(labels: Sequence[str], count: int, what: str) -> tuple[str, ...]:
     out = tuple(str(x) for x in labels)
     if len(out) != count:
-        raise DimensionMismatch(
-            f"{what}: {len(out)} labels for {count} entries"
-        )
+        raise DataError(f"{what}: {len(out)} labels for {count} entries")
     if len(set(out)) != len(out):
         raise DataError(f"{what}: duplicate labels")
     return out
@@ -82,14 +73,14 @@ class Pmf:
     def __post_init__(self):
         probs = _freeze(np.atleast_1d(self.probs))
         if probs.ndim != 1:
-            raise InvalidDistribution("probs must be a vector")
+            raise DataError("probs must be a vector")
         if not np.all(np.isfinite(probs)):
-            raise InvalidDistribution("probs must be finite")
+            raise DataError("probs must be finite")
         if np.any(probs < 0):
-            raise InvalidDistribution("negative probability entry")
+            raise DataError("negative probability entry")
         total = float(probs.sum())
         if abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistribution(f"probs sum to {total!r}, not 1")
+            raise DataError(f"probs sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(
             self, "labels", _check_labels(self.labels, probs.size, "Pmf")
@@ -111,7 +102,7 @@ class Pmf:
     def uniform(cls, labels: Sequence[str]) -> "Pmf":
         n = len(labels)
         if n == 0:
-            raise InvalidDistribution("empty alphabet")
+            raise DataError("empty alphabet")
         return cls(tuple(labels), np.full(n, 1.0 / n))
 
 
@@ -126,15 +117,15 @@ class CouplingKernel:
     def __post_init__(self):
         k = _freeze(np.atleast_2d(self.kernel))
         if k.ndim != 2:
-            raise InvalidDistribution("kernel must be a matrix")
+            raise DataError("kernel must be a matrix")
         if not np.all(np.isfinite(k)):
-            raise InvalidDistribution("kernel must be finite")
+            raise DataError("kernel must be finite")
         if np.any(k < 0):
-            raise InvalidDistribution("negative kernel entry")
+            raise DataError("negative kernel entry")
         col_sums = k.sum(axis=0)
         err = float(np.max(np.abs(col_sums - 1.0))) if k.size else 1.0
         if err > KERNEL_COL_TOL:
-            raise InvalidDistribution(
+            raise DataError(
                 f"kernel columns must sum to 1 (max deviation {err:.3e})"
             )
         object.__setattr__(self, "kernel", k)
@@ -156,7 +147,7 @@ class CouplingKernel:
     def induced_marginal(self, p_y: Pmf) -> np.ndarray:
         """P_Z implied by pushing p_y through the kernel (raw vector)."""
         if len(p_y) != self.kernel.shape[1]:
-            raise DimensionMismatch("kernel/item marginal size mismatch")
+            raise DataError("kernel/item marginal size mismatch")
         return self.kernel @ p_y.probs
 
 
@@ -175,22 +166,22 @@ class Dtm:
     def __init__(self, matrix: np.ndarray, row_pmf: Pmf, col_pmf: Pmf):
         mat = _freeze(np.atleast_2d(matrix))
         if mat.shape != (len(row_pmf), len(col_pmf)):
-            raise DimensionMismatch(
+            raise DataError(
                 f"matrix {mat.shape} vs marginals "
                 f"({len(row_pmf)}, {len(col_pmf)})"
             )
         if not np.all(np.isfinite(mat)):
-            raise InvalidDistribution("DTM entries must be finite")
+            raise DataError("DTM entries must be finite")
         sr = row_pmf.sqrt_probs
         sc = col_pmf.sqrt_probs
         col_identity = float(np.max(np.abs(mat.T @ sr - sc)))
         if col_identity > SPECTRAL_TOL:
-            raise MarginalMismatch(
+            raise DataError(
                 f"B^T sqrt(row) != sqrt(col) (max error {col_identity:.3e})"
             )
         row_identity = float(np.max(np.abs(mat @ sc - sr)))
         if row_identity > SPECTRAL_TOL:
-            raise MarginalMismatch(
+            raise DataError(
                 f"B sqrt(col) != sqrt(row) (max error {row_identity:.3e})"
             )
         self.matrix = mat
@@ -212,7 +203,7 @@ class Dtm:
         """
         r = int(r)
         if not 1 <= r <= min(self.shape):
-            raise InvalidParams(f"r = {r} outside 1..{min(self.shape)}")
+            raise ConfigError(f"r = {r} outside 1..{min(self.shape)}")
         u, lam = gram_top(self.matrix, r)
         check_dtm_spectrum(lam)
         return u, np.sqrt(np.maximum(lam, 0.0))
@@ -261,20 +252,20 @@ def build_dtm(row_labels: Sequence[str], col_labels: Sequence[str], weights) -> 
     """
     w = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     if w.ndim != 2:
-        raise InvalidDistribution("weights must be a matrix")
+        raise DataError("weights must be a matrix")
     if not np.all(np.isfinite(w)):
-        raise InvalidDistribution("weights must be finite")
+        raise DataError("weights must be finite")
     if np.any(w < 0):
-        raise InvalidDistribution("negative joint weight")
+        raise DataError("negative joint weight")
     total = float(w.sum())
     if abs(total - 1.0) > MASS_TOL:
-        raise InvalidDistribution(f"total mass {total!r}, not 1")
+        raise DataError(f"total mass {total!r}, not 1")
     row_labels = _check_labels(row_labels, w.shape[0], "joint rows")
     col_labels = _check_labels(col_labels, w.shape[1], "joint cols")
     py = w.sum(axis=1)
     px = w.sum(axis=0)
     if np.any(py <= 0) or np.any(px <= 0):
-        raise ZeroMarginal("joint has an empty row or column")
+        raise DataError("joint has an empty row or column")
     # Row/col sums of a valid mass-1 matrix; renormalize off the dust so
     # the marginal Pmfs pass their own sum check.
     p_y = Pmf(row_labels, py / py.sum())

@@ -37,16 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    EmptyAfterPruning,
-    InvalidDistribution,
-    InvalidParams,
-    InvalidRating,
-    ParseError,
-)
+from .errors import ConfigError, DataError, ParseError
 
 __all__ = [
     "PruneReport",
@@ -780,12 +771,12 @@ def ingest(
     uniform row marginal. The caller's weights are not modified.
     """
     if normalize not in ("joint", "rows"):
-        raise InvalidParams(f"unknown normalize mode {normalize!r}")
+        raise ConfigError(f"unknown normalize mode {normalize!r}")
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
-        raise InvalidDistribution("weights must be a matrix")
+        raise DataError("weights must be a matrix")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidDistribution("weights must be finite and >= 0")
+        raise DataError("weights must be finite and >= 0")
     row_labels = [str(x) for x in row_labels]
     col_labels = [str(x) for x in col_labels]
 
@@ -801,7 +792,7 @@ def ingest(
     )
     w = w[np.ix_(row_keep, col_keep)]  # a copy, normalized in place below
     if w.size == 0:
-        raise EmptyAfterPruning("no rows or columns carry weight")
+        raise DataError("no rows or columns carry weight")
     kept_rows = [lab for lab, keep in zip(row_labels, row_keep) if keep]
     kept_cols = [lab for lab, keep in zip(col_labels, col_keep) if keep]
 
@@ -827,20 +818,31 @@ def write_triplets(path, row_labels, col_labels, weights) -> None:
 
 
 def load_pmf(path) -> Pmf:
-    """Read `label<TAB>probability` lines into a Pmf."""
-    labels: list[str] = []
-    probs: list[float] = []
+    """Read `label<TAB>probability` lines into a Pmf.
+
+    A bad, non-finite or negative probability, or a label listed twice, is a
+    ParseError on its line; Pmf checks that the probabilities sum to 1.
+    """
+    probs: dict[str, float] = {}
     for lineno, line_offset, (label, prob_text) in _read_lines(path, 2):
-        labels.append(label)
         try:
-            probs.append(float(prob_text))
+            prob = float(prob_text)
         except ValueError:
             raise ParseError(
                 f"bad probability {prob_text!r}", lineno, line_offset
             ) from None
-    if not labels:
+        if not math.isfinite(prob) or prob < 0:
+            raise ParseError(
+                f"probability must be finite and >= 0, got {prob!r}",
+                lineno,
+                line_offset,
+            )
+        if label in probs:
+            raise ParseError(f"duplicate label {label!r}", lineno, line_offset)
+        probs[label] = prob
+    if not probs:
         raise ParseError("empty pmf file", 1, 0)
-    return Pmf(tuple(labels), np.array(probs))
+    return Pmf(tuple(probs), np.array(list(probs.values())))
 
 
 def load_labels(path) -> dict[str, str]:
@@ -866,7 +868,7 @@ def apply_rating_transform(weights) -> np.ndarray:
     if vals.size and (
         np.any(vals != np.rint(vals)) or np.any(vals < 1) or np.any(vals > 5)
     ):
-        raise InvalidRating("nonblank ratings must be integers in 1..5")
+        raise DataError("nonblank ratings must be integers in 1..5")
     out = np.zeros_like(w)
     out[mask] = 3.0 ** (vals - 1.0) - 1.0
     return out
@@ -888,22 +890,22 @@ class CounterexampleParams:
 
     def __post_init__(self):
         if int(self.m) < 1 or int(self.n) < 1:
-            raise InvalidParams("m and n must be positive")
+            raise ConfigError("m and n must be positive")
         if not (math.isfinite(self.s) and self.s >= 1):
-            raise InvalidParams("s must be finite and >= 1")
+            raise ConfigError("s must be finite and >= 1")
         if self.variant not in ("base_P", "intuitive_Q1", "one_item_Q2"):
-            raise InvalidParams(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == "one_item_Q2" and (int(self.m) < 2 or int(self.n) < 2):
-            raise InvalidParams("one_item_Q2 needs m, n >= 2")
+            raise ConfigError("one_item_Q2 needs m, n >= 2")
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "s", float(self.s))
 
 
 def _check_cells(rows: int, cols: int) -> None:
-    """InvalidParams if a rows x cols generated matrix exceeds MAX_CELLS."""
+    """ConfigError if a rows x cols generated matrix exceeds MAX_CELLS."""
     if rows * cols > MAX_CELLS:
-        raise InvalidParams(
+        raise ConfigError(
             f"{rows} x {cols} matrix exceeds the generator limit of "
             f"{MAX_CELLS} cells"
         )
@@ -977,9 +979,9 @@ def gen_planted_blocks(
     """
     blocks = int(blocks)
     if blocks < 1:
-        raise InvalidParams("blocks must be >= 1")
+        raise ConfigError("blocks must be >= 1")
     if noise_seed < 0:
-        raise InvalidParams(f"noise_seed must be >= 0, got {noise_seed}")
+        raise ConfigError(f"noise_seed must be >= 0, got {noise_seed}")
     # Every block has a row, so blocks x blocks is a floor on the cell count;
     # checked before a scalar size is expanded into a per-block list.
     _check_cells(blocks, blocks)
@@ -987,12 +989,12 @@ def gen_planted_blocks(
         sizes = [int(sizes)] * blocks
     sizes = [int(s) for s in sizes]
     if len(sizes) != blocks or any(s < 1 for s in sizes):
-        raise InvalidParams("sizes must give a positive size per block")
+        raise ConfigError("sizes must give a positive size per block")
     _check_cells(sum(sizes), sum(sizes))
     if not (math.isfinite(within_weight) and math.isfinite(cross_weight)):
-        raise InvalidParams("within_weight and cross_weight must be finite")
+        raise ConfigError("within_weight and cross_weight must be finite")
     if not within_weight > cross_weight or cross_weight < 0:
-        raise InvalidParams("need within_weight > cross_weight >= 0")
+        raise ConfigError("need within_weight > cross_weight >= 0")
 
     membership = np.repeat(np.arange(blocks), sizes)
     w = np.where(
@@ -1016,13 +1018,13 @@ def community_objective(q, p, lam: float, k: int) -> float:
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if q.shape != p.shape or q.ndim != 2:
-        raise DimensionMismatch(f"Q {q.shape} vs P {p.shape}")
+        raise DataError(f"Q {q.shape} vs P {p.shape}")
     if int(k) < 1:
-        raise InvalidParams("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     if not math.isfinite(lam):
-        raise InvalidParams(f"lam must be finite, got {lam!r}")
+        raise ConfigError(f"lam must be finite, got {lam!r}")
     if np.any(q < 0) or not np.all(np.isfinite(q)):
-        raise InvalidDistribution("Q must be finite and >= 0")
+        raise DataError("Q must be finite and >= 0")
     dist = float(np.sum((q - p) ** 2))
     rows = [f"y{i}" for i in range(q.shape[0])]
     cols = [f"x{j}" for j in range(q.shape[1])]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Dtm
 from .data_io import _create
-from .errors import InvalidParams, RankDeficient
+from .errors import ConfigError
 
 __all__ = ["EmbeddingMatrix", "dtm_embed", "write_embedding_tsv"]
 
@@ -27,9 +27,9 @@ class EmbeddingMatrix:
     def __init__(self, labels: tuple[str, ...], vectors: np.ndarray):
         vec = np.array(vectors, dtype=np.float64, copy=True)
         if vec.ndim != 2 or len(labels) != vec.shape[0]:
-            raise InvalidParams("labels/vectors shape mismatch")
+            raise ConfigError("labels/vectors shape mismatch")
         if not np.all(np.isfinite(vec)):
-            raise InvalidParams("embedding rows must be finite")
+            raise ConfigError("embedding rows must be finite")
         vec.setflags(write=False)
         self.labels = tuple(labels)
         self.vectors = vec
@@ -51,7 +51,7 @@ def dtm_embed(dtm: Dtm, d: int) -> EmbeddingMatrix:
 
     U[:, :d] comes from `dtm.top(d)`, P_Y and the items from dtm.row_pmf.
     Each column's sign is fixed so that its largest-magnitude entry is
-    positive. Raises RankDeficient when d exceeds min(|Y|, |X|) or the
+    positive. Raises ConfigError when d exceeds min(|Y|, |X|) or the
     numerical rank of the DTM. The rank is judged on the Gram eigenvalues
     lambda = sigma^2 by numpy's `matrix_rank` rule: lambda_d <= max(|Y|, |X|)
     * eps * lambda_1 counts as zero, i.e. sigma_d <= sqrt(max(|Y|, |X|) *
@@ -59,16 +59,14 @@ def dtm_embed(dtm: Dtm, d: int) -> EmbeddingMatrix:
     """
     d = int(d)
     if d < 1:
-        raise InvalidParams("d must be >= 1")
+        raise ConfigError("d must be >= 1")
     if d > min(dtm.shape):
-        raise RankDeficient(
-            f"d = {d} exceeds min(|Y|, |X|) = {min(dtm.shape)}"
-        )
+        raise ConfigError(f"d = {d} exceeds min(|Y|, |X|) = {min(dtm.shape)}")
     u, s = dtm.top(d)
     cutoff = max(dtm.shape) * np.finfo(np.float64).eps * float(s[0]) ** 2
     rank = int(np.sum(s**2 > cutoff))
     if rank < d:
-        raise RankDeficient(
+        raise ConfigError(
             f"d = {d} exceeds the numerical rank {rank} of the DTM: "
             f"sigma_{d} = {float(s[d - 1]):.3g} is at or below the threshold "
             f"{np.sqrt(cutoff):.3g} = sqrt(max(|Y|, |X|) * eps) * sigma_1"

@@ -1,8 +1,11 @@
 """Exception hierarchy.
 
 Every error raised by the library derives from CoupclustError so callers can
-catch one type at the boundary. The CLI maps subtrees to exit codes: config
-errors -> 2, data errors -> 3, solver errors -> 4.
+catch one type at the boundary. There is one family per CLI exit code:
+ConfigError -> 2, DataError -> 3, SolverError -> 4. ParseError is the one
+subclass, a DataError that carries the line and byte offset of a bad input
+line. The bare CoupclustError (a DTM spectrum that breaks its invariants)
+also exits 4.
 """
 
 import os
@@ -14,17 +17,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "SolverError",
-    "InvalidDistribution",
-    "ZeroMarginal",
-    "DimensionMismatch",
-    "MarginalMismatch",
-    "InvalidParams",
-    "NonFinite",
-    "DegenerateCluster",
-    "RankDeficient",
-    "LabelMismatch",
-    "InvalidRating",
-    "EmptyAfterPruning",
     "ParseError",
 ]
 
@@ -43,50 +35,6 @@ class DataError(CoupclustError):
 
 class SolverError(CoupclustError):
     """Numerical failure inside an iterative solver."""
-
-
-class InvalidDistribution(DataError):
-    """Vector is not a probability distribution (sum or sign violation)."""
-
-
-class ZeroMarginal(DataError):
-    """A marginal entry required to be strictly positive is zero."""
-
-
-class DimensionMismatch(DataError):
-    """Operand shapes are incompatible."""
-
-
-class MarginalMismatch(DataError):
-    """A matrix and its marginals fail a DTM identity."""
-
-
-class InvalidParams(ConfigError):
-    """Solver configuration violates its documented constraints."""
-
-
-class NonFinite(SolverError):
-    """An iterate picked up a NaN or infinity."""
-
-
-class DegenerateCluster(SolverError):
-    """A cluster emptied and could not be rescued."""
-
-
-class RankDeficient(ConfigError):
-    """Requested embedding dimension exceeds the numerical rank."""
-
-
-class LabelMismatch(DataError):
-    """Prediction and truth labelings cover different items."""
-
-
-class InvalidRating(DataError):
-    """Rating outside the 1..5 scale."""
-
-
-class EmptyAfterPruning(DataError):
-    """No rows or no columns survive zero-pruning."""
 
 
 class ParseError(DataError):

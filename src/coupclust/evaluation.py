@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CouplingKernel, Dtm
-from .errors import InvalidParams, LabelMismatch, ZeroMarginal, warn_caller
+from .errors import ConfigError, DataError, warn_caller
 from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
 from .nuclear import NuclearConfig, _chain_svd, solve_nuclear
 
@@ -42,15 +42,15 @@ def harden(kernel: CouplingKernel) -> dict[str, str]:
 
 
 def _check_same_items(pred: Mapping, truth: Mapping) -> None:
-    """LabelMismatch naming the first pred item without a truth label, else
+    """DataError naming the first pred item without a truth label, else
     the first truth item that is not a pred item."""
     what = "pred and truth cover different item sets"
     for item in pred:
         if item not in truth:
-            raise LabelMismatch(f"{what}: {item!r} has no truth label")
+            raise DataError(f"{what}: {item!r} has no truth label")
     for item in truth:
         if item not in pred:
-            raise LabelMismatch(f"{what}: truth labels {item!r}, which is not an item")
+            raise DataError(f"{what}: truth labels {item!r}, which is not an item")
 
 
 def _max_weight_matching(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,19 +121,19 @@ def top_true_clusters(truth: Sequence, k: int) -> list:
 def matched_accuracy(pred, truth, mode: str = "overall", k: int | None = None) -> float:
     """Fraction correct under the best one-to-one cluster-label matching.
 
-    pred and truth are mappings of the same items to labels (else LabelMismatch).
+    pred and truth are mappings of the same items to labels (else DataError).
     mode "overall" counts every item in the denominator. mode "top_k" first
     drops items whose true cluster is outside the k largest true clusters
     (k defaults to the number of distinct predicted clusters) and matches
     on the remaining items only.
     """
     if mode not in ("overall", "top_k"):
-        raise InvalidParams(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
     _check_same_items(pred, truth)
     pred_l = list(pred.values())
     truth_l = [truth[item] for item in pred]
     if not pred_l:
-        raise LabelMismatch("empty labeling")
+        raise DataError("empty labeling")
     if mode == "overall":
         return _matched_correct(pred_l, truth_l) / len(pred_l)
     if k is None:
@@ -151,7 +151,7 @@ def coverage(truth: Mapping, k: int) -> float:
     """Fraction of items whose true cluster is among the k largest."""
     truth = list(truth.values())
     if not truth:
-        raise LabelMismatch("empty labeling")
+        raise DataError("empty labeling")
     keep = set(top_true_clusters(truth, k))
     return sum(1 for lab in truth if lab in keep) / len(truth)
 
@@ -169,11 +169,11 @@ def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float
     of a solve_nuclear kernel is its last traced objective, bit for bit.
     """
     if algorithm not in ("frobenius", "nuclear"):
-        raise InvalidParams(f"unknown algorithm {algorithm!r}")
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     py = dtm.row_pmf.probs
     live = kernel.kernel @ py > 0
     if algorithm == "nuclear" and not np.all(live):
-        raise ZeroMarginal("kernel leaves a cluster with zero mass")
+        raise DataError("kernel leaves a cluster with zero mass")
     # A kernel's columns may miss 1 by KERNEL_COL_TOL, more than the chain's
     # sigma_1 = 1 check allows; one-hot columns divide by exactly 1.
     kern = kernel.kernel[live] / kernel.kernel.sum(axis=0)
@@ -223,11 +223,11 @@ def elbow_curve(
     """
     ks = [int(k) for k in ks]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise InvalidParams("ks must be a nonempty ascending list")
+        raise ConfigError("ks must be a nonempty ascending list")
     if algorithm not in ("frobenius", "nuclear"):
-        raise InvalidParams(f"unknown algorithm {algorithm!r}")
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     if int(restarts) < 1:
-        raise InvalidParams("restarts must be >= 1")
+        raise ConfigError("restarts must be >= 1")
     curve: list[tuple[int, float]] = []
     for k in ks:
         best = -np.inf
@@ -262,7 +262,7 @@ class ClusteringReport:
         for name in ("coverage", "overall_accuracy", "k_accuracy"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
-                raise InvalidParams(f"{name} = {val!r} outside [0, 1]")
+                raise ConfigError(f"{name} = {val!r} outside [0, 1]")
 
     def as_dict(self) -> dict:
         return {

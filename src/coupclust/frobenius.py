@@ -51,15 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CouplingKernel, Dtm, Pmf, SolveTrace
-from .errors import InvalidParams, NonFinite, ZeroMarginal
+from .errors import ConfigError, DataError, SolverError
 from .simplex import project_columns
 
-__all__ = [
-    "FrobeniusConfig",
-    "frobenius_objective",
-    "solve_frobenius",
-]
+__all__ = ["FrobeniusConfig", "solve_frobenius"]
 
+# Most gradient steps per solve, discarded momentum steps included.
+MAX_ITERS = 5000
 # Objective window for the relative-change stopping rule.
 _OBJ_WINDOW = 10
 
@@ -70,39 +68,34 @@ class FrobeniusConfig:
 
     The step is not one of them: the solver always takes the 1/L step of the
     module docstring, for which a plain step never lowers J. lam must be
-    finite and positive. max_iters bounds the gradient steps, discarded
-    momentum steps included; obj_tol applies to the accepted steps (see
-    solve_frobenius).
+    finite and positive. obj_tol applies to the accepted steps (see
+    solve_frobenius); the step count is capped at MAX_ITERS.
     """
 
     lam: float = 10.0
-    max_iters: int = 5000
     obj_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
-            raise InvalidParams("lam must be finite and positive")
-        if int(self.max_iters) < 1:
-            raise InvalidParams("max_iters must be >= 1")
+            raise ConfigError("lam must be finite and positive")
         if not 0 < self.obj_tol < 1:
-            raise InvalidParams("obj_tol must be in (0, 1)")
+            raise ConfigError("obj_tol must be in (0, 1)")
         if int(self.seed) < 0:
-            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
 
 
 def _uniform_target(k: int, ny: int) -> Pmf:
     """Uniform P_Z over clusters z0..z(k-1) for a joint with ny items.
 
-    Raises InvalidParams unless 1 <= k <= ny (the bound solve_frobenius
+    Raises ConfigError unless 1 <= k <= ny (the bound solve_frobenius
     checks); the check comes first, so a huge k builds nothing.
     """
     if k < 1:
-        raise InvalidParams("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     if k > ny:
-        raise InvalidParams(f"|Z| = {k} exceeds |Y| = {ny}")
+        raise ConfigError(f"|Z| = {k} exceeds |Y| = {ny}")
     return Pmf.uniform(tuple(f"z{i}" for i in range(k)))
 
 
@@ -125,17 +118,6 @@ def _curvature(dtm: Dtm, lam: float) -> float:
 def _objective_terms(ac: np.ndarray, resid: np.ndarray, lam: float) -> tuple[float, float]:
     pen = lam * float(resid @ resid)
     return float(np.sum(ac * ac)) - pen, pen
-
-
-def frobenius_objective(
-    a: np.ndarray, c: np.ndarray, sqrt_py: np.ndarray, sqrt_pz: np.ndarray, lam: float
-) -> tuple[float, float]:
-    """(relaxed objective J, penalty term) at A.
-
-    J = ||A C||_F^2 - lam ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 for any C with
-    C C^T = B B^T (B itself, or its thin factor).
-    """
-    return _objective_terms(a @ c, a @ sqrt_py - sqrt_pz, lam)
 
 
 def _half_gradient(
@@ -163,22 +145,22 @@ def solve_frobenius(
     sqrt(P_Y(y))} in the Euclidean norm of A-space (the metric of the step),
     and evaluates the projected iterate. A momentum step that lowers the
     objective is discarded and momentum restarts (module docstring);
-    otherwise the step is accepted and recorded. cfg.max_iters counts every
+    otherwise the step is accepted and recorded. MAX_ITERS counts every
     gradient step, discarded ones included; the trace holds the accepted
     steps only, and the returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed
     from the last traced A, so every traced objective and the returned
     kernel belong to a column-stochastic kernel. Convergence = relative
     objective change below cfg.obj_tol across a window of 10 accepted
-    iterations; raises NonFinite, naming the step, if the iterate diverges
+    iterations; raises SolverError, naming the step, if the iterate diverges
     or a column cannot be projected.
     """
     if cfg is None:
         cfg = FrobeniusConfig()
     if not p_z.strictly_interior:
-        raise ZeroMarginal("target P_Z must be strictly interior")
+        raise DataError("target P_Z must be strictly interior")
     nz, ny = len(p_z), len(dtm.row_pmf)
     if nz > ny:
-        raise InvalidParams(f"|Z| = {nz} exceeds |Y| = {ny}")
+        raise ConfigError(f"|Z| = {nz} exceeds |Y| = {ny}")
 
     c = _gram_factor(dtm.matrix)
     sy, sz, lam = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs, cfg.lam
@@ -196,7 +178,7 @@ def solve_frobenius(
     theta = 1.0
 
     trace = SolveTrace()
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, MAX_ITERS + 1):
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         beta = (theta - 1.0) / theta_next
         with np.errstate(over="ignore", invalid="ignore"):
@@ -206,17 +188,17 @@ def solve_frobenius(
             ry = resid + beta * (resid - resid_prev)
             y = y + alpha * _half_gradient(yc, ry, c, sy, lam)
             if not np.all(np.isfinite(y)):
-                raise NonFinite(f"iterate diverged at iteration {t} (step {alpha!r})")
+                raise SolverError(f"iterate diverged at iteration {t} (step {alpha!r})")
             try:
                 a_new = project_columns(y, sz, sy)
             except ValueError:
-                raise NonFinite(
+                raise SolverError(
                     f"projection overflowed at iteration {t} (step {alpha!r})"
                 ) from None
             ac_new, resid_new = a_new @ c, a_new @ sy - sz
             obj_new, pen = _objective_terms(ac_new, resid_new, lam)
         if not np.isfinite(obj_new):
-            raise NonFinite(f"objective diverged at iteration {t} (step {alpha!r})")
+            raise SolverError(f"objective diverged at iteration {t} (step {alpha!r})")
         if beta > 0.0 and obj_new < obj:
             # Momentum overshot: drop the step and take a plain one from A.
             theta = 1.0

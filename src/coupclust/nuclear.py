@@ -21,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CouplingKernel, Dtm, SolveTrace
-from .errors import DegenerateCluster, InvalidParams, warn_caller
+from .errors import ConfigError, SolverError, warn_caller
 from .svd import check_dtm_spectrum
 
 __all__ = ["NuclearConfig", "solve_nuclear"]
 
+# Most alternations per solve.
+MAX_ITERS = 200
 # A cluster whose induced mass falls below this is dead and gets rescued.
 DEAD_MASS = 1e-12
 # An item leaves its cluster only for one whose coefficient is higher by more
@@ -35,24 +37,21 @@ _TIE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class NuclearConfig:
-    """k clusters, at most max_iters alternations, the random start's seed.
+    """k clusters and the random start's seed.
 
-    There is no tolerance: solve_nuclear stops when its assignment repeats.
+    There is no tolerance: solve_nuclear stops when its assignment repeats,
+    or after MAX_ITERS alternations.
     """
 
     k: int
-    max_iters: int = 200
     seed: int = 0
 
     def __post_init__(self):
         if int(self.k) < 1:
-            raise InvalidParams("k must be >= 1")
-        if int(self.max_iters) < 1:
-            raise InvalidParams("max_iters must be >= 1")
+            raise ConfigError("k must be >= 1")
         if int(self.seed) < 0:
-            raise InvalidParams(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -115,14 +114,14 @@ def _rescue_dead(
         if dead.size == 0:
             return assign, rescues_left
         if rescues_left <= 0:
-            raise DegenerateCluster(
+            raise SolverError(
                 f"cluster {int(dead[0])} emptied and the rescue budget is spent"
             )
         z_star = int(dead[0])
         counts = np.bincount(assign, minlength=nz)
         movable = counts[assign] >= 2
         if not np.any(movable):
-            raise DegenerateCluster(
+            raise SolverError(
                 f"cluster {z_star} emptied and every other cluster is a singleton"
             )
         margin = c[:, z_star] - c[np.arange(assign.size), assign]
@@ -144,7 +143,7 @@ def solve_nuclear(
     update is the per-item argmax of the linear subproblem, followed by the
     dead-cluster rescue; it takes no target cluster marginal. Stops
     ("Converged") when the update returns the same assignment, or at
-    cfg.max_iters; either way the returned kernel is the last one traced,
+    MAX_ITERS; either way the returned kernel is the last one traced,
     whose nuclear norm is trace.objectives[-1].
 
     The trace records the nuclear norm per outer iteration (penalty and
@@ -157,7 +156,7 @@ def solve_nuclear(
     k = cfg.k
     ny = len(dtm.row_pmf)
     if k > ny:
-        raise InvalidParams(f"k = {k} exceeds |Y| = {ny}")
+        raise ConfigError(f"k = {k} exceeds |Y| = {ny}")
     cluster_labels = tuple(f"z{i}" for i in range(k))
 
     b, py, sy = dtm.matrix, dtm.row_pmf.probs, dtm.row_pmf.sqrt_probs
@@ -175,7 +174,7 @@ def solve_nuclear(
     rescues_left = k
     prev_norm = None
 
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         kernel_mat = _one_hot(assign, k)
         u, s, vt, sz = _chain_svd(b, py, kernel_mat)
         norm_val = float(np.sum(s))

@@ -19,42 +19,6 @@ import numpy as np
 __all__ = ["project_columns"]
 
 
-def _project_columns_np(mat: np.ndarray, w: np.ndarray, c) -> np.ndarray:
-    n = mat.shape[0]
-    cols = np.arange(mat.shape[1])
-    # A column whose total overflows or is undefined, or whose largest
-    # breakpoint overflows, holds no usable point (in the solver it means the
-    # iterate diverged), so it is rejected.
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = mat.sum(axis=0)
-        br = mat / w[:, None]
-        top = br.max(axis=0)
-    if not np.all(np.isfinite(totals)):
-        raise ValueError("a column sum is not finite")
-    if not np.all(np.isfinite(top)):
-        raise ValueError("a column's largest breakpoint v / w is not finite")
-    # The projection is invariant under v -> v + s w. With each column's
-    # largest breakpoint moved to exactly 0, the kept prefix sums stay small,
-    # so `wv - c` keeps c even when the entries are ~1e16. Breakpoints far
-    # below the maximum may overflow to -inf here; they clip to 0. With
-    # w = 1 every product by w is exact: this is the plain simplex projection.
-    with np.errstate(over="ignore", invalid="ignore"):
-        br -= top
-        order = np.argsort(br, axis=0, kind="stable")[::-1]
-        ww = np.take(w * w, order)
-        srt = np.take(br, order * mat.shape[1] + cols)
-        wv = np.cumsum(ww * srt, axis=0)
-        ww = np.cumsum(ww, axis=0)
-        cond = srt * ww > wv - c
-    # cond[0] is always True, so the last True index is well defined.
-    rho = n - 1 - np.argmax(cond[::-1], axis=0)
-    tau = (wv[rho, cols] - c) / ww[rho, cols]
-    diff = w[:, None] * (br - tau)
-    # where() rather than maximum(): maximum() of -0.0 and 0.0 may return
-    # either zero, while where() writes every clipped coordinate as +0.0.
-    return np.where(diff > 0.0, diff, 0.0)
-
-
 def project_columns(mat, weights=None, totals=None) -> np.ndarray:
     """Project every column v of a matrix onto {a >= 0, weights^T a = total}.
 
@@ -74,4 +38,36 @@ def project_columns(mat, weights=None, totals=None) -> np.ndarray:
     # min/max of a vector holding nan are nan, which fails both comparisons.
     if not (w.min() > 0.0 and w.max() < np.inf and c.min() > 0.0 and c.max() < np.inf):
         raise ValueError("weights and totals must be finite and positive")
-    return _project_columns_np(arr, w, c)
+    n = arr.shape[0]
+    cols = np.arange(arr.shape[1])
+    # A column whose total overflows or is undefined, or whose largest
+    # breakpoint overflows, holds no usable point (in the solver it means the
+    # iterate diverged), so it is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = arr.sum(axis=0)
+        br = arr / w[:, None]
+        top = br.max(axis=0)
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("a column sum is not finite")
+    if not np.all(np.isfinite(top)):
+        raise ValueError("a column's largest breakpoint v / w is not finite")
+    # The projection is invariant under v -> v + s w. With each column's
+    # largest breakpoint moved to exactly 0, the kept prefix sums stay small,
+    # so `wv - c` keeps c even when the entries are ~1e16. Breakpoints far
+    # below the maximum may overflow to -inf here; they clip to 0. With
+    # w = 1 every product by w is exact: this is the plain simplex projection.
+    with np.errstate(over="ignore", invalid="ignore"):
+        br -= top
+        order = np.argsort(br, axis=0, kind="stable")[::-1]
+        ww = np.take(w * w, order)
+        srt = np.take(br, order * arr.shape[1] + cols)
+        wv = np.cumsum(ww * srt, axis=0)
+        ww = np.cumsum(ww, axis=0)
+        cond = srt * ww > wv - c
+    # cond[0] is always True, so the last True index is well defined.
+    rho = n - 1 - np.argmax(cond[::-1], axis=0)
+    tau = (wv[rho, cols] - c) / ww[rho, cols]
+    diff = w[:, None] * (br - tau)
+    # where() rather than maximum(): maximum() of -0.0 and 0.0 may return
+    # either zero, while where() writes every clipped coordinate as +0.0.
+    return np.where(diff > 0.0, diff, 0.0)

@@ -14,6 +14,9 @@ here, beside the checks:
 - The multiplicity of the singular value 1 of a DTM equals the number of
   connected components of the joint's bipartite support graph
   (criterion 4).
+- The Frobenius solver's objective J at any A, for the gradient and trace
+  checks; the solver itself evaluates J only from its cached A C and
+  residual.
 
 Logs are natural: information quantities are in nats.
 """
@@ -36,12 +39,7 @@ from coupclust.core import (
     build_dtm,
     frobenius_sq,
 )
-from coupclust.errors import (
-    DimensionMismatch,
-    InvalidParams,
-    MarginalMismatch,
-    ZeroMarginal,
-)
+from coupclust.errors import ConfigError, DataError
 
 # Entries at or below this are exact zeros for support/component purposes.
 SUPPORT_EPS = 1e-15
@@ -52,19 +50,19 @@ def dtm_from_kernel(kernel: CouplingKernel, p_y: Pmf, p_z: Pmf) -> Dtm:
 
     p_z must be the induced marginal kernel @ p_y (within the DTM
     tolerance); otherwise B sqrt(P_Y) != sqrt(P_Z) and Dtm raises
-    MarginalMismatch.
+    DataError.
     """
     nz, ny = kernel.shape
     if len(p_y) != ny or len(p_z) != nz:
-        raise DimensionMismatch(
+        raise DataError(
             f"kernel {kernel.shape} vs |Y|={len(p_y)}, |Z|={len(p_z)}"
         )
     if kernel.item_labels != p_y.labels:
-        raise DimensionMismatch("kernel item labels disagree with p_y labels")
+        raise DataError("kernel item labels disagree with p_y labels")
     if kernel.cluster_labels != p_z.labels:
-        raise DimensionMismatch("kernel cluster labels disagree with p_z labels")
+        raise DataError("kernel cluster labels disagree with p_z labels")
     if not p_z.strictly_interior or not p_y.strictly_interior:
-        raise ZeroMarginal("marginals must be strictly interior")
+        raise DataError("marginals must be strictly interior")
     mat = kernel.kernel * p_y.sqrt_probs[None, :] / p_z.sqrt_probs[:, None]
     return Dtm(mat, p_z, p_y)
 
@@ -72,16 +70,16 @@ def dtm_from_kernel(kernel: CouplingKernel, p_y: Pmf, p_z: Pmf) -> Dtm:
 def compose_dtm(b_zy: Dtm, b_yx: Dtm) -> Dtm:
     """B_{Z,X} = B_{Z,Y} B_{Y,X} along a Markov chain X -> Y -> Z."""
     if b_zy.shape[1] != b_yx.shape[0]:
-        raise DimensionMismatch(
+        raise DataError(
             f"inner dimensions {b_zy.shape} x {b_yx.shape}"
         )
     if b_zy.col_pmf.labels != b_yx.row_pmf.labels:
-        raise MarginalMismatch("inner marginal labels disagree")
+        raise DataError("inner marginal labels disagree")
     gap = float(
         np.max(np.abs(b_zy.col_pmf.sqrt_probs - b_yx.row_pmf.sqrt_probs))
     )
     if gap > SPECTRAL_TOL:
-        raise MarginalMismatch(f"inner marginals differ by {gap:.3e}")
+        raise DataError(f"inner marginals differ by {gap:.3e}")
     out = Dtm(b_zy.matrix @ b_yx.matrix, b_zy.row_pmf, b_yx.col_pmf)
     out.singular_values()  # re-verifies sigma_1 = 1
     return out
@@ -113,7 +111,7 @@ class PerturbationFamily:
     def __post_init__(self):
         phis = _freeze(np.atleast_2d(self.phis))
         if phis.shape[0] != len(self.base):
-            raise DimensionMismatch(
+            raise DataError(
                 f"phi rows {phis.shape[0]} vs |Z| {len(self.base)}"
             )
         object.__setattr__(self, "phis", phis)
@@ -124,15 +122,15 @@ class PerturbationFamily:
         )
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if not math.isfinite(self.epsilon):
-            raise InvalidParams("epsilon must be finite")
+            raise ConfigError("epsilon must be finite")
         if not self.base.strictly_interior:
-            raise ZeroMarginal("base P_Z must be strictly interior")
+            raise DataError("base P_Z must be strictly interior")
         norms = np.linalg.norm(phis, axis=0)
         if float(np.max(np.abs(norms - 1.0))) > MASS_TOL:
-            raise InvalidParams("each phi_y must be unit norm")
+            raise ConfigError("each phi_y must be unit norm")
         dots = phis.T @ self.base.sqrt_probs
         if float(np.max(np.abs(dots))) > MASS_TOL:
-            raise InvalidParams("each phi_y must be orthogonal to sqrt(P_Z)")
+            raise ConfigError("each phi_y must be orthogonal to sqrt(P_Z)")
         cols = self.columns()
         if np.any(cols < 0) or np.any(cols > 1):
             raise ValueError(
@@ -160,18 +158,31 @@ def local_mi_gap(
     """
     rows, cols, w = joint_yx
     if fam.item_labels != tuple(rows):
-        raise DimensionMismatch("family items disagree with joint rows")
+        raise DataError("family items disagree with joint rows")
     chain = perturbed_kernel(fam).kernel @ w
     exact = mutual_information(chain)
     approx = 0.5 * (frobenius_sq(build_dtm(fam.base.labels, cols, chain)) - 1.0)
     return exact, approx, abs(exact - approx)
 
 
+def frobenius_objective(
+    a: np.ndarray, c: np.ndarray, sqrt_py: np.ndarray, sqrt_pz: np.ndarray, lam: float
+) -> tuple[float, float]:
+    """(relaxed objective J, penalty term) at A.
+
+    J = ||A C||_F^2 - lam ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 for any C with
+    C C^T = B B^T (B itself, or its thin factor).
+    """
+    ac, resid = a @ c, a @ sqrt_py - sqrt_pz
+    pen = lam * float(resid @ resid)
+    return float(np.sum(ac * ac)) - pen, pen
+
+
 def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:
     """Count of singular values above 1 - tol."""
     tol = float(tol)
     if not 0 < tol < 0.5:
-        raise InvalidParams(f"tol must be in (0, 0.5), got {tol!r}")
+        raise ConfigError(f"tol must be in (0, 0.5), got {tol!r}")
     return int(np.sum(dtm.singular_values() > 1.0 - tol))
 
 

@@ -28,7 +28,6 @@ from coupclust.frobenius import (
     FrobeniusConfig,
     _gram_factor,
     _half_gradient,
-    frobenius_objective,
     solve_frobenius,
 )
 from coupclust.nuclear import NuclearConfig, solve_nuclear
@@ -40,6 +39,7 @@ from paper_identities import (
     bipartite_components,
     compose_dtm,
     dtm_from_kernel,
+    frobenius_objective,
     local_mi_gap,
     singular_one_multiplicity,
 )

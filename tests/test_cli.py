@@ -21,7 +21,7 @@ from coupclust.cli import build_parser, main
 from coupclust import data_io
 from coupclust.core import Pmf
 from coupclust.data_io import gen_planted_blocks, write_triplets
-from coupclust.errors import NonFinite
+from coupclust.errors import SolverError
 
 
 @pytest.fixture
@@ -232,6 +232,50 @@ class TestTruth:
         assert not (out / "trace.csv").exists()
 
 
+class TestRatings:
+    # Movie m3 is rated 1 by everyone who rated it, which the transform maps
+    # to 0, so ingest prunes it.
+    RATINGS = (
+        "m0\tu0\t5\nm0\tu1\t4\nm1\tu0\t4\nm1\tu2\t2\n"
+        "m2\tu1\t2\nm2\tu2\t5\nm3\tu0\t1\nm3\tu2\t1\n"
+    )
+
+    def _cluster(self, data, out):
+        return main(
+            [
+                "cluster", str(data), "--algo", "nuclear", "--k", "2",
+                "--restarts", "1", "--rating-transform", "--normalize", "rows",
+                "--out", str(out),
+            ]
+        )
+
+    def test_transform_and_row_normalization(self, tmp_path, capsys):
+        data = tmp_path / "ratings.tsv"
+        data.write_text(self.RATINGS)
+        out = tmp_path / "run"
+        assert self._cluster(data, out) == 0
+        err = capsys.readouterr().err
+        assert "pruned 1 rows, 0 columns with zero weight\n" in err
+        prune = json.loads((out / "prune_report.json").read_text())
+        assert prune == {"pruned_rows": ["m3"], "pruned_cols": []}
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["rating_transform"] is True
+        assert config["normalize"] == "rows"
+        # Rows normalization gives each of the three items P_Y = 1/3, so the
+        # induced cluster marginal is 1/3 and 2/3; under joint normalization
+        # the transformed row masses (106, 28, 82)/216 give neither.
+        kernel = json.loads((out / "kernel.json").read_text())
+        assert kernel["items"] == ["m0", "m1", "m2"]
+        assert sorted(kernel["p_z"]) == pytest.approx([1 / 3, 2 / 3], rel=1e-12)
+
+    def test_out_of_scale_rating(self, tmp_path, capsys):
+        data = tmp_path / "ratings.tsv"
+        data.write_text(self.RATINGS + "m0\tu2\t6\n")
+        assert self._cluster(data, tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert err == "data error: nonblank ratings must be integers in 1..5\n"
+
+
 class TestExitCodes:
     def test_nuclear_rejects_pz(self, planted, tmp_path):
         data, _ = planted
@@ -305,6 +349,30 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c0\t0.5\nc0\t0.5\n", "line 2, byte 7: duplicate label 'c0'"),
+            ("c0\tnan\nc1\t0.5\n",
+             "line 1, byte 0: probability must be finite and >= 0, got nan"),
+            ("c0\t1.5\nc1\t-0.5\n",
+             "line 2, byte 7: probability must be finite and >= 0, got -0.5"),
+        ],
+        ids=["duplicate", "nan", "negative"],
+    )
+    def test_pz_errors_name_the_line(self, planted, tmp_path, capsys, text, message):
+        data, _ = planted
+        pz = tmp_path / "pz.tsv"
+        pz.write_text(text)
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "frobenius", "--k", "2",
+                "--pz", str(pz), "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     def test_malformed_data(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -413,11 +481,11 @@ class TestExitCodes:
         assert (out / "kernel.json").exists()
 
     def test_solver_error_exit_code(self, planted, tmp_path, capsys, monkeypatch):
-        # A solver that gives up (test_frobenius triggers each NonFinite
+        # A solver that gives up (test_frobenius triggers each divergence
         # check) ends the run with exit 4 and its message, and writes no
         # kernel.
         def diverge(*args, **kwargs):
-            raise NonFinite("iterate diverged at iteration 2 (step 0.5)")
+            raise SolverError("iterate diverged at iteration 2 (step 0.5)")
 
         monkeypatch.setattr("coupclust.evaluation.solve_frobenius", diverge)
         data, _ = planted

@@ -9,14 +9,7 @@ from coupclust.core import (
     build_dtm,
     frobenius_sq,
 )
-from coupclust.errors import (
-    DataError,
-    DimensionMismatch,
-    InvalidDistribution,
-    InvalidParams,
-    MarginalMismatch,
-    ZeroMarginal,
-)
+from coupclust.errors import ConfigError, DataError
 
 from conftest import random_joint, random_pmf
 from paper_identities import (
@@ -40,11 +33,11 @@ class TestPmf:
 
     def test_sum_tolerance(self):
         Pmf(("a", "b"), np.array([0.5, 0.5 + 9e-13]))
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(DataError, match=r"probs sum to 1\.000000000002, not 1"):
             Pmf(("a", "b"), np.array([0.5, 0.5 + 2e-12]))
 
     def test_negative(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(DataError, match="negative probability entry"):
             Pmf(("a", "b"), np.array([1.5, -0.5]))
 
     def test_boundary_not_interior(self):
@@ -52,7 +45,7 @@ class TestPmf:
         assert not p.strictly_interior
 
     def test_duplicate_labels(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="Pmf: duplicate labels"):
             Pmf(("a", "a"), np.array([0.5, 0.5]))
 
     def test_immutable(self):
@@ -68,7 +61,9 @@ class TestCouplingKernel:
 
     def test_column_tolerance(self):
         k = np.array([[0.7, 0.2], [0.3, 0.8 + 2e-9]])
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(
+            DataError, match=r"kernel columns must sum to 1 \(max deviation 2\.000e-09\)"
+        ):
             CouplingKernel(("z0", "z1"), ("y0", "y1"), k)
 
     def test_induced_marginal(self):
@@ -121,34 +116,34 @@ class TestBuildDtm:
         ids=["empty-row", "empty-column"],
     )
     def test_empty_row_or_column_rejected(self, w):
-        with pytest.raises(ZeroMarginal, match="empty row or column"):
+        with pytest.raises(DataError, match="joint has an empty row or column"):
             build_dtm(("a", "b"), ("u", "v"), np.array(w))
 
     def test_mass_check(self):
-        with pytest.raises(InvalidDistribution, match="total mass"):
+        with pytest.raises(DataError, match=r"total mass 1\.2, not 1"):
             build_dtm(("a", "b"), ("u", "v"), np.full((2, 2), 0.3))
 
     def test_negative_entry(self):
         w = np.array([[0.75, -0.25], [0.25, 0.25]])
-        with pytest.raises(InvalidDistribution, match="negative"):
+        with pytest.raises(DataError, match="negative joint weight"):
             build_dtm(("a", "b"), ("u", "v"), w)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite(self, bad):
         w = np.full((2, 2), 0.25)
         w[1, 0] = bad
-        with pytest.raises(InvalidDistribution, match="finite"):
+        with pytest.raises(DataError, match="weights must be finite"):
             build_dtm(("a", "b"), ("u", "v"), w)
 
     def test_not_a_matrix(self):
-        with pytest.raises(InvalidDistribution, match="matrix"):
+        with pytest.raises(DataError, match="weights must be a matrix"):
             build_dtm(("a",), ("u",), np.full((1, 2, 2), 0.25))
 
     @pytest.mark.parametrize(
         "rows, cols", [(("a",), ("u", "v")), (("a", "b"), ("u", "v", "w"))]
     )
     def test_label_count(self, rows, cols):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"joint (rows|cols): \d labels for 2 entries"):
             build_dtm(rows, cols, np.full((2, 2), 0.25))
 
     @pytest.mark.parametrize(
@@ -207,7 +202,7 @@ class TestDtmFromKernel:
         )
         p_y = Pmf(("y0", "y1"), np.array([0.5, 0.5]))
         p_z = Pmf(("z0", "z1"), np.array([0.3, 0.7]))  # induced is (0.5, 0.5)
-        with pytest.raises(MarginalMismatch, match=r"B sqrt\(col\)"):
+        with pytest.raises(DataError, match=r"B sqrt\(col\) != sqrt\(row\)"):
             dtm_from_kernel(kernel, p_y, p_z)
 
     def test_label_mismatch(self):
@@ -216,7 +211,7 @@ class TestDtmFromKernel:
         )
         p_y = Pmf(("wrong", "y1"), np.array([0.5, 0.5]))
         p_z = Pmf(("z0",), np.array([1.0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="kernel item labels disagree with p_y labels"):
             dtm_from_kernel(kernel, p_y, p_z)
 
     def test_boundary_pz_rejected(self):
@@ -225,7 +220,7 @@ class TestDtmFromKernel:
         )
         p_y = Pmf(("y0",), np.array([1.0]))
         p_z = Pmf(("z0", "z1"), np.array([1.0, 0.0]))
-        with pytest.raises(ZeroMarginal):
+        with pytest.raises(DataError, match="marginals must be strictly interior"):
             dtm_from_kernel(kernel, p_y, p_z)
 
 
@@ -252,7 +247,7 @@ class TestComposeDtm:
         b1 = build_dtm(*random_joint(rng, 3, 4))
         b2 = build_dtm(*random_joint(rng, 4, 3))
         # labels y0..y3 vs x0..x2 on the inner side
-        with pytest.raises((MarginalMismatch, DimensionMismatch)):
+        with pytest.raises(DataError, match="inner marginal labels disagree"):
             compose_dtm(b1, b2)
 
 
@@ -311,7 +306,9 @@ class TestPerturbationFamily:
 
     def test_bad_phi_rejected(self):
         base = Pmf.uniform(("z0", "z1"))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(
+            ConfigError, match=r"each phi_y must be orthogonal to sqrt\(P_Z\)"
+        ):
             PerturbationFamily(base, ("y0",), np.array([[1.0], [0.0]]), 0.1)
 
     def test_gap_decay(self, rng):
@@ -366,7 +363,7 @@ class TestSpectralStructure:
 
     def test_multiplicity_tol_validation(self, rng):
         b = build_dtm(*random_joint(rng, 3, 3))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"tol must be in \(0, 0\.5\), got 0\.7"):
             singular_one_multiplicity(b, tol=0.7)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"tol must be in \(0, 0\.5\), got 0\.0"):
             singular_one_multiplicity(b, tol=0.0)

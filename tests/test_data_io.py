@@ -37,10 +37,6 @@ from coupclust.data_io import (
 from coupclust.errors import (
     ConfigError,
     DataError,
-    DimensionMismatch,
-    EmptyAfterPruning,
-    InvalidParams,
-    InvalidRating,
     ParseError,
 )
 
@@ -735,11 +731,11 @@ class TestIngest:
         }
 
     def test_empty_after_pruning(self):
-        with pytest.raises(EmptyAfterPruning):
+        with pytest.raises(DataError, match="no rows or columns carry weight"):
             ingest(["a"], ["u"], np.zeros((1, 1)))
 
     def test_validation(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="unknown normalize mode 'columns'"):
             ingest(["a"], ["u"], np.ones((1, 1)), normalize="columns")
 
 
@@ -773,6 +769,31 @@ class TestRoundTrip:
             load_labels(lab_path)
         assert (err.value.line, err.value.offset) == (3, 10)
 
+    @pytest.mark.parametrize(
+        "text, match, where",
+        [
+            ("z0\t0.5\n# c\nz0\t0.5\n", "duplicate label 'z0'", (3, 11)),
+            ("z0\t0.5\nz1\tnan\n", "must be finite and >= 0, got nan", (2, 7)),
+            ("z0\t1.5\nz1\t-0.5\n", r"must be finite and >= 0, got -0\.5", (2, 7)),
+            ("z0\tinf\n", "must be finite and >= 0, got inf", (1, 0)),
+        ],
+        ids=["duplicate", "nan", "negative", "inf"],
+    )
+    def test_pmf_line_errors(self, tmp_path, text, match, where):
+        # Each names its line, like load_labels and the triplet reader do;
+        # the sum-to-1 check is Pmf's and has no line to name.
+        pmf_path = tmp_path / "pz.tsv"
+        pmf_path.write_text(text)
+        with pytest.raises(ParseError, match=match) as err:
+            load_pmf(pmf_path)
+        assert (err.value.line, err.value.offset) == where
+
+    def test_pmf_sum_checked_by_pmf(self, tmp_path):
+        pmf_path = tmp_path / "pz.tsv"
+        pmf_path.write_text("z0\t0.25\nz1\t0.25\n")
+        with pytest.raises(DataError, match=r"^probs sum to 0\.5, not 1$"):
+            load_pmf(pmf_path)
+
 
 class TestRatings:
     def test_anchor_values(self):
@@ -782,7 +803,7 @@ class TestRatings:
     # 0 is not a rating but a blank; test_matrix_blanks_stay_zero keeps it.
     @pytest.mark.parametrize("bad", [0.5, 6, 2.5, -1])
     def test_out_of_scale(self, bad):
-        with pytest.raises(InvalidRating):
+        with pytest.raises(DataError, match=r"nonblank ratings must be integers in 1\.\.5"):
             apply_rating_transform(np.array([3.0, bad]))
 
     def test_matrix_blanks_stay_zero(self):
@@ -791,7 +812,7 @@ class TestRatings:
         np.testing.assert_allclose(out, [[0.0, 8.0], [80.0, 0.0]])
 
     def test_matrix_bad_rating(self):
-        with pytest.raises(InvalidRating):
+        with pytest.raises(DataError, match=r"nonblank ratings must be integers in 1\.\.5"):
             apply_rating_transform(np.array([[1.0, 7.0]]))
 
 
@@ -847,13 +868,13 @@ class TestCounterexample:
         assert 1.0 < val < 1.01
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="m and n must be positive"):
             CounterexampleParams(m=0, n=2, s=2.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="s must be finite and >= 1"):
             CounterexampleParams(m=2, n=2, s=0.5)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="one_item_Q2 needs m, n >= 2"):
             CounterexampleParams(m=1, n=2, s=2.0, variant="one_item_Q2")
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="unknown variant 'nope'"):
             CounterexampleParams(m=2, n=2, s=2.0, variant="nope")
 
 
@@ -876,7 +897,7 @@ class TestCommunityObjective:
         )
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"Q \(2, 2\) vs P \(2, 3\)"):
             community_objective(np.ones((2, 2)), np.ones((2, 3)), 1.0, 1)
 
     def test_prunes_before_dtm(self):
@@ -915,23 +936,23 @@ class TestPlantedBlocks:
         assert np.all(w > 0)
 
     def test_validation(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="blocks must be >= 1"):
             gen_planted_blocks(0, 5, 1.0, 0.1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="sizes must give a positive size per block"):
             gen_planted_blocks(2, [3], 1.0, 0.1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="need within_weight > cross_weight >= 0"):
             gen_planted_blocks(2, 3, 0.5, 0.5)
-        with pytest.raises(InvalidParams, match="noise_seed"):
+        with pytest.raises(ConfigError, match="noise_seed must be >= 0, got -1"):
             gen_planted_blocks(2, 3, 1.0, 0.1, noise_seed=-1)
 
     def test_cell_limit(self):
         # Refused before anything of the requested size is allocated.
         side = math.isqrt(MAX_CELLS) + 1
-        with pytest.raises(InvalidParams, match="generator limit"):
+        with pytest.raises(ConfigError, match="exceeds the generator limit of 25000000"):
             gen_planted_blocks(2, [side // 2, side - side // 2], 1.0, 0.1)
-        with pytest.raises(InvalidParams, match="generator limit"):
+        with pytest.raises(ConfigError, match="exceeds the generator limit of 25000000"):
             gen_planted_blocks(10**12, 1, 1.0, 0.1)
-        with pytest.raises(InvalidParams, match="generator limit"):
+        with pytest.raises(ConfigError, match="exceeds the generator limit of 25000000"):
             gen_counterexample(CounterexampleParams(m=side, n=side // 4, s=2.0))
 
 

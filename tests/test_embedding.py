@@ -3,7 +3,7 @@ import pytest
 
 from coupclust.core import build_dtm
 from coupclust.embedding import dtm_embed, write_embedding_tsv
-from coupclust.errors import InvalidParams, RankDeficient
+from coupclust.errors import ConfigError
 
 from conftest import normalized_joint, random_joint
 
@@ -35,7 +35,7 @@ class TestDtmEmbed:
 
     def test_d_too_large(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 6))
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ConfigError, match=r"d = 5 exceeds min\(\|Y\|, \|X\|\) = 4"):
             dtm_embed(dtm, 5)
 
     def test_rank_deficient_detected(self):
@@ -52,12 +52,12 @@ class TestDtmEmbed:
             *normalized_joint(("a", "b", "c", "d"), ("u", "v", "w"), w)
         )
         dtm_embed(dtm, 2)
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ConfigError, match="d = 3 exceeds the numerical rank 2"):
             dtm_embed(dtm, 3)
 
     def test_d_validation(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 4))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match="d must be >= 1"):
             dtm_embed(dtm, 0)
 
     def test_deterministic(self, rng):
@@ -114,7 +114,7 @@ class TestRankThreshold:
             np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
         else:
             match = r"numerical rank 2 .*threshold 2\.98e-08"
-            with pytest.raises(RankDeficient, match=match):
+            with pytest.raises(ConfigError, match=match):
                 dtm_embed(dtm, 3)
 
 

@@ -6,36 +6,35 @@ import pytest
 from coupclust import frobenius
 from coupclust.core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
 from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
-from coupclust.errors import InvalidParams, NonFinite, ZeroMarginal
+from coupclust.errors import ConfigError, DataError, SolverError
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
     _curvature,
     _gram_factor,
     _half_gradient,
-    frobenius_objective,
     solve_frobenius,
 )
 from coupclust.simplex import project_columns
 
 from conftest import normalized_joint, random_joint, random_pmf
-from paper_identities import compose_dtm, dtm_from_kernel
+from paper_identities import compose_dtm, dtm_from_kernel, frobenius_objective
 
 
 class TestConfig:
     def test_defaults(self):
         cfg = FrobeniusConfig()
         assert cfg.lam == 10.0
-        assert cfg.max_iters == 5000
         assert cfg.obj_tol == 1e-9
+        assert frobenius.MAX_ITERS == 5000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"lam": 0.0},
             {"lam": -1.0},
-            {"max_iters": -1},
-            {"max_iters": 0},
+            {"lam": -float("inf")},
+            {"obj_tol": -1e-9},
             {"obj_tol": 0.0},
             {"obj_tol": 1.0},
             {"lam": float("inf")},
@@ -46,7 +45,12 @@ class TestConfig:
         ],
     )
     def test_rejects_bad_params(self, kwargs):
-        with pytest.raises(InvalidParams):
+        message = {
+            "lam": "lam must be finite and positive",
+            "obj_tol": r"obj_tol must be in \(0, 1\)",
+            "seed": "seed must be >= 0, got -1",
+        }[next(iter(kwargs))]
+        with pytest.raises(ConfigError, match=message):
             FrobeniusConfig(**kwargs)
 
 
@@ -161,12 +165,13 @@ class TestProjection:
 
 
 class TestSolve:
-    def test_improves_from_init_many_seeds(self, rng):
+    def test_improves_from_init_many_seeds(self, rng, monkeypatch):
         dtm = build_dtm(*random_joint(rng, 8, 6))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
+        monkeypatch.setattr(frobenius, "MAX_ITERS", 400)
         for seed in range(20):
             kernel, trace = solve_frobenius(
-                dtm, p_z, FrobeniusConfig(seed=seed, max_iters=400)
+                dtm, p_z, FrobeniusConfig(seed=seed)
             )
             assert trace.objectives[-1] >= trace.objectives[0] - 1e-9
 
@@ -191,7 +196,7 @@ class TestSolve:
         dtm = build_dtm(*random_joint(rng, 8, 6))
         p_z = random_pmf(rng, 3)
         kernel, _ = solve_frobenius(
-            dtm, p_z, FrobeniusConfig(lam=1e4, max_iters=5000)
+            dtm, p_z, FrobeniusConfig(lam=1e4)
         )
         induced = kernel.induced_marginal(dtm.row_pmf)
         assert np.abs(induced - p_z.probs).sum() <= 1e-2
@@ -222,8 +227,9 @@ class TestSolve:
         dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         self._scale_gradient(monkeypatch, 1e308)
-        with pytest.raises(NonFinite, match=r"iterate diverged at iteration 2 \(step "):
-            solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
+        monkeypatch.setattr(frobenius, "MAX_ITERS", 5)
+        with pytest.raises(SolverError, match=r"iterate diverged at iteration 2 \(step "):
+            solve_frobenius(dtm, p_z)
 
     def test_nonfinite_on_projection_overflow(self, rng, monkeypatch):
         # A cluster of mass 1e-6 has weight sqrt(P_Z) = 1e-3. With a gradient
@@ -233,10 +239,11 @@ class TestSolve:
         dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf(("z0", "z1"), np.array([1.0 - 1e-6, 1e-6]))
         self._scale_gradient(monkeypatch, 1e304)
+        monkeypatch.setattr(frobenius, "MAX_ITERS", 5)
         with pytest.raises(
-            NonFinite, match=r"projection overflowed at iteration 2 \(step "
+            SolverError, match=r"projection overflowed at iteration 2 \(step "
         ):
-            solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
+            solve_frobenius(dtm, p_z)
 
     def test_huge_lambda_takes_the_closed_form_step(self, rng):
         # sigma_1 = lam - 1 is finite for every finite lam, so lam = 1e300 is
@@ -253,13 +260,13 @@ class TestSolve:
     def test_boundary_pz_rejected(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 4))
         p_z = Pmf(("z0", "z1"), np.array([1.0, 0.0]))
-        with pytest.raises(ZeroMarginal):
+        with pytest.raises(DataError, match="target P_Z must be strictly interior"):
             solve_frobenius(dtm, p_z)
 
     def test_more_clusters_than_items_rejected(self, rng):
         dtm = build_dtm(*random_joint(rng, 3, 4))
         p_z = Pmf.uniform(("z0", "z1", "z2", "z3"))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"\|Z\| = 4 exceeds \|Y\| = 3"):
             solve_frobenius(dtm, p_z)
 
     def test_small_step_iterates_all_projected(self, monkeypatch):
@@ -269,15 +276,17 @@ class TestSolve:
         dtm, p_z, lam = _planted(3, 20)
         curvature = frobenius._curvature
         monkeypatch.setattr(frobenius, "_curvature", lambda *a: 1e3 * curvature(*a))
-        _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam, max_iters=200))
+        monkeypatch.setattr(frobenius, "MAX_ITERS", 200)
+        _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam))
         assert len(trace) == 200
         assert max(trace.violations) <= 1e-12
         assert min(trace.min_entries) >= 0.0
 
-    def test_trace_shape(self, rng):
+    def test_trace_shape(self, rng, monkeypatch):
         dtm = build_dtm(*random_joint(rng, 5, 5))
         p_z = Pmf.uniform(("z0", "z1"))
-        _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=50))
+        monkeypatch.setattr(frobenius, "MAX_ITERS", 50)
+        _, trace = solve_frobenius(dtm, p_z)
         n = len(trace)
         assert n <= 50
         assert len(trace.penalties) == n
@@ -285,14 +294,15 @@ class TestSolve:
         assert len(trace.min_entries) == n
         assert trace.status in ("Converged", "MaxIters")
 
-    def test_memory_has_no_items_by_items_matrix(self):
+    def test_memory_has_no_items_by_items_matrix(self, monkeypatch):
         # One 3000 x 3000 float64 matrix is 72 MB; the solver works on the
         # thin 3000 x 20 factor of B and k x 3000 iterates only.
         dtm = build_dtm(*random_joint(np.random.default_rng(1), 3000, 20))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
+        monkeypatch.setattr(frobenius, "MAX_ITERS", 5)
         tracemalloc.start()
         try:
-            solve_frobenius(dtm, p_z, FrobeniusConfig(max_iters=5))
+            solve_frobenius(dtm, p_z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -434,7 +444,7 @@ class TestMomentum:
         assert iters < plain_iters
 
     def test_converges_on_skewed_joint(self):
-        # The plain step ended every one of these restarts at max_iters
+        # The plain step ended every one of these restarts at MAX_ITERS
         # (5000 iterations), with a best objective of 3.3347174430083455.
         dtm = build_dtm(*_zipf_joint(0))
         p_z = _uniform_pz(8)
@@ -469,8 +479,8 @@ class TestMomentum:
     @pytest.mark.parametrize(
         "name, discards", [("planted-3x20", False), ("random-lam10", True)]
     )
-    def test_returned_kernel_is_the_last_traced(self, name, discards):
-        # max_iters counts gradient steps, discarded ones included, and the
+    def test_returned_kernel_is_the_last_traced(self, name, discards, monkeypatch):
+        # MAX_ITERS counts gradient steps, discarded ones included, and the
         # trace records accepted steps only. Whatever step a run stops on,
         # the returned kernel's objective is the last traced one. The kernel
         # is formed from the solver's A, so A rebuilt from it may differ in
@@ -483,13 +493,14 @@ class TestMomentum:
         ended_on_discard = 0
         for seed in range(5):
             prev_len = 0
-            for max_iters in range(1, 21):
-                cfg = FrobeniusConfig(lam=lam, max_iters=max_iters, seed=seed)
+            for cap in range(1, 21):
+                monkeypatch.setattr(frobenius, "MAX_ITERS", cap)
+                cfg = FrobeniusConfig(lam=lam, seed=seed)
                 kernel, trace = solve_frobenius(dtm, p_z, cfg)
                 a = kernel.kernel * sy[None, :] / sz[:, None]
                 obj = frobenius_objective(a, c, sy, sz, lam)[0]
                 assert obj == pytest.approx(trace.objectives[-1], rel=1e-12, abs=0.0), (
-                    max_iters, seed,
+                    cap, seed,
                 )
                 if trace.status == "MaxIters" and len(trace) == prev_len:
                     ended_on_discard += 1

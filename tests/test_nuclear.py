@@ -9,13 +9,14 @@ from coupclust.data_io import (
     gen_counterexample,
     gen_planted_blocks,
 )
-from coupclust.errors import CoupclustError, DegenerateCluster, InvalidParams
+from coupclust.errors import ConfigError, CoupclustError, SolverError
 from coupclust.evaluation import (
     elbow_curve,
     harden,
     kernel_norm_value,
     matched_accuracy,
 )
+from coupclust import nuclear
 from coupclust.nuclear import (
     NuclearConfig,
     _argmax_step,
@@ -43,12 +44,13 @@ class TestConfig:
         "kwargs",
         [
             {"k": 0},
-            {"k": 2, "max_iters": 0},
+            {"k": -3},
             {"k": 2, "seed": -1},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
-        with pytest.raises(InvalidParams):
+        message = "seed must be >= 0, got -1" if "seed" in kwargs else "k must be >= 1"
+        with pytest.raises(ConfigError, match=message):
             NuclearConfig(**kwargs)
 
 
@@ -221,14 +223,18 @@ class TestRescue:
         assign = np.array([0, 0, 1])
         c = np.zeros((3, 3))
         py = np.full(3, 1 / 3)
-        with pytest.raises(DegenerateCluster):
+        with pytest.raises(
+            SolverError, match="cluster 2 emptied and the rescue budget is spent"
+        ):
             _rescue_dead(assign, c, py, 3, rescues_left=0)
 
     def test_all_singletons(self):
         assign = np.array([0, 1])
         c = np.zeros((2, 3))
         py = np.array([0.5, 0.5])
-        with pytest.raises(DegenerateCluster):
+        with pytest.raises(
+            SolverError, match="cluster 2 emptied and every other cluster is a singleton"
+        ):
             _rescue_dead(assign, c, py, 3, rescues_left=5)
 
 
@@ -304,7 +310,7 @@ class TestSolve:
 
     def test_k_exceeds_items_rejected(self, rng):
         dtm = build_dtm(*random_joint(rng, 3, 4))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ConfigError, match=r"k = 4 exceeds \|Y\| = 3"):
             solve_nuclear(dtm, NuclearConfig(k=4))
 
     def test_every_cluster_alive(self, rng):
@@ -312,25 +318,24 @@ class TestSolve:
         dtm = build_dtm(*random_joint(rng, 6, 5))
         try:
             kernel, _ = solve_nuclear(dtm, NuclearConfig(k=6, seed=0))
-        except DegenerateCluster:
+        except SolverError:
             return  # budget exhaustion is a legal outcome
         mass = kernel.induced_marginal(dtm.row_pmf)
         assert np.all(mass > 0)
 
-    def test_returned_kernel_is_the_last_traced(self):
+    def test_returned_kernel_is_the_last_traced(self, monkeypatch):
         # The returned kernel's norm is the last traced objective, bit for
-        # bit, whether the run converged or stopped at max_iters.
+        # bit, whether the run converged or stopped at MAX_ITERS.
         joint, _ = gen_planted_blocks(4, 12, 1.0, 0.2, noise_seed=0)
         dtm = build_dtm(*joint)
         statuses = set()
-        for max_iters in (1, 2, 3):
+        for cap in (1, 2, 3):
+            monkeypatch.setattr(nuclear, "MAX_ITERS", cap)
             for seed in range(10):
-                kernel, trace = solve_nuclear(
-                    dtm, NuclearConfig(k=4, max_iters=max_iters, seed=seed)
-                )
+                kernel, trace = solve_nuclear(dtm, NuclearConfig(k=4, seed=seed))
                 statuses.add(trace.status)
                 value = kernel_norm_value(dtm, kernel, "nuclear")
-                assert value == trace.objectives[-1], (max_iters, seed)
+                assert value == trace.objectives[-1], (cap, seed)
         assert statuses == {"Converged", "MaxIters"}
 
 
@@ -339,7 +344,7 @@ def _chain_route(joint, k, seed):
 
     Returns (assignment, objectives, tied): tied is True when some step's
     argmax had a runner-up within 1e-12 relative, so that rounding alone
-    could pick either. Raises DegenerateCluster as the solver does.
+    could pick either. Raises SolverError as the solver does.
     """
     py = build_dtm(*joint).row_pmf.probs
     ny = py.size
@@ -350,7 +355,7 @@ def _chain_route(joint, k, seed):
     if ny > k:
         assign[perm[k:]] = rng.integers(0, k, size=ny - k)
     objectives, tied, rescues_left = [], False, k
-    for _ in range(NuclearConfig(k=k).max_iters):
+    for _ in range(nuclear.MAX_ITERS):
         traced = assign
         _, s, _, c = _chain_reference(joint, _one_hot(assign, k))
         objectives.append(float(np.sum(s)))
@@ -401,14 +406,14 @@ def test_matches_the_chain_route():
                 where = (name, k, seed)
                 try:
                     ref_assign, ref_objs, tied = _chain_route(joint, k, seed)
-                except DegenerateCluster:
+                except SolverError:
                     ref_assign, tied = None, True
                 counts["tied" if tied else "untied"] += 1
                 try:
                     kernel, trace = solve_nuclear(
                         dtm, NuclearConfig(k=k, seed=seed)
                     )
-                except DegenerateCluster:
+                except SolverError:
                     assert tied, where
                     continue
                 if ref_assign is None:

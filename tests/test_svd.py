@@ -3,7 +3,7 @@ import pytest
 
 from coupclust.core import Dtm, build_dtm
 from coupclust.embedding import dtm_embed
-from coupclust.errors import CoupclustError, InvalidParams, RankDeficient
+from coupclust.errors import ConfigError, CoupclustError
 
 from conftest import normalized_joint
 
@@ -63,7 +63,7 @@ def test_top_rejects_r_out_of_range(rng):
     weights = rng.uniform(0.1, 1.0, size=(5, 4))
     b = build_dtm(*normalized_joint(tuple("abcde"), tuple("uvwx"), weights))
     for r in (0, 5):
-        with pytest.raises(InvalidParams, match=r"outside 1\.\.4"):
+        with pytest.raises(ConfigError, match=rf"r = {r} outside 1\.\.4"):
             b.top(r)
     assert b.top(4)[0].shape == (5, 4)
 
@@ -160,7 +160,7 @@ def test_rank_check_holds_on_the_iterated_route(monkeypatch):
     dtm = build_dtm(*normalized_joint(rows, cols, weights))
     sizes = _recording_eigh(monkeypatch)
     with pytest.raises(
-        RankDeficient,
+        ConfigError,
         match=r"d = 8 exceeds the numerical rank 5 of the DTM: sigma_8 = \S+ is "
         r"at or below the threshold \S+ = sqrt\(max\(\|Y\|, \|X\|\) \* eps\) \* sigma_1",
     ):
