@@ -3,20 +3,20 @@
 Maximizes J(A) = ||A B||_F^2 - lambda ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 over
 the solver variable A = [P_Z]^{-1/2} P_{Z|Y} [P_Y]^{1/2} (the conditional
 DTM of the kernel), projecting every step onto the A of column-stochastic
-kernels. B is the joint's DTM, passed in; it enters only through products
-with a thin factor C (C C^T = B B^T, see _gram_factor). With the residual
+kernels. B is the joint's DTM, passed in. With G = B B^T and the residual
 r = A sqrt(P_Y) - sqrt(P_Z), the update
 
-    A <- A + alpha ((A C) C^T - lambda r sqrt(P_Y)^T)
+    A <- A + alpha (A G - lambda r sqrt(P_Y)^T)
 
-moves A by alpha/2 times the exact gradient, and J = ||A C||_F^2 - lambda
-||r||^2 comes from the same A C and r. No |Y| x |Y| matrix is formed.
+moves A by alpha/2 times the exact gradient, and J = <A, A G> - lambda
+||r||^2 comes from the same A G and r. _gram forms G only when |Y| <= |X|,
+where it is no larger than B, and otherwise applies it as (A B) B^T.
 
 The step is alpha = 1/sigma_1 with sigma_1 the largest |eigenvalue|
-of C C^T - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
+of G - lambda sqrt(P_Y) sqrt(P_Y)^T. The Hessian of J is twice that
 matrix, so its Lipschitz constant is L = 2 sigma_1, and the update above is
 the standard 1/L gradient step (Beck & Teboulle 2009). sigma_1 has a closed
-form: sqrt(P_Y) is an eigenvector of C C^T = B B^T with eigenvalue 1, so the
+form: sqrt(P_Y) is an eigenvector of G = B B^T with eigenvalue 1, so the
 matrix has eigenvalue 1 - lambda on sqrt(P_Y) and the sigma_i(B)^2, i >= 2,
 (and zeros) on its complement. Hence sigma_1 = max(|1 - lambda|,
 sigma_2(B)^2), which is lambda - 1 for lambda >= 2.
@@ -26,9 +26,9 @@ The step is taken from an extrapolated point (FISTA, Beck & Teboulle 2009):
     Y = A + beta (A - A_prev),  beta = (theta_k - 1) / theta_{k+1},
     theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2)) / 2,  theta_0 = 1.
 
-A C and r are linear in A, so Y C and the residual at Y are the same
-combination of the cached values at A and A_prev, and a step still costs
-one product with C and one with C^T. Every step is projected. If the
+A G and r are linear in A, so Y G and the residual at Y are the same
+combination of the cached values at A and A_prev, and a step costs one
+application of G, to the projected iterate. Every step is projected. If the
 projected iterate's J falls below J(A) while beta > 0, the step is
 discarded, theta is reset to 1, and the next step is a plain one from A
 (function-value restart, O'Donoghue & Candes 2015). A plain step is always
@@ -99,13 +99,16 @@ def _uniform_target(k: int, ny: int) -> Pmf:
     return Pmf.uniform(tuple(f"z{i}" for i in range(k)))
 
 
-def _gram_factor(b: np.ndarray) -> np.ndarray:
-    """C = R^T from B^T = Q R: |Y| x min(|Y|, |X|), with C C^T = B B^T."""
-    return np.linalg.qr(b.T, mode="r").T
+def _gram(b: np.ndarray):
+    """A -> A G with G = B B^T: G itself when |Y| <= |X|, else B twice."""
+    if b.shape[0] <= b.shape[1]:
+        g = b @ b.T
+        return lambda a: a @ g
+    return lambda a: (a @ b) @ b.T
 
 
 def _curvature(dtm: Dtm, lam: float) -> float:
-    """sigma_1 of the Hessian half C C^T - lam sqrt(P_Y) sqrt(P_Y)^T.
+    """sigma_1 of the Hessian half B B^T - lam sqrt(P_Y) sqrt(P_Y)^T.
 
     The closed form max(|1 - lam|, sigma_2(B)^2) of the module docstring;
     sigma_2 is taken from the DTM only when lam < 2, where it can matter.
@@ -115,16 +118,16 @@ def _curvature(dtm: Dtm, lam: float) -> float:
     return max(abs(1.0 - lam), float(dtm.top(2)[1][1]) ** 2)
 
 
-def _objective_terms(ac: np.ndarray, resid: np.ndarray, lam: float) -> tuple[float, float]:
+def _evaluate(a: np.ndarray, gram, sy: np.ndarray, sz: np.ndarray, lam: float):
+    """(A G, r, J, lam ||r||^2) at A, with J = <A, A G> - lam ||r||^2."""
+    ag, resid = gram(a), a @ sy - sz
     pen = lam * float(resid @ resid)
-    return float(np.sum(ac * ac)) - pen, pen
+    return ag, resid, float(np.sum(a * ag)) - pen, pen
 
 
-def _half_gradient(
-    ac: np.ndarray, resid: np.ndarray, c: np.ndarray, sy: np.ndarray, lam: float
-) -> np.ndarray:
-    """Step direction (A C) C^T - lam r sqrt(P_Y)^T, half the gradient of J."""
-    return ac @ c.T - lam * np.outer(resid, sy)
+def _half_gradient(ag, resid, sy, lam: float) -> np.ndarray:
+    """Step direction A G - lam r sqrt(P_Y)^T, half the gradient of J."""
+    return ag - lam * np.outer(resid, sy)
 
 
 def _feasibility(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> tuple[float, float]:
@@ -138,21 +141,17 @@ def solve_frobenius(
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Accelerated gradient-ascent coupling solver with a target marginal.
 
-    B is dtm.matrix; the items and P_Y are dtm.row_pmf. Initialization draws
-    each kernel column uniformly from the simplex (exponential spacings),
-    seeded by cfg.seed. Every iteration takes one gradient step from the
-    momentum point, projects each column of A onto {a >= 0, sqrt(P_Z)^T a =
-    sqrt(P_Y(y))} in the Euclidean norm of A-space (the metric of the step),
-    and evaluates the projected iterate. A momentum step that lowers the
-    objective is discarded and momentum restarts (module docstring);
-    otherwise the step is accepted and recorded. MAX_ITERS counts every
-    gradient step, discarded ones included; the trace holds the accepted
-    steps only, and the returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed
-    from the last traced A, so every traced objective and the returned
-    kernel belong to a column-stochastic kernel. Convergence = relative
-    objective change below cfg.obj_tol across a window of 10 accepted
-    iterations; raises SolverError, naming the step, if the iterate diverges
-    or a column cannot be projected.
+    B is dtm.matrix; the items and P_Y are dtm.row_pmf. Each kernel column
+    starts uniform on the simplex (exponential spacings, seeded by
+    cfg.seed). Each iteration steps from the momentum point, projects every
+    column of A in A-space (the metric of the step) and evaluates the
+    result; a momentum step that lowers J is discarded (module docstring),
+    any other is traced. MAX_ITERS counts every step, discarded ones
+    included. The returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from
+    the last traced A, so it and every traced objective belong to
+    column-stochastic kernels. Converged = relative change of J below
+    cfg.obj_tol over 10 traced steps. Raises SolverError, naming the step,
+    if the iterate diverges or a column cannot be projected.
     """
     if cfg is None:
         cfg = FrobeniusConfig()
@@ -162,7 +161,7 @@ def solve_frobenius(
     if nz > ny:
         raise ConfigError(f"|Z| = {nz} exceeds |Y| = {ny}")
 
-    c = _gram_factor(dtm.matrix)
+    gram = _gram(dtm.matrix)
     sy, sz, lam = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs, cfg.lam
 
     scale = _curvature(dtm, lam)
@@ -172,9 +171,8 @@ def solve_frobenius(
     k = rng.exponential(size=(nz, ny))
     k /= k.sum(axis=0, keepdims=True)
     a = k * sy[None, :] / sz[:, None]
-    ac, resid = a @ c, a @ sy - sz
-    obj = _objective_terms(ac, resid, lam)[0]
-    a_prev, ac_prev, resid_prev = a, ac, resid
+    ag, resid, obj, _ = _evaluate(a, gram, sy, sz, lam)
+    a_prev, ag_prev, resid_prev = a, ag, resid
     theta = 1.0
 
     trace = SolveTrace()
@@ -182,11 +180,11 @@ def solve_frobenius(
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         beta = (theta - 1.0) / theta_next
         with np.errstate(over="ignore", invalid="ignore"):
-            # A C and r are linear in A, so the extrapolated point reuses them.
+            # A G and r are linear in A, so the extrapolated point reuses them.
             y = a + beta * (a - a_prev)
-            yc = ac + beta * (ac - ac_prev)
+            yg = ag + beta * (ag - ag_prev)
             ry = resid + beta * (resid - resid_prev)
-            y = y + alpha * _half_gradient(yc, ry, c, sy, lam)
+            y = y + alpha * _half_gradient(yg, ry, sy, lam)
             if not np.all(np.isfinite(y)):
                 raise SolverError(f"iterate diverged at iteration {t} (step {alpha!r})")
             try:
@@ -195,16 +193,15 @@ def solve_frobenius(
                 raise SolverError(
                     f"projection overflowed at iteration {t} (step {alpha!r})"
                 ) from None
-            ac_new, resid_new = a_new @ c, a_new @ sy - sz
-            obj_new, pen = _objective_terms(ac_new, resid_new, lam)
+            ag_new, resid_new, obj_new, pen = _evaluate(a_new, gram, sy, sz, lam)
         if not np.isfinite(obj_new):
             raise SolverError(f"objective diverged at iteration {t} (step {alpha!r})")
         if beta > 0.0 and obj_new < obj:
             # Momentum overshot: drop the step and take a plain one from A.
             theta = 1.0
             continue
-        a_prev, ac_prev, resid_prev = a, ac, resid
-        a, ac, resid, obj = a_new, ac_new, resid_new, obj_new
+        a_prev, ag_prev, resid_prev = a, ag, resid
+        a, ag, resid, obj = a_new, ag_new, resid_new, obj_new
         theta = theta_next
         trace.record(obj, pen, *_feasibility(a, sy, sz))
         if len(trace) > _OBJ_WINDOW:
@@ -213,6 +210,5 @@ def solve_frobenius(
                 trace.status = "Converged"
                 break
 
-    k = sz[:, None] * a / sy[None, :]
-    kernel = CouplingKernel(p_z.labels, dtm.row_pmf.labels, k)
+    kernel = CouplingKernel(p_z.labels, dtm.row_pmf.labels, sz[:, None] * a / sy)
     return kernel, trace

@@ -4,12 +4,12 @@ project_columns maps each column v of a matrix onto {a >= 0, w^T a = c},
 with one positive weight w_z per row and one positive total c per column.
 The projection is a = max(0, v - tau w), where tau solves
 sum_z w_z max(0, v_z - tau w_z) = c; it lies among the breakpoints
-v_z / w_z. Sort-then-threshold method: shift each column by w times its
-largest breakpoint (so that breakpoint is 0), sort the breakpoints
-descending, find the largest prefix whose coordinates all stay positive at
-that prefix's tau, shift by tau w, clip at zero. The probability simplex is
-the case w = 1, c = 1, the default. A single vector v is the column of
-v[:, None].
+v_z / w_z. Michelot's active-set method (Condat 2016, Math. Programming)
+finds it: shift each column by w times its largest breakpoint, take tau as
+if every row stayed positive, drop the rows whose breakpoint is <= tau and
+repeat until none drops; then shift by tau w and clip at zero. The
+probability simplex is the case w = 1, c = 1, the default. A single vector
+v is the column of v[:, None].
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ def project_columns(mat, weights=None, totals=None) -> np.ndarray:
     # min/max of a vector holding nan are nan, which fails both comparisons.
     if not (w.min() > 0.0 and w.max() < np.inf and c.min() > 0.0 and c.max() < np.inf):
         raise ValueError("weights and totals must be finite and positive")
-    n = arr.shape[0]
-    cols = np.arange(arr.shape[1])
-    # A column whose total overflows or is undefined, or whose largest
-    # breakpoint overflows, holds no usable point (in the solver it means the
-    # iterate diverged), so it is rejected.
+    # A column whose sum or largest breakpoint is not finite holds no usable
+    # point (in the solver, the iterate diverged), so it is rejected.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = arr.sum(axis=0)
         br = arr / w[:, None]
@@ -52,22 +49,29 @@ def project_columns(mat, weights=None, totals=None) -> np.ndarray:
     if not np.all(np.isfinite(top)):
         raise ValueError("a column's largest breakpoint v / w is not finite")
     # The projection is invariant under v -> v + s w. With each column's
-    # largest breakpoint moved to exactly 0, the kept prefix sums stay small,
-    # so `wv - c` keeps c even when the entries are ~1e16. Breakpoints far
-    # below the maximum may overflow to -inf here; they clip to 0. With
-    # w = 1 every product by w is exact: this is the plain simplex projection.
+    # largest breakpoint at exactly 0 the kept sums stay small, so `sum - c`
+    # keeps c even for entries ~1e16. A breakpoint that overflows to -inf
+    # clips to 0; where() keeps it out of the sums (0 * -inf is nan). w = 1
+    # makes every product by w exact: the plain simplex projection. tau only
+    # rises (np.maximum holds that against rounding), so a dropped row stays
+    # dropped: one pass per row at most.
     with np.errstate(over="ignore", invalid="ignore"):
         br -= top
-        order = np.argsort(br, axis=0, kind="stable")[::-1]
-        ww = np.take(w * w, order)
-        srt = np.take(br, order * arr.shape[1] + cols)
-        wv = np.cumsum(ww * srt, axis=0)
-        ww = np.cumsum(ww, axis=0)
-        cond = srt * ww > wv - c
-    # cond[0] is always True, so the last True index is well defined.
-    rho = n - 1 - np.argmax(cond[::-1], axis=0)
-    tau = (wv[rho, cols] - c) / ww[rho, cols]
+        ww = w * w
+        wbr = ww[:, None] * br
+        active, tau = np.ones(arr.shape, dtype=bool), -np.inf
+        for _ in range(len(w)):
+            tau = np.maximum(tau, _tau(wbr, ww, c, active))
+            keep = br > tau
+            if np.array_equal(keep, active):
+                break
+            active = keep
     diff = w[:, None] * (br - tau)
     # where() rather than maximum(): maximum() of -0.0 and 0.0 may return
     # either zero, while where() writes every clipped coordinate as +0.0.
     return np.where(diff > 0.0, diff, 0.0)
+
+
+def _tau(wbr, ww, c, active) -> np.ndarray:
+    """Each column's tau if its active rows stay positive (wbr = w^2 br)."""
+    return (np.where(active, wbr, 0.0).sum(axis=0) - c) / (ww @ active)

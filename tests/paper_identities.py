@@ -15,8 +15,10 @@ here, beside the checks:
   connected components of the joint's bipartite support graph
   (criterion 4).
 - The Frobenius solver's objective J at any A, for the gradient and trace
-  checks; the solver itself evaluates J only from its cached A C and
+  checks; the solver itself evaluates J only from its cached A G and
   residual.
+- The weighted simplex projection by sort-then-threshold, the reference
+  for the package's active-set projection.
 
 Logs are natural: information quantities are in nats.
 """
@@ -171,11 +173,37 @@ def frobenius_objective(
     """(relaxed objective J, penalty term) at A.
 
     J = ||A C||_F^2 - lam ||A sqrt(P_Y) - sqrt(P_Z)||_2^2 for any C with
-    C C^T = B B^T (B itself, or its thin factor).
+    C C^T = B B^T, B itself among them.
     """
     ac, resid = a @ c, a @ sqrt_py - sqrt_pz
     pen = lam * float(resid @ resid)
     return float(np.sum(ac * ac)) - pen, pen
+
+
+def sorted_project_columns(arr: np.ndarray, w: np.ndarray, c) -> np.ndarray:
+    """Each column v of arr onto {a >= 0, w^T a = c}, by sort-then-threshold.
+
+    Shift each column by w times its largest breakpoint v_z / w_z, sort the
+    breakpoints descending, keep the largest prefix whose coordinates all
+    stay positive at that prefix's tau, shift by tau w and clip at zero.
+    Inputs are not checked: every column must have a finite largest
+    breakpoint, and w and c must be finite and positive.
+    """
+    n, cols = arr.shape[0], np.arange(arr.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        br = arr / w[:, None]
+        br -= br.max(axis=0)
+        order = np.argsort(br, axis=0, kind="stable")[::-1]
+        ww = np.take(w * w, order)
+        srt = np.take(br, order * arr.shape[1] + cols)
+        wv = np.cumsum(ww * srt, axis=0)
+        ww = np.cumsum(ww, axis=0)
+        cond = srt * ww > wv - c
+    # cond[0] is always True, so the last True index is well defined.
+    rho = n - 1 - np.argmax(cond[::-1], axis=0)
+    tau = (wv[rho, cols] - c) / ww[rho, cols]
+    diff = w[:, None] * (br - tau)
+    return np.where(diff > 0.0, diff, 0.0)
 
 
 def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:

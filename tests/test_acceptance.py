@@ -26,7 +26,6 @@ from coupclust.data_io import (
 from coupclust.evaluation import elbow_curve, harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
-    _gram_factor,
     _half_gradient,
     solve_frobenius,
 )
@@ -348,11 +347,11 @@ def test_criterion_08_frobenius_solver():
     for nx in (8, 6, 12):
         rng = np.random.default_rng(8)
         dtm = build_dtm(*random_joint(rng, 8, nx))
-        c, sy = _gram_factor(dtm.matrix), dtm.row_pmf.sqrt_probs
-        args = (c, sy, sqrt_pz, 10.0)
+        b, sy = dtm.matrix, dtm.row_pmf.sqrt_probs
+        args = (b, sy, sqrt_pz, 10.0)
         for _ in range(20):
             a = rng.normal(size=(3, 8))
-            g = 2.0 * _half_gradient(a @ c, a @ sy - sqrt_pz, c, sy, 10.0)
+            g = 2.0 * _half_gradient(a @ b @ b.T, a @ sy - sqrt_pz, sy, 10.0)
             i = int(rng.integers(0, 3))
             j = int(rng.integers(0, 8))
             ap, am = a.copy(), a.copy()

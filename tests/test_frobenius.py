@@ -11,7 +11,6 @@ from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
     FrobeniusConfig,
     _curvature,
-    _gram_factor,
     _half_gradient,
     solve_frobenius,
 )
@@ -63,14 +62,14 @@ class TestObjectiveAndGradient:
     def test_gradient_matches_central_differences(self, rng, shape):
         dtm = build_dtm(*random_joint(rng, *shape))
         p_z = random_pmf(rng, 3)
-        c = _gram_factor(dtm.matrix)
+        b = dtm.matrix
         sy, sz = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs
-        args = (c, sy, sz, 10.0)
+        args = (b, sy, sz, 10.0)
         h = 1e-6
         worst = 0.0
         for _ in range(20):
             a = rng.normal(size=(3, 8))
-            g = 2.0 * _half_gradient(a @ c, a @ sy - sz, c, sy, 10.0)
+            g = 2.0 * _half_gradient(a @ b @ b.T, a @ sy - sz, sy, 10.0)
             i = int(rng.integers(0, 3))
             j = int(rng.integers(0, 8))
             ap = a.copy()
@@ -94,7 +93,7 @@ class TestObjectiveAndGradient:
         kernel = CouplingKernel(p_z.labels, p_y.labels, kmat)
         b_zy = dtm_from_kernel(kernel, p_y, p_z)
         obj, pen = frobenius_objective(
-            b_zy.matrix, _gram_factor(b_yx.matrix), p_y.sqrt_probs, p_z.sqrt_probs, 10.0
+            b_zy.matrix, b_yx.matrix, p_y.sqrt_probs, p_z.sqrt_probs, 10.0
         )
         assert pen == pytest.approx(0.0, abs=1e-12)
         expected = frobenius_sq(compose_dtm(b_zy, b_yx)) - pen
@@ -111,9 +110,8 @@ class TestObjectiveAndGradient:
         pz_vec = kmat @ p_y.probs
         p_z = Pmf(("z0", "z1"), pz_vec / pz_vec.sum())
         sy, sz = p_y.sqrt_probs, p_z.sqrt_probs
-        c = _gram_factor(dtm.matrix)
         a = sz[:, None] ** -1 * kmat * sy[None, :]
-        obj, pen = frobenius_objective(a, c, sy, sz, 10.0)
+        obj, pen = frobenius_objective(a, dtm.matrix, sy, sz, 10.0)
         assert pen == pytest.approx(0.0, abs=1e-12)
 
 
@@ -294,10 +292,9 @@ class TestSolve:
         assert len(trace.min_entries) == n
         assert trace.status in ("Converged", "MaxIters")
 
-    def test_memory_has_no_items_by_items_matrix(self, monkeypatch):
-        # One 3000 x 3000 float64 matrix is 72 MB; the solver works on the
-        # thin 3000 x 20 factor of B and k x 3000 iterates only.
-        dtm = build_dtm(*random_joint(np.random.default_rng(1), 3000, 20))
+    @staticmethod
+    def _solve_peak(ny, nx, monkeypatch):
+        dtm = build_dtm(*random_joint(np.random.default_rng(1), ny, nx))
         p_z = Pmf.uniform(("z0", "z1", "z2"))
         monkeypatch.setattr(frobenius, "MAX_ITERS", 5)
         tracemalloc.start()
@@ -306,7 +303,16 @@ class TestSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 72e6 / 8
+        return peak
+
+    def test_memory_has_no_items_by_items_matrix(self, monkeypatch):
+        # One 3000 x 3000 float64 matrix is 72 MB; a tall B applies B B^T as
+        # two products with the 3000 x 20 B, on k x 3000 iterates only.
+        assert self._solve_peak(3000, 20, monkeypatch) < 72e6 / 8
+
+    def test_memory_wide_has_no_contexts_by_contexts_matrix(self, monkeypatch):
+        # A wide B forms the 20 x 20 B B^T, never the 3000 x 3000 B^T B.
+        assert self._solve_peak(20, 3000, monkeypatch) < 72e6 / 8
 
 
 def _uniform_pz(k):
@@ -344,13 +350,13 @@ STEP_RULE_SCENARIOS = {
 
 class TestCurvature:
     # sqrt(P_Y) is an eigenvector of B B^T with eigenvalue 1, so sigma_1 of
-    # C C^T - lam sqrt(P_Y) sqrt(P_Y)^T is max(|1 - lam|, sigma_2(B)^2).
+    # B B^T - lam sqrt(P_Y) sqrt(P_Y)^T is max(|1 - lam|, sigma_2(B)^2).
     @pytest.mark.parametrize("shape", [(7, 5), (5, 9), (1, 4), (6, 1)])
     @pytest.mark.parametrize("lam", [0.01, 0.9, 1.0, 1.5, 1.99, 2.0, 10.0, 1e6])
     def test_closed_form_matches_eigvalsh(self, shape, lam, monkeypatch):
         dtm = build_dtm(*random_joint(np.random.default_rng(sum(shape)), *shape))
-        sy, c = dtm.row_pmf.sqrt_probs, _gram_factor(dtm.matrix)
-        ref = np.max(np.abs(np.linalg.eigvalsh(c @ c.T - lam * np.outer(sy, sy))))
+        sy, b = dtm.row_pmf.sqrt_probs, dtm.matrix
+        ref = np.max(np.abs(np.linalg.eigvalsh(b @ b.T - lam * np.outer(sy, sy))))
         if lam >= 2.0:
             # lam - 1 bounds every other eigenvalue: no spectrum is taken.
             def no_spectrum(*args):
@@ -489,7 +495,6 @@ class TestMomentum:
         # runs discard none in their first 20 steps.
         dtm, p_z, lam = STEP_RULE_SCENARIOS[name]()
         sy, sz = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs
-        c = _gram_factor(dtm.matrix)
         ended_on_discard = 0
         for seed in range(5):
             prev_len = 0
@@ -498,7 +503,7 @@ class TestMomentum:
                 cfg = FrobeniusConfig(lam=lam, seed=seed)
                 kernel, trace = solve_frobenius(dtm, p_z, cfg)
                 a = kernel.kernel * sy[None, :] / sz[:, None]
-                obj = frobenius_objective(a, c, sy, sz, lam)[0]
+                obj = frobenius_objective(a, dtm.matrix, sy, sz, lam)[0]
                 assert obj == pytest.approx(trace.objectives[-1], rel=1e-12, abs=0.0), (
                     cap, seed,
                 )

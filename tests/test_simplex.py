@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from coupclust import simplex
 from coupclust.simplex import project_columns
 
 from conftest import oracle_project
+from paper_identities import sorted_project_columns
 
 
 def project_vector(v):
@@ -122,3 +124,78 @@ class TestBackendParity:
         out = project_vector(np.array([1.5, -0.5, -0.25]))
         zeros = out[out == 0.0]
         assert not np.any(np.signbit(zeros))
+
+
+def _reference_cases(k, scale, rng):
+    """(columns, weights, totals) that exercise the active-set loop.
+
+    The weights are sqrt(P_Z) of a random P_Z: down to 1e-10 at scales up
+    to 1, and to 1e-7 beyond. Both methods shift each column by its top
+    breakpoint v_z / w_z; when that row's weight squared is below eps
+    against the others' and the breakpoints exceed c / eps, the shift
+    rounds the kept rows' breakpoints away and tau rounds either way in
+    both methods, so neither is the other's reference. The columns are
+    noise at `scale` around random offsets, a feasible point, one column
+    whose breakpoints fall by a factor k + 1 from row to row (each pass
+    drops only its lowest row), and, for k >= 2, one whose second
+    breakpoint overflows to -inf once shifted by the first, the heaviest.
+    """
+    floor = 1e-20 if scale <= 1.0 else 1e-14
+    p = 10.0 ** rng.uniform(np.log10(floor), 0.0, size=k)
+    w = np.sqrt(p / p.sum())
+    noise = rng.normal(size=(k, 40)) + rng.normal(size=(1, 40)) * 3.0
+    cols = [noise * scale, rng.random((k, 1)) * scale]
+    steep = -float(k + 1) ** np.arange(k) * (scale / float(k + 1) ** (k - 1))
+    cols.append((w * steep)[:, None])
+    if k >= 2:
+        huge = np.zeros(k)
+        top = int(np.argmax(w))
+        huge[top], huge[top - 1] = 1.5e308, -1.5e308
+        cols.append((w * huge)[:, None])
+    mat = np.hstack(cols)
+    totals = rng.uniform(0.1, 2.0, size=mat.shape[1])
+    return mat, w, totals
+
+
+class TestAgainstSortedReference:
+    """The active-set projection against the sort-then-threshold one."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8, 1e16])
+    @pytest.mark.parametrize("k", [1, 2, 8, 32, 128])
+    def test_matches_within_k_passes(self, k, scale, monkeypatch):
+        mat, w, totals = _reference_cases(k, scale, np.random.default_rng(k))
+        passes = []
+        tau = simplex._tau
+        monkeypatch.setattr(
+            simplex, "_tau", lambda *a: passes.append(1) or tau(*a)
+        )
+        got = project_columns(mat, w, totals)
+        want = sorted_project_columns(mat, w, totals)
+        # A column's scale: its largest output, or the largest weight times
+        # the widest gap from its top breakpoint to a row it keeps, the size
+        # of w (v / w - tau) before the subtraction cancels.
+        with np.errstate(over="ignore", invalid="ignore"):
+            br = mat / w[:, None]
+            gap = np.where(want > 0.0, br.max(axis=0) - br, 0.0).max(axis=0)
+        col_scale = np.maximum(w.max() * gap, want.max(axis=0))
+        assert np.all(np.abs(got - want) <= 1e-14 * col_scale)
+        assert 1 <= len(passes) <= k
+
+    def test_rounding_cannot_lower_tau(self):
+        # The first two rows weigh next to nothing against the last two,
+        # whose shifted breakpoints (-3.7e16) hold only to within 8. The
+        # second pass's tau rounds onto the third row's breakpoint and drops
+        # it, though exactly that row keeps 1.34. The first two rows alone
+        # give a tau 1.7e16 lower; let fall, it lifts the dropped rows again
+        # and the loop ends with the third row at 4.7e7. Held at the second
+        # pass's tau, the column matches the reference.
+        v = np.array(
+            [[5099999.415500167], [40049126.752206266],
+             [-84412970.71136358], [-157531387.30985984]]
+        )
+        w = np.array([1.3840029890732398e-10, 7.080788208011705e-09,
+                      0.6487887954006114, 0.428690949432473])
+        c = 1.1525076279851998
+        np.testing.assert_allclose(
+            project_columns(v, w, c), sorted_project_columns(v, w, c), rtol=1e-12
+        )
