@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .core import Dtm, Pmf
 from .data_io import (
-    CounterexampleParams,
     _check_creatable,
     _create,
     _write_json,
@@ -43,7 +42,7 @@ from .data_io import (
     write_triplets,
 )
 from .embedding import dtm_embed, write_embedding_tsv
-from .errors import ConfigError, CoupclustError, DataError, SolverError
+from .errors import ConfigError, DataError, SolverError
 from .evaluation import (
     _check_same_items,
     _solve,
@@ -81,8 +80,9 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
     _write_json(out_dir / "manifest.json", payload)
 
 
-def _load_joint(args) -> tuple[Dtm, object]:
-    """The input joint's DTM, the only form later steps read, and the prune report."""
+def _load_joint(args) -> tuple[Dtm, dict[str, list[str]]]:
+    """The input joint's DTM, the only form later steps read, and ingest's
+    record of the pruned labels."""
     path = Path(args.input)
     if path.suffix.lower() == ".csv":
         rows, cols, weights = load_dense_csv(path)
@@ -90,13 +90,13 @@ def _load_joint(args) -> tuple[Dtm, object]:
         rows, cols, weights = parse_triplets(path)
     if getattr(args, "rating_transform", False):
         weights = apply_rating_transform(weights)
-    dtm, report = ingest(rows, cols, weights, normalize=args.normalize)
-    if not report.empty:
+    dtm, pruned = ingest(rows, cols, weights, normalize=args.normalize)
+    if pruned["pruned_rows"] or pruned["pruned_cols"]:
         _log(
-            f"pruned {len(report.pruned_rows)} rows, "
-            f"{len(report.pruned_cols)} columns with zero weight"
+            f"pruned {len(pruned['pruned_rows'])} rows, "
+            f"{len(pruned['pruned_cols'])} columns with zero weight"
         )
-    return dtm, report
+    return dtm, pruned
 
 
 def _resolve_pz(args, k: int, dtm: Dtm) -> Pmf:
@@ -110,14 +110,14 @@ def _resolve_pz(args, k: int, dtm: Dtm) -> Pmf:
     return pz
 
 
-def _load_truth(path, dtm: Dtm, prune) -> dict[str, str]:
+def _load_truth(path, dtm: Dtm, pruned_rows: list[str]) -> dict[str, str]:
     """Truth labels of the items left after pruning, checked before solving.
 
     Labels of pruned items are dropped with a note; any other item missing
     from or extra to the truth file is a DataError (exit 3).
     """
     truth = load_labels(path)
-    pruned = [i for i in prune.pruned_rows if truth.pop(i, None) is not None]
+    pruned = [i for i in pruned_rows if truth.pop(i, None) is not None]
     if pruned:
         _log(
             f"note: ignoring the truth labels of {len(pruned)} pruned "
@@ -146,7 +146,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         "manifest.json", "report.json",
     )
     dtm, prune = _load_joint(args)
-    _write_json(out_dir / "prune_report.json", prune.as_dict())
+    _write_json(out_dir / "prune_report.json", prune)
 
     k = args.k
     _reject_for_nuclear(
@@ -156,7 +156,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     lam = _resolve_lambda(args)
     p_z = _resolve_pz(args, k, dtm) if args.algo == "frobenius" else None
     if args.truth is not None:
-        truth = _load_truth(args.truth, dtm, prune)
+        truth = _load_truth(args.truth, dtm, prune["pruned_rows"])
 
     best = None
     for restart in range(args.restarts):
@@ -287,13 +287,9 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
     m, n, lam = args.m, args.n, args.lam
     lines = ["s,frob_intuitive,frob_oneitem,community_obj_Q1,community_obj_Q2"]
     for s in grid:
-        base = gen_counterexample(CounterexampleParams(m=m, n=n, s=s, variant="base_P"))
-        q1 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="intuitive_Q1")
-        )
-        q2 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="one_item_Q2")
-        )
+        base = gen_counterexample(m, n, s)
+        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
+        q2 = gen_counterexample(m, n, s, "one_item_Q2")
         fi = counterexample_frobenius(m, n, s, intuitive_kernel(m))
         fo = counterexample_frobenius(m, n, s, one_item_kernel(m))
         c1 = community_objective(q1, base, lam, 2)
@@ -371,10 +367,7 @@ def _cmd_embed(args, out_dir: Path) -> int:
 def _cmd_synth(args, out_dir: Path) -> int:
     if args.gen == "counterexample":
         _check_creatable(out_dir, "synth.tsv", "manifest.json")
-        params = CounterexampleParams(
-            m=args.m, n=args.n, s=args.s, variant=args.variant
-        )
-        mat = gen_counterexample(params)
+        mat = gen_counterexample(args.m, args.n, args.s, args.variant)
         rows = [f"y{i}" for i in range(mat.shape[0])]
         cols = [f"x{j}" for j in range(mat.shape[1])]
         write_triplets(out_dir / "synth.tsv", rows, cols, mat)
@@ -539,9 +532,6 @@ def main(argv=None) -> int:
         return 3
     except SolverError as exc:
         _log(f"solver error: {exc}")
-        return 4
-    except CoupclustError as exc:
-        _log(f"error: {exc}")
         return 4
     finally:
         warnings.formatwarning = format_warning

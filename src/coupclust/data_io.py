@@ -31,7 +31,6 @@ import errno
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,8 +39,6 @@ from .core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
 from .errors import ConfigError, DataError, ParseError
 
 __all__ = [
-    "PruneReport",
-    "CounterexampleParams",
     "parse_triplets",
     "load_dense_csv",
     "ingest",
@@ -64,24 +61,6 @@ MAX_CELLS = 25_000_000
 
 # Odd 64-bit multiplier of the label hash in _intern (the golden ratio).
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-
-
-@dataclass(frozen=True)
-class PruneReport:
-    """Rows/columns dropped for having zero total weight."""
-
-    pruned_rows: tuple[str, ...]
-    pruned_cols: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "pruned_rows": list(self.pruned_rows),
-            "pruned_cols": list(self.pruned_cols),
-        }
-
-    @property
-    def empty(self) -> bool:
-        return not self.pruned_rows and not self.pruned_cols
 
 
 def _open(path):
@@ -257,17 +236,15 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     del buf, weight_start, ends
     if w is None or not np.all(np.isfinite(w)) or np.any(w < 0):
         return None
-    _check_matrix_fits(len(rows), len(cols))
     if tiled and len(rows) == nr and len(cols) == nc:
+        # The matrix is the weight column itself, already in memory.
         w += 0.0
         return rows, cols, w.reshape(nr, nc)
     ri = np.repeat(row_ids, np.diff(heads, append=n))
     ci = np.repeat(col_ids, np.diff(col_heads, append=col_lines))
     if tiled:
         ci = np.tile(ci, nr)
-    nr, nc = len(rows), len(cols)
-    cells = np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
-    return rows, cols, cells.reshape(nr, nc)
+    return _cells(rows, cols, ri, ci, w)
 
 
 def _read_padded(path) -> tuple[np.ndarray, int]:
@@ -670,40 +647,42 @@ def _check_matrix_fits(nr: int, nc: int) -> None:
         )
 
 
-def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
-    """parse_triplets one line at a time; the only source of its ParseErrors."""
-    cells: dict[tuple[str, str], float] = {}
-    rows: list[str] = []
-    cols: list[str] = []
-    row_seen: dict[str, int] = {}
-    col_seen: dict[str, int] = {}
-    for lineno, line_offset, (row, col, weight_text) in _read_lines(path, 3):
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise ParseError(
-                f"bad weight {weight_text!r}", lineno, line_offset
-            ) from None
-        if not math.isfinite(weight) or weight < 0:
-            raise ParseError(
-                f"weight must be finite and >= 0, got {weight!r}",
-                lineno,
-                line_offset,
-            )
-        if row not in row_seen:
-            row_seen[row] = len(rows)
-            rows.append(row)
-        if col not in col_seen:
-            col_seen[col] = len(cols)
-            cols.append(col)
-        key = (row, col)
-        cells[key] = cells.get(key, 0.0) + weight
+def _cells(rows, cols, ri, ci, w) -> tuple[list[str], list[str], np.ndarray]:
+    """The labels and the len(rows) x len(cols) matrix whose cell (i, j) sums
+    the weights w of the lines with ri = i and ci = j, in file order from 0.0."""
     nr, nc = len(rows), len(cols)
     _check_matrix_fits(nr, nc)
-    weights = np.zeros((nr, nc))
-    for (row, col), weight in cells.items():
-        weights[row_seen[row], col_seen[col]] = weight
-    return rows, cols, weights
+    cells = np.bincount(ri * nc + ci, weights=w, minlength=nr * nc)
+    # With no lines at all, bincount's result is an integer array.
+    return rows, cols, cells.astype(np.float64, copy=False).reshape(nr, nc)
+
+
+def _nonnegative(text: str, what: str, lineno: int, offset: int) -> float:
+    """float(text); a ParseError on its line unless it is finite and >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", lineno, offset) from None
+    if not math.isfinite(value) or value < 0:
+        raise ParseError(f"{what} must be finite and >= 0, got {value!r}", lineno, offset)
+    return value
+
+
+def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
+    """parse_triplets one line at a time; the only source of its ParseErrors."""
+    row_ids: dict[str, int] = {}
+    col_ids: dict[str, int] = {}
+    ri: list[int] = []
+    ci: list[int] = []
+    w: list[float] = []
+    for lineno, line_offset, (row, col, weight) in _read_lines(path, 3):
+        w.append(_nonnegative(weight, "weight", lineno, line_offset))
+        ri.append(row_ids.setdefault(row, len(row_ids)))
+        ci.append(col_ids.setdefault(col, len(col_ids)))
+    return _cells(
+        list(row_ids), list(col_ids),
+        np.array(ri, dtype=np.intp), np.array(ci, dtype=np.intp), np.array(w),
+    )
 
 
 def _csv_cells(line: str, lineno: int, line_offset: int) -> list[str]:
@@ -735,24 +714,12 @@ def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
                 line_offset,
             )
         row_labels.append(cells[0].strip())
-        row_vals = []
-        for cell in cells[1:]:
-            cell = cell.strip()
-            if not cell:
-                row_vals.append(0.0)
-                continue
-            try:
-                val = float(cell)
-            except ValueError:
-                raise ParseError(f"bad value {cell!r}", lineno, line_offset) from None
-            if not math.isfinite(val) or val < 0:
-                raise ParseError(
-                    f"value must be finite and >= 0, got {val!r}",
-                    lineno,
-                    line_offset,
-                )
-            row_vals.append(val)
-        data.append(row_vals)
+        data.append(
+            [
+                _nonnegative(cell, "value", lineno, line_offset) if cell else 0.0
+                for cell in map(str.strip, cells[1:])
+            ]
+        )
     if not data:
         raise ParseError("no data rows", header_no, header_off)
     return row_labels, col_labels, np.array(data, dtype=np.float64)
@@ -763,8 +730,9 @@ def ingest(
     col_labels,
     weights,
     normalize: str = "joint",
-) -> tuple[Dtm, PruneReport]:
-    """The DTM of a raw nonnegative matrix, after pruning empty rows/cols.
+) -> tuple[Dtm, dict[str, list[str]]]:
+    """The DTM of a raw nonnegative matrix, after pruning empty rows/cols,
+    and the labels pruned, as {"pruned_rows": [...], "pruned_cols": [...]}.
 
     normalize "joint" divides by the total mass; "rows" normalizes each row
     to sum 1 and then divides by the row count, yielding a joint with a
@@ -782,14 +750,10 @@ def ingest(
 
     row_keep = w.sum(axis=1) > 0
     col_keep = w.sum(axis=0) > 0
-    report = PruneReport(
-        pruned_rows=tuple(
-            lab for lab, keep in zip(row_labels, row_keep) if not keep
-        ),
-        pruned_cols=tuple(
-            lab for lab, keep in zip(col_labels, col_keep) if not keep
-        ),
-    )
+    pruned = {
+        "pruned_rows": [lab for lab, keep in zip(row_labels, row_keep) if not keep],
+        "pruned_cols": [lab for lab, keep in zip(col_labels, col_keep) if not keep],
+    }
     w = w[np.ix_(row_keep, col_keep)]  # a copy, normalized in place below
     if w.size == 0:
         raise DataError("no rows or columns carry weight")
@@ -801,7 +765,7 @@ def ingest(
     else:
         w /= w.sum(axis=1, keepdims=True)
         w /= w.shape[0]
-    return build_dtm(kept_rows, kept_cols, w), report
+    return build_dtm(kept_rows, kept_cols, w), pruned
 
 
 def write_triplets(path, row_labels, col_labels, weights) -> None:
@@ -825,18 +789,7 @@ def load_pmf(path) -> Pmf:
     """
     probs: dict[str, float] = {}
     for lineno, line_offset, (label, prob_text) in _read_lines(path, 2):
-        try:
-            prob = float(prob_text)
-        except ValueError:
-            raise ParseError(
-                f"bad probability {prob_text!r}", lineno, line_offset
-            ) from None
-        if not math.isfinite(prob) or prob < 0:
-            raise ParseError(
-                f"probability must be finite and >= 0, got {prob!r}",
-                lineno,
-                line_offset,
-            )
+        prob = _nonnegative(prob_text, "probability", lineno, line_offset)
         if label in probs:
             raise ParseError(f"duplicate label {label!r}", lineno, line_offset)
         probs[label] = prob
@@ -874,34 +827,6 @@ def apply_rating_transform(weights) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
-    """Two-community block matrix family: P = [[s*1, 1], [1, s*1]].
-
-    Blocks are m x n; the full matrix is 2m x 2n and left unnormalized.
-    Variants: base_P (as above), intuitive_Q1 (off-diagonal blocks zeroed),
-    one_item_Q2 (last row and column zeroed except a lone s in the corner).
-    """
-
-    m: int
-    n: int
-    s: float
-    variant: str = "base_P"
-
-    def __post_init__(self):
-        if int(self.m) < 1 or int(self.n) < 1:
-            raise ConfigError("m and n must be positive")
-        if not (math.isfinite(self.s) and self.s >= 1):
-            raise ConfigError("s must be finite and >= 1")
-        if self.variant not in ("base_P", "intuitive_Q1", "one_item_Q2"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.variant == "one_item_Q2" and (int(self.m) < 2 or int(self.n) < 2):
-            raise ConfigError("one_item_Q2 needs m, n >= 2")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "s", float(self.s))
-
-
 def _check_cells(rows: int, cols: int) -> None:
     """ConfigError if a rows x cols generated matrix exceeds MAX_CELLS."""
     if rows * cols > MAX_CELLS:
@@ -911,25 +836,36 @@ def _check_cells(rows: int, cols: int) -> None:
         )
 
 
-def gen_counterexample(p: CounterexampleParams) -> np.ndarray:
-    """Materialize the requested 2m x 2n block matrix (unnormalized)."""
-    m, n, s = p.m, p.n, p.s
+def gen_counterexample(m: int, n: int, s: float, variant: str = "base_P") -> np.ndarray:
+    """Two-community block matrix family: P = [[s*1, 1], [1, s*1]].
+
+    Blocks are m x n; the full matrix is 2m x 2n and left unnormalized.
+    Variants: base_P (as above), intuitive_Q1 (off-diagonal blocks zeroed),
+    one_item_Q2 (last row and column zeroed except a lone s in the corner).
+    """
+    if int(m) < 1 or int(n) < 1:
+        raise ConfigError("m and n must be positive")
+    if not (math.isfinite(s) and s >= 1):
+        raise ConfigError("s must be finite and >= 1")
+    if variant not in ("base_P", "intuitive_Q1", "one_item_Q2"):
+        raise ConfigError(f"unknown variant {variant!r}")
+    if variant == "one_item_Q2" and (int(m) < 2 or int(n) < 2):
+        raise ConfigError("one_item_Q2 needs m, n >= 2")
+    m, n, s = int(m), int(n), float(s)
     _check_cells(2 * m, 2 * n)
     base = np.ones((2 * m, 2 * n))
     base[:m, :n] = s
     base[m:, n:] = s
-    if p.variant == "base_P":
+    if variant == "base_P":
         return base
-    if p.variant == "intuitive_Q1":
-        out = base.copy()
-        out[:m, n:] = 0.0
-        out[m:, :n] = 0.0
-        return out
-    out = base.copy()
-    out[2 * m - 1, :] = 0.0
-    out[:, 2 * n - 1] = 0.0
-    out[2 * m - 1, 2 * n - 1] = s
-    return out
+    if variant == "intuitive_Q1":
+        base[:m, n:] = 0.0
+        base[m:, :n] = 0.0
+        return base
+    base[2 * m - 1, :] = 0.0
+    base[:, 2 * n - 1] = 0.0
+    base[2 * m - 1, 2 * n - 1] = s
+    return base
 
 
 def intuitive_kernel(m: int) -> CouplingKernel:
@@ -954,8 +890,7 @@ def one_item_kernel(m: int) -> CouplingKernel:
 
 def counterexample_frobenius(m: int, n: int, s: float, kernel: CouplingKernel) -> float:
     """||B_{Z,X}||_F^2 for a kernel applied to the normalized base matrix."""
-    params = CounterexampleParams(m=m, n=n, s=s, variant="base_P")
-    base = gen_counterexample(params)
+    base = gen_counterexample(m, n, s)
     chain = kernel.kernel @ (base / base.sum())
     xlabels = [f"x{j}" for j in range(chain.shape[1])]
     return frobenius_sq(build_dtm(kernel.cluster_labels, xlabels, chain / chain.sum()))

@@ -2,10 +2,10 @@
 
 Every error raised by the library derives from CoupclustError so callers can
 catch one type at the boundary. There is one family per CLI exit code:
-ConfigError -> 2, DataError -> 3, SolverError -> 4. ParseError is the one
+ConfigError -> 2, DataError -> 3, SolverError -> 4 (a solver that fails,
+or a DTM spectrum that breaks its invariants). ParseError is the one
 subclass, a DataError that carries the line and byte offset of a bad input
-line. The bare CoupclustError (a DTM spectrum that breaks its invariants)
-also exits 4.
+line.
 """
 
 import os

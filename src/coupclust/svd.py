@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoupclustError
+from .errors import SolverError
 
 SPECTRAL_TOL = 1e-10
 
@@ -91,16 +91,16 @@ def gram_top(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_dtm_spectrum(values: np.ndarray) -> None:
-    """Raise CoupclustError unless a DTM's spectrum tops at 1 and is >= 0.
+    """Raise SolverError unless a DTM's spectrum tops at 1 and is >= 0.
 
     values: descending singular values, or their squares (both tests hold
     for either), within SPECTRAL_TOL. The DTM of a joint meets both, so a
     failure means the matrix is not one.
     """
     if not abs(float(values[0]) - 1.0) <= SPECTRAL_TOL:
-        raise CoupclustError(
+        raise SolverError(
             f"top of the spectrum {float(values[0])!r} != 1; "
             "DTM invariant violated"
         )
     if float(values[-1]) < -SPECTRAL_TOL:
-        raise CoupclustError("negative singular value")
+        raise SolverError("negative singular value")

@@ -14,7 +14,6 @@ import pytest
 from coupclust.cli import main as cli_main
 from coupclust.core import CouplingKernel, Pmf, build_dtm
 from coupclust.data_io import (
-    CounterexampleParams,
     community_objective,
     counterexample_frobenius,
     gen_counterexample,
@@ -186,13 +185,9 @@ def test_criterion_05_counterexample_objectives_and_flip():
         n = int(rng.integers(2, 51))
         s = float(rng.integers(2, 51))
         lam = float(rng.integers(2, 51))
-        base = gen_counterexample(CounterexampleParams(m=m, n=n, s=s))
-        q1 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="intuitive_Q1")
-        )
-        q2 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="one_item_Q2")
-        )
+        base = gen_counterexample(m, n, s)
+        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
+        q2 = gen_counterexample(m, n, s, "one_item_Q2")
         got1 = community_objective(q1, base, lam, 2)
         got2 = community_objective(q2, base, lam, 2)
         want1 = 2.0 * m * n - 2.0 * lam
@@ -211,13 +206,9 @@ def test_criterion_05_counterexample_objectives_and_flip():
     assert s_star == pytest.approx(np.sqrt(50.0), rel=1e-15)
 
     def diff(s):
-        base = gen_counterexample(CounterexampleParams(m=m, n=n, s=s))
-        q1 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="intuitive_Q1")
-        )
-        q2 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="one_item_Q2")
-        )
+        base = gen_counterexample(m, n, s)
+        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
+        q2 = gen_counterexample(m, n, s, "one_item_Q2")
         return community_objective(q1, base, lam, 2) - community_objective(
             q2, base, lam, 2
         )

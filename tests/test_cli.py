@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import coupclust
@@ -502,6 +502,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "kernel.json").exists()
 
+    def test_spectrum_check_failure_exit_code(
+        self, planted, tmp_path, capsys, monkeypatch
+    ):
+        # A DTM whose spectrum breaks its invariants is a SolverError: exit 4,
+        # with the check's message. A negative tolerance fails every check.
+        monkeypatch.setattr("coupclust.svd.SPECTRAL_TOL", -1.0)
+        data, _ = planted
+        out = tmp_path / "x"
+        rc = main(
+            [
+                "cluster", str(data), "--algo", "nuclear", "--k", "2",
+                "--restarts", "1", "--out", str(out),
+            ]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^solver error: top of the spectrum \S+ != 1; DTM invariant violated$",
+            err,
+            re.MULTILINE,
+        )
+        assert "Traceback" not in err
+        assert not (out / "kernel.json").exists()
+
     def test_bad_grid(self, tmp_path):
         rc = main(
             [
@@ -972,5 +996,86 @@ def test_exit_code_contract(data, side, argv):
                 contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = main(full)
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
+# Every subcommand's own arguments, as the parser declares them.
+_SUBCOMMANDS = {
+    name: [a for a in sub._actions if a.dest != "help"]
+    for name, sub in next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices.items()
+}
+# Flag values: edge cases; else one of the flag's choices, or a small valid
+# number, or for a text flag "uniform" or a file that each example makes.
+# Paths are relative to the example's own directory.
+_EDGE = ["0", "-1", "nan", "inf", "1e300", "", "0x2", "1_0", "1:2:0", "0:1e9:1",
+         "missing.tsv", "dir"]
+_SMALL = ["1", "2", "3", "10", "0.5", "1,2", "1:3:1"]
+_TEXT = ["uniform", "data.tsv", "truth.tsv", "pz.tsv"]
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its required arguments and about half of the rest,
+    each drawn from _EDGE for one value of st.integers(0, 3); the input is
+    otherwise the data file, and --out, always set, a new directory or the
+    data file."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv, out = [name], "out"
+    for action in _SUBCOMMANDS[name]:
+        if not (action.required or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[-1])
+            continue
+        good = {"input": ["data.tsv"], "out": ["out", "data.tsv"]}.get(
+            action.dest
+        ) or list(action.choices or (_TEXT if action.type is None else _SMALL))
+        value = draw(st.sampled_from(_EDGE if draw(st.integers(0, 3)) == 3 else good))
+        if action.dest == "out":
+            out = value
+        elif action.option_strings:
+            argv += [action.option_strings[-1], value]
+        else:
+            argv.append(value)
+    return argv + ["--out", out]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    # Each example makes, enters and removes its own directory under tmp_path.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# Runs that reach the solvers with edge values.
+@example(argv=["cluster", "data.tsv", "--algo", "frobenius", "--k", "3", "--pz",
+               "uniform", "--lambda", "1e300", "--tol", "0.5", "--truth", "truth.tsv",
+               "--out", "out"])
+@example(argv=["cluster", "data.tsv", "--algo", "nuclear", "--k", "10", "--restarts",
+               "10", "--truth", "truth.tsv", "--out", "dir"])
+@given(argv=_argv())
+def test_exit_code_contract_over_argv(tmp_path, monkeypatch, argv):
+    """Any argv the parser's own flags make: 0, 2, 3 or 4, no traceback."""
+    monkeypatch.chdir(tmp_path)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        os.chdir(root)
+        (rows, cols, weights), truth = gen_planted_blocks(3, 5, 1.0, 0.05)
+        write_triplets("data.tsv", rows, cols, weights)
+        Path("truth.tsv").write_text("".join(f"{y}\t{t}\n" for y, t in zip(rows, truth)))
+        Path("pz.tsv").write_text("z0\t0.5\nz1\t0.5\n")
+        Path("dir").mkdir()
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+        finally:
+            os.chdir(tmp_path)
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

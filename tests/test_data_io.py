@@ -17,7 +17,6 @@ from coupclust.data_io import (
     MAX_CELLS,
     _parse_triplets_bulk,
     _parse_triplets_lines,
-    CounterexampleParams,
     apply_rating_transform,
     community_objective,
     counterexample_frobenius,
@@ -701,11 +700,37 @@ class TestDenseCsv:
         assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "reader, text, where, message",
+    [
+        (parse_triplets, "# c\na\tu\t1\nb\tv\tx1\n", (3, 10), "bad weight 'x1'"),
+        (parse_triplets, "a\tu\t1\nb\tv\tnan\n", (2, 6),
+         "weight must be finite and >= 0, got nan"),
+        (load_dense_csv, "item,u,v\na,1,2\nb,3,x\n", (3, 15), "bad value 'x'"),
+        (load_dense_csv, "item,u,v\n# c\na,1, -1\n", (3, 13),
+         "value must be finite and >= 0, got -1.0"),
+        (load_pmf, "z0\t0.5\nz1\thalf\n", (2, 7), "bad probability 'half'"),
+        (load_pmf, "# p\nz0\t0.5\nz1\t-inf\n", (3, 11),
+         "probability must be finite and >= 0, got -inf"),
+    ],
+    ids=["triplet-bad", "triplet-nan", "csv-bad", "csv-negative", "pmf-bad", "pmf-inf"],
+)
+def test_number_errors_name_their_line(tmp_path, reader, text, where, message):
+    # All three readers check a number alike; each error gives the line and
+    # the byte offset of its start.
+    path = tmp_path / ("in.csv" if reader is load_dense_csv else "in.tsv")
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert (err.value.line, err.value.offset) == where
+    assert str(err.value) == f"line {where[0]}, byte {where[1]}: {message}"
+
+
 class TestIngest:
     def test_joint_mode(self):
         w = np.array([[2.0, 2.0], [1.0, 3.0]])
-        dtm, report = ingest(["a", "b"], ["u", "v"], w)
-        assert report.empty
+        dtm, pruned = ingest(["a", "b"], ["u", "v"], w)
+        assert pruned == {"pruned_rows": [], "pruned_cols": []}
         want = build_dtm(["a", "b"], ["u", "v"], w / 8.0)
         assert dtm.matrix.tobytes() == want.matrix.tobytes()
         np.testing.assert_array_equal(w, [[2.0, 2.0], [1.0, 3.0]])
@@ -720,15 +745,10 @@ class TestIngest:
 
     def test_pruning_reported(self):
         w = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
-        dtm, report = ingest(["a", "b", "c"], ["u", "v", "w"], w)
-        assert report.pruned_rows == ("b",)
-        assert report.pruned_cols == ("v",)
+        dtm, pruned = ingest(["a", "b", "c"], ["u", "v", "w"], w)
+        assert pruned == {"pruned_rows": ["b"], "pruned_cols": ["v"]}
         assert dtm.row_pmf.labels == ("a", "c")
         assert dtm.col_pmf.labels == ("u", "w")
-        assert report.as_dict() == {
-            "pruned_rows": ["b"],
-            "pruned_cols": ["v"],
-        }
 
     def test_empty_after_pruning(self):
         with pytest.raises(DataError, match="no rows or columns carry weight"):
@@ -818,7 +838,7 @@ class TestRatings:
 
 class TestCounterexample:
     def test_base_matrix_m2_n2_s3(self):
-        mat = gen_counterexample(CounterexampleParams(m=2, n=2, s=3.0))
+        mat = gen_counterexample(2, 2, 3.0)
         want = np.array(
             [
                 [3, 3, 1, 1],
@@ -831,25 +851,17 @@ class TestCounterexample:
         np.testing.assert_array_equal(mat, want)
 
     def test_variants(self):
-        q1 = gen_counterexample(
-            CounterexampleParams(m=2, n=2, s=3.0, variant="intuitive_Q1")
-        )
+        q1 = gen_counterexample(2, 2, 3.0, "intuitive_Q1")
         assert np.all(q1[:2, 2:] == 0) and np.all(q1[2:, :2] == 0)
-        q2 = gen_counterexample(
-            CounterexampleParams(m=2, n=2, s=3.0, variant="one_item_Q2")
-        )
+        q2 = gen_counterexample(2, 2, 3.0, "one_item_Q2")
         assert np.all(q2[3, :3] == 0) and np.all(q2[:3, 3] == 0)
         assert q2[3, 3] == 3.0
 
     def test_distance_formulas(self):
         for m, n, s in [(2, 2, 3.0), (4, 7, 2.5), (50, 50, 5.0)]:
-            base = gen_counterexample(CounterexampleParams(m=m, n=n, s=s))
-            q1 = gen_counterexample(
-                CounterexampleParams(m=m, n=n, s=s, variant="intuitive_Q1")
-            )
-            q2 = gen_counterexample(
-                CounterexampleParams(m=m, n=n, s=s, variant="one_item_Q2")
-            )
+            base = gen_counterexample(m, n, s)
+            q1 = gen_counterexample(m, n, s, "intuitive_Q1")
+            q2 = gen_counterexample(m, n, s, "one_item_Q2")
             d1 = float(np.sum((q1 - base) ** 2))
             d2 = float(np.sum((q2 - base) ** 2))
             assert d1 == pytest.approx(2 * m * n, rel=1e-12)
@@ -869,26 +881,22 @@ class TestCounterexample:
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError, match="m and n must be positive"):
-            CounterexampleParams(m=0, n=2, s=2.0)
+            gen_counterexample(0, 2, 2.0)
         with pytest.raises(ConfigError, match="s must be finite and >= 1"):
-            CounterexampleParams(m=2, n=2, s=0.5)
+            gen_counterexample(2, 2, 0.5)
         with pytest.raises(ConfigError, match="one_item_Q2 needs m, n >= 2"):
-            CounterexampleParams(m=1, n=2, s=2.0, variant="one_item_Q2")
+            gen_counterexample(1, 2, 2.0, "one_item_Q2")
         with pytest.raises(ConfigError, match="unknown variant 'nope'"):
-            CounterexampleParams(m=2, n=2, s=2.0, variant="nope")
+            gen_counterexample(2, 2, 2.0, "nope")
 
 
 class TestCommunityObjective:
     def test_worked_example(self):
         m = n = 50
         s, lam = 5.0, 3000.0
-        base = gen_counterexample(CounterexampleParams(m=m, n=n, s=s))
-        q1 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="intuitive_Q1")
-        )
-        q2 = gen_counterexample(
-            CounterexampleParams(m=m, n=n, s=s, variant="one_item_Q2")
-        )
+        base = gen_counterexample(m, n, s)
+        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
+        q2 = gen_counterexample(m, n, s, "one_item_Q2")
         assert community_objective(q1, base, lam, 2) == pytest.approx(
             -1000.0, abs=1e-6
         )
@@ -953,7 +961,7 @@ class TestPlantedBlocks:
         with pytest.raises(ConfigError, match="exceeds the generator limit of 25000000"):
             gen_planted_blocks(10**12, 1, 1.0, 0.1)
         with pytest.raises(ConfigError, match="exceeds the generator limit of 25000000"):
-            gen_counterexample(CounterexampleParams(m=side, n=side // 4, s=2.0))
+            gen_counterexample(side, side // 4, 2.0)
 
 
 class TestArtifacts:

@@ -5,7 +5,7 @@ import pytest
 
 from coupclust import frobenius
 from coupclust.core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
-from coupclust.data_io import CounterexampleParams, gen_counterexample, gen_planted_blocks
+from coupclust.data_io import gen_counterexample, gen_planted_blocks
 from coupclust.errors import ConfigError, DataError, SolverError
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
@@ -325,7 +325,7 @@ def _planted(blocks, size):
 
 
 def _counterexample(s):
-    w = gen_counterexample(CounterexampleParams(m=50, n=50, s=s))
+    w = gen_counterexample(50, 50, s)
     labels = [f"y{i}" for i in range(100)], [f"x{j}" for j in range(100)]
     return build_dtm(*normalized_joint(*labels, w)), _uniform_pz(2), 10.0
 

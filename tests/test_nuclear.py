@@ -5,7 +5,6 @@ import pytest
 
 from coupclust.core import build_dtm
 from coupclust.data_io import (
-    CounterexampleParams,
     gen_counterexample,
     gen_planted_blocks,
 )
@@ -376,7 +375,7 @@ def _scenario_joints():
     for blocks, size, cross in ((8, 25, 0.05), (3, 20, 0.05), (4, 12, 0.2)):
         joint, _ = gen_planted_blocks(blocks, size, 1.0, cross, noise_seed=3)
         yield f"planted {blocks}x{size}", joint, (blocks,)
-    weights = gen_counterexample(CounterexampleParams(m=20, n=20, s=2.0))
+    weights = gen_counterexample(20, 20, 2.0)
     yield "counterexample", normalized_joint(
         [f"y{i}" for i in range(40)], [f"x{j}" for j in range(40)], weights
     ), (2,)

@@ -16,7 +16,6 @@ PUBLIC = {
     "__version__",
     "ClusteringReport",
     "ConfigError",
-    "CounterexampleParams",
     "CoupclustError",
     "CouplingKernel",
     "DataError",
@@ -26,7 +25,6 @@ PUBLIC = {
     "NuclearConfig",
     "ParseError",
     "Pmf",
-    "PruneReport",
     "SolveTrace",
     "SolverError",
     "apply_rating_transform",
@@ -61,7 +59,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 42
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:

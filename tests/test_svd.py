@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coupclust import svd
 from coupclust.core import Dtm, build_dtm
 from coupclust.embedding import dtm_embed
 from coupclust.errors import ConfigError, CoupclustError
@@ -130,23 +131,75 @@ def test_top_iterates_on_a_gapped_joint(monkeypatch, shape):
     assert np.array_equal(u, u2) and np.array_equal(s, s2)
 
 
+def _eigh_route(matrix, r):
+    # gram_top's result when it decomposes the whole Gram matrix.
+    wide = matrix.shape[0] <= matrix.shape[1]
+    lam, vecs = np.linalg.eigh(matrix @ matrix.T if wide else matrix.T @ matrix)
+    lam, vecs = lam[::-1][:r], vecs[:, ::-1][:, :r]
+    return (np.ascontiguousarray(vecs) if wide else np.linalg.qr(matrix @ vecs)[0]), lam
+
+
 @pytest.mark.parametrize("shape", [(300, 900), (900, 300), (400, 400)])
 def test_top_falls_back_to_eigh_on_a_weak_gap(rng, monkeypatch, shape):
     # sigma_16 and sigma_17 of a sparse random joint are close, so the
     # residuals decay too slowly: after at most 3 steps the Gram matrix takes
     # one eigh, and the result has the bits of that eigh alone.
     b = build_dtm(*_sparse_joint(rng, shape))
-    r, m, n = 16, b.matrix, min(shape)
-    wide = shape[0] <= shape[1]
-    lam, vecs = np.linalg.eigh(m @ m.T if wide else m.T @ m)
-    lam, vecs = lam[::-1][:r], vecs[:, ::-1][:, :r]
-    u_ref = np.ascontiguousarray(vecs) if wide else np.linalg.qr(m @ vecs)[0]
+    r, n = 16, min(shape)
+    u_ref, lam = _eigh_route(b.matrix, r)
     sizes = _recording_eigh(monkeypatch)
     u, s = b.top(r)
     assert sizes[-1] == n and 1 <= len(sizes) - 1 <= 3
     assert max(sizes[:-1]) < n
     assert np.array_equal(u, u_ref)
     assert np.array_equal(s, np.sqrt(np.maximum(lam, 0.0)))
+
+
+def test_top_takes_eigh_when_the_residual_stops_falling(monkeypatch):
+    # B B^T = 100 v v^T + E E^T, with E orthonormal, p columns wide, and v
+    # nearly orthogonal to the span of _ritz_top's fixed Gaussian start. From
+    # step 2 the block lies in span(v, E); its top Ritz vector mixes v into E
+    # in a ratio that grows 100-fold a step, so its residual grows too while
+    # v is still small. At step 3 iterating gives up for one eigh.
+    n, r = 200, 1
+    p = r + max(r // 2, 8)
+    start = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(n)
+    v -= start @ (start.T @ v)
+    v = v / np.linalg.norm(v) + 1e-8 * start[:, 0]
+    v /= np.linalg.norm(v)
+    e = rng.standard_normal((n, p))
+    e -= np.outer(v, v @ e)
+    e = np.linalg.qr(e)[0]
+    b = 10.0 * np.outer(v, v) + e @ e.T
+    want = _eigh_route(b, r)
+    residuals = []
+    norm = np.linalg.norm
+
+    def recording(x, *args, **kwargs):
+        out = norm(x, *args, **kwargs)
+        if kwargs.get("axis") == 0:
+            residuals.append(float(out[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    sizes = _recording_eigh(monkeypatch)
+    got = svd.gram_top(b, r)
+    assert sizes == [p, p, p, n]
+    assert len(residuals) == 3 and residuals[2] > residuals[1]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_top_takes_eigh_when_the_step_budget_is_spent(rng, monkeypatch):
+    # 40 rows allow n // 25 = 1 step, too few for a random Gram matrix; the
+    # loop ends unconverged, and one eigh of the 40 x 40 matrix follows.
+    b = rng.random((40, 60))
+    want = _eigh_route(b, 1)
+    sizes = _recording_eigh(monkeypatch)
+    got = svd.gram_top(b, 1)
+    assert sizes == [9, 40]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_rank_check_holds_on_the_iterated_route(monkeypatch):
