@@ -45,19 +45,14 @@ from .embedding import dtm_embed, write_embedding_tsv
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (
     _check_same_items,
+    _improves,
     _solve,
     build_report,
     elbow_curve,
     format_report_table,
     kernel_norm_value,
 )
-from .frobenius import FrobeniusConfig, _uniform_target
-
-# Restarts that reach the same optimum differ only in the last bits of the
-# objective, which depend on summation order. A later restart replaces the
-# best one only when it is higher by more than this relative margin, so
-# such ties keep the earliest seed.
-_TIE_RTOL = 1e-12
+from .frobenius import LAMBDA, OBJ_TOL, _uniform_target
 
 
 def _log(msg: str) -> None:
@@ -130,7 +125,7 @@ def _load_truth(path, dtm: Dtm, pruned_rows: list[str]) -> dict[str, str]:
 def _resolve_lambda(args) -> float:
     # --lambda defaults to None so that the nuclear solver can reject it when
     # it is set; the manifest records the Frobenius default in its place.
-    return FrobeniusConfig.lam if args.lam is None else args.lam
+    return LAMBDA if args.lam is None else args.lam
 
 
 def _reject_for_nuclear(args, flags: dict) -> None:
@@ -154,6 +149,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         {"--pz": args.pz, "--lambda": args.lam, "--tol": args.tol},
     )
     lam = _resolve_lambda(args)
+    tol = OBJ_TOL if args.tol is None else args.tol
     p_z = _resolve_pz(args, k, dtm) if args.algo == "frobenius" else None
     if args.truth is not None:
         truth = _load_truth(args.truth, dtm, prune["pruned_rows"])
@@ -161,9 +157,9 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     best = None
     for restart in range(args.restarts):
         seed = args.seed + restart
-        kernel, trace = _solve(dtm, args.algo, k, seed, p_z, lam, args.tol)
+        kernel, trace = _solve(dtm, args.algo, k, seed, p_z, lam, tol)
         final = trace.objectives[-1]
-        if best is None or final > best[0] + _TIE_RTOL * abs(best[0]):
+        if best is None or _improves(final, best[0]):
             best = (final, seed, kernel, trace)
         _log(
             f"restart seed={seed}: objective {final!r}, "

@@ -221,27 +221,24 @@ class SolveTrace:
 
     For the Frobenius solver every row describes the projected iterate:
     objective = relaxed objective J, penalty = lambda-weighted marginal
-    penalty, violation = max kernel column-sum deviation (rounding only),
-    min_entry = smallest kernel entry (never negative). The nuclear solver
-    reuses the layout with objective = nuclear norm and zero
-    penalty/violation.
+    penalty, violation = max kernel column-sum deviation (rounding only).
+    The nuclear solver reuses the layout with objective = nuclear norm and
+    zero penalty/violation.
     """
 
     objectives: list[float] = field(default_factory=list)
     penalties: list[float] = field(default_factory=list)
     violations: list[float] = field(default_factory=list)
-    min_entries: list[float] = field(default_factory=list)
     status: str = "MaxIters"
     extras: dict[str, list[float]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.objectives)
 
-    def record(self, obj: float, pen: float, viol: float, mn: float) -> None:
+    def record(self, obj: float, pen: float, viol: float) -> None:
         self.objectives.append(float(obj))
         self.penalties.append(float(pen))
         self.violations.append(float(viol))
-        self.min_entries.append(float(mn))
 
 
 def build_dtm(row_labels: Sequence[str], col_labels: Sequence[str], weights) -> Dtm:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import CouplingKernel, Dtm
 from .errors import ConfigError, DataError, warn_caller
-from .frobenius import FrobeniusConfig, _uniform_target, solve_frobenius
-from .nuclear import NuclearConfig, _chain_svd, solve_nuclear
+from .frobenius import LAMBDA, OBJ_TOL, _uniform_target, solve_frobenius
+from .nuclear import _chain_svd, solve_nuclear
 
 __all__ = [
     "ClusteringReport",
@@ -181,21 +181,29 @@ def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float
     return float(np.sum(s * s)) if algorithm == "frobenius" else float(np.sum(s))
 
 
-def _solve(dtm, algorithm, k, seed, p_z=None, lam=None, tol=None):
+def _solve(dtm, algorithm, k, seed, p_z=None, lam=LAMBDA, tol=OBJ_TOL):
     """One restart of the named solver on the joint's DTM: (kernel, trace).
 
-    p_z (uniform when None), lam and tol are Frobenius knobs; None leaves
-    the FrobeniusConfig default. The nuclear solver ignores them.
+    p_z (uniform when None), lam and tol are solve_frobenius's target,
+    penalty weight and tolerance; the nuclear solver ignores them.
     """
     if algorithm == "nuclear":
-        return solve_nuclear(dtm, NuclearConfig(k=k, seed=seed))
+        return solve_nuclear(dtm, k, seed=seed)
     if p_z is None:
         p_z = _uniform_target(k, len(dtm.row_pmf))
-    knobs = {"lam": lam, "obj_tol": tol}
-    cfg = FrobeniusConfig(
-        seed=seed, **{n: v for n, v in knobs.items() if v is not None}
-    )
-    return solve_frobenius(dtm, p_z, cfg)
+    return solve_frobenius(dtm, p_z, lam=lam, obj_tol=tol, seed=seed)
+
+
+# Restarts that reach the same optimum differ only in the last bits of the
+# objective, which depend on summation order. A later restart replaces the
+# best one only when it is higher by more than this relative margin, so
+# such ties keep the earliest seed.
+_TIE_RTOL = 1e-12
+
+
+def _improves(value: float, best: float) -> bool:
+    """True if a restart scoring value replaces the best one so far."""
+    return value > best + _TIE_RTOL * abs(best)
 
 
 def elbow_curve(
@@ -203,15 +211,16 @@ def elbow_curve(
     ks: Sequence[int],
     algorithm: str = "nuclear",
     restarts: int = 5,
-    frobenius_lam: float | None = None,
+    frobenius_lam: float = LAMBDA,
 ) -> list[tuple[int, float]]:
     """Best-over-restarts norm value per cluster count on the joint's DTM.
 
     Each restart is scored by kernel_norm_value, and the curve keeps the
-    largest. Restart r uses seed r; ties keep the lower seed. The Frobenius
-    route targets the uniform P_Z over k clusters, with penalty weight
-    frobenius_lam (the FrobeniusConfig default when None); the nuclear
-    route ignores it.
+    largest. Restart r uses seed r, and a later restart replaces the kept
+    one only by beating it by more than round-off (_improves), so ties keep
+    the lower seed, as cluster's restarts do. The Frobenius route
+    targets the uniform P_Z over k clusters, with penalty weight
+    frobenius_lam; the nuclear route ignores it.
 
     On the nuclear route the optimum cannot fall as k grows: merging two
     clusters multiplies B_{Z,X} by a DTM, whose operator norm is at most 1,
@@ -230,11 +239,11 @@ def elbow_curve(
         raise ConfigError("restarts must be >= 1")
     curve: list[tuple[int, float]] = []
     for k in ks:
-        best = -np.inf
+        best = None
         for seed in range(int(restarts)):
             kernel, _ = _solve(dtm, algorithm, k, seed, lam=frobenius_lam)
             val = kernel_norm_value(dtm, kernel, algorithm)
-            if val > best:
+            if best is None or _improves(val, best):
                 best = val
         curve.append((k, float(best)))
     if algorithm != "nuclear":

@@ -46,44 +46,22 @@ last accepted A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CouplingKernel, Dtm, Pmf, SolveTrace
-from .errors import ConfigError, DataError, SolverError
+from .errors import ConfigError, DataError, SolverError, warn_caller
 from .simplex import project_columns
 
-__all__ = ["FrobeniusConfig", "solve_frobenius"]
+__all__ = ["solve_frobenius"]
 
 # Most gradient steps per solve, discarded momentum steps included.
 MAX_ITERS = 5000
+# Default penalty weight lambda and relative-change tolerance of J.
+LAMBDA = 10.0
+OBJ_TOL = 1e-9
 # Objective window for the relative-change stopping rule.
 _OBJ_WINDOW = 10
-
-
-@dataclass(frozen=True)
-class FrobeniusConfig:
-    """Hyperparameters for solve_frobenius.
-
-    The step is not one of them: the solver always takes the 1/L step of the
-    module docstring, for which a plain step never lowers J. lam must be
-    finite and positive. obj_tol applies to the accepted steps (see
-    solve_frobenius); the step count is capped at MAX_ITERS.
-    """
-
-    lam: float = 10.0
-    obj_tol: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError("lam must be finite and positive")
-        if not 0 < self.obj_tol < 1:
-            raise ConfigError("obj_tol must be in (0, 1)")
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _uniform_target(k: int, ny: int) -> Pmf:
@@ -130,44 +108,64 @@ def _half_gradient(ag, resid, sy, lam: float) -> np.ndarray:
     return ag - lam * np.outer(resid, sy)
 
 
-def _feasibility(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> tuple[float, float]:
-    # Column-sum deviation and smallest entry of K = [P_Z]^{1/2} A [P_Y]^{-1/2}.
-    viol = float(np.max(np.abs(sz @ a / sy - 1.0)))
-    return viol, float(np.min((sz[:, None] * a).min(axis=0) / sy))
+def _violation(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> float:
+    # Column-sum deviation of K = [P_Z]^{1/2} A [P_Y]^{-1/2}.
+    return float(np.max(np.abs(sz @ a / sy - 1.0)))
 
 
 def solve_frobenius(
-    dtm: Dtm, p_z: Pmf, cfg: FrobeniusConfig | None = None
+    dtm: Dtm,
+    p_z: Pmf,
+    *,
+    lam: float = LAMBDA,
+    obj_tol: float = OBJ_TOL,
+    seed: int = 0,
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Accelerated gradient-ascent coupling solver with a target marginal.
 
     B is dtm.matrix; the items and P_Y are dtm.row_pmf. Each kernel column
-    starts uniform on the simplex (exponential spacings, seeded by
-    cfg.seed). Each iteration steps from the momentum point, projects every
-    column of A in A-space (the metric of the step) and evaluates the
-    result; a momentum step that lowers J is discarded (module docstring),
-    any other is traced. MAX_ITERS counts every step, discarded ones
-    included. The returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from
-    the last traced A, so it and every traced objective belong to
-    column-stochastic kernels. Converged = relative change of J below
-    cfg.obj_tol over 10 traced steps. Raises SolverError, naming the step,
-    if the iterate diverges or a column cannot be projected.
+    starts uniform on the simplex (exponential spacings, seeded by seed).
+    Each iteration steps from the momentum point, projects every column of
+    A in A-space (the metric of the step) and evaluates the result; a
+    momentum step that lowers J is discarded (module docstring), any other
+    is traced. MAX_ITERS counts every step, discarded ones included. The
+    returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from the last
+    traced A, so it and every traced objective belong to column-stochastic
+    kernels. Converged = relative change of J below obj_tol over 10 traced
+    steps. Raises SolverError, naming the step, if the iterate diverges or
+    a column cannot be projected.
+
+    lam must be finite and positive and obj_tol in (0, 1), else ConfigError.
+    Above 1/eps, lam draws a warning: the step 1/(lam - 1) then leaves
+    A G below the rounding of A, and the solve only matches the target.
     """
-    if cfg is None:
-        cfg = FrobeniusConfig()
+    if not (math.isfinite(lam) and lam > 0):
+        raise ConfigError("lam must be finite and positive")
+    if not 0 < obj_tol < 1:
+        raise ConfigError("obj_tol must be in (0, 1)")
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not p_z.strictly_interior:
         raise DataError("target P_Z must be strictly interior")
     nz, ny = len(p_z), len(dtm.row_pmf)
     if nz > ny:
         raise ConfigError(f"|Z| = {nz} exceeds |Y| = {ny}")
 
+    if lam > 1.0 / np.finfo(float).eps:
+        warn_caller(
+            f"lambda = {lam!r} is above 1/eps: the step 1/(lambda - 1) leaves "
+            "A G below the rounding of A, so the solve only matches the "
+            "target marginal"
+        )
+
     gram = _gram(dtm.matrix)
-    sy, sz, lam = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs, cfg.lam
+    sy, sz = dtm.row_pmf.sqrt_probs, p_z.sqrt_probs
 
     scale = _curvature(dtm, lam)
     alpha = 1.0 / scale if scale > 1e-12 else 1.0
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     k = rng.exponential(size=(nz, ny))
     k /= k.sum(axis=0, keepdims=True)
     a = k * sy[None, :] / sz[:, None]
@@ -203,10 +201,10 @@ def solve_frobenius(
         a_prev, ag_prev, resid_prev = a, ag, resid
         a, ag, resid, obj = a_new, ag_new, resid_new, obj_new
         theta = theta_next
-        trace.record(obj, pen, *_feasibility(a, sy, sz))
+        trace.record(obj, pen, _violation(a, sy, sz))
         if len(trace) > _OBJ_WINDOW:
             prev = trace.objectives[-1 - _OBJ_WINDOW]
-            if abs(obj - prev) / max(1.0, abs(obj)) < cfg.obj_tol:
+            if abs(obj - prev) / max(1.0, abs(obj)) < obj_tol:
                 trace.status = "Converged"
                 break
 

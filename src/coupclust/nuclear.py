@@ -16,15 +16,13 @@ coefficients of step (ii) come from B V and U with no chain joint formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CouplingKernel, Dtm, SolveTrace
 from .errors import ConfigError, SolverError, warn_caller
 from .svd import check_dtm_spectrum
 
-__all__ = ["NuclearConfig", "solve_nuclear"]
+__all__ = ["solve_nuclear"]
 
 # Most alternations per solve.
 MAX_ITERS = 200
@@ -33,26 +31,6 @@ DEAD_MASS = 1e-12
 # An item leaves its cluster only for one whose coefficient is higher by more
 # than this, relative to the item's largest |coefficient|.
 _TIE_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class NuclearConfig:
-    """k clusters and the random start's seed.
-
-    There is no tolerance: solve_nuclear stops when its assignment repeats,
-    or after MAX_ITERS alternations.
-    """
-
-    k: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if int(self.k) < 1:
-            raise ConfigError("k must be >= 1")
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _chain_svd(
@@ -133,7 +111,7 @@ def _rescue_dead(
 
 
 def solve_nuclear(
-    dtm: Dtm, cfg: NuclearConfig
+    dtm: Dtm, k: int, *, seed: int = 0
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Alternating maximization of ||B_{Z,X}||_* over coupling kernels.
 
@@ -152,8 +130,14 @@ def solve_nuclear(
     "linear_before"/"linear_after" (the fixed-F,G linear objective at the
     old and new assignment). A decrease of the nuclear norm between
     iterations emits a warning, not an error.
+
+    k must be in 1..|Y| and seed >= 0, else ConfigError.
     """
-    k = cfg.k
+    k, seed = int(k), int(seed)
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ny = len(dtm.row_pmf)
     if k > ny:
         raise ConfigError(f"k = {k} exceeds |Y| = {ny}")
@@ -162,7 +146,7 @@ def solve_nuclear(
     b, py, sy = dtm.matrix, dtm.row_pmf.probs, dtm.row_pmf.sqrt_probs
     items = np.arange(ny)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(ny)
     assign = np.empty(ny, dtype=np.intp)
     assign[perm[:k]] = np.arange(k)
@@ -191,7 +175,7 @@ def solve_nuclear(
         trace.extras["linear_before"].append(linear_before)
         trace.extras["linear_after"].append(float(np.sum(c[items, new_assign])))
 
-        trace.record(norm_val, 0.0, 0.0, float(kernel_mat.min()))
+        trace.record(norm_val, 0.0, 0.0)
         if prev_norm is not None and norm_val < prev_norm - 1e-12:
             warn_caller(
                 f"nuclear norm decreased between iterations "

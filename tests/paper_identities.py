@@ -19,6 +19,8 @@ here, beside the checks:
   residual.
 - The weighted simplex projection by sort-then-threshold, the reference
   for the package's active-set projection.
+- For a hard assignment, ||B_{Z,X}||_F^2 = ||B||_F^2 minus the P_Y-weighted
+  k-means cost of the rows phi_y = B[y] / sqrt(P_Y(y)) (ROADMAP item 15).
 
 Logs are natural: information quantities are in nats.
 """
@@ -204,6 +206,22 @@ def sorted_project_columns(arr: np.ndarray, w: np.ndarray, c) -> np.ndarray:
     tau = (wv[rho, cols] - c) / ww[rho, cols]
     diff = w[:, None] * (br - tau)
     return np.where(diff > 0.0, diff, 0.0)
+
+
+def weighted_kmeans_cost(dtm: Dtm, assign: np.ndarray) -> float:
+    """sum_y P_Y(y) ||phi_y - mu_{z(y)}||^2 of a hard assignment of the rows.
+
+    phi_y = B[y] / sqrt(P_Y(y)) and mu_z is the P_Y-weighted centroid of the
+    rows assigned to z; assign[y] is the cluster index of row y.
+    """
+    py = dtm.row_pmf.probs
+    phi = dtm.matrix / dtm.row_pmf.sqrt_probs[:, None]
+    cost = 0.0
+    for z in np.unique(assign):
+        members = assign == z
+        mu = py[members] @ phi[members] / py[members].sum()
+        cost += float(py[members] @ np.sum((phi[members] - mu) ** 2, axis=1))
+    return cost
 
 
 def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:

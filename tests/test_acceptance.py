@@ -23,12 +23,8 @@ from coupclust.data_io import (
     write_triplets,
 )
 from coupclust.evaluation import elbow_curve, harden, matched_accuracy
-from coupclust.frobenius import (
-    FrobeniusConfig,
-    _half_gradient,
-    solve_frobenius,
-)
-from coupclust.nuclear import NuclearConfig, solve_nuclear
+from coupclust.frobenius import _half_gradient, solve_frobenius
+from coupclust.nuclear import solve_nuclear
 from coupclust.simplex import project_columns
 
 from conftest import oracle_project, random_joint
@@ -282,7 +278,7 @@ def test_criterion_07_nuclear_solver():
     for blocks, dtm, truth in _planted_suite():
         best = None
         for seed in range(5):
-            kernel, trace = solve_nuclear(dtm, NuclearConfig(k=blocks, seed=seed))
+            kernel, trace = solve_nuclear(dtm, blocks, seed=seed)
             gap_worst = max(gap_worst, max(trace.extras["kyfan_gap"]))
             for before, after in zip(
                 trace.extras["linear_before"], trace.extras["linear_after"]
@@ -318,9 +314,7 @@ def test_criterion_08_frobenius_solver():
         p_z = Pmf(labels, mass / mass.sum())
         best = None
         for seed in range(5):
-            kernel, trace = solve_frobenius(
-                dtm, p_z, FrobeniusConfig(lam=10.0, seed=seed)
-            )
+            kernel, trace = solve_frobenius(dtm, p_z, lam=10.0, seed=seed)
             col_worst = max(
                 col_worst,
                 float(np.max(np.abs(kernel.kernel.sum(axis=0) - 1.0))),

@@ -164,9 +164,9 @@ class TestCluster:
         solve = evaluation.solve_nuclear
         bump = {0: 0.0, 1: 1e-15, 2: 1e-9}
 
-        def solve_bumped(dtm, cfg):
-            kernel, trace = solve(dtm, cfg)
-            trace.objectives[-1] = 5.0 + bump[cfg.seed - 3]
+        def solve_bumped(dtm, k, seed):
+            kernel, trace = solve(dtm, k, seed=seed)
+            trace.objectives[-1] = 5.0 + bump[seed - 3]
             return kernel, trace
 
         monkeypatch.setattr(evaluation, "solve_nuclear", solve_bumped)
@@ -464,17 +464,20 @@ class TestExitCodes:
 
     def test_huge_lambda_exits_0(self, planted, tmp_path, capsys):
         # The step for lam = 1e300 is 1/(lam - 1): finite, so the run
-        # completes; the norm term barely moves the kernel from its start.
+        # completes; the norm term barely moves the kernel from its start,
+        # and the solver warns that the run only matches the target.
         data, _ = planted
         out = tmp_path / "x"
-        rc = main(
-            [
-                "cluster", str(data), "--algo", "frobenius", "--k", "2",
-                "--pz", "uniform", "--lambda", "1e300", "--restarts", "1",
-                "--out", str(out),
-            ]
-        )
+        with pytest.warns(RuntimeWarning, match="only matches the target") as caught:
+            rc = main(
+                [
+                    "cluster", str(data), "--algo", "frobenius", "--k", "2",
+                    "--pz", "uniform", "--lambda", "1e300", "--restarts", "1",
+                    "--out", str(out),
+                ]
+            )
         assert rc == 0
+        assert len(caught) == 1
         err = capsys.readouterr().err
         assert "restart seed=0: objective " in err
         assert "Traceback" not in err

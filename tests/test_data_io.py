@@ -986,8 +986,8 @@ class TestArtifacts:
 
     def test_trace_csv_layout(self, tmp_path):
         trace = SolveTrace()
-        trace.record(1.5, 0.25, 1e-12, 0.0)
-        trace.record(1.75, 0.125, 0.0, 0.0)
+        trace.record(1.5, 0.25, 1e-12)
+        trace.record(1.75, 0.125, 0.0)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         lines = path.read_text().strip().split("\n")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import CouplingKernel, Pmf, build_dtm
+from coupclust.core import CouplingKernel, Pmf, build_dtm, frobenius_sq
 from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import ConfigError, DataError
 from coupclust.evaluation import (
@@ -20,8 +20,12 @@ from coupclust.evaluation import (
     matched_accuracy,
     top_true_clusters,
 )
+from coupclust.frobenius import solve_frobenius
+from coupclust.nuclear import solve_nuclear
+from coupclust.svd import SPECTRAL_TOL
 
 from conftest import normalized_joint, random_joint
+from paper_identities import weighted_kmeans_cost
 
 
 def _items(labels):
@@ -267,6 +271,65 @@ class TestKernelNormValue:
             kernel_norm_value(dtm, kernel, "spectral")
 
 
+def _random_assignments(seed=0, joints=200):
+    """(dtm, hard kernel, assignment) on random joints, 3-29 items a side.
+
+    Up to six assignments per joint, one for each k = 1..6 that fits; each
+    pins one distinct item per cluster, so no cluster is empty.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(joints):
+        ny, nx = (int(n) for n in rng.integers(3, 30, size=2))
+        dtm = build_dtm(*random_joint(rng, ny, nx))
+        for k in range(1, min(6, ny) + 1):
+            assign = rng.integers(0, k, size=ny)
+            assign[rng.permutation(ny)[:k]] = np.arange(k)
+            kmat = np.zeros((k, ny))
+            kmat[assign, np.arange(ny)] = 1.0
+            labels = tuple(f"z{i}" for i in range(k))
+            yield dtm, CouplingKernel(labels, dtm.row_pmf.labels, kmat), assign
+
+
+def _solver_kernels():
+    """(dtm, kernel) of both solvers on planted joints, k = number of blocks."""
+    for blocks, size, seed in ((2, 12, 0), (3, 8, 1), (4, 6, 2)):
+        joint, _ = gen_planted_blocks(blocks, size, 1.0, 0.1, noise_seed=seed)
+        dtm = build_dtm(*joint)
+        p_z = Pmf.uniform(tuple(f"z{i}" for i in range(blocks)))
+        for restart in range(3):
+            yield dtm, solve_nuclear(dtm, blocks, seed=restart)[0]
+            yield dtm, solve_frobenius(dtm, p_z, seed=restart)[0]
+
+
+class TestNormBounds:
+    def _check_ky_fan(self, dtm, kernel):
+        # A = [P_Z]^{-1/2} K [P_Y]^{1/2} is a DTM of rank <= k, so Horn's
+        # inequality gives sigma_i(A B) <= sigma_i(B) for i <= k, and 0 after.
+        top = dtm.singular_values()[: len(kernel.cluster_labels)]
+        nuclear = kernel_norm_value(dtm, kernel, "nuclear")
+        frobenius = kernel_norm_value(dtm, kernel, "frobenius")
+        assert nuclear <= float(np.sum(top)) + SPECTRAL_TOL
+        assert frobenius <= float(np.sum(top * top)) + SPECTRAL_TOL
+
+    def test_ky_fan_bound_on_random_assignments(self):
+        count = 0
+        for dtm, kernel, _ in _random_assignments():
+            self._check_ky_fan(dtm, kernel)
+            count += 1
+        assert count > 1000
+
+    def test_ky_fan_bound_on_solver_kernels(self):
+        for dtm, kernel in _solver_kernels():
+            self._check_ky_fan(dtm, kernel)
+
+    def test_frobenius_value_is_weighted_kmeans_identity(self):
+        # ||A B||_F^2 = ||B||_F^2 - sum_y P_Y(y) ||phi_y - mu_{z(y)}||^2.
+        for dtm, kernel, assign in _random_assignments(seed=1):
+            value = kernel_norm_value(dtm, kernel, "frobenius")
+            ref = frobenius_sq(dtm) - weighted_kmeans_cost(dtm, assign)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 class TestElbow:
     def _three_component_dtm(self):
         # components with 1, 2, 3 items a side
@@ -337,6 +400,19 @@ class TestElbow:
                 build_dtm(*joint), [1, 2], algorithm="nuclear", restarts=1
             )
         assert curve == [(1, 2.0), (2, 1.0)]
+
+    def test_round_off_tie_keeps_lower_seed(self, monkeypatch):
+        # Restarts that land on the same optimum may differ in the last bit
+        # of their value; the lower seed's value is kept, a real gain wins.
+        import coupclust.evaluation as ev
+
+        dtm = build_dtm(*gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=0)[0])
+        for restarts, best in ((2, 5.0), (3, 5.0 + 1e-9)):
+            bumps = iter((0.0, 1e-15, 1e-9))
+            monkeypatch.setattr(
+                ev, "kernel_norm_value", lambda *args: 5.0 + next(bumps)
+            )
+            assert elbow_curve(dtm, [2], restarts=restarts) == [(2, best)]
 
     def test_ks_validation(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 4))

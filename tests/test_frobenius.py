@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from coupclust.data_io import gen_counterexample, gen_planted_blocks
 from coupclust.errors import ConfigError, DataError, SolverError
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
-    FrobeniusConfig,
     _curvature,
     _half_gradient,
     solve_frobenius,
@@ -20,11 +20,15 @@ from conftest import normalized_joint, random_joint, random_pmf
 from paper_identities import compose_dtm, dtm_from_kernel, frobenius_objective
 
 
+def _two_by_two():
+    dtm = build_dtm(("a", "b"), ("u", "v"), np.array([[0.4, 0.1], [0.2, 0.3]]))
+    return dtm, Pmf.uniform(("z0", "z1"))
+
+
 class TestConfig:
     def test_defaults(self):
-        cfg = FrobeniusConfig()
-        assert cfg.lam == 10.0
-        assert cfg.obj_tol == 1e-9
+        assert frobenius.LAMBDA == 10.0
+        assert frobenius.OBJ_TOL == 1e-9
         assert frobenius.MAX_ITERS == 5000
 
     @pytest.mark.parametrize(
@@ -50,7 +54,7 @@ class TestConfig:
             "seed": "seed must be >= 0, got -1",
         }[next(iter(kwargs))]
         with pytest.raises(ConfigError, match=message):
-            FrobeniusConfig(**kwargs)
+            solve_frobenius(*_two_by_two(), **kwargs)
 
 
 # (|Y|, |X|) of the joints the objective and gradient are checked on.
@@ -168,16 +172,14 @@ class TestSolve:
         p_z = Pmf.uniform(("z0", "z1", "z2"))
         monkeypatch.setattr(frobenius, "MAX_ITERS", 400)
         for seed in range(20):
-            kernel, trace = solve_frobenius(
-                dtm, p_z, FrobeniusConfig(seed=seed)
-            )
+            kernel, trace = solve_frobenius(dtm, p_z, seed=seed)
             assert trace.objectives[-1] >= trace.objectives[0] - 1e-9
 
     def test_deterministic(self, rng):
         dtm = build_dtm(*random_joint(rng, 7, 5))
         p_z = Pmf.uniform(("z0", "z1"))
-        k1, t1 = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=3))
-        k2, t2 = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=3))
+        k1, t1 = solve_frobenius(dtm, p_z, seed=3)
+        k2, t2 = solve_frobenius(dtm, p_z, seed=3)
         assert np.array_equal(k1.kernel, k2.kernel)
         assert t1.objectives == t2.objectives
 
@@ -193,9 +195,7 @@ class TestSolve:
     def test_large_lambda_enforces_marginal(self, rng):
         dtm = build_dtm(*random_joint(rng, 8, 6))
         p_z = random_pmf(rng, 3)
-        kernel, _ = solve_frobenius(
-            dtm, p_z, FrobeniusConfig(lam=1e4)
-        )
+        kernel, _ = solve_frobenius(dtm, p_z, lam=1e4)
         induced = kernel.induced_marginal(dtm.row_pmf)
         assert np.abs(induced - p_z.probs).sum() <= 1e-2
 
@@ -205,7 +205,7 @@ class TestSolve:
         p_z = Pmf.uniform(("z0", "z1"))
         best = None
         for seed in range(5):
-            kernel, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=seed))
+            kernel, trace = solve_frobenius(dtm, p_z, seed=seed)
             if best is None or trace.objectives[-1] > best[0]:
                 best = (trace.objectives[-1], kernel)
         acc = matched_accuracy(harden(best[1]), dict(zip(joint[0], truth)))
@@ -246,14 +246,23 @@ class TestSolve:
     def test_huge_lambda_takes_the_closed_form_step(self, rng):
         # sigma_1 = lam - 1 is finite for every finite lam, so lam = 1e300 is
         # no error: the step 1/(lam - 1) matches the target marginal, and the
-        # run ends on a finite objective and a column-stochastic kernel.
+        # run ends on a finite objective and a column-stochastic kernel. The
+        # step leaves A G below the rounding of A, which the solver warns of.
         dtm = build_dtm(*random_joint(rng, 6, 5))
         p_z = Pmf.uniform(("z0", "z1"))
         assert _curvature(dtm, 1e300) == 1e300
-        kernel, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=1e300))
+        with pytest.warns(RuntimeWarning, match="above 1/eps") as caught:
+            kernel, trace = solve_frobenius(dtm, p_z, lam=1e300)
+        assert len(caught) == 1
         assert trace.status == "Converged"
         assert np.isfinite(trace.objectives[-1])
         np.testing.assert_allclose(kernel.kernel.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_large_finite_lambda_draws_no_warning(self, rng):
+        dtm = build_dtm(*random_joint(rng, 6, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_frobenius(dtm, Pmf.uniform(("z0", "z1")), lam=1e3)
 
     def test_boundary_pz_rejected(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 4))
@@ -275,10 +284,9 @@ class TestSolve:
         curvature = frobenius._curvature
         monkeypatch.setattr(frobenius, "_curvature", lambda *a: 1e3 * curvature(*a))
         monkeypatch.setattr(frobenius, "MAX_ITERS", 200)
-        _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam))
+        _, trace = solve_frobenius(dtm, p_z, lam=lam)
         assert len(trace) == 200
         assert max(trace.violations) <= 1e-12
-        assert min(trace.min_entries) >= 0.0
 
     def test_trace_shape(self, rng, monkeypatch):
         dtm = build_dtm(*random_joint(rng, 5, 5))
@@ -289,7 +297,6 @@ class TestSolve:
         assert n <= 50
         assert len(trace.penalties) == n
         assert len(trace.violations) == n
-        assert len(trace.min_entries) == n
         assert trace.status in ("Converged", "MaxIters")
 
     @staticmethod
@@ -371,8 +378,7 @@ class TestStepRule:
     def _best_of_3(dtm, p_z, lam):
         best, iters = -np.inf, 0
         for seed in range(3):
-            cfg = FrobeniusConfig(lam=lam, seed=seed)
-            _, trace = solve_frobenius(dtm, p_z, cfg)
+            _, trace = solve_frobenius(dtm, p_z, lam=lam, seed=seed)
             best = max(best, trace.objectives[-1])
             iters += len(trace)
         return best, iters
@@ -456,7 +462,7 @@ class TestMomentum:
         p_z = _uniform_pz(8)
         best = -np.inf
         for seed in range(3):
-            _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(seed=seed))
+            _, trace = solve_frobenius(dtm, p_z, seed=seed)
             assert trace.status == "Converged", seed
             best = max(best, trace.objectives[-1])
         assert best >= 3.3347174430083455
@@ -468,7 +474,7 @@ class TestMomentum:
         # 1.409091 beside it.
         dtm, p_z, lam = STEP_RULE_SCENARIOS["random-lam0.5"]()
         for seed in range(3):
-            _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam, seed=seed))
+            _, trace = solve_frobenius(dtm, p_z, lam=lam, seed=seed)
             assert trace.objectives[-1] == pytest.approx(10.5, rel=0.0, abs=1e-9), seed
 
     @pytest.mark.parametrize("name", ["random-lam0.5", "random-lam10"])
@@ -479,7 +485,7 @@ class TestMomentum:
         # are not uniform, where the metric matters.
         dtm, p_z, lam = STEP_RULE_SCENARIOS[name]()
         for seed in range(5):
-            _, trace = solve_frobenius(dtm, p_z, FrobeniusConfig(lam=lam, seed=seed))
+            _, trace = solve_frobenius(dtm, p_z, lam=lam, seed=seed)
             assert np.all(np.diff(trace.objectives) >= -1e-12), seed
 
     @pytest.mark.parametrize(
@@ -500,8 +506,7 @@ class TestMomentum:
             prev_len = 0
             for cap in range(1, 21):
                 monkeypatch.setattr(frobenius, "MAX_ITERS", cap)
-                cfg = FrobeniusConfig(lam=lam, seed=seed)
-                kernel, trace = solve_frobenius(dtm, p_z, cfg)
+                kernel, trace = solve_frobenius(dtm, p_z, lam=lam, seed=seed)
                 a = kernel.kernel * sy[None, :] / sz[:, None]
                 obj = frobenius_objective(a, dtm.matrix, sy, sz, lam)[0]
                 assert obj == pytest.approx(trace.objectives[-1], rel=1e-12, abs=0.0), (

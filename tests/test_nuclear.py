@@ -17,7 +17,6 @@ from coupclust.evaluation import (
 )
 from coupclust import nuclear
 from coupclust.nuclear import (
-    NuclearConfig,
     _argmax_step,
     _chain_svd,
     _one_hot,
@@ -26,6 +25,11 @@ from coupclust.nuclear import (
 )
 
 from conftest import normalized_joint, random_joint
+
+
+def _two_by_two():
+    w = np.array([[0.4, 0.1], [0.2, 0.3]])
+    return ("a", "b"), ("u", "v"), w
 
 
 def two_block_joint():
@@ -37,7 +41,7 @@ def two_block_joint():
 
 class TestConfig:
     def test_k_one_allowed(self):
-        NuclearConfig(k=1)
+        solve_nuclear(build_dtm(*_two_by_two()), 1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -50,7 +54,7 @@ class TestConfig:
     def test_rejects_bad_params(self, kwargs):
         message = "seed must be >= 0, got -1" if "seed" in kwargs else "k must be >= 1"
         with pytest.raises(ConfigError, match=message):
-            NuclearConfig(**kwargs)
+            solve_nuclear(build_dtm(*_two_by_two()), **kwargs)
 
 
 def _chain_reference(joint, kernel):
@@ -240,7 +244,7 @@ class TestRescue:
 class TestSolve:
     def test_disconnected_blocks_attain_two(self):
         dtm = build_dtm(*two_block_joint())
-        kernel, trace = solve_nuclear(dtm, NuclearConfig(k=2, seed=0))
+        kernel, trace = solve_nuclear(dtm, 2, seed=0)
         assert trace.status == "Converged"
         assert trace.objectives[-1] == pytest.approx(2.0, abs=1e-9)
         pred = harden(kernel)
@@ -249,7 +253,7 @@ class TestSolve:
 
     def test_k_one_trivial(self, rng):
         dtm = build_dtm(*random_joint(rng, 5, 4))
-        kernel, trace = solve_nuclear(dtm, NuclearConfig(k=1, seed=0))
+        kernel, trace = solve_nuclear(dtm, 1, seed=0)
         np.testing.assert_array_equal(kernel.kernel, np.ones((1, 5)))
         assert trace.objectives[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -257,7 +261,7 @@ class TestSolve:
         joint, _ = gen_planted_blocks(3, 10, 1.0, 0.05, noise_seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, trace = solve_nuclear(build_dtm(*joint), NuclearConfig(k=3, seed=0))
+            _, trace = solve_nuclear(build_dtm(*joint), 3, seed=0)
         diffs = np.diff(trace.objectives)
         assert np.all(diffs >= -1e-12)
 
@@ -271,7 +275,7 @@ class TestSolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if caller == "solve_nuclear":
-                solve_nuclear(dtm, NuclearConfig(k=4, seed=5))
+                solve_nuclear(dtm, 4, seed=5)
             else:
                 elbow_curve(dtm, [4], restarts=6)
         decreases = [
@@ -282,7 +286,7 @@ class TestSolve:
 
     def test_kernel_step_monotone_and_attainment(self):
         joint, _ = gen_planted_blocks(2, 12, 1.0, 0.1, noise_seed=5)
-        _, trace = solve_nuclear(build_dtm(*joint), NuclearConfig(k=2, seed=1))
+        _, trace = solve_nuclear(build_dtm(*joint), 2, seed=1)
         for before, after in zip(
             trace.extras["linear_before"], trace.extras["linear_after"]
         ):
@@ -291,8 +295,8 @@ class TestSolve:
 
     def test_deterministic(self, rng):
         dtm = build_dtm(*random_joint(rng, 8, 6))
-        k1, t1 = solve_nuclear(dtm, NuclearConfig(k=3, seed=7))
-        k2, t2 = solve_nuclear(dtm, NuclearConfig(k=3, seed=7))
+        k1, t1 = solve_nuclear(dtm, 3, seed=7)
+        k2, t2 = solve_nuclear(dtm, 3, seed=7)
         assert np.array_equal(k1.kernel, k2.kernel)
         assert t1.objectives == t2.objectives
 
@@ -302,7 +306,7 @@ class TestSolve:
         dtm = build_dtm(*joint)
         best = None
         for seed in range(5):
-            kernel, trace = solve_nuclear(dtm, NuclearConfig(k=3, seed=seed))
+            kernel, trace = solve_nuclear(dtm, 3, seed=seed)
             if best is None or trace.objectives[-1] > best[0]:
                 best = (trace.objectives[-1], kernel)
         assert matched_accuracy(harden(best[1]), truth_map) >= 0.95
@@ -310,13 +314,13 @@ class TestSolve:
     def test_k_exceeds_items_rejected(self, rng):
         dtm = build_dtm(*random_joint(rng, 3, 4))
         with pytest.raises(ConfigError, match=r"k = 4 exceeds \|Y\| = 3"):
-            solve_nuclear(dtm, NuclearConfig(k=4))
+            solve_nuclear(dtm, 4)
 
     def test_every_cluster_alive(self, rng):
         # k = |Y| forces heavy churn; rescue must keep all clusters nonempty
         dtm = build_dtm(*random_joint(rng, 6, 5))
         try:
-            kernel, _ = solve_nuclear(dtm, NuclearConfig(k=6, seed=0))
+            kernel, _ = solve_nuclear(dtm, 6, seed=0)
         except SolverError:
             return  # budget exhaustion is a legal outcome
         mass = kernel.induced_marginal(dtm.row_pmf)
@@ -331,7 +335,7 @@ class TestSolve:
         for cap in (1, 2, 3):
             monkeypatch.setattr(nuclear, "MAX_ITERS", cap)
             for seed in range(10):
-                kernel, trace = solve_nuclear(dtm, NuclearConfig(k=4, seed=seed))
+                kernel, trace = solve_nuclear(dtm, 4, seed=seed)
                 statuses.add(trace.status)
                 value = kernel_norm_value(dtm, kernel, "nuclear")
                 assert value == trace.objectives[-1], (cap, seed)
@@ -410,7 +414,7 @@ def test_matches_the_chain_route():
                 counts["tied" if tied else "untied"] += 1
                 try:
                     kernel, trace = solve_nuclear(
-                        dtm, NuclearConfig(k=k, seed=seed)
+                        dtm, k, seed=seed
                     )
                 except SolverError:
                     assert tied, where

@@ -1,14 +1,16 @@
 import argparse
-import dataclasses
+import inspect
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import coupclust
-from coupclust.cli import build_parser
+from coupclust.cli import build_parser, main
 
 # The top-level public API, pinned: a name added to or dropped from a
 # submodule's __all__ shows up here.
@@ -21,8 +23,6 @@ PUBLIC = {
     "DataError",
     "Dtm",
     "EmbeddingMatrix",
-    "FrobeniusConfig",
-    "NuclearConfig",
     "ParseError",
     "Pmf",
     "SolveTrace",
@@ -59,7 +59,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 40
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
@@ -67,12 +67,23 @@ def test_public_names_pinned():
 
 
 def test_config_fields_pinned():
-    # Every solver knob is a config field; a new one has to edit this test.
-    def names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
+    # Every solver knob is a solver parameter; a new one has to edit this test.
+    def params(fn):
+        return [(p.name, p.kind.name)
+                for p in inspect.signature(fn).parameters.values()]
 
-    assert names(coupclust.NuclearConfig) == ["k", "seed"]
-    assert names(coupclust.FrobeniusConfig) == ["lam", "obj_tol", "seed"]
+    assert params(coupclust.solve_nuclear) == [
+        ("dtm", "POSITIONAL_OR_KEYWORD"),
+        ("k", "POSITIONAL_OR_KEYWORD"),
+        ("seed", "KEYWORD_ONLY"),
+    ]
+    assert params(coupclust.solve_frobenius) == [
+        ("dtm", "POSITIONAL_OR_KEYWORD"),
+        ("p_z", "POSITIONAL_OR_KEYWORD"),
+        ("lam", "KEYWORD_ONLY"),
+        ("obj_tol", "KEYWORD_ONLY"),
+        ("seed", "KEYWORD_ONLY"),
+    ]
 
 
 def test_cli_flags_pinned():
@@ -161,3 +172,32 @@ def test_cluster_with_truth_loads_no_scipy(algo, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang fenced block after the line `heading` in README."""
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"```{lang}\n") + len(f"```{lang}\n")
+    return after[start:after.index("```", start)]
+
+
+def test_readme_python_api_block_runs(tmp_path, monkeypatch):
+    # The Python API block reads the quick start's synth output; run that
+    # command (continuation lines joined) and then the block, in a fresh
+    # directory. Stalled nuclear restarts may warn; any other warning fails.
+    quick = _readme_block("## Quick start", "sh").replace("\\\n", " ")
+    synth = next(
+        line for line in quick.splitlines() if line.startswith("coupclust synth")
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(synth)[1:]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(_readme_block("## Python API", "python"), {})
+    others = [str(w.message) for w in caught
+              if "nuclear norm decreased" not in str(w.message)]
+    assert others == []
