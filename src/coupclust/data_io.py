@@ -692,8 +692,22 @@ def _csv_cells(line: str, lineno: int, line_offset: int) -> list[str]:
         raise ParseError(f"bad CSV line ({exc})", lineno, line_offset) from None
 
 
+def _csv_label(cell: str, lineno: int, line_offset: int) -> str:
+    """A stripped CSV label; a tab, CR or LF in it is a ParseError, as no
+    TSV artifact could hold it."""
+    label = cell.strip()
+    if "\t" in label or "\r" in label or "\n" in label:
+        raise ParseError(
+            f"label {label!r} holds a tab or line break", lineno, line_offset
+        )
+    return label
+
+
 def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a dense CSV (header = X labels, first column = Y labels)."""
+    """Read a dense CSV (header = X labels, first column = Y labels).
+
+    A label holding a tab, CR or LF is a ParseError on its line.
+    """
     lines = _read_lines(path)
     try:
         header_no, header_off, header = next(lines)
@@ -702,7 +716,7 @@ def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     header_cells = _csv_cells(header, header_no, header_off)
     if len(header_cells) < 2:
         raise ParseError("header needs at least one column label", header_no, header_off)
-    col_labels = [c.strip() for c in header_cells[1:]]
+    col_labels = [_csv_label(c, header_no, header_off) for c in header_cells[1:]]
     row_labels: list[str] = []
     data: list[list[float]] = []
     for lineno, line_offset, line in lines:
@@ -713,7 +727,7 @@ def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
                 lineno,
                 line_offset,
             )
-        row_labels.append(cells[0].strip())
+        row_labels.append(_csv_label(cells[0], lineno, line_offset))
         data.append(
             [
                 _nonnegative(cell, "value", lineno, line_offset) if cell else 0.0
@@ -740,7 +754,9 @@ def ingest(
     """
     if normalize not in ("joint", "rows"):
         raise ConfigError(f"unknown normalize mode {normalize!r}")
-    w = np.asarray(weights, dtype=np.float64)
+    # C order: the sums below then add in the same order whether or not a
+    # gather copies the weights.
+    w = np.asarray(weights, dtype=np.float64, order="C")
     if w.ndim != 2:
         raise DataError("weights must be a matrix")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -754,18 +770,20 @@ def ingest(
         "pruned_rows": [lab for lab, keep in zip(row_labels, row_keep) if not keep],
         "pruned_cols": [lab for lab, keep in zip(col_labels, col_keep) if not keep],
     }
-    w = w[np.ix_(row_keep, col_keep)]  # a copy, normalized in place below
+    if not (row_keep.all() and col_keep.all()):
+        w = w[np.ix_(row_keep, col_keep)]
+        row_labels = [lab for lab, keep in zip(row_labels, row_keep) if keep]
+        col_labels = [lab for lab, keep in zip(col_labels, col_keep) if keep]
     if w.size == 0:
         raise DataError("no rows or columns carry weight")
-    kept_rows = [lab for lab, keep in zip(row_labels, row_keep) if keep]
-    kept_cols = [lab for lab, keep in zip(col_labels, col_keep) if keep]
 
+    # Each mode makes one new array, so the caller's weights stay untouched.
     if normalize == "joint":
-        w /= w.sum()
+        w = w / w.sum()
     else:
-        w /= w.sum(axis=1, keepdims=True)
+        w = w / w.sum(axis=1, keepdims=True)
         w /= w.shape[0]
-    return build_dtm(kept_rows, kept_cols, w), pruned
+    return build_dtm(row_labels, col_labels, w), pruned
 
 
 def write_triplets(path, row_labels, col_labels, weights) -> None:

@@ -77,7 +77,7 @@ def dtm_embed(dtm: Dtm, d: int) -> EmbeddingMatrix:
 
 def write_embedding_tsv(emb: EmbeddingMatrix, path) -> None:
     """One row per item: label, then d coordinates at 17 significant digits."""
+    row_format = "%s" + "\t%.17g" * emb.d + "\n"
     with _create(path) as fh:
-        for label, row in zip(emb.labels, emb.vectors):
-            coords = "\t".join(f"{v:.17g}" for v in row)
-            fh.write(f"{label}\t{coords}\n")
+        for label, row in zip(emb.labels, emb.vectors.tolist()):
+            fh.write(row_format % (label, *row))

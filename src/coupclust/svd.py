@@ -5,9 +5,11 @@ A DTM has two spectral routes. Its singular values come from LAPACK's SVD
 solver takes the same full SVD of each small chain DTM. `gram_top` gives the
 leading r left singular vectors alone, from the smaller Gram matrix: by
 block subspace iteration with a Rayleigh-Ritz step where that converges in
-a few products, else by one symmetric eigensolve. The item embedding reads
-only those vectors. `check_dtm_spectrum` holds the DTM invariants that every
-route asserts.
+a few products, else by one symmetric eigensolve. The iteration starts from
+hashed +-1 signs, not a random draw, so its bits do not depend on numpy's
+Generator streams (which may change between releases) and `numpy.random`
+is never loaded. The item embedding reads only those vectors.
+`check_dtm_spectrum` holds the DTM invariants that every route asserts.
 """
 
 from __future__ import annotations
@@ -23,11 +25,28 @@ SPECTRAL_TOL = 1e-10
 _RITZ_RTOL = 1e-13
 
 
+def _signs(n: int, p: int) -> np.ndarray:
+    """A fixed n x p matrix of +-1.0, the sign of a hash of (row, column).
+
+    The hash multiplies the row index and the column index by two odd
+    64-bit constants, XORs the products, multiplies by a third constant and
+    takes bit 63 as the sign. All products wrap in uint64 arrays, which
+    never warn on overflow.
+    """
+    h = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(0x9E3779B97F4A7C15)
+    h = h ^ (np.arange(p, dtype=np.uint64) * np.uint64(0xBF58476D1CE4E5B9))
+    h *= np.uint64(0x94D049BB133111EB)
+    return np.where(h >> np.uint64(63), -1.0, 1.0)
+
+
 def _ritz_top(gram: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The r leading eigenpairs of a symmetric PSD matrix, or None.
 
-    Block subspace iteration on p = r + max(r // 2, 8) columns from a
-    fixed-seed Gaussian start (Halko, Martinsson & Tropp 2011, sec. 4.5).
+    Block subspace iteration on p = r + max(r // 2, 8) columns from the
+    orthonormalized `_signs(n, p)` (Halko, Martinsson & Tropp 2011, sec.
+    4.5). The start needs only a full-rank projection onto the leading
+    subspace, which random-sign matrices give as Gaussian ones do; the
+    hash fixes its bits on any numpy release.
     Each step takes one product G Q and the Rayleigh-Ritz `eigh` of the
     p x p matrix Q^T G Q, and stops when all r leading Ritz residuals are
     within tolerance. Returns (eigenvalues descending, eigenvectors), or
@@ -40,7 +59,7 @@ def _ritz_top(gram: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
     if n < 4 * p:
         return None
     budget = n // 25
-    q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
+    q = np.linalg.qr(_signs(n, p))[0]
     prev = None
     for step in range(1, budget + 1):
         gq = gram @ q

@@ -921,6 +921,17 @@ class TestEmbedCmd:
         assert "Traceback" not in err
         assert not (tmp_path / "x" / "embedding.tsv").exists()
 
+    def test_csv_label_with_a_tab_exits_3(self, tmp_path, capsys):
+        # embedding.tsv could not hold this label: its row would gain a
+        # field. The CSV is refused on the label's line.
+        data = tmp_path / "m.csv"
+        data.write_text(',x1,x2,x3\n"a\tb",1,2,0\nc,0,1,3\nd,2,0,1\ne,1,1,1\n')
+        rc = main(["embed", str(data), "--d", "2", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: line 2, byte 10: label 'a\\tb' holds a tab" in err
+        assert not (tmp_path / "x" / "embedding.tsv").exists()
+
     def test_byte_identical_rerun(self, planted, tmp_path):
         data, _ = planted
         copy = tmp_path / "copy" / "data.tsv"

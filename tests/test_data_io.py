@@ -699,6 +699,24 @@ class TestDenseCsv:
             load_dense_csv(p)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, where, label",
+        [
+            ('item,u,v\n"a\tb",1,2\n', (2, 9), "a\tb"),
+            ('item,u,v\nc,1,1\n"a\rb",1,2\n', (3, 15), "a\rb"),
+            ('item,"u\tw",v\na,1,2\n', (1, 0), "u\tw"),
+            ('item,u,"v\r"x\na,1,2\n', (1, 0), "v\rx"),
+        ],
+    )
+    def test_label_with_tab_or_line_break(self, tmp_path, text, where, label):
+        # No tab-separated output could hold such a label in one field.
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ParseError) as err:
+            load_dense_csv(p)
+        assert (err.value.line, err.value.offset) == where
+        assert f"label {label!r} holds a tab or line break" in str(err.value)
+
 
 @pytest.mark.parametrize(
     "reader, text, where, message",
@@ -742,6 +760,20 @@ class TestIngest:
         want = build_dtm(["a", "b"], ["u", "v"], [[0.25, 0.25], [0.125, 0.375]])
         assert dtm.matrix.tobytes() == want.matrix.tobytes()
         np.testing.assert_array_equal(w, [[2.0, 2.0], [1.0, 3.0]])
+
+    @pytest.mark.parametrize("normalize", ["joint", "rows"])
+    def test_unpruned_layouts_give_the_same_bits(self, rng, normalize):
+        # Nothing pruned, no gather: a Fortran-ordered or strided matrix
+        # is normalized as its C-ordered copy is, and is left untouched.
+        c = rng.random((7, 5)) + 0.1
+        want, _ = ingest(list("abcdefg"), list("uvwxy"), c, normalize=normalize)
+        for w in (np.asfortranarray(c), np.repeat(c, 2, axis=1)[:, ::2]):
+            before = w.copy()
+            dtm, pruned = ingest(list("abcdefg"), list("uvwxy"), w, normalize=normalize)
+            assert pruned == {"pruned_rows": [], "pruned_cols": []}
+            assert dtm.matrix.tobytes() == want.matrix.tobytes()
+            assert np.array_equal(w, before)
+            assert not np.shares_memory(dtm.matrix, w)
 
     def test_pruning_reported(self):
         w = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coupclust.core import build_dtm
-from coupclust.embedding import dtm_embed, write_embedding_tsv
+from coupclust.embedding import EmbeddingMatrix, dtm_embed, write_embedding_tsv
 from coupclust.errors import ConfigError
 
 from conftest import normalized_joint, random_joint
@@ -132,3 +132,18 @@ class TestTsv:
             parsed.append([float(x) for x in parts[1:]])
         # %.17g is lossless for doubles
         assert np.array_equal(np.array(parsed), emb.vectors)
+
+    def test_bytes_match_a_per_value_format(self, tmp_path):
+        # One format string per row writes exactly what formatting each
+        # value with f"{v:.17g}" and joining with tabs wrote.
+        values = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 1e16, -1.5e-300]
+        vectors = np.array([values, values[::-1], [1.0] * len(values)])
+        emb = EmbeddingMatrix(("a", "b b", "é"), vectors)
+        path = tmp_path / "emb.tsv"
+        write_embedding_tsv(emb, path)
+        want = "".join(
+            label + "\t" + "\t".join(f"{v:.17g}" for v in row) + "\n"
+            for label, row in zip(emb.labels, vectors)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+        assert "\t-0\t4.9406564584124654e-324\t1e+308\t0.33333333333333331\t2\t" in want

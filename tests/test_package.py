@@ -11,6 +11,7 @@ import pytest
 
 import coupclust
 from coupclust.cli import build_parser, main
+from coupclust.data_io import gen_planted_blocks, write_triplets
 
 # The top-level public API, pinned: a name added to or dropped from a
 # submodule's __all__ shows up here.
@@ -172,6 +173,41 @@ def test_cluster_with_truth_loads_no_scipy(algo, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+EMBED_RUN = """
+import contextlib, io, sys
+
+import numpy
+if "numpy.random" in sys.modules:
+    print("preloaded")
+    sys.exit(0)
+from coupclust import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["embed", sys.argv[1], "--d", "4", "--out", sys.argv[2]]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_embed_loads_no_numpy_random(tmp_path):
+    # The subspace iteration starts from hashed signs, not a random draw,
+    # so an embedding never imports numpy.random (about 6 ms cold). 64 items
+    # at d = 4 are past the 4p = 48 rows where the iteration starts. Where
+    # importing numpy already loads numpy.random, there is nothing to test.
+    (rows, cols, weights), _ = gen_planted_blocks(4, 16, 1.0, 0.05, noise_seed=0)
+    data = tmp_path / "data.tsv"
+    write_triplets(data, rows, cols, weights)
+    src = str(Path(coupclust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", EMBED_RUN, str(data), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    if out.stdout.strip() == "preloaded":
+        pytest.skip("importing numpy loads numpy.random")
+    assert out.stdout.strip() == "False"
+    assert (tmp_path / "run" / "embedding.tsv").exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,13 +159,13 @@ def test_top_falls_back_to_eigh_on_a_weak_gap(rng, monkeypatch, shape):
 
 def test_top_takes_eigh_when_the_residual_stops_falling(monkeypatch):
     # B B^T = 100 v v^T + E E^T, with E orthonormal, p columns wide, and v
-    # nearly orthogonal to the span of _ritz_top's fixed Gaussian start. From
+    # nearly orthogonal to the span of _ritz_top's fixed +-1 start. From
     # step 2 the block lies in span(v, E); its top Ritz vector mixes v into E
     # in a ratio that grows 100-fold a step, so its residual grows too while
     # v is still small. At step 3 iterating gives up for one eigh.
     n, r = 200, 1
     p = r + max(r // 2, 8)
-    start = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
+    start = np.linalg.qr(svd._signs(n, p))[0]
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n)
     v -= start @ (start.T @ v)
@@ -189,6 +191,25 @@ def test_top_takes_eigh_when_the_residual_stops_falling(monkeypatch):
     assert sizes == [p, p, p, n]
     assert len(residuals) == 3 and residuals[2] > residuals[1]
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_sign_start_is_well_conditioned_and_pinned():
+    # Every start _ritz_top can take (n >= 4p rows) is as well conditioned
+    # as a random +-1 matrix: sigma_min >= 0.4 sqrt(n), where a random one
+    # has about (1 - sqrt(p / n)) sqrt(n). The hash fixes every bit, so the
+    # start cannot change without this digest changing.
+    for r in range(1, 65):
+        p = r + max(r // 2, 8)
+        for n in sorted({4 * p, 4 * p + 1, 4 * p + 7, 8 * p, 700, 1500, 3001}):
+            signs = svd._signs(n, p)
+            assert set(np.unique(signs)) == {-1.0, 1.0}
+            sigma_min = np.linalg.svd(signs, compute_uv=False)[-1]
+            assert sigma_min >= 0.4 * np.sqrt(n), (r, n)
+    signs = svd._signs(768, 24)
+    assert signs.dtype == np.float64 and signs.shape == (768, 24)
+    assert np.array_equal(svd._signs(100, 24), signs[:100])
+    digest = hashlib.sha256(signs.tobytes()).hexdigest()
+    assert digest == "0e8608e9ae218d787d65e7d01cd9d371ce78be8fe8848fba9b36a7a86a363ea6"
 
 
 def test_top_takes_eigh_when_the_step_budget_is_spent(rng, monkeypatch):
