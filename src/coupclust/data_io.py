@@ -3,7 +3,8 @@
 File formats:
 
 - Triplet TSV: UTF-8 lines of `row<TAB>col<TAB>weight`, full-line `#`
-  comments, blank lines ignored; duplicate (row, col) pairs are summed.
+  comments, blank lines ignored; duplicate (row, col) pairs are summed,
+  and a label holding a CR is an error.
   A well-formed file is cut into fields at its tab and newline offsets
   with numpy, making no Python object per line; any other file goes
   through the line reader, the one source of ParseError. Either way each
@@ -128,7 +129,8 @@ def _read_lines(path, nfields: int | None = None):
 def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a triplet TSV into (row_labels, col_labels, weights).
 
-    Label order is first appearance. ParseError carries the 1-based line
+    Label order is first appearance. A label holding a CR is a ParseError,
+    as no TSV artifact could hold it. ParseError carries the 1-based line
     number and the byte offset of the offending line's start.
 
     A file of plain `row<TAB>col<TAB>weight` lines with valid weights and no
@@ -151,11 +153,12 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     """parse_triplets on a whole file at once, or None if not well formed.
 
     None unless the file is UTF-8 without NUL bytes, each line has exactly
-    two tabs, no row label is empty or starts with whitespace or `#`, and
-    every weight is a finite, nonnegative float. The line reader then strips
-    nothing from a line's start; what it strips from the end (a CR, say)
-    float() either strips too or rejects. Duplicates are summed in file
-    order, as the line reader does, so the sums are bitwise equal.
+    two tabs, no row label is empty or starts with whitespace or `#`, no
+    distinct label holds a CR (the line reader then names its line), and
+    every weight is a finite, nonnegative float. The line reader then
+    strips nothing from a line's start; what it strips from the end (a CR,
+    say) float() either strips too or rejects. Duplicates are summed in
+    file order, as the line reader does, so the sums are bitwise equal.
 
     The file is read once into a zero-padded buffer, and fields are cut from
     its delimiter offsets, so no Python object is made per line or field.
@@ -214,7 +217,9 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     row_keys = _word_keys(buf, row_start, tabs[0::2], row_words)
     heads, row_ids, rows = _run_labels(buf, row_start, tabs[0::2], row_keys)
     del row_start, row_keys
-    if any(not lab or lab[0].isspace() or lab[0] == "#" for lab in rows):
+    if any(
+        not lab or lab[0].isspace() or lab[0] == "#" or "\r" in lab for lab in rows
+    ):
         return None
     col_keys = _word_keys(buf, col_start, tabs[1::2], col_words)
     nr = heads.size
@@ -228,6 +233,8 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     if tiled:
         col_keys = [word[:nc] for word in col_keys]
     col_heads, col_ids, cols = _run_labels(buf, col_start, tabs[1::2], col_keys)
+    if any("\r" in lab for lab in cols):
+        return None
     col_lines = col_keys[0].size
     del col_start, col_keys
     weight_start = tabs[1::2] + 1
@@ -676,6 +683,9 @@ def _parse_triplets_lines(path) -> tuple[list[str], list[str], np.ndarray]:
     ci: list[int] = []
     w: list[float] = []
     for lineno, line_offset, (row, col, weight) in _read_lines(path, 3):
+        for label in (row, col):
+            if "\r" in label:
+                raise ParseError(f"label {label!r} holds a CR", lineno, line_offset)
         w.append(_nonnegative(weight, "weight", lineno, line_offset))
         ri.append(row_ids.setdefault(row, len(row_ids)))
         ci.append(col_ids.setdefault(col, len(col_ids)))

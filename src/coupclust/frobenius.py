@@ -26,13 +26,21 @@ The step is taken from an extrapolated point (FISTA, Beck & Teboulle 2009):
     Y = A + beta (A - A_prev),  beta = (theta_k - 1) / theta_{k+1},
     theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2)) / 2,  theta_0 = 1.
 
-A G and r are linear in A, so Y G and the residual at Y are the same
-combination of the cached values at A and A_prev, and a step costs one
-application of G, to the projected iterate. Every step is projected. If the
-projected iterate's J falls below J(A) while beta > 0, the step is
+The step is linear in A, so the step from Y is the same extrapolation of
+plain steps, P + beta (P - P_prev) with P = A + alpha (A G - lambda r
+sqrt(P_Y)^T), and P is formed once per accepted A. A step costs one
+application of G, to the projected iterate. Every step is projected. If
+the projected iterate's J falls below J(A) while beta > 0, the step is
 discarded, theta is reset to 1, and the next step is a plain one from A
 (function-value restart, O'Donoghue & Candes 2015). A plain step is always
 accepted.
+
+The solve stops, Converged, when J changes by less than a relative tol
+over 10 accepted steps, or as soon as two accepted steps in a row leave A
+unchanged, bit for bit. After the first, P = P_prev, so the second is the
+plain step from A, and A is a fixed point of the deterministic loop: the
+window rule would end later on the same A and J. That happens when the
+optimum is a vertex of the feasible set (hard clusters).
 
 The projection is Euclidean in A-space, the metric of the step, so the
 loop is projected gradient ascent and a plain step never lowers J. The
@@ -108,6 +116,17 @@ def _half_gradient(ag, resid, sy, lam: float) -> np.ndarray:
     return ag - lam * np.outer(resid, sy)
 
 
+def _plain_step(a, ag, resid, sy, lam: float, alpha: float) -> np.ndarray:
+    """P = A + alpha (A G - lam r sqrt(P_Y)^T), the unprojected plain step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a + alpha * _half_gradient(ag, resid, sy, lam)
+
+
+def _unchanged(a_new: np.ndarray, a: np.ndarray) -> bool:
+    """True when an accepted step left A the same, bit for bit."""
+    return np.array_equal(a_new, a)
+
+
 def _violation(a: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> float:
     # Column-sum deviation of K = [P_Z]^{1/2} A [P_Y]^{-1/2}.
     return float(np.max(np.abs(sz @ a / sy - 1.0)))
@@ -132,8 +151,11 @@ def solve_frobenius(
     returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from the last
     traced A, so it and every traced objective belong to column-stochastic
     kernels. Converged = relative change of J below obj_tol over 10 traced
-    steps. Raises SolverError, naming the step, if the iterate diverges or
-    a column cannot be projected.
+    steps, or two traced steps in a row that leave A unchanged bit for bit
+    (a fixed point: the window would end on the same kernel and J). The
+    momentum point extrapolates the plain steps from the last two traced
+    iterates. Raises SolverError, naming the step, if the iterate diverges
+    or a column cannot be projected.
 
     lam must be finite and positive and obj_tol in (0, 1), else ConfigError.
     Above 1/eps, lam draws a warning: the step 1/(lam - 1) then leaves
@@ -170,19 +192,17 @@ def solve_frobenius(
     k /= k.sum(axis=0, keepdims=True)
     a = k * sy[None, :] / sz[:, None]
     ag, resid, obj, _ = _evaluate(a, gram, sy, sz, lam)
-    a_prev, ag_prev, resid_prev = a, ag, resid
-    theta = 1.0
+    p = p_prev = _plain_step(a, ag, resid, sy, lam, alpha)
+    theta, unchanged = 1.0, 0
 
     trace = SolveTrace()
     for t in range(1, MAX_ITERS + 1):
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         beta = (theta - 1.0) / theta_next
         with np.errstate(over="ignore", invalid="ignore"):
-            # A G and r are linear in A, so the extrapolated point reuses them.
-            y = a + beta * (a - a_prev)
-            yg = ag + beta * (ag - ag_prev)
-            ry = resid + beta * (resid - resid_prev)
-            y = y + alpha * _half_gradient(yg, ry, sy, lam)
+            # The step is linear in A, so the step from the extrapolated
+            # point is the same extrapolation of the plain steps P.
+            y = p + beta * (p - p_prev)
             if not np.all(np.isfinite(y)):
                 raise SolverError(f"iterate diverged at iteration {t} (step {alpha!r})")
             try:
@@ -198,15 +218,21 @@ def solve_frobenius(
             # Momentum overshot: drop the step and take a plain one from A.
             theta = 1.0
             continue
-        a_prev, ag_prev, resid_prev = a, ag, resid
-        a, ag, resid, obj = a_new, ag_new, resid_new, obj_new
+        unchanged = unchanged + 1 if _unchanged(a_new, a) else 0
+        a, obj = a_new, obj_new
+        p_prev, p = p, _plain_step(a, ag_new, resid_new, sy, lam, alpha)
         theta = theta_next
         trace.record(obj, pen, _violation(a, sy, sz))
-        if len(trace) > _OBJ_WINDOW:
-            prev = trace.objectives[-1 - _OBJ_WINDOW]
-            if abs(obj - prev) / max(1.0, abs(obj)) < obj_tol:
-                trace.status = "Converged"
-                break
+        settled = len(trace) > _OBJ_WINDOW and (
+            abs(obj - trace.objectives[-1 - _OBJ_WINDOW]) / max(1.0, abs(obj))
+            < obj_tol
+        )
+        # Two unchanged steps in a row: the second was a plain one, so A is
+        # a fixed point, on which the window would close at most 8 steps
+        # later.
+        if unchanged == 2 or settled:
+            trace.status = "Converged"
+            break
 
     kernel = CouplingKernel(p_z.labels, dtm.row_pmf.labels, sz[:, None] * a / sy)
     return kernel, trace

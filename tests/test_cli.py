@@ -932,6 +932,18 @@ class TestEmbedCmd:
         assert "data error: line 2, byte 10: label 'a\\tb' holds a tab" in err
         assert not (tmp_path / "x" / "embedding.tsv").exists()
 
+    def test_triplet_label_with_a_cr_exits_3(self, tmp_path, capsys):
+        # A universal-newline reader would split this label's row of
+        # embedding.tsv in two. The file is refused on the label's line.
+        data = tmp_path / "cr.tsv"
+        data.write_bytes(b"y0\tx0\t1\na\rb\tx1\t2\ny0\tx1\t1\na\rb\tx0\t3\n")
+        rc = main(["embed", str(data), "--d", "1", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: line 2, byte 8: label 'a\\rb' holds a CR" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "embedding.tsv").exists()
+
     def test_byte_identical_rerun(self, planted, tmp_path):
         data, _ = planted
         copy = tmp_path / "copy" / "data.tsv"

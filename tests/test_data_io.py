@@ -109,6 +109,23 @@ class TestParseTriplets:
         with pytest.raises(ParseError, match=r"line 2, byte 6"):
             parse_triplets(p)
 
+    @pytest.mark.parametrize(
+        "text, label",
+        [("y0\tx0\t1\na\rb\tx1\t2\n", "a\rb"), ("y0\tx0\t1\ny0\tx\r1\t2\n", "x\r1")],
+        ids=["row", "column"],
+    )
+    def test_label_with_a_cr(self, tmp_path, text, label):
+        # A universal-newline reader would split the label's row of any TSV
+        # artifact in two. The bulk reader declines the file, and the line
+        # reader names the line.
+        p = tmp_path / "t.tsv"
+        p.write_text(text)
+        assert _parse_triplets_bulk(p) is None
+        with pytest.raises(ParseError) as err:
+            parse_triplets(p)
+        assert (err.value.line, err.value.offset) == (2, 8)
+        assert f"label {label!r} holds a CR" in str(err.value)
+
 
 def _outcome(reader, path):
     """Labels and weight bits, or the ParseError's message, line and offset."""

@@ -516,3 +516,53 @@ class TestMomentum:
                     ended_on_discard += 1
                 prev_len = len(trace)
         assert (ended_on_discard > 0) == discards
+
+
+class TestFixedPointStop:
+    # The loop ends once two accepted steps in a row leave A unchanged.
+    # With frobenius._unchanged always False only the objective window can
+    # end it.
+    @staticmethod
+    def _stopped_and_window_only(dtm, p_z, lam, seed, monkeypatch):
+        stopped = solve_frobenius(dtm, p_z, lam=lam, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(frobenius, "_unchanged", lambda a_new, a: False)
+            window = solve_frobenius(dtm, p_z, lam=lam, seed=seed)
+        return stopped, window
+
+    @pytest.mark.parametrize(
+        "make",
+        [STEP_RULE_SCENARIOS["planted-2x15"], STEP_RULE_SCENARIOS["planted-3x20"],
+         lambda: _planted(8, 10)],
+        ids=["planted-2x15", "planted-3x20", "planted-8x10"],
+    )
+    def test_planted_stop_skips_only_the_window_tail(self, make, monkeypatch):
+        # A planted optimum is a vertex: the iterate lands on it exactly, and
+        # the window needs 8 more unchanged rows to close on the same A.
+        dtm, p_z, lam = make()
+        for seed in range(3):
+            (kernel, trace), (kernel_w, trace_w) = self._stopped_and_window_only(
+                dtm, p_z, lam, seed, monkeypatch
+            )
+            assert trace.status == trace_w.status == "Converged", seed
+            assert kernel.kernel.tobytes() == kernel_w.kernel.tobytes(), seed
+            assert trace.objectives[-1] == trace_w.objectives[-1], seed
+            assert len(trace) == len(trace_w) - 8, seed
+            n = len(trace)
+            for got, want in [
+                (trace.objectives, trace_w.objectives),
+                (trace.penalties, trace_w.penalties),
+                (trace.violations, trace_w.violations),
+            ]:
+                np.testing.assert_allclose(got, want[:n], rtol=1e-12, atol=0.0)
+            assert trace.objectives[-3] == trace.objectives[-2] == trace.objectives[-1]
+
+    def test_soft_optimum_gives_the_window_result(self, monkeypatch):
+        # Zipf rows leave soft items at the optimum, where A keeps moving in
+        # its last bits; whichever rule ends the run, the result is the same.
+        dtm = build_dtm(*_zipf_joint(0))
+        (kernel, trace), (kernel_w, trace_w) = self._stopped_and_window_only(
+            dtm, _uniform_pz(8), frobenius.LAMBDA, 0, monkeypatch
+        )
+        assert kernel.kernel.tobytes() == kernel_w.kernel.tobytes()
+        assert trace.objectives[-1] == trace_w.objectives[-1]
