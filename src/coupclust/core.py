@@ -196,8 +196,9 @@ class Dtm:
         """(U[:, :r], the r largest singular values), without V; not cached.
 
         The top r eigenpairs of the smaller Gram matrix (`svd.gram_top`: block
-        subspace iteration, or one eigensolve where that cannot pay), much
-        cheaper than a full SVD when only a few left vectors are needed.
+        Krylov on products with B and B^T, or one eigensolve of the formed
+        Gram matrix where that cannot pay), much cheaper than a full SVD
+        when only a few left vectors are needed.
         Singular values below about sqrt(eps) are not resolved: they come
         back as the root of an eigenvalue at rounding level, or 0.
         """

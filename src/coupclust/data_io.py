@@ -702,21 +702,25 @@ def _csv_cells(line: str, lineno: int, line_offset: int) -> list[str]:
         raise ParseError(f"bad CSV line ({exc})", lineno, line_offset) from None
 
 
-def _csv_label(cell: str, lineno: int, line_offset: int) -> str:
-    """A stripped CSV label; a tab, CR or LF in it is a ParseError, as no
-    TSV artifact could hold it."""
+def _csv_label(cell: str, seen: set[str], lineno: int, line_offset: int) -> str:
+    """A stripped CSV label, added to `seen`. A tab, CR or LF in it is a
+    ParseError, as no TSV artifact could hold it; so is a label in `seen`."""
     label = cell.strip()
     if "\t" in label or "\r" in label or "\n" in label:
         raise ParseError(
             f"label {label!r} holds a tab or line break", lineno, line_offset
         )
+    if label in seen:
+        raise ParseError(f"duplicate label {label!r}", lineno, line_offset)
+    seen.add(label)
     return label
 
 
 def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a dense CSV (header = X labels, first column = Y labels).
 
-    A label holding a tab, CR or LF is a ParseError on its line.
+    A label holding a tab, CR or LF, or an item or feature label listed
+    twice, is a ParseError on its line.
     """
     lines = _read_lines(path)
     try:
@@ -726,7 +730,11 @@ def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     header_cells = _csv_cells(header, header_no, header_off)
     if len(header_cells) < 2:
         raise ParseError("header needs at least one column label", header_no, header_off)
-    col_labels = [_csv_label(c, header_no, header_off) for c in header_cells[1:]]
+    seen_cols: set[str] = set()
+    col_labels = [
+        _csv_label(c, seen_cols, header_no, header_off) for c in header_cells[1:]
+    ]
+    seen_rows: set[str] = set()
     row_labels: list[str] = []
     data: list[list[float]] = []
     for lineno, line_offset, line in lines:
@@ -737,7 +745,7 @@ def load_dense_csv(path) -> tuple[list[str], list[str], np.ndarray]:
                 lineno,
                 line_offset,
             )
-        row_labels.append(_csv_label(cells[0], lineno, line_offset))
+        row_labels.append(_csv_label(cells[0], seen_rows, lineno, line_offset))
         data.append(
             [
                 _nonnegative(cell, "value", lineno, line_offset) if cell else 0.0

@@ -2,10 +2,10 @@
 
 Row y of the embedding is the y-th row of [P_Y]^{-1/2} U[:, :d], with the
 d leading left singular vectors U[:, :d] of the joint's DTM, the top d
-eigenvectors of its smaller Gram matrix (`Dtm.top(d)`, by subspace
-iteration or one eigensolve; see `svd.gram_top`). The first coordinate
-is constant across items (the top singular vector of a DTM is sqrt of the
-marginal), so informative dimensions start at 2.
+eigenvectors of its smaller Gram matrix (`Dtm.top(d)`, by block Krylov on
+products with the DTM, or one eigensolve; see `svd.gram_top`). The first
+coordinate is constant across items (the top singular vector of a DTM is
+sqrt of the marginal), so informative dimensions start at 2.
 """
 
 from __future__ import annotations

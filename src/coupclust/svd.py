@@ -3,12 +3,14 @@
 A DTM has two spectral routes. Its singular values come from LAPACK's SVD
 (`Dtm.singular_values`, for the nuclear norm of a whole joint); the nuclear
 solver takes the same full SVD of each small chain DTM. `gram_top` gives the
-leading r left singular vectors alone, from the smaller Gram matrix: by
-block subspace iteration with a Rayleigh-Ritz step where that converges in
-a few products, else by one symmetric eigensolve. The iteration starts from
-hashed +-1 signs, not a random draw, so its bits do not depend on numpy's
-Generator streams (which may change between releases) and `numpy.random`
-is never loaded. The item embedding reads only those vectors.
+leading r left singular vectors alone, as eigenvectors of the smaller Gram
+matrix: by block Krylov Rayleigh-Ritz, which touches B only through
+products with B and B^T, where that converges within its budget, else by
+one symmetric eigensolve of the formed Gram matrix. The iteration starts
+from hashed +-1 signs, not a random draw, so its bits do not depend on
+numpy's Generator streams (which may change between releases) and
+`numpy.random` is never loaded. The item embedding reads only those
+vectors.
 `check_dtm_spectrum` holds the DTM invariants that every route asserts.
 """
 
@@ -23,6 +25,13 @@ SPECTRAL_TOL = 1e-10
 # A Ritz pair (theta, x) is accepted once ||G x - theta x|| <= _RITZ_RTOL *
 # theta_1. The residual's rounding floor is about 1e-15 at n = 768.
 _RITZ_RTOL = 1e-13
+
+# Columns per block of the Krylov basis.
+_BLOCK = 8
+# Steps whose residuals are not extrapolated: a block Krylov basis can
+# stall for a few steps before it holds the leading subspace's neighbours
+# and then converge fast (steps 3-5 of sparse Zipf at in-group 0.5).
+_WARMUP = 5
 
 
 def _signs(n: int, p: int) -> np.ndarray:
@@ -39,47 +48,79 @@ def _signs(n: int, p: int) -> np.ndarray:
     return np.where(h >> np.uint64(63), -1.0, 1.0)
 
 
-def _ritz_top(gram: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The r leading eigenpairs of a symmetric PSD matrix, or None.
+def _ritz_top(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The r leading eigenpairs of B's smaller Gram matrix G, or None.
 
-    Block subspace iteration on p = r + max(r // 2, 8) columns from the
-    orthonormalized `_signs(n, p)` (Halko, Martinsson & Tropp 2011, sec.
-    4.5). The start needs only a full-rank projection onto the leading
-    subspace, which random-sign matrices give as Gaussian ones do; the
-    hash fixes its bits on any numpy release.
-    Each step takes one product G Q and the Rayleigh-Ritz `eigh` of the
-    p x p matrix Q^T G Q, and stops when all r leading Ritz residuals are
-    within tolerance. Returns (eigenvalues descending, eigenvectors), or
-    None where iterating cannot beat one n x n `eigh`: G has fewer than 4p
-    rows, or, from step 3 on, the residuals' last decay rate predicts more
-    than n // 25 steps in all (about half the cost of the `eigh` at 768).
+    G is B B^T when B is wide, else B^T B, and is never formed: it is
+    applied as B (B^T Q) or B^T (B Q). Block Krylov Rayleigh-Ritz (Musco &
+    Musco 2015, NeurIPS; Halko, Martinsson & Tropp 2011, SIAM Review) on
+    blocks of _BLOCK columns. The basis K starts from the orthonormalized
+    `_signs(n, _BLOCK)`: the start needs only a full-rank projection onto
+    the leading subspace, which random-sign matrices give as Gaussian ones
+    do, and the hash fixes its bits on any numpy release. Each step takes
+    one product G Q of the newest block Q and the `eigh` of K^T G K, whose
+    new columns are K^T G Q. The products of the older blocks lie in K, so
+    the rest of G Q outside K, (I - K K^T) G Q, gives every Ritz residual:
+    G x - theta x is that rest times the Ritz vector's coefficients on Q.
+    The loop stops when the r leading residuals are all within tolerance;
+    else the rest, orthonormalized by a QR, made orthogonal to K again by a
+    second Gram-Schmidt pass and a second QR (which also mends a column
+    that fell to rounding level), is the next block.
+
+    Returns (eigenvalues descending, eigenvectors), or None where iterating
+    cannot beat one n x n `eigh`:
+    - the budget, n // 32 blocks (about two thirds of the cost of that
+      `eigh` at n = 768), is spent, or cannot hold r columns and one more
+      block;
+    - from step _WARMUP + 1, the largest residual did not fall, or its
+      last decay rate predicts more than 1.5 times the budget (Krylov
+      residuals fall ever faster, so the last rate overstates the steps
+      left);
+    - a rest is rounding-level before the basis holds r columns: K spans
+      an invariant subspace too narrow for r;
+    - an eigenvalue is held _BLOCK times where a further copy would rank
+      in the top r: a _BLOCK-column start cannot reach more copies.
     """
-    n = gram.shape[0]
-    p = r + max(r // 2, 8)
-    if n < 4 * p:
+    b = matrix if matrix.shape[0] <= matrix.shape[1] else matrix.T
+    n = b.shape[0]
+    budget = n // 32
+    if budget * _BLOCK < r + _BLOCK:
         return None
-    budget = n // 25
-    q = np.linalg.qr(_signs(n, p))[0]
-    prev = None
+    basis = np.empty((n, budget * _BLOCK))
+    proj = np.empty((budget * _BLOCK, budget * _BLOCK))
+    q = np.linalg.qr(_signs(n, _BLOCK))[0]
+    prev = np.inf
     for step in range(1, budget + 1):
-        gq = gram @ q
-        theta, w = np.linalg.eigh(q.T @ gq)
+        lo, m = (step - 1) * _BLOCK, step * _BLOCK
+        basis[:, lo:m] = q
+        k = basis[:, :m]
+        gq = b @ (b.T @ q)
+        col = k.T @ gq
+        proj[:m, lo:m], proj[lo:m, :m] = col, col.T
+        theta, w = np.linalg.eigh(proj[:m, :m])
         theta, w = theta[::-1], w[:, ::-1]
-        x, gx = q @ w, gq @ w
-        res = np.linalg.norm(gx[:, :r] - x[:, :r] * theta[:r], axis=0)
         tol = _RITZ_RTOL * theta[0]
-        todo = res > tol
-        if not todo.any():
-            return theta[:r], x[:, :r]
-        if step >= 3:
-            rate = res[todo] / prev[todo]
-            if np.any(rate >= 1.0):
+        rest = gq - k @ col
+        if m >= r:
+            res = float(np.max(np.linalg.norm(rest @ w[lo:m, :r], axis=0)))
+            if res <= tol:
+                # theta_i = theta_(i+7) above rounding level, with a ninth
+                # copy's place i + 8 inside the top r.
+                j = max(r - _BLOCK, 0)
+                held = theta[:j] - theta[_BLOCK - 1 : _BLOCK - 1 + j] <= tol
+                if np.any(held & (theta[:j] > tol)):
+                    return None
+                return theta[:r], k @ w[:, :r]
+            if step > _WARMUP and (
+                res >= prev
+                or step + np.log(res / tol) / np.log(prev / res) > 1.5 * budget
+            ):
                 return None
-            steps_left = np.log(res[todo] / tol) / -np.log(rate)
-            if step + float(np.max(steps_left)) > budget:
-                return None
-        prev = res
-        q = np.linalg.qr(gx)[0]
+            prev = res
+        elif float(np.max(np.linalg.norm(rest, axis=0))) <= tol:
+            return None
+        q = np.linalg.qr(rest)[0]
+        q = np.linalg.qr(q - k @ (k.T @ q))[0]
     return None
 
 
@@ -89,18 +130,18 @@ def gram_top(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     The eigenpairs of the smaller Gram matrix G: B B^T when B has no more
     rows than columns, whose eigenvectors are U; else B^T B, whose
     eigenvectors V give U as the orthonormalized B V (column j is
-    B v_j / sigma_j). They come from `_ritz_top` when it converges within
-    its budget, else from one `eigh` of G. Reruns give the same bits.
+    B v_j / sigma_j). They come from `_ritz_top`, which uses only products
+    with B and B^T, when it converges within its budget; else G is formed
+    and takes one `eigh`. Reruns give the same bits.
     Squaring halves the digits left to small singular values: an
     eigenvalue is accurate to about eps * sigma_1^2, so sigma below
     sqrt(eps) * sigma_1 is not resolved. Returns (U, eigenvalues); the
     eigenvalues can be slightly negative where sigma is zero.
     """
     wide = matrix.shape[0] <= matrix.shape[1]
-    gram = matrix @ matrix.T if wide else matrix.T @ matrix
-    top = _ritz_top(gram, r)
+    top = _ritz_top(matrix, r)
     if top is None:
-        lam, vecs = np.linalg.eigh(gram)
+        lam, vecs = np.linalg.eigh(matrix @ matrix.T if wide else matrix.T @ matrix)
         top = lam[::-1][:r], vecs[:, ::-1][:, :r]
     lam, vecs = top
     if wide:

@@ -24,6 +24,40 @@ def normalized_joint(rows, cols, weights):
     return tuple(rows), tuple(cols), w / w.sum()
 
 
+def zipf_joint(seed, ny=128, nx=None, draws=40_000, in_group=0.7, groups=16):
+    """Sparse co-occurrence joint with Zipf-skewed row and column use.
+
+    Rows and columns each belong to one of `groups` latent groups. A draw
+    picks a row by Zipf popularity (exponent 1.1), then with probability
+    `in_group` a column of the row's group, else any column, both
+    Zipf-weighted. One count per row and per column on a random matching
+    (wrapped around the shorter side) keeps every label alive. nx defaults
+    to ny.
+    """
+    nx = ny if nx is None else nx
+    rng = np.random.default_rng(seed)
+    row_pop = (1.0 / np.arange(1, ny + 1) ** 1.1)[rng.permutation(ny)]
+    col_pop = (1.0 / np.arange(1, nx + 1) ** 1.1)[rng.permutation(nx)]
+    row_group = rng.integers(0, groups, size=ny)
+    col_group = rng.integers(0, groups, size=nx)
+    rows = rng.choice(ny, size=draws, p=row_pop / row_pop.sum())
+    cols = rng.choice(nx, size=draws, p=col_pop / col_pop.sum())
+    picked = rng.random(draws) < in_group
+    for g in range(groups):
+        members = np.flatnonzero(col_group == g)
+        pick = picked & (row_group[rows] == g)
+        if members.size and pick.any():
+            p = col_pop[members] / col_pop[members].sum()
+            cols[pick] = rng.choice(members, size=int(pick.sum()), p=p)
+    counts = np.zeros((ny, nx))
+    np.add.at(counts, (rows, cols), 1.0)
+    m = max(ny, nx)
+    counts[np.arange(m) % ny, rng.permutation(m) % nx] += 1.0
+    return normalized_joint(
+        tuple(f"y{i}" for i in range(ny)), tuple(f"x{j}" for j in range(nx)), counts
+    )
+
+
 def oracle_project(v, sweeps=4000, tol=1e-13):
     """Projected coordinate descent onto the probability simplex.
 

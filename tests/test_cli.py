@@ -932,6 +932,17 @@ class TestEmbedCmd:
         assert "data error: line 2, byte 10: label 'a\\tb' holds a tab" in err
         assert not (tmp_path / "x" / "embedding.tsv").exists()
 
+    def test_csv_duplicate_label_exits_3(self, tmp_path, capsys):
+        # The message names the label and its line, not just the joint.
+        data = tmp_path / "m.csv"
+        data.write_text(",x1,x2,x3\na,1,2,0\nc,0,1,3\na,2,0,1\ne,1,1,1\n")
+        rc = main(["embed", str(data), "--d", "2", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: line 4, byte 26: duplicate label 'a'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "embedding.tsv").exists()
+
     def test_triplet_label_with_a_cr_exits_3(self, tmp_path, capsys):
         # A universal-newline reader would split this label's row of
         # embedding.tsv in two. The file is refused on the label's line.

@@ -734,6 +734,26 @@ class TestDenseCsv:
         assert (err.value.line, err.value.offset) == where
         assert f"label {label!r} holds a tab or line break" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, where, label",
+        [
+            ("item,u,v\na,1,2\nb,0,1\na,2,2\n", (4, 21), "a"),
+            ("item,u,v,u\na,1,2,3\n", (1, 0), "u"),
+        ],
+        ids=["item", "feature"],
+    )
+    def test_duplicate_label(self, tmp_path, text, where, label):
+        # Named with its line, as the pmf and truth readers name theirs. An
+        # item may share a label with a feature.
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_dense_csv(p)
+        assert (err.value.line, err.value.offset) == where
+        assert f"duplicate label {label!r}" in str(err.value)
+        p.write_text("item,a,b\na,1,2\nb,0,1\n")
+        assert load_dense_csv(p)[:2] == (["a", "b"], ["a", "b"])
+
 
 @pytest.mark.parametrize(
     "reader, text, where, message",

@@ -16,7 +16,7 @@ from coupclust.frobenius import (
 )
 from coupclust.simplex import project_columns
 
-from conftest import normalized_joint, random_joint, random_pmf
+from conftest import normalized_joint, random_joint, random_pmf, zipf_joint
 from paper_identities import compose_dtm, dtm_from_kernel, frobenius_objective
 
 
@@ -372,6 +372,23 @@ class TestCurvature:
             monkeypatch.setattr(Dtm, "top", no_spectrum)
         assert _curvature(dtm, lam) == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
+    def test_zipf_sigma_2_needs_no_full_eigensolve(self, monkeypatch):
+        # On a Zipf-shaped joint, lam = 1.5 reads sigma_2 from Dtm.top(2) by
+        # block Krylov: no 400 x 400 eigh, and LAPACK's value within 1e-12.
+        dtm = build_dtm(*zipf_joint(0, 400, draws=100_000))
+        sigma = np.linalg.svd(dtm.matrix, compute_uv=False)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        got = _curvature(dtm, 1.5)
+        assert sizes and max(sizes) < 400
+        assert abs(got - max(0.5, float(sigma[1]) ** 2)) <= 1e-12
+
 
 class TestStepRule:
     @staticmethod
@@ -414,38 +431,6 @@ PLAIN_STEP_RESULTS = {
 }
 
 
-def _zipf_joint(seed, n=128, draws=40_000, groups=16):
-    """Sparse co-occurrence joint with Zipf-skewed row and column use.
-
-    Rows and columns each belong to one of `groups` latent groups. A draw
-    picks a row by Zipf popularity (exponent 1.1), then with probability 0.7
-    a column of the row's group, else any column, both Zipf-weighted. One
-    count per row and per column on a random matching keeps every label
-    alive.
-    """
-    rng = np.random.default_rng(seed)
-    pop = 1.0 / np.arange(1, n + 1) ** 1.1
-    row_pop = pop[rng.permutation(n)]
-    col_pop = pop[rng.permutation(n)]
-    row_group = rng.integers(0, groups, size=n)
-    col_group = rng.integers(0, groups, size=n)
-    rows = rng.choice(n, size=draws, p=row_pop / row_pop.sum())
-    cols = rng.choice(n, size=draws, p=col_pop / col_pop.sum())
-    in_group = rng.random(draws) < 0.7
-    for g in range(groups):
-        members = np.flatnonzero(col_group == g)
-        pick = in_group & (row_group[rows] == g)
-        if members.size and pick.any():
-            p = col_pop[members] / col_pop[members].sum()
-            cols[pick] = rng.choice(members, size=int(pick.sum()), p=p)
-    counts = np.zeros((n, n))
-    np.add.at(counts, (rows, cols), 1.0)
-    counts[np.arange(n), rng.permutation(n)] += 1.0
-    return normalized_joint(
-        tuple(f"y{i}" for i in range(n)), tuple(f"x{j}" for j in range(n)), counts
-    )
-
-
 class TestMomentum:
     @pytest.mark.parametrize("name", STEP_RULE_SCENARIOS)
     def test_no_worse_and_fewer_iterations_than_plain_step(self, name):
@@ -458,7 +443,7 @@ class TestMomentum:
     def test_converges_on_skewed_joint(self):
         # The plain step ended every one of these restarts at MAX_ITERS
         # (5000 iterations), with a best objective of 3.3347174430083455.
-        dtm = build_dtm(*_zipf_joint(0))
+        dtm = build_dtm(*zipf_joint(0))
         p_z = _uniform_pz(8)
         best = -np.inf
         for seed in range(3):
@@ -560,7 +545,7 @@ class TestFixedPointStop:
     def test_soft_optimum_gives_the_window_result(self, monkeypatch):
         # Zipf rows leave soft items at the optimum, where A keeps moving in
         # its last bits; whichever rule ends the run, the result is the same.
-        dtm = build_dtm(*_zipf_joint(0))
+        dtm = build_dtm(*zipf_joint(0))
         (kernel, trace), (kernel_w, trace_w) = self._stopped_and_window_only(
             dtm, _uniform_pz(8), frobenius.LAMBDA, 0, monkeypatch
         )

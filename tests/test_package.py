@@ -191,11 +191,12 @@ print("numpy.random" in sys.modules)
 
 
 def test_embed_loads_no_numpy_random(tmp_path):
-    # The subspace iteration starts from hashed signs, not a random draw,
-    # so an embedding never imports numpy.random (about 6 ms cold). 64 items
-    # at d = 4 are past the 4p = 48 rows where the iteration starts. Where
-    # importing numpy already loads numpy.random, there is nothing to test.
-    (rows, cols, weights), _ = gen_planted_blocks(4, 16, 1.0, 0.05, noise_seed=0)
+    # The block Krylov iteration starts from hashed signs, not a random
+    # draw, so an embedding never imports numpy.random (about 6 ms cold).
+    # 96 items at d = 4 are past the 64 rows (a budget of two blocks) where
+    # the iteration starts. Where importing numpy already loads
+    # numpy.random, there is nothing to test.
+    (rows, cols, weights), _ = gen_planted_blocks(4, 24, 1.0, 0.05, noise_seed=0)
     data = tmp_path / "data.tsv"
     write_triplets(data, rows, cols, weights)
     src = str(Path(coupclust.__file__).resolve().parents[1])
