@@ -27,7 +27,6 @@ from .data_io import (
     _write_json,
     apply_rating_transform,
     community_objective,
-    counterexample_frobenius,
     gen_counterexample,
     gen_planted_blocks,
     ingest,
@@ -286,8 +285,9 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
         base = gen_counterexample(m, n, s)
         q1 = gen_counterexample(m, n, s, "intuitive_Q1")
         q2 = gen_counterexample(m, n, s, "one_item_Q2")
-        fi = counterexample_frobenius(m, n, s, intuitive_kernel(m))
-        fo = counterexample_frobenius(m, n, s, one_item_kernel(m))
+        dtm = ingest(range(2 * m), range(2 * n), base)[0]
+        fi = kernel_norm_value(dtm, intuitive_kernel(m), "frobenius")
+        fo = kernel_norm_value(dtm, one_item_kernel(m), "frobenius")
         c1 = community_objective(q1, base, lam, 2)
         c2 = community_objective(q2, base, lam, 2)
         lines.append(f"{s:.17g},{fi:.17g},{fo:.17g},{c1:.17g},{c2:.17g}")

@@ -40,7 +40,6 @@ __all__ = [
     "Dtm",
     "SolveTrace",
     "build_dtm",
-    "frobenius_sq",
 ]
 
 
@@ -273,10 +272,3 @@ def build_dtm(row_labels: Sequence[str], col_labels: Sequence[str], weights) -> 
     mat.setflags(write=False)  # so that Dtm keeps it rather than a copy
     return Dtm(mat, p_y, p_x)
 
-
-def frobenius_sq(dtm: Dtm) -> float:
-    """Squared Frobenius norm, via the entrywise sum of squares.
-
-    Equals the sum of squared singular values.
-    """
-    return float(np.sum(dtm.matrix * dtm.matrix))

@@ -16,12 +16,17 @@ File formats:
   row by row (write_triplets' layout), by reshaping its weight column.
 - Dense CSV: header row holds the X labels (first cell is a corner and is
   ignored), each body row starts with its Y label; blank cells mean 0.
-- Pmf TSV: `label<TAB>probability` lines.
+  Blank lines are skipped; a line starting with `#` is data.
+- Pmf and truth TSVs: `label<TAB>probability` and `item<TAB>label` lines,
+  with the triplet file's comments and blank lines.
 - Kernel JSON / trace CSV writers used by the CLI live here too.
 
 Ingestion prunes all-zero rows and columns (a joint needs strictly interior
 marginals), reports what it dropped, and returns the joint's Dtm: the
 normalized weights go straight into build_dtm and are not kept.
+
+The generators make raw matrices (planted blocks; the counterexample, with
+its two kernels); kernels are scored by evaluation.kernel_norm_value.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import os
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import CouplingKernel, Dtm, Pmf, build_dtm, frobenius_sq
+from .core import CouplingKernel, Dtm, Pmf, build_dtm
 from .errors import ConfigError, DataError, ParseError
 
 __all__ = [
@@ -50,7 +55,6 @@ __all__ = [
     "gen_planted_blocks",
     "intuitive_kernel",
     "one_item_kernel",
-    "counterexample_frobenius",
     "community_objective",
     "write_kernel_json",
     "write_trace_csv",
@@ -96,10 +100,11 @@ def _check_creatable(out_dir, *names) -> None:
 def _read_lines(path, nfields: int | None = None):
     """Yield (lineno, offset, item) for each data line of a text file.
 
-    Lines are UTF-8; blank lines and full-line `#` comments are skipped.
-    item is the decoded line when nfields is None, else its nfields
-    tab-separated fields. ParseError carries the 1-based line number and the
-    byte offset of the offending line's start.
+    Lines are UTF-8, and blank lines are skipped. item is the decoded line
+    when nfields is None (a CSV line: CSV has no comment syntax), else the
+    line's nfields tab-separated fields, and full-line `#` comments are
+    skipped. ParseError carries the 1-based line number and the byte offset
+    of the offending line's start.
     """
     offset = 0
     with _open(path) as fh:
@@ -111,10 +116,12 @@ def _read_lines(path, nfields: int | None = None):
             except UnicodeDecodeError as exc:
                 raise ParseError(f"not valid UTF-8 ({exc.reason})", lineno, line_offset)
             stripped = text.strip()
-            if not stripped or stripped.startswith("#"):
+            if not stripped:
                 continue
             if nfields is None:
                 yield lineno, line_offset, text
+                continue
+            if stripped.startswith("#"):
                 continue
             parts = stripped.split("\t")
             if len(parts) != nfields:
@@ -922,14 +929,6 @@ def one_item_kernel(m: int) -> CouplingKernel:
     return CouplingKernel(
         ("z0", "z1"), tuple(f"y{i}" for i in range(2 * m)), kern
     )
-
-
-def counterexample_frobenius(m: int, n: int, s: float, kernel: CouplingKernel) -> float:
-    """||B_{Z,X}||_F^2 for a kernel applied to the normalized base matrix."""
-    base = gen_counterexample(m, n, s)
-    chain = kernel.kernel @ (base / base.sum())
-    xlabels = [f"x{j}" for j in range(chain.shape[1])]
-    return frobenius_sq(build_dtm(kernel.cluster_labels, xlabels, chain / chain.sum()))
 
 
 def gen_planted_blocks(

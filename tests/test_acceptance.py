@@ -15,14 +15,14 @@ from coupclust.cli import main as cli_main
 from coupclust.core import CouplingKernel, Pmf, build_dtm
 from coupclust.data_io import (
     community_objective,
-    counterexample_frobenius,
     gen_counterexample,
     gen_planted_blocks,
+    ingest,
     intuitive_kernel,
     one_item_kernel,
     write_triplets,
 )
-from coupclust.evaluation import elbow_curve, harden, matched_accuracy
+from coupclust.evaluation import elbow_curve, harden, kernel_norm_value, matched_accuracy
 from coupclust.frobenius import _half_gradient, solve_frobenius
 from coupclust.nuclear import solve_nuclear
 from coupclust.simplex import project_columns
@@ -239,15 +239,20 @@ def test_criterion_06_norm_curves():
     worst = 0.0
     grid = np.arange(1.0, 10.0 + 1e-12, 0.5)
     dominated = True
+
+    def frob(s, kernel):
+        dtm = ingest(range(2 * m), range(2 * n), gen_counterexample(m, n, s))[0]
+        return kernel_norm_value(dtm, kernel, "frobenius")
+
     for s in grid:
         s = float(s)
-        fi = counterexample_frobenius(m, n, s, intuitive_kernel(m))
-        fo = counterexample_frobenius(m, n, s, one_item_kernel(m))
+        fi = frob(s, intuitive_kernel(m))
+        fo = frob(s, one_item_kernel(m))
         closed = 2.0 * (s * s + 1.0) / (s + 1.0) ** 2
         worst = max(worst, abs(fi - closed) / max(1.0, abs(closed)))
         if s > 1.0 and fi <= fo:
             dominated = False
-    at_one = counterexample_frobenius(m, n, 1.0, intuitive_kernel(m))
+    at_one = frob(1.0, intuitive_kernel(m))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert dominated

@@ -932,6 +932,18 @@ class TestEmbedCmd:
         assert "data error: line 2, byte 10: label 'a\\tb' holds a tab" in err
         assert not (tmp_path / "x" / "embedding.tsv").exists()
 
+    def test_csv_lines_starting_with_hash_are_data(self, tmp_path, capsys):
+        # A `#` corner cell starts the header and `#c` is an item: CSV has
+        # no comment syntax, so neither line may vanish.
+        data = tmp_path / "h.csv"
+        data.write_text("#,x1,x2\na,1,0\n#c,1,1\nb,0,1\n")
+        out = tmp_path / "x"
+        rc = main(["embed", str(data), "--d", "1", "--out", str(out)])
+        assert rc == 0
+        assert "pruned" not in capsys.readouterr().err
+        rows = (out / "embedding.tsv").read_text().split("\n")[:-1]
+        assert [r.split("\t")[0] for r in rows] == ["a", "#c", "b"]
+
     def test_csv_duplicate_label_exits_3(self, tmp_path, capsys):
         # The message names the label and its line, not just the joint.
         data = tmp_path / "m.csv"

@@ -19,7 +19,6 @@ from coupclust.data_io import (
     _parse_triplets_lines,
     apply_rating_transform,
     community_objective,
-    counterexample_frobenius,
     gen_counterexample,
     gen_planted_blocks,
     ingest,
@@ -38,6 +37,7 @@ from coupclust.errors import (
     DataError,
     ParseError,
 )
+from coupclust.evaluation import kernel_norm_value
 
 from conftest import random_joint
 
@@ -716,6 +716,21 @@ class TestDenseCsv:
             load_dense_csv(p)
         assert err.value.line == 2
 
+    def test_header_starting_with_hash_is_the_header(self, tmp_path):
+        # CSV has no comment syntax: a `#` corner cell starts the header.
+        p = tmp_path / "m.csv"
+        p.write_text("#,x1,x2\na,1,0\nb,0,1\n")
+        rows, cols, w = load_dense_csv(p)
+        assert (rows, cols) == (["a", "b"], ["x1", "x2"])
+        np.testing.assert_array_equal(w, [[1, 0], [0, 1]])
+
+    def test_row_starting_with_hash_is_data(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("item,u,v\na,1,0\n#c,1,1\n\nb,0,1\n")
+        rows, cols, w = load_dense_csv(p)
+        assert rows == ["a", "#c", "b"]
+        np.testing.assert_array_equal(w, [[1, 0], [1, 1], [0, 1]])
+
     @pytest.mark.parametrize(
         "text, where, label",
         [
@@ -762,7 +777,7 @@ class TestDenseCsv:
         (parse_triplets, "a\tu\t1\nb\tv\tnan\n", (2, 6),
          "weight must be finite and >= 0, got nan"),
         (load_dense_csv, "item,u,v\na,1,2\nb,3,x\n", (3, 15), "bad value 'x'"),
-        (load_dense_csv, "item,u,v\n# c\na,1, -1\n", (3, 13),
+        (load_dense_csv, "item,u,v\n#c,0,1\na,1, -1\n", (3, 16),
          "value must be finite and >= 0, got -1.0"),
         (load_pmf, "z0\t0.5\nz1\thalf\n", (2, 7), "bad probability 'half'"),
         (load_pmf, "# p\nz0\t0.5\nz1\t-inf\n", (3, 11),
@@ -939,13 +954,15 @@ class TestCounterexample:
     def test_closed_form_norm(self):
         for s in [1.0, 2.0, 3.5, 10.0]:
             for m, n in [(2, 3), (5, 5)]:
-                got = counterexample_frobenius(m, n, s, intuitive_kernel(m))
+                dtm = ingest(range(2 * m), range(2 * n), gen_counterexample(m, n, s))[0]
+                got = kernel_norm_value(dtm, intuitive_kernel(m), "frobenius")
                 want = 2.0 * (s * s + 1.0) / (s + 1.0) ** 2
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_one_item_norm_near_one(self):
         # the singleton split barely beats the trivial norm of 1
-        val = counterexample_frobenius(50, 50, 5.0, one_item_kernel(50))
+        dtm = ingest(range(100), range(100), gen_counterexample(50, 50, 5.0))[0]
+        val = kernel_norm_value(dtm, one_item_kernel(50), "frobenius")
         assert 1.0 < val < 1.01
 
     def test_invalid_params(self):

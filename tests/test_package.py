@@ -32,12 +32,10 @@ PUBLIC = {
     "build_dtm",
     "build_report",
     "community_objective",
-    "counterexample_frobenius",
     "coverage",
     "dtm_embed",
     "elbow_curve",
     "format_report_table",
-    "frobenius_sq",
     "gen_counterexample",
     "gen_planted_blocks",
     "harden",
@@ -60,7 +58,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
