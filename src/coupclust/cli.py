@@ -51,7 +51,7 @@ from .evaluation import (
     format_report_table,
     kernel_norm_value,
 )
-from .frobenius import LAMBDA, OBJ_TOL, _uniform_target
+from .frobenius import LAMBDA, _uniform_target
 
 
 def _log(msg: str) -> None:
@@ -93,14 +93,16 @@ def _load_joint(args) -> tuple[Dtm, dict[str, list[str]]]:
     return dtm, pruned
 
 
-def _resolve_pz(args, k: int, dtm: Dtm) -> Pmf:
+def _load_pz(args) -> Pmf | None:
+    """The --pz file's pmf, checked against --k, or None for 'uniform',
+    whose size check needs the joint (_uniform_target)."""
     if args.pz is None:
         raise ConfigError("--algo frobenius requires --pz (a file or 'uniform')")
     if args.pz == "uniform":
-        return _uniform_target(k, len(dtm.row_pmf))
+        return None
     pz = load_pmf(args.pz)
-    if len(pz) != k:
-        raise ConfigError(f"--pz has {len(pz)} entries but --k is {k}")
+    if len(pz) != args.k:
+        raise ConfigError(f"--pz has {len(pz)} entries but --k is {args.k}")
     return pz
 
 
@@ -139,24 +141,23 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         out_dir, "prune_report.json", "kernel.json", "trace.csv",
         "manifest.json", "report.json",
     )
+    k = args.k
+    # Every flag check that needs no joint comes before the input is read.
+    _reject_for_nuclear(args, {"--pz": args.pz, "--lambda": args.lam})
+    lam = _resolve_lambda(args)
+    p_z = _load_pz(args) if args.algo == "frobenius" else None
     dtm, prune = _load_joint(args)
     _write_json(out_dir / "prune_report.json", prune)
 
-    k = args.k
-    _reject_for_nuclear(
-        args,
-        {"--pz": args.pz, "--lambda": args.lam, "--tol": args.tol},
-    )
-    lam = _resolve_lambda(args)
-    tol = OBJ_TOL if args.tol is None else args.tol
-    p_z = _resolve_pz(args, k, dtm) if args.algo == "frobenius" else None
+    if args.pz == "uniform":
+        p_z = _uniform_target(k, len(dtm.row_pmf))
     if args.truth is not None:
         truth = _load_truth(args.truth, dtm, prune["pruned_rows"])
 
     best = None
     for restart in range(args.restarts):
         seed = args.seed + restart
-        kernel, trace = _solve(dtm, args.algo, k, seed, p_z, lam, tol)
+        kernel, trace = _solve(dtm, args.algo, k, seed, p_z, lam)
         final = trace.objectives[-1]
         if best is None or _improves(final, best[0]):
             best = (final, seed, kernel, trace)
@@ -188,7 +189,6 @@ def _cmd_cluster(args, out_dir: Path) -> int:
             "seed": args.seed,
             "best_seed": best_seed,
             "restarts": args.restarts,
-            "tol": args.tol,
             "truth": args.truth,
             "normalize": args.normalize,
             "rating_transform": bool(args.rating_transform),
@@ -305,9 +305,9 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 
 def _cmd_elbow(args, out_dir: Path) -> int:
     _check_creatable(out_dir, "elbow.csv", "manifest.json")
-    dtm, _ = _load_joint(args)
     _reject_for_nuclear(args, {"--lambda": args.lam})
     lam = _resolve_lambda(args)
+    dtm, _ = _load_joint(args)
     curve = elbow_curve(
         dtm,
         args.ks.values,
@@ -363,13 +363,12 @@ def _cmd_embed(args, out_dir: Path) -> int:
 def _cmd_synth(args, out_dir: Path) -> int:
     if args.gen == "counterexample":
         _check_creatable(out_dir, "synth.tsv", "manifest.json")
-        mat = gen_counterexample(args.m, args.n, args.s, args.variant)
+        mat = gen_counterexample(args.m, args.n, args.s)
         rows = [f"y{i}" for i in range(mat.shape[0])]
         cols = [f"x{j}" for j in range(mat.shape[1])]
         write_triplets(out_dir / "synth.tsv", rows, cols, mat)
         config = {
             "gen": "counterexample",
-            "variant": args.variant,
             "m": args.m,
             "n": args.n,
             "s": args.s,
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--lambda", dest="lam", type=float, default=None)
     cluster.add_argument("--seed", type=_nonnegative_int, default=0)
     cluster.add_argument("--restarts", type=_positive_int, default=5)
-    cluster.add_argument("--tol", type=float, default=None)
     cluster.add_argument(
         "--truth", default=None, help="item<TAB>label file for accuracy reporting"
     )
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth = subs.add_parser("synth", help="write synthetic benchmark data")
     _add_io_flags(synth, with_input=False)
     synth.add_argument("--gen", choices=("counterexample", "planted"), required=True)
-    synth.add_argument("--variant", default="base_P")
     synth.add_argument("--m", type=int, default=2)
     synth.add_argument("--n", type=int, default=2)
     synth.add_argument("--s", type=float, default=3.0)

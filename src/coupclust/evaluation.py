@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CouplingKernel, Dtm
 from .errors import ConfigError, DataError, warn_caller
-from .frobenius import LAMBDA, OBJ_TOL, _uniform_target, solve_frobenius
+from .frobenius import LAMBDA, _uniform_target, solve_frobenius
 from .nuclear import _chain_svd, solve_nuclear
 
 __all__ = [
@@ -181,17 +181,17 @@ def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float
     return float(np.sum(s * s)) if algorithm == "frobenius" else float(np.sum(s))
 
 
-def _solve(dtm, algorithm, k, seed, p_z=None, lam=LAMBDA, tol=OBJ_TOL):
+def _solve(dtm, algorithm, k, seed, p_z=None, lam=LAMBDA):
     """One restart of the named solver on the joint's DTM: (kernel, trace).
 
-    p_z (uniform when None), lam and tol are solve_frobenius's target,
-    penalty weight and tolerance; the nuclear solver ignores them.
+    p_z (uniform when None) and lam are solve_frobenius's target and
+    penalty weight; the nuclear solver ignores them.
     """
     if algorithm == "nuclear":
         return solve_nuclear(dtm, k, seed=seed)
     if p_z is None:
         p_z = _uniform_target(k, len(dtm.row_pmf))
-    return solve_frobenius(dtm, p_z, lam=lam, obj_tol=tol, seed=seed)
+    return solve_frobenius(dtm, p_z, lam=lam, seed=seed)
 
 
 # Restarts that reach the same optimum differ only in the last bits of the

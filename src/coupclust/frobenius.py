@@ -35,7 +35,7 @@ discarded, theta is reset to 1, and the next step is a plain one from A
 (function-value restart, O'Donoghue & Candes 2015). A plain step is always
 accepted.
 
-The solve stops, Converged, when J changes by less than a relative tol
+The solve stops, Converged, when J changes by less than OBJ_TOL relative
 over 10 accepted steps, or as soon as two accepted steps in a row leave A
 unchanged, bit for bit. After the first, P = P_prev, so the second is the
 plain step from A, and A is a fixed point of the deterministic loop: the
@@ -65,7 +65,7 @@ __all__ = ["solve_frobenius"]
 
 # Most gradient steps per solve, discarded momentum steps included.
 MAX_ITERS = 5000
-# Default penalty weight lambda and relative-change tolerance of J.
+# Default penalty weight lambda; relative-change tolerance of J.
 LAMBDA = 10.0
 OBJ_TOL = 1e-9
 # Objective window for the relative-change stopping rule.
@@ -137,7 +137,6 @@ def solve_frobenius(
     p_z: Pmf,
     *,
     lam: float = LAMBDA,
-    obj_tol: float = OBJ_TOL,
     seed: int = 0,
 ) -> tuple[CouplingKernel, SolveTrace]:
     """Accelerated gradient-ascent coupling solver with a target marginal.
@@ -150,21 +149,19 @@ def solve_frobenius(
     is traced. MAX_ITERS counts every step, discarded ones included. The
     returned kernel [P_Z]^{1/2} A [P_Y]^{-1/2} is formed from the last
     traced A, so it and every traced objective belong to column-stochastic
-    kernels. Converged = relative change of J below obj_tol over 10 traced
+    kernels. Converged = relative change of J below OBJ_TOL over 10 traced
     steps, or two traced steps in a row that leave A unchanged bit for bit
     (a fixed point: the window would end on the same kernel and J). The
     momentum point extrapolates the plain steps from the last two traced
     iterates. Raises SolverError, naming the step, if the iterate diverges
     or a column cannot be projected.
 
-    lam must be finite and positive and obj_tol in (0, 1), else ConfigError.
+    lam must be finite and positive, else ConfigError.
     Above 1/eps, lam draws a warning: the step 1/(lam - 1) then leaves
     A G below the rounding of A, and the solve only matches the target.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ConfigError("lam must be finite and positive")
-    if not 0 < obj_tol < 1:
-        raise ConfigError("obj_tol must be in (0, 1)")
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -225,7 +222,7 @@ def solve_frobenius(
         trace.record(obj, pen, _violation(a, sy, sz))
         settled = len(trace) > _OBJ_WINDOW and (
             abs(obj - trace.objectives[-1 - _OBJ_WINDOW]) / max(1.0, abs(obj))
-            < obj_tol
+            < OBJ_TOL
         )
         # Two unchanged steps in a row: the second was a plain one, so A is
         # a fixed point, on which the window would close at most 8 steps

@@ -39,8 +39,8 @@ class TestSynth:
         out = tmp_path / "synth"
         rc = main(
             [
-                "synth", "--gen", "counterexample", "--variant", "base_P",
-                "--m", "2", "--n", "2", "--s", "3", "--out", str(out),
+                "synth", "--gen", "counterexample", "--m", "2", "--n", "2",
+                "--s", "3", "--out", str(out),
             ]
         )
         assert rc == 0
@@ -294,11 +294,6 @@ class TestExitCodes:
             ["cluster", "--algo", "nuclear", "--k", "2", "--lambda", "3"],
             ["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "inf"],
             ["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "3"],
-            # The nuclear solver stops when its assignment repeats; it has
-            # no tolerance, whatever the value.
-            ["cluster", "--algo", "nuclear", "--k", "2", "--tol", "0.5"],
-            ["cluster", "--algo", "nuclear", "--k", "2", "--tol", "1e-12"],
-            ["cluster", "--algo", "nuclear", "--k", "2", "--tol", "inf"],
         ],
     )
     def test_nuclear_rejects_frobenius_flags(self, planted, tmp_path, capsys, argv):
@@ -638,6 +633,54 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "line 2, byte 7" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cluster", "--algo", "nuclear", "--k", "8", "--pz", "uniform"],
+             "--algo nuclear does not take --pz"),
+            (["cluster", "--algo", "nuclear", "--k", "8", "--lambda", "3"],
+             "--algo nuclear does not take --lambda"),
+            (["cluster", "--algo", "frobenius", "--k", "8"],
+             "--algo frobenius requires --pz (a file or 'uniform')"),
+            (["cluster", "--algo", "frobenius", "--k", "8", "--pz", "PZ"],
+             "--pz has 2 entries but --k is 8"),
+            (["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "3"],
+             "--algo nuclear does not take --lambda"),
+        ],
+        ids=["cluster-pz", "cluster-lambda", "cluster-no-pz", "cluster-pz-size",
+             "elbow-lambda"],
+    )
+    def test_flags_checked_before_input(self, tmp_path, capsys, argv, message):
+        # A flag check that needs no joint comes before the input is read:
+        # the input here does not exist, and the run still exits 2 naming
+        # the flag, with nothing written.
+        pz = tmp_path / "pz.tsv"
+        pz.write_text("z0\t0.5\nz1\t0.5\n")
+        argv = [str(pz) if a == "PZ" else a for a in argv]
+        out = tmp_path / "x"
+        rc = main([argv[0], str(tmp_path / "missing.tsv"), *argv[1:],
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform", "--tol", "1e-6"],
+            ["synth", "--gen", "counterexample", "--variant", "base_P"],
+        ],
+        ids=["cluster-tol", "synth-variant"],
+    )
+    def test_deleted_flags_are_usage_errors(self, planted, tmp_path, capsys, argv):
+        data, _ = planted
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -1103,8 +1146,8 @@ def _argv(draw):
 )
 # Runs that reach the solvers with edge values.
 @example(argv=["cluster", "data.tsv", "--algo", "frobenius", "--k", "3", "--pz",
-               "uniform", "--lambda", "1e300", "--tol", "0.5", "--truth", "truth.tsv",
-               "--out", "out"])
+               "uniform", "--lambda", "1e300", "--truth", "truth.tsv", "--out",
+               "out"])
 @example(argv=["cluster", "data.tsv", "--algo", "nuclear", "--k", "10", "--restarts",
                "10", "--truth", "truth.tsv", "--out", "dir"])
 @given(argv=_argv())

@@ -37,20 +37,14 @@ class TestConfig:
             {"lam": 0.0},
             {"lam": -1.0},
             {"lam": -float("inf")},
-            {"obj_tol": -1e-9},
-            {"obj_tol": 0.0},
-            {"obj_tol": 1.0},
             {"lam": float("inf")},
             {"lam": float("nan")},
-            {"obj_tol": float("inf")},
-            {"obj_tol": float("nan")},
             {"seed": -1},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
         message = {
             "lam": "lam must be finite and positive",
-            "obj_tol": r"obj_tol must be in \(0, 1\)",
             "seed": "seed must be >= 0, got -1",
         }[next(iter(kwargs))]
         with pytest.raises(ConfigError, match=message):

@@ -80,7 +80,6 @@ def test_config_fields_pinned():
         ("dtm", "POSITIONAL_OR_KEYWORD"),
         ("p_z", "POSITIONAL_OR_KEYWORD"),
         ("lam", "KEYWORD_ONLY"),
-        ("obj_tol", "KEYWORD_ONLY"),
         ("seed", "KEYWORD_ONLY"),
     ]
 
@@ -100,11 +99,11 @@ def test_cli_flags_pinned():
     }
     assert flags == {
         "cluster": [*io, "--algo", "--k", "--pz", "--lambda", "--seed",
-                    "--restarts", "--tol", "--truth"],
+                    "--restarts", "--truth"],
         "counterexample": ["--out", "--m", "--n", "--lambda", "--s-grid"],
         "elbow": [*io, "--ks", "--algo", "--restarts", "--lambda"],
         "embed": [*io, "--d"],
-        "synth": ["--out", "--gen", "--variant", "--m", "--n", "--s",
+        "synth": ["--out", "--gen", "--m", "--n", "--s",
                   "--blocks", "--sizes", "--within", "--cross", "--seed"],
     }
 
