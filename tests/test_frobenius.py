@@ -37,9 +37,11 @@ class TestConfig:
             {"lam": 0.0},
             {"lam": -1.0},
             {"lam": -float("inf")},
-            {"lam": float("inf")},
-            {"lam": float("nan")},
-            {"seed": -1},
+            # Explicit ids keep each case's name from when the list also
+            # held obj_tol cases (ids kwargs3-5, 8 and 9).
+            pytest.param({"lam": float("inf")}, id="kwargs6"),
+            pytest.param({"lam": float("nan")}, id="kwargs7"),
+            pytest.param({"seed": -1}, id="kwargs10"),
         ],
     )
     def test_rejects_bad_params(self, kwargs):
