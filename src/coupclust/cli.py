@@ -40,10 +40,11 @@ from .data_io import (
     write_trace_csv,
     write_triplets,
 )
-from .embedding import dtm_embed, write_embedding_tsv
+from .embedding import _check_d, dtm_embed, write_embedding_tsv
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (
     _check_same_items,
+    _check_ks,
     _improves,
     _solve,
     build_report,
@@ -51,7 +52,7 @@ from .evaluation import (
     format_report_table,
     kernel_norm_value,
 )
-from .frobenius import LAMBDA, _uniform_target
+from .frobenius import LAMBDA, _check_lam, _uniform_target
 
 
 def _log(msg: str) -> None:
@@ -126,7 +127,9 @@ def _load_truth(path, dtm: Dtm, pruned_rows: list[str]) -> dict[str, str]:
 def _resolve_lambda(args) -> float:
     # --lambda defaults to None so that the nuclear solver can reject it when
     # it is set; the manifest records the Frobenius default in its place.
-    return LAMBDA if args.lam is None else args.lam
+    lam = LAMBDA if args.lam is None else args.lam
+    _check_lam(lam)
+    return lam
 
 
 def _reject_for_nuclear(args, flags: dict) -> None:
@@ -197,7 +200,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
 
     if args.truth is not None:
         report = build_report(dtm, kernel, truth, args.algo)
-        _write_json(out_dir / "report.json", report.as_dict())
+        _write_json(out_dir / "report.json", report)
         print(format_report_table(report))
     else:
         norm_val = kernel_norm_value(dtm, kernel, args.algo)
@@ -307,10 +310,11 @@ def _cmd_elbow(args, out_dir: Path) -> int:
     _check_creatable(out_dir, "elbow.csv", "manifest.json")
     _reject_for_nuclear(args, {"--lambda": args.lam})
     lam = _resolve_lambda(args)
+    ks = _check_ks(args.ks.values)
     dtm, _ = _load_joint(args)
     curve = elbow_curve(
         dtm,
-        args.ks.values,
+        ks,
         algorithm=args.algo,
         restarts=args.restarts,
         frobenius_lam=lam,
@@ -338,14 +342,15 @@ def _cmd_elbow(args, out_dir: Path) -> int:
 
 def _cmd_embed(args, out_dir: Path) -> int:
     _check_creatable(out_dir, "embedding.tsv", "manifest.json")
+    _check_d(args.d)
     dtm, _ = _load_joint(args)
     if args.d == 1:
         _log(
             "note: dimension 1 is the constant top singular coordinate; "
             "informative dimensions start at 2"
         )
-    emb = dtm_embed(dtm, args.d)
-    write_embedding_tsv(emb, out_dir / "embedding.tsv")
+    vectors = dtm_embed(dtm, args.d)
+    write_embedding_tsv(out_dir / "embedding.tsv", dtm.row_pmf.labels, vectors)
     _write_manifest(
         out_dir,
         "embed",
@@ -356,7 +361,7 @@ def _cmd_embed(args, out_dir: Path) -> int:
             "rating_transform": bool(args.rating_transform),
         },
     )
-    print(f"wrote {len(emb.labels)} x {emb.d} embedding to {out_dir / 'embedding.tsv'}")
+    print(f"wrote {len(vectors)} x {args.d} embedding to {out_dir / 'embedding.tsv'}")
     return 0
 
 

@@ -16,7 +16,8 @@ Conventions, used everywhere downstream:
   the item labels and P_Y are dtm.row_pmf.
 
 All types except the solvers' SolveTrace history are immutable after
-construction and safe to share across threads. Nothing is cached: a Dtm
+construction and safe to share across threads; Pmf, CouplingKernel and Dtm
+compare and hash by identity, not by their arrays. Nothing is cached: a Dtm
 recomputes its spectrum on every spectral call, a full SVD or a top-r
 Gram eigenproblem (`svd.gram_top`), with the same bits each time.
 """
@@ -62,7 +63,7 @@ def _check_labels(labels: Sequence[str], count: int, what: str) -> tuple[str, ..
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over a finite labeled alphabet."""
 
@@ -105,7 +106,7 @@ class Pmf:
         return cls(tuple(labels), np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingKernel:
     """Column-stochastic |Z| x |Y| matrix: column y is P(Z | Y=y)."""
 
@@ -157,7 +158,9 @@ class Dtm:
     matrix must satisfy B sqrt(col) = sqrt(row) and B^T sqrt(row) =
     sqrt(col), as the DTM of a joint does. Its top singular value is then
     exactly 1 and all singular values lie in [0, 1]; `singular_values` and
-    `top` both check this.
+    `top` both check this. The row marginal must be strictly interior,
+    since every consumer divides by sqrt(P_Y); the column marginal is not
+    checked for it.
     """
 
     __slots__ = ("matrix", "row_pmf", "col_pmf")
@@ -171,6 +174,8 @@ class Dtm:
             )
         if not np.all(np.isfinite(mat)):
             raise DataError("DTM entries must be finite")
+        if not row_pmf.strictly_interior:
+            raise DataError("DTM row marginal must be strictly interior")
         sr = row_pmf.sqrt_probs
         sc = col_pmf.sqrt_probs
         col_identity = float(np.max(np.abs(mat.T @ sr - sc)))

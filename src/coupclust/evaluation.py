@@ -4,14 +4,14 @@ Accuracy is permutation-invariant: predicted cluster ids are matched to
 true labels by an optimal one-to-one assignment on the confusion matrix
 before counting. Coverage and k-accuracy follow the convention that only
 the k largest true clusters count as reachable: overall accuracy divides by
-every item, k-accuracy by the covered ones.
+every item, k-accuracy by the covered ones. build_report gathers these
+and the kernel's norm value into a plain dict, the one report.json holds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .frobenius import LAMBDA, _uniform_target, solve_frobenius
 from .nuclear import _chain_svd, solve_nuclear
 
 __all__ = [
-    "ClusteringReport",
     "harden",
     "matched_accuracy",
     "coverage",
@@ -206,6 +205,14 @@ def _improves(value: float, best: float) -> bool:
     return value > best + _TIE_RTOL * abs(best)
 
 
+def _check_ks(ks: Sequence[int]) -> list[int]:
+    """ks as ints, or ConfigError unless nonempty, ascending and >= 1."""
+    ks = [int(k) for k in ks]
+    if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ConfigError("ks must be a nonempty ascending list of counts >= 1")
+    return ks
+
+
 def elbow_curve(
     dtm: Dtm,
     ks: Sequence[int],
@@ -230,9 +237,7 @@ def elbow_curve(
     pulls the cluster marginal toward uniform, so once k passes the number of
     natural groups the optimum itself can fall.
     """
-    ks = [int(k) for k in ks]
-    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ConfigError("ks must be a nonempty ascending list")
+    ks = _check_ks(ks)
     if algorithm not in ("frobenius", "nuclear"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     if int(restarts) < 1:
@@ -257,56 +262,34 @@ def elbow_curve(
     return curve
 
 
-@dataclass(frozen=True)
-class ClusteringReport:
-    """Quality summary for one clustering run against ground truth."""
-
-    k: int
-    coverage: float
-    overall_accuracy: float
-    k_accuracy: float
-    norm_value: float
-
-    def __post_init__(self):
-        for name in ("coverage", "overall_accuracy", "k_accuracy"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ConfigError(f"{name} = {val!r} outside [0, 1]")
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "coverage": self.coverage,
-            "overall_accuracy": self.overall_accuracy,
-            "k_accuracy": self.k_accuracy,
-            "norm_value": self.norm_value,
-        }
-
-
 def build_report(
     dtm: Dtm, kernel: CouplingKernel, truth: Mapping, algorithm: str
-) -> ClusteringReport:
-    """The Table-style report of a kernel on dtm against item -> true label."""
+) -> dict:
+    """The Table-style report of a kernel on dtm against item -> true label.
+
+    A dict with keys k, coverage, overall_accuracy, k_accuracy and
+    norm_value, in that order, as `cluster --truth` writes to report.json.
+    """
     pred_map = harden(kernel)
     k = len(kernel.cluster_labels)
-    return ClusteringReport(
-        k=k,
-        coverage=coverage(truth, k),
-        overall_accuracy=matched_accuracy(pred_map, truth, mode="overall"),
-        k_accuracy=matched_accuracy(pred_map, truth, mode="top_k", k=k),
-        norm_value=kernel_norm_value(dtm, kernel, algorithm),
-    )
+    return {
+        "k": k,
+        "coverage": coverage(truth, k),
+        "overall_accuracy": matched_accuracy(pred_map, truth, mode="overall"),
+        "k_accuracy": matched_accuracy(pred_map, truth, mode="top_k", k=k),
+        "norm_value": kernel_norm_value(dtm, kernel, algorithm),
+    }
 
 
-def format_report_table(report: ClusteringReport) -> str:
-    """Aligned text table with the familiar column set."""
+def format_report_table(report: Mapping) -> str:
+    """Aligned text table of a build_report dict, one header line."""
     headers = ["k", "Coverage", "Overall acc.", "k-acc.", "Norm"]
     values = [
-        str(report.k),
-        f"{report.coverage:.4f}",
-        f"{report.overall_accuracy:.4f}",
-        f"{report.k_accuracy:.4f}",
-        f"{report.norm_value:.6f}",
+        str(report["k"]),
+        f"{report['coverage']:.4f}",
+        f"{report['overall_accuracy']:.4f}",
+        f"{report['k_accuracy']:.4f}",
+        f"{report['norm_value']:.6f}",
     ]
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))

@@ -85,6 +85,12 @@ def _uniform_target(k: int, ny: int) -> Pmf:
     return Pmf.uniform(tuple(f"z{i}" for i in range(k)))
 
 
+def _check_lam(lam: float) -> None:
+    """ConfigError unless the penalty weight lam is finite and positive."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ConfigError("lam must be finite and positive")
+
+
 def _gram(b: np.ndarray):
     """A -> A G with G = B B^T: G itself when |Y| <= |X|, else B twice."""
     if b.shape[0] <= b.shape[1]:
@@ -160,8 +166,7 @@ def solve_frobenius(
     Above 1/eps, lam draws a warning: the step 1/(lam - 1) then leaves
     A G below the rounding of A, and the solve only matches the target.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ConfigError("lam must be finite and positive")
+    _check_lam(lam)
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")

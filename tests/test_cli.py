@@ -648,9 +648,20 @@ class TestExitCodes:
              "--pz has 2 entries but --k is 8"),
             (["elbow", "--algo", "nuclear", "--ks", "1,2", "--lambda", "3"],
              "--algo nuclear does not take --lambda"),
+            (["cluster", "--algo", "frobenius", "--pz", "uniform", "--k", "2",
+              "--lambda", "nan"],
+             "lam must be finite and positive"),
+            (["elbow", "--algo", "frobenius", "--ks", "2", "--lambda", "-1"],
+             "lam must be finite and positive"),
+            (["elbow", "--ks", "3,2"],
+             "ks must be a nonempty ascending list of counts >= 1"),
+            (["elbow", "--ks", "0,1"],
+             "ks must be a nonempty ascending list of counts >= 1"),
+            (["embed", "--d", "0"], "d must be >= 1"),
         ],
         ids=["cluster-pz", "cluster-lambda", "cluster-no-pz", "cluster-pz-size",
-             "elbow-lambda"],
+             "elbow-lambda", "cluster-lambda-range", "elbow-lambda-range",
+             "elbow-ks-order", "elbow-ks-range", "embed-d"],
     )
     def test_flags_checked_before_input(self, tmp_path, capsys, argv, message):
         # A flag check that needs no joint comes before the input is read:

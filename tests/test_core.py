@@ -5,6 +5,7 @@ import pytest
 
 from coupclust.core import (
     CouplingKernel,
+    Dtm,
     Pmf,
     build_dtm,
 )
@@ -71,6 +72,28 @@ class TestCouplingKernel:
         )
         p_y = Pmf(("y0", "y1"), np.array([0.3, 0.7]))
         np.testing.assert_allclose(k.induced_marginal(p_y), [0.3, 0.7])
+
+
+def test_pmf_and_kernel_compare_and_hash_by_identity():
+    # Field-wise == would compare arrays, whose truth value is ambiguous.
+    p = Pmf(("a", "b"), np.array([0.5, 0.5]))
+    k = CouplingKernel(("z0",), ("a", "b"), np.ones((1, 2)))
+    assert p == p and k == k
+    assert p != Pmf(("a", "b"), np.array([0.5, 0.5]))
+    assert len({p, k, p, k}) == 2
+
+
+class TestDtm:
+    def test_zero_row_mass_rejected(self):
+        # B of [[.25, .25], [.25, .25], [0, 0]], the empty row zeroed: it
+        # meets both DTM identities, but every consumer divides by sqrt(P_Y).
+        b = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
+        row = Pmf(("y0", "y1", "y2"), np.array([0.5, 0.5, 0.0]))
+        col = Pmf(("x0", "x1"), np.array([0.5, 0.5]))
+        with pytest.raises(DataError, match="row marginal must be strictly interior"):
+            Dtm(b, row, col)
+        # A column marginal with a zero entry is still accepted.
+        assert Dtm(b.T, col, row).shape == (2, 3)
 
 
 class TestBuildDtm:

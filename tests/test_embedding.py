@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coupclust.core import build_dtm
-from coupclust.embedding import EmbeddingMatrix, dtm_embed, write_embedding_tsv
+from coupclust.embedding import dtm_embed, write_embedding_tsv
 from coupclust.errors import ConfigError
 
 from conftest import normalized_joint, random_joint
@@ -16,19 +16,20 @@ class TestDtmEmbed:
             )
             d = min(3, min(dtm.shape))
             emb = dtm_embed(dtm, d)
-            assert np.ptp(emb.vectors[:, 0]) <= 1e-8
+            assert emb.shape == (dtm.shape[0], d)
+            assert np.ptp(emb[:, 0]) <= 1e-8
 
     def test_subspace_identity(self, rng):
         # rows are [P_Y]^{-1/2} U; re-whitening must recover an orthonormal U
         dtm = build_dtm(*random_joint(rng, 6, 5))
         emb = dtm_embed(dtm, 3)
-        u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
+        u = emb * dtm.row_pmf.sqrt_probs[:, None]
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
 
     def test_sign_convention(self, rng):
         dtm = build_dtm(*random_joint(rng, 7, 6))
         emb = dtm_embed(dtm, 4)
-        u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
+        u = emb * dtm.row_pmf.sqrt_probs[:, None]
         for j in range(4):
             i = int(np.argmax(np.abs(u[:, j])))
             assert u[i, j] > 0
@@ -64,7 +65,7 @@ class TestDtmEmbed:
         dtm = build_dtm(*random_joint(rng, 8, 7))
         e1 = dtm_embed(dtm, 3)
         e2 = dtm_embed(dtm, 3)
-        assert np.array_equal(e1.vectors, e2.vectors)
+        assert np.array_equal(e1, e2)
 
 
     def test_no_full_svd(self, rng, monkeypatch):
@@ -78,7 +79,7 @@ class TestDtmEmbed:
 
         monkeypatch.setattr(np.linalg, "svd", full_svd)
         emb = dtm_embed(dtm, 4)
-        u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
+        u = emb * dtm.row_pmf.sqrt_probs[:, None]
         np.testing.assert_allclose(np.abs(u.T @ ref), np.eye(4), atol=1e-10)
 
 
@@ -110,7 +111,7 @@ class TestRankThreshold:
         assert sigma_3 / 2 < s[2] < sigma_3 * 2
         if accepted:
             emb = dtm_embed(dtm, 3)
-            u = emb.vectors * dtm.row_pmf.sqrt_probs[:, None]
+            u = emb * dtm.row_pmf.sqrt_probs[:, None]
             np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
         else:
             match = r"numerical rank 2 .*threshold 2\.98e-08"
@@ -120,30 +121,38 @@ class TestRankThreshold:
 
 class TestTsv:
     def test_seventeen_digit_roundtrip(self, rng, tmp_path):
-        emb = dtm_embed(build_dtm(*random_joint(rng, 5, 4)), 3)
+        dtm = build_dtm(*random_joint(rng, 5, 4))
+        emb = dtm_embed(dtm, 3)
         path = tmp_path / "emb.tsv"
-        write_embedding_tsv(emb, path)
+        write_embedding_tsv(path, dtm.row_pmf.labels, emb)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 5
         parsed = []
-        for line, label in zip(lines, emb.labels):
+        for line, label in zip(lines, dtm.row_pmf.labels):
             parts = line.split("\t")
             assert parts[0] == label
             parsed.append([float(x) for x in parts[1:]])
         # %.17g is lossless for doubles
-        assert np.array_equal(np.array(parsed), emb.vectors)
+        assert np.array_equal(np.array(parsed), emb)
 
     def test_bytes_match_a_per_value_format(self, tmp_path):
         # One format string per row writes exactly what formatting each
         # value with f"{v:.17g}" and joining with tabs wrote.
         values = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0, 1e16, -1.5e-300]
         vectors = np.array([values, values[::-1], [1.0] * len(values)])
-        emb = EmbeddingMatrix(("a", "b b", "é"), vectors)
+        labels = ("a", "b b", "é")
         path = tmp_path / "emb.tsv"
-        write_embedding_tsv(emb, path)
+        write_embedding_tsv(path, labels, vectors)
         want = "".join(
             label + "\t" + "\t".join(f"{v:.17g}" for v in row) + "\n"
-            for label, row in zip(emb.labels, vectors)
+            for label, row in zip(labels, vectors)
         )
         assert path.read_bytes() == want.encode("utf-8")
         assert "\t-0\t4.9406564584124654e-324\t1e+308\t0.33333333333333331\t2\t" in want
+
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+    def test_label_count_must_match_rows(self, tmp_path, labels):
+        path = tmp_path / "emb.tsv"
+        with pytest.raises(ConfigError, match=r"labels for an embedding of shape \(2, 3\)"):
+            write_embedding_tsv(path, labels, np.zeros((2, 3)))
+        assert not path.exists()

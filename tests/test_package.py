@@ -17,13 +17,11 @@ from coupclust.data_io import gen_planted_blocks, write_triplets
 # submodule's __all__ shows up here.
 PUBLIC = {
     "__version__",
-    "ClusteringReport",
     "ConfigError",
     "CoupclustError",
     "CouplingKernel",
     "DataError",
     "Dtm",
-    "EmbeddingMatrix",
     "ParseError",
     "Pmf",
     "SolveTrace",
@@ -58,7 +56,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 36
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
