@@ -23,6 +23,7 @@ from . import __version__
 from .core import Dtm, Pmf
 from .data_io import (
     _check_creatable,
+    _counterexample_labels,
     _create,
     _write_json,
     apply_rating_transform,
@@ -65,10 +66,20 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
+def _write_manifest(out_dir: Path, args, **resolved) -> None:
+    """manifest.json: one config key per flag but --out, in the parser's
+    order (--lambda as lambda, a grid as its text), then what the run
+    resolved: a default-filled lam takes the flag's place, new keys go last."""
+    config = {
+        "lambda" if dest == "lam" else dest: (
+            value.text if isinstance(value, _Grid) else value
+        )
+        for dest, value in {**vars(args), **resolved}.items()
+        if dest not in ("command", "func", "out")
+    }
     payload = {
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "coupling_threads": os.environ.get("COUPLING_THREADS"),
     }
@@ -83,7 +94,7 @@ def _load_joint(args) -> tuple[Dtm, dict[str, list[str]]]:
         rows, cols, weights = load_dense_csv(path)
     else:
         rows, cols, weights = parse_triplets(path)
-    if getattr(args, "rating_transform", False):
+    if args.rating_transform:
         weights = apply_rating_transform(weights)
     dtm, pruned = ingest(rows, cols, weights, normalize=args.normalize)
     if pruned["pruned_rows"] or pruned["pruned_cols"]:
@@ -150,7 +161,6 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     lam = _resolve_lambda(args)
     p_z = _load_pz(args) if args.algo == "frobenius" else None
     dtm, prune = _load_joint(args)
-    _write_json(out_dir / "prune_report.json", prune)
 
     if args.pz == "uniform":
         p_z = _uniform_target(k, len(dtm.row_pmf))
@@ -170,50 +180,29 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         )
 
     final_obj, best_seed, kernel, trace = best
-    pz_out = p_z.probs if p_z is not None else kernel.induced_marginal(dtm.row_pmf)
-    write_kernel_json(
-        out_dir / "kernel.json",
-        kernel,
-        pz_out,
-        final_obj,
-        args.algo,
-        len(trace),
-    )
-    write_trace_csv(out_dir / "trace.csv", trace)
-    _write_manifest(
-        out_dir,
-        "cluster",
-        {
-            "input": str(args.input),
-            "algo": args.algo,
-            "k": k,
-            "pz": args.pz,
-            "lambda": lam,
-            "seed": args.seed,
-            "best_seed": best_seed,
-            "restarts": args.restarts,
-            "truth": args.truth,
-            "normalize": args.normalize,
-            "rating_transform": bool(args.rating_transform),
-        },
-    )
-
+    # Scored before anything is written, so a failed run leaves no artifact.
     if args.truth is not None:
         report = build_report(dtm, kernel, truth, args.algo)
-        _write_json(out_dir / "report.json", report)
-        print(format_report_table(report))
+        text = format_report_table(report)
     else:
-        norm_val = kernel_norm_value(dtm, kernel, args.algo)
-        summary = {
+        report = {
             "k": k,
             "algorithm": args.algo,
             "objective": final_obj,
-            "norm_value": norm_val,
+            "norm_value": kernel_norm_value(dtm, kernel, args.algo),
             "iters": len(trace),
             "status": trace.status,
         }
-        _write_json(out_dir / "report.json", summary)
-        print(json.dumps(summary, indent=2))
+        text = json.dumps(report, indent=2)
+    pz_out = p_z.probs if p_z is not None else kernel.induced_marginal(dtm.row_pmf)
+    _write_json(out_dir / "prune_report.json", prune)
+    write_kernel_json(
+        out_dir / "kernel.json", kernel, pz_out, final_obj, args.algo, len(trace)
+    )
+    write_trace_csv(out_dir / "trace.csv", trace)
+    _write_manifest(out_dir, args, lam=lam, best_seed=best_seed)
+    _write_json(out_dir / "report.json", report)
+    print(text)
     return 0
 
 
@@ -288,7 +277,7 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
         base = gen_counterexample(m, n, s)
         q1 = gen_counterexample(m, n, s, "intuitive_Q1")
         q2 = gen_counterexample(m, n, s, "one_item_Q2")
-        dtm = ingest(range(2 * m), range(2 * n), base)[0]
+        dtm = ingest(*_counterexample_labels(m, n), base)[0]
         fi = kernel_norm_value(dtm, intuitive_kernel(m), "frobenius")
         fo = kernel_norm_value(dtm, one_item_kernel(m), "frobenius")
         c1 = community_objective(q1, base, lam, 2)
@@ -297,11 +286,7 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
     text = "\n".join(lines) + "\n"
     with _create(out_dir / "counterexample.csv") as fh:
         fh.write(text)
-    _write_manifest(
-        out_dir,
-        "counterexample",
-        {"m": m, "n": n, "lambda": lam, "s_grid": args.s_grid.text},
-    )
+    _write_manifest(out_dir, args)
     print(text, end="")
     return 0
 
@@ -323,19 +308,7 @@ def _cmd_elbow(args, out_dir: Path) -> int:
     text = "\n".join(lines) + "\n"
     with _create(out_dir / "elbow.csv") as fh:
         fh.write(text)
-    _write_manifest(
-        out_dir,
-        "elbow",
-        {
-            "input": str(args.input),
-            "algo": args.algo,
-            "ks": args.ks.text,
-            "restarts": args.restarts,
-            "lambda": lam,
-            "normalize": args.normalize,
-            "rating_transform": bool(args.rating_transform),
-        },
-    )
+    _write_manifest(out_dir, args, lam=lam)
     print(text, end="")
     return 0
 
@@ -351,16 +324,7 @@ def _cmd_embed(args, out_dir: Path) -> int:
         )
     vectors = dtm_embed(dtm, args.d)
     write_embedding_tsv(out_dir / "embedding.tsv", dtm.row_pmf.labels, vectors)
-    _write_manifest(
-        out_dir,
-        "embed",
-        {
-            "input": str(args.input),
-            "d": args.d,
-            "normalize": args.normalize,
-            "rating_transform": bool(args.rating_transform),
-        },
-    )
+    _write_manifest(out_dir, args)
     print(f"wrote {len(vectors)} x {args.d} embedding to {out_dir / 'embedding.tsv'}")
     return 0
 
@@ -369,15 +333,8 @@ def _cmd_synth(args, out_dir: Path) -> int:
     if args.gen == "counterexample":
         _check_creatable(out_dir, "synth.tsv", "manifest.json")
         mat = gen_counterexample(args.m, args.n, args.s)
-        rows = [f"y{i}" for i in range(mat.shape[0])]
-        cols = [f"x{j}" for j in range(mat.shape[1])]
-        write_triplets(out_dir / "synth.tsv", rows, cols, mat)
-        config = {
-            "gen": "counterexample",
-            "m": args.m,
-            "n": args.n,
-            "s": args.s,
-        }
+        labels = _counterexample_labels(args.m, args.n)
+        write_triplets(out_dir / "synth.tsv", *labels, mat)
         print(f"wrote {mat.size} triplets to {out_dir / 'synth.tsv'}")
     else:
         _check_creatable(out_dir, "synth.tsv", "truth.tsv", "manifest.json")
@@ -392,19 +349,11 @@ def _cmd_synth(args, out_dir: Path) -> int:
         with _create(out_dir / "truth.tsv") as fh:
             for item, label in zip(rows, truth):
                 fh.write(f"{item}\t{label}\n")
-        config = {
-            "gen": "planted",
-            "blocks": args.blocks,
-            "sizes": args.sizes.text,
-            "within": args.within,
-            "cross": args.cross,
-            "seed": args.seed,
-        }
         print(
             f"wrote {weights.size} triplets to {out_dir / 'synth.tsv'} "
             f"and truth labels to {out_dir / 'truth.tsv'}"
         )
-    _write_manifest(out_dir, "synth", config)
+    _write_manifest(out_dir, args)
     return 0
 
 

@@ -911,14 +911,19 @@ def gen_counterexample(m: int, n: int, s: float, variant: str = "base_P") -> np.
     return base
 
 
+def _counterexample_labels(m: int, n: int = 0) -> tuple[list[str], list[str]]:
+    """Labels of the 2m rows (y0..) and 2n columns (x0..) of the
+    counterexample matrix: synth writes them, and its kernels name their
+    items by the rows."""
+    return [f"y{i}" for i in range(2 * m)], [f"x{j}" for j in range(2 * n)]
+
+
 def intuitive_kernel(m: int) -> CouplingKernel:
     """Two clusters splitting the 2m rows at the block boundary."""
     kern = np.zeros((2, 2 * m))
     kern[0, :m] = 1.0
     kern[1, m:] = 1.0
-    return CouplingKernel(
-        ("z0", "z1"), tuple(f"y{i}" for i in range(2 * m)), kern
-    )
+    return CouplingKernel(("z0", "z1"), _counterexample_labels(m)[0], kern)
 
 
 def one_item_kernel(m: int) -> CouplingKernel:
@@ -926,9 +931,7 @@ def one_item_kernel(m: int) -> CouplingKernel:
     kern = np.zeros((2, 2 * m))
     kern[0, : 2 * m - 1] = 1.0
     kern[1, 2 * m - 1] = 1.0
-    return CouplingKernel(
-        ("z0", "z1"), tuple(f"y{i}" for i in range(2 * m)), kern
-    )
+    return CouplingKernel(("z0", "z1"), _counterexample_labels(m)[0], kern)
 
 
 def gen_planted_blocks(

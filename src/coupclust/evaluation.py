@@ -166,9 +166,13 @@ def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float
     cluster alive, so an empty one is rejected there. Both norms come from
     the singular values of the solver's own chain SVD, so the nuclear value
     of a solve_nuclear kernel is its last traced objective, bit for bit.
+    The kernel must name the joint's items in the joint's order; any other
+    item labels are a DataError.
     """
     if algorithm not in ("frobenius", "nuclear"):
         raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if kernel.item_labels != dtm.row_pmf.labels:
+        raise DataError("kernel items must be the joint's items, in its order")
     py = dtm.row_pmf.probs
     live = kernel.kernel @ py > 0
     if algorithm == "nuclear" and not np.all(live):

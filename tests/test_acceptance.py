@@ -14,6 +14,7 @@ import pytest
 from coupclust.cli import main as cli_main
 from coupclust.core import CouplingKernel, Pmf, build_dtm
 from coupclust.data_io import (
+    _counterexample_labels,
     community_objective,
     gen_counterexample,
     gen_planted_blocks,
@@ -240,8 +241,10 @@ def test_criterion_06_norm_curves():
     grid = np.arange(1.0, 10.0 + 1e-12, 0.5)
     dominated = True
 
+    labels = _counterexample_labels(m, n)
+
     def frob(s, kernel):
-        dtm = ingest(range(2 * m), range(2 * n), gen_counterexample(m, n, s))[0]
+        dtm = ingest(*labels, gen_counterexample(m, n, s))[0]
         return kernel_norm_value(dtm, kernel, "frobenius")
 
     for s in grid:

@@ -678,6 +678,26 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--algo", "nuclear", "--k", "30"], "k = 30 exceeds |Y| = 25"),
+            (["--algo", "frobenius", "--pz", "uniform", "--k", "30"],
+             "|Z| = 30 exceeds |Y| = 25"),
+        ],
+        ids=["nuclear", "frobenius"],
+    )
+    def test_failed_cluster_writes_nothing(self, tmp_path, capsys, argv, message):
+        # Bounds set by the input are checked after it is read; a run that
+        # fails them leaves --out as empty as a flag check does.
+        joint, _ = gen_planted_blocks(5, 5, 1.0, 0.05, noise_seed=1)
+        data = tmp_path / "data.tsv"
+        write_triplets(data, *joint)
+        out = tmp_path / "x"
+        assert main(["cluster", str(data), *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
@@ -815,29 +835,41 @@ def test_warning_names_no_source_line(tmp_path):
 
 def test_manifest_records_every_flag(planted, tmp_path):
     # The manifest's config has one key per flag of its subcommand, --out
-    # aside (cluster adds the seed it kept), so a deleted flag cannot linger
-    # in it and a flag that changes the outputs cannot be left out of it.
+    # aside, in the parser's order; cluster adds the seed it kept, last. So a
+    # deleted flag cannot linger in it and a flag that changes the outputs
+    # cannot be left out of it: synth records the flags of both generators.
     data, truth = planted
     subs = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
     runs = {
-        "cluster": ["--algo", "nuclear", "--k", "2", "--restarts", "1",
-                    "--truth", str(truth)],
-        "elbow": ["--ks", "1,2", "--restarts", "1"],
-        "embed": ["--d", "2"],
+        "cluster": ["cluster", str(data), "--algo", "nuclear", "--k", "2",
+                    "--restarts", "1", "--truth", str(truth)],
+        "elbow": ["elbow", str(data), "--ks", "1,2", "--restarts", "1"],
+        "embed": ["embed", str(data), "--d", "2"],
+        "synth-planted": ["synth", "--gen", "planted", "--sizes", "3,3"],
+        "synth-counterexample": ["synth", "--gen", "counterexample"],
+        "counterexample": ["counterexample", "--m", "2", "--n", "2",
+                           "--s-grid", "2,3"],
     }
-    for command, flags in runs.items():
-        out = tmp_path / command
-        assert main([command, str(data), *flags, "--out", str(out)]) == 0
-        config = json.loads((out / "manifest.json").read_text())["config"]
-        dests = {a.dest for a in subs.choices[command]._actions} - {"help", "out"}
-        want = {"lambda" if d == "lam" else d for d in dests}
-        if command == "cluster":
-            want.add("best_seed")
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        config = manifest["config"]
+        want = [
+            "lambda" if a.dest == "lam" else a.dest
+            for a in subs.choices[argv[0]]._actions
+            if a.dest not in ("help", "out")
+        ]
+        if argv[0] == "cluster":
+            want.append("best_seed")
             assert config["truth"] == str(truth)
-        assert set(config) == want, command
+        if argv[0] == "counterexample":
+            assert config["s_grid"] == "2,3"
+        assert list(config) == want, name
 
 
 def test_each_run_builds_one_dtm(planted, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from coupclust import data_io
 from coupclust.core import SolveTrace, build_dtm
 from coupclust.data_io import (
     MAX_CELLS,
+    _counterexample_labels,
     _parse_triplets_bulk,
     _parse_triplets_lines,
     apply_rating_transform,
@@ -954,14 +955,16 @@ class TestCounterexample:
     def test_closed_form_norm(self):
         for s in [1.0, 2.0, 3.5, 10.0]:
             for m, n in [(2, 3), (5, 5)]:
-                dtm = ingest(range(2 * m), range(2 * n), gen_counterexample(m, n, s))[0]
+                labels = _counterexample_labels(m, n)
+                dtm = ingest(*labels, gen_counterexample(m, n, s))[0]
                 got = kernel_norm_value(dtm, intuitive_kernel(m), "frobenius")
                 want = 2.0 * (s * s + 1.0) / (s + 1.0) ** 2
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_one_item_norm_near_one(self):
         # the singleton split barely beats the trivial norm of 1
-        dtm = ingest(range(100), range(100), gen_counterexample(50, 50, 5.0))[0]
+        labels = _counterexample_labels(50, 50)
+        dtm = ingest(*labels, gen_counterexample(50, 50, 5.0))[0]
         val = kernel_norm_value(dtm, one_item_kernel(50), "frobenius")
         assert 1.0 < val < 1.01
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coupclust.core import CouplingKernel, Pmf, build_dtm
-from coupclust.data_io import gen_planted_blocks
+from coupclust.data_io import gen_planted_blocks, ingest
 from coupclust.errors import ConfigError, DataError
 from coupclust.evaluation import (
     _matched_correct,
@@ -262,6 +262,32 @@ class TestKernelNormValue:
             algorithm,
         )
         assert loose == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("algorithm", ["nuclear", "frobenius"])
+    def test_kernel_must_name_the_joints_items(self, algorithm):
+        # Columns are read by position, so a kernel naming other items, or
+        # the same items in another order, would be scored as a different
+        # clustering. Here {c, a}, {b} scores 1.7211 (nuclear), but its
+        # columns read in the joint's order a, b, c mean {a, b}, {c}: 2.0.
+        dtm = ingest(
+            ["a", "b", "c"], ["x", "y", "z"], [[4, 1, 0], [1, 4, 0], [0, 0, 5]]
+        )[0]
+        ordered = CouplingKernel(
+            ("z0", "z1"), ("a", "b", "c"), np.array([[1.0, 0, 1], [0, 1, 0]])
+        )
+        if algorithm == "nuclear":
+            assert kernel_norm_value(dtm, ordered, algorithm) == pytest.approx(
+                1.7211102550927978, rel=1e-12
+            )
+        truth = {"a": "t0", "b": "t1", "c": "t0"}
+        for items in (("c", "a", "b"), ("a", "b", "d")):
+            kernel = CouplingKernel(
+                ("z0", "z1"), items, np.array([[1.0, 1, 0], [0, 0, 1]])
+            )
+            with pytest.raises(DataError, match="kernel items must be the joint's"):
+                kernel_norm_value(dtm, kernel, algorithm)
+            with pytest.raises(DataError):
+                build_report(dtm, kernel, truth, algorithm)
 
     def test_algorithm_validation(self, rng):
         dtm = build_dtm(*random_joint(rng, 3, 3))
