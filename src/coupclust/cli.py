@@ -20,10 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .core import Dtm, Pmf
+from .core import CouplingKernel, Dtm, Pmf
 from .data_io import (
     _check_creatable,
     _counterexample_labels,
+    _counterexample_splits,
     _create,
     _write_json,
     apply_rating_transform,
@@ -31,11 +32,9 @@ from .data_io import (
     gen_counterexample,
     gen_planted_blocks,
     ingest,
-    intuitive_kernel,
     load_dense_csv,
     load_labels,
     load_pmf,
-    one_item_kernel,
     parse_triplets,
     write_kernel_json,
     write_trace_csv,
@@ -53,7 +52,7 @@ from .evaluation import (
     format_report_table,
     kernel_norm_value,
 )
-from .frobenius import LAMBDA, _check_lam, _uniform_target
+from .frobenius import LAMBDA, _check_lam, _check_target, _uniform_target
 
 
 def _log(msg: str) -> None:
@@ -106,8 +105,8 @@ def _load_joint(args) -> tuple[Dtm, dict[str, list[str]]]:
 
 
 def _load_pz(args) -> Pmf | None:
-    """The --pz file's pmf, checked against --k, or None for 'uniform',
-    whose size check needs the joint (_uniform_target)."""
+    """The --pz file's pmf, checked against --k and for interiority, or None
+    for 'uniform', whose size check needs the joint (_uniform_target)."""
     if args.pz is None:
         raise ConfigError("--algo frobenius requires --pz (a file or 'uniform')")
     if args.pz == "uniform":
@@ -115,6 +114,7 @@ def _load_pz(args) -> Pmf | None:
     pz = load_pmf(args.pz)
     if len(pz) != args.k:
         raise ConfigError(f"--pz has {len(pz)} entries but --k is {args.k}")
+    _check_target(pz)
     return pz
 
 
@@ -231,7 +231,8 @@ def _parse_grid(text: str, cast=float) -> _Grid:
                 raise argparse.ArgumentTypeError(
                     "grid needs stop >= start and step > 0"
                 )
-            count = int(round((stop - start) / step)) + 1
+            # The points that do not pass stop, up to round-off at it.
+            count = int((stop - start) / step + 1e-9) + 1
             if count > _MAX_GRID_POINTS:
                 raise argparse.ArgumentTypeError(
                     f"grid has {count} points, more than {_MAX_GRID_POINTS}"
@@ -274,15 +275,16 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
     m, n, lam = args.m, args.n, args.lam
     lines = ["s,frob_intuitive,frob_oneitem,community_obj_Q1,community_obj_Q2"]
     for s in grid:
-        base = gen_counterexample(m, n, s)
-        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
-        q2 = gen_counterexample(m, n, s, "one_item_Q2")
-        dtm = ingest(*_counterexample_labels(m, n), base)[0]
-        fi = kernel_norm_value(dtm, intuitive_kernel(m), "frobenius")
-        fo = kernel_norm_value(dtm, one_item_kernel(m), "frobenius")
-        c1 = community_objective(q1, base, lam, 2)
-        c2 = community_objective(q2, base, lam, 2)
-        lines.append(f"{s:.17g},{fi:.17g},{fo:.17g},{c1:.17g},{c2:.17g}")
+        base = gen_counterexample(m, n, s)  # checks m and n before any m, n-sized array
+        items, features = _counterexample_labels(m, n)
+        dtm = ingest(items, features, base)[0]
+        frob, community = [], []
+        for rows, cols in _counterexample_splits(m, n):
+            kernel = CouplingKernel(("z0", "z1"), items, np.eye(2)[:, rows])
+            frob.append(kernel_norm_value(dtm, kernel, "frobenius"))
+            q = base * (rows[:, None] == cols)
+            community.append(community_objective(q, base, lam, 2))
+        lines.append(",".join(f"{v:.17g}" for v in (s, *frob, *community)))
     text = "\n".join(lines) + "\n"
     with _create(out_dir / "counterexample.csv") as fh:
         fh.write(text)
@@ -339,7 +341,7 @@ def _cmd_synth(args, out_dir: Path) -> int:
     else:
         _check_creatable(out_dir, "synth.tsv", "truth.tsv", "manifest.json")
         (rows, cols, weights), truth = gen_planted_blocks(
-            args.blocks,
+            len(args.sizes.values),
             args.sizes.values,
             args.within,
             args.cross,
@@ -441,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--m", type=int, default=2)
     synth.add_argument("--n", type=int, default=2)
     synth.add_argument("--s", type=float, default=3.0)
-    synth.add_argument("--blocks", type=int, default=2)
     synth.add_argument("--sizes", type=_parse_int_grid, default="30,30")
     synth.add_argument("--within", type=float, default=1.0)
     synth.add_argument("--cross", type=float, default=0.05)

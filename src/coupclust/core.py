@@ -18,8 +18,8 @@ Conventions, used everywhere downstream:
 All types except the solvers' SolveTrace history are immutable after
 construction and safe to share across threads; Pmf, CouplingKernel and Dtm
 compare and hash by identity, not by their arrays. Nothing is cached: a Dtm
-recomputes its spectrum on every spectral call, a full SVD or a top-r
-Gram eigenproblem (`svd.gram_top`), with the same bits each time.
+has one spectral route, `Dtm.top` (the top-r Gram eigenproblem of
+`svd.gram_top`), and recomputes it on every call with the same bits.
 """
 
 from __future__ import annotations
@@ -157,10 +157,9 @@ class Dtm:
     Rows and columns each carry the marginal they were whitened by, and the
     matrix must satisfy B sqrt(col) = sqrt(row) and B^T sqrt(row) =
     sqrt(col), as the DTM of a joint does. Its top singular value is then
-    exactly 1 and all singular values lie in [0, 1]; `singular_values` and
-    `top` both check this. The row marginal must be strictly interior,
-    since every consumer divides by sqrt(P_Y); the column marginal is not
-    checked for it.
+    exactly 1 and all singular values lie in [0, 1]; `top` checks this.
+    The row marginal must be strictly interior, since every consumer
+    divides by sqrt(P_Y); the column marginal is not checked for it.
     """
 
     __slots__ = ("matrix", "row_pmf", "col_pmf")
@@ -212,12 +211,6 @@ class Dtm:
         u, lam = gram_top(self.matrix, r)
         check_dtm_spectrum(lam)
         return u, np.sqrt(np.maximum(lam, 0.0))
-
-    def singular_values(self) -> np.ndarray:
-        """All singular values, descending, from LAPACK; not cached."""
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        check_dtm_spectrum(s)
-        return s
 
 
 @dataclass

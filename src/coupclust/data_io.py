@@ -25,8 +25,8 @@ Ingestion prunes all-zero rows and columns (a joint needs strictly interior
 marginals), reports what it dropped, and returns the joint's Dtm: the
 normalized weights go straight into build_dtm and are not kept.
 
-The generators make raw matrices (planted blocks; the counterexample, with
-its two kernels); kernels are scored by evaluation.kernel_norm_value.
+The generators make raw matrices (planted blocks; the counterexample's base
+and its two splits); kernels are scored by evaluation.kernel_norm_value.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ __all__ = [
     "apply_rating_transform",
     "gen_counterexample",
     "gen_planted_blocks",
-    "intuitive_kernel",
-    "one_item_kernel",
     "community_objective",
     "write_kernel_json",
     "write_trace_csv",
@@ -879,59 +877,37 @@ def _check_cells(rows: int, cols: int) -> None:
         )
 
 
-def gen_counterexample(m: int, n: int, s: float, variant: str = "base_P") -> np.ndarray:
-    """Two-community block matrix family: P = [[s*1, 1], [1, s*1]].
-
-    Blocks are m x n; the full matrix is 2m x 2n and left unnormalized.
-    Variants: base_P (as above), intuitive_Q1 (off-diagonal blocks zeroed),
-    one_item_Q2 (last row and column zeroed except a lone s in the corner).
-    """
+def gen_counterexample(m: int, n: int, s: float) -> np.ndarray:
+    """Two-community block matrix P = [[s*1, 1], [1, s*1]] of m x n blocks,
+    2m x 2n and left unnormalized; its size is checked before it is built."""
     if int(m) < 1 or int(n) < 1:
         raise ConfigError("m and n must be positive")
     if not (math.isfinite(s) and s >= 1):
         raise ConfigError("s must be finite and >= 1")
-    if variant not in ("base_P", "intuitive_Q1", "one_item_Q2"):
-        raise ConfigError(f"unknown variant {variant!r}")
-    if variant == "one_item_Q2" and (int(m) < 2 or int(n) < 2):
-        raise ConfigError("one_item_Q2 needs m, n >= 2")
     m, n, s = int(m), int(n), float(s)
     _check_cells(2 * m, 2 * n)
     base = np.ones((2 * m, 2 * n))
     base[:m, :n] = s
     base[m:, n:] = s
-    if variant == "base_P":
-        return base
-    if variant == "intuitive_Q1":
-        base[:m, n:] = 0.0
-        base[m:, :n] = 0.0
-        return base
-    base[2 * m - 1, :] = 0.0
-    base[:, 2 * n - 1] = 0.0
-    base[2 * m - 1, 2 * n - 1] = s
     return base
 
 
-def _counterexample_labels(m: int, n: int = 0) -> tuple[list[str], list[str]]:
+def _counterexample_labels(m: int, n: int) -> tuple[list[str], list[str]]:
     """Labels of the 2m rows (y0..) and 2n columns (x0..) of the
-    counterexample matrix: synth writes them, and its kernels name their
-    items by the rows."""
+    counterexample matrix, as synth writes them."""
     return [f"y{i}" for i in range(2 * m)], [f"x{j}" for j in range(2 * n)]
 
 
-def intuitive_kernel(m: int) -> CouplingKernel:
-    """Two clusters splitting the 2m rows at the block boundary."""
-    kern = np.zeros((2, 2 * m))
-    kern[0, :m] = 1.0
-    kern[1, m:] = 1.0
-    return CouplingKernel(("z0", "z1"), _counterexample_labels(m)[0], kern)
-
-
-def one_item_kernel(m: int) -> CouplingKernel:
-    """One cluster holding the last row alone, the other everything else."""
-    kern = np.zeros((2, 2 * m))
-    kern[0, : 2 * m - 1] = 1.0
-    kern[1, 2 * m - 1] = 1.0
-    return CouplingKernel(("z0", "z1"), _counterexample_labels(m)[0], kern)
+def _counterexample_splits(m: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The counterexample's two candidate clusterings as (row, column) cluster
+    ids: the intuitive split at the block boundary, then the one-item split of
+    the last row and column. A split's kernel is the one-hot matrix of its row
+    ids; its Q keeps the cells of P whose row and column share a cluster."""
+    if m < 2 or n < 2:
+        raise ConfigError("one_item_Q2 needs m, n >= 2")
+    intuitive = np.repeat([0, 1], m), np.repeat([0, 1], n)
+    one_item = np.repeat([0, 1], [2 * m - 1, 1]), np.repeat([0, 1], [2 * n - 1, 1])
+    return [intuitive, one_item]
 
 
 def gen_planted_blocks(
@@ -986,7 +962,8 @@ def community_objective(q, p, lam: float, k: int) -> float:
     """||Q - P||_F^2 - lam * (sum of the top k singular values of B(Q)).
 
     Zero rows/columns of Q are pruned before the DTM is formed (the DTM of
-    an unnormalized nonnegative matrix equals that of its normalization).
+    an unnormalized nonnegative matrix equals that of its normalization); a
+    k above the pruned DTM's smaller side sums all its singular values.
     """
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -1001,8 +978,8 @@ def community_objective(q, p, lam: float, k: int) -> float:
     dist = float(np.sum((q - p) ** 2))
     rows = [f"y{i}" for i in range(q.shape[0])]
     cols = [f"x{j}" for j in range(q.shape[1])]
-    s = ingest(rows, cols, q)[0].singular_values()
-    top = float(np.sum(s[: int(k)]))
+    dtm = ingest(rows, cols, q)[0]
+    top = float(np.sum(dtm.top(min(int(k), min(dtm.shape)))[1]))
     return dist - float(lam) * top
 
 

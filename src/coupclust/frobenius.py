@@ -91,6 +91,12 @@ def _check_lam(lam: float) -> None:
         raise ConfigError("lam must be finite and positive")
 
 
+def _check_target(p_z: Pmf) -> None:
+    """DataError unless the target marginal P_Z is strictly interior."""
+    if not p_z.strictly_interior:
+        raise DataError("target P_Z must be strictly interior")
+
+
 def _gram(b: np.ndarray):
     """A -> A G with G = B B^T: G itself when |Y| <= |X|, else B twice."""
     if b.shape[0] <= b.shape[1]:
@@ -170,8 +176,7 @@ def solve_frobenius(
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not p_z.strictly_interior:
-        raise DataError("target P_Z must be strictly interior")
+    _check_target(p_z)
     nz, ny = len(p_z), len(dtm.row_pmf)
     if nz > ny:
         raise ConfigError(f"|Z| = {nz} exceeds |Y| = {ny}")

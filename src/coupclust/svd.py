@@ -1,17 +1,16 @@
 """SVD routines.
 
-A DTM has two spectral routes. Its singular values come from LAPACK's SVD
-(`Dtm.singular_values`, for the nuclear norm of a whole joint); the nuclear
-solver takes the same full SVD of each small chain DTM. `gram_top` gives the
-leading r left singular vectors alone, as eigenvectors of the smaller Gram
-matrix: by block Krylov Rayleigh-Ritz, which touches B only through
-products with B and B^T, where that converges within its budget, else by
-one symmetric eigensolve of the formed Gram matrix. The iteration starts
-from hashed +-1 signs, not a random draw, so its bits do not depend on
-numpy's Generator streams (which may change between releases) and
+A DTM has one spectral route, `gram_top` (through `Dtm.top`): its leading r
+singular values and left singular vectors, as eigenpairs of the smaller
+Gram matrix. They come by block Krylov Rayleigh-Ritz, which touches B only
+through products with B and B^T, where that converges within its budget,
+else by one symmetric eigensolve of the formed Gram matrix. The iteration
+starts from hashed +-1 signs, not a random draw, so its bits do not depend
+on numpy's Generator streams (which may change between releases) and
 `numpy.random` is never loaded. The item embedding reads only those
-vectors.
-`check_dtm_spectrum` holds the DTM invariants that every route asserts.
+vectors. Only the nuclear solver takes a full SVD, LAPACK's, of each small
+chain DTM A B.
+`check_dtm_spectrum` holds the DTM invariants that both assert.
 """
 
 from __future__ import annotations

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from coupclust.core import Pmf
+from coupclust.core import CouplingKernel, Pmf
+from coupclust.data_io import (
+    _counterexample_labels,
+    _counterexample_splits,
+    gen_counterexample,
+)
 
 
 def random_joint(rng, ny, nx, interior=True):
@@ -16,6 +21,25 @@ def random_joint(rng, ny, nx, interior=True):
     rows = tuple(f"y{i}" for i in range(ny))
     cols = tuple(f"x{j}" for j in range(nx))
     return rows, cols, w
+
+
+def singular_values(dtm):
+    """All singular values of a DTM, descending, from LAPACK: the reference
+    for the package's one spectral route, Dtm.top."""
+    return np.linalg.svd(dtm.matrix, compute_uv=False)
+
+
+def counterexample_splits(m, n, s):
+    """The counterexample's base P and, for the intuitive then the one-item
+    split, (kernel, community matrix Q), derived from the split's cluster
+    ids as the counterexample command derives them."""
+    base = gen_counterexample(m, n, s)
+    items = _counterexample_labels(m, n)[0]
+    return base, [
+        (CouplingKernel(("z0", "z1"), items, np.eye(2)[:, rows]),
+         base * (rows[:, None] == cols))
+        for rows, cols in _counterexample_splits(m, n)
+    ]
 
 
 def normalized_joint(rows, cols, weights):

@@ -44,6 +44,8 @@ from coupclust.core import (
 )
 from coupclust.errors import ConfigError, DataError
 
+from conftest import singular_values
+
 # Entries at or below this are exact zeros for support/component purposes.
 SUPPORT_EPS = 1e-15
 
@@ -84,7 +86,7 @@ def compose_dtm(b_zy: Dtm, b_yx: Dtm) -> Dtm:
     if gap > SPECTRAL_TOL:
         raise DataError(f"inner marginals differ by {gap:.3e}")
     out = Dtm(b_zy.matrix @ b_yx.matrix, b_zy.row_pmf, b_yx.col_pmf)
-    out.singular_values()  # re-verifies sigma_1 = 1
+    out.top(1)  # re-verifies sigma_1 = 1
     return out
 
 
@@ -229,7 +231,7 @@ def singular_one_multiplicity(dtm: Dtm, tol: float = 1e-6) -> int:
     tol = float(tol)
     if not 0 < tol < 0.5:
         raise ConfigError(f"tol must be in (0, 0.5), got {tol!r}")
-    return int(np.sum(dtm.singular_values() > 1.0 - tol))
+    return int(np.sum(singular_values(dtm) > 1.0 - tol))
 
 
 def bipartite_components(w: np.ndarray) -> int:

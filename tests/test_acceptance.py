@@ -16,11 +16,8 @@ from coupclust.core import CouplingKernel, Pmf, build_dtm
 from coupclust.data_io import (
     _counterexample_labels,
     community_objective,
-    gen_counterexample,
     gen_planted_blocks,
     ingest,
-    intuitive_kernel,
-    one_item_kernel,
     write_triplets,
 )
 from coupclust.evaluation import elbow_curve, harden, kernel_norm_value, matched_accuracy
@@ -28,7 +25,12 @@ from coupclust.frobenius import _half_gradient, solve_frobenius
 from coupclust.nuclear import solve_nuclear
 from coupclust.simplex import project_columns
 
-from conftest import oracle_project, random_joint
+from conftest import (
+    counterexample_splits,
+    oracle_project,
+    random_joint,
+    singular_values,
+)
 from paper_identities import (
     PerturbationFamily,
     bipartite_components,
@@ -53,7 +55,7 @@ def test_criterion_01_dtm_spectral_identities():
         ny = int(rng.integers(2, 13))
         nx = int(rng.integers(2, 11))
         b = build_dtm(*random_joint(rng, ny, nx))
-        s = b.singular_values()
+        s = singular_values(b)
         worst_sigma = max(worst_sigma, abs(float(s[0]) - 1.0))
         ident = float(
             np.max(np.abs(b.matrix @ b.col_pmf.sqrt_probs - b.row_pmf.sqrt_probs))
@@ -182,9 +184,7 @@ def test_criterion_05_counterexample_objectives_and_flip():
         n = int(rng.integers(2, 51))
         s = float(rng.integers(2, 51))
         lam = float(rng.integers(2, 51))
-        base = gen_counterexample(m, n, s)
-        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
-        q2 = gen_counterexample(m, n, s, "one_item_Q2")
+        base, [(_, q1), (_, q2)] = counterexample_splits(m, n, s)
         got1 = community_objective(q1, base, lam, 2)
         got2 = community_objective(q2, base, lam, 2)
         want1 = 2.0 * m * n - 2.0 * lam
@@ -203,9 +203,7 @@ def test_criterion_05_counterexample_objectives_and_flip():
     assert s_star == pytest.approx(np.sqrt(50.0), rel=1e-15)
 
     def diff(s):
-        base = gen_counterexample(m, n, s)
-        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
-        q2 = gen_counterexample(m, n, s, "one_item_Q2")
+        base, [(_, q1), (_, q2)] = counterexample_splits(m, n, s)
         return community_objective(q1, base, lam, 2) - community_objective(
             q2, base, lam, 2
         )
@@ -243,19 +241,19 @@ def test_criterion_06_norm_curves():
 
     labels = _counterexample_labels(m, n)
 
-    def frob(s, kernel):
-        dtm = ingest(*labels, gen_counterexample(m, n, s))[0]
-        return kernel_norm_value(dtm, kernel, "frobenius")
+    def frob(s):
+        base, splits = counterexample_splits(m, n, s)
+        dtm = ingest(*labels, base)[0]
+        return [kernel_norm_value(dtm, kernel, "frobenius") for kernel, _ in splits]
 
     for s in grid:
         s = float(s)
-        fi = frob(s, intuitive_kernel(m))
-        fo = frob(s, one_item_kernel(m))
+        fi, fo = frob(s)
         closed = 2.0 * (s * s + 1.0) / (s + 1.0) ** 2
         worst = max(worst, abs(fi - closed) / max(1.0, abs(closed)))
         if s > 1.0 and fi <= fo:
             dominated = False
-    at_one = frob(1.0, intuitive_kernel(m))
+    at_one = frob(1.0)[0]
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert dominated

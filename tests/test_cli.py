@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import coupclust
-from coupclust.cli import build_parser, main
+from coupclust.cli import _parse_grid, _parse_int_grid, build_parser, main
 from coupclust import data_io
 from coupclust.core import Pmf
 from coupclust.data_io import gen_planted_blocks, write_triplets
@@ -57,7 +57,7 @@ class TestSynth:
         out = tmp_path / "synth"
         rc = main(
             [
-                "synth", "--gen", "planted", "--blocks", "2", "--sizes", "3,3",
+                "synth", "--gen", "planted", "--sizes", "3,3",
                 "--within", "1", "--cross", "0.1", "--seed", "1",
                 "--out", str(out),
             ]
@@ -545,7 +545,6 @@ class TestExitCodes:
             ["elbow", str(data), "--ks", "1:1000000000000:1"],
             ["synth", "--gen", "planted", "--sizes", "1:1000000000000:1"],
             ["synth", "--gen", "planted", "--sizes", "1000000000,1000000000"],
-            ["synth", "--gen", "planted", "--blocks", "1000000000000", "--sizes", "1"],
             ["synth", "--gen", "counterexample", "--m", "1000000000", "--n", "2"],
             ["counterexample", "--m", "1000000000", "--s-grid", "2"],
             ["counterexample", "--n", "1000000000", "--s-grid", "2"],
@@ -677,6 +676,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert list(out.iterdir()) == []
 
+    def test_pz_interiority_checked_before_input(self, tmp_path, capsys):
+        # A --pz with a zero entry is refused before the input is read, with
+        # the message and exit code the solver gives it.
+        pz = tmp_path / "pz.tsv"
+        pz.write_text("z0\t1\nz1\t0\n")
+        out = tmp_path / "x"
+        rc = main(["cluster", str(tmp_path / "missing.tsv"), "--algo", "frobenius",
+                   "--pz", str(pz), "--k", "2", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: target P_Z must be strictly interior\n"
+        )
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -703,8 +716,9 @@ class TestExitCodes:
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
              "uniform", "--tol", "1e-6"],
             ["synth", "--gen", "counterexample", "--variant", "base_P"],
+            ["synth", "--gen", "planted", "--sizes", "3,3", "--blocks", "2"],
         ],
-        ids=["cluster-tol", "synth-variant"],
+        ids=["cluster-tol", "synth-variant", "synth-blocks"],
     )
     def test_deleted_flags_are_usage_errors(self, planted, tmp_path, capsys, argv):
         data, _ = planted
@@ -925,6 +939,30 @@ class TestCounterexampleCmd:
         assert vals[3] == pytest.approx(-1000.0, abs=1e-6)
         assert vals[4] == pytest.approx(-3450.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "m, n, s, lam",
+        [(2, 2, 1.0, 1.0), (3, 5, 2.5, 7.0), (7, 4, 9.0, 3000.0),
+         (50, 50, 7.5, 3000.0)],
+    )
+    def test_community_columns_closed_form(self, tmp_path, m, n, s, lam):
+        # The command builds each split's Q itself; both columns must equal
+        # the closed forms ||Q - P||_F^2 - 2 lam (each Q's DTM has sigma_1 =
+        # sigma_2 = 1).
+        out = tmp_path / "ce"
+        rc = main(
+            [
+                "counterexample", "--m", str(m), "--n", str(n), "--lambda",
+                str(lam), "--s-grid", str(s), "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        row = (out / "counterexample.csv").read_text().split("\n")[1]
+        q1, q2 = (float(v) for v in row.split(",")[3:])
+        assert q1 == pytest.approx(2 * m * n - 2 * lam, rel=1e-12, abs=0)
+        assert q2 == pytest.approx(
+            m + n + s * s * (m + n - 2) - 2 * lam, rel=1e-12, abs=0
+        )
+
     def test_grid_expansion(self, tmp_path):
         out = tmp_path / "ce"
         rc = main(
@@ -936,6 +974,22 @@ class TestCounterexampleCmd:
         assert rc == 0
         lines = (out / "counterexample.csv").read_text().strip().split("\n")
         assert [float(r.split(",")[0]) for r in lines[1:]] == [1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize(
+    "text, parse, want",
+    [
+        ("1:4:2", _parse_int_grid, [1, 3]),
+        ("1:2:0.6", _parse_grid, [1.0, 1.6]),
+        ("0:0.3:0.1", _parse_grid, [0.0, 0.1, 0.2, 0.30000000000000004]),
+        ("1:10:0.5", _parse_grid, [1 + 0.5 * i for i in range(19)]),
+        ("2:2:1", _parse_int_grid, [2]),
+    ],
+)
+def test_grid_stops_at_stop(text, parse, want):
+    # start:stop:step holds the points that do not pass stop, keeping one
+    # that reaches it only up to round-off.
+    assert parse(text).values == want
 
 
 class TestElbowCmd:

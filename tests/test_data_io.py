@@ -12,10 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coupclust import data_io
-from coupclust.core import SolveTrace, build_dtm
+from coupclust.core import CouplingKernel, SolveTrace, build_dtm
 from coupclust.data_io import (
     MAX_CELLS,
     _counterexample_labels,
+    _counterexample_splits,
     _parse_triplets_bulk,
     _parse_triplets_lines,
     apply_rating_transform,
@@ -23,11 +24,9 @@ from coupclust.data_io import (
     gen_counterexample,
     gen_planted_blocks,
     ingest,
-    intuitive_kernel,
     load_dense_csv,
     load_labels,
     load_pmf,
-    one_item_kernel,
     parse_triplets,
     write_kernel_json,
     write_trace_csv,
@@ -40,7 +39,7 @@ from coupclust.errors import (
 )
 from coupclust.evaluation import kernel_norm_value
 
-from conftest import random_joint
+from conftest import counterexample_splits, random_joint
 
 
 class TestParseTriplets:
@@ -936,17 +935,25 @@ class TestCounterexample:
         np.testing.assert_array_equal(mat, want)
 
     def test_variants(self):
-        q1 = gen_counterexample(2, 2, 3.0, "intuitive_Q1")
-        assert np.all(q1[:2, 2:] == 0) and np.all(q1[2:, :2] == 0)
-        q2 = gen_counterexample(2, 2, 3.0, "one_item_Q2")
-        assert np.all(q2[3, :3] == 0) and np.all(q2[:3, 3] == 0)
-        assert q2[3, 3] == 3.0
+        # The two splits as cluster ids, and what each derives: the one-hot
+        # kernel of its row ids and Q, the cells of P inside its clusters.
+        (r1, c1), (r2, c2) = _counterexample_splits(2, 3)
+        assert r1.tolist() == [0, 0, 1, 1] and c1.tolist() == [0, 0, 0, 1, 1, 1]
+        assert r2.tolist() == [0, 0, 0, 1] and c2.tolist() == [0, 0, 0, 0, 0, 1]
+        _, [(k1, q1), (k2, q2)] = counterexample_splits(2, 2, 3.0)
+        assert k1.item_labels == k2.item_labels == ("y0", "y1", "y2", "y3")
+        np.testing.assert_array_equal(k1.kernel, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        np.testing.assert_array_equal(k2.kernel, [[1, 1, 1, 0], [0, 0, 0, 1]])
+        np.testing.assert_array_equal(
+            q1, [[3, 3, 0, 0], [3, 3, 0, 0], [0, 0, 3, 3], [0, 0, 3, 3]]
+        )
+        np.testing.assert_array_equal(
+            q2, [[3, 3, 1, 0], [3, 3, 1, 0], [1, 1, 3, 0], [0, 0, 0, 3]]
+        )
 
     def test_distance_formulas(self):
         for m, n, s in [(2, 2, 3.0), (4, 7, 2.5), (50, 50, 5.0)]:
-            base = gen_counterexample(m, n, s)
-            q1 = gen_counterexample(m, n, s, "intuitive_Q1")
-            q2 = gen_counterexample(m, n, s, "one_item_Q2")
+            base, [(_, q1), (_, q2)] = counterexample_splits(m, n, s)
             d1 = float(np.sum((q1 - base) ** 2))
             d2 = float(np.sum((q2 - base) ** 2))
             assert d1 == pytest.approx(2 * m * n, rel=1e-12)
@@ -955,17 +962,17 @@ class TestCounterexample:
     def test_closed_form_norm(self):
         for s in [1.0, 2.0, 3.5, 10.0]:
             for m, n in [(2, 3), (5, 5)]:
-                labels = _counterexample_labels(m, n)
-                dtm = ingest(*labels, gen_counterexample(m, n, s))[0]
-                got = kernel_norm_value(dtm, intuitive_kernel(m), "frobenius")
+                base, [(kernel, _), _] = counterexample_splits(m, n, s)
+                dtm = ingest(*_counterexample_labels(m, n), base)[0]
+                got = kernel_norm_value(dtm, kernel, "frobenius")
                 want = 2.0 * (s * s + 1.0) / (s + 1.0) ** 2
                 assert got == pytest.approx(want, rel=1e-9)
 
     def test_one_item_norm_near_one(self):
         # the singleton split barely beats the trivial norm of 1
-        labels = _counterexample_labels(50, 50)
-        dtm = ingest(*labels, gen_counterexample(50, 50, 5.0))[0]
-        val = kernel_norm_value(dtm, one_item_kernel(50), "frobenius")
+        base, [_, (kernel, _)] = counterexample_splits(50, 50, 5.0)
+        dtm = ingest(*_counterexample_labels(50, 50), base)[0]
+        val = kernel_norm_value(dtm, kernel, "frobenius")
         assert 1.0 < val < 1.01
 
     def test_invalid_params(self):
@@ -974,22 +981,18 @@ class TestCounterexample:
         with pytest.raises(ConfigError, match="s must be finite and >= 1"):
             gen_counterexample(2, 2, 0.5)
         with pytest.raises(ConfigError, match="one_item_Q2 needs m, n >= 2"):
-            gen_counterexample(1, 2, 2.0, "one_item_Q2")
-        with pytest.raises(ConfigError, match="unknown variant 'nope'"):
-            gen_counterexample(2, 2, 2.0, "nope")
+            _counterexample_splits(1, 2)
+        with pytest.raises(ConfigError, match="one_item_Q2 needs m, n >= 2"):
+            _counterexample_splits(2, 1)
 
 
 class TestCommunityObjective:
     def test_worked_example(self):
-        m = n = 50
-        s, lam = 5.0, 3000.0
-        base = gen_counterexample(m, n, s)
-        q1 = gen_counterexample(m, n, s, "intuitive_Q1")
-        q2 = gen_counterexample(m, n, s, "one_item_Q2")
-        assert community_objective(q1, base, lam, 2) == pytest.approx(
+        base, [(_, q1), (_, q2)] = counterexample_splits(50, 50, 5.0)
+        assert community_objective(q1, base, 3000.0, 2) == pytest.approx(
             -1000.0, abs=1e-6
         )
-        assert community_objective(q2, base, lam, 2) == pytest.approx(
+        assert community_objective(q2, base, 3000.0, 2) == pytest.approx(
             -3450.0, abs=1e-6
         )
 
@@ -1003,6 +1006,16 @@ class TestCommunityObjective:
         p = np.full((2, 2), 0.25)
         val = community_objective(q, p, 0.0, 1)
         assert val == pytest.approx(float(np.sum((q - p) ** 2)), rel=1e-12)
+
+    def test_k_above_the_pruned_size_sums_every_value(self):
+        # Pruned to 1 x 1, Q's DTM has the one singular value 1, whatever k.
+        q = np.array([[1.0, 0.0], [0.0, 0.0]])
+        p = np.full((2, 2), 0.25)
+        dist = float(np.sum((q - p) ** 2))
+        for k in (1, 2, 5):
+            assert community_objective(q, p, 3.0, k) == pytest.approx(
+                dist - 3.0, rel=1e-12
+            )
 
 
 class TestPlantedBlocks:
@@ -1055,7 +1068,10 @@ class TestPlantedBlocks:
 
 class TestArtifacts:
     def test_kernel_json_schema(self, tmp_path):
-        kernel = intuitive_kernel(2)
+        kernel = CouplingKernel(
+            ("z0", "z1"), ("y0", "y1", "y2", "y3"),
+            [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+        )
         path = tmp_path / "kernel.json"
         write_kernel_json(path, kernel, [0.5, 0.5], 1.25, "nuclear", 7)
         text = path.read_text()

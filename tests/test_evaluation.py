@@ -23,7 +23,7 @@ from coupclust.frobenius import solve_frobenius
 from coupclust.nuclear import solve_nuclear
 from coupclust.svd import SPECTRAL_TOL
 
-from conftest import normalized_joint, random_joint
+from conftest import normalized_joint, random_joint, singular_values
 from paper_identities import weighted_kmeans_cost
 
 
@@ -330,7 +330,7 @@ class TestNormBounds:
     def _check_ky_fan(self, dtm, kernel):
         # A = [P_Z]^{-1/2} K [P_Y]^{1/2} is a DTM of rank <= k, so Horn's
         # inequality gives sigma_i(A B) <= sigma_i(B) for i <= k, and 0 after.
-        top = dtm.singular_values()[: len(kernel.cluster_labels)]
+        top = singular_values(dtm)[: len(kernel.cluster_labels)]
         nuclear = kernel_norm_value(dtm, kernel, "nuclear")
         frobenius = kernel_norm_value(dtm, kernel, "frobenius")
         assert nuclear <= float(np.sum(top)) + SPECTRAL_TOL
