@@ -135,9 +135,12 @@ def _load_truth(path, dtm: Dtm, pruned_rows: list[str]) -> dict[str, str]:
     return truth
 
 
-def _resolve_lambda(args) -> float:
+def _resolve_lambda(args) -> float | None:
     # --lambda defaults to None so that the nuclear solver can reject it when
-    # it is set; the manifest records the Frobenius default in its place.
+    # it is set; the manifest records the Frobenius default in its place, and
+    # null for a nuclear run, whose rerun would reject a value.
+    if args.algo == "nuclear":
+        return None
     lam = LAMBDA if args.lam is None else args.lam
     _check_lam(lam)
     return lam

@@ -4,16 +4,17 @@ File formats:
 
 - Triplet TSV: UTF-8 lines of `row<TAB>col<TAB>weight`, full-line `#`
   comments, blank lines ignored; duplicate (row, col) pairs are summed,
-  and a label holding a CR is an error.
+  and a label holding a CR is an error. Every text reader skips one
+  leading UTF-8 byte order mark; error offsets still count it.
   A well-formed file is cut into fields at its tab and newline offsets
   with numpy, making no Python object per line; any other file goes
   through the line reader, the one source of ParseError. Either way each
   weight equals float() of its field bit for bit: the bulk reader
   converts plain decimals exactly from machine words (Clinger's fast path,
   else an exact round-half-even correction) and passes any other field to
-  float(). It keys labels by machine words too, interns one label per run
-  of equal consecutive labels, and reads a file that lists every cell once,
-  row by row (write_triplets' layout), by reshaping its weight column.
+  float(). It keys labels by machine words too, interns the runs of equal
+  consecutive labels by one stable sort, and reads a file that lists every
+  cell once, row by row (write_triplets' layout), by reshaping its weights.
 - Dense CSV: header row holds the X labels (first cell is a corner and is
   ignored), each body row starts with its Y label; blank cells mean 0.
   Blank lines are skipped; a line starting with `#` is data.
@@ -31,6 +32,7 @@ and its two splits); kernels are scored by evaluation.kernel_norm_value.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import errno
@@ -61,9 +63,6 @@ __all__ = [
 # Largest matrix, in cells, that a synthetic generator will allocate: one
 # 5000 x 5000 float64 array is 200 MB.
 MAX_CELLS = 25_000_000
-
-# Odd 64-bit multiplier of the label hash in _intern (the golden ratio).
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _open(path):
@@ -98,11 +97,11 @@ def _check_creatable(out_dir, *names) -> None:
 def _read_lines(path, nfields: int | None = None):
     """Yield (lineno, offset, item) for each data line of a text file.
 
-    Lines are UTF-8, and blank lines are skipped. item is the decoded line
-    when nfields is None (a CSV line: CSV has no comment syntax), else the
-    line's nfields tab-separated fields, and full-line `#` comments are
-    skipped. ParseError carries the 1-based line number and the byte offset
-    of the offending line's start.
+    Lines are UTF-8 after one optional byte order mark, and blank lines are
+    skipped. item is the decoded line when nfields is None (a CSV line: CSV
+    has no comment syntax), else the line's nfields tab-separated fields,
+    and full-line `#` comments are skipped. ParseError carries the 1-based
+    line number and the byte offset of the offending line's start.
     """
     offset = 0
     with _open(path) as fh:
@@ -110,7 +109,7 @@ def _read_lines(path, nfields: int | None = None):
             line_offset = offset
             offset += len(raw)
             try:
-                text = raw.decode("utf-8")
+                text = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"not valid UTF-8 ({exc.reason})", lineno, line_offset)
             stripped = text.strip()
@@ -157,13 +156,14 @@ def parse_triplets(path) -> tuple[list[str], list[str], np.ndarray]:
 def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None:
     """parse_triplets on a whole file at once, or None if not well formed.
 
-    None unless the file is UTF-8 without NUL bytes, each line has exactly
-    two tabs, no row label is empty or starts with whitespace or `#`, no
-    distinct label holds a CR (the line reader then names its line), and
-    every weight is a finite, nonnegative float. The line reader then
-    strips nothing from a line's start; what it strips from the end (a CR,
-    say) float() either strips too or rejects. Duplicates are summed in
-    file order, as the line reader does, so the sums are bitwise equal.
+    None unless the file, after one optional byte order mark, is UTF-8
+    without NUL bytes, each line has exactly two tabs, no row label is empty
+    or starts with whitespace or `#`, no distinct label holds a CR (the line
+    reader then names its line), and every weight is a finite, nonnegative
+    float. The line reader then strips nothing from a line's start; what it
+    strips from the end (a CR, say) float() either strips too or rejects.
+    Duplicates are summed in file order, as the line reader does, so the
+    sums are bitwise equal.
 
     The file is read once into a zero-padded buffer, and fields are cut from
     its delimiter offsets, so no Python object is made per line or field.
@@ -175,13 +175,14 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
     Each label field is keyed as whole little-endian words ending where it
     does, with the bytes before it masked to zero (_word_keys). As no label
     holds a NUL, equal keys are equal labels. Only the first key of each run
-    of equal consecutive keys is interned (_intern), and each distinct label
-    is decoded from its first occurrence. When the rows come in equal runs
-    that each repeat the first run's columns, with no row or column label
-    twice, the file lists every cell of the matrix once, row by row, as
-    write_triplets does; the matrix is then the weight column reshaped, and
-    adding 0.0 turns a -0.0 field into the +0.0 that the summing readers
-    give. Any other file sums its lines into cells with np.bincount.
+    of equal consecutive keys is interned, by one stable sort (_run_labels),
+    and each distinct label is decoded from its first occurrence. When the
+    rows come in equal runs that each repeat the first run's columns, with
+    no row or column label twice, the file lists every cell of the matrix
+    once, row by row, as write_triplets does; the matrix is then the weight
+    column reshaped, and adding 0.0 turns a -0.0 field into the +0.0 that
+    the summing readers give. Any other file sums its lines into cells with
+    np.bincount.
 
     Each label key array is its widest field's words times the line count,
     so a file is declined when both at their widest would exceed a quarter
@@ -260,8 +261,8 @@ def _parse_triplets_bulk(path) -> tuple[list[str], list[str], np.ndarray] | None
 
 
 def _read_padded(path) -> tuple[np.ndarray, int]:
-    """The file read to EOF into one buffer behind _WORD_FIELD zero bytes,
-    with zeros after it, and the file's length."""
+    """The file read to EOF, less one leading byte order mark, into one
+    buffer behind _WORD_FIELD zero bytes, with zeros after it, and its length."""
     with _open(path) as fh:
         buf = np.empty(_WORD_FIELD + os.fstat(fh.fileno()).st_size + 8, np.uint8)
         end = _WORD_FIELD
@@ -269,8 +270,11 @@ def _read_padded(path) -> tuple[np.ndarray, int]:
             end += got
             if end == buf.size:
                 buf = np.concatenate((buf, np.empty_like(buf)))
-    buf[:_WORD_FIELD] = 0
     buf[end:] = 0
+    if buf[_WORD_FIELD : _WORD_FIELD + 3].tobytes() == codecs.BOM_UTF8:
+        buf = buf[3:]
+        end -= 3
+    buf[:_WORD_FIELD] = 0
     return buf, end - _WORD_FIELD
 
 
@@ -302,22 +306,32 @@ def _run_labels(buf, start, stop, keys) -> tuple[np.ndarray, np.ndarray, list[st
 
     Returns the line that starts each run of equal consecutive keys, the
     label index of each run, and the distinct labels in first-appearance
-    order, decoded from their first occurrences.
+    order, decoded from their first occurrences. One stable sort groups the
+    run heads' keys, each group led by its first occurrence.
     """
+    heads = np.flatnonzero(_key_changes(keys))
+    if heads.size < keys[0].size:
+        keys = [word[heads] for word in keys]
+    order = np.lexsort(keys)
+    new = _key_changes([word[order] for word in keys])
+    first = order[new]
+    by_first = np.argsort(first)
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+    at = heads[first[by_first]]
+    text = buf.data
+    spans = zip(start[at].tolist(), stop[at].tolist())
+    return heads, ids, [str(text[a:b], "utf-8") for a, b in spans]
+
+
+def _key_changes(keys) -> np.ndarray:
+    """True at the first key and at each key unlike the one before it."""
     change = np.empty(keys[0].size, dtype=bool)
     change[:1] = True
     np.not_equal(keys[0][1:], keys[0][:-1], out=change[1:])
     for word in keys[1:]:
         change[1:] |= word[1:] != word[:-1]
-    heads = np.flatnonzero(change)
-    del change
-    if heads.size < keys[0].size:
-        keys = [word[heads] for word in keys]
-    first, ids = _intern(keys)
-    at = heads[first]
-    text = buf.data
-    spans = zip(start[at].tolist(), stop[at].tolist())
-    return heads, ids, [str(text[a:b], "utf-8") for a, b in spans]
+    return change
 
 
 def _fixed_width(buf, start, stop, width: int) -> np.ndarray:
@@ -592,50 +606,6 @@ def _eight_digits(d) -> np.ndarray:
     d += pairs
     d >>= _U64(32)
     return d
-
-
-def _intern(keys) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrence of each distinct key, in order, and each key's index.
-
-    keys is a list of equal-length uint64 arrays, word j of every key in
-    array j. Each key is hashed to one 64-bit word, and one sort of the
-    hashes' high bits, with the key's index in the low bits, groups equal
-    hashes in index order, far faster than sorting the keys. A hash
-    collision, caught by comparing every key with the first of its group,
-    falls back to np.unique on the keys themselves.
-    """
-    m = keys[0].size
-    h = keys[0] * _HASH_MULT
-    for word in keys[1:]:
-        h ^= word
-        h *= _HASH_MULT
-    bits = _U64(max(m - 1, 1).bit_length())
-    h >>= bits
-    h <<= bits
-    h |= np.arange(m, dtype=_U64)
-    h.sort()
-    at = (h & ((_U64(1) << bits) - _U64(1))).astype(np.intp)
-    h >>= bits
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    np.not_equal(h[1:], h[:-1], out=new[1:])
-    del h
-    first = at[new]
-    group = np.cumsum(new)
-    group -= 1
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[at] = group
-    del at, new, group
-    of_first = first[inverse]
-    if not all(np.array_equal(word[of_first], word) for word in keys):
-        _, first, inverse = np.unique(
-            np.stack(keys, axis=1), axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    return first[by_first], rank[inverse]
 
 
 def _physical_memory() -> float:

@@ -847,16 +847,21 @@ def test_warning_names_no_source_line(tmp_path):
     assert ".py:" not in out.stderr
 
 
+def _subcommands():
+    """build_parser()'s subcommand parsers by name."""
+    return next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
 def test_manifest_records_every_flag(planted, tmp_path):
     # The manifest's config has one key per flag of its subcommand, --out
     # aside, in the parser's order; cluster adds the seed it kept, last. So a
     # deleted flag cannot linger in it and a flag that changes the outputs
     # cannot be left out of it: synth records the flags of both generators.
     data, truth = planted
-    subs = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
+    subs = _subcommands()
     runs = {
         "cluster": ["cluster", str(data), "--algo", "nuclear", "--k", "2",
                     "--restarts", "1", "--truth", str(truth)],
@@ -875,7 +880,7 @@ def test_manifest_records_every_flag(planted, tmp_path):
         config = manifest["config"]
         want = [
             "lambda" if a.dest == "lam" else a.dest
-            for a in subs.choices[argv[0]]._actions
+            for a in subs[argv[0]]._actions
             if a.dest not in ("help", "out")
         ]
         if argv[0] == "cluster":
@@ -884,6 +889,57 @@ def test_manifest_records_every_flag(planted, tmp_path):
         if argv[0] == "counterexample":
             assert config["s_grid"] == "2,3"
         assert list(config) == want, name
+
+
+def _replay_argv(manifest) -> list[str]:
+    """The argv that a manifest's config records, through the parser's option
+    strings: best_seed is not a flag, and a null or false value is left out."""
+    actions = {
+        "lambda" if a.dest == "lam" else a.dest: a
+        for a in _subcommands()[manifest["command"]]._actions
+    }
+    argv = [manifest["command"]]
+    for key, value in manifest["config"].items():
+        if key == "best_seed" or value is None or value is False:
+            continue
+        flags = actions[key].option_strings[:1]
+        argv += flags if value is True else [*flags, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "DATA", "--algo", "nuclear", "--k", "2", "--restarts", "2"],
+        ["cluster", "DATA", "--algo", "frobenius", "--pz", "uniform", "--k", "2",
+         "--restarts", "2", "--truth", "TRUTH"],
+        ["elbow", "DATA", "--ks", "1:3:1", "--restarts", "2"],
+        ["elbow", "DATA", "--algo", "frobenius", "--ks", "2,3", "--restarts", "1"],
+        ["embed", "DATA", "--d", "2", "--normalize", "rows"],
+        ["synth", "--gen", "planted", "--sizes", "3,4", "--seed", "5"],
+        ["synth", "--gen", "counterexample", "--m", "3", "--s", "2.5"],
+        ["counterexample", "--m", "2", "--n", "3", "--s-grid", "2:3:0.5"],
+    ],
+    ids=["cluster-nuclear", "cluster-frobenius-truth", "elbow-nuclear",
+         "elbow-frobenius", "embed", "synth-planted", "synth-counterexample",
+         "counterexample"],
+)
+def test_every_manifest_replays(planted, tmp_path, capsys, argv):
+    # The manifest is the exact config for a rerun: its flags, passed back,
+    # rewrite every artifact byte for byte, the manifest included.
+    data, truth = planted
+    paths = {"DATA": str(data), "TRUTH": str(truth)}
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([*(paths.get(a, a) for a in argv), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    capsys.readouterr()
+    assert main([*_replay_argv(manifest), "--out", str(again)]) == 0, (
+        capsys.readouterr().err
+    )
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_each_run_builds_one_dtm(planted, tmp_path, monkeypatch):

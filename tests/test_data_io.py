@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coupclust import data_io
-from coupclust.core import CouplingKernel, SolveTrace, build_dtm
+from coupclust.core import CouplingKernel, Pmf, SolveTrace, build_dtm
 from coupclust.data_io import (
     MAX_CELLS,
     _counterexample_labels,
@@ -193,6 +194,9 @@ _triplet_bytes = st.one_of(
 @example(content=b"a\x00\tu\t1\na\tu\t2\n")  # NUL: "a\0" is not "a"
 @example(content=b"a\tu\t1\r\na\tu\t2\r\nab\tu\t3\r\n")  # CRLF, duplicates
 @example(content=b"a\tu\t1\r\nb\tv\t2\r")  # CRLF, no final newline
+@example(content=codecs.BOM_UTF8 + b"a\tu\t1\n")  # byte order mark
+@example(content=codecs.BOM_UTF8 + b"#c\na\tu\t1\n")
+@example(content=codecs.BOM_UTF8 * 2 + b"a\tu\t1\n")
 # A short first label keyed with a 40-byte one: its first words precede the file.
 @example(content=b"a\tu\t1\n" + b"L" * 40 + b"\tu\t2\na\t" + b"W" * 33 + b"\t3\n")
 @given(content=_triplet_bytes)
@@ -259,14 +263,79 @@ def test_bulk_reader_reads_a_pipe_to_its_end(tmp_path):
     assert got[2].tobytes() == w.tobytes()
 
 
-def test_label_hash_collision_falls_back_to_sorting_keys(tmp_path, monkeypatch):
-    # A zero multiplier hashes every label to 0: all of them collide.
+def _structured_labels(kind, width, count, rng):
+    """count distinct labels of width bytes: random ACGT k-mers, or one
+    repeated letter ending in a distinct hex number."""
+    if kind == "repeat":
+        return [f"{i:x}".rjust(width, "r") for i in range(count)]
+    labels = {}
+    while len(labels) < count:
+        for codes in rng.integers(0, 4, (count, width)):
+            labels.setdefault("".join("ACGT"[c] for c in codes))
+    return list(labels)[:count]
+
+
+@pytest.mark.parametrize(
+    "kind, width",
+    [pytest.param("one-wide", 20, id="one-wide-label")]
+    # Keys of one to five 8-byte words.
+    + [(kind, width) for kind in ("kmer", "repeat") for width in (6, 12, 20, 28, 40)],
+)
+def test_bulk_reader_interns_structured_labels(tmp_path, kind, width):
+    # Labels that share long prefixes and suffixes, in random order in both
+    # columns, intern as the line reader numbers them.
     path = tmp_path / "t.tsv"
-    path.write_bytes(b"b\tu\t1\na\tv\t2\n" + b"L" * 20 + b"\tu\t3\nb\tw\t4\n")
-    want = _outcome(_parse_triplets_lines, path)
-    monkeypatch.setattr(data_io, "_HASH_MULT", np.uint64(0))
+    if kind == "one-wide":
+        path.write_bytes(b"b\tu\t1\na\tv\t2\n" + b"L" * 20 + b"\tu\t3\nb\tw\t4\n")
+    else:
+        rng = np.random.default_rng(width)
+        rows = _structured_labels(kind, width, 2000, rng)
+        cols = _structured_labels(kind, width, 300, rng)
+        ri = rng.integers(0, len(rows), 3000)
+        ci = rng.integers(0, len(cols), 3000)
+        path.write_text(
+            "".join(f"{rows[i]}\t{cols[j]}\t{i % 7}.5\n" for i, j in zip(ri, ci))
+        )
     assert _parse_triplets_bulk(path) is not None
-    assert _outcome(parse_triplets, path) == want
+    assert _outcome(parse_triplets, path) == _outcome(_parse_triplets_lines, path)
+
+
+def _plain(result):
+    """A reader's result as plain data that compares by value."""
+    if isinstance(result, Pmf):
+        return result.labels, result.probs.tolist()
+    if isinstance(result, tuple):
+        rows, cols, w = result
+        return rows, cols, w.tobytes()
+    return result
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [
+        (_parse_triplets_bulk, b"y0\tx0\t1\ny1\tx1\t2\ny0\tx1\t3\n"),
+        (_parse_triplets_lines, b"y0\tx0\t1\ny1\tx1\t2\ny0\tx1\t3\n"),
+        # After a BOM, the quoted corner would start mid-cell and split at its comma.
+        (load_dense_csv, b'"a,b",x0,x1\ny0,1,2\n'),
+        (load_pmf, b"z0\t0.25\nz1\t0.75\n"),
+        (load_labels, b"y0\tb0\ny1\tb1\n"),
+    ],
+    ids=["bulk", "lines", "csv", "pmf", "truth"],
+)
+def test_leading_byte_order_mark_is_skipped(tmp_path, reader, content):
+    plain = tmp_path / "plain.tsv"
+    plain.write_bytes(content)
+    marked = tmp_path / "marked.tsv"
+    marked.write_bytes(codecs.BOM_UTF8 + content)
+    assert _plain(reader(marked)) == _plain(reader(plain))
+
+
+def test_error_offsets_count_the_byte_order_mark(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(codecs.BOM_UTF8 + b"a\tu\t1\nb\tv\n")
+    with pytest.raises(ParseError) as err:
+        parse_triplets(path)
+    assert (err.value.line, err.value.offset) == (2, 9)
 
 
 def test_write_triplets_output_parses_in_bulk_within_memory(tmp_path):
