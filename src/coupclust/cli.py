@@ -43,10 +43,10 @@ from .data_io import (
 from .embedding import _check_d, dtm_embed, write_embedding_tsv
 from .errors import ConfigError, DataError, SolverError
 from .evaluation import (
+    _best_restart,
     _check_same_items,
     _check_ks,
-    _improves,
-    _solve,
+    _restarts,
     build_report,
     elbow_curve,
     format_report_table,
@@ -135,22 +135,34 @@ def _load_truth(path, dtm: Dtm, pruned_rows: list[str]) -> dict[str, str]:
     return truth
 
 
+def _reject(owner: str, flags: dict) -> None:
+    """ConfigError if a flag (flag -> parsed value) that owner, say
+    --algo nuclear, does not take was given."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ConfigError(f"{owner} does not take {flag}")
+
+
 def _resolve_lambda(args) -> float | None:
     # --lambda defaults to None so that the nuclear solver can reject it when
     # it is set; the manifest records the Frobenius default in its place, and
     # null for a nuclear run, whose rerun would reject a value.
     if args.algo == "nuclear":
+        _reject("--algo nuclear", {"--lambda": args.lam})
         return None
     lam = LAMBDA if args.lam is None else args.lam
     _check_lam(lam)
     return lam
 
 
-def _reject_for_nuclear(args, flags: dict) -> None:
-    """ConfigError if --algo nuclear comes with a Frobenius-only flag."""
-    for flag, value in flags.items():
-        if args.algo == "nuclear" and value is not None:
-            raise ConfigError(f"--algo nuclear does not take {flag}")
+def _log_restart(restart):
+    """Log one restart's (seed, kernel, trace) as it ends; return it."""
+    seed, _, trace = restart
+    _log(
+        f"restart seed={seed}: objective {trace.objectives[-1]!r}, "
+        f"{trace.status} after {len(trace)} iterations"
+    )
+    return restart
 
 
 def _cmd_cluster(args, out_dir: Path) -> int:
@@ -158,54 +170,35 @@ def _cmd_cluster(args, out_dir: Path) -> int:
         out_dir, "prune_report.json", "kernel.json", "trace.csv",
         "manifest.json", "report.json",
     )
-    k = args.k
     # Every flag check that needs no joint comes before the input is read.
-    _reject_for_nuclear(args, {"--pz": args.pz, "--lambda": args.lam})
+    if args.algo == "nuclear":
+        _reject("--algo nuclear", {"--pz": args.pz})
     lam = _resolve_lambda(args)
     p_z = _load_pz(args) if args.algo == "frobenius" else None
     dtm, prune = _load_joint(args)
 
     if args.pz == "uniform":
-        p_z = _uniform_target(k, len(dtm.row_pmf))
+        p_z = _uniform_target(args.k, len(dtm.row_pmf))
+    truth = None
     if args.truth is not None:
         truth = _load_truth(args.truth, dtm, prune["pruned_rows"])
 
-    best = None
-    for restart in range(args.restarts):
-        seed = args.seed + restart
-        kernel, trace = _solve(dtm, args.algo, k, seed, p_z, lam)
-        final = trace.objectives[-1]
-        if best is None or _improves(final, best[0]):
-            best = (final, seed, kernel, trace)
-        _log(
-            f"restart seed={seed}: objective {final!r}, "
-            f"{trace.status} after {len(trace)} iterations"
-        )
-
-    final_obj, best_seed, kernel, trace = best
+    seeds = range(args.seed, args.seed + args.restarts)
+    best_seed, kernel, trace = _best_restart(
+        map(_log_restart, _restarts(dtm, args.algo, args.k, seeds, p_z, lam))
+    )
     # Scored before anything is written, so a failed run leaves no artifact.
-    if args.truth is not None:
-        report = build_report(dtm, kernel, truth, args.algo)
-        text = format_report_table(report)
-    else:
-        report = {
-            "k": k,
-            "algorithm": args.algo,
-            "objective": final_obj,
-            "norm_value": kernel_norm_value(dtm, kernel, args.algo),
-            "iters": len(trace),
-            "status": trace.status,
-        }
-        text = json.dumps(report, indent=2)
+    report = build_report(dtm, kernel, trace, args.algo, truth)
     pz_out = p_z.probs if p_z is not None else kernel.induced_marginal(dtm.row_pmf)
     _write_json(out_dir / "prune_report.json", prune)
     write_kernel_json(
-        out_dir / "kernel.json", kernel, pz_out, final_obj, args.algo, len(trace)
+        out_dir / "kernel.json", kernel, pz_out, report["objective"], args.algo,
+        len(trace),
     )
     write_trace_csv(out_dir / "trace.csv", trace)
     _write_manifest(out_dir, args, lam=lam, best_seed=best_seed)
     _write_json(out_dir / "report.json", report)
-    print(text)
+    print(json.dumps(report, indent=2) if truth is None else format_report_table(report))
     return 0
 
 
@@ -298,7 +291,6 @@ def _cmd_counterexample(args, out_dir: Path) -> int:
 
 def _cmd_elbow(args, out_dir: Path) -> int:
     _check_creatable(out_dir, "elbow.csv", "manifest.json")
-    _reject_for_nuclear(args, {"--lambda": args.lam})
     lam = _resolve_lambda(args)
     ks = _check_ks(args.ks.values)
     dtm, _ = _load_joint(args)
@@ -334,21 +326,38 @@ def _cmd_embed(args, out_dir: Path) -> int:
     return 0
 
 
+# Each generator's synth flags, with the defaults that the parser leaves
+# unset so that the other generator can reject them.
+_SYNTH_FLAGS = {
+    "counterexample": {"m": 2, "n": 2, "s": 3.0},
+    "planted": {
+        "sizes": _parse_int_grid("30,30"), "within": 1.0, "cross": 0.05, "seed": 0,
+    },
+}
+
+
 def _cmd_synth(args, out_dir: Path) -> int:
+    given = vars(args)
+    for gen, defaults in _SYNTH_FLAGS.items():
+        if gen != args.gen:
+            _reject(f"--gen {args.gen}", {f"--{d}": given[d] for d in defaults})
+    # The manifest records these, and null for the other generator's flags.
+    flags = {
+        d: v if given[d] is None else given[d]
+        for d, v in _SYNTH_FLAGS[args.gen].items()
+    }
     if args.gen == "counterexample":
         _check_creatable(out_dir, "synth.tsv", "manifest.json")
-        mat = gen_counterexample(args.m, args.n, args.s)
-        labels = _counterexample_labels(args.m, args.n)
+        mat = gen_counterexample(**flags)
+        labels = _counterexample_labels(flags["m"], flags["n"])
         write_triplets(out_dir / "synth.tsv", *labels, mat)
         print(f"wrote {mat.size} triplets to {out_dir / 'synth.tsv'}")
     else:
         _check_creatable(out_dir, "synth.tsv", "truth.tsv", "manifest.json")
+        sizes = flags["sizes"].values
         (rows, cols, weights), truth = gen_planted_blocks(
-            len(args.sizes.values),
-            args.sizes.values,
-            args.within,
-            args.cross,
-            noise_seed=args.seed,
+            len(sizes), sizes, flags["within"], flags["cross"],
+            noise_seed=flags["seed"],
         )
         write_triplets(out_dir / "synth.tsv", rows, cols, weights)
         with _create(out_dir / "truth.tsv") as fh:
@@ -358,7 +367,7 @@ def _cmd_synth(args, out_dir: Path) -> int:
             f"wrote {weights.size} triplets to {out_dir / 'synth.tsv'} "
             f"and truth labels to {out_dir / 'truth.tsv'}"
         )
-    _write_manifest(out_dir, args)
+    _write_manifest(out_dir, args, **flags)
     return 0
 
 
@@ -443,13 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth = subs.add_parser("synth", help="write synthetic benchmark data")
     _add_io_flags(synth, with_input=False)
     synth.add_argument("--gen", choices=("counterexample", "planted"), required=True)
-    synth.add_argument("--m", type=int, default=2)
-    synth.add_argument("--n", type=int, default=2)
-    synth.add_argument("--s", type=float, default=3.0)
-    synth.add_argument("--sizes", type=_parse_int_grid, default="30,30")
-    synth.add_argument("--within", type=float, default=1.0)
-    synth.add_argument("--cross", type=float, default=0.05)
-    synth.add_argument("--seed", type=_nonnegative_int, default=0)
+    synth.add_argument("--m", type=int)  # defaults in _SYNTH_FLAGS
+    synth.add_argument("--n", type=int)
+    synth.add_argument("--s", type=float)
+    synth.add_argument("--sizes", type=_parse_int_grid)
+    synth.add_argument("--within", type=float)
+    synth.add_argument("--cross", type=float)
+    synth.add_argument("--seed", type=_nonnegative_int)
     synth.set_defaults(func=_cmd_synth)
 
     return parser

@@ -4,8 +4,9 @@ Accuracy is permutation-invariant: predicted cluster ids are matched to
 true labels by an optimal one-to-one assignment on the confusion matrix
 before counting. Coverage and k-accuracy follow the convention that only
 the k largest true clusters count as reachable: overall accuracy divides by
-every item, k-accuracy by the covered ones. build_report gathers these
-and the kernel's norm value into a plain dict, the one report.json holds.
+every item, k-accuracy by the covered ones. build_report gathers a solve's
+objective, norm value and, given truth, these scores into the plain dict
+that report.json holds. cluster and elbow_curve keep restarts alike, here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .core import CouplingKernel, Dtm
+from .core import CouplingKernel, Dtm, SolveTrace
 from .errors import ConfigError, DataError, warn_caller
 from .frobenius import LAMBDA, _uniform_target, solve_frobenius
 from .nuclear import _chain_svd, solve_nuclear
@@ -184,17 +185,17 @@ def kernel_norm_value(dtm: Dtm, kernel: CouplingKernel, algorithm: str) -> float
     return float(np.sum(s * s)) if algorithm == "frobenius" else float(np.sum(s))
 
 
-def _solve(dtm, algorithm, k, seed, p_z=None, lam=LAMBDA):
-    """One restart of the named solver on the joint's DTM: (kernel, trace).
-
-    p_z (uniform when None) and lam are solve_frobenius's target and
-    penalty weight; the nuclear solver ignores them.
-    """
-    if algorithm == "nuclear":
-        return solve_nuclear(dtm, k, seed=seed)
-    if p_z is None:
+def _restarts(dtm, algorithm, k, seeds, p_z=None, lam=LAMBDA):
+    """Yield (seed, kernel, trace) of the named solver on the joint's DTM
+    from each seed in order, as each restart ends. p_z (uniform when None)
+    and lam are solve_frobenius's target and penalty weight."""
+    if algorithm == "frobenius" and p_z is None:
         p_z = _uniform_target(k, len(dtm.row_pmf))
-    return solve_frobenius(dtm, p_z, lam=lam, seed=seed)
+    for seed in seeds:
+        if algorithm == "nuclear":
+            yield (seed, *solve_nuclear(dtm, k, seed=seed))
+        else:
+            yield (seed, *solve_frobenius(dtm, p_z, lam=lam, seed=seed))
 
 
 # Restarts that reach the same optimum differ only in the last bits of the
@@ -204,9 +205,15 @@ def _solve(dtm, algorithm, k, seed, p_z=None, lam=LAMBDA):
 _TIE_RTOL = 1e-12
 
 
-def _improves(value: float, best: float) -> bool:
-    """True if a restart scoring value replaces the best one so far."""
-    return value > best + _TIE_RTOL * abs(best)
+def _best_restart(restarts):
+    """The (seed, kernel, trace) of restarts with the highest final
+    objective; a later restart must beat it by more than _TIE_RTOL."""
+    best = top = None
+    for restart in restarts:
+        final = restart[2].objectives[-1]
+        if best is None or final > top + _TIE_RTOL * abs(top):
+            best, top = restart, final
+    return best
 
 
 def _check_ks(ks: Sequence[int]) -> list[int]:
@@ -224,14 +231,13 @@ def elbow_curve(
     restarts: int = 5,
     frobenius_lam: float = LAMBDA,
 ) -> list[tuple[int, float]]:
-    """Best-over-restarts norm value per cluster count on the joint's DTM.
+    """Norm value of the kept restart per cluster count on the joint's DTM.
 
-    Each restart is scored by kernel_norm_value, and the curve keeps the
-    largest. Restart r uses seed r, and a later restart replaces the kept
-    one only by beating it by more than round-off (_improves), so ties keep
-    the lower seed, as cluster's restarts do. The Frobenius route
-    targets the uniform P_Z over k clusters, with penalty weight
-    frobenius_lam; the nuclear route ignores it.
+    Restart r uses seed r, and the restart kept is the one `cluster --seed 0`
+    keeps (_best_restart): the highest final objective, ties within
+    round-off to the lower seed. The row is its kernel_norm_value, which for
+    the nuclear solver is that objective. The Frobenius route targets the
+    uniform P_Z over k clusters, with penalty weight frobenius_lam.
 
     On the nuclear route the optimum cannot fall as k grows: merging two
     clusters multiplies B_{Z,X} by a DTM, whose operator norm is at most 1,
@@ -248,13 +254,10 @@ def elbow_curve(
         raise ConfigError("restarts must be >= 1")
     curve: list[tuple[int, float]] = []
     for k in ks:
-        best = None
-        for seed in range(int(restarts)):
-            kernel, _ = _solve(dtm, algorithm, k, seed, lam=frobenius_lam)
-            val = kernel_norm_value(dtm, kernel, algorithm)
-            if best is None or _improves(val, best):
-                best = val
-        curve.append((k, float(best)))
+        _, kernel, _ = _best_restart(
+            _restarts(dtm, algorithm, k, range(int(restarts)), lam=frobenius_lam)
+        )
+        curve.append((k, kernel_norm_value(dtm, kernel, algorithm)))
     if algorithm != "nuclear":
         return curve
     for (k_prev, v_prev), (k_next, v_next) in zip(curve, curve[1:]):
@@ -267,26 +270,31 @@ def elbow_curve(
 
 
 def build_report(
-    dtm: Dtm, kernel: CouplingKernel, truth: Mapping, algorithm: str
+    dtm: Dtm, kernel: CouplingKernel, trace: SolveTrace, algorithm: str,
+    truth: Mapping | None = None,
 ) -> dict:
-    """The Table-style report of a kernel on dtm against item -> true label.
-
-    A dict with keys k, coverage, overall_accuracy, k_accuracy and
-    norm_value, in that order, as `cluster --truth` writes to report.json.
-    """
-    pred_map = harden(kernel)
+    """report.json's dict for a solve's kernel and trace on dtm: k, algorithm,
+    objective (the trace's last), norm_value, iters and status, then, given
+    item -> true label, coverage, overall_accuracy and k_accuracy."""
     k = len(kernel.cluster_labels)
-    return {
+    report = {
         "k": k,
-        "coverage": coverage(truth, k),
-        "overall_accuracy": matched_accuracy(pred_map, truth, mode="overall"),
-        "k_accuracy": matched_accuracy(pred_map, truth, mode="top_k", k=k),
+        "algorithm": algorithm,
+        "objective": trace.objectives[-1],
         "norm_value": kernel_norm_value(dtm, kernel, algorithm),
+        "iters": len(trace),
+        "status": trace.status,
     }
+    if truth is not None:
+        pred_map = harden(kernel)
+        report["coverage"] = coverage(truth, k)
+        report["overall_accuracy"] = matched_accuracy(pred_map, truth, mode="overall")
+        report["k_accuracy"] = matched_accuracy(pred_map, truth, mode="top_k", k=k)
+    return report
 
 
 def format_report_table(report: Mapping) -> str:
-    """Aligned text table of a build_report dict, one header line."""
+    """Aligned text table of a truth run's build_report dict, one header line."""
     headers = ["k", "Coverage", "Overall acc.", "k-acc.", "Norm"]
     values = [
         str(report["k"]),

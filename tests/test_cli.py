@@ -70,6 +70,29 @@ class TestSynth:
         assert len(truth) == 6
         assert set(truth.values()) == {"b0", "b1"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gen", "planted", "--m", "5"],
+            ["--gen", "planted", "--n", "5"],
+            ["--gen", "planted", "--s", "9"],
+            ["--gen", "counterexample", "--sizes", "3,3"],
+            ["--gen", "counterexample", "--within", "9"],
+            ["--gen", "counterexample", "--cross", "0.5"],
+            ["--gen", "counterexample", "--seed", "4"],
+        ],
+        ids=["planted-m", "planted-n", "planted-s", "counterexample-sizes",
+             "counterexample-within", "counterexample-cross", "counterexample-seed"],
+    )
+    def test_other_generators_flag_rejected(self, tmp_path, capsys, argv):
+        # A flag that only the other generator reads would be ignored.
+        out = tmp_path / "synth"
+        assert main(["synth", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --gen {argv[1]} does not take {argv[2]}\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestCluster:
     def test_nuclear_with_report(self, planted, tmp_path, capsys):
@@ -156,6 +179,27 @@ class TestCluster:
         m1["config"].pop("input"), m2["config"].pop("input")
         assert m1 == m2
 
+    def test_each_restart_logged_as_it_ends(self, planted, tmp_path, monkeypatch):
+        # A restart's line is written before the next restart starts.
+        import coupclust.evaluation as evaluation
+
+        events = []
+        solve = evaluation.solve_nuclear
+
+        def solve_noted(dtm, k, seed):
+            events.append(f"solve {seed}")
+            return solve(dtm, k, seed=seed)
+
+        monkeypatch.setattr(evaluation, "solve_nuclear", solve_noted)
+        monkeypatch.setattr(coupclust.cli, "_log", lambda msg: events.append(msg[:14]))
+        data, _ = planted
+        argv = ["cluster", str(data), "--algo", "nuclear", "--k", "2",
+                "--seed", "4", "--restarts", "2", "--out", str(tmp_path / "x")]
+        assert main(argv) == 0
+        assert events == [
+            "solve 4", "restart seed=4", "solve 5", "restart seed=5",
+        ]
+
     def test_round_off_tie_keeps_earliest_restart(self, planted, tmp_path, monkeypatch):
         # Restarts that land on the same optimum may differ in the last bit of
         # the objective; the earlier seed is kept, a real gain still wins.
@@ -222,7 +266,7 @@ class TestTruth:
         truth = tmp_path / "t.tsv"
         truth.write_text(text)
         monkeypatch.setattr(
-            "coupclust.cli._solve", lambda *a, **k: pytest.fail("solver ran")
+            "coupclust.cli._restarts", lambda *a, **k: pytest.fail("solver ran")
         )
         out = tmp_path / "run"
         assert self._cluster(pruned, truth, out) == 3
@@ -536,6 +580,7 @@ class TestExitCodes:
         data.write_text("a\tu\t1\n")
         for argv in (
             ["counterexample", "--s-grid", "a,b"],
+            ["counterexample", "--s-grid", ","],
             ["counterexample", "--s-grid", "1:2"],
             ["elbow", str(data), "--ks", "1,x"],
             ["synth", "--gen", "planted", "--sizes", "3,x"],
@@ -793,7 +838,7 @@ class TestExitCodes:
         "argv, artifact, work",
         [
             (["cluster", "DATA", "--algo", "nuclear", "--k", "2",
-              "--restarts", "3"], "report.json", "_solve"),
+              "--restarts", "3"], "report.json", "_restarts"),
             (["elbow", "DATA", "--ks", "1,2", "--restarts", "1"],
              "manifest.json", "elbow_curve"),
             (["embed", "DATA", "--d", "2"], "manifest.json", "dtm_embed"),
@@ -859,7 +904,8 @@ def test_manifest_records_every_flag(planted, tmp_path):
     # The manifest's config has one key per flag of its subcommand, --out
     # aside, in the parser's order; cluster adds the seed it kept, last. So a
     # deleted flag cannot linger in it and a flag that changes the outputs
-    # cannot be left out of it: synth records the flags of both generators.
+    # cannot be left out of it: synth records the flags of both generators,
+    # the other generator's as null.
     data, truth = planted
     subs = _subcommands()
     runs = {
@@ -888,6 +934,14 @@ def test_manifest_records_every_flag(planted, tmp_path):
             assert config["truth"] == str(truth)
         if argv[0] == "counterexample":
             assert config["s_grid"] == "2,3"
+        if name == "synth-planted":
+            assert [config[key] for key in ("m", "n", "s")] == [None] * 3
+            assert config["sizes"] == "3,3" and config["seed"] == 0
+        if name == "synth-counterexample":
+            assert [config[key] for key in ("sizes", "within", "cross", "seed")] == (
+                [None] * 4
+            )
+            assert [config[key] for key in ("m", "n", "s")] == [2, 2, 3.0]
         assert list(config) == want, name
 
 
@@ -1090,6 +1144,32 @@ class TestElbowCmd:
             assert rc == 0
             norm_val = json.loads((out / "report.json").read_text())["norm_value"]
             assert norm_val == pytest.approx(float(elbow_val), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("algo", ["nuclear", "frobenius"])
+    def test_elbow_row_is_clusters_norm(self, tmp_path, capsys, algo):
+        # Each row is the norm of the restart that `cluster --seed 0` keeps,
+        # the one with the highest final objective. A Frobenius objective
+        # subtracts the marginal penalty, so on this input at k = 5 the
+        # restart with the largest norm is not the one kept.
+        joint, _ = gen_planted_blocks(3, 8, 1.0, 0.05, noise_seed=7)
+        data = tmp_path / "data.tsv"
+        write_triplets(data, *joint)
+        flags = ["--algo", algo, "--restarts", "5"]
+        pz = ["--pz", "uniform"] if algo == "frobenius" else []
+        with warnings.catch_warnings():
+            # Some nuclear restarts on this input lower the norm once.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["elbow", str(data), "--ks", "1:5:1", *flags,
+                         "--out", str(tmp_path / "elb")]) == 0
+            rows = (tmp_path / "elb" / "elbow.csv").read_text().split()[1:]
+            for row in rows:
+                k, elbow_val = row.split(",")
+                out = tmp_path / f"k{k}"
+                assert main(["cluster", str(data), "--k", k, *flags, *pz,
+                             "--out", str(out)]) == 0
+                report = json.loads((out / "report.json").read_text())
+                assert report["norm_value"] == float(elbow_val), k
+        assert len(rows) == 5
 
 
 class TestEmbedCmd:

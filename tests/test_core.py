@@ -48,6 +48,10 @@ class TestPmf:
         with pytest.raises(DataError, match="Pmf: duplicate labels"):
             Pmf(("a", "a"), np.array([0.5, 0.5]))
 
+    def test_uniform_needs_a_label(self):
+        with pytest.raises(DataError, match="empty alphabet"):
+            Pmf.uniform([])
+
     def test_immutable(self):
         p = Pmf.uniform(("a", "b", "c"))
         with pytest.raises(ValueError):
@@ -72,6 +76,8 @@ class TestCouplingKernel:
         )
         p_y = Pmf(("y0", "y1"), np.array([0.3, 0.7]))
         np.testing.assert_allclose(k.induced_marginal(p_y), [0.3, 0.7])
+        with pytest.raises(DataError, match="kernel/item marginal size mismatch"):
+            k.induced_marginal(Pmf.uniform(("y0", "y1", "y2")))
 
 
 def test_pmf_and_kernel_compare_and_hash_by_identity():
@@ -94,6 +100,21 @@ class TestDtm:
             Dtm(b, row, col)
         # A column marginal with a zero entry is still accepted.
         assert Dtm(b.T, col, row).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.full((2, 3), 0.5), r"matrix \(2, 3\) vs marginals \(2, 2\)"),
+            (np.array([[0.5, 0.5], [0.5, np.nan]]), "DTM entries must be finite"),
+            # B sqrt(col) = sqrt(row) holds, its transpose identity does not.
+            (np.array([[1.0, 0.0], [0.5, 0.5]]), r"B\^T sqrt\(row\) != sqrt\(col\)"),
+        ],
+        ids=["shape", "nonfinite", "column-identity"],
+    )
+    def test_constructor_checks(self, matrix, message):
+        half = Pmf(("a", "b"), np.array([0.5, 0.5]))
+        with pytest.raises(DataError, match=message):
+            Dtm(matrix, half, half)
 
 
 class TestBuildDtm:

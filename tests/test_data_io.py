@@ -910,6 +910,10 @@ class TestIngest:
     def test_validation(self):
         with pytest.raises(ConfigError, match="unknown normalize mode 'columns'"):
             ingest(["a"], ["u"], np.ones((1, 1)), normalize="columns")
+        # Rows whose sum is NaN or 0 would otherwise be pruned silently.
+        for bad in (np.nan, -1.0):
+            with pytest.raises(DataError, match="weights must be finite and >= 0"):
+                ingest(["a", "b"], ["u", "v"], np.array([[1.0, 1.0], [bad, 1.0]]))
 
 
 class TestRoundTrip:
@@ -1068,6 +1072,21 @@ class TestCommunityObjective:
     def test_shape_mismatch(self):
         with pytest.raises(DataError, match=r"Q \(2, 2\) vs P \(2, 3\)"):
             community_objective(np.ones((2, 2)), np.ones((2, 3)), 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "q, k, error, message",
+        [
+            (np.eye(2), 0, ConfigError, "k must be >= 1"),
+            (np.array([[1.0, -0.5], [0.0, 1.0]]), 1, DataError,
+             "Q must be finite and >= 0"),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), 1, DataError,
+             "Q must be finite and >= 0"),
+        ],
+        ids=["k", "negative-q", "nonfinite-q"],
+    )
+    def test_bad_k_or_q(self, q, k, error, message):
+        with pytest.raises(error, match=message):
+            community_objective(q, np.full((2, 2), 0.25), 1.0, k)
 
     def test_prunes_before_dtm(self):
         # Q2 has an empty row/column pattern that must not break the DTM

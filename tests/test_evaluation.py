@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coupclust.core import CouplingKernel, Pmf, build_dtm
+from coupclust.core import CouplingKernel, Pmf, SolveTrace, build_dtm
 from coupclust.data_io import gen_planted_blocks, ingest
 from coupclust.errors import ConfigError, DataError
 from coupclust.evaluation import (
@@ -25,6 +25,13 @@ from coupclust.svd import SPECTRAL_TOL
 
 from conftest import normalized_joint, random_joint, singular_values
 from paper_identities import weighted_kmeans_cost
+
+
+def _trace(objective, status="Converged"):
+    """A one-row SolveTrace ending at objective."""
+    trace = SolveTrace(status=status)
+    trace.record(objective, 0.0, 0.0)
+    return trace
 
 
 def _items(labels):
@@ -287,7 +294,7 @@ class TestKernelNormValue:
             with pytest.raises(DataError, match="kernel items must be the joint's"):
                 kernel_norm_value(dtm, kernel, algorithm)
             with pytest.raises(DataError):
-                build_report(dtm, kernel, truth, algorithm)
+                build_report(dtm, kernel, _trace(1.0), algorithm, truth)
 
     def test_algorithm_validation(self, rng):
         dtm = build_dtm(*random_joint(rng, 3, 3))
@@ -428,16 +435,27 @@ class TestElbow:
 
     def test_round_off_tie_keeps_lower_seed(self, monkeypatch):
         # Restarts that land on the same optimum may differ in the last bit
-        # of their value; the lower seed's value is kept, a real gain wins.
+        # of their final objective; the lower seed is kept, a real gain
+        # wins, as in cluster. Each seed returns its own split, so the row
+        # names the kernel kept.
         import coupclust.evaluation as ev
 
         dtm = build_dtm(*gen_planted_blocks(2, 4, 1.0, 0.1, noise_seed=0)[0])
-        for restarts, best in ((2, 5.0), (3, 5.0 + 1e-9)):
-            bumps = iter((0.0, 1e-15, 1e-9))
-            monkeypatch.setattr(
-                ev, "kernel_norm_value", lambda *args: 5.0 + next(bumps)
+        kernels = [
+            CouplingKernel(
+                ("z0", "z1"), dtm.row_pmf.labels,
+                np.eye(2)[:, [0] * cut + [1] * (8 - cut)],
             )
-            assert elbow_curve(dtm, [2], restarts=restarts) == [(2, best)]
+            for cut in (4, 3, 2)
+        ]
+        bump = (0.0, 1e-15, 1e-9)
+        monkeypatch.setattr(
+            ev, "solve_nuclear",
+            lambda dtm, k, seed: (kernels[seed], _trace(5.0 + bump[seed])),
+        )
+        for restarts, best in ((2, 0), (3, 2)):
+            want = kernel_norm_value(dtm, kernels[best], "nuclear")
+            assert elbow_curve(dtm, [2], restarts=restarts) == [(2, want)]
 
     def test_ks_validation(self, rng):
         dtm = build_dtm(*random_joint(rng, 4, 4))
@@ -462,16 +480,31 @@ class TestReport:
         kmat[1, 4:] = 1.0
         kernel = CouplingKernel(("z0", "z1"), joint[0], kmat)
         truth = dict(zip(joint[0], truth))
-        report = build_report(build_dtm(*joint), kernel, truth, "nuclear")
-        # The keys of report.json, in its order.
+        dtm = build_dtm(*joint)
+        report = build_report(dtm, kernel, _trace(1.5, "MaxIters"), "nuclear", truth)
+        # The keys of report.json, in its order; a run without truth writes
+        # the first six.
         assert list(report) == [
             "k",
+            "algorithm",
+            "objective",
+            "norm_value",
+            "iters",
+            "status",
             "coverage",
             "overall_accuracy",
             "k_accuracy",
-            "norm_value",
         ]
-        assert report["k"] == 2
+        bare = build_report(dtm, kernel, _trace(1.5, "MaxIters"), "nuclear")
+        assert bare == dict(list(report.items())[:6])
+        assert bare == {
+            "k": 2,
+            "algorithm": "nuclear",
+            "objective": 1.5,
+            "norm_value": kernel_norm_value(dtm, kernel, "nuclear"),
+            "iters": 1,
+            "status": "MaxIters",
+        }
         assert report["coverage"] == 1.0
         assert report["overall_accuracy"] == 1.0
         assert report["k_accuracy"] == 1.0
@@ -490,4 +523,4 @@ class TestReport:
         # One item fewer in the truth than in the kernel.
         truth = dict(zip(joint[0][:-1], truth))
         with pytest.raises(DataError, match=f"{joint[0][-1]!r} has no truth label"):
-            build_report(build_dtm(*joint), kernel, truth, "nuclear")
+            build_report(build_dtm(*joint), kernel, _trace(1.0), "nuclear", truth)

@@ -269,7 +269,7 @@ class TestSolve:
     def test_warning_attributed_to_caller(self, caller):
         # The 3-block input on which k = 4, seed 5 lowers the norm once. The
         # warning names the first frame outside the package, not the solver
-        # or evaluation._solve.
+        # or evaluation._restarts.
         joint, _ = gen_planted_blocks(3, 6, 1.0, 0.2, noise_seed=0)
         dtm = build_dtm(*joint)
         with warnings.catch_warnings(record=True) as caught:
