@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: cluster, counterexample, elbow, embed, synth. Every run writes
+Subcommands: cluster, elbow, embed, synth. Every run writes
 a manifest.json (resolved config + library version + seed) sufficient to
 reproduce its outputs byte for byte. Reports go to standard output; all
 diagnostics go to standard error. Exit codes: 0 success, 2 configuration
@@ -17,19 +17,13 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .core import CouplingKernel, Dtm, Pmf
+from .core import Dtm, Pmf
 from .data_io import (
     _check_creatable,
-    _counterexample_labels,
-    _counterexample_splits,
     _create,
     _write_json,
     apply_rating_transform,
-    community_objective,
-    gen_counterexample,
     gen_planted_blocks,
     ingest,
     load_dense_csv,
@@ -50,7 +44,6 @@ from .evaluation import (
     build_report,
     elbow_curve,
     format_report_table,
-    kernel_norm_value,
 )
 from .frobenius import LAMBDA, _check_lam, _check_target, _uniform_target
 
@@ -191,10 +184,7 @@ def _cmd_cluster(args, out_dir: Path) -> int:
     report = build_report(dtm, kernel, trace, args.algo, truth)
     pz_out = p_z.probs if p_z is not None else kernel.induced_marginal(dtm.row_pmf)
     _write_json(out_dir / "prune_report.json", prune)
-    write_kernel_json(
-        out_dir / "kernel.json", kernel, pz_out, report["objective"], args.algo,
-        len(trace),
-    )
+    write_kernel_json(out_dir / "kernel.json", kernel, pz_out, report)
     write_trace_csv(out_dir / "trace.csv", trace)
     _write_manifest(out_dir, args, lam=lam, best_seed=best_seed)
     _write_json(out_dir / "report.json", report)
@@ -213,8 +203,8 @@ class _Grid(NamedTuple):
     values: list
 
 
-def _parse_grid(text: str, cast=float) -> _Grid:
-    """argparse type for `start:stop:step` or comma-separated numbers."""
+def _parse_int_grid(text: str) -> _Grid:
+    """argparse type for `start:stop:step` or comma-separated integers."""
     try:
         if ":" in text:
             parts = text.split(":")
@@ -222,27 +212,21 @@ def _parse_grid(text: str, cast=float) -> _Grid:
                 raise argparse.ArgumentTypeError(
                     "grid must be start:stop:step or comma-separated"
                 )
-            start, stop, step = (cast(p) for p in parts)
+            start, stop, step = (int(p) for p in parts)
             if step <= 0 or stop < start:
                 raise argparse.ArgumentTypeError(
                     "grid needs stop >= start and step > 0"
                 )
-            # The points that do not pass stop, up to round-off at it.
-            count = int((stop - start) / step + 1e-9) + 1
+            # The points that do not pass stop.
+            count = (stop - start) // step + 1
             if count > _MAX_GRID_POINTS:
                 raise argparse.ArgumentTypeError(
                     f"grid has {count} points, more than {_MAX_GRID_POINTS}"
                 )
             return _Grid(text, [start + i * step for i in range(count)])
-        return _Grid(text, [cast(p) for p in text.split(",") if p.strip()])
-    except (ValueError, OverflowError):
-        raise argparse.ArgumentTypeError(
-            f"bad {cast.__name__} list {text!r}"
-        ) from None
-
-
-def _parse_int_grid(text: str) -> _Grid:
-    return _parse_grid(text, int)
+        return _Grid(text, [int(p) for p in text.split(",") if p.strip()])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from None
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -261,32 +245,6 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
-
-
-def _cmd_counterexample(args, out_dir: Path) -> int:
-    grid = args.s_grid.values
-    if not grid:
-        raise ConfigError("empty s grid")
-    _check_creatable(out_dir, "counterexample.csv", "manifest.json")
-    m, n, lam = args.m, args.n, args.lam
-    lines = ["s,frob_intuitive,frob_oneitem,community_obj_Q1,community_obj_Q2"]
-    for s in grid:
-        base = gen_counterexample(m, n, s)  # checks m and n before any m, n-sized array
-        items, features = _counterexample_labels(m, n)
-        dtm = ingest(items, features, base)[0]
-        frob, community = [], []
-        for rows, cols in _counterexample_splits(m, n):
-            kernel = CouplingKernel(("z0", "z1"), items, np.eye(2)[:, rows])
-            frob.append(kernel_norm_value(dtm, kernel, "frobenius"))
-            q = base * (rows[:, None] == cols)
-            community.append(community_objective(q, base, lam, 2))
-        lines.append(",".join(f"{v:.17g}" for v in (s, *frob, *community)))
-    text = "\n".join(lines) + "\n"
-    with _create(out_dir / "counterexample.csv") as fh:
-        fh.write(text)
-    _write_manifest(out_dir, args)
-    print(text, end="")
-    return 0
 
 
 def _cmd_elbow(args, out_dir: Path) -> int:
@@ -326,48 +284,21 @@ def _cmd_embed(args, out_dir: Path) -> int:
     return 0
 
 
-# Each generator's synth flags, with the defaults that the parser leaves
-# unset so that the other generator can reject them.
-_SYNTH_FLAGS = {
-    "counterexample": {"m": 2, "n": 2, "s": 3.0},
-    "planted": {
-        "sizes": _parse_int_grid("30,30"), "within": 1.0, "cross": 0.05, "seed": 0,
-    },
-}
-
-
 def _cmd_synth(args, out_dir: Path) -> int:
-    given = vars(args)
-    for gen, defaults in _SYNTH_FLAGS.items():
-        if gen != args.gen:
-            _reject(f"--gen {args.gen}", {f"--{d}": given[d] for d in defaults})
-    # The manifest records these, and null for the other generator's flags.
-    flags = {
-        d: v if given[d] is None else given[d]
-        for d, v in _SYNTH_FLAGS[args.gen].items()
-    }
-    if args.gen == "counterexample":
-        _check_creatable(out_dir, "synth.tsv", "manifest.json")
-        mat = gen_counterexample(**flags)
-        labels = _counterexample_labels(flags["m"], flags["n"])
-        write_triplets(out_dir / "synth.tsv", *labels, mat)
-        print(f"wrote {mat.size} triplets to {out_dir / 'synth.tsv'}")
-    else:
-        _check_creatable(out_dir, "synth.tsv", "truth.tsv", "manifest.json")
-        sizes = flags["sizes"].values
-        (rows, cols, weights), truth = gen_planted_blocks(
-            len(sizes), sizes, flags["within"], flags["cross"],
-            noise_seed=flags["seed"],
-        )
-        write_triplets(out_dir / "synth.tsv", rows, cols, weights)
-        with _create(out_dir / "truth.tsv") as fh:
-            for item, label in zip(rows, truth):
-                fh.write(f"{item}\t{label}\n")
-        print(
-            f"wrote {weights.size} triplets to {out_dir / 'synth.tsv'} "
-            f"and truth labels to {out_dir / 'truth.tsv'}"
-        )
-    _write_manifest(out_dir, args, **flags)
+    _check_creatable(out_dir, "synth.tsv", "truth.tsv", "manifest.json")
+    sizes = args.sizes.values
+    (rows, cols, weights), truth = gen_planted_blocks(
+        len(sizes), sizes, args.within, args.cross, noise_seed=args.seed
+    )
+    write_triplets(out_dir / "synth.tsv", rows, cols, weights)
+    with _create(out_dir / "truth.tsv") as fh:
+        for item, label in zip(rows, truth):
+            fh.write(f"{item}\t{label}\n")
+    print(
+        f"wrote {weights.size} triplets to {out_dir / 'synth.tsv'} "
+        f"and truth labels to {out_dir / 'truth.tsv'}"
+    )
+    _write_manifest(out_dir, args)
     return 0
 
 
@@ -416,21 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.set_defaults(func=_cmd_cluster)
 
-    ce = subs.add_parser(
-        "counterexample", help="two-community objective and norm curves"
-    )
-    _add_io_flags(ce, with_input=False)
-    ce.add_argument("--m", type=int, default=50)
-    ce.add_argument("--n", type=int, default=50)
-    ce.add_argument("--lambda", dest="lam", type=float, default=3000.0)
-    ce.add_argument(
-        "--s-grid",
-        type=_parse_grid,
-        default="1:10:0.5",
-        help="s values: start:stop:step or comma-separated",
-    )
-    ce.set_defaults(func=_cmd_counterexample)
-
     elbow = subs.add_parser("elbow", help="norm-versus-k model selection curve")
     _add_io_flags(elbow)
     elbow.add_argument(
@@ -451,14 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = subs.add_parser("synth", help="write synthetic benchmark data")
     _add_io_flags(synth, with_input=False)
-    synth.add_argument("--gen", choices=("counterexample", "planted"), required=True)
-    synth.add_argument("--m", type=int)  # defaults in _SYNTH_FLAGS
-    synth.add_argument("--n", type=int)
-    synth.add_argument("--s", type=float)
-    synth.add_argument("--sizes", type=_parse_int_grid)
-    synth.add_argument("--within", type=float)
-    synth.add_argument("--cross", type=float)
-    synth.add_argument("--seed", type=_nonnegative_int)
+    synth.add_argument("--sizes", type=_parse_int_grid, default="30,30")
+    synth.add_argument("--within", type=float, default=1.0)
+    synth.add_argument("--cross", type=float, default=0.05)
+    synth.add_argument("--seed", type=_nonnegative_int, default=0)
     synth.set_defaults(func=_cmd_synth)
 
     return parser

@@ -26,8 +26,8 @@ Ingestion prunes all-zero rows and columns (a joint needs strictly interior
 marginals), reports what it dropped, and returns the joint's Dtm: the
 normalized weights go straight into build_dtm and are not kept.
 
-The generators make raw matrices (planted blocks; the counterexample's base
-and its two splits); kernels are scored by evaluation.kernel_norm_value.
+The planted-block generator makes a mass-1 joint and its truth labels;
+kernels are scored by evaluation.kernel_norm_value.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ __all__ = [
     "write_triplets",
     "load_pmf",
     "apply_rating_transform",
-    "gen_counterexample",
     "gen_planted_blocks",
-    "community_objective",
     "write_kernel_json",
     "write_trace_csv",
 ]
@@ -847,39 +845,6 @@ def _check_cells(rows: int, cols: int) -> None:
         )
 
 
-def gen_counterexample(m: int, n: int, s: float) -> np.ndarray:
-    """Two-community block matrix P = [[s*1, 1], [1, s*1]] of m x n blocks,
-    2m x 2n and left unnormalized; its size is checked before it is built."""
-    if int(m) < 1 or int(n) < 1:
-        raise ConfigError("m and n must be positive")
-    if not (math.isfinite(s) and s >= 1):
-        raise ConfigError("s must be finite and >= 1")
-    m, n, s = int(m), int(n), float(s)
-    _check_cells(2 * m, 2 * n)
-    base = np.ones((2 * m, 2 * n))
-    base[:m, :n] = s
-    base[m:, n:] = s
-    return base
-
-
-def _counterexample_labels(m: int, n: int) -> tuple[list[str], list[str]]:
-    """Labels of the 2m rows (y0..) and 2n columns (x0..) of the
-    counterexample matrix, as synth writes them."""
-    return [f"y{i}" for i in range(2 * m)], [f"x{j}" for j in range(2 * n)]
-
-
-def _counterexample_splits(m: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The counterexample's two candidate clusterings as (row, column) cluster
-    ids: the intuitive split at the block boundary, then the one-item split of
-    the last row and column. A split's kernel is the one-hot matrix of its row
-    ids; its Q keeps the cells of P whose row and column share a cluster."""
-    if m < 2 or n < 2:
-        raise ConfigError("one_item_Q2 needs m, n >= 2")
-    intuitive = np.repeat([0, 1], m), np.repeat([0, 1], n)
-    one_item = np.repeat([0, 1], [2 * m - 1, 1]), np.repeat([0, 1], [2 * n - 1, 1])
-    return [intuitive, one_item]
-
-
 def gen_planted_blocks(
     blocks: int,
     sizes,
@@ -928,31 +893,6 @@ def gen_planted_blocks(
     return (labels_y, labels_x, w / w.sum()), truth
 
 
-def community_objective(q, p, lam: float, k: int) -> float:
-    """||Q - P||_F^2 - lam * (sum of the top k singular values of B(Q)).
-
-    Zero rows/columns of Q are pruned before the DTM is formed (the DTM of
-    an unnormalized nonnegative matrix equals that of its normalization); a
-    k above the pruned DTM's smaller side sums all its singular values.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if q.shape != p.shape or q.ndim != 2:
-        raise DataError(f"Q {q.shape} vs P {p.shape}")
-    if int(k) < 1:
-        raise ConfigError("k must be >= 1")
-    if not math.isfinite(lam):
-        raise ConfigError(f"lam must be finite, got {lam!r}")
-    if np.any(q < 0) or not np.all(np.isfinite(q)):
-        raise DataError("Q must be finite and >= 0")
-    dist = float(np.sum((q - p) ** 2))
-    rows = [f"y{i}" for i in range(q.shape[0])]
-    cols = [f"x{j}" for j in range(q.shape[1])]
-    dtm = ingest(rows, cols, q)[0]
-    top = float(np.sum(dtm.top(min(int(k), min(dtm.shape)))[1]))
-    return dist - float(lam) * top
-
-
 def _write_json(path, payload) -> None:
     """JSON with two-space indent and a trailing newline."""
     with _create(path) as fh:
@@ -960,23 +900,18 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def write_kernel_json(
-    path,
-    kernel: CouplingKernel,
-    p_z,
-    objective: float,
-    algorithm: str,
-    iters: int,
-) -> None:
-    """Pinned kernel artifact schema; key order is part of the format."""
+def write_kernel_json(path, kernel: CouplingKernel, p_z, report) -> None:
+    """Pinned kernel artifact schema; key order is part of the format. The
+    objective, algorithm and iteration count come from the run's report
+    (evaluation.build_report's dict)."""
     payload = {
         "clusters": list(kernel.cluster_labels),
         "items": list(kernel.item_labels),
         "kernel": [[float(v) for v in row] for row in kernel.kernel],
         "p_z": [float(v) for v in np.asarray(p_z, dtype=np.float64)],
-        "objective": float(objective),
-        "algorithm": algorithm,
-        "iters": int(iters),
+        "objective": float(report["objective"]),
+        "algorithm": report["algorithm"],
+        "iters": int(report["iters"]),
     }
     _write_json(path, payload)
 

@@ -72,32 +72,25 @@ def _argmax_step(c: np.ndarray, assign: np.ndarray) -> np.ndarray:
 
 
 def _rescue_dead(
-    assign: np.ndarray,
-    c: np.ndarray,
-    py: np.ndarray,
-    nz: int,
-    rescues_left: int,
-) -> tuple[np.ndarray, int]:
+    assign: np.ndarray, c: np.ndarray, py: np.ndarray, nz: int
+) -> np.ndarray:
     """Reassign one item into each dead cluster, cheapest to move first.
 
     A cluster is dead when its induced mass drops below DEAD_MASS. The item
     stolen for dead cluster z* maximizes C[y, z*] - C[y, assign[y]] (the
-    least objective loss) among items that are not their own cluster's sole
-    member; ties go to the lowest item index.
+    least objective loss) among items whose cluster stays alive without
+    them; ties go to the lowest item index. No move kills a cluster and no
+    item leaves a dead one, so the loop ends, even when items lighter than
+    DEAD_MASS take several moves to revive a cluster.
     """
     while True:
         mass = np.zeros(nz)
         np.add.at(mass, assign, py)
         dead = np.flatnonzero(mass < DEAD_MASS)
         if dead.size == 0:
-            return assign, rescues_left
-        if rescues_left <= 0:
-            raise SolverError(
-                f"cluster {int(dead[0])} emptied and the rescue budget is spent"
-            )
+            return assign
         z_star = int(dead[0])
-        counts = np.bincount(assign, minlength=nz)
-        movable = counts[assign] >= 2
+        movable = mass[assign] - py >= DEAD_MASS
         if not np.any(movable):
             raise SolverError(
                 f"cluster {z_star} emptied and every other cluster is a singleton"
@@ -107,7 +100,6 @@ def _rescue_dead(
         y_star = int(np.argmax(margin))
         assign = assign.copy()
         assign[y_star] = z_star
-        rescues_left -= 1
 
 
 def solve_nuclear(
@@ -155,7 +147,6 @@ def solve_nuclear(
 
     trace = SolveTrace()
     trace.extras = {"kyfan_gap": [], "linear_before": [], "linear_after": []}
-    rescues_left = k
     prev_norm = None
 
     for _ in range(MAX_ITERS):
@@ -165,9 +156,7 @@ def solve_nuclear(
         # C[y, z] weights P(z|y) in tr(F^T P_{Z|Y} P_{Y,X} G), where
         # F = [P_Z]^{-1/2} U and G = [P_X]^{-1/2} V are the Ky Fan factors.
         c = sy[:, None] * ((b @ vt.T) @ u.T) / sz[None, :]
-        new_assign, rescues_left = _rescue_dead(
-            _argmax_step(c, assign), c, py, k, rescues_left
-        )
+        new_assign = _rescue_dead(_argmax_step(c, assign), c, py, k)
         linear_before = float(np.sum(c[items, assign]))
         # At the current assignment the linear objective is tr(F^T P_{Z,X}
         # G), which the factors make equal to the nuclear norm.

@@ -21,6 +21,11 @@ here, beside the checks:
   for the package's active-set projection.
 - For a hard assignment, ||B_{Z,X}||_F^2 = ||B||_F^2 minus the P_Y-weighted
   k-means cost of the rows phi_y = B[y] / sqrt(P_Y(y)) (ROADMAP item 15).
+- The two-community counterexample: the block matrix P, its two candidate
+  clusterings, and the community-detection objective, whose ranking of
+  the two flips at s* = sqrt((2mn - m - n) / (m + n - 2)) while the
+  Frobenius norm ranks the intuitive split first for every s > 1
+  (criteria 5 and 6). It runs neither solver.
 
 Logs are natural: information quantities are in nats.
 """
@@ -42,6 +47,7 @@ from coupclust.core import (
     _freeze,
     build_dtm,
 )
+from coupclust.data_io import _check_cells, ingest
 from coupclust.errors import ConfigError, DataError
 
 from conftest import singular_values
@@ -251,3 +257,74 @@ def bipartite_components(w: np.ndarray) -> int:
     )
     count, _ = connected_components(graph, directed=False)
     return int(count)
+
+
+def gen_counterexample(m: int, n: int, s: float) -> np.ndarray:
+    """Two-community block matrix P = [[s*1, 1], [1, s*1]] of m x n blocks,
+    2m x 2n and left unnormalized; its size is checked before it is built."""
+    if int(m) < 1 or int(n) < 1:
+        raise ConfigError("m and n must be positive")
+    if not (math.isfinite(s) and s >= 1):
+        raise ConfigError("s must be finite and >= 1")
+    m, n, s = int(m), int(n), float(s)
+    _check_cells(2 * m, 2 * n)
+    base = np.ones((2 * m, 2 * n))
+    base[:m, :n] = s
+    base[m:, n:] = s
+    return base
+
+
+def _counterexample_labels(m: int, n: int) -> tuple[list[str], list[str]]:
+    """Labels of the 2m rows (y0..) and 2n columns (x0..) of the
+    counterexample matrix."""
+    return [f"y{i}" for i in range(2 * m)], [f"x{j}" for j in range(2 * n)]
+
+
+def _counterexample_splits(m: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The counterexample's two candidate clusterings as (row, column) cluster
+    ids: the intuitive split at the block boundary, then the one-item split of
+    the last row and column. A split's kernel is the one-hot matrix of its row
+    ids; its Q keeps the cells of P whose row and column share a cluster."""
+    if m < 2 or n < 2:
+        raise ConfigError("one_item_Q2 needs m, n >= 2")
+    intuitive = np.repeat([0, 1], m), np.repeat([0, 1], n)
+    one_item = np.repeat([0, 1], [2 * m - 1, 1]), np.repeat([0, 1], [2 * n - 1, 1])
+    return [intuitive, one_item]
+
+
+def community_objective(q, p, lam: float, k: int) -> float:
+    """||Q - P||_F^2 - lam * (sum of the top k singular values of B(Q)).
+
+    Zero rows/columns of Q are pruned before the DTM is formed (the DTM of
+    an unnormalized nonnegative matrix equals that of its normalization); a
+    k above the pruned DTM's smaller side sums all its singular values.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    if q.shape != p.shape or q.ndim != 2:
+        raise DataError(f"Q {q.shape} vs P {p.shape}")
+    if int(k) < 1:
+        raise ConfigError("k must be >= 1")
+    if not math.isfinite(lam):
+        raise ConfigError(f"lam must be finite, got {lam!r}")
+    if np.any(q < 0) or not np.all(np.isfinite(q)):
+        raise DataError("Q must be finite and >= 0")
+    dist = float(np.sum((q - p) ** 2))
+    rows = [f"y{i}" for i in range(q.shape[0])]
+    cols = [f"x{j}" for j in range(q.shape[1])]
+    dtm = ingest(rows, cols, q)[0]
+    top = float(np.sum(dtm.top(min(int(k), min(dtm.shape)))[1]))
+    return dist - float(lam) * top
+
+
+def counterexample_splits(m, n, s):
+    """The counterexample's base P and, for the intuitive then the one-item
+    split, (kernel, community matrix Q), both derived from the split's
+    cluster ids."""
+    base = gen_counterexample(m, n, s)
+    items = _counterexample_labels(m, n)[0]
+    return base, [
+        (CouplingKernel(("z0", "z1"), items, np.eye(2)[:, rows]),
+         base * (rows[:, None] == cols))
+        for rows, cols in _counterexample_splits(m, n)
+    ]

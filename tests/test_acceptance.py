@@ -13,28 +13,20 @@ import pytest
 
 from coupclust.cli import main as cli_main
 from coupclust.core import CouplingKernel, Pmf, build_dtm
-from coupclust.data_io import (
-    _counterexample_labels,
-    community_objective,
-    gen_planted_blocks,
-    ingest,
-    write_triplets,
-)
+from coupclust.data_io import gen_planted_blocks, ingest, write_triplets
 from coupclust.evaluation import elbow_curve, harden, kernel_norm_value, matched_accuracy
 from coupclust.frobenius import _half_gradient, solve_frobenius
 from coupclust.nuclear import solve_nuclear
 from coupclust.simplex import project_columns
 
-from conftest import (
-    counterexample_splits,
-    oracle_project,
-    random_joint,
-    singular_values,
-)
+from conftest import oracle_project, random_joint, singular_values
 from paper_identities import (
     PerturbationFamily,
+    _counterexample_labels,
     bipartite_components,
+    community_objective,
     compose_dtm,
+    counterexample_splits,
     dtm_from_kernel,
     frobenius_objective,
     local_mi_gap,

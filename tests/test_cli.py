@@ -17,11 +17,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import coupclust
-from coupclust.cli import _parse_grid, _parse_int_grid, build_parser, main
+from coupclust.cli import _parse_int_grid, build_parser, main
 from coupclust import data_io
 from coupclust.core import Pmf
 from coupclust.data_io import gen_planted_blocks, write_triplets
 from coupclust.errors import SolverError
+
+from conftest import zipf_joint
 
 
 @pytest.fixture
@@ -35,31 +37,12 @@ def planted(tmp_path):
 
 
 class TestSynth:
-    def test_counterexample_triplet_count(self, tmp_path, capsys):
-        out = tmp_path / "synth"
-        rc = main(
-            [
-                "synth", "--gen", "counterexample", "--m", "2", "--n", "2",
-                "--s", "3", "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        lines = (out / "synth.tsv").read_text().strip().split("\n")
-        assert len(lines) == 16
-        first = lines[0].split("\t")
-        assert first[:2] == ["y0", "x0"]
-        assert float(first[2]) == 3.0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "synth"
-        assert manifest["config"]["s"] == 3.0
-
     def test_planted_writes_truth(self, tmp_path):
         out = tmp_path / "synth"
         rc = main(
             [
-                "synth", "--gen", "planted", "--sizes", "3,3",
-                "--within", "1", "--cross", "0.1", "--seed", "1",
-                "--out", str(out),
+                "synth", "--sizes", "3,3", "--within", "1", "--cross", "0.1",
+                "--seed", "1", "--out", str(out),
             ]
         )
         assert rc == 0
@@ -73,28 +56,45 @@ class TestSynth:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--gen", "planted", "--m", "5"],
-            ["--gen", "planted", "--n", "5"],
-            ["--gen", "planted", "--s", "9"],
-            ["--gen", "counterexample", "--sizes", "3,3"],
-            ["--gen", "counterexample", "--within", "9"],
-            ["--gen", "counterexample", "--cross", "0.5"],
-            ["--gen", "counterexample", "--seed", "4"],
+            ["--sizes", "3,3"],
+            ["--within", "9"],
+            ["--cross", "0.5"],
+            ["--seed", "4"],
         ],
-        ids=["planted-m", "planted-n", "planted-s", "counterexample-sizes",
-             "counterexample-within", "counterexample-cross", "counterexample-seed"],
+        ids=["counterexample-sizes", "counterexample-within",
+             "counterexample-cross", "counterexample-seed"],
     )
     def test_other_generators_flag_rejected(self, tmp_path, capsys, argv):
-        # A flag that only the other generator reads would be ignored.
+        # synth has one generator; a call that asks for the deleted
+        # counterexample generator is refused, not answered with planted
+        # data, whatever planted flag rides along.
         out = tmp_path / "synth"
-        assert main(["synth", *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"configuration error: --gen {argv[1]} does not take {argv[2]}\n"
-        )
-        assert list(out.iterdir()) == []
+        argv = ["synth", "--gen", "counterexample", *argv, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --gen counterexample\n" in err
+        assert "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestCluster:
+    @pytest.mark.filterwarnings("ignore:nuclear norm decreased:RuntimeWarning")
+    def test_nuclear_k32_on_zipf_keeps_every_restart(self, tmp_path, capsys):
+        # On this 128-item Zipf joint some restarts at k = 32 empty a cluster
+        # at step after step; each is rescued every time, so no restart fails
+        # the run, for cluster or for an elbow that reaches k = 32.
+        data = tmp_path / "zipf0.tsv"
+        write_triplets(data, *zipf_joint(0))
+        out = tmp_path / "run"
+        argv = ["cluster", str(data), "--algo", "nuclear", "--k", "32",
+                "--restarts", "5", "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert len(json.loads((out / "kernel.json").read_text())["clusters"]) == 32
+        argv = ["elbow", str(data), "--ks", "8,16,32", "--restarts", "5",
+                "--out", str(tmp_path / "elbow")]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert "solver error" not in capsys.readouterr().err
+
     def test_nuclear_with_report(self, planted, tmp_path, capsys):
         data, truth = planted
         out = tmp_path / "run"
@@ -475,18 +475,20 @@ class TestExitCodes:
         [
             ["elbow", "DATA", "--algo", "frobenius", "--ks", "2", "--lambda",
              "nan", "--restarts", "1"],
-            ["synth", "--gen", "planted", "--cross", "inf"],
+            ["synth", "--cross", "inf"],
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
              "uniform", "--lambda", "inf", "--restarts", "1"],
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
              "uniform", "--lambda", "nan", "--restarts", "1"],
             ["elbow", "DATA", "--algo", "frobenius", "--ks", "2", "--lambda",
              "inf", "--restarts", "1"],
-            ["counterexample", "--lambda", "inf"],
-            ["counterexample", "--lambda", "nan"],
-            ["counterexample", "--s-grid", "1,inf"],
-            ["synth", "--gen", "counterexample", "--s", "inf"],
-            ["synth", "--gen", "planted", "--within", "inf"],
+            ["synth", "--within", "nan"],
+            ["synth", "--cross", "nan"],
+            ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
+             "uniform", "--lambda=-inf", "--restarts", "1"],
+            ["elbow", "DATA", "--algo", "frobenius", "--ks", "2",
+             "--lambda=-inf", "--restarts", "1"],
+            ["synth", "--within", "inf"],
         ],
     )
     def test_nonfinite_hyperparameter(self, planted, tmp_path, capsys, argv):
@@ -569,30 +571,22 @@ class TestExitCodes:
         assert not (out / "kernel.json").exists()
 
     def test_bad_grid(self, tmp_path):
-        rc = main(
-            [
-                "counterexample", "--s-grid", "5:1:1",
-                "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert rc == 2
         data = tmp_path / "data.tsv"
         data.write_text("a\tu\t1\n")
         for argv in (
-            ["counterexample", "--s-grid", "a,b"],
-            ["counterexample", "--s-grid", ","],
-            ["counterexample", "--s-grid", "1:2"],
+            ["elbow", str(data), "--ks", "5:1:1"],
+            ["elbow", str(data), "--ks", "a,b"],
+            ["elbow", str(data), "--ks", ","],
+            ["elbow", str(data), "--ks", "1:2"],
             ["elbow", str(data), "--ks", "1,x"],
-            ["synth", "--gen", "planted", "--sizes", "3,x"],
+            ["elbow", str(data), "--ks", "1:2:0.5"],
+            ["synth", "--sizes", "3,x"],
+            ["synth", "--sizes", "1:2:1e-300"],
             # sizes that would allocate without bound
-            ["counterexample", "--s-grid", "0:1e12:1"],
-            ["counterexample", "--s-grid", "1:2:1e-300"],
+            ["elbow", str(data), "--ks", "1:10002:1"],
             ["elbow", str(data), "--ks", "1:1000000000000:1"],
-            ["synth", "--gen", "planted", "--sizes", "1:1000000000000:1"],
-            ["synth", "--gen", "planted", "--sizes", "1000000000,1000000000"],
-            ["synth", "--gen", "counterexample", "--m", "1000000000", "--n", "2"],
-            ["counterexample", "--m", "1000000000", "--s-grid", "2"],
-            ["counterexample", "--n", "1000000000", "--s-grid", "2"],
+            ["synth", "--sizes", "1:1000000000000:1"],
+            ["synth", "--sizes", "1000000000,1000000000"],
         ):
             start = time.perf_counter()
             assert main(argv + ["--out", str(tmp_path / "x")]) == 2, argv
@@ -626,7 +620,7 @@ class TestExitCodes:
             ["cluster", "DATA", "--algo", "nuclear", "--k", "2"],
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
              "uniform"],
-            ["synth", "--gen", "planted"],
+            ["synth"],
         ],
         ids=["nuclear", "frobenius", "synth"],
     )
@@ -760,17 +754,36 @@ class TestExitCodes:
         [
             ["cluster", "DATA", "--algo", "frobenius", "--k", "2", "--pz",
              "uniform", "--tol", "1e-6"],
-            ["synth", "--gen", "counterexample", "--variant", "base_P"],
-            ["synth", "--gen", "planted", "--sizes", "3,3", "--blocks", "2"],
+            ["synth", "--variant", "base_P"],
+            ["synth", "--sizes", "3,3", "--blocks", "2"],
+            ["synth", "--m", "5"],
+            ["synth", "--n", "5"],
+            ["synth", "--s", "9"],
         ],
-        ids=["cluster-tol", "synth-variant", "synth-blocks"],
+        ids=["cluster-tol", "synth-variant", "synth-blocks", "synth-m",
+             "synth-n", "synth-s"],
     )
     def test_deleted_flags_are_usage_errors(self, planted, tmp_path, capsys, argv):
+        # A flag that no parser takes any more is refused, not ignored; --s
+        # is refused as an abbreviation of both --sizes and --seed.
         data, _ = planted
         argv = [str(data) if a == "DATA" else a for a in argv]
-        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+        if argv[-2] == "--s":
+            assert "error: ambiguous option: --s could match --sizes, --seed\n" in err
+        else:
+            assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_deleted_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        # The two-community counterexample is a paper identity, checked by
+        # the tests; no subcommand computes it.
+        assert main(["counterexample", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'counterexample'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -816,11 +829,9 @@ class TestExitCodes:
               "--restarts", "1"], "kernel.json"),
             (["elbow", "DATA", "--ks", "1,2", "--restarts", "1"], "elbow.csv"),
             (["embed", "DATA", "--d", "2"], "embedding.tsv"),
-            (["synth", "--gen", "planted", "--sizes", "3,3"], "truth.tsv"),
-            (["counterexample", "--m", "2", "--n", "2", "--s-grid", "2"],
-             "counterexample.csv"),
+            (["synth", "--sizes", "3,3"], "truth.tsv"),
         ],
-        ids=["cluster", "elbow", "embed", "synth", "counterexample"],
+        ids=["cluster", "elbow", "embed", "synth"],
     )
     def test_unwritable_artifact(self, planted, tmp_path, capsys, argv, artifact):
         # A directory already holds an artifact's name: the run names the
@@ -842,12 +853,9 @@ class TestExitCodes:
             (["elbow", "DATA", "--ks", "1,2", "--restarts", "1"],
              "manifest.json", "elbow_curve"),
             (["embed", "DATA", "--d", "2"], "manifest.json", "dtm_embed"),
-            (["synth", "--gen", "planted", "--sizes", "3,3"], "truth.tsv",
-             "gen_planted_blocks"),
-            (["counterexample", "--m", "2", "--n", "2", "--s-grid", "2,3"],
-             "counterexample.csv", "gen_counterexample"),
+            (["synth", "--sizes", "3,3"], "truth.tsv", "gen_planted_blocks"),
         ],
-        ids=["cluster", "elbow", "embed", "synth", "counterexample"],
+        ids=["cluster", "elbow", "embed", "synth"],
     )
     def test_artifact_checked_before_work(
         self, planted, tmp_path, capsys, monkeypatch, argv, artifact, work
@@ -904,8 +912,7 @@ def test_manifest_records_every_flag(planted, tmp_path):
     # The manifest's config has one key per flag of its subcommand, --out
     # aside, in the parser's order; cluster adds the seed it kept, last. So a
     # deleted flag cannot linger in it and a flag that changes the outputs
-    # cannot be left out of it: synth records the flags of both generators,
-    # the other generator's as null.
+    # cannot be left out of it, a default included.
     data, truth = planted
     subs = _subcommands()
     runs = {
@@ -913,10 +920,7 @@ def test_manifest_records_every_flag(planted, tmp_path):
                     "--restarts", "1", "--truth", str(truth)],
         "elbow": ["elbow", str(data), "--ks", "1,2", "--restarts", "1"],
         "embed": ["embed", str(data), "--d", "2"],
-        "synth-planted": ["synth", "--gen", "planted", "--sizes", "3,3"],
-        "synth-counterexample": ["synth", "--gen", "counterexample"],
-        "counterexample": ["counterexample", "--m", "2", "--n", "2",
-                           "--s-grid", "2,3"],
+        "synth": ["synth", "--sizes", "3,3"],
     }
     for name, argv in runs.items():
         out = tmp_path / name
@@ -932,16 +936,8 @@ def test_manifest_records_every_flag(planted, tmp_path):
         if argv[0] == "cluster":
             want.append("best_seed")
             assert config["truth"] == str(truth)
-        if argv[0] == "counterexample":
-            assert config["s_grid"] == "2,3"
-        if name == "synth-planted":
-            assert [config[key] for key in ("m", "n", "s")] == [None] * 3
-            assert config["sizes"] == "3,3" and config["seed"] == 0
-        if name == "synth-counterexample":
-            assert [config[key] for key in ("sizes", "within", "cross", "seed")] == (
-                [None] * 4
-            )
-            assert [config[key] for key in ("m", "n", "s")] == [2, 2, 3.0]
+        if argv[0] == "synth":
+            assert config == {"sizes": "3,3", "within": 1.0, "cross": 0.05, "seed": 0}
         assert list(config) == want, name
 
 
@@ -970,13 +966,10 @@ def _replay_argv(manifest) -> list[str]:
         ["elbow", "DATA", "--ks", "1:3:1", "--restarts", "2"],
         ["elbow", "DATA", "--algo", "frobenius", "--ks", "2,3", "--restarts", "1"],
         ["embed", "DATA", "--d", "2", "--normalize", "rows"],
-        ["synth", "--gen", "planted", "--sizes", "3,4", "--seed", "5"],
-        ["synth", "--gen", "counterexample", "--m", "3", "--s", "2.5"],
-        ["counterexample", "--m", "2", "--n", "3", "--s-grid", "2:3:0.5"],
+        ["synth", "--sizes", "3,4", "--seed", "5"],
     ],
     ids=["cluster-nuclear", "cluster-frobenius-truth", "elbow-nuclear",
-         "elbow-frobenius", "embed", "synth-planted", "synth-counterexample",
-         "counterexample"],
+         "elbow-frobenius", "embed", "synth-planted"],
 )
 def test_every_manifest_replays(planted, tmp_path, capsys, argv):
     # The manifest is the exact config for a rerun: its flags, passed back,
@@ -1029,76 +1022,18 @@ def test_each_run_builds_one_dtm(planted, tmp_path, monkeypatch):
     assert counts == dict.fromkeys(runs, 1)
 
 
-class TestCounterexampleCmd:
-    def test_csv_columns_and_values(self, tmp_path, capsys):
-        out = tmp_path / "ce"
-        rc = main(
-            [
-                "counterexample", "--m", "50", "--n", "50",
-                "--lambda", "3000", "--s-grid", "5", "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        lines = (out / "counterexample.csv").read_text().strip().split("\n")
-        assert lines[0] == (
-            "s,frob_intuitive,frob_oneitem,community_obj_Q1,community_obj_Q2"
-        )
-        vals = [float(x) for x in lines[1].split(",")]
-        assert vals[0] == 5.0
-        assert vals[1] == pytest.approx(2 * 26 / 36, rel=1e-9)
-        assert vals[3] == pytest.approx(-1000.0, abs=1e-6)
-        assert vals[4] == pytest.approx(-3450.0, abs=1e-6)
-
-    @pytest.mark.parametrize(
-        "m, n, s, lam",
-        [(2, 2, 1.0, 1.0), (3, 5, 2.5, 7.0), (7, 4, 9.0, 3000.0),
-         (50, 50, 7.5, 3000.0)],
-    )
-    def test_community_columns_closed_form(self, tmp_path, m, n, s, lam):
-        # The command builds each split's Q itself; both columns must equal
-        # the closed forms ||Q - P||_F^2 - 2 lam (each Q's DTM has sigma_1 =
-        # sigma_2 = 1).
-        out = tmp_path / "ce"
-        rc = main(
-            [
-                "counterexample", "--m", str(m), "--n", str(n), "--lambda",
-                str(lam), "--s-grid", str(s), "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        row = (out / "counterexample.csv").read_text().split("\n")[1]
-        q1, q2 = (float(v) for v in row.split(",")[3:])
-        assert q1 == pytest.approx(2 * m * n - 2 * lam, rel=1e-12, abs=0)
-        assert q2 == pytest.approx(
-            m + n + s * s * (m + n - 2) - 2 * lam, rel=1e-12, abs=0
-        )
-
-    def test_grid_expansion(self, tmp_path):
-        out = tmp_path / "ce"
-        rc = main(
-            [
-                "counterexample", "--m", "2", "--n", "2",
-                "--s-grid", "1:2:0.5", "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        lines = (out / "counterexample.csv").read_text().strip().split("\n")
-        assert [float(r.split(",")[0]) for r in lines[1:]] == [1.0, 1.5, 2.0]
-
-
 @pytest.mark.parametrize(
     "text, parse, want",
     [
         ("1:4:2", _parse_int_grid, [1, 3]),
-        ("1:2:0.6", _parse_grid, [1.0, 1.6]),
-        ("0:0.3:0.1", _parse_grid, [0.0, 0.1, 0.2, 0.30000000000000004]),
-        ("1:10:0.5", _parse_grid, [1 + 0.5 * i for i in range(19)]),
+        ("1:10:3", _parse_int_grid, [1, 4, 7, 10]),
+        ("0:5:2", _parse_int_grid, [0, 2, 4]),
+        ("3,1,2", _parse_int_grid, [3, 1, 2]),
         ("2:2:1", _parse_int_grid, [2]),
     ],
 )
 def test_grid_stops_at_stop(text, parse, want):
-    # start:stop:step holds the points that do not pass stop, keeping one
-    # that reaches it only up to round-off.
+    # start:stop:step holds the points that do not pass stop.
     assert parse(text).values == want
 
 

@@ -16,13 +16,9 @@ from coupclust import data_io
 from coupclust.core import CouplingKernel, Pmf, SolveTrace, build_dtm
 from coupclust.data_io import (
     MAX_CELLS,
-    _counterexample_labels,
-    _counterexample_splits,
     _parse_triplets_bulk,
     _parse_triplets_lines,
     apply_rating_transform,
-    community_objective,
-    gen_counterexample,
     gen_planted_blocks,
     ingest,
     load_dense_csv,
@@ -40,7 +36,14 @@ from coupclust.errors import (
 )
 from coupclust.evaluation import kernel_norm_value
 
-from conftest import counterexample_splits, random_joint
+from conftest import random_joint
+from paper_identities import (
+    _counterexample_labels,
+    _counterexample_splits,
+    community_objective,
+    counterexample_splits,
+    gen_counterexample,
+)
 
 
 class TestParseTriplets:
@@ -994,6 +997,9 @@ class TestRatings:
 
 
 class TestCounterexample:
+    """The paper's two-community counterexample, built test-side in
+    paper_identities (it runs neither solver)."""
+
     def test_base_matrix_m2_n2_s3(self):
         mat = gen_counterexample(2, 2, 3.0)
         want = np.array(
@@ -1053,25 +1059,68 @@ class TestCounterexample:
             gen_counterexample(0, 2, 2.0)
         with pytest.raises(ConfigError, match="s must be finite and >= 1"):
             gen_counterexample(2, 2, 0.5)
+        with pytest.raises(ConfigError, match="s must be finite and >= 1"):
+            gen_counterexample(2, 2, math.inf)
         with pytest.raises(ConfigError, match="one_item_Q2 needs m, n >= 2"):
             _counterexample_splits(1, 2)
         with pytest.raises(ConfigError, match="one_item_Q2 needs m, n >= 2"):
             _counterexample_splits(2, 1)
 
+    def test_flip_rows_at_m_n_50(self):
+        # At m = n = 50 and lam = 3000 the community objective moves from
+        # the intuitive split to the one-item split between s = 7 and 7.5
+        # (the threshold is sqrt(50)), while the intuitive split keeps the
+        # higher Frobenius value on both sides of it.
+        labels = _counterexample_labels(50, 50)
+        for s, gap in ((7.0, 98.0), (7.5, -612.5)):
+            base, [(k1, q1), (k2, q2)] = counterexample_splits(50, 50, s)
+            got = community_objective(q1, base, 3000.0, 2) - community_objective(
+                q2, base, 3000.0, 2
+            )
+            assert got == pytest.approx(gap, rel=1e-12, abs=0), s
+            dtm = ingest(*labels, base)[0]
+            frob = [kernel_norm_value(dtm, k, "frobenius") for k in (k1, k2)]
+            assert frob[0] > frob[1], s
+
 
 class TestCommunityObjective:
     def test_worked_example(self):
-        base, [(_, q1), (_, q2)] = counterexample_splits(50, 50, 5.0)
+        base, [(k1, q1), (_, q2)] = counterexample_splits(50, 50, 5.0)
         assert community_objective(q1, base, 3000.0, 2) == pytest.approx(
             -1000.0, abs=1e-6
         )
         assert community_objective(q2, base, 3000.0, 2) == pytest.approx(
             -3450.0, abs=1e-6
         )
+        dtm = ingest(*_counterexample_labels(50, 50), base)[0]
+        assert kernel_norm_value(dtm, k1, "frobenius") == pytest.approx(
+            2 * 26 / 36, rel=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "m, n, s, lam",
+        [(2, 2, 1.0, 1.0), (3, 5, 2.5, 7.0), (7, 4, 9.0, 3000.0),
+         (50, 50, 7.5, 3000.0)],
+    )
+    def test_both_splits_closed_form(self, m, n, s, lam):
+        # Each split's Q has a DTM with sigma_1 = sigma_2 = 1, so both
+        # objectives equal the closed forms ||Q - P||_F^2 - 2 lam.
+        base, [(_, q1), (_, q2)] = counterexample_splits(m, n, s)
+        assert community_objective(q1, base, lam, 2) == pytest.approx(
+            2 * m * n - 2 * lam, rel=1e-12, abs=0
+        )
+        assert community_objective(q2, base, lam, 2) == pytest.approx(
+            m + n + s * s * (m + n - 2) - 2 * lam, rel=1e-12, abs=0
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError, match=r"Q \(2, 2\) vs P \(2, 3\)"):
             community_objective(np.ones((2, 2)), np.ones((2, 3)), 1.0, 1)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_nonfinite_lam(self, lam):
+        with pytest.raises(ConfigError, match="lam must be finite"):
+            community_objective(np.eye(2), np.full((2, 2), 0.25), lam, 1)
 
     @pytest.mark.parametrize(
         "q, k, error, message",
@@ -1161,7 +1210,11 @@ class TestArtifacts:
             [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
         )
         path = tmp_path / "kernel.json"
-        write_kernel_json(path, kernel, [0.5, 0.5], 1.25, "nuclear", 7)
+        # The objective, algorithm and iteration count come from the run's
+        # report; its other keys stay out of kernel.json.
+        report = {"k": 2, "algorithm": "nuclear", "objective": 1.25,
+                  "norm_value": 1.5, "iters": 7, "status": "Converged"}
+        write_kernel_json(path, kernel, [0.5, 0.5], report)
         text = path.read_text()
         data = json.loads(text)
         assert list(data.keys()) == [
@@ -1174,7 +1227,9 @@ class TestArtifacts:
             "iters",
         ]
         assert data["kernel"] == [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]
-        assert data["iters"] == 7
+        assert [data[key] for key in ("objective", "algorithm", "iters")] == [
+            1.25, "nuclear", 7
+        ]
         assert text.endswith("\n")
 
     def test_trace_csv_layout(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from coupclust import frobenius
 from coupclust.core import CouplingKernel, Dtm, Pmf, build_dtm
-from coupclust.data_io import gen_counterexample, gen_planted_blocks
+from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import ConfigError, DataError, SolverError
 from coupclust.evaluation import harden, matched_accuracy
 from coupclust.frobenius import (
@@ -17,7 +17,12 @@ from coupclust.frobenius import (
 from coupclust.simplex import project_columns
 
 from conftest import normalized_joint, random_joint, random_pmf, zipf_joint
-from paper_identities import compose_dtm, dtm_from_kernel, frobenius_objective
+from paper_identities import (
+    compose_dtm,
+    dtm_from_kernel,
+    frobenius_objective,
+    gen_counterexample,
+)
 
 
 def _two_by_two():

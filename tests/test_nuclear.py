@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from coupclust.core import build_dtm
-from coupclust.data_io import (
-    gen_counterexample,
-    gen_planted_blocks,
-)
+from coupclust.data_io import gen_planted_blocks
 from coupclust.errors import ConfigError, CoupclustError, SolverError
 from coupclust.evaluation import (
     elbow_curve,
@@ -25,6 +22,7 @@ from coupclust.nuclear import (
 )
 
 from conftest import normalized_joint, random_joint
+from paper_identities import gen_counterexample
 
 
 def _two_by_two():
@@ -217,19 +215,21 @@ class TestRescue:
             ]
         )
         py = np.array([0.4, 0.3, 0.3])
-        new, left = _rescue_dead(assign, c, py, 3, rescues_left=3)
+        new = _rescue_dead(assign, c, py, 3)
         # y=1 loses least (3 - 0 = 3 vs y0: 1-5=-4); y2 is a singleton
         np.testing.assert_array_equal(new, [0, 2, 1])
-        assert left == 2
 
-    def test_budget_exhaustion(self):
-        assign = np.array([0, 0, 1])
-        c = np.zeros((3, 3))
-        py = np.full(3, 1 / 3)
-        with pytest.raises(
-            SolverError, match="cluster 2 emptied and the rescue budget is spent"
-        ):
-            _rescue_dead(assign, c, py, 3, rescues_left=0)
+    def test_light_items_stay_in_a_dead_cluster(self):
+        # Cluster 0 holds two items lighter than DEAD_MASS. Moving one of
+        # them into its own cluster loses nothing, but would leave cluster 0
+        # dead and the loop where it started; the rescue moves y2, the
+        # cheapest item whose cluster stays alive, instead.
+        assign = np.array([0, 0, 1, 1, 2])
+        c = np.zeros((5, 3))
+        c[2, 1], c[3, 1], c[4, 2] = 1.0, 2.0, 1.0
+        py = np.array([1e-13, 1e-13, 0.5, 0.3, 0.2 - 2e-13])
+        new = _rescue_dead(assign, c, py, 3)
+        np.testing.assert_array_equal(new, [0, 0, 0, 1, 2])
 
     def test_all_singletons(self):
         assign = np.array([0, 1])
@@ -238,7 +238,7 @@ class TestRescue:
         with pytest.raises(
             SolverError, match="cluster 2 emptied and every other cluster is a singleton"
         ):
-            _rescue_dead(assign, c, py, 3, rescues_left=5)
+            _rescue_dead(assign, c, py, 3)
 
 
 class TestSolve:
@@ -319,10 +319,7 @@ class TestSolve:
     def test_every_cluster_alive(self, rng):
         # k = |Y| forces heavy churn; rescue must keep all clusters nonempty
         dtm = build_dtm(*random_joint(rng, 6, 5))
-        try:
-            kernel, _ = solve_nuclear(dtm, 6, seed=0)
-        except SolverError:
-            return  # budget exhaustion is a legal outcome
+        kernel, _ = solve_nuclear(dtm, 6, seed=0)
         mass = kernel.induced_marginal(dtm.row_pmf)
         assert np.all(mass > 0)
 
@@ -357,7 +354,7 @@ def _chain_route(joint, k, seed):
     assign[perm[:k]] = np.arange(k)
     if ny > k:
         assign[perm[k:]] = rng.integers(0, k, size=ny - k)
-    objectives, tied, rescues_left = [], False, k
+    objectives, tied = [], False
     for _ in range(nuclear.MAX_ITERS):
         traced = assign
         _, s, _, c = _chain_reference(joint, _one_hot(assign, k))
@@ -366,9 +363,7 @@ def _chain_route(joint, k, seed):
         scale = np.max(np.abs(c), axis=1)
         if k > 1:
             tied |= bool(np.any(top[:, -1] - top[:, -2] <= 1e-12 * scale))
-        new_assign, rescues_left = _rescue_dead(
-            np.argmax(c, axis=1), c, py, k, rescues_left
-        )
+        new_assign = _rescue_dead(np.argmax(c, axis=1), c, py, k)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

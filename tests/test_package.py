@@ -29,12 +29,10 @@ PUBLIC = {
     "apply_rating_transform",
     "build_dtm",
     "build_report",
-    "community_objective",
     "coverage",
     "dtm_embed",
     "elbow_curve",
     "format_report_table",
-    "gen_counterexample",
     "gen_planted_blocks",
     "harden",
     "ingest",
@@ -54,7 +52,7 @@ PUBLIC = {
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 32
     assert len(coupclust.__all__) == len(set(coupclust.__all__))
     assert set(coupclust.__all__) == PUBLIC
     for name in PUBLIC:
@@ -96,11 +94,9 @@ def test_cli_flags_pinned():
     assert flags == {
         "cluster": [*io, "--algo", "--k", "--pz", "--lambda", "--seed",
                     "--restarts", "--truth"],
-        "counterexample": ["--out", "--m", "--n", "--lambda", "--s-grid"],
         "elbow": [*io, "--ks", "--algo", "--restarts", "--lambda"],
         "embed": [*io, "--d"],
-        "synth": ["--out", "--gen", "--m", "--n", "--s",
-                  "--sizes", "--within", "--cross", "--seed"],
+        "synth": ["--out", "--sizes", "--within", "--cross", "--seed"],
     }
 
 
